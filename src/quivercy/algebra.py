@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import random
 
-from .errors import MalformedRelation, NotFiniteDimensional, NotAHomomorphism
+from .errors import MalformedRelation, NotFiniteDimensional
 from .linalg import QQ, Mat, span_basis, in_span
 from .quiver import Path, Quiver, Relation
 
@@ -51,7 +51,6 @@ class Algebra:
         if any(b.degree <= 0 for b in basis[len(self.vertices):]):
             raise ValueError("non-idempotent basis elements need positive degree")
         self._generators = None
-        self._env = None
         self._cache = {}
 
     @property
@@ -60,6 +59,13 @@ class Algebra:
 
     def nvert(self):
         return len(self.vertices)
+
+    def cached(self, key, build):
+        """The object derived from this algebra under key; build() makes
+        it on the first call only."""
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
 
     def mul(self, i, j):
         """basis[i] * basis[j] as a sparse {index: coeff} dict."""
@@ -290,7 +296,6 @@ def opposite(a: Algebra) -> Algebra:
     op = Algebra(a.field, a.vertices, basis, mult, name=f"{a.name}^op",
                  quiver=a.quiver.reversed() if a.quiver else None)
     op._path_classes = getattr(a, "_path_classes", {})
-    op.op_of = a
     if a._generators is not None:
         op.set_generators(a._generators)
     return op
@@ -342,50 +347,11 @@ def tensor_product(a: Algebra, b: Algebra, name=None) -> Algebra:
     return t
 
 
+def cached_opposite(a: Algebra) -> Algebra:
+    """opposite(a), built once per algebra."""
+    return a.cached("op", lambda: opposite(a))
+
+
 def enveloping(a: Algebra) -> Algebra:
     """a (x) a^op; bimodules over a are left modules over this."""
-    if a._env is None:
-        aop = opposite(a)
-        e = tensor_product(a, aop, name=f"{a.name}^env")
-        e.env_of = a
-        e.env_op = aop
-        a._env = e
-    return a._env
-
-
-def algebra_map_from_quiver_map(a: Algebra, b: Algebra, vmap, amap):
-    """Linear map a -> b sending vertex v to vmap[v] and each arrow label
-    l to the arrow label amap[l], extended along paths.  Verifies that the
-    result is an algebra homomorphism; raises NotAHomomorphism otherwise.
-
-    Returns the map as {basis index of a: sparse element of b}.
-    """
-    if a.quiver is None or b.quiver is None:
-        raise NotAHomomorphism("both algebras must be path-built")
-    images = {}
-    for i, e in enumerate(a.basis):
-        p = e.path
-        w = vmap[p.start]
-        labels = tuple(amap[l] for l in p.labels)
-        try:
-            q = Path(b.quiver, w, labels)
-        except (ValueError, KeyError) as exc:
-            raise NotAHomomorphism(f"image walk of {p!r} is invalid: {exc}")
-        images[i] = b.elt_of_path(q)
-    one = a.field.one()
-    for i in range(a.dim):
-        for j in range(a.dim):
-            lhs = {}
-            for k, c in a.mul(i, j).items():
-                for l, cl in images[k].items():
-                    v = lhs.get(l, a.field.zero()) + c * cl
-                    if v:
-                        lhs[l] = v
-                    elif l in lhs:
-                        del lhs[l]
-            rhs = b.mul_elt(images[i], images[j])
-            if lhs != rhs:
-                raise NotAHomomorphism(
-                    f"map fails multiplicativity at basis pair ({a.basis[i]}, {a.basis[j]})"
-                )
-    return images
+    return a.cached("env", lambda: tensor_product(a, cached_opposite(a), name=f"{a.name}^env"))

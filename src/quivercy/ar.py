@@ -8,7 +8,7 @@ everything inside one-sided module machinery.
 
 from __future__ import annotations
 
-from .algebra import Algebra, BasisElt, enveloping, opposite, tensor_product
+from .algebra import Algebra, BasisElt, cached_opposite, enveloping, tensor_product
 from .errors import (
     CapExceeded,
     FactorNotHomogeneous,
@@ -23,7 +23,6 @@ from .module import (
     Module,
     Morphism,
     bimodule_to_env_module,
-    decompose,
     direct_sum,
     dual_module,
     env_module_to_bimodule,
@@ -32,7 +31,7 @@ from .module import (
     injective_module,
     is_isomorphic,
     outer_tensor_module,
-    regular_module,
+    regular_bimodule,
     socle_vertices,
     tensor_bimod_bimod,
     zero_module,
@@ -40,23 +39,16 @@ from .module import (
 from .homology import (
     _cached_dual_regular,
     _cached_projective,
+    _cached_regular,
+    _match_projective,
     _module_resolution,
     default_cap,
     ext_dims_upto,
     global_dimension,
-    dominant_dimension,
+    homology_module,
     is_selfinjective,
-    min_proj_resolution,
     tor,
 )
-
-
-def _cached_op(alg):
-    return alg._cache.setdefault("op", opposite(alg))
-
-
-def _cached_regular(alg):
-    return alg._cache.setdefault("regmod", regular_module(alg))
 
 
 def tau_n(M: Module, n: int):
@@ -68,11 +60,8 @@ def tau_n_minus(M: Module, n: int):
     """Inverse translate, via D Tor_n(D M, D(reg)) resolved over the
     opposite algebra."""
     alg = M.alg
-    op = _cached_op(alg)
-    key = "dreg_flip"
-    if key not in alg._cache:
-        alg._cache[key] = flip_bimodule(_cached_dual_regular(alg), op, op)
-    Y = alg._cache[key]
+    op = cached_opposite(alg)
+    Y = alg.cached("dreg_flip", lambda: flip_bimodule(_cached_dual_regular(alg), op, op))
     Mop = dual_module(M, op)
     T = tor(n, Y, Mop)
     return dual_module(T, alg, name=f"tau{n}-({M.name})")
@@ -116,16 +105,6 @@ class NrfReport:
 
     def __repr__(self):
         return f"NrfReport(n={self.n}, is_nrf={self.is_nrf!r})"
-
-
-def _match_projective(M: Module):
-    """Vertex v with M isomorphic to the projective at v, else None."""
-    alg = M.alg
-    for v in alg.vertices:
-        P = _cached_projective(alg, v)
-        if P.dim_vector() == M.dim_vector() and is_isomorphic(M, P):
-            return v
-    return None
 
 
 def decide_nrf(alg: Algebra, n: int, cap=None, verify_ct=True, seed=0):
@@ -224,10 +203,8 @@ def _env_resolution(alg, upto):
     """Minimal projective resolution of the dual regular bimodule over the
     enveloping algebra, cached on the algebra."""
     E = enveloping(alg)
-    key = "env_res_mod"
-    if key not in alg._cache:
-        alg._cache[key] = bimodule_to_env_module(_cached_dual_regular(alg), E)
-    return _module_resolution(alg._cache[key], upto), E
+    M = alg.cached("env_res_mod", lambda: bimodule_to_env_module(_cached_dual_regular(alg), E))
+    return _module_resolution(M, upto), E
 
 
 class _HomLayout:
@@ -351,16 +328,15 @@ def _hom_coboundary(alg, E, lay_k: _HomLayout, lay_k1: _HomLayout, em):
 def ext_bimodule(alg: Algebra, n: int, cap=None):
     """Ext^n(D(reg), reg) with both module structures: the bimodule T
     generating the higher preprojective algebra."""
-    key = ("ext_bimod", n)
-    if key in alg._cache:
-        return alg._cache[key]
+    return alg.cached(("ext_bimod", n), lambda: _build_ext_bimodule(alg, n))
+
+
+def _build_ext_bimodule(alg, n):
     res, E = _env_resolution(alg, n + 1)
     if n > res.length:
-        out = Bimodule(alg, alg, {(u, v): 0 for u in alg.vertices for v in alg.vertices},
-                       {}, {}, name="T")
-        alg._cache[key] = out
-        return out
-    reg_bimod = alg._cache.setdefault("regbimod", _regular_bimodule(alg))
+        return Bimodule(alg, alg, {(u, v): 0 for u in alg.vertices for v in alg.vertices},
+                        {}, {}, name="T")
+    reg_bimod = alg.cached("regbimod", lambda: regular_bimodule(alg))
     lays = {}
     for k in (n - 1, n, n + 1):
         if 0 <= k <= res.length:
@@ -377,19 +353,10 @@ def ext_bimodule(alg: Algebra, n: int, cap=None):
         mats = _hom_coboundary(alg, E, lays[n - 1], lays[n], res.eltmats[n])
         src_env = bimodule_to_env_module(lays[n - 1].bimodule(), E)
         f_in = Morphism(src_env, Hn_env, mats)
-    from .homology import homology_module
-
     H = homology_module(Hn_env, f_in, f_out, name="T")
     out = env_module_to_bimodule(H, alg)
     out.name = "T"
-    alg._cache[key] = out
     return out
-
-
-def _regular_bimodule(alg):
-    from .module import regular_bimodule
-
-    return regular_bimodule(alg)
 
 
 # -- tensor algebra of a bimodule --------------------------------------

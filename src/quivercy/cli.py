@@ -14,7 +14,6 @@ import time
 import click
 
 from . import __version__
-from .algebra import tensor_product
 from .errors import CapExceeded, FactorNotHomogeneous, NotNRF, ParseError, QuivercyError
 from .homology import dominant_dimension, global_dimension, is_selfinjective
 from .parsing import load_algebra_file
@@ -180,7 +179,7 @@ def typea(n, s, do_cuts, omega_stable_only, verify, cap, pretty):
 def tensor(files, ns, ell, cap, seed, pretty):
     """Tensor-product construction from factor algebras in FILES."""
     from .ar import tensor_nrf
-    from .cy import CyCertificate, combine_cy, find_twisted_cy
+    from .cy import combine_cy, find_twisted_cy
 
     started = time.time()
     if len(ns) != len(files):
@@ -194,7 +193,10 @@ def tensor(files, ns, ell, cap, seed, pretty):
         click.echo(f"factor not homogeneous: {exc}", err=True)
         sys.exit(EXIT_FALSE)
     doc.update(rep.to_dict())
-    certs = [find_twisted_cy(a, cap=cap) for a, _ in factors]
+    try:
+        certs = [find_twisted_cy(a, cap=cap) for a, _ in factors]
+    except CapExceeded:
+        certs = [None]  # a factor's search hit its cap: no combined certificate
     if all(certs):
         m, el = combine_cy(certs)
         doc["cy_combined"] = {"ell": el, "m": m,

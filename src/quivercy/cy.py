@@ -12,11 +12,10 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .algebra import enveloping
+from .ar import _env_resolution
 from .errors import CapExceeded
 from .homology import (
     PerfComplex,
-    _module_resolution,
     global_dimension,
     is_shifted_regular,
     minimize,
@@ -74,11 +73,11 @@ def check_twisted_cy(alg, ell, m, cap=None):
 
 
 def find_twisted_cy(alg, ell_max=24, m_max=24, cap=None):
-    """Smallest ell admitting a twisted certificate, or None."""
-    try:
-        global_dimension(alg, cap)
-    except CapExceeded:
-        return None
+    """Smallest ell admitting a twisted certificate, or None when no ell up
+    to ell_max admits one.  Raises CapExceeded when the global dimension
+    or a Nakayama power exceeds the cap, which leaves the search
+    undecided."""
+    global_dimension(alg, cap)
     C = stalk_regular(alg)
     for ell in range(1, ell_max + 1):
         C = nakayama(C, cap=cap)
@@ -95,13 +94,7 @@ def find_twisted_cy(alg, ell_max=24, m_max=24, cap=None):
 def dual_regular_perf(alg):
     """Minimal resolution of the dual regular bimodule by enveloping-
     algebra projectives, as a complex in degrees [-length, 0]."""
-    E = enveloping(alg)
-    key = "env_res_mod"
-    if key not in alg._cache:
-        from .ar import _env_resolution
-
-        _env_resolution(alg, 1)
-    res = _module_resolution(alg._cache[key], 0)
+    res, E = _env_resolution(alg, 0)
     if not res.complete:
         raise CapExceeded("bimodule resolution of the dual regular module")
     return res.to_perf(), E
@@ -194,16 +187,11 @@ def tensor_complex_over_base(C: PerfComplex, D: PerfComplex, alg, E):
 
 
 def _rev(E):
-    if "pair_rev" not in E._cache:
-        E._cache["pair_rev"] = {k: ij for ij, k in E.tensor_info[2].items()}
-    return E._cache["pair_rev"]
+    return E.cached("pair_rev", lambda: {k: ij for ij, k in E.tensor_info[2].items()})
 
 
 def _regular_env_module(alg, E):
-    key = "reg_env_mod"
-    if key not in alg._cache:
-        alg._cache[key] = bimodule_to_env_module(regular_bimodule(alg), E)
-    return alg._cache[key]
+    return alg.cached("reg_env_mod", lambda: bimodule_to_env_module(regular_bimodule(alg), E))
 
 
 def check_untwisted_cy(alg, ell, m, cap=None):

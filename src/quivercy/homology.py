@@ -10,7 +10,7 @@ composite g∘f the element of the composite is elt(f) * elt(g).
 
 from __future__ import annotations
 
-from .algebra import Algebra, opposite
+from .algebra import Algebra, cached_opposite
 from .errors import CapExceeded
 from .linalg import Mat
 from .module import (
@@ -25,8 +25,8 @@ from .module import (
     kernel,
     projective_module,
     quotient,
+    radical_columns,
     regular_module,
-    top_of,
     zero_module,
 )
 
@@ -36,16 +36,15 @@ def default_cap(alg):
 
 
 def _cached_projective(alg, v):
-    key = ("proj", v)
-    if key not in alg._cache:
-        alg._cache[key] = projective_module(alg, v)
-    return alg._cache[key]
+    return alg.cached(("proj", v), lambda: projective_module(alg, v))
 
 
 def _cached_dual_regular(alg):
-    if "dreg" not in alg._cache:
-        alg._cache["dreg"] = dual_regular_bimodule(alg)
-    return alg._cache["dreg"]
+    return alg.cached("dreg", lambda: dual_regular_bimodule(alg))
+
+
+def _cached_regular(alg):
+    return alg.cached("regmod", lambda: regular_module(alg))
 
 
 class SumInfo:
@@ -264,16 +263,7 @@ class PerfComplex:
         return self.to_mod_complex().cohomology(i)
 
     def cohomology_table(self):
-        if not self.terms:
-            return {}
-        mc = self.to_mod_complex()
-        lo, hi = min(self.terms), max(self.terms)
-        out = {}
-        for i in range(lo, hi + 1):
-            H = mc.cohomology(i)
-            if H.total_dim:
-                out[i] = H
-        return out
+        return self.to_mod_complex().cohomology_table()
 
 
 def stalk_regular(alg):
@@ -314,35 +304,38 @@ def homology_module(at: Module, f_in, f_out, name="H"):
 
 
 def projective_cover(M: Module):
-    """Returns (info: SumInfo, epi: Morphism info.module -> M)."""
+    """Returns (info: SumInfo, epi: Morphism info.module -> M).
+
+    Summand r sends its generator to the unit vector at coordinate
+    lifts[r] of M at its vertex.  The lifts are the coordinates left free
+    by the rref of the radical span, so their unit vectors span a
+    complement of rad M."""
     alg = M.alg
     f = alg.field
-    T, pr = top_of(M)
+    rad = radical_columns(M)
     verts = []
-    lifts = []  # per summand: a lift in M_v of a basis vector of top M
+    lifts = []
     for v in alg.vertices:
-        t = T.dims[v]
-        if not t:
-            continue
-        sect = pr.mats[v].solve_matrix(Mat.identity(t, f))
-        for k in range(t):
-            verts.append(v)
-            lifts.append(sect.column(k))
+        _, pivots = Mat.from_rows(rad[v], f, ncols=M.dims[v]).rref()
+        pivset = set(pivots)
+        for j in range(M.dims[v]):
+            if j not in pivset:
+                verts.append(v)
+                lifts.append(j)
     info = SumInfo(alg, verts)
     mats = {}
     for w in alg.vertices:
         m = Mat.zero(M.dims[w], len(info.coords[w]), f)
         for c, (r, bidx) in enumerate(info.coords[w]):
             # column c is the image of basis element bidx of summand r:
-            # the lift itself for the idempotent, zero where bidx acts as 0
+            # the unit vector itself for the idempotent, column lifts[r] of
+            # the action otherwise, zero where bidx acts as 0
+            j = lifts[r]
             if alg.basis[bidx].degree == 0:
-                img = lifts[r]
+                m.a[j][c] = f.one()
             elif bidx in M.act:
-                img = M.act[bidx].apply(lifts[r])
-            else:
-                continue
-            for i, val in enumerate(img):
-                m.a[i][c] = val
+                for row, act_row in zip(m.a, M.act[bidx].a):
+                    row[c] = act_row[j]
         mats[w] = m
     return info, Morphism(info.module, M, mats)
 
@@ -410,13 +403,11 @@ def min_proj_resolution(M: Module, max_len=None, strict=False):
 
 
 def _module_resolution(M, upto):
-    """Cached resolution prefix keyed on the module object identity."""
-    key = ("res", id(M))
-    cached = M.alg._cache.get(key)
-    if cached is not None and (cached.complete or cached.length >= upto):
-        return cached
-    res = min_proj_resolution(M, max_len=max(upto, default_cap(M.alg)))
-    M.alg._cache[key] = res
+    """Resolution prefix of M of length at least upto (or complete), kept
+    on M so that it lives exactly as long as M does."""
+    res = M._resolution
+    if res is None or not (res.complete or res.length >= upto):
+        res = M._resolution = min_proj_resolution(M, max_len=max(upto, default_cap(M.alg)))
     return res
 
 
@@ -524,16 +515,6 @@ def ext_dims_upto(M: Module, N: Module, n, max_len=None):
     return out
 
 
-def _col_module(X: Bimodule, u, name=None):
-    """X e_u as a left module over X.left_alg."""
-    dims = {w: X.dims[(w, u)] for w in X.left_alg.vertices}
-    act = {}
-    for (i, v), m in X.lact.items():
-        if v == u:
-            act[i] = m
-    return Module(X.left_alg, dims, act, name=name or f"{X.name}e[{u}]")
-
-
 def _col_sum(X: Bimodule, verts):
     """Direct sum of columns X e_u with coordinate offsets, as (module,
     offsets) where offsets[(r, w)] locates column r at vertex w."""
@@ -634,19 +615,19 @@ def global_dimension(alg: Algebra, cap=None):
     return gd
 
 
+def _match_projective(M: Module):
+    """Vertex v with M isomorphic to the projective at v, else None."""
+    alg = M.alg
+    for v in alg.vertices:
+        P = _cached_projective(alg, v)
+        if P.dim_vector() == M.dim_vector() and is_isomorphic(M, P):
+            return v
+    return None
+
+
 def _injective_is_projective(alg, v):
-    key = ("inj_proj", v)
-    if key in alg._cache:
-        return alg._cache[key]
-    I = injective_module(alg, v)
-    ans = False
-    for w in alg.vertices:
-        P = _cached_projective(alg, w)
-        if P.dim_vector() == I.dim_vector() and is_isomorphic(I, P):
-            ans = True
-            break
-    alg._cache[key] = ans
-    return ans
+    return alg.cached(("inj_proj", v),
+                      lambda: _match_projective(injective_module(alg, v)) is not None)
 
 
 def dominant_dimension(alg: Algebra, cap=None):
@@ -655,8 +636,7 @@ def dominant_dimension(alg: Algebra, cap=None):
     coresolution stays projective-injective throughout (∞ convention)."""
     if cap is None:
         cap = default_cap(alg)
-    op = alg._cache.setdefault("op", opposite(alg))
-    DM = dual_module(regular_module(alg), op)
+    DM = dual_module(regular_module(alg), cached_opposite(alg))
     res = min_proj_resolution(DM, max_len=cap, strict=True)
     count = 0
     for k in range(res.length + 1):
@@ -845,10 +825,7 @@ def minimize(P: PerfComplex):
             diffs[i + 1] = [[e for t, e in enumerate(row) if t != r] for row in diffs[i + 1]]
         terms[i] = [v for t, v in enumerate(terms[i]) if t != s]
         terms[i + 1] = [v for t, v in enumerate(terms[i + 1]) if t != r]
-        if nd and nd[0]:
-            diffs[i] = nd
-        else:
-            diffs[i] = nd if nd and nd[0] else eltmat_zero(len(terms[i + 1]), len(terms[i]))
+        diffs[i] = nd if nd and nd[0] else eltmat_zero(len(terms[i + 1]), len(terms[i]))
     out = PerfComplex(alg, terms, diffs)
     out.check()
     assert out.is_minimal()
@@ -867,22 +844,11 @@ def nakayama(P: PerfComplex, cap=None):
     diffs = {}
     for i, em in P.diffs.items():
         diffs[i] = _col_sum_diff(
-            DL, P.terms[i], P.terms[i + 1], _transpose_eltmat_for_diff(em),
+            DL, P.terms[i], P.terms[i + 1], em,
             terms[i], offs[i], terms[i + 1], offs[i + 1],
         )
     mc = ModComplex(alg, terms, diffs)
     return minimize(to_projective_complex(mc, cap=cap))
-
-
-def _transpose_eltmat_for_diff(em):
-    # _col_sum_diff expects entries indexed [target summand][source summand],
-    # which is already the layout of our differentials
-    return em
-
-
-def shifted_nakayama(P: PerfComplex, n, cap=None):
-    """nu_n = nu followed by [-n]."""
-    return nakayama(P, cap=cap).shift(-n)
 
 
 def is_shifted_regular(P: PerfComplex):
@@ -892,7 +858,7 @@ def is_shifted_regular(P: PerfComplex):
     if len(table) != 1:
         return None
     (deg, H), = table.items()
-    reg = P.alg._cache.setdefault("regmod", regular_module(P.alg))
+    reg = _cached_regular(P.alg)
     if H.dim_vector() != reg.dim_vector():
         return None
     if is_isomorphic(H, reg):

@@ -1,9 +1,9 @@
-"""Exact linear algebra over the rationals and prime fields.
+"""Exact linear algebra over the rationals.
 
 Everything downstream (algebra bases, Hom spaces, resolutions) reduces to
 rank/kernel/solve on dense matrices.  Scalars are gmpy2 rationals when
-available (much faster than fractions.Fraction), or elements of a prime
-field for the optional mod-p mode.  No floating point anywhere.
+available (much faster than fractions.Fraction).  No floating point
+anywhere.
 """
 
 from __future__ import annotations
@@ -42,71 +42,6 @@ class RationalField:
 
     def __hash__(self):
         return hash("QQ")
-
-
-class FpElt:
-    """Element of Z/p.  Supports the arithmetic the Mat code uses."""
-
-    __slots__ = ("p", "v")
-
-    def __init__(self, p, v):
-        self.p = p
-        self.v = v % p
-
-    def __add__(self, other):
-        return FpElt(self.p, self.v + other.v)
-
-    def __sub__(self, other):
-        return FpElt(self.p, self.v - other.v)
-
-    def __neg__(self):
-        return FpElt(self.p, -self.v)
-
-    def __mul__(self, other):
-        return FpElt(self.p, self.v * other.v)
-
-    def __truediv__(self, other):
-        return FpElt(self.p, self.v * pow(other.v, -1, self.p))
-
-    def __eq__(self, other):
-        if isinstance(other, FpElt):
-            return self.v == other.v
-        return self.v == other % self.p if isinstance(other, int) else NotImplemented
-
-    def __hash__(self):
-        return hash((self.p, self.v))
-
-    def __bool__(self):
-        return self.v != 0
-
-    def __repr__(self):
-        return f"{self.v} (mod {self.p})"
-
-
-class PrimeField:
-    def __init__(self, p):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
-            raise ValueError(f"{p} is not prime")
-        self.p = p
-        self.name = f"F{p}"
-
-    def zero(self):
-        return FpElt(self.p, 0)
-
-    def one(self):
-        return FpElt(self.p, 1)
-
-    def of(self, num, den=1):
-        return FpElt(self.p, num) / FpElt(self.p, den)
-
-    def __repr__(self):
-        return f"GF({self.p})"
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("Fp", self.p))
 
 
 QQ = RationalField()
@@ -368,14 +303,6 @@ class Mat:
     def is_invertible(self):
         return self.rows == self.cols and self.rank() == self.rows
 
-    def column_space_basis(self):
-        """Subset of columns forming a basis of the column space."""
-        _, pivots = self.rref()
-        # pivots of self give independent *columns* only after transposing;
-        # run rref on the transpose's transpose trick: pivot columns of
-        # rref(self) are exactly the independent columns of self.
-        return [self.column(j) for j in pivots]
-
     def __repr__(self):
         return f"Mat({self.rows}x{self.cols})"
 
@@ -404,7 +331,3 @@ def rank_and_kernel(m: Mat):
     """Rank plus a basis of the right kernel."""
     kb = m.kernel_basis()
     return m.cols - len(kb), kb
-
-
-def solve(a: Mat, b):
-    return a.solve(b)

@@ -24,6 +24,7 @@ class Module:
         # keep only the nonzero action matrices
         self.act = {i: m for i, m in act.items() if not m.is_zero()}
         self.name = name
+        self._resolution = None  # see homology._module_resolution
         if check:
             self.check()
 
@@ -35,17 +36,6 @@ class Module:
         if b.degree == 0:
             return Mat.identity(self.dims[b.src], self.alg.field)
         return Mat.zero(self.dims[b.tgt], self.dims[b.src], self.alg.field)
-
-    def elt_act(self, elt):
-        """Action of a sparse algebra element, as {(tgt, src): Mat} summed
-        per (tgt, src) vertex pair."""
-        out = {}
-        for i, c in elt.items():
-            b = self.alg.basis[i]
-            m = self.act_mat(i).scale(c)
-            key = (b.tgt, b.src)
-            out[key] = out[key] + m if key in out else m
-        return out
 
     @property
     def total_dim(self):
@@ -66,9 +56,7 @@ class Module:
                 raise ValueError(f"action of {b} has wrong shape")
         for (i, j), prod in self.alg.mult.items():
             bi, bj = self.alg.basis[i], self.alg.basis[j]
-            if bj.src != bi.src or False:
-                pass
-            if self.alg.basis[i].src != self.alg.basis[j].tgt:
+            if bi.src != bj.tgt:
                 continue
             lhs = self.act_mat(i) * self.act_mat(j)
             rhs = Mat.zero(lhs.rows, lhs.cols, f)
@@ -266,9 +254,24 @@ def kernel(fm: Morphism, name=None):
     return _sub_from_columns(fm.src, cols, name=name or f"ker({fm.src.name})")
 
 
-def image(fm: Morphism, name=None):
-    cols = {v: fm.mats[v].column_space_basis() for v in fm.mats}
-    return _sub_from_columns(fm.tgt, cols, name=name or "im")
+def _quotient_maps(vectors, n, f):
+    """Projection from k^n onto its quotient by the span of the vectors,
+    and a section of it, in the coordinates left free by the rref of the
+    span."""
+    R, pivots = Mat.from_rows([v for v in vectors if any(v)], f, ncols=n).rref()
+    pivset = set(pivots)
+    free = [j for j in range(n) if j not in pivset]
+    p = Mat.zero(len(free), n, f)
+    for r, j in enumerate(free):
+        p.a[r][j] = f.one()
+    for i, pc in enumerate(pivots):
+        for r, j in enumerate(free):
+            if R.a[i][j]:
+                p.a[r][pc] = -R.a[i][j]
+    s = Mat.zero(n, len(free), f)
+    for r, j in enumerate(free):
+        s.a[j][r] = f.one()
+    return p, s
 
 
 def quotient(N: Module, cols_by_vertex, name="quot"):
@@ -277,28 +280,9 @@ def quotient(N: Module, cols_by_vertex, name="quot"):
     f = N.alg.field
     proj = {}
     sect = {}
-    dims = {}
     for v in N.alg.vertices:
-        rows = span_basis([list(c) for c in cols_by_vertex.get(v, [])], f)
-        if rows:
-            R, pivots = Mat.from_rows(rows, f).rref()
-        else:
-            R, pivots = None, []
-        pivset = set(pivots)
-        free = [j for j in range(N.dims[v]) if j not in pivset]
-        dims[v] = len(free)
-        p = Mat.zero(len(free), N.dims[v], f)
-        for r, j in enumerate(free):
-            p.a[r][j] = f.one()
-        for i, pc in enumerate(pivots):
-            for r, j in enumerate(free):
-                if R.a[i][j]:
-                    p.a[r][pc] = -R.a[i][j]
-        s = Mat.zero(N.dims[v], len(free), f)
-        for r, j in enumerate(free):
-            s.a[j][r] = f.one()
-        proj[v] = p
-        sect[v] = s
+        proj[v], sect[v] = _quotient_maps(cols_by_vertex.get(v, []), N.dims[v], f)
+    dims = {v: proj[v].rows for v in N.alg.vertices}
     act = {}
     for i in list(N.act):
         b = N.alg.basis[i]
@@ -307,38 +291,26 @@ def quotient(N: Module, cols_by_vertex, name="quot"):
     return Q, Morphism(N, Q, proj)
 
 
-def cokernel(fm: Morphism, name=None):
-    cols = {v: [fm.mats[v].column(j) for j in range(fm.mats[v].cols)] for v in fm.mats}
-    return quotient(fm.tgt, cols, name=name or "coker")
+def radical_columns(M: Module):
+    """The nonzero columns of the radical action matrices of M, by the
+    vertex they lie at: a spanning set of rad M."""
+    cols = {v: [] for v in M.alg.vertices}
+    for g in M.alg.radical_indices():
+        m = M.act.get(g)
+        if m is not None:
+            cols[M.alg.basis[g].tgt].extend(c for c in m.columns() if any(c))
+    return cols
 
 
 def radical_submodule(M: Module):
     """rad M = (radical of the algebra) . M, with its inclusion."""
-    cols = {v: [] for v in M.alg.vertices}
-    for g in M.alg.radical_indices():
-        b = M.alg.basis[g]
-        m = M.act_mat(g)
-        for j in range(m.cols):
-            c = m.column(j)
-            if any(c):
-                cols[b.tgt].append(c)
-    for v in cols:
-        cols[v] = [list(r) for r in span_basis(cols[v], M.alg.field)]
-        # span_basis returns rows; reuse them as column coordinates
+    cols = {v: span_basis(c, M.alg.field) for v, c in radical_columns(M).items()}
     return _sub_from_columns(M, cols, name=f"rad({M.name})")
 
 
 def top_of(M: Module):
     """M / rad M, with the projection."""
-    cols = {v: [] for v in M.alg.vertices}
-    for g in M.alg.radical_indices():
-        b = M.alg.basis[g]
-        m = M.act_mat(g)
-        for j in range(m.cols):
-            c = m.column(j)
-            if any(c):
-                cols[b.tgt].append(c)
-    return quotient(M, cols, name=f"top({M.name})")
+    return quotient(M, radical_columns(M), name=f"top({M.name})")
 
 
 def socle_vertices(M: Module):
@@ -388,11 +360,7 @@ def hom(M: Module, N: Module):
                         row[off[w] + r * M.dims[w] + k] -= MA.a[k][c]
                 if any(row):
                     rows.append(row)
-    if rows:
-        kb = Mat.from_rows(rows, f).kernel_basis()
-    else:
-        kb = [[f.zero()] * n for _ in range(0)]
-        kb = Mat.zero(0, n, f).kernel_basis()
+    kb = Mat.from_rows(rows, f, ncols=n).kernel_basis()
     out = []
     for vec in kb:
         mats = {}
@@ -613,39 +581,6 @@ class Bimodule:
     def total_dim(self):
         return sum(self.dims.values())
 
-    def left_module(self):
-        """Forget the right action: a left A-module with vertex spaces
-        collecting all right vertices.  Returns (module, offsets) where
-        offsets[(u, v)] locates X[(u, v)] inside M[u]."""
-        A = self.left_alg
-        B = self.right_alg
-        f = A.field
-        offs = {}
-        dims = {}
-        for u in A.vertices:
-            n = 0
-            for v in B.vertices:
-                offs[(u, v)] = n
-                n += self.dims[(u, v)]
-            dims[u] = n
-        act = {}
-        for i, b in enumerate(A.basis):
-            if b.degree == 0:
-                continue
-            m = Mat.zero(dims[b.tgt], dims[b.src], f)
-            nonzero = False
-            for v in B.vertices:
-                blk = self.lact.get((i, v))
-                if blk is None:
-                    continue
-                nonzero = True
-                r0, c0 = offs[(b.tgt, v)], offs[(b.src, v)]
-                for r in range(blk.rows):
-                    m.a[r0 + r][c0 : c0 + blk.cols] = blk.a[r][:]
-            if nonzero:
-                act[i] = m
-        return Module(A, dims, act, name=self.name), offs
-
     def __repr__(self):
         return f"Bimodule({self.name}, dim {self.total_dim})"
 
@@ -726,39 +661,11 @@ def dual_regular_bimodule(alg: Algebra, name=None):
     return X
 
 
-def _coequalize(spaces, rel_rows, field):
-    """Shared quotient helper: spaces is {key: dim}, rel_rows is
-    {key: list of coordinate rows}.  Returns per-key (projection, section)."""
-    out = {}
-    for key, n in spaces.items():
-        rows = span_basis(rel_rows.get(key, []), field)
-        if rows:
-            R, pivots = Mat.from_rows(rows, field).rref()
-        else:
-            R, pivots = None, []
-        pivset = set(pivots)
-        free = [j for j in range(n) if j not in pivset]
-        p = Mat.zero(len(free), n, field)
-        for r, j in enumerate(free):
-            p.a[r][j] = field.one()
-        for i, pc in enumerate(pivots):
-            for r, j in enumerate(free):
-                if R.a[i][j]:
-                    p.a[r][pc] = -R.a[i][j]
-        s = Mat.zero(n, len(free), field)
-        for r, j in enumerate(free):
-            s.a[j][r] = field.one()
-        out[key] = (p, s)
-    return out
-
-
 def tensor_bimod_module(T: Bimodule, M: Module, name=None):
     """T tensor_B M for an (A, B)-bimodule T and a left B-module M.
     Returns (result, data) where data gives, per left vertex u, the
     projection from the direct sum over v of T[(u,v)] (x) M[v]."""
     A, B = T.left_alg, T.right_alg
-    if M.alg is not B and M.alg.name != B.name:
-        pass
     f = A.field
     offs = {}
     wdims = {}
@@ -789,7 +696,7 @@ def tensor_bimod_module(T: Bimodule, M: Module, name=None):
                             row[offs[(u, t)] + a * M.dims[t] + d] -= gm.a[d][b]
                     if any(row):
                         rel_rows[u].append(row)
-    ps = _coequalize(wdims, rel_rows, f)
+    ps = {k: _quotient_maps(rel_rows[k], n, f) for k, n in wdims.items()}
     dims = {u: ps[u][0].rows for u in A.vertices}
     act = {}
     for i, bi in enumerate(A.basis):
@@ -854,7 +761,7 @@ def tensor_bimod_bimod(T: Bimodule, S: Bimodule, name=None):
                                 row[offs[(u, t, w)] + a * S.dims[(t, w)] + d] -= lg.a[d][b]
                         if any(row):
                             rel_rows[(u, w)].append(row)
-    ps = _coequalize(wdims, rel_rows, f)
+    ps = {k: _quotient_maps(rel_rows[k], n, f) for k, n in wdims.items()}
     dims = {k: ps[k][0].rows for k in wdims}
     lact, ract = {}, {}
     for i, bi in enumerate(A.basis):
@@ -986,55 +893,3 @@ def outer_tensor_module(M: Module, N: Module, t: Algebra, name=None):
         if not m.is_zero():
             act[k] = m
     return Module(t, dims, act, name=name or f"{M.name}(x){N.name}")
-
-
-def twist_bimodule(alg: Algebra, vmap, images, name=None):
-    """The regular bimodule with the right action twisted through the
-    algebra automorphism given by a vertex map and basis images:
-    x . b := x * phi(b)."""
-    by_pair = {}
-    pos = {}
-    for u in alg.vertices:
-        for v in alg.vertices:
-            lst = [i for i, b in enumerate(alg.basis) if b.tgt == u and b.src == vmap[v]]
-            by_pair[(u, v)] = lst
-            for c, i in enumerate(lst):
-                pos[(u, v, i)] = c
-    dims = {k: len(lst) for k, lst in by_pair.items()}
-    f = alg.field
-    lact, ract = {}, {}
-    for j, bj in enumerate(alg.basis):
-        if bj.degree == 0:
-            continue
-        for v in alg.vertices:
-            m = Mat.zero(dims[(bj.tgt, v)], dims[(bj.src, v)], f)
-            for col, i in enumerate(by_pair[(bj.src, v)]):
-                for k, c in alg.mul(j, i).items():
-                    m.a[pos[(bj.tgt, v, k)]][col] = c
-            if not m.is_zero():
-                lact[(j, v)] = m
-        phi_j = images[j]
-        for u in alg.vertices:
-            m = Mat.zero(dims[(u, bj.src)], dims[(u, bj.tgt)], f)
-            for col, i in enumerate(by_pair[(u, bj.tgt)]):
-                prod = alg.mul_elt({i: f.one()}, phi_j)
-                for k, c in prod.items():
-                    m.a[pos[(u, bj.src, k)]][col] = c
-            if not m.is_zero():
-                ract[(u, j)] = m
-    X = Bimodule(alg, alg, dims, lact, ract, name=name or "twist")
-    X.basis_indices = by_pair
-    return X
-    """Pull back M along an algebra automorphism given by a vertex map and
-    the image of every basis element (as sparse elements)."""
-    alg = M.alg
-    dims = {v: M.dims[vmap[v]] for v in alg.vertices}
-    act = {}
-    for i, b in enumerate(alg.basis):
-        if b.degree == 0:
-            continue
-        pieces = M.elt_act(images[i])
-        key = (vmap[b.tgt], vmap[b.src])
-        if key in pieces:
-            act[i] = pieces[key]
-    return Module(alg, dims, act, name=name or f"tw({M.name})")

@@ -77,6 +77,20 @@ def test_cy_none_found(runner):
     assert doc["found"] is False
 
 
+def test_capped_algebra_is_undecided(runner, tmp_path):
+    # a 2-cycle with rad^2 = 0 has infinite global dimension, so both the
+    # representation-finiteness decision and the certificate search hit
+    # the cap and must say undecided, not no
+    path = tmp_path / "cycle2.alg"
+    path.write_text("vertices: 1 2\narrows:\n  a: 1 -> 2\n  b: 2 -> 1\n"
+                    "relations:\n  a*b\n  b*a\n")
+    result, doc = run_json(runner, ["analyze", str(path), "--n", "1"])
+    assert result.exit_code == 2
+    assert doc["reason"] == "global dimension exceeds the cap"
+    result = runner.invoke(main, ["cy", str(path)])
+    assert result.exit_code == 2
+
+
 def test_cy_untwisted_point(runner):
     result, doc = run_json(runner, ["cy", corpus("a2"), "--untwisted",
                                     "--ell", "3", "--m", "1"])

@@ -1,5 +1,12 @@
+import gc
+import sys
+import weakref
+
 import pytest
 
+from conftest import corpus_algebra
+from quivercy.algebra import opposite
+from quivercy.ar import tau_n_minus
 from quivercy.errors import CapExceeded
 from quivercy.homology import (
     dominant_dimension,
@@ -149,3 +156,32 @@ def test_projective_cover_matches_dense_reference(request, stem):
                 dense = [sum((x * y for x, y in zip(row, lifts[r])), z)
                          for row in M.act_mat(bidx).a]
                 assert epi.mats[w].column(c) == dense
+
+
+def test_tau_n_minus_builds_opposite_once(monkeypatch):
+    alg = corpus_algebra("a3_linear")  # fresh, so nothing is cached yet
+    calls = []
+
+    def counting(a):
+        calls.append(a)
+        return opposite(a)
+
+    # replace the name wherever a quivercy module bound it
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("quivercy") and vars(mod).get("opposite") is opposite:
+            monkeypatch.setattr(mod, "opposite", counting)
+    S = simple_module(alg, 2)
+    tau_n_minus(S, 1)
+    tau_n_minus(S, 1)
+    assert calls == [alg]
+
+
+def test_resolution_dies_with_its_module(a3_linear):
+    # the resolution ext_dims_upto computes is kept on X, not on the algebra
+    X = injective_module(a3_linear, 2)
+    ext_dims_upto(X, regular_module(a3_linear), 2)
+    ref = weakref.ref(X)
+    del X
+    gc.collect()
+    assert ref() is None
+
