@@ -89,7 +89,8 @@ def analyze(file, n, cap, seed, pretty):
 @click.option("--pretty", is_flag=True)
 def cy(file, ell_max, m_max, ell, m, untwisted, dim_ceiling, cap, pretty):
     """Search or check fractional Calabi-Yau certificates for FILE."""
-    from .cy import check_twisted_cy, check_untwisted_cy, cy_dimension, find_twisted_cy
+    from .cy import (check_twisted_cy, check_untwisted_cy, cy_dimension, find_twisted_cy,
+                     k0_candidates)
 
     started = time.time()
     alg = _load(file)
@@ -107,7 +108,8 @@ def cy(file, ell_max, m_max, ell, m, untwisted, dim_ceiling, cap, pretty):
             sys.exit(EXIT_TRUE if ok else EXIT_FALSE)
         cert = find_twisted_cy(alg, ell_max=ell_max, m_max=m_max, cap=cap)
         if cert is None:
-            doc.update({"found": False, "ell_max": ell_max, "m_max": m_max})
+            doc.update({"found": False, "ell_max": ell_max, "m_max": m_max,
+                        "k0_candidates": [e for e, _ in k0_candidates(alg, ell_max)]})
             _emit(doc, pretty, started)
             sys.exit(EXIT_FALSE)
         if untwisted:

@@ -5,6 +5,12 @@ on the regular module and looks for a shifted copy of the regular module,
 which certifies the isomorphism up to an algebra automorphism.  The
 untwisted check works with complexes of bimodules over the enveloping
 algebra and compares against the regular bimodule on the nose.
+
+Both are gated on K_0.  By Krull-Schmidt a twisted certificate (ell, m)
+sends each P_v to some P_w[m], so the integer matrix N of the Nakayama
+functor on K_0 satisfies N^ell = (-1)^m * (permutation matrix), and an
+untwisted one fixes every P_v, so N^ell = (-1)^m * I.  No Nakayama power
+is computed for an ell that fails this.
 """
 
 from __future__ import annotations
@@ -60,12 +66,92 @@ def combine_cy(certs):
     return int(m), ell
 
 
+# -- the K_0 gate -------------------------------------------------------
+
+
+def k0_nakayama(alg):
+    """The matrix N = C⁻¹Cᵀ of the Nakayama functor on K_0 in the basis
+    of the classes [P_v], as integer rows.  C[u][w] counts the basis
+    elements from w to u, the dimension of P_w at u; the injective
+    I_w = ν P_w has the transposed counts.  Call it once global_dimension
+    has returned: then det C = ±1, so N is integral."""
+    return alg.cached("k0_nu", lambda: _k0_nakayama(alg))
+
+
+def _k0_nakayama(alg):
+    pos = {v: k for k, v in enumerate(alg.vertices)}
+    n = len(pos)
+    C = [[0] * n for _ in range(n)]
+    for b in alg.basis:
+        C[pos[b.tgt]][pos[b.src]] += 1
+    # fraction-free Gauss-Jordan (Bareiss) on [C | Cᵀ]: every division is
+    # exact, and each diagonal entry ends as ±det C
+    a = [C[i] + [C[j][i] for j in range(n)] for i in range(n)]
+    prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k]), None)
+        if p is None:
+            raise ValueError("the Cartan matrix is singular")
+        a[k], a[p] = a[p], a[k]
+        piv = a[k]
+        for i in range(n):
+            f = a[i][k]
+            if i != k and (f or piv[k] != prev):
+                a[i] = [(piv[k] * x - f * y) // prev for x, y in zip(a[i], piv)]
+        prev = piv[k]
+    if prev not in (1, -1):
+        raise ValueError("the Cartan matrix is not invertible over the integers")
+    return [[x * prev for x in row[n:]] for row in a]
+
+
+def _k0_powers(alg, ell_max):
+    """N^1, ..., N^ell_max, one at a time."""
+    N = k0_nakayama(alg)
+    cols = [[(k, x) for k, x in enumerate(col) if x] for col in zip(*N)]
+    power = N
+    yield power
+    for _ in range(1, ell_max):
+        power = [[sum(row[k] * x for k, x in col) for col in cols] for row in power]
+        yield power
+
+
+def _permutation_sign(M):
+    """eps when M = eps * (permutation matrix) with eps = ±1, else None."""
+    entries = [[(j, x) for j, x in enumerate(row) if x] for row in M]
+    if any(len(e) != 1 for e in entries):
+        return None
+    cols, signs = zip(*(e[0] for e in entries))
+    if len(set(cols)) != len(M) or len(set(signs)) != 1 or signs[0] not in (1, -1):
+        return None
+    return signs[0]
+
+
+def _shift_sign(m):
+    """The sign (-1)^m of a shift by m on K_0."""
+    return -1 if m % 2 else 1
+
+
+def k0_candidates(alg, ell_max):
+    """Yield (ell, eps) for each ell <= ell_max with N^ell = eps *
+    (permutation matrix): the only ell at which a twisted certificate
+    can exist, with (-1)^m = eps for its m."""
+    for ell, power in enumerate(_k0_powers(alg, ell_max), 1):
+        eps = _permutation_sign(power)
+        if eps is not None:
+            yield ell, eps
+
+
 def check_twisted_cy(alg, ell, m, cap=None):
     """True when the ell-th power of the derived Nakayama functor sends
-    the regular module to its shift by m, up to automorphism twist."""
+    the regular module to its shift by m, up to automorphism twist.
+    False without any Nakayama power unless N^ell = (-1)^m * (permutation
+    matrix) on K_0."""
     if ell < 1:
         raise ValueError("ell must be positive")
     global_dimension(alg, cap)  # raises CapExceeded when not finite
+    *_, power = _k0_powers(alg, ell)
+    if _permutation_sign(power) != _shift_sign(m):
+        return False
     C = stalk_regular(alg)
     for _ in range(ell):
         C = nakayama(C, cap=cap)
@@ -74,15 +160,24 @@ def check_twisted_cy(alg, ell, m, cap=None):
 
 def find_twisted_cy(alg, ell_max=24, m_max=24, cap=None):
     """Smallest ell admitting a twisted certificate, or None when no ell up
-    to ell_max admits one.  Raises CapExceeded when the global dimension
-    or a Nakayama power exceeds the cap, which leaves the search
-    undecided."""
+    to ell_max admits one.  Only the ell of `k0_candidates` are tested,
+    and no Nakayama power past the last one tested is computed.  Raises
+    CapExceeded when the global dimension or a computed Nakayama power
+    exceeds the cap, which leaves the search undecided."""
     global_dimension(alg, cap)
     C = stalk_regular(alg)
-    for ell in range(1, ell_max + 1):
-        C = nakayama(C, cap=cap)
+    reached = 0
+    for ell, eps in k0_candidates(alg, ell_max):
+        for _ in range(ell - reached):
+            C = nakayama(C, cap=cap)
+        reached = ell
         m = is_shifted_regular(C)
-        if m is not None and 0 <= m <= m_max:
+        if m is None:
+            continue
+        if _shift_sign(m) != eps:
+            raise AssertionError(f"nu^{ell} of the regular module is its shift by {m}, "
+                                 f"but N^{ell} on K_0 has sign {eps}")
+        if 0 <= m <= m_max:
             return CyCertificate(ell, m, twisted=True,
                                  evidence={"route": "one-sided nakayama power"})
     return None
@@ -196,10 +291,16 @@ def _regular_env_module(alg, E):
 
 def check_untwisted_cy(alg, ell, m, cap=None):
     """True when the ell-fold derived tensor power of the dual regular
-    bimodule is the regular bimodule shifted by m, with no twist."""
+    bimodule is the regular bimodule shifted by m, with no twist.  False
+    without any tensor power unless N^ell = (-1)^m * I on K_0."""
     if ell < 1:
         raise ValueError("ell must be positive")
     global_dimension(alg, cap)
+    *_, power = _k0_powers(alg, ell)
+    # a signed permutation matrix with a nonzero diagonal is ±I
+    if (_permutation_sign(power) != _shift_sign(m)
+            or not all(row[i] for i, row in enumerate(power))):
+        return False
     P0, E = dual_regular_perf(alg)
     C = P0
     for _ in range(ell - 1):

@@ -21,12 +21,12 @@ from .module import (
     dual_module,
     dual_regular_bimodule,
     injective_module,
-    is_isomorphic,
     kernel,
     projective_module,
     quotient,
     radical_columns,
     regular_module,
+    top_dim_vector,
     zero_module,
 )
 
@@ -616,13 +616,23 @@ def global_dimension(alg: Algebra, cap=None):
 
 
 def _match_projective(M: Module):
-    """Vertex v with M isomorphic to the projective at v, else None."""
-    alg = M.alg
-    for v in alg.vertices:
-        P = _cached_projective(alg, v)
-        if P.dim_vector() == M.dim_vector() and is_isomorphic(M, P):
-            return v
-    return None
+    """Vertex v with M isomorphic to the projective at v, else None.
+
+    Exact: M ≅ P_v iff top M ≅ S_v and dim M = dim P_v, because the
+    projective cover P_v -> M is then a surjection between spaces of
+    equal dimension."""
+    top = top_dim_vector(M)
+    if sum(top) != 1:
+        return None
+    v = M.alg.vertices[top.index(1)]
+    return v if _cached_projective(M.alg, v).dim_vector() == M.dim_vector() else None
+
+
+def _is_regular_module(M: Module):
+    """M ≅ the regular module, by the test of `_match_projective`: the
+    top of the regular module is one copy of every simple."""
+    return (M.dim_vector() == _cached_regular(M.alg).dim_vector()
+            and all(t == 1 for t in top_dim_vector(M)))
 
 
 def _injective_is_projective(alg, v):
@@ -797,26 +807,24 @@ def minimize(P: PerfComplex):
         d = diffs[i]
         alpha = d[r][s]
         ainv = _elt_inverse(alg, alpha)
-        nrows = len(d)
-        ncols = len(d[0])
-        # corrected middle differential without row r / column s
+        # corrected middle differential without row r / column s;
+        # d[r][s2] * ainv for the nonzero entries of row r; a zero entry
+        # there or in column s leaves d[t][s2] as it is
+        left = {s2: alg.mul_elt(e, ainv) for s2, e in enumerate(d[r]) if s2 != s and e}
         nd = []
-        for t in range(nrows):
+        for t in range(len(d)):
             if t == r:
                 continue
-            row = []
-            for s2 in range(ncols):
-                if s2 == s:
-                    continue
-                corr = alg.mul_elt(alg.mul_elt(d[r][s2], ainv), d[t][s])
-                e = dict(d[t][s2])
-                for k, c in corr.items():
-                    v = e.get(k, alg.field.zero()) - c
-                    if v:
-                        e[k] = v
-                    elif k in e:
-                        del e[k]
-                row.append(e)
+            row = [dict(e) for s2, e in enumerate(d[t]) if s2 != s]
+            if d[t][s]:
+                for s2, x in left.items():
+                    e = row[s2 if s2 < s else s2 - 1]
+                    for k, c in alg.mul_elt(x, d[t][s]).items():
+                        v = e.get(k, alg.field.zero()) - c
+                        if v:
+                            e[k] = v
+                        elif k in e:
+                            del e[k]
             nd.append(row)
         # adjacent differentials: drop the eliminated row/column
         if i - 1 in diffs:
@@ -858,12 +866,7 @@ def is_shifted_regular(P: PerfComplex):
     if len(table) != 1:
         return None
     (deg, H), = table.items()
-    reg = _cached_regular(P.alg)
-    if H.dim_vector() != reg.dim_vector():
-        return None
-    if is_isomorphic(H, reg):
-        return -deg
-    return None
+    return -deg if _is_regular_module(H) else None
 
 
 # -- Hom in the derived category ---------------------------------------

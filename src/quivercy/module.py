@@ -313,6 +313,13 @@ def top_of(M: Module):
     return quotient(M, radical_columns(M), name=f"top({M.name})")
 
 
+def top_dim_vector(M: Module):
+    """Dimension vector of top M = M / rad M, without building the quotient."""
+    f = M.alg.field
+    cols = radical_columns(M)
+    return tuple(M.dims[v] - Mat.from_rows(cols[v], f).rank() for v in M.alg.vertices)
+
+
 def socle_vertices(M: Module):
     """Dimension of the socle at each vertex (vectors killed by the radical)."""
     f = M.alg.field

@@ -77,6 +77,16 @@ def test_cy_none_found(runner):
     assert doc["found"] is False
 
 
+def test_cy_none_found_reports_k0_candidates(runner):
+    # no power of the Kronecker algebra's Nakayama matrix on K_0 is a
+    # signed permutation, so no ell up to the default ell_max can carry
+    # a certificate
+    result, doc = run_json(runner, ["cy", corpus("kronecker")])
+    assert result.exit_code == 1
+    assert doc["found"] is False
+    assert doc["k0_candidates"] == []
+
+
 def test_capped_algebra_is_undecided(runner, tmp_path):
     # a 2-cycle with rad^2 = 0 has infinite global dimension, so both the
     # representation-finiteness decision and the certificate search hit

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import corpus_algebra
+from quivercy import cy
 from quivercy.cy import (
     CyCertificate,
     check_twisted_cy,
@@ -9,7 +11,22 @@ from quivercy.cy import (
     combine_cy,
     cy_dimension,
     find_twisted_cy,
+    k0_candidates,
+    k0_nakayama,
 )
+from quivercy.homology import global_dimension, is_shifted_regular, nakayama, stalk_regular
+from quivercy.module import injective_module, projective_module
+
+# the minimal twisted certificate (ell, m) of each corpus algebra but Kronecker
+CORPUS_CERTS = {
+    "a2": (3, 1),
+    "a3_linear": (4, 2),
+    "a3_stable": (2, 1),
+    "a4_linear": (5, 3),
+    "a5_stable": (3, 2),
+    "d4": (3, 2),
+    "a2_tensor_a2": (3, 2),
+}
 
 
 def test_certificate_basics():
@@ -80,3 +97,94 @@ def test_twisted_but_not_untwisted(a3_stable):
 
 def test_untwisted_tensor_square(a2sq):
     assert check_untwisted_cy(a2sq, 3, 2)
+
+
+# -- the K_0 gate, cross-checked against the ungated search ---------------
+
+
+def _ungated_shifts(alg, ell_max):
+    """is_shifted_regular of nu^ell of the regular module for every ell
+    from 1 to ell_max, with no K_0 gate."""
+    global_dimension(alg)
+    C = stalk_regular(alg)
+    out = []
+    for _ in range(ell_max):
+        C = nakayama(C)
+        out.append(is_shifted_regular(C))
+    return out
+
+
+def _ungated_find(alg, ell_max, m_max=24):
+    global_dimension(alg)
+    C = stalk_regular(alg)
+    for ell in range(1, ell_max + 1):
+        C = nakayama(C)
+        m = is_shifted_regular(C)
+        if m is not None and 0 <= m <= m_max:
+            return ell, m
+    return None
+
+
+def _matpow(N, ell):
+    P = N
+    for _ in range(ell - 1):
+        P = [[sum(x * y for x, y in zip(row, col)) for col in zip(*N)] for row in P]
+    return P
+
+
+@pytest.mark.parametrize("stem", [*CORPUS_CERTS, "kronecker"])
+def test_gated_search_matches_ungated(stem):
+    ell_max = 6 if stem == "kronecker" else 24
+    cert = find_twisted_cy(corpus_algebra(stem), ell_max=ell_max)
+    found = None if cert is None else (cert.ell, cert.m)
+    assert found == _ungated_find(corpus_algebra(stem), ell_max)
+    assert found == CORPUS_CERTS.get(stem)
+
+
+@pytest.mark.parametrize("stem", ["a2", "a3_linear", "a3_stable", "d4"])
+def test_gated_check_matches_ungated(stem):
+    shifts = _ungated_shifts(corpus_algebra(stem), 6)
+    alg = corpus_algebra(stem)
+    for ell in range(1, 7):
+        for m in range(7):
+            assert check_twisted_cy(alg, ell, m) == (shifts[ell - 1] == m), (ell, m)
+
+
+def test_k0_matrix_sends_projectives_to_injectives(a2, a3_stable, d4, a2sq, kronecker):
+    # column w of N holds the class of I_w = nu P_w in the basis of the [P_v]
+    for alg in (a2, a3_stable, d4, a2sq, kronecker):
+        N = k0_nakayama(alg)
+        vs = alg.vertices
+        for w, col in zip(vs, zip(*N)):
+            dims = [sum(c * projective_module(alg, v).dims[u] for c, v in zip(col, vs))
+                    for u in vs]
+            assert dims == [injective_module(alg, w).dims[u] for u in vs]
+
+
+def test_corpus_certificates_satisfy_the_k0_condition():
+    for stem, (ell, m) in CORPUS_CERTS.items():
+        alg = corpus_algebra(stem)
+        P = _matpow(k0_nakayama(alg), ell)
+        # N^ell = (-1)^m times a permutation matrix
+        nonzero = [[(j, x) for j, x in enumerate(row) if x] for row in P]
+        assert all(len(e) == 1 and e[0][1] == (-1) ** m for e in nonzero), stem
+        assert sorted(e[0][0] for e in nonzero) == list(range(len(P))), stem
+        assert (ell, (-1) ** m) in list(k0_candidates(alg, ell)), stem
+    # the untwisted certificate (3, 2) of the commutative square fixes
+    # every projective, so N^3 is the identity
+    N = k0_nakayama(corpus_algebra("a2_tensor_a2"))
+    assert _matpow(N, 3) == [[int(i == j) for j in range(4)] for i in range(4)]
+
+
+def test_kronecker_search_computes_no_nakayama_power(kronecker, monkeypatch):
+    calls = []
+    real = cy.nakayama
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cy, "nakayama", counting)
+    assert find_twisted_cy(kronecker, ell_max=24) is None
+    assert list(k0_candidates(kronecker, 24)) == []
+    assert calls == []

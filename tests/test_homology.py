@@ -9,6 +9,8 @@ from quivercy.algebra import opposite
 from quivercy.ar import tau_n_minus
 from quivercy.errors import CapExceeded
 from quivercy.homology import (
+    _is_regular_module,
+    _match_projective,
     dominant_dimension,
     ext,
     ext_dims_upto,
@@ -185,3 +187,21 @@ def test_resolution_dies_with_its_module(a3_linear):
     gc.collect()
     assert ref() is None
 
+
+
+@pytest.mark.parametrize("stem", ["a2", "a3_linear", "a3_stable", "a4_linear",
+                                  "a5_stable", "d4", "kronecker", "a2_tensor_a2"])
+def test_projective_recognition_matches_is_isomorphic(stem):
+    # the exact top-and-dimension test agrees with the Hom-space search
+    alg = corpus_algebra(stem)
+    reg = regular_module(alg)
+    projs = {v: projective_module(alg, v) for v in alg.vertices}
+    injs = [injective_module(alg, v) for v in alg.vertices]
+    simples = [simple_module(alg, v) for v in alg.vertices]
+    # the semisimple module with the dimension vector of the regular one
+    flat = direct_sum([simple_module(alg, v) for v in alg.vertices for _ in range(reg.dims[v])])[0]
+    mods = [*projs.values(), *injs, *simples, reg, direct_sum(injs)[0], flat]
+    for M in mods:
+        slow = next((v for v, P in projs.items() if is_isomorphic(M, P)), None)
+        assert _match_projective(M) == slow, M
+        assert _is_regular_module(M) == bool(is_isomorphic(M, reg)), M
