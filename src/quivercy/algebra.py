@@ -13,9 +13,6 @@ left module as a map M[src(b)] -> M[tgt(b)].
 
 from __future__ import annotations
 
-import itertools
-import random
-
 from .errors import MalformedRelation, NotFiniteDimensional
 from .linalg import QQ, Mat, span_basis, in_span
 from .quiver import Path, Quiver, Relation
@@ -129,20 +126,27 @@ class Algebra:
     def is_connected(self):
         return self.gabriel_quiver().is_connected()
 
-    def check_associativity(self, rng=None, max_full=32):
-        """Associativity of the structure constants; full check for small
-        algebras, sampled for larger ones.  Raises on failure."""
-        n = self.dim
-        if n <= max_full:
-            triples = itertools.product(range(n), repeat=3)
-        else:
-            rng = rng or random.Random(0)
-            triples = (tuple(rng.randrange(n) for _ in range(3)) for _ in range(2000))
-        for i, j, k in triples:
-            lhs = self.mul_elt(self.mul(i, j), {k: self.field.one()})
-            rhs = self.mul_elt({i: self.field.one()}, self.mul(j, k))
-            if lhs != rhs:
-                raise ValueError(f"associativity fails at basis triple ({i},{j},{k})")
+    def check_associativity(self):
+        """Associativity on every basis triple, exhaustively; raises
+        ValueError on failure.  Once every product (i, j) is checked to run
+        from src(j) to tgt(i) with src(i) == tgt(j) (the vertex grading),
+        both sides vanish off the composable triples; only those are tried."""
+        ends = [(b.src, b.tgt) for b in self.basis]
+        for (i, j), prod in self.mult.items():
+            if ends[i][0] != ends[j][1] or any(ends[k] != (ends[j][0], ends[i][1]) for k in prod):
+                raise ValueError(f"product ({i},{j}) breaks the vertex grading")
+        by_src, by_tgt = {}, {}
+        for idx, (s, t) in enumerate(ends):
+            by_src.setdefault(s, []).append(idx)
+            by_tgt.setdefault(t, []).append(idx)
+        one = self.field.one()
+        for j, (s, t) in enumerate(ends):
+            for i in by_src.get(t, ()):
+                for k in by_tgt.get(s, ()):
+                    lhs = self.mul_elt(self.mul(i, j), {k: one})
+                    rhs = self.mul_elt({i: one}, self.mul(j, k))
+                    if lhs != rhs:
+                        raise ValueError(f"associativity fails at basis triple ({i},{j},{k})")
 
     def elt_of_path(self, path):
         """Residue class of a Path as a sparse element (path-built only)."""
@@ -163,7 +167,7 @@ def semisimple_algebra(labels, field=QQ, name=None):
     return a
 
 
-def build_algebra(quiver, relations, length_cap=64, field=QQ, name=None, check=True):
+def build_algebra(quiver, relations, length_cap=64, field=QQ, name=None):
     """Quotient of the path algebra KQ by length-homogeneous relations.
 
     The basis consists of residue classes of paths, computed degree by
@@ -280,8 +284,9 @@ def build_algebra(quiver, relations, length_cap=64, field=QQ, name=None, check=T
     alg = Algebra(field, quiver.vertices, basis, mult, name=name or "KQ/I", quiver=quiver)
     alg._path_classes = {p: {index[b]: c for b, c in red.items()} for p, red in reduction.items()}
     alg.max_path_length = max_len
-    if check:
-        alg.check_associativity()
+    # homogeneous relations: rad^2 is spanned by the classes of degree >= 2
+    alg.set_generators([i for i, b in enumerate(basis) if b.degree == 1])
+    alg.check_associativity()
     return alg
 
 
