@@ -107,6 +107,63 @@ class NrfReport:
         return f"NrfReport(n={self.n}, is_nrf={self.is_nrf!r})"
 
 
+class _OrbitCut(Exception):
+    """An orbit walk passed its cap; raised inside `Algebra.cached`, so
+    the cut walk is not stored."""
+
+
+def _walk_tau_orbit(alg, i, n, cap):
+    """The tau_n-orbit X_0 = I_i, X_1 = tau_n X_0, ... of the injective
+    at i, as (stages, v, reason).  Every stage but the last has
+    Ext^k(X, reg) = 0 for all k != n, the condition making tau_n agree
+    with the derived Nakayama shift.  The walk ends with v when the last
+    stage is P_v, and with v None and a reason when a stage fails that
+    condition or tau_n kills it.  Raises _OrbitCut past cap stages."""
+    reg = _cached_regular(alg)
+    X = injective_module(alg, i)
+    orbit = [X]
+    while True:
+        v = _match_projective(X)
+        if v is not None:
+            return orbit, v, None
+        dims = ext_dims_upto(X, reg, n)
+        bad = [k for k, d in enumerate(dims) if d and k != n]
+        if bad:
+            return orbit, None, (f"orbit of injective at {i}: stage {len(orbit)-1} has "
+                                 f"Ext^{bad[0]}(X, reg) != 0")
+        X = tau_n(X, n)
+        if X.total_dim == 0:
+            return orbit, None, f"orbit of injective at {i} dies before a projective"
+        if len(orbit) >= cap:
+            raise _OrbitCut
+        orbit.append(X)
+
+
+def walk_orbits(report, cap):
+    """Walk the tau_n-orbit of every injective at report.n into
+    report.ell, report.sigma and report.orbit_table, orbits of at most cap
+    stages.  True when every orbit ends on a projective; otherwise False
+    with report.reason set, and report.is_nrf UNDECIDED for a cut walk.
+    Needs gl.dim <= report.n.  Each walk that was not cut is cached on the
+    algebra, whatever cap it ran under."""
+    alg, n = report.alg, report.n
+    for i in alg.vertices:
+        try:
+            orbit, v, reason = alg.cached(("tau_orbit", n, i),
+                                          lambda: _walk_tau_orbit(alg, i, n, cap))
+        except _OrbitCut:
+            report.is_nrf = UNDECIDED
+            report.reason = f"orbit of injective at {i} exceeds the cap"
+            return False
+        if v is None:
+            report.reason = reason
+            return False
+        report.sigma[i] = v
+        report.ell[i] = len(orbit)
+        report.orbit_table[i] = orbit
+    return True
+
+
 def decide_nrf(alg: Algebra, n: int, cap=None, verify_ct=True, seed=0):
     """Decide n-representation-finiteness by iterating tau_n on the
     injectives, with per-stage Ext-vanishing certificates.
@@ -127,35 +184,8 @@ def decide_nrf(alg: Algebra, n: int, cap=None, verify_ct=True, seed=0):
     if report.gl_dim > n:
         report.reason = f"gl.dim = {report.gl_dim} > n"
         return report
-    reg = _cached_regular(alg)
-    top_ext = max(n, report.gl_dim)
-    for i in alg.vertices:
-        X = injective_module(alg, i)
-        orbit = [X]
-        while True:
-            v = _match_projective(X)
-            if v is not None:
-                report.sigma[i] = v
-                report.ell[i] = len(orbit)
-                report.orbit_table[i] = orbit
-                break
-            dims = ext_dims_upto(X, reg, top_ext)
-            bad = [k for k, d in enumerate(dims) if d and k != n]
-            if bad:
-                report.reason = (
-                    f"orbit of injective at {i}: stage {len(orbit)-1} has "
-                    f"Ext^{bad[0]}(X, reg) != 0"
-                )
-                return report
-            X = tau_n(X, n)
-            if X.total_dim == 0:
-                report.reason = f"orbit of injective at {i} dies before a projective"
-                return report
-            if len(orbit) >= cap:
-                report.is_nrf = UNDECIDED
-                report.reason = f"orbit of injective at {i} exceeds the cap"
-                return report
-            orbit.append(X)
+    if not walk_orbits(report, cap):
+        return report
     report.b = sum(report.ell.values())
     vals = set(report.ell.values())
     report.homogeneous = len(vals) == 1

@@ -1,9 +1,26 @@
 """Fractional Calabi-Yau certificates.
 
-The twisted check is one-sided: it iterates the derived Nakayama functor
-on the regular module and looks for a shifted copy of the regular module,
-which certifies the isomorphism up to an algebra automorphism.  The
-untwisted check works with complexes of bimodules over the enveloping
+A twisted certificate (ell, m) says that the ell-th power of the derived
+Nakayama functor nu sends the regular module to its shift by m, one-sided,
+which certifies the isomorphism up to an algebra automorphism twist.
+`find_twisted_cy` reaches it by one of two routes.
+
+The tau_n orbits route reads it off the orbits that `decide_nrf` walks,
+following the proof that every n-representation-finite algebra is twisted
+fractionally Calabi-Yau.  A stage X of an orbit has Ext^i(X, A) = 0 for
+all i != n, so nu X = tau_n X [n] in the derived category.  With nu P_i
+= I_i and tau_n^(ell_i - 1) I_i = P_sigma(i) this gives nu^ell_i P_i =
+P_sigma(i)[n (ell_i - 1)].  Chaining along i, sigma(i), sigma^2(i), ...,
+nu^ell P_i = P_sigma^k(i)[n (ell - k)] whenever ell is the sum of the
+first k orbit lengths of the chain; when one ell and one k serve every
+i, and sigma is a permutation, nu^ell A = A[n (ell - k)]
+(`certificate_from_orbits`).  This computes no Nakayama power.
+
+The tower route iterates nu on the regular module and looks for a
+shifted copy of the regular module.  It decides algebras whose orbits
+give no certificate, such as those that are not n-representation-finite.
+
+The untwisted check works with complexes of bimodules over the enveloping
 algebra and compares against the regular bimodule on the nose.
 
 Both are gated on K_0.  By Krull-Schmidt a twisted certificate (ell, m)
@@ -18,7 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .ar import _env_resolution
+from .ar import NrfReport, _env_resolution, walk_orbits
 from .errors import CapExceeded
 from .homology import (
     PerfComplex,
@@ -44,7 +61,7 @@ class CyCertificate:
 
     def to_dict(self):
         return {"ell": self.ell, "m": self.m, "twisted": self.twisted,
-                "dimension": str(cy_dimension(self))}
+                "dimension": str(cy_dimension(self)), "route": self.evidence.get("route")}
 
     def __repr__(self):
         kind = "twisted" if self.twisted else "untwisted"
@@ -158,16 +175,75 @@ def check_twisted_cy(alg, ell, m, cap=None):
     return is_shifted_regular(C) == m
 
 
+TOWER_ROUTE = "one-sided nakayama power"
+ORBIT_ROUTE = "tau_n orbits"
+
+
 def find_twisted_cy(alg, ell_max=24, m_max=24, cap=None):
     """Smallest ell admitting a twisted certificate, or None when no ell up
-    to ell_max admits one.  Only the ell of `k0_candidates` are tested,
-    and no Nakayama power past the last one tested is computed.  Raises
-    CapExceeded when the global dimension or a computed Nakayama power
-    exceeds the cap, which leaves the search undecided."""
-    global_dimension(alg, cap)
+    to ell_max admits one.  Only the ell of `k0_candidates` can carry one;
+    with none, no orbit is walked and no Nakayama power is computed.
+
+    The tau_n orbits route comes first, at n = gl.dim: each orbit is
+    walked to at most the largest candidate stages (ell_i <= ell), and
+    `decide_nrf` at that n has already cached the walks.  The tower then
+    tests only the candidates below the orbit ell, so that the answer is
+    minimal.  When the orbits give no certificate within ell_max and
+    m_max, the tower tests every candidate, and no Nakayama power past
+    the last one tested is computed.  Raises CapExceeded when the global
+    dimension or a computed Nakayama power exceeds the cap, which leaves
+    the search undecided."""
+    n = global_dimension(alg, cap)
+    candidates = list(k0_candidates(alg, ell_max))
+    if not candidates:
+        return None
+    report = NrfReport(alg, n)
+    cert = certificate_from_orbits(report) if walk_orbits(report, candidates[-1][0]) else None
+    if cert is None or cert.ell > ell_max or cert.m > m_max:
+        return _tower_search(alg, candidates, m_max, cap)
+    if (cert.ell, _shift_sign(cert.m)) not in candidates:
+        raise AssertionError(f"the tau_{n} orbits give nu^{cert.ell} of the regular module "
+                             f"as its shift by {cert.m}, which K_0 rules out")
+    below = [(ell, eps) for ell, eps in candidates if ell < cert.ell]
+    return _tower_search(alg, below, m_max, cap) or cert
+
+
+def certificate_from_orbits(report):
+    """The twisted certificate read off the orbit lengths report.ell and
+    endpoints report.sigma at report.n, or None.
+
+    Along the chain i, sigma(i), sigma^2(i), ... the partial sums of the
+    orbit lengths are the powers ell with nu^ell P_i = P_sigma^k(i)[n (ell
+    - k)] after k steps.  The least ell that every chain hits is taken;
+    every i must give the same m = n (ell - k), and the endpoints
+    sigma^k(i) must form a permutation.  Since the k are then equal, the
+    endpoints form a permutation exactly when sigma does."""
+    ell, sigma = report.ell, report.sigma
+    if not ell or set(sigma) != set(ell) or set(sigma.values()) != set(ell):
+        return None
+    # (partial sum, steps, endpoint) per chain; a common ell exists, since
+    # the lcm of the sums over the cycles of sigma is one
+    state = {i: (ell[i], 1, sigma[i]) for i in ell}
+    while True:
+        top = max(s for s, _, _ in state.values())
+        if all(s == top for s, _, _ in state.values()):
+            break
+        for i, (s, k, v) in state.items():
+            while s < top:
+                s, k, v = s + ell[v], k + 1, sigma[v]
+            state[i] = (s, k, v)
+    ms = {report.n * (top - k) for _, k, _ in state.values()}
+    if len(ms) != 1:
+        return None
+    return CyCertificate(top, ms.pop(), twisted=True, evidence={"route": ORBIT_ROUTE})
+
+
+def _tower_search(alg, candidates, m_max, cap):
+    """The first (ell, eps) of candidates at which nu^ell of the regular
+    module is its shift by some m in [0, m_max], as a certificate."""
     C = stalk_regular(alg)
     reached = 0
-    for ell, eps in k0_candidates(alg, ell_max):
+    for ell, eps in candidates:
         for _ in range(ell - reached):
             C = nakayama(C, cap=cap)
         reached = ell
@@ -178,8 +254,7 @@ def find_twisted_cy(alg, ell_max=24, m_max=24, cap=None):
             raise AssertionError(f"nu^{ell} of the regular module is its shift by {m}, "
                                  f"but N^{ell} on K_0 has sign {eps}")
         if 0 <= m <= m_max:
-            return CyCertificate(ell, m, twisted=True,
-                                 evidence={"route": "one-sided nakayama power"})
+            return CyCertificate(ell, m, twisted=True, evidence={"route": TOWER_ROUTE})
     return None
 
 

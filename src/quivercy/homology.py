@@ -604,15 +604,24 @@ def tor(i, X: Bimodule, M: Module, max_len=None):
 
 
 def global_dimension(alg: Algebra, cap=None):
+    """The largest length of a minimal projective resolution of a simple
+    module.  Raises CapExceeded when one is longer than cap.  The lengths
+    are cached once a call returns, and a later call with a smaller cap
+    raises from them just as a fresh call would."""
     if cap is None:
         cap = default_cap(alg)
+    lengths = alg.cached("gl_dim", lambda: _simple_resolution_lengths(alg, cap))
+    for v, length in zip(alg.vertices, lengths):
+        if length > cap:
+            raise CapExceeded(f"projective resolution of S[{v}] exceeds {cap}")
+    return max(lengths, default=0)
+
+
+def _simple_resolution_lengths(alg, cap):
     from .module import simple_module
 
-    gd = 0
-    for v in alg.vertices:
-        res = min_proj_resolution(simple_module(alg, v), max_len=cap, strict=True)
-        gd = max(gd, res.length)
-    return gd
+    return [min_proj_resolution(simple_module(alg, v), max_len=cap, strict=True).length
+            for v in alg.vertices]
 
 
 def _match_projective(M: Module):

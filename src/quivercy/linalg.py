@@ -233,17 +233,20 @@ class Mat:
             if piv < 0:
                 continue
             a[r], a[piv] = a[piv], a[r]
-            inv = one / a[r][c]
-            if inv != one:
-                a[r] = [inv * x for x in a[r]]
             prow = a[r]
-            for i in range(m):
-                if i != r and a[i][c]:
-                    f = a[i][c]
+            inv = one / prow[c]
+            clear = [i for i in range(m) if i != r and a[i][c]]
+            if inv != one or clear:
+                # the pivot row is zero left of c; its nonzeros are found once
+                nz = [j for j in range(c, n) if prow[j]]
+                if inv != one:
+                    for j in nz:
+                        prow[j] = inv * prow[j]
+                for i in clear:
                     arow = a[i]
-                    for j in range(c, n):
-                        if prow[j]:
-                            arow[j] = arow[j] - f * prow[j]
+                    f = arow[c]
+                    for j in nz:
+                        arow[j] = arow[j] - f * prow[j]
             pivots.append(c)
             r += 1
         return Mat(m, n, a, self.field), pivots

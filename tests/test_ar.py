@@ -1,5 +1,6 @@
 import pytest
 
+from conftest import corpus_algebra
 from quivercy.ar import (
     auslander_algebra,
     decide_nrf,
@@ -23,6 +24,16 @@ def test_tau_on_a2(a2):
     assert t.dim_vector() == (0, 1)
     back = tau_n_minus(t, 1)
     assert is_isomorphic(back, S1)
+
+
+def test_orbit_walk_cut_by_the_cap_is_not_kept():
+    alg = corpus_algebra("a3_linear")  # fresh, so nothing is cached yet
+    rep = decide_nrf(alg, 1, cap=1)
+    assert rep.is_nrf is UNDECIDED
+    assert rep.reason == "orbit of injective at 1 exceeds the cap"
+    rep = decide_nrf(alg, 1)
+    assert rep.is_nrf is True
+    assert rep.ell == {1: 3, 2: 2, 3: 1}
 
 
 def test_decide_nrf_a2(a2):

@@ -62,6 +62,16 @@ def test_cy_search(runner):
     assert doc["dimension"] == "1/3"
 
 
+def test_cy_search_reports_its_route(runner):
+    result, doc = run_json(runner, ["cy", corpus("a3_stable")])
+    assert result.exit_code == 0
+    assert (doc["ell"], doc["m"], doc["route"]) == (2, 1, "tau_n orbits")
+    # the commutative square is not 2-representation-finite
+    result, doc = run_json(runner, ["cy", corpus("a2_tensor_a2")])
+    assert result.exit_code == 0
+    assert (doc["ell"], doc["m"], doc["route"]) == (3, 2, "one-sided nakayama power")
+
+
 def test_cy_point_check(runner):
     result, doc = run_json(runner, ["cy", corpus("a2"), "--ell", "3", "--m", "1"])
     assert result.exit_code == 0

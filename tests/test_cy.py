@@ -1,11 +1,17 @@
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from conftest import corpus_algebra
-from quivercy import cy
+from quivercy import ar, cy
+from quivercy.ar import decide_nrf
+from quivercy.constructions import TypeAQuiver, cut_algebra, enumerate_cuts
 from quivercy.cy import (
+    ORBIT_ROUTE,
+    TOWER_ROUTE,
     CyCertificate,
+    certificate_from_orbits,
     check_twisted_cy,
     check_untwisted_cy,
     combine_cy,
@@ -139,6 +145,11 @@ def test_gated_search_matches_ungated(stem):
     found = None if cert is None else (cert.ell, cert.m)
     assert found == _ungated_find(corpus_algebra(stem), ell_max)
     assert found == CORPUS_CERTS.get(stem)
+    # the commutative square is not 2-representation-finite, so its
+    # orbits give no certificate and the tower decides
+    if cert is not None:
+        route = TOWER_ROUTE if stem == "a2_tensor_a2" else ORBIT_ROUTE
+        assert cert.evidence["route"] == route
 
 
 @pytest.mark.parametrize("stem", ["a2", "a3_linear", "a3_stable", "d4"])
@@ -176,15 +187,82 @@ def test_corpus_certificates_satisfy_the_k0_condition():
     assert _matpow(N, 3) == [[int(i == j) for j in range(4)] for i in range(4)]
 
 
-def test_kronecker_search_computes_no_nakayama_power(kronecker, monkeypatch):
+def _counting(monkeypatch, mod, name):
     calls = []
-    real = cy.nakayama
+    real = getattr(mod, name)
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(cy, "nakayama", counting)
+    monkeypatch.setattr(mod, name, counting)
+    return calls
+
+
+def test_kronecker_search_computes_no_nakayama_power(kronecker, monkeypatch):
+    calls = _counting(monkeypatch, cy, "nakayama")
+    stages = _counting(monkeypatch, ar, "tau_n")  # nor walks any orbit
     assert find_twisted_cy(kronecker, ell_max=24) is None
     assert list(k0_candidates(kronecker, 24)) == []
+    assert calls == stages == []
+
+
+# -- the tau_n orbits route, cross-checked against the tower --------------
+
+
+def test_orbit_certificate_matches_tower_on_2_4_cuts():
+    q = TypeAQuiver(2, 4)
+    for c in enumerate_cuts(q)[::5]:
+        alg = cut_algebra(q, c)
+        expected = _ungated_find(cut_algebra(q, c), 24)
+        assert expected is not None
+        cert = certificate_from_orbits(decide_nrf(alg, 2, verify_ct=False))
+        assert (cert.ell, cert.m) == expected, c
+        cert = find_twisted_cy(alg)
+        assert (cert.ell, cert.m, cert.evidence["route"]) == (*expected, ORBIT_ROUTE), c
+
+
+def test_2_5_cuts_need_no_nakayama_power(monkeypatch):
+    calls = _counting(monkeypatch, cy, "nakayama")
+    q = TypeAQuiver(2, 5)
+    cuts = enumerate_cuts(q)
+    for c in (cuts[5], cuts[330]):
+        cert = find_twisted_cy(cut_algebra(q, c))
+        assert (cert.ell, cert.m, cert.evidence["route"]) == (7, 8, ORBIT_ROUTE)
     assert calls == []
+
+
+def test_orbits_are_walked_once(monkeypatch):
+    alg = corpus_algebra("a3_stable")
+    decide_nrf(alg, 1)
+    calls = _counting(monkeypatch, ar, "tau_n")
+    assert (find_twisted_cy(alg).ell, decide_nrf(alg, 1).is_nrf) == (2, True)
+    assert calls == []
+
+
+# -- the ell rule on synthetic orbit tables --------------------------------
+
+
+def _rule(n, ell, sigma):
+    cert = certificate_from_orbits(SimpleNamespace(n=n, ell=ell, sigma=sigma))
+    return None if cert is None else (cert.ell, cert.m)
+
+
+def test_rule_homogeneous():
+    for n in (1, 2, 3):
+        assert _rule(n, {1: 4, 2: 4, 3: 4}, {1: 3, 2: 2, 3: 1}) == (4, n * 3)
+
+
+def test_rule_heterogeneous():
+    # the chains 1, 2, 1, ... and 2, 1, 2, ... both first reach 3 after 2 steps
+    assert _rule(2, {1: 1, 2: 2}, {1: 2, 2: 1}) == (3, 2)
+    assert _rule(1, {1: 1, 2: 2}, {1: 2, 2: 1}) == (3, 1)
+
+
+def test_rule_disagreeing_shifts():
+    # 2 is reached after two steps from 1 and after one from 2
+    assert _rule(1, {1: 1, 2: 2}, {1: 1, 2: 2}) is None
+
+
+def test_rule_endpoints_not_a_permutation():
+    assert _rule(1, {1: 1, 2: 1}, {1: 1, 2: 1}) is None

@@ -85,6 +85,30 @@ def test_global_dimension_cap(kronecker):
     assert global_dimension(kronecker) == 1
 
 
+def test_global_dimension_is_cached(monkeypatch):
+    from quivercy import homology
+
+    alg = corpus_algebra("a2_tensor_a2")  # fresh, so nothing is cached yet
+    assert global_dimension(alg) == 2
+    calls = []
+    real = homology.min_proj_resolution
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(homology, "min_proj_resolution", counting)
+    assert global_dimension(alg) == 2
+    assert calls == []
+    # a cap below the cached value raises as a fresh call does
+    with pytest.raises(CapExceeded) as cached:
+        global_dimension(alg, cap=1)
+    with pytest.raises(CapExceeded) as fresh:
+        global_dimension(corpus_algebra("a2_tensor_a2"), cap=1)
+    assert str(cached.value) == str(fresh.value)
+    assert global_dimension(alg, cap=2) == 2
+
+
 def test_selfinjective(a2):
     assert not is_selfinjective(a2)
 

@@ -1,3 +1,8 @@
+import random
+from fractions import Fraction
+
+import pytest
+
 from quivercy.linalg import QQ, Mat, in_span, rank_and_kernel, span_basis
 
 
@@ -11,6 +16,36 @@ def test_rref_and_rank():
     R, pivots = m.rref()
     assert pivots == [0, 1]
     assert R.a[2] == [QQ.zero()] * 3
+
+
+def _textbook_rref(rows):
+    """Gauss-Jordan elimination with the first nonzero entry as pivot."""
+    a = [list(r) for r in rows]
+    m, n = len(a), len(a[0])
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        p = next((i for i in range(r, m) if a[i][c] != 0), None)
+        if p is None:
+            continue
+        a[r], a[p] = a[p], a[r]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(m):
+            if i != r:
+                a[i] = [x - a[i][c] * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a, pivots
+
+
+@pytest.mark.parametrize("density", [0.15, 0.5, 1.0])
+def test_rref_matches_textbook_reference(density):
+    rng = random.Random(7)
+    for _ in range(40):
+        m, n = rng.randint(1, 9), rng.randint(1, 9)
+        rows = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) if rng.random() < density
+                 else Fraction(0) for _ in range(n)] for _ in range(m)]
+        R, pivots = Mat.from_rows(rows).rref()
+        assert (R.a, pivots) == _textbook_rref(rows)
 
 
 def test_kernel_basis():
