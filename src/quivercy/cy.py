@@ -184,13 +184,18 @@ def find_twisted_cy(alg, ell_max=24, m_max=24, cap=None):
     to ell_max admits one.  Only the ell of `k0_candidates` can carry one;
     with none, no orbit is walked and no Nakayama power is computed.
 
-    The tau_n orbits route comes first, at n = gl.dim: each orbit is
-    walked to at most the largest candidate stages (ell_i <= ell), and
-    `decide_nrf` at that n has already cached the walks.  The tower then
-    tests only the candidates below the orbit ell, so that the answer is
-    minimal.  When the orbits give no certificate within ell_max and
-    m_max, the tower tests every candidate, and no Nakayama power past
-    the last one tested is computed.  Raises CapExceeded when the global
+    The tau_n orbits route comes first, at n = gl.dim.  Each stage X of
+    a walked orbit has Ext^i(X, A) = 0 for i != n, so nu X = tau_n X [n];
+    with nu P_i = I_i and tau_n^(ell_i - 1) I_i = P_sigma(i) this gives
+    nu^ell_i P_i = P_sigma(i)[n (ell_i - 1)], and `certificate_from_orbits`
+    chains these into nu^ell A = A[m].  Each orbit is walked to at most
+    the largest candidate stages (ell_i <= ell), and `decide_nrf` at that
+    n has already cached the walks.  The tower route iterates nu on the
+    regular module; here it tests only the candidates below the orbit
+    ell, so that the answer is minimal.  When the orbits give no
+    certificate within ell_max and m_max, the tower tests every
+    candidate, and no Nakayama power past the last one tested is
+    computed.  Raises CapExceeded when the global
     dimension or a computed Nakayama power exceeds the cap, which leaves
     the search undecided."""
     n = global_dimension(alg, cap)

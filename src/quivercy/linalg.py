@@ -235,14 +235,17 @@ class Mat:
             a[r], a[piv] = a[piv], a[r]
             prow = a[r]
             inv = one / prow[c]
-            clear = [i for i in range(m) if i != r and a[i][c]]
-            if inv != one or clear:
-                # the pivot row is zero left of c; its nonzeros are found once
+            # the pivot row is zero left of c; its nonzeros are found once,
+            # and only when it is scaled or clears another row
+            nz = None
+            if inv != one:
                 nz = [j for j in range(c, n) if prow[j]]
-                if inv != one:
-                    for j in nz:
-                        prow[j] = inv * prow[j]
-                for i in clear:
+                for j in nz:
+                    prow[j] = inv * prow[j]
+            for i in range(m):
+                if i != r and a[i][c]:
+                    if nz is None:
+                        nz = [j for j in range(c, n) if prow[j]]
                     arow = a[i]
                     f = arow[c]
                     for j in nz:
