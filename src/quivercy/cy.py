@@ -195,9 +195,8 @@ def find_twisted_cy(alg, ell_max=24, m_max=24, cap=None):
     ell, so that the answer is minimal.  When the orbits give no
     certificate within ell_max and m_max, the tower tests every
     candidate, and no Nakayama power past the last one tested is
-    computed.  Raises CapExceeded when the global
-    dimension or a computed Nakayama power exceeds the cap, which leaves
-    the search undecided."""
+    computed.  Raises CapExceeded when the global dimension or a computed
+    Nakayama power exceeds the cap, which leaves the search undecided."""
     n = global_dimension(alg, cap)
     candidates = list(k0_candidates(alg, ell_max))
     if not candidates:
