@@ -2,7 +2,8 @@
 
 Exit codes: 0 for a positive verdict, 1 for a definite negative, 2 when a
 computation hit its cap and stayed undecided, 64 for input that does not
-parse.
+parse and for usage errors (an unknown option, a missing required option,
+a FILE that does not exist).
 """
 
 from __future__ import annotations
@@ -50,7 +51,27 @@ def _emit(doc, pretty, started):
         click.echo(json.dumps(doc, indent=2, default=str, sort_keys=True))
 
 
-@click.group()
+class _Main(click.Group):
+    """Usage errors exit with EXIT_PARSE: click's own code, 2, would read
+    as EXIT_UNDECIDED.  The group's own arguments are parsed in
+    make_context, a subcommand's in the group's invoke."""
+
+    def make_context(self, *args, **kwargs):
+        try:
+            return super().make_context(*args, **kwargs)
+        except click.UsageError as exc:
+            exc.exit_code = EXIT_PARSE
+            raise
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except click.UsageError as exc:
+            exc.exit_code = EXIT_PARSE
+            raise
+
+
+@click.group(cls=_Main)
 def main():
     """Quiver algebra homological calculator."""
 
@@ -59,16 +80,15 @@ def main():
 @click.argument("file", type=click.Path(exists=True))
 @click.option("--n", type=int, required=True, help="homological degree")
 @click.option("--cap", type=int, default=None, help="iteration cap")
-@click.option("--seed", type=int, default=0)
 @click.option("--pretty", is_flag=True)
-def analyze(file, n, cap, seed, pretty):
+def analyze(file, n, cap, pretty):
     """Decide n-representation-finiteness of the algebra in FILE."""
     from .ar import decide_nrf
 
     started = time.time()
     alg = _load(file)
-    report = decide_nrf(alg, n, cap=cap, seed=seed)
-    doc = {"command": "analyze", "input": file, "seed": seed, "cap": cap}
+    report = decide_nrf(alg, n, cap=cap)
+    doc = {"command": "analyze", "input": file, "cap": cap}
     doc.update(report.to_dict())
     _emit(doc, pretty, started)
     if report.is_nrf is True:
@@ -176,9 +196,8 @@ def typea(n, s, do_cuts, omega_stable_only, verify, cap, pretty):
               help="one value per factor")
 @click.option("--ell", type=int, required=True)
 @click.option("--cap", type=int, default=None)
-@click.option("--seed", type=int, default=0)
 @click.option("--pretty", is_flag=True)
-def tensor(files, ns, ell, cap, seed, pretty):
+def tensor(files, ns, ell, cap, pretty):
     """Tensor-product construction from factor algebras in FILES."""
     from .ar import tensor_nrf
     from .cy import combine_cy, find_twisted_cy
@@ -190,7 +209,7 @@ def tensor(files, ns, ell, cap, seed, pretty):
     factors = [(_load(f), n) for f, n in zip(files, ns)]
     doc = {"command": "tensor", "inputs": list(files), "n": list(ns), "ell": ell}
     try:
-        prod, rep = tensor_nrf(factors, ell, cap=cap, seed=seed)
+        prod, rep = tensor_nrf(factors, ell, cap=cap)
     except FactorNotHomogeneous as exc:
         click.echo(f"factor not homogeneous: {exc}", err=True)
         sys.exit(EXIT_FALSE)
@@ -213,9 +232,8 @@ def tensor(files, ns, ell, cap, seed, pretty):
 @click.argument("file", type=click.Path(exists=True))
 @click.option("--n", type=int, required=True)
 @click.option("--cap", type=int, default=None)
-@click.option("--seed", type=int, default=0)
 @click.option("--pretty", is_flag=True)
-def preproj(file, n, cap, seed, pretty):
+def preproj(file, n, cap, pretty):
     """Preprojective algebra of the algebra in FILE."""
     from .ar import decide_nrf, nakayama_permutation, preprojective
 
@@ -223,7 +241,7 @@ def preproj(file, n, cap, seed, pretty):
     alg = _load(file)
     doc = {"command": "preproj", "input": file, "n": n}
     try:
-        rep = decide_nrf(alg, n, cap=cap, verify_ct=False, seed=seed)
+        rep = decide_nrf(alg, n, cap=cap, verify_ct=False)
         pi = preprojective(alg, n, report=rep)
     except NotNRF as exc:
         click.echo(f"not representation-finite: {exc}", err=True)
@@ -247,9 +265,8 @@ def preproj(file, n, cap, seed, pretty):
 @click.argument("file", type=click.Path(exists=True))
 @click.option("--n", type=int, required=True)
 @click.option("--cap", type=int, default=None)
-@click.option("--seed", type=int, default=0)
 @click.option("--pretty", is_flag=True)
-def auslander(file, n, cap, seed, pretty):
+def auslander(file, n, cap, pretty):
     """Higher Auslander algebra of the cluster tilting module of FILE."""
     from .ar import auslander_algebra, decide_nrf, recover_presentation
 
@@ -257,7 +274,7 @@ def auslander(file, n, cap, seed, pretty):
     alg = _load(file)
     doc = {"command": "auslander", "input": file, "n": n}
     try:
-        rep = decide_nrf(alg, n, cap=cap, seed=seed)
+        rep = decide_nrf(alg, n, cap=cap)
         if rep.is_nrf is not True:
             click.echo(f"not representation-finite: {rep.reason}", err=True)
             sys.exit(EXIT_FALSE if rep.is_nrf is False else EXIT_UNDECIDED)

@@ -8,8 +8,6 @@ on their own vertex and are not stored.
 
 from __future__ import annotations
 
-import random
-
 import sympy
 
 from .algebra import Algebra, opposite, enveloping
@@ -385,19 +383,45 @@ def hom_dim(M: Module, N: Module):
     return len(hom(M, N))
 
 
-def _random_combo(mors, rng, bound=10**6):
-    f = mors[0].src.alg.field
-    out = mors[0].scale(f.of(rng.randint(-bound, bound)))
-    for m in mors[1:]:
-        out = out.add(m.scale(f.of(rng.randint(-bound, bound))))
+def _weighted_sum(H):
+    """The fixed combination sum over k of (k+1) h_k."""
+    f = H[0].src.alg.field
+    out = H[0]
+    for k, h in enumerate(H[1:], start=2):
+        out = out.add(h.scale(f.of(k)))
     return out
 
 
-def is_isomorphic(M: Module, N: Module, seed=0, tries=64):
-    """Isomorphism test.  A found isomorphism certifies True; after the
-    search fails the dimension bookkeeping makes False reliable (the
-    invertible locus in Hom is open, random integer points miss it only
-    with negligible probability)."""
+def _trace_rank(F, G):
+    """Rank of the Gram matrix tr(g f) between a basis F of Hom(X, Y) and
+    a basis G of Hom(Y, X).  Maps in the radical of the category compose
+    to nilpotents, so the form lives on the semisimple quotients, where it
+    is nondegenerate in characteristic 0 (Dickson).  The rank is therefore
+    sum_j d_j a_j(X) a_j(Y), where a_j counts the summands isomorphic to
+    the indecomposable X_j and d_j = dim End(X_j)/rad."""
+    if not F or not G:
+        return 0
+    X, Y = F[0].src, F[0].tgt
+    f = X.alg.field
+    # tr(g f) = sum_v sum_{a,b} g_v[a][b] f_v[b][a], a over X, b over Y
+    coords = [(v, a, b) for v in X.alg.vertices
+              for a in range(X.dims[v]) for b in range(Y.dims[v])]
+    fs = []
+    for fm in F:
+        entries = ((k, fm.mats[v].a[b][a]) for k, (v, a, b) in enumerate(coords))
+        fs.append([(k, x) for k, x in entries if x])
+    gs = [[g.mats[v].a[a][b] for v, a, b in coords] for g in G]
+    gram = [[sum((x * g[k] for k, x in fe), f.zero()) for g in gs] for fe in fs]
+    return Mat.from_rows(gram, f).rank()
+
+
+def is_isomorphic(M: Module, N: Module):
+    """Exact isomorphism test.  True comes with an explicit isomorphism
+    when a basis element of Hom(M, N) or the fixed combination
+    sum (k+1) h_k is invertible.  Otherwise the trace ranks decide:
+    r(M, M) + r(N, N) - 2 r(M, N) = sum_j d_j (a_j(M) - a_j(N))^2 (see
+    `_trace_rank`), which vanishes exactly when M and N have the same
+    indecomposable summands with the same multiplicities (Krull-Schmidt)."""
     if M.dim_vector() != N.dim_vector():
         return False
     if M.total_dim == 0:
@@ -405,14 +429,10 @@ def is_isomorphic(M: Module, N: Module, seed=0, tries=64):
     H = hom(M, N)
     if not H:
         return False
-    for h in H:
-        if h.is_iso():
-            return True
-    rng = random.Random(seed)
-    for _ in range(tries):
-        if _random_combo(H, rng).is_iso():
-            return True
-    return False
+    if any(h.is_iso() for h in H) or _weighted_sum(H).is_iso():
+        return True
+    EM, EN = hom(M, M), hom(N, N)
+    return _trace_rank(EM, EM) + _trace_rank(EN, EN) == 2 * _trace_rank(H, hom(N, M))
 
 
 def _min_poly(blocks, f):
@@ -466,57 +486,21 @@ def _poly_of_morphism(fm: Morphism, coeffs):
     return Morphism(fm.src, fm.src, mats)
 
 
-def _end_is_local(M: Module, E):
-    """True if End(M)/rad is one dimensional (then M is indecomposable
-    over any extension field).  Uses the trace form, valid in char 0."""
-    f = M.alg.field
-    n = len(E)
-    # multiplication table of End in the basis E
-    big = [Mat.block_diag([e.mats[v] for v in M.alg.vertices if M.dims[v]], f) for e in E]
-    flat = [[x for row in b.a for x in row] for b in big]
-    B = Mat.from_rows(flat, f).transpose()
-    coords = []
-    for i in range(n):
-        for j in range(n):
-            prod = big[i] * big[j]
-            v = [x for row in prod.a for x in row]
-            coords.append((i, j, B.solve(v)))
-    table = {}
-    for i, j, sol in coords:
-        table[(i, j)] = sol
-    # trace of left multiplication by x*y, as a bilinear form
-    gram = Mat.zero(n, n, f)
-    for i in range(n):
-        for j in range(n):
-            xy = table[(i, j)]
-            tr = f.zero()
-            for k in range(n):
-                s = f.zero()
-                for l in range(n):
-                    s += xy[l] * table[(l, k)][k]
-                tr += s
-            gram.a[i][j] = tr
-    radical_dim = len(gram.kernel_basis())
-    return n - radical_dim == 1
-
-
-def decompose(M: Module, seed=0, tries=40):
+def decompose(M: Module):
     """Split M into indecomposable summands.
 
     Returns (summands, certified) where summands is a list of Modules and
-    certified is True when every piece has local endomorphism ring, or
-    UNDECIDED when some piece resisted both splitting and certification.
+    certified is True when every piece has End/rad = Q (trace rank 1), or
+    UNDECIDED when some piece has a larger End/rad that no candidate
+    endomorphism (a basis element of End or their fixed combination)
+    splits.
     """
     if M.total_dim == 0:
         return [], True
     E = hom(M, M)
-    if len(E) == 1:
+    if _trace_rank(E, E) == 1:
         return [M], True
-    rng = random.Random(seed)
-    candidates = list(E)
-    for _ in range(tries):
-        candidates.append(_random_combo(E, rng, bound=50))
-    for fm in candidates:
+    for fm in E + [_weighted_sum(E)]:
         blocks = [fm.mats[v] for v in M.alg.vertices]
         mp = _min_poly(blocks, M.alg.field)
         facs = _factor_poly(mp)
@@ -535,14 +519,11 @@ def decompose(M: Module, seed=0, tries=40):
                         new[i + j] += a * b
                 pw = new
             K, _inc = kernel(_poly_of_morphism(fm, pw), name=f"{M.name}~")
-            subs, cert = decompose(K, seed=rng.randrange(1 << 30), tries=tries)
+            subs, cert = decompose(K)
             summands.extend(subs)
             if cert is not True:
                 certified = cert
         return summands, certified
-    # no splitting endomorphism found
-    if _end_is_local(M, E):
-        return [M], True
     return [M], UNDECIDED
 
 

@@ -13,8 +13,14 @@ from quivercy.ar import (
     tau_n_minus,
     tensor_nrf,
 )
+from quivercy.constructions import TypeAQuiver, cut_algebra, enumerate_cuts
 from quivercy.errors import UNDECIDED, FactorNotHomogeneous, NotNRF, NotSelfinjective
-from quivercy.homology import dominant_dimension, global_dimension, is_selfinjective
+from quivercy.homology import (
+    dominant_dimension,
+    ext_dims_upto,
+    global_dimension,
+    is_selfinjective,
+)
 from quivercy.module import injective_module, is_isomorphic, simple_module
 
 
@@ -168,3 +174,32 @@ def test_tensor_nrf_square(a3_stable):
     assert rep.homogeneous and rep.ell_value() == 2
     assert len(rep.ct_summands) == 18
     assert is_isomorphic(rep.predicted_ct, rep.ct_module)
+
+
+def _pairwise_ext_vanishes(summands, n):
+    """The Ext check decide_nrf made before it took one call per summand
+    against the whole sum: Ext^1..n-1 between every ordered pair."""
+    return all(not any(ext_dims_upto(Xa, Xb, n - 1)[1:n])
+               for Xa in summands for Xb in summands)
+
+
+def _ct_cases():
+    cases = [(stem, 1) for stem in ["a2", "a3_linear", "a3_stable", "a4_linear",
+                                    "a5_stable", "d4"]]
+    return cases + [(f"cut_2_4/{idx}", 2) for idx in range(0, 65, 5)]
+
+
+@pytest.mark.parametrize("key,n", _ct_cases())
+def test_ext_against_the_sum_matches_pairwise(key, n):
+    if key.startswith("cut_2_4/"):
+        q = TypeAQuiver(2, 4)
+        alg = cut_algebra(q, enumerate_cuts(q)[int(key.split("/")[1])])
+    else:
+        alg = corpus_algebra(key)
+    rep = decide_nrf(alg, n)
+    summands = rep.ct_summands
+    k = max(n - 1, 1)
+    for Xa in summands:
+        pairs = [ext_dims_upto(Xa, Xb, k) for Xb in summands]
+        assert ext_dims_upto(Xa, rep.ct_module, k) == [sum(col) for col in zip(*pairs)]
+    assert rep.is_nrf is _pairwise_ext_vanishes(summands, n) is True

@@ -54,6 +54,44 @@ def test_parse_error_exit_code(runner, tmp_path):
     assert result.exit_code == 64
 
 
+# usage errors exit 64 like a parse error; click's own 2 would read as
+# undecided
+
+
+@pytest.mark.parametrize("args", [
+    ["analyze", corpus("a2"), "--n", "1", "--seed", "3"],
+    ["cy", corpus("a2"), "--bogus", "3"],
+    ["typea", "--n", "1", "--s", "3", "--bogus"],
+    ["tensor", corpus("a2"), "--n", "1", "--ell", "3", "--seed", "0"],
+    ["preproj", corpus("a2"), "--n", "1", "--seed", "0"],
+    ["auslander", corpus("a2"), "--n", "1", "--seed", "0"],
+    ["--bogus"],
+], ids=lambda a: a[0])
+def test_unknown_option_exit_code(runner, args):
+    assert runner.invoke(main, args).exit_code == 64
+
+
+@pytest.mark.parametrize("args", [
+    ["analyze", corpus("a2")],
+    ["typea", "--s", "3"],
+    ["tensor", corpus("a2"), "--ell", "3"],
+    ["preproj", corpus("a2")],
+    ["auslander", corpus("a2")],
+], ids=lambda a: a[0])
+def test_missing_option_exit_code(runner, args):
+    assert runner.invoke(main, args).exit_code == 64
+
+
+@pytest.mark.parametrize("command", ["analyze", "cy", "tensor", "preproj", "auslander"])
+def test_missing_file_exit_code(runner, tmp_path, command):
+    args = [command, str(tmp_path / "absent.alg")]
+    if command != "cy":
+        args += ["--n", "1"]
+    if command == "tensor":
+        args += ["--ell", "3"]
+    assert runner.invoke(main, args).exit_code == 64
+
+
 def test_cy_search(runner):
     result, doc = run_json(runner, ["cy", corpus("a2")])
     assert result.exit_code == 0

@@ -1,6 +1,13 @@
-import pytest
+from fractions import Fraction
 
+import pytest
+import sympy
+
+from conftest import corpus_algebra
+from quivercy.linalg import Mat
 from quivercy.module import (
+    Module,
+    _trace_rank,
     decompose,
     direct_sum,
     dual_module,
@@ -109,3 +116,133 @@ def test_dual_regular_sends_projectives_to_injectives(a3_linear):
     for v in a3_linear.vertices:
         T, _ = tensor_bimod_module(DA, projective_module(a3_linear, v))
         assert is_isomorphic(T, injective_module(a3_linear, v))
+
+
+# -- the exact isomorphism test ------------------------------------------
+
+
+def _kronecker_module(kronecker, a_rows, b_rows):
+    """The Kronecker representation with arrows a, b acting by the given
+    square matrices."""
+    d = len(a_rows)
+    act = {2: Mat.from_rows(a_rows), 3: Mat.from_rows(b_rows)}
+    M = Module(kronecker, {1: d, 2: d}, act)
+    M.check()
+    return M
+
+
+def _q(rows):
+    return [[Fraction(x) for x in row] for row in rows]
+
+
+def test_kronecker_with_field_endomorphisms(kronecker):
+    # a = 1, b = companion of x^2 + 1: End is Q(i), so trace rank 2
+    M = _kronecker_module(kronecker, _q([[1, 0], [0, 1]]), _q([[0, -1], [1, 0]]))
+    E = hom(M, M)
+    assert len(E) == 2 and _trace_rank(E, E) == 2
+    # a second presentation: a = S, b = S P C P^-1
+    S, P, C = (Mat.from_rows(_q(r)) for r in ([[2, 1], [1, 1]], [[1, 1], [0, 1]], [[0, -1], [1, 0]]))
+    N = _kronecker_module(kronecker, S.a, (S * P * C * P.inverse()).a)
+    assert is_isomorphic(M, N)
+    R = _kronecker_module(kronecker, _q([[1, 0], [0, 1]]), _q([[0, -2], [1, 0]]))
+    assert not is_isomorphic(M, R)
+    # equal dimension vectors, a common summand, not isomorphic: only the
+    # trace ranks can say no
+    MR, _, _ = direct_sum([M, R])
+    MM, _, _ = direct_sum([M, N])
+    assert hom(MR, MM)
+    assert not is_isomorphic(MR, MM)
+    assert is_isomorphic(MM, direct_sum([N, M])[0])
+
+
+def test_reordered_sums(kronecker):
+    X = _kronecker_module(kronecker, _q([[1]]), _q([[0]]))
+    Y = _kronecker_module(kronecker, _q([[1]]), _q([[1]]))
+    Z = _kronecker_module(kronecker, _q([[1, 0], [0, 1]]), _q([[0, -1], [1, 0]]))
+    XYZ, _, _ = direct_sum([X, Y, Z])
+    assert is_isomorphic(XYZ, direct_sum([Z, X, Y])[0])
+    assert not is_isomorphic(XYZ, direct_sum([X, X, Z])[0])
+
+
+def _iso_by_generic_det(M, N):
+    """Oracle: an isomorphism M -> N exists iff the generic element
+    sum t_k h_k of Hom(M, N) has, at every vertex, a determinant that is
+    not the zero polynomial in the t_k; any point off their zero sets is
+    an explicit isomorphism."""
+    if M.dim_vector() != N.dim_vector():
+        return False
+    H = hom(M, N)
+    if not H:
+        return M.total_dim == 0
+    t = sympy.symbols(f"t0:{len(H)}")
+    for v in M.alg.vertices:
+        d = M.dims[v]
+        if not d:
+            continue
+        generic = sympy.Matrix(d, d, lambda r, c: sum(
+            tk * sympy.Rational(h.mats[v].a[r][c].numerator, h.mats[v].a[r][c].denominator)
+            for tk, h in zip(t, H)))
+        if sympy.expand(generic.det(method="berkowitz")) == 0:
+            return False
+    return True
+
+
+def _small_modules(alg):
+    basic = ([simple_module(alg, v) for v in alg.vertices]
+             + [projective_module(alg, v) for v in alg.vertices]
+             + [injective_module(alg, v) for v in alg.vertices])
+    sums = [direct_sum([basic[i], basic[j]])[0]
+            for i in range(len(basic)) for j in range(i, len(basic))]
+    return basic + sums
+
+
+@pytest.mark.parametrize("stem", ["a2", "a3_linear", "a3_stable", "d4", "kronecker"])
+def test_trace_criterion_matches_explicit_search(stem):
+    alg = corpus_algebra(stem)
+    mods = _small_modules(alg)
+    pairs = [(M, N) for i, M in enumerate(mods) for N in mods[i + 1:]
+             if M.dim_vector() == N.dim_vector()]
+    assert pairs
+    seen = set()
+    for M, N in pairs:
+        expected = _iso_by_generic_det(M, N)
+        EM, EN = hom(M, M), hom(N, N)
+        criterion = (_trace_rank(EM, EM) + _trace_rank(EN, EN)
+                     == 2 * _trace_rank(hom(M, N), hom(N, M)))
+        assert criterion == expected == is_isomorphic(M, N), (M, N)
+        seen.add(expected)
+    assert seen == {True, False}
+
+
+def _end_is_local(M, E):
+    """Oracle, the regular-representation test: End(M)/rad is one
+    dimensional, with rad End(M) the kernel of the trace form of left
+    multiplication on End(M) (characteristic 0)."""
+    f = M.alg.field
+    n = len(E)
+    big = [Mat.block_diag([e.mats[v] for v in M.alg.vertices if M.dims[v]], f) for e in E]
+    B = Mat.from_rows([[x for row in b.a for x in row] for b in big], f).transpose()
+    table = {}
+    for i in range(n):
+        for j in range(n):
+            table[(i, j)] = B.solve([x for row in (big[i] * big[j]).a for x in row])
+    gram = Mat.zero(n, n, f)
+    for i in range(n):
+        for j in range(n):
+            xy = table[(i, j)]
+            gram.a[i][j] = sum((xy[l] * table[(l, k)][k] for k in range(n) for l in range(n)),
+                               f.zero())
+    return n - len(gram.kernel_basis()) == 1
+
+
+@pytest.mark.parametrize("stem", ["a3_linear", "a3_stable", "d4", "kronecker"])
+def test_trace_rank_one_matches_regular_representation(stem):
+    alg = corpus_algebra(stem)
+    seen = set()
+    for M in _small_modules(alg):
+        if M.total_dim:
+            E = hom(M, M)
+            local = _end_is_local(M, E)
+            assert (_trace_rank(E, E) == 1) == local, M
+            seen.add(local)
+    assert seen == {True, False}
