@@ -14,7 +14,7 @@ left module as a map M[src(b)] -> M[tgt(b)].
 from __future__ import annotations
 
 from .errors import MalformedRelation, NotFiniteDimensional
-from .linalg import QQ, Mat, span_basis, in_span
+from .linalg import QQ, Mat, independent_subset
 from .quiver import Path, Quiver, Relation
 
 
@@ -102,15 +102,10 @@ class Algebra:
                     for k, c in prod.items():
                         vec[pos[k]] = c
                     rad2.append(vec)
-        span = span_basis(rad2, self.field)
-        gens = []
         order = sorted(rad, key=lambda i: (self.basis[i].degree, i))
-        for i in order:
-            vec = [self.field.zero()] * len(rad)
-            vec[pos[i]] = self.field.one()
-            if not in_span(span, vec, self.field):
-                gens.append(i)
-                span = span_basis(span + [vec], self.field)
+        z, one = self.field.zero(), self.field.one()
+        units = [[one if k == pos[i] else z for k in range(len(rad))] for i in order]
+        gens = [order[k] for k in independent_subset(rad2, units, self.field)]
         self._generators = gens
         return gens
 

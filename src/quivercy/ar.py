@@ -17,12 +17,14 @@ from .errors import (
     NotSelfinjective,
     UNDECIDED,
 )
-from .linalg import Mat, span_basis
+from .linalg import Mat, independent_subset
 from .module import (
     Bimodule,
     Module,
     Morphism,
     bimodule_to_env_module,
+    cached_dual_regular_bimodule,
+    cached_regular_bimodule,
     direct_sum,
     dual_module,
     env_module_to_bimodule,
@@ -31,14 +33,12 @@ from .module import (
     injective_module,
     is_isomorphic,
     outer_tensor_module,
-    regular_bimodule,
+    projective_module,
     socle_vertices,
     tensor_bimod_bimod,
     zero_module,
 )
 from .homology import (
-    _cached_dual_regular,
-    _cached_projective,
     _cached_regular,
     _match_projective,
     _module_resolution,
@@ -53,7 +53,7 @@ from .homology import (
 
 def tau_n(M: Module, n: int):
     """Higher AR translate Tor_n(D(reg), M)."""
-    return tor(n, _cached_dual_regular(M.alg), M)
+    return tor(n, cached_dual_regular_bimodule(M.alg), M)
 
 
 def tau_n_minus(M: Module, n: int):
@@ -61,7 +61,7 @@ def tau_n_minus(M: Module, n: int):
     opposite algebra."""
     alg = M.alg
     op = cached_opposite(alg)
-    Y = alg.cached("dreg_flip", lambda: flip_bimodule(_cached_dual_regular(alg), op, op))
+    Y = alg.cached("dreg_flip", lambda: flip_bimodule(cached_dual_regular_bimodule(alg), op, op))
     Mop = dual_module(M, op)
     T = tor(n, Y, Mop)
     return dual_module(T, alg, name=f"tau{n}-({M.name})")
@@ -232,7 +232,8 @@ def _env_resolution(alg, upto):
     """Minimal projective resolution of the dual regular bimodule over the
     enveloping algebra, cached on the algebra."""
     E = enveloping(alg)
-    M = alg.cached("env_res_mod", lambda: bimodule_to_env_module(_cached_dual_regular(alg), E))
+    M = alg.cached("env_res_mod",
+                   lambda: bimodule_to_env_module(cached_dual_regular_bimodule(alg), E))
     return _module_resolution(M, upto), E
 
 
@@ -354,7 +355,7 @@ def _hom_coboundary(alg, E, lay_k: _HomLayout, lay_k1: _HomLayout, em):
     return mats
 
 
-def ext_bimodule(alg: Algebra, n: int, cap=None):
+def ext_bimodule(alg: Algebra, n: int):
     """Ext^n(D(reg), reg) with both module structures: the bimodule T
     generating the higher preprojective algebra."""
     return alg.cached(("ext_bimod", n), lambda: _build_ext_bimodule(alg, n))
@@ -365,7 +366,7 @@ def _build_ext_bimodule(alg, n):
     if n > res.length:
         return Bimodule(alg, alg, {(u, v): 0 for u in alg.vertices for v in alg.vertices},
                         {}, {}, name="T")
-    reg_bimod = alg.cached("regbimod", lambda: regular_bimodule(alg))
+    reg_bimod = cached_regular_bimodule(alg)
     lays = {}
     for k in (n - 1, n, n + 1):
         if 0 <= k <= res.length:
@@ -579,7 +580,7 @@ def nakayama_permutation(p: Algebra):
         raise NotSelfinjective(p.name)
     perm = {}
     for j in p.vertices:
-        P = _cached_projective(p, j)
+        P = projective_module(p, j)
         soc = socle_vertices(P)
         support = [v for v, d in soc.items() if d]
         if len(support) != 1 or soc[support[0]] != 1:
@@ -627,7 +628,7 @@ def auslander_algebra(alg: Algebra, summands):
                     adj = h.add(basis_mors[s].scale(-lam))
                     rad.append(adj)
                 rows = [flatten(h) for h in rad]
-                sel = _independent_rows(rows, f)
+                sel = independent_subset([], rows, f)
                 for idx in sel:
                     basis_mors.append(rad[idx])
                     basis_meta.append(BasisElt(f"r[{s},{t}]{idx}", s, t, 1))
@@ -664,19 +665,6 @@ def auslander_algebra(alg: Algebra, summands):
     gamma._path_classes = {}
     gamma.check_associativity()
     return gamma
-
-
-def _independent_rows(rows, f):
-    """Indices of a maximal independent subset of the given rows."""
-    sel = []
-    span = []
-    from .linalg import in_span
-
-    for i, r in enumerate(rows):
-        if any(r) and not in_span(span, r, f):
-            sel.append(i)
-            span = span_basis(span + [r], f)
-    return sel
 
 
 def recover_presentation(alg: Algebra, max_degree=None):
@@ -746,17 +734,8 @@ def recover_presentation(alg: Algebra, max_degree=None):
                         cons.append(left)
                     if okr:
                         cons.append(right)
-        cons = span_basis(cons, f)
-        fresh = []
-        span = list(cons)
-        from .linalg import in_span
-
-        for vec in ker:
-            if not in_span(span, vec, f):
-                fresh.append(vec)
-                span = span_basis(span + [vec], f)
         relations[d] = ker
-        for vec in fresh:
+        for vec in (ker[i] for i in independent_subset(cons, ker, f)):
             terms = [(c, tuple(f"g{k}" for k in cur[wi][0]))
                      for wi, c in enumerate(vec) if c]
             minimal.append({"degree": d, "terms": terms})

@@ -45,11 +45,7 @@ from .homology import (
     nakayama,
     stalk_regular,
 )
-from .module import (
-    bimodule_to_env_module,
-    is_isomorphic,
-    regular_bimodule,
-)
+from .module import bimodule_to_env_module, cached_regular_bimodule, is_isomorphic
 
 
 class CyCertificate:
@@ -365,7 +361,8 @@ def _rev(E):
 
 
 def _regular_env_module(alg, E):
-    return alg.cached("reg_env_mod", lambda: bimodule_to_env_module(regular_bimodule(alg), E))
+    return alg.cached("reg_env_mod",
+                      lambda: bimodule_to_env_module(cached_regular_bimodule(alg), E))
 
 
 def check_untwisted_cy(alg, ell, m, cap=None):

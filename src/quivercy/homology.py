@@ -17,12 +17,13 @@ from .module import (
     Bimodule,
     Module,
     Morphism,
+    cached_dual_regular_bimodule,
+    cached_regular_bimodule,
+    column_sum,
     direct_sum,
     dual_module,
-    dual_regular_bimodule,
     injective_module,
     kernel,
-    projective_module,
     quotient,
     radical_columns,
     regular_module,
@@ -33,14 +34,6 @@ from .module import (
 
 def default_cap(alg):
     return 4 * len(alg.vertices) + 8
-
-
-def _cached_projective(alg, v):
-    return alg.cached(("proj", v), lambda: projective_module(alg, v))
-
-
-def _cached_dual_regular(alg):
-    return alg.cached("dreg", lambda: dual_regular_bimodule(alg))
 
 
 def _cached_regular(alg):
@@ -58,33 +51,16 @@ class SumInfo:
     def __init__(self, alg, verts):
         self.alg = alg
         self.verts = list(verts)
-        f = alg.field
-        coords = {w: [] for w in alg.vertices}
-        for r, v in enumerate(self.verts):
-            P = _cached_projective(alg, v)
-            for w in alg.vertices:
-                for bidx in P.basis_indices[w]:
-                    coords[w].append((r, bidx))
-        self.coords = coords
+        R = cached_regular_bimodule(alg)
+        self.coords = {w: [(r, bidx) for r, v in enumerate(self.verts)
+                           for bidx in R.basis_indices.get((w, v), ())] for w in alg.vertices}
         self.pos = {}
-        for w, lst in coords.items():
+        for w, lst in self.coords.items():
             for c, key in enumerate(lst):
                 self.pos[key] = c
         self.e_pos = [self.pos[(r, alg.idem[v])] for r, v in enumerate(self.verts)]
-        dims = {w: len(coords[w]) for w in alg.vertices}
-        act = {}
-        for j, bj in enumerate(alg.basis):
-            if bj.degree == 0:
-                continue
-            m = Mat.zero(dims[bj.tgt], dims[bj.src], f)
-            hit = False
-            for c, (r, bidx) in enumerate(coords[bj.src]):
-                for k, cf in alg.mul(j, bidx).items():
-                    m.a[self.pos[(r, k)]][c] = cf
-                    hit = True
-            if hit:
-                act[j] = m
-        self.module = Module(alg, dims, act, name="P(" + ",".join(str(v) for v in self.verts) + ")")
+        name = "P(" + ",".join(str(v) for v in self.verts) + ")"
+        self.module = column_sum(R, self.verts, name=name)[0]
 
 
 # -- element matrices --------------------------------------------------
@@ -412,10 +388,8 @@ def _module_resolution(M, upto):
 
 
 class ExtResult:
-    def __init__(self, dim, cocycles, term_verts):
+    def __init__(self, dim):
         self.dim = dim
-        self.cocycles = cocycles  # coordinate vectors in hom(P_i, N) space
-        self.term_verts = term_verts
 
     def __repr__(self):
         return f"Ext(dim {self.dim})"
@@ -467,37 +441,14 @@ def _hom_cochain(res: Resolution, N: Module, top):
     return spaces, deltas, layouts
 
 
-def ext(i, M: Module, N: Module, max_len=None):
-    """Ext^i(M, N); returns an ExtResult with .dim and cocycle basis."""
+def ext(i, M: Module, N: Module):
+    """Ext^i(M, N) as an ExtResult with .dim."""
     if i < 0:
         raise ValueError("negative Ext degree")
-    res = _module_resolution(M, i + 1)
-    top = min(i + 1, res.length)
-    if i > res.length and res.complete:
-        return ExtResult(0, [], [])
-    if i > res.length and not res.complete:
-        raise CapExceeded("resolution too short for requested Ext degree")
-    spaces, deltas, layouts = _hom_cochain(res, N, top)
-    f = M.alg.field
-    if i <= res.length and i < len(deltas):
-        dout = deltas[i]
-        kerb = dout.kernel_basis()
-    else:
-        kerb = [
-            [f.one() if j == t else f.zero() for j in range(spaces[i])]
-            for t in range(spaces[i])
-        ]
-    if i == 0:
-        rank_in = 0
-        cocycles = kerb
-    else:
-        din = deltas[i - 1]
-        rank_in = din.rank()
-        cocycles = kerb
-    return ExtResult(len(kerb) - rank_in, cocycles, res.term_verts(i))
+    return ExtResult(ext_dims_upto(M, N, i)[i])
 
 
-def ext_dims_upto(M: Module, N: Module, n, max_len=None):
+def ext_dims_upto(M: Module, N: Module, n):
     """dim Ext^i(M, N) for i = 0..n, sharing one resolution and one
     cochain complex."""
     res = _module_resolution(M, n + 1)
@@ -513,38 +464,6 @@ def ext_dims_upto(M: Module, N: Module, n, max_len=None):
         im = ranks[i - 1] if i >= 1 else 0
         out.append(ker - im)
     return out
-
-
-def _col_sum(X: Bimodule, verts):
-    """Direct sum of columns X e_u with coordinate offsets, as (module,
-    offsets) where offsets[(r, w)] locates column r at vertex w."""
-    alg = X.left_alg
-    f = alg.field
-    offs = {}
-    dims = {}
-    for w in alg.vertices:
-        n = 0
-        for r, u in enumerate(verts):
-            offs[(r, w)] = n
-            n += X.dims[(w, u)]
-        dims[w] = n
-    act = {}
-    for i, b in enumerate(alg.basis):
-        if b.degree == 0:
-            continue
-        m = Mat.zero(dims[b.tgt], dims[b.src], f)
-        hit = False
-        for r, u in enumerate(verts):
-            blk = X.lact.get((i, u))
-            if blk is None:
-                continue
-            hit = True
-            r0, c0 = offs[(r, b.tgt)], offs[(r, b.src)]
-            for x in range(blk.rows):
-                m.a[r0 + x][c0 : c0 + blk.cols] = blk.a[x][:]
-        if hit:
-            act[i] = m
-    return Module(alg, dims, act, name=f"{X.name}(cols)"), offs
 
 
 def _col_sum_diff(X: Bimodule, src_verts, tgt_verts, em, srcmod, srcoffs, tgtmod, tgtoffs):
@@ -574,20 +493,18 @@ def _col_sum_diff(X: Bimodule, src_verts, tgt_verts, em, srcmod, srcoffs, tgtmod
     return Morphism(srcmod, tgtmod, mats)
 
 
-def tor(i, X: Bimodule, M: Module, max_len=None):
+def tor(i, X: Bimodule, M: Module):
     """Tor_i(X, M) as a left module over X.left_alg."""
     if i < 0:
         raise ValueError("negative Tor degree")
     res = _module_resolution(M, i + 1)
     if i > res.length:
-        if res.complete:
-            return zero_module(X.left_alg)
-        raise CapExceeded("resolution too short for requested Tor degree")
+        return zero_module(X.left_alg)
     terms = {}
     offs = {}
     for k in (i - 1, i, i + 1):
         if 0 <= k <= res.length:
-            terms[k], offs[k] = _col_sum(X, res.term_verts(k))
+            terms[k], offs[k] = column_sum(X, res.term_verts(k))
     f_out = None
     if i >= 1:
         f_out = _col_sum_diff(
@@ -633,8 +550,10 @@ def _match_projective(M: Module):
     top = top_dim_vector(M)
     if sum(top) != 1:
         return None
-    v = M.alg.vertices[top.index(1)]
-    return v if _cached_projective(M.alg, v).dim_vector() == M.dim_vector() else None
+    alg = M.alg
+    v = alg.vertices[top.index(1)]
+    R = cached_regular_bimodule(alg)
+    return v if all(R.dims[(w, v)] == M.dims[w] for w in alg.vertices) else None
 
 
 def _is_regular_module(M: Module):
@@ -853,11 +772,11 @@ def nakayama(P: PerfComplex, cap=None):
     """The derived Nakayama functor: tensor a complex of projectives with
     the dual regular bimodule, then renormalize to projective terms."""
     alg = P.alg
-    DL = _cached_dual_regular(alg)
+    DL = cached_dual_regular_bimodule(alg)
     terms = {}
     offs = {}
     for i, verts in P.terms.items():
-        terms[i], offs[i] = _col_sum(DL, verts)
+        terms[i], offs[i] = column_sum(DL, verts)
     diffs = {}
     for i, em in P.diffs.items():
         diffs[i] = _col_sum_diff(

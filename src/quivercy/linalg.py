@@ -323,14 +323,17 @@ def span_basis(vectors, field=QQ):
     return [R.a[i] for i in range(len(pivots))]
 
 
-def in_span(basis_rows, v, field=QQ):
-    """Is v in the row span of basis_rows?  basis_rows may be any list."""
-    if not any(v):
-        return True
-    if not basis_rows:
-        return False
-    M = Mat.from_rows(basis_rows, field).transpose()
-    return M.solve(list(v)) is not None
+def independent_subset(span, candidates, field=QQ):
+    """Indices of the candidates that a greedy scan keeps: those outside
+    the row span of `span` and of the candidates kept before them.  They
+    are the pivot columns past `span` of the rref of the matrix whose
+    columns are the rows of span followed by the candidates."""
+    rows = list(span) + list(candidates)
+    if not rows:
+        return []
+    _, pivots = Mat.from_rows(rows, field).transpose().rref()
+    k = len(span)
+    return [p - k for p in pivots if p >= k]
 
 
 def rank_and_kernel(m: Mat):

@@ -116,66 +116,54 @@ def simple_module(alg, v, name=None):
 
 
 def projective_module(alg, v, name=None):
-    """P_v = (algebra) e_v, spanned by basis elements with src == v."""
-    by_vertex = {u: [] for u in alg.vertices}
-    for i, b in enumerate(alg.basis):
-        if b.src == v:
-            by_vertex[b.tgt].append(i)
-    pos = {}
-    for u, lst in by_vertex.items():
-        for c, i in enumerate(lst):
-            pos[i] = c
-    dims = {u: len(lst) for u, lst in by_vertex.items()}
-    act = {}
-    f = alg.field
-    for j, bj in enumerate(alg.basis):
-        if bj.degree == 0:
-            continue
-        m = Mat.zero(dims[bj.tgt], dims[bj.src], f)
-        for col, i in enumerate(by_vertex[bj.src]):
-            for k, c in alg.mul(j, i).items():
-                m.a[pos[k]][col] = c
-        act[j] = m
-    M = Module(alg, dims, act, name=name or f"P[{v}]")
-    M.basis_indices = by_vertex  # algebra basis element at each coordinate
-    return M
+    """P_v = (algebra) e_v, the column of the regular bimodule at v."""
+    return column_sum(cached_regular_bimodule(alg), [v], name=name or f"P[{v}]")[0]
 
 
 def injective_module(alg, v, name=None):
-    """I_v, the dual of e_v (algebra), spanned by duals of basis elements
-    with tgt == v."""
-    by_vertex = {u: [] for u in alg.vertices}
-    for i, b in enumerate(alg.basis):
-        if b.tgt == v:
-            by_vertex[b.src].append(i)
-    pos = {}
-    for u, lst in by_vertex.items():
-        for c, i in enumerate(lst):
-            pos[i] = c
-    dims = {u: len(lst) for u, lst in by_vertex.items()}
-    act = {}
-    f = alg.field
-    for j, bj in enumerate(alg.basis):
-        if bj.degree == 0:
-            continue
-        # dual basis xi_b (b: src -> v) goes to the functional x |-> coeff
-        # of b in x * b_j, supported on x with src == tgt(b_j)
-        m = Mat.zero(dims[bj.tgt], dims[bj.src], f)
-        for col, b in enumerate(by_vertex[bj.src]):
-            for row, x in enumerate(by_vertex[bj.tgt]):
-                c = alg.mul(x, j).get(b)
-                if c:
-                    m.a[row][col] = c
-        act[j] = m
-    M = Module(alg, dims, act, name=name or f"I[{v}]")
-    M.basis_indices = by_vertex
-    return M
+    """I_v = D(e_v (algebra)), the column of the dual regular bimodule at v."""
+    return column_sum(cached_dual_regular_bimodule(alg), [v], name=name or f"I[{v}]")[0]
 
 
 def regular_module(alg, name=None):
-    summands = [projective_module(alg, v) for v in alg.vertices]
-    M, incs, projs = direct_sum(summands, name=name or "reg")
-    return M
+    return column_sum(cached_regular_bimodule(alg), alg.vertices, name=name or "reg")[0]
+
+
+def column_sum(X, verts, name=None):
+    """The left module of the columns X e_u, u over verts, summed in that
+    order, as (module, offsets) where offsets[(r, w)] locates column r at
+    vertex w.  A single column shares its blocks with X."""
+    alg = X.left_alg
+    name = name or f"{X.name}(cols)"
+    if len(verts) == 1:
+        (u,) = verts
+        dims = {w: X.dims[(w, u)] for w in alg.vertices}
+        act = {i: X.lact[(i, u)] for i in range(alg.dim) if (i, u) in X.lact}
+        return Module(alg, dims, act, name=name), {(0, w): 0 for w in alg.vertices}
+    f = alg.field
+    offs = {}
+    dims = {}
+    for w in alg.vertices:
+        n = 0
+        for r, u in enumerate(verts):
+            offs[(r, w)] = n
+            n += X.dims[(w, u)]
+        dims[w] = n
+    act = {}
+    for i, b in enumerate(alg.basis):
+        if b.degree == 0:
+            continue
+        m = None
+        for r, u in enumerate(verts):
+            blk = X.lact.get((i, u))
+            if blk is None:
+                continue
+            if m is None:
+                m = act[i] = Mat.zero(dims[b.tgt], dims[b.src], f)
+            r0, c0 = offs[(r, b.tgt)], offs[(r, b.src)]
+            for x in range(blk.rows):
+                m.a[r0 + x][c0 : c0 + blk.cols] = blk.a[x][:]
+    return Module(alg, dims, act, name=name), offs
 
 
 def dual_module(M: Module, op=None, name=None):
@@ -575,78 +563,59 @@ class Bimodule:
 
 def regular_bimodule(alg: Algebra, name=None):
     """The algebra over itself; X[(u, v)] has the basis elements with
-    tgt == u and src == v as coordinates."""
-    by_pair = {(u, v): [] for u in alg.vertices for v in alg.vertices}
+    tgt == u and src == v as coordinates, in basis order, listed in
+    X.basis_indices[(u, v)] when there are any.  The projective, injective
+    and regular modules are read off this bimodule or its dual, so this
+    is where the multiplication table becomes their action matrices."""
+    by_pair = {}  # only the nonempty pairs: an enveloping algebra has many
     for i, b in enumerate(alg.basis):
-        by_pair[(b.tgt, b.src)].append(i)
+        by_pair.setdefault((b.tgt, b.src), []).append(i)
     pos = {}
-    for key, lst in by_pair.items():
+    for lst in by_pair.values():
         for c, i in enumerate(lst):
             pos[i] = c
-    dims = {k: len(lst) for k, lst in by_pair.items()}
+    dims = {(u, v): len(by_pair.get((u, v), ())) for u in alg.vertices for v in alg.vertices}
     f = alg.field
     lact, ract = {}, {}
-    for j, bj in enumerate(alg.basis):
-        if bj.degree == 0:
-            continue
-        for v in alg.vertices:
-            m = Mat.zero(dims[(bj.tgt, v)], dims[(bj.src, v)], f)
-            for col, i in enumerate(by_pair[(bj.src, v)]):
-                for k, c in alg.mul(j, i).items():
-                    m.a[pos[k]][col] = c
-            if not m.is_zero():
-                lact[(j, v)] = m
-        for u in alg.vertices:
-            m = Mat.zero(dims[(u, bj.src)], dims[(u, bj.tgt)], f)
-            for col, i in enumerate(by_pair[(u, bj.tgt)]):
-                for k, c in alg.mul(i, j).items():
-                    m.a[pos[k]][col] = c
-            if not m.is_zero():
-                ract[(u, j)] = m
+    # b_j * b_i fills column pos[i] of the left action of b_j and column
+    # pos[j] of the right action of b_i
+    for (j, i), prod in alg.mult.items():
+        bj, bi = alg.basis[j], alg.basis[i]
+        if bj.degree:
+            m = lact.get((j, bi.src))
+            if m is None:
+                m = lact[(j, bi.src)] = Mat.zero(dims[(bj.tgt, bi.src)], dims[(bj.src, bi.src)], f)
+            for k, c in prod.items():
+                m.a[pos[k]][pos[i]] = c
+        if bi.degree:
+            m = ract.get((bj.tgt, i))
+            if m is None:
+                m = ract[(bj.tgt, i)] = Mat.zero(dims[(bj.tgt, bi.src)], dims[(bj.tgt, bi.tgt)], f)
+            for k, c in prod.items():
+                m.a[pos[k]][pos[j]] = c
     X = Bimodule(alg, alg, dims, lact, ract, name=name or "reg")
     X.basis_indices = by_pair
     return X
 
 
 def dual_regular_bimodule(alg: Algebra, name=None):
-    """The k-dual of the algebra as a bimodule; X[(u, v)] is the dual of
-    the span of basis elements with src == u and tgt == v."""
-    by_pair = {(u, v): [] for u in alg.vertices for v in alg.vertices}
-    for i, b in enumerate(alg.basis):
-        by_pair[(b.src, b.tgt)].append(i)
-    pos = {}
-    for key, lst in by_pair.items():
-        for c, i in enumerate(lst):
-            pos[i] = c
-    dims = {k: len(lst) for k, lst in by_pair.items()}
-    f = alg.field
-    lact, ract = {}, {}
-    for j, bj in enumerate(alg.basis):
-        if bj.degree == 0:
-            continue
-        # left action: (a.xi)(x) = xi(x * a), maps (src_a, v) -> (tgt_a, v)
-        for v in alg.vertices:
-            m = Mat.zero(dims[(bj.tgt, v)], dims[(bj.src, v)], f)
-            for col, b in enumerate(by_pair[(bj.src, v)]):
-                for row, x in enumerate(by_pair[(bj.tgt, v)]):
-                    c = alg.mul(x, j).get(b)
-                    if c:
-                        m.a[row][col] = c
-            if not m.is_zero():
-                lact[(j, v)] = m
-        # right action: (xi.b)(x) = xi(b * x), maps (u, tgt_b) -> (u, src_b)
-        for u in alg.vertices:
-            m = Mat.zero(dims[(u, bj.src)], dims[(u, bj.tgt)], f)
-            for col, b in enumerate(by_pair[(u, bj.tgt)]):
-                for row, x in enumerate(by_pair[(u, bj.src)]):
-                    c = alg.mul(j, x).get(b)
-                    if c:
-                        m.a[row][col] = c
-            if not m.is_zero():
-                ract[(u, j)] = m
-    X = Bimodule(alg, alg, dims, lact, ract, name=name or "D(reg)")
-    X.basis_indices = by_pair
-    return X
+    """The k-dual of the algebra as a bimodule: the transpose of the
+    regular bimodule with its sides swapped.  X[(u, v)] is the dual of the
+    span of basis elements with src == u and tgt == v; a acts on the left
+    by (a.xi)(x) = xi(x * a) and on the right by (xi.a)(x) = xi(a * x)."""
+    R = cached_regular_bimodule(alg)
+    dims = {(u, v): R.dims[(v, u)] for (u, v) in R.dims}
+    lact = {(j, v): m.transpose() for (v, j), m in R.ract.items()}
+    ract = {(u, j): m.transpose() for (j, u), m in R.lact.items()}
+    return Bimodule(alg, alg, dims, lact, ract, name=name or "D(reg)")
+
+
+def cached_regular_bimodule(alg: Algebra):
+    return alg.cached("regular_bimodule", lambda: regular_bimodule(alg))
+
+
+def cached_dual_regular_bimodule(alg: Algebra):
+    return alg.cached("dual_regular_bimodule", lambda: dual_regular_bimodule(alg))
 
 
 def tensor_bimod_module(T: Bimodule, M: Module, name=None):

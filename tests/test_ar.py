@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from conftest import corpus_algebra
@@ -13,7 +15,7 @@ from quivercy.ar import (
     tau_n_minus,
     tensor_nrf,
 )
-from quivercy.constructions import TypeAQuiver, cut_algebra, enumerate_cuts
+from quivercy.constructions import TypeAQuiver, cut_algebra, enumerate_cuts, gamma_algebra
 from quivercy.errors import UNDECIDED, FactorNotHomogeneous, NotNRF, NotSelfinjective
 from quivercy.homology import (
     dominant_dimension,
@@ -21,6 +23,7 @@ from quivercy.homology import (
     global_dimension,
     is_selfinjective,
 )
+from quivercy.linalg import Mat
 from quivercy.module import injective_module, is_isomorphic, simple_module
 
 
@@ -152,6 +155,52 @@ def test_recover_presentation(a3_stable):
     assert len(pres["arrows"]) == 6
     assert len(pres["relations"]) == 3
     assert all(r["degree"] == 2 for r in pres["relations"])
+
+
+def _greedy_generators(alg):
+    """Gabriel generators by the scan that independent_subset replaced:
+    in degree order, each basis element outside rad^2 plus the ones kept."""
+    f = alg.field
+    rad = alg.radical_indices()
+    pos = {idx: k for k, idx in enumerate(rad)}
+    rows = []
+    for (i, j), prod in alg.mult.items():
+        if i in pos and j in pos:
+            rows.append([f.zero()] * len(rad))
+            for k, c in prod.items():
+                rows[-1][pos[k]] = c
+    gens = []
+    for i in sorted(rad, key=lambda i: (alg.basis[i].degree, i)):
+        unit = [f.one() if k == pos[i] else f.zero() for k in range(len(rad))]
+        if Mat.from_rows(rows + [unit], f).rank() > Mat.from_rows(rows, f, ncols=len(rad)).rank():
+            gens.append(i)
+            rows.append(unit)
+    return gens
+
+
+def test_generators_match_the_greedy_scan(a3_stable):
+    gamma = gamma_algebra(TypeAQuiver(1, 3))
+    preset = gamma.generators()
+    gamma._generators = None  # recomputed, not preset by degree
+    pi = preprojective(a3_stable, 1)
+    ausl = auslander_algebra(a3_stable, decide_nrf(a3_stable, 1).ct_summands)
+    assert gamma.generators() == preset == [3, 4, 5, 6]
+    assert pi.generators() == _greedy_generators(pi) == [3, 4, 5, 9]
+    assert ausl.generators() == _greedy_generators(ausl) == [6, 8, 9, 10, 12, 14]
+    assert gamma.generators() == _greedy_generators(gamma)
+
+
+def test_recover_presentation_of_the_a3_stable_auslander_algebra(a3_stable):
+    gamma = auslander_algebra(a3_stable, decide_nrf(a3_stable, 1).ct_summands)
+    pres = recover_presentation(gamma)
+    assert pres["arrows"] == [("g0", 1, 2), ("g1", 2, 0), ("g2", 2, 4),
+                              ("g3", 3, 1), ("g4", 3, 5), ("g5", 5, 2)]
+    one = Fraction(1)
+    assert pres["relations"] == [
+        {"degree": 2, "terms": [(one, ("g0", "g1"))]},
+        {"degree": 2, "terms": [(-one, ("g3", "g0")), (one, ("g4", "g5"))]},
+        {"degree": 2, "terms": [(one, ("g5", "g2"))]},
+    ]
 
 
 def test_recover_presentation_roundtrip(a2):

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from quivercy.linalg import QQ, Mat, in_span, rank_and_kernel, span_basis
+from quivercy.linalg import QQ, Mat, independent_subset, rank_and_kernel, span_basis
 
 
 def mat(rows):
@@ -102,9 +102,36 @@ def test_span_and_membership():
     rows = [[QQ.of(1), QQ.of(1)], [QQ.of(2), QQ.of(2)], [QQ.of(1), QQ.of(0)]]
     basis = span_basis(rows)
     assert len(basis) == 2
-    assert in_span(basis, [QQ.of(5), QQ.of(3)])
-    assert in_span([], [QQ.zero(), QQ.zero()])
-    assert not in_span([[QQ.of(1), QQ.of(1)]], [QQ.of(1), QQ.of(2)])
+    # a candidate is kept exactly when it lies outside the span
+    assert independent_subset(basis, [[QQ.of(5), QQ.of(3)]]) == []
+    assert independent_subset([], [[QQ.zero(), QQ.zero()]]) == []
+    assert independent_subset([[QQ.of(1), QQ.of(1)]], [[QQ.of(1), QQ.of(2)]]) == [0]
+
+
+def _greedy_subset(span, candidates):
+    """The scan independent_subset replaces: keep a candidate when it is
+    not in the span so far (solved for, as the old membership test did)."""
+    sel = []
+    rows = span_basis(span)
+    for i, c in enumerate(candidates):
+        if not any(c):
+            continue
+        if rows and Mat.from_rows(rows).transpose().solve(list(c)) is not None:
+            continue
+        sel.append(i)
+        rows = span_basis(rows + [c])
+    return sel
+
+
+def test_independent_subset_matches_the_greedy_scan():
+    rng = random.Random(7)
+    for _ in range(400):
+        n = rng.randint(1, 6)
+        # few distinct small entries and many zeros make dependencies common
+        vec = lambda: [QQ.of(rng.choice([0, 0, 0, 1, -1, 2])) for _ in range(n)]
+        span = [vec() for _ in range(rng.randint(0, 3))]
+        cands = [vec() for _ in range(rng.randint(0, 7))]
+        assert independent_subset(span, cands) == _greedy_subset(span, cands)
 
 
 def test_rank_and_kernel():

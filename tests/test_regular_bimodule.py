@@ -1,0 +1,187 @@
+"""The projective, injective and regular modules, the dual regular
+bimodule and the coordinates of SumInfo are all read off one regular
+bimodule.  The builders below are the direct loops over the
+multiplication table that each of them used to run on its own; they stay
+here as oracles, compared entrywise with the views."""
+
+import pytest
+
+from conftest import CORPUS, corpus_algebra
+from quivercy.algebra import enveloping, tensor_product
+from quivercy.constructions import TypeAQuiver, cut_algebra, enumerate_cuts, gamma_algebra
+from quivercy.homology import SumInfo
+from quivercy.linalg import Mat
+from quivercy.module import (
+    Bimodule,
+    Module,
+    direct_sum,
+    dual_regular_bimodule,
+    injective_module,
+    projective_module,
+    regular_bimodule,
+    regular_module,
+)
+
+
+def _oracle_projective(alg, v):
+    by_vertex = {u: [] for u in alg.vertices}
+    for i, b in enumerate(alg.basis):
+        if b.src == v:
+            by_vertex[b.tgt].append(i)
+    pos = {}
+    for u, lst in by_vertex.items():
+        for c, i in enumerate(lst):
+            pos[i] = c
+    dims = {u: len(lst) for u, lst in by_vertex.items()}
+    act = {}
+    f = alg.field
+    for j, bj in enumerate(alg.basis):
+        if bj.degree == 0:
+            continue
+        m = Mat.zero(dims[bj.tgt], dims[bj.src], f)
+        for col, i in enumerate(by_vertex[bj.src]):
+            for k, c in alg.mul(j, i).items():
+                m.a[pos[k]][col] = c
+        act[j] = m
+    return Module(alg, dims, act), by_vertex
+
+
+def _oracle_injective(alg, v):
+    by_vertex = {u: [] for u in alg.vertices}
+    for i, b in enumerate(alg.basis):
+        if b.tgt == v:
+            by_vertex[b.src].append(i)
+    dims = {u: len(lst) for u, lst in by_vertex.items()}
+    act = {}
+    f = alg.field
+    for j, bj in enumerate(alg.basis):
+        if bj.degree == 0:
+            continue
+        m = Mat.zero(dims[bj.tgt], dims[bj.src], f)
+        for col, b in enumerate(by_vertex[bj.src]):
+            for row, x in enumerate(by_vertex[bj.tgt]):
+                c = alg.mul(x, j).get(b)
+                if c:
+                    m.a[row][col] = c
+        act[j] = m
+    return Module(alg, dims, act)
+
+
+def _oracle_bimodule(alg, dual):
+    """The regular bimodule, or with dual=True its k-dual."""
+    by_pair = {(u, v): [] for u in alg.vertices for v in alg.vertices}
+    for i, b in enumerate(alg.basis):
+        by_pair[(b.src, b.tgt) if dual else (b.tgt, b.src)].append(i)
+    pos = {}
+    for lst in by_pair.values():
+        for c, i in enumerate(lst):
+            pos[i] = c
+    dims = {k: len(lst) for k, lst in by_pair.items()}
+    f = alg.field
+    lact, ract = {}, {}
+    for j, bj in enumerate(alg.basis):
+        if bj.degree == 0:
+            continue
+        for v in alg.vertices:
+            m = Mat.zero(dims[(bj.tgt, v)], dims[(bj.src, v)], f)
+            for col, i in enumerate(by_pair[(bj.src, v)]):
+                if dual:
+                    # (a.xi)(x) = xi(x * a)
+                    for row, x in enumerate(by_pair[(bj.tgt, v)]):
+                        c = alg.mul(x, j).get(i)
+                        if c:
+                            m.a[row][col] = c
+                else:
+                    for k, c in alg.mul(j, i).items():
+                        m.a[pos[k]][col] = c
+            lact[(j, v)] = m
+        for u in alg.vertices:
+            m = Mat.zero(dims[(u, bj.src)], dims[(u, bj.tgt)], f)
+            for col, i in enumerate(by_pair[(u, bj.tgt)]):
+                if dual:
+                    # (xi.b)(x) = xi(b * x)
+                    for row, x in enumerate(by_pair[(u, bj.src)]):
+                        c = alg.mul(j, x).get(i)
+                        if c:
+                            m.a[row][col] = c
+                else:
+                    for k, c in alg.mul(i, j).items():
+                        m.a[pos[k]][col] = c
+            ract[(u, j)] = m
+    return Bimodule(alg, alg, dims, lact, ract)
+
+
+def _oracle_suminfo(alg, verts):
+    """(coords, pos, e_pos, module) of SumInfo(alg, verts)."""
+    f = alg.field
+    coords = {w: [] for w in alg.vertices}
+    for r, v in enumerate(verts):
+        by_vertex = _oracle_projective(alg, v)[1]
+        for w in alg.vertices:
+            for bidx in by_vertex[w]:
+                coords[w].append((r, bidx))
+    pos = {}
+    for w, lst in coords.items():
+        for c, key in enumerate(lst):
+            pos[key] = c
+    e_pos = [pos[(r, alg.idem[v])] for r, v in enumerate(verts)]
+    dims = {w: len(coords[w]) for w in alg.vertices}
+    act = {}
+    for j, bj in enumerate(alg.basis):
+        if bj.degree == 0:
+            continue
+        m = Mat.zero(dims[bj.tgt], dims[bj.src], f)
+        for c, (r, bidx) in enumerate(coords[bj.src]):
+            for k, cf in alg.mul(j, bidx).items():
+                m.a[pos[(r, k)]][c] = cf
+        act[j] = m
+    return coords, pos, e_pos, Module(alg, dims, act)
+
+
+def _same_module(M, N):
+    assert M.dims == N.dims
+    assert M.act.keys() == N.act.keys()
+    assert all(M.act[i] == N.act[i] for i in M.act)
+
+
+def _same_bimodule(X, Y):
+    assert X.dims == Y.dims
+    assert X.lact.keys() == Y.lact.keys() and X.ract.keys() == Y.ract.keys()
+    assert all(X.lact[k] == Y.lact[k] for k in X.lact)
+    assert all(X.ract[k] == Y.ract[k] for k in X.ract)
+
+
+def _algebras():
+    cases = [(stem, lambda stem=stem: corpus_algebra(stem))
+             for stem in sorted(p.stem for p in CORPUS.glob("*.alg"))]
+    q = TypeAQuiver(2, 4)
+    cases += [(f"cut_2_4/{i}", lambda c=c: cut_algebra(q, c))
+              for i, c in enumerate(enumerate_cuts(q)) if i % 5 == 0]
+    cases += [(f"gamma_{n}_{s}", lambda n=n, s=s: gamma_algebra(TypeAQuiver(n, s)))
+              for n, s in ((1, 3), (2, 4))]
+    cases += [("env_a2", lambda: enveloping(corpus_algebra("a2"))),
+              ("a2_(x)_a2", lambda: tensor_product(corpus_algebra("a2"), corpus_algebra("a2")))]
+    return cases
+
+
+CASES = _algebras()
+
+
+@pytest.mark.parametrize("build", [b for _, b in CASES], ids=[n for n, _ in CASES])
+def test_views_match_the_direct_builders(build):
+    alg = build()
+    _same_bimodule(regular_bimodule(alg), _oracle_bimodule(alg, dual=False))
+    _same_bimodule(dual_regular_bimodule(alg), _oracle_bimodule(alg, dual=True))
+    projectives = []
+    for v in alg.vertices:
+        P, _ = _oracle_projective(alg, v)
+        _same_module(projective_module(alg, v), P)
+        _same_module(injective_module(alg, v), _oracle_injective(alg, v))
+        projectives.append(P)
+    _same_module(regular_module(alg), direct_sum(projectives)[0])
+    vs = list(alg.vertices)
+    for verts in (vs, vs[:1], vs[::-1] + vs[:2], []):
+        info = SumInfo(alg, verts)
+        coords, pos, e_pos, module = _oracle_suminfo(alg, verts)
+        assert (info.coords, info.pos, info.e_pos) == (coords, pos, e_pos)
+        _same_module(info.module, module)
