@@ -278,7 +278,6 @@ def build_algebra(quiver, relations, length_cap=64, field=QQ, name=None):
 
     alg = Algebra(field, quiver.vertices, basis, mult, name=name or "KQ/I", quiver=quiver)
     alg._path_classes = {p: {index[b]: c for b, c in red.items()} for p, red in reduction.items()}
-    alg.max_path_length = max_len
     # homogeneous relations: rad^2 is spanned by the classes of degree >= 2
     alg.set_generators([i for i, b in enumerate(basis) if b.degree == 1])
     alg.check_associativity()

@@ -194,7 +194,7 @@ def decide_nrf(alg: Algebra, n: int, cap=None, verify_ct=True):
         return report
     summands = [X for i in alg.vertices for X in report.orbit_table[i]]
     report.ct_summands = summands
-    ct, _, _ = direct_sum(summands, name="M")
+    ct = direct_sum(summands, name="M")
     if verify_ct:
         for a_idx in range(len(summands)):
             for b_idx in range(a_idx + 1, len(summands)):
@@ -779,6 +779,5 @@ def tensor_nrf(factors, ell, cap=None):
         for idx, nxt in enumerate(parts[1:], start=1):
             cur = outer_tensor_module(cur, nxt, chain[idx])
         predicted.append(cur)
-    pred_sum, _, _ = direct_sum(predicted) if predicted else (zero_module(prod), [], [])
-    rep.predicted_ct = pred_sum
+    rep.predicted_ct = direct_sum(predicted) if predicted else zero_module(prod)
     return prod, rep

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 from .algebra import Algebra, cached_opposite
 from .errors import CapExceeded
-from .linalg import Mat
+from .linalg import Mat, kernel_units
 from .module import (
     Bimodule,
     Module,
     Morphism,
+    _sub_from_columns,
     cached_dual_regular_bimodule,
     cached_regular_bimodule,
     column_sum,
@@ -116,12 +117,12 @@ def eltmat_to_morphism(alg, src: SumInfo, tgt: SumInfo, m):
     return Morphism(src.module, tgt.module, mats)
 
 
-def morphism_to_eltmat(alg, src: SumInfo, tgt: SumInfo, fm: Morphism):
-    """Inverse of eltmat_to_morphism: read off images of the idempotent
-    coordinates."""
-    m = eltmat_zero(len(tgt.verts), len(src.verts))
-    for s, a in enumerate(src.verts):
-        col = fm.mats[a].column(src.e_pos[s])
+def images_to_eltmat(verts, tgt: SumInfo, images):
+    """Element matrix of the map from the sum of the projectives at verts
+    to tgt.module that sends generator s to images[s], a vector of
+    tgt.module at verts[s]; the inverse of eltmat_to_morphism."""
+    m = eltmat_zero(len(tgt.verts), len(verts))
+    for s, (a, col) in enumerate(zip(verts, images)):
         for c, val in enumerate(col):
             if val:
                 r, bidx = tgt.coords[a][c]
@@ -140,12 +141,10 @@ def eltmat_entries_in_radical(alg, m):
 class ModComplex:
     """Bounded cochain complex of modules; diffs[i] maps term i to i+1."""
 
-    def __init__(self, alg, terms, diffs, check=False):
+    def __init__(self, alg, terms, diffs):
         self.alg = alg
         self.terms = dict(terms)
         self.diffs = dict(diffs)
-        if check:
-            self.check()
 
     def degrees(self):
         return sorted(d for d, t in self.terms.items() if t.total_dim)
@@ -185,13 +184,11 @@ class ModComplex:
 class PerfComplex:
     """Bounded complex with projective terms in based form."""
 
-    def __init__(self, alg, terms, diffs, check=False):
+    def __init__(self, alg, terms, diffs):
         self.alg = alg
         self.terms = {i: list(t) for i, t in terms.items() if t}
         self.diffs = {i: d for i, d in diffs.items() if not eltmat_is_zero(d)}
         self._infos = {}
-        if check:
-            self.check()
 
     def degrees(self):
         return sorted(self.terms)
@@ -248,30 +245,21 @@ def stalk_regular(alg):
 
 
 def homology_module(at: Module, f_in, f_out, name="H"):
-    """ker(f_out) / im(f_in) at the module `at`."""
-    alg = at.alg
+    """ker(f_out) / im(f_in) at the module `at`.  The image lies in the
+    kernel, so its coordinates there are its rows at the kernel's unit
+    coordinates."""
     if f_out is None:
-        K = at
-        inc = None
+        K, units = at, None
     else:
-        K, incm = kernel(f_out)
-        inc = incm
+        K, _, units = kernel(f_out)
     if f_in is None:
-        return K if f_out is not None else at
-    cols = {v: [] for v in alg.vertices}
-    for v in alg.vertices:
-        m = f_in.mats[v]
-        for j in range(m.cols):
-            c = m.column(j)
-            if not any(c):
-                continue
-            if inc is None:
-                cols[v].append(c)
-            else:
-                x = inc.mats[v].solve(c)
-                if x is None:
-                    raise ValueError("image does not land in the kernel (d^2 != 0?)")
-                cols[v].append(x)
+        return K
+    f = at.alg.field
+    cols = {}
+    for v, m in f_in.mats.items():
+        if units is not None:
+            m = Mat(len(units[v]), m.cols, [m.a[u] for u in units[v]], f)
+        cols[v] = m.transpose().a
     Q, _ = quotient(K, cols, name=name)
     return Q
 
@@ -280,7 +268,7 @@ def homology_module(at: Module, f_in, f_out, name="H"):
 
 
 def projective_cover(M: Module):
-    """Returns (info: SumInfo, epi: Morphism info.module -> M).
+    """Returns (info: SumInfo, epi: Morphism info.module -> M, lifts).
 
     Summand r sends its generator to the unit vector at coordinate
     lifts[r] of M at its vertex.  The lifts are the coordinates left free
@@ -313,7 +301,7 @@ def projective_cover(M: Module):
                 for row, act_row in zip(m.a, M.act[bidx].a):
                     row[c] = act_row[j]
         mats[w] = m
-    return info, Morphism(info.module, M, mats)
+    return info, Morphism(info.module, M, mats), lifts
 
 
 class Resolution:
@@ -324,11 +312,10 @@ class Resolution:
     hit with a nonzero kernel.
     """
 
-    def __init__(self, M, infos, eltmats, epi, complete):
+    def __init__(self, M, infos, eltmats, complete):
         self.module = M
         self.infos = infos
         self.eltmats = eltmats
-        self.epi = epi
         self.complete = complete
 
     @property
@@ -354,23 +341,24 @@ def min_proj_resolution(M: Module, max_len=None, strict=False):
     if max_len is None:
         max_len = default_cap(alg)
     if M.total_dim == 0:
-        return Resolution(M, [SumInfo(alg, [])], {}, None, True)
-    info0, epi = projective_cover(M)
+        return Resolution(M, [SumInfo(alg, [])], {}, True)
+    info0, cur, _ = projective_cover(M)
     infos = [info0]
     eltmats = {}
-    cur = epi
     k = 0
     while True:
-        K, inc = kernel(cur)
+        K, inc, _ = kernel(cur)
         if K.total_dim == 0:
-            return Resolution(M, infos, eltmats, epi, True)
+            return Resolution(M, infos, eltmats, True)
         if k >= max_len:
             if strict:
                 raise CapExceeded(f"projective resolution of {M.name} exceeds {max_len}")
-            return Resolution(M, infos, eltmats, epi, False)
-        info, cov = projective_cover(K)
-        dmod = inc.compose(cov)
-        em = morphism_to_eltmat(alg, info, infos[-1], dmod)
+            return Resolution(M, infos, eltmats, False)
+        info, cov, lifts = projective_cover(K)
+        # the cover sends generator s to the unit vector at lifts[s] of K,
+        # so the differential sends it to kernel vector lifts[s]
+        images = [inc.mats[v].column(j) for v, j in zip(info.verts, lifts)]
+        em = images_to_eltmat(info.verts, infos[-1], images)
         assert eltmat_entries_in_radical(alg, em), "resolution differential not minimal"
         infos.append(info)
         eltmats[k + 1] = em
@@ -621,7 +609,7 @@ def to_projective_complex(C: ModComplex, cap=None):
         if i < lo - cap:
             raise CapExceeded("projective replacement exceeded the width cap")
         # X = {(c, p) : d_C c = pi(p), d_P p = 0} inside C^i (+) P^{i+1}
-        S, incs, projs = direct_sum([Ci, Pn_mod])
+        S = direct_sum([Ci, Pn_mod])
         tgt1 = C.term(i + 1)
         dC = C.diff(i)
         f = alg.field
@@ -655,19 +643,21 @@ def to_projective_complex(C: ModComplex, cap=None):
             mats[v] = m
         # kernel columns give X; cover it
         cols = {v: mats[v].kernel_basis() for v in alg.vertices}
-        from .module import _sub_from_columns
-
-        X, xinc = _sub_from_columns(S, cols, name="pullback")
+        units = {v: kernel_units(c) for v, c in cols.items()}
+        X, xinc = _sub_from_columns(S, cols, units, name="pullback")
         if X.total_dim == 0 and i <= lo:
             break
-        info, cov = projective_cover(X)
-        tot = xinc.compose(cov)  # P^i.module -> S
-        pi_i = projs[0].compose(tot)
-        dmod = projs[1].compose(tot)
+        info, cov, lifts = projective_cover(X)
+        # pi^i is the C^i block of the inclusion of X times the cover; the
+        # differential sends generator s to the P^{i+1} block of kernel
+        # vector lifts[s], the image of its unit vector
+        pi[i] = Morphism(info.module, Ci, {
+            v: Mat(Ci.dims[v], xinc.mats[v].cols, xinc.mats[v].a[:Ci.dims[v]], f) * cov.mats[v]
+            for v in alg.vertices})
         P_infos[i] = info
-        pi[i] = pi_i
         if Pnext is not None and Pnext.verts:
-            P_diffs[i] = morphism_to_eltmat(alg, info, Pnext, dmod)
+            images = [cols[v][j][Ci.dims[v]:] for v, j in zip(info.verts, lifts)]
+            P_diffs[i] = images_to_eltmat(info.verts, Pnext, images)
         i -= 1
     terms = {d: inf.verts for d, inf in P_infos.items() if inf.verts}
     diffs = {d: em for d, em in P_diffs.items()
@@ -718,20 +708,28 @@ def minimize(P: PerfComplex):
     nv = len(alg.vertices)
     terms = {i: list(t) for i, t in P.terms.items()}
     diffs = {i: [[dict(e) for e in row] for row in d] for i, d in P.diffs.items()}
+    degs = list(diffs)  # the scan order; eliminations keep every key
 
-    def find_unit():
-        for i, d in diffs.items():
-            for r, row in enumerate(d):
-                for s, elt in enumerate(row):
+    def find_unit(start, r0):
+        """The first entry with a unit part, scanning the differentials in
+        the order of degs from row r0 of degs[start]."""
+        for n in range(start, len(degs)):
+            d = diffs[degs[n]]
+            for r in range(r0 if n == start else 0, len(d)):
+                for s, elt in enumerate(d[r]):
                     if any(k < nv and c for k, c in elt.items()):
-                        return i, r, s
+                        return n, r, s
         return None
 
-    while True:
-        hit = find_unit()
-        if hit is None:
-            break
-        i, r, s = hit
+    # An elimination at (i, r, s) drops a row or column of d^(i-1) and
+    # d^(i+1) and subtracts x * d[t][s] from each row t != r of d^i.  No
+    # entry before (i, r, s) in scan order is a unit, so for t < r d[t][s]
+    # is radical, so is x * d[t][s], and no unit appears before row r of
+    # d^i: the scan resumes there and finds the entry a full rescan would.
+    hit = find_unit(0, 0)
+    while hit is not None:
+        n, r, s = hit
+        i = degs[n]
         d = diffs[i]
         alpha = d[r][s]
         ainv = _elt_inverse(alg, alpha)
@@ -762,6 +760,7 @@ def minimize(P: PerfComplex):
         terms[i] = [v for t, v in enumerate(terms[i]) if t != s]
         terms[i + 1] = [v for t, v in enumerate(terms[i + 1]) if t != r]
         diffs[i] = nd if nd and nd[0] else eltmat_zero(len(terms[i + 1]), len(terms[i]))
+        hit = find_unit(n, r)
     out = PerfComplex(alg, terms, diffs)
     out.check()
     assert out.is_minimal()

@@ -1,9 +1,11 @@
 """Exact linear algebra over the rationals.
 
 Everything downstream (algebra bases, Hom spaces, resolutions) reduces to
-rank/kernel/solve on dense matrices.  Scalars are gmpy2 rationals when
-available (much faster than fractions.Fraction).  No floating point
-anywhere.
+rank/kernel/solve on dense matrices.  Kernel and span bases are rref
+bases, so each vector has a unit coordinate where the others are zero,
+and coordinates in them are read off there instead of solved for.
+Scalars are gmpy2 rationals when available (much faster than
+fractions.Fraction).  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -77,9 +79,6 @@ class Mat:
             ncols = 0
         return Mat(len(rows), ncols, rows, field)
 
-    def copy(self):
-        return Mat(self.rows, self.cols, [row[:] for row in self.a], self.field)
-
     def __eq__(self, other):
         return (
             isinstance(other, Mat)
@@ -150,22 +149,6 @@ class Mat:
         if self.rows == 0:
             return Mat(self.cols, 0, [[] for _ in range(self.cols)], self.field)
         return Mat(self.cols, self.rows, [list(r) for r in zip(*self.a)], self.field)
-
-    @staticmethod
-    def hstack(mats):
-        mats = list(mats)
-        rows = mats[0].rows
-        a = [sum((m.a[i] for m in mats), []) for i in range(rows)]
-        return Mat(rows, sum(m.cols for m in mats), a, mats[0].field)
-
-    @staticmethod
-    def vstack(mats):
-        mats = list(mats)
-        cols = mats[0].cols
-        a = []
-        for m in mats:
-            a.extend(row[:] for row in m.a)
-        return Mat(sum(m.rows for m in mats), cols, a, mats[0].field)
 
     @staticmethod
     def block_diag(mats, field=QQ):
@@ -258,7 +241,9 @@ class Mat:
         return len(self.rref()[1])
 
     def kernel_basis(self):
-        """Basis of the right null space, as a list of column vectors."""
+        """Basis of the right null space, as a list of column vectors.
+        Vector k stands for the k-th free column of the rref: it is 1 there
+        and every other vector is 0 there (see `kernel_units`)."""
         R, pivots = self.rref()
         pivset = set(pivots)
         free = [j for j in range(self.cols) if j not in pivset]
@@ -284,28 +269,6 @@ class Mat:
             x[pc] = R.a[i][self.cols]
         return x
 
-    def solve_matrix(self, B):
-        """X with self * X = B (columnwise), or None."""
-        aug = Mat.hstack([self, B])
-        R, pivots = aug.rref()
-        if any(p >= self.cols for p in pivots):
-            return None
-        z = self.field.zero()
-        X = Mat.zero(self.cols, B.cols, self.field)
-        for i, pc in enumerate(pivots):
-            X.a[pc] = R.a[i][self.cols :]
-        return X
-
-    def inverse(self):
-        if self.rows != self.cols:
-            return None
-        X = self.solve_matrix(Mat.identity(self.rows, self.field))
-        if X is None:
-            return None
-        if (self * X) == Mat.identity(self.rows, self.field):
-            return X
-        return None
-
     def is_invertible(self):
         return self.rows == self.cols and self.rank() == self.rows
 
@@ -323,6 +286,13 @@ def span_basis(vectors, field=QQ):
     return [R.a[i] for i in range(len(pivots))]
 
 
+def kernel_units(basis):
+    """The coordinate at which each vector of a `Mat.kernel_basis` is 1
+    and every other vector is 0.  It is the vector's last nonzero entry,
+    since a pivot row of the rref is zero left of its pivot."""
+    return [max(j for j, x in enumerate(v) if x) for v in basis]
+
+
 def independent_subset(span, candidates, field=QQ):
     """Indices of the candidates that a greedy scan keeps: those outside
     the row span of `span` and of the candidates kept before them.  They
@@ -335,8 +305,3 @@ def independent_subset(span, candidates, field=QQ):
     k = len(span)
     return [p - k for p in pivots if p >= k]
 
-
-def rank_and_kernel(m: Mat):
-    """Rank plus a basis of the right kernel."""
-    kb = m.kernel_basis()
-    return m.cols - len(kb), kb

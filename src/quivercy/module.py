@@ -12,19 +12,17 @@ import sympy
 
 from .algebra import Algebra, opposite, enveloping
 from .errors import NotAHomomorphism, UNDECIDED
-from .linalg import Mat, span_basis
+from .linalg import Mat, kernel_units, span_basis
 
 
 class Module:
-    def __init__(self, alg: Algebra, dims, act, name="M", check=False):
+    def __init__(self, alg: Algebra, dims, act, name="M"):
         self.alg = alg
         self.dims = dict(dims)
         # keep only the nonzero action matrices
         self.act = {i: m for i, m in act.items() if not m.is_zero()}
         self.name = name
         self._resolution = None  # see homology._module_resolution
-        if check:
-            self.check()
 
     def act_mat(self, i):
         m = self.act.get(i)
@@ -68,12 +66,10 @@ class Module:
 
 
 class Morphism:
-    def __init__(self, src: Module, tgt: Module, mats, check=False):
+    def __init__(self, src: Module, tgt: Module, mats):
         self.src = src
         self.tgt = tgt
         self.mats = mats  # vertex -> Mat(tgt.dims[v] x src.dims[v])
-        if check:
-            self.check()
 
     def check(self):
         for g in self.src.alg.generators():
@@ -174,70 +170,44 @@ def dual_module(M: Module, op=None, name=None):
 
 
 def direct_sum(mods, name=None):
-    """Returns (sum, inclusions, projections)."""
     if not mods:
         raise ValueError("empty direct sum")
     alg = mods[0].alg
-    f = alg.field
     dims = {v: sum(m.dims[v] for m in mods) for v in alg.vertices}
-    offs = []
-    run = {v: 0 for v in alg.vertices}
-    for m in mods:
-        offs.append(dict(run))
-        for v in alg.vertices:
-            run[v] += m.dims[v]
-    act = {}
     keys = set()
     for m in mods:
         keys.update(m.act)
-    for i in keys:
-        act[i] = Mat.block_diag([m.act_mat(i) for m in mods], f)
-    total = Module(alg, dims, act, name=name or "(+)".join(m.name for m in mods))
-    incs, projs = [], []
-    for k, m in enumerate(mods):
-        im, pm = {}, {}
-        for v in alg.vertices:
-            inc = Mat.zero(dims[v], m.dims[v], f)
-            prj = Mat.zero(m.dims[v], dims[v], f)
-            for r in range(m.dims[v]):
-                inc.a[offs[k][v] + r][r] = f.one()
-                prj.a[r][offs[k][v] + r] = f.one()
-            im[v] = inc
-            pm[v] = prj
-        incs.append(Morphism(m, total, im))
-        projs.append(Morphism(total, m, pm))
-    return total, incs, projs
+    act = {i: Mat.block_diag([m.act_mat(i) for m in mods], alg.field) for i in keys}
+    return Module(alg, dims, act, name=name or "(+)".join(m.name for m in mods))
 
 
-def _sub_from_columns(N: Module, cols_by_vertex, name="sub"):
-    """Submodule spanned by the given column vectors (assumed invariant).
-    Returns (sub, inclusion)."""
+def _sub_from_columns(N: Module, cols_by_vertex, units, name="sub"):
+    """Submodule spanned by the given column vectors (assumed invariant),
+    where column k at v is 1 at coordinate units[v][k] and every other
+    column is 0 there.  Restricted to those rows the inclusion is the
+    identity, so the action of b is rows units[tgt b] of N's action times
+    the inclusion at src b.  Returns (sub, inclusion)."""
     f = N.alg.field
-    inc = {}
-    dims = {}
-    for v in N.alg.vertices:
-        cols = cols_by_vertex.get(v, [])
-        m = Mat.zero(N.dims[v], len(cols), f)
-        for j, c in enumerate(cols):
-            for i in range(N.dims[v]):
-                m.a[i][j] = c[i]
-        inc[v] = m
-        dims[v] = len(cols)
+    inc = {v: Mat(len(cols_by_vertex[v]), N.dims[v], cols_by_vertex[v], f).transpose()
+           for v in N.alg.vertices}
     act = {}
-    for i in list(N.act):
+    for i, m in N.act.items():
         b = N.alg.basis[i]
-        rhs = N.act_mat(i) * inc[b.src]
-        sol = inc[b.tgt].solve_matrix(rhs)
-        if sol is None:
-            raise ValueError("given columns do not span a submodule")
-        act[i] = sol
-    S = Module(N.alg, dims, act, name=name)
+        rows = [m.a[u] for u in units[b.tgt]]
+        act[i] = Mat(len(rows), m.cols, rows, f) * inc[b.src]
+    S = Module(N.alg, {v: inc[v].cols for v in N.alg.vertices}, act, name=name)
     return S, Morphism(S, N, inc)
 
 
 def kernel(fm: Morphism, name=None):
+    """ker fm as (K, inclusion, units): column k of the inclusion at v is
+    1 at coordinate units[v][k] of fm.src and every other column is 0
+    there, so the coordinates in K of a vector of the kernel are its
+    entries at units[v]."""
     cols = {v: fm.mats[v].kernel_basis() for v in fm.mats}
-    return _sub_from_columns(fm.src, cols, name=name or f"ker({fm.src.name})")
+    units = {v: kernel_units(c) for v, c in cols.items()}
+    K, inc = _sub_from_columns(fm.src, cols, units, name=name or f"ker({fm.src.name})")
+    return K, inc, units
 
 
 def _quotient_maps(vectors, n, f):
@@ -291,7 +261,9 @@ def radical_columns(M: Module):
 def radical_submodule(M: Module):
     """rad M = (radical of the algebra) . M, with its inclusion."""
     cols = {v: span_basis(c, M.alg.field) for v, c in radical_columns(M).items()}
-    return _sub_from_columns(M, cols, name=f"rad({M.name})")
+    # the unit coordinate of an rref row is its pivot, its first nonzero entry
+    units = {v: [next(j for j, x in enumerate(row) if x) for row in c] for v, c in cols.items()}
+    return _sub_from_columns(M, cols, units, name=f"rad({M.name})")
 
 
 def top_of(M: Module):
@@ -506,7 +478,7 @@ def decompose(M: Module):
                     for j, b in enumerate(pc):
                         new[i + j] += a * b
                 pw = new
-            K, _inc = kernel(_poly_of_morphism(fm, pw), name=f"{M.name}~")
+            K = kernel(_poly_of_morphism(fm, pw), name=f"{M.name}~")[0]
             subs, cert = decompose(K)
             summands.extend(subs)
             if cert is not True:
@@ -518,19 +490,27 @@ def decompose(M: Module):
 # -- bimodules ---------------------------------------------------------
 
 
+class _PairDims(dict):
+    """Dimensions by vertex pair that store only the nonzero ones: an
+    absent pair reads as 0."""
+
+    def __missing__(self, key):
+        return 0
+
+
 class Bimodule:
     """An (A, B)-bimodule with one space per vertex pair (u, v).
 
     lact[(i, v)] is the action of the A-basis element i on the spaces with
     right vertex v, a map X[(src_i, v)] -> X[(tgt_i, v)].  ract[(u, j)] is
     right multiplication by the B-basis element j, X[(u, tgt_j)] ->
-    X[(u, src_j)].  Only nonzero matrices are stored.
+    X[(u, src_j)].  Only nonzero matrices and dimensions are stored.
     """
 
     def __init__(self, left_alg, right_alg, dims, lact, ract, name="X"):
         self.left_alg = left_alg
         self.right_alg = right_alg
-        self.dims = dict(dims)
+        self.dims = _PairDims((k, d) for k, d in dims.items() if d)
         self.lact = {k: m for k, m in lact.items() if not m.is_zero()}
         self.ract = {k: m for k, m in ract.items() if not m.is_zero()}
         self.name = name
@@ -574,7 +554,7 @@ def regular_bimodule(alg: Algebra, name=None):
     for lst in by_pair.values():
         for c, i in enumerate(lst):
             pos[i] = c
-    dims = {(u, v): len(by_pair.get((u, v), ())) for u in alg.vertices for v in alg.vertices}
+    dims = {pair: len(lst) for pair, lst in by_pair.items()}
     f = alg.field
     lact, ract = {}, {}
     # b_j * b_i fills column pos[i] of the left action of b_j and column
@@ -604,7 +584,7 @@ def dual_regular_bimodule(alg: Algebra, name=None):
     span of basis elements with src == u and tgt == v; a acts on the left
     by (a.xi)(x) = xi(x * a) and on the right by (xi.a)(x) = xi(a * x)."""
     R = cached_regular_bimodule(alg)
-    dims = {(u, v): R.dims[(v, u)] for (u, v) in R.dims}
+    dims = {(u, v): d for (v, u), d in R.dims.items()}
     lact = {(j, v): m.transpose() for (v, j), m in R.ract.items()}
     ract = {(u, j): m.transpose() for (j, u), m in R.lact.items()}
     return Bimodule(alg, alg, dims, lact, ract, name=name or "D(reg)")

@@ -171,11 +171,14 @@ def test_projective_cover_matches_dense_reference(request, stem):
     simples = [simple_module(alg, v) for v in alg.vertices]
     injectives = [injective_module(alg, v) for v in alg.vertices]
     reg = regular_module(alg)
-    mods = simples + injectives + [reg, direct_sum(simples + injectives + [reg])[0]]
+    mods = simples + injectives + [reg, direct_sum(simples + injectives + [reg])]
     for M in mods:
-        info, epi = projective_cover(M)
+        info, epi, units = projective_cover(M)
         epi.check()
         lifts = [epi.mats[v].column(info.e_pos[r]) for r, v in enumerate(info.verts)]
+        # generator r goes to the unit vector at units[r]
+        assert lifts == [[int(j == u) for j in range(M.dims[v])]
+                         for u, v in zip(units, info.verts)]
         for w in alg.vertices:
             assert epi.mats[w].rank() == M.dims[w]
             for c, (r, bidx) in enumerate(info.coords[w]):
@@ -223,8 +226,8 @@ def test_projective_recognition_matches_is_isomorphic(stem):
     injs = [injective_module(alg, v) for v in alg.vertices]
     simples = [simple_module(alg, v) for v in alg.vertices]
     # the semisimple module with the dimension vector of the regular one
-    flat = direct_sum([simple_module(alg, v) for v in alg.vertices for _ in range(reg.dims[v])])[0]
-    mods = [*projs.values(), *injs, *simples, reg, direct_sum(injs)[0], flat]
+    flat = direct_sum([simple_module(alg, v) for v in alg.vertices for _ in range(reg.dims[v])])
+    mods = [*projs.values(), *injs, *simples, reg, direct_sum(injs), flat]
     for M in mods:
         slow = next((v for v, P in projs.items() if is_isomorphic(M, P)), None)
         assert _match_projective(M) == slow, M

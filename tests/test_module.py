@@ -85,11 +85,10 @@ def test_dual_module(a3_linear):
 def test_direct_sum(a3_linear):
     P1 = projective_module(a3_linear, 1)
     S2 = simple_module(a3_linear, 2)
-    M, incs, prjs = direct_sum([P1, S2])
+    M = direct_sum([P1, S2])
     assert M.dim_vector() == (1, 2, 1)
-    assert len(incs) == 2 and len(prjs) == 2
-    for f in incs + prjs:
-        f.check()
+    M.check()
+    assert is_isomorphic(M, direct_sum([S2, P1]))
 
 
 def test_is_isomorphic(a3_linear):
@@ -98,7 +97,7 @@ def test_is_isomorphic(a3_linear):
     # the sincere indecomposable is both P1 and I3
     assert is_isomorphic(P1, injective_module(a3_linear, 3))
     # same dimension vector, different module
-    M, _, _ = direct_sum([projective_module(a3_linear, 2), simple_module(a3_linear, 1)])
+    M = direct_sum([projective_module(a3_linear, 2), simple_module(a3_linear, 1)])
     assert M.dim_vector() == P1.dim_vector()
     assert not is_isomorphic(P1, M)
 
@@ -141,27 +140,29 @@ def test_kronecker_with_field_endomorphisms(kronecker):
     E = hom(M, M)
     assert len(E) == 2 and _trace_rank(E, E) == 2
     # a second presentation: a = S, b = S P C P^-1
-    S, P, C = (Mat.from_rows(_q(r)) for r in ([[2, 1], [1, 1]], [[1, 1], [0, 1]], [[0, -1], [1, 0]]))
-    N = _kronecker_module(kronecker, S.a, (S * P * C * P.inverse()).a)
+    S, P, C, Pinv = (Mat.from_rows(_q(r)) for r in (
+        [[2, 1], [1, 1]], [[1, 1], [0, 1]], [[0, -1], [1, 0]], [[1, -1], [0, 1]]))
+    assert P * Pinv == Mat.identity(2)
+    N = _kronecker_module(kronecker, S.a, (S * P * C * Pinv).a)
     assert is_isomorphic(M, N)
     R = _kronecker_module(kronecker, _q([[1, 0], [0, 1]]), _q([[0, -2], [1, 0]]))
     assert not is_isomorphic(M, R)
     # equal dimension vectors, a common summand, not isomorphic: only the
     # trace ranks can say no
-    MR, _, _ = direct_sum([M, R])
-    MM, _, _ = direct_sum([M, N])
+    MR = direct_sum([M, R])
+    MM = direct_sum([M, N])
     assert hom(MR, MM)
     assert not is_isomorphic(MR, MM)
-    assert is_isomorphic(MM, direct_sum([N, M])[0])
+    assert is_isomorphic(MM, direct_sum([N, M]))
 
 
 def test_reordered_sums(kronecker):
     X = _kronecker_module(kronecker, _q([[1]]), _q([[0]]))
     Y = _kronecker_module(kronecker, _q([[1]]), _q([[1]]))
     Z = _kronecker_module(kronecker, _q([[1, 0], [0, 1]]), _q([[0, -1], [1, 0]]))
-    XYZ, _, _ = direct_sum([X, Y, Z])
-    assert is_isomorphic(XYZ, direct_sum([Z, X, Y])[0])
-    assert not is_isomorphic(XYZ, direct_sum([X, X, Z])[0])
+    XYZ = direct_sum([X, Y, Z])
+    assert is_isomorphic(XYZ, direct_sum([Z, X, Y]))
+    assert not is_isomorphic(XYZ, direct_sum([X, X, Z]))
 
 
 def _iso_by_generic_det(M, N):
@@ -191,7 +192,7 @@ def _small_modules(alg):
     basic = ([simple_module(alg, v) for v in alg.vertices]
              + [projective_module(alg, v) for v in alg.vertices]
              + [injective_module(alg, v) for v in alg.vertices])
-    sums = [direct_sum([basic[i], basic[j]])[0]
+    sums = [direct_sum([basic[i], basic[j]])
             for i in range(len(basic)) for j in range(i, len(basic))]
     return basic + sums
 

@@ -178,7 +178,7 @@ def test_views_match_the_direct_builders(build):
         _same_module(projective_module(alg, v), P)
         _same_module(injective_module(alg, v), _oracle_injective(alg, v))
         projectives.append(P)
-    _same_module(regular_module(alg), direct_sum(projectives)[0])
+    _same_module(regular_module(alg), direct_sum(projectives))
     vs = list(alg.vertices)
     for verts in (vs, vs[:1], vs[::-1] + vs[:2], []):
         info = SumInfo(alg, verts)
