@@ -11,17 +11,30 @@ from conftest import corpus_algebra
 from quivercy import ar, cy, homology, module
 from quivercy.constructions import TypeAQuiver, cut_algebra, enumerate_cuts, omega_on_cuts
 from quivercy.homology import (
+    ModComplex,
     PerfComplex,
+    _col_sum_diff,
     _elt_inverse,
+    eltmat_to_morphism,
     eltmat_zero,
     min_proj_resolution,
     minimize,
     nakayama,
     projective_cover,
     stalk_regular,
+    to_projective_complex,
 )
-from quivercy.linalg import Mat
-from quivercy.module import injective_module, kernel, simple_module
+from quivercy.linalg import Mat, kernel_units
+from quivercy.module import (
+    Morphism,
+    cached_dual_regular_bimodule,
+    column_sum,
+    direct_sum,
+    injective_module,
+    kernel,
+    simple_module,
+    zero_module,
+)
 
 CORPUS = ["a2", "a3_linear", "a3_stable", "a4_linear", "a5_stable", "d4", "kronecker",
           "a2_tensor_a2"]
@@ -137,6 +150,70 @@ def test_resolution_differentials_match_the_composed_ones(key):
         res = min_proj_resolution(M)
         assert res.complete
         assert res.eltmats == _differentials_by_composition(M, res.length)
+
+
+def _to_projective_complex_by_composition(C):
+    """to_projective_complex with pi^i and the differential read off the
+    composite inclusion-of-the-pullback after cover, projected onto the
+    two summands of C^i (+) P^{i+1}."""
+    alg, f = C.alg, C.alg.field
+    hi, lo = max(C.degrees()), min(C.degrees())
+    P_infos, P_diffs, pi = {}, {}, {}
+    i = hi
+    while True:
+        Ci, Pnext = C.term(i), P_infos.get(i + 1)
+        Pn_mod = Pnext.module if Pnext else zero_module(alg)
+        if Ci.total_dim == 0 and Pn_mod.total_dim == 0 and i < hi:
+            break
+        S = direct_sum([Ci, Pn_mod])
+        tgt1, dC = C.term(i + 1), C.diff(i)
+        dP = None
+        if i + 1 in P_diffs:
+            dP = eltmat_to_morphism(alg, Pnext, P_infos[i + 2], P_diffs[i + 1])
+        mats = {}
+        for v in alg.vertices:
+            c1, c2 = Ci.dims[v], Pn_mod.dims[v]
+            top = [(dC.mats[v].a[r] if dC else [f.zero()] * c1)
+                   + ([-x for x in pi[i + 1].mats[v].a[r]] if i + 1 in pi else [])
+                   for r in range(tgt1.dims[v])]
+            bottom = [[f.zero()] * c1 + row for row in dP.mats[v].a] if dP else []
+            mats[v] = Mat.from_rows(top + bottom, f, ncols=c1 + c2)
+        cols = {v: mats[v].kernel_basis() for v in alg.vertices}
+        units = {v: kernel_units(c) for v, c in cols.items()}
+        X, xinc = module._sub_from_columns(S, cols, units, name="pullback")
+        if X.total_dim == 0 and i <= lo:
+            break
+        info, cov, _ = projective_cover(X)
+        tot = xinc.compose(cov)
+        blocks = [{v: Mat.from_rows(tot.mats[v].a[:Ci.dims[v]], f, ncols=tot.mats[v].cols)
+                   for v in alg.vertices},
+                  {v: Mat.from_rows(tot.mats[v].a[Ci.dims[v]:], f, ncols=tot.mats[v].cols)
+                   for v in alg.vertices}]
+        pi[i] = Morphism(info.module, Ci, blocks[0])
+        P_infos[i] = info
+        if Pnext is not None and Pnext.verts:
+            P_diffs[i] = _morphism_to_eltmat(info, Pnext, Morphism(info.module, Pn_mod, blocks[1]))
+        i -= 1
+    terms = {d: inf.verts for d, inf in P_infos.items() if inf.verts}
+    diffs = {d: em for d, em in P_diffs.items() if d in terms and d + 1 in terms}
+    return PerfComplex(alg, terms, diffs)
+
+
+@pytest.mark.parametrize("key", CORPUS + list(CUTS_2_4))
+def test_pullback_differentials_match_the_composed_ones(key):
+    # the complexes nakayama replaces along the first three powers
+    alg = _algebra(key)
+    DL = cached_dual_regular_bimodule(alg)
+    P = stalk_regular(alg)
+    for _ in range(3):
+        sums = {i: column_sum(DL, verts) for i, verts in P.terms.items()}
+        diffs = {i: _col_sum_diff(DL, P.terms[i], P.terms[i + 1], em, *sums[i], *sums[i + 1])
+                 for i, em in P.diffs.items()}
+        C = ModComplex(alg, {i: M for i, (M, _) in sums.items()}, diffs)
+        Q = to_projective_complex(C)
+        ref = _to_projective_complex_by_composition(C)
+        assert (Q.terms, Q.diffs) == (ref.terms, ref.diffs)
+        P = minimize(Q)
 
 
 # -- minimize ----------------------------------------------------------------
