@@ -170,6 +170,7 @@ def dual_module(M: Module, op=None, name=None):
 
 
 def direct_sum(mods, name=None):
+    """The direct sum module, with the summands' coordinates in order."""
     if not mods:
         raise ValueError("empty direct sum")
     alg = mods[0].alg
