@@ -147,11 +147,19 @@ def _shift_sign(m):
 def k0_candidates(alg, ell_max):
     """Yield (ell, eps) for each ell <= ell_max with N^ell = eps *
     (permutation matrix): the only ell at which a twisted certificate
-    can exist, with (-1)^m = eps for its m."""
-    for ell, power in enumerate(_k0_powers(alg, ell_max), 1):
-        eps = _permutation_sign(power)
-        if eps is not None:
-            yield ell, eps
+    can exist, with (-1)^m = eps for its m.
+
+    The scan stops at the least such ell0, with sign eps0 and N^ell0 =
+    eps0 * P: the candidates are exactly the multiples k * ell0, with
+    sign eps0^k.  For if N^b is a signed permutation, write b = q * ell0
+    + r with 0 <= r < ell0; then N^r = N^b * (eps0 * P)^(-q) is a signed
+    permutation too, so r = 0 by the minimality of ell0."""
+    for ell0, power in enumerate(_k0_powers(alg, ell_max), 1):
+        eps0 = _permutation_sign(power)
+        if eps0 is not None:
+            for k in range(1, ell_max // ell0 + 1):
+                yield k * ell0, eps0 ** k
+            return
 
 
 def check_twisted_cy(alg, ell, m, cap=None):

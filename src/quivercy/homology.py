@@ -383,50 +383,57 @@ class ExtResult:
         return f"Ext(dim {self.dim})"
 
 
+def _scatter_action(m, r0, c0, act, key, idem_dim, c):
+    """Add c times the action matrix act[key] into m with its corner at
+    (r0, c0), reading only its nonzeros.  An absent key stands for the
+    identity of size idem_dim for an idempotent and for zero otherwise
+    (idem_dim 0), so nothing is allocated for either."""
+    blk = act.get(key)
+    if blk is None:
+        for i in range(idem_dim):
+            m.a[r0 + i][c0 + i] += c
+        return
+    for i, brow in enumerate(blk.a):
+        row = m.a[r0 + i]
+        for j, x in enumerate(brow):
+            if x:
+                row[c0 + j] += c * x
+
+
 def _hom_cochain(res: Resolution, N: Module, top):
     """Spaces and maps of Hom(P_k, N) for k = 0..top as coordinate data.
 
-    Returns (dims, deltas, layouts) where deltas[k]: space k -> space k+1
-    and layouts[k] is the list of (summand, vertex, offset) blocks.
+    Returns (dims, deltas) where deltas[k]: space k -> space k+1.  The
+    summand at vertex u of term k is the block N e_u of space k.
     """
     alg = res.module.alg
     f = alg.field
     spaces = []
-    layouts = []
+    offsets = []
     for k in range(top + 1):
-        verts = res.term_verts(k)
-        lay = []
+        offs = []
         n = 0
-        for r, u in enumerate(verts):
-            lay.append((r, u, n))
+        for u in res.term_verts(k):
+            offs.append(n)
             n += N.dims[u]
         spaces.append(n)
-        layouts.append(lay)
+        offsets.append(offs)
     deltas = []
     for k in range(top):
         em = res.eltmats.get(k + 1)
         m = Mat.zero(spaces[k + 1], spaces[k], f)
         if em is not None:
-            # em rows run over term k, columns over term k+1
-            src_lay = {r: (u, off) for r, u, off in layouts[k]}
-            tgt_lay = {s: (u, off) for s, u, off in layouts[k + 1]}
-            for s in range(len(em[0]) if em else 0):
-                us, offs = tgt_lay[s]
-                for r in range(len(em)):
-                    elt = em[r][s]
-                    if not elt:
-                        continue
-                    ur, offr = src_lay[r]
-                    blk = None
+            # em rows run over term k, columns over term k+1; the entry
+            # acts from N e_src to N e_tgt
+            for r, row in enumerate(em):
+                offr = offsets[k][r]
+                for s, elt in enumerate(row):
                     for bidx, c in elt.items():
-                        mm = N.act_mat(bidx).scale(c)
-                        blk = mm if blk is None else blk + mm
-                    for i in range(blk.rows):
-                        for j in range(blk.cols):
-                            if blk.a[i][j]:
-                                m.a[offs + i][offr + j] = m.a[offs + i][offr + j] + blk.a[i][j]
+                        b = alg.basis[bidx]
+                        _scatter_action(m, offsets[k + 1][s], offr, N.act, bidx,
+                                        N.dims[b.src] if b.degree == 0 else 0, c)
         deltas.append(m)
-    return spaces, deltas, layouts
+    return spaces, deltas
 
 
 def ext(i, M: Module, N: Module):
@@ -441,7 +448,7 @@ def ext_dims_upto(M: Module, N: Module, n):
     cochain complex."""
     res = _module_resolution(M, n + 1)
     top = min(n + 1, res.length)
-    spaces, deltas, _ = _hom_cochain(res, N, top)
+    spaces, deltas = _hom_cochain(res, N, top)
     ranks = [d.rank() for d in deltas]
     out = []
     for i in range(n + 1):
@@ -454,29 +461,22 @@ def ext_dims_upto(M: Module, N: Module, n):
     return out
 
 
-def _col_sum_diff(X: Bimodule, src_verts, tgt_verts, em, srcmod, srcoffs, tgtmod, tgtoffs):
+def _col_sum_diff(X: Bimodule, em, srcmod, srcoffs, tgtmod, tgtoffs):
     """Morphism between column sums induced by right multiplication with
     the entries of an element matrix."""
     alg = X.left_alg
+    basis = X.right_alg.basis
     f = alg.field
     mats = {}
     for w in alg.vertices:
         m = Mat.zero(tgtmod.dims[w], srcmod.dims[w], f)
-        for r in range(len(em)):
-            for s in range(len(em[0]) if em else 0):
-                elt = em[r][s]
-                if not elt:
-                    continue
-                blk = None
+        for r, row in enumerate(em):
+            r0 = tgtoffs[(r, w)]
+            for s, elt in enumerate(row):
                 for bidx, c in elt.items():
-                    mm = X.ract_mat(w, bidx).scale(c)
-                    blk = mm if blk is None else blk + mm
-                r0 = tgtoffs[(r, w)]
-                c0 = srcoffs[(s, w)]
-                for x in range(blk.rows):
-                    for y in range(blk.cols):
-                        if blk.a[x][y]:
-                            m.a[r0 + x][c0 + y] = m.a[r0 + x][c0 + y] + blk.a[x][y]
+                    b = basis[bidx]
+                    _scatter_action(m, r0, srcoffs[(s, w)], X.ract, (w, bidx),
+                                    X.dims[(w, b.src)] if b.degree == 0 else 0, c)
         mats[w] = m
     return Morphism(srcmod, tgtmod, mats)
 
@@ -495,16 +495,10 @@ def tor(i, X: Bimodule, M: Module):
             terms[k], offs[k] = column_sum(X, res.term_verts(k))
     f_out = None
     if i >= 1:
-        f_out = _col_sum_diff(
-            X, res.term_verts(i), res.term_verts(i - 1), res.eltmats[i],
-            terms[i], offs[i], terms[i - 1], offs[i - 1],
-        )
+        f_out = _col_sum_diff(X, res.eltmats[i], terms[i], offs[i], terms[i - 1], offs[i - 1])
     f_in = None
     if i + 1 <= res.length:
-        f_in = _col_sum_diff(
-            X, res.term_verts(i + 1), res.term_verts(i), res.eltmats[i + 1],
-            terms[i + 1], offs[i + 1], terms[i], offs[i],
-        )
+        f_in = _col_sum_diff(X, res.eltmats[i + 1], terms[i + 1], offs[i + 1], terms[i], offs[i])
     return homology_module(terms[i], f_in, f_out, name=f"Tor{i}")
 
 
@@ -778,10 +772,7 @@ def nakayama(P: PerfComplex, cap=None):
         terms[i], offs[i] = column_sum(DL, verts)
     diffs = {}
     for i, em in P.diffs.items():
-        diffs[i] = _col_sum_diff(
-            DL, P.terms[i], P.terms[i + 1], em,
-            terms[i], offs[i], terms[i + 1], offs[i + 1],
-        )
+        diffs[i] = _col_sum_diff(DL, em, terms[i], offs[i], terms[i + 1], offs[i + 1])
     mc = ModComplex(alg, terms, diffs)
     return minimize(to_projective_complex(mc, cap=cap))
 

@@ -187,6 +187,21 @@ def test_corpus_certificates_satisfy_the_k0_condition():
     assert _matpow(N, 3) == [[int(i == j) for j in range(4)] for i in range(4)]
 
 
+def _k0_candidates_by_full_scan(alg, ell_max):
+    """Every ell <= ell_max at which N^ell is a signed permutation."""
+    return [(ell, eps) for ell, power in enumerate(cy._k0_powers(alg, ell_max), 1)
+            if (eps := cy._permutation_sign(power)) is not None]
+
+
+def test_k0_candidates_match_the_full_power_scan():
+    q4, q5 = TypeAQuiver(2, 4), TypeAQuiver(2, 5)
+    algs = [corpus_algebra(stem) for stem in [*CORPUS_CERTS, "kronecker"]]
+    algs += [cut_algebra(q4, c) for c in enumerate_cuts(q4)]
+    algs += [cut_algebra(q5, c) for c in enumerate_cuts(q5)[::40]]
+    for alg in algs:
+        assert list(k0_candidates(alg, 24)) == _k0_candidates_by_full_scan(alg, 24), alg.name
+
+
 def _counting(monkeypatch, mod, name):
     calls = []
     real = getattr(mod, name)

@@ -207,7 +207,7 @@ def test_pullback_differentials_match_the_composed_ones(key):
     P = stalk_regular(alg)
     for _ in range(3):
         sums = {i: column_sum(DL, verts) for i, verts in P.terms.items()}
-        diffs = {i: _col_sum_diff(DL, P.terms[i], P.terms[i + 1], em, *sums[i], *sums[i + 1])
+        diffs = {i: _col_sum_diff(DL, em, *sums[i], *sums[i + 1])
                  for i, em in P.diffs.items()}
         C = ModComplex(alg, {i: M for i, (M, _) in sums.items()}, diffs)
         Q = to_projective_complex(C)
