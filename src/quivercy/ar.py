@@ -8,6 +8,8 @@ everything inside one-sided module machinery.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .algebra import Algebra, BasisElt, cached_opposite, enveloping, tensor_product
 from .errors import (
     CapExceeded,
@@ -31,12 +33,10 @@ from .module import (
     flip_bimodule,
     hom,
     injective_module,
-    is_isomorphic,
     outer_tensor_module,
     projective_module,
     socle_vertices,
     tensor_bimod_bimod,
-    zero_module,
 )
 from .homology import (
     _cached_regular,
@@ -80,9 +80,14 @@ class NrfReport:
         self.sigma = {}
         self.homogeneous = None
         self.ct_summands = None
-        self.ct_module = None
         self.connected = alg.is_connected()
         self.reason = None
+
+    @cached_property
+    def ct_module(self):
+        """The direct sum of ct_summands, built on first read; None unless
+        the report is positive."""
+        return direct_sum(self.ct_summands, name="M") if self.ct_summands else None
 
     def ell_value(self):
         vals = set(self.ell.values())
@@ -164,13 +169,27 @@ def walk_orbits(report, cap):
     return True
 
 
-def decide_nrf(alg: Algebra, n: int, cap=None, verify_ct=True):
-    """Decide n-representation-finiteness by iterating tau_n on the
-    injectives, with per-stage Ext-vanishing certificates.
+def decide_nrf(alg: Algebra, n: int, cap=None, *, verify_ct=None):
+    """Decide n-representation-finiteness by walking the tau_n-orbit of
+    each injective: a stage X needs Ext^k(X, reg) = 0 for k != n before
+    tau_n is applied again, and the orbit must end on an indecomposable
+    projective.  verify_ct is ignored; it goes with ROADMAP item 7.
 
-    A stage X must satisfy Ext^i(X, reg) = 0 for all i != n before tau_n
-    is applied again (the condition making tau_n agree with the derived
-    Nakayama shift); each orbit must end on an indecomposable projective.
+    A positive verdict is the criterion of Iyama and Oppermann,
+    "n-representation-finite algebras and n-APR tilting" (arXiv 0909.0593),
+    Theorem 3.1.  Let gl.dim A <= n and nu_n = nu o [-n] on the derived
+    category.  Then A is n-representation-finite iff for every
+    indecomposable projective P some nu_n^{-l} P (l >= 0) is an
+    indecomposable injective, iff for every indecomposable injective I
+    some nu_n^l I is an indecomposable projective.  The walk certifies
+    the second form.  A projective resolution Q of X has H^{-k}(D Hom(Q, A))
+    = D Ext^k(X, A), so H^j(nu_n X) = D Ext^{n-j}(X, A); the stage check
+    leaves only H^0 = D Ext^n(X, A) = Tor_n(D A, X) = tau_n X, so nu_n X is
+    the next stage.  The orbit I_i = X_0, ..., X_{l_i - 1} = P_sigma(i) thus
+    gives nu_n^{l_i - 1} I_i = P_sigma(i).  As nu_n is an autoequivalence,
+    sigma is onto; this is still checked.  The stages then form the
+    n-cluster tilting module; its check (pairwise distinct summands,
+    Ext^1..n-1 vanishing on their sum) is kept in the tests as an oracle.
     """
     if cap is None:
         cap = default_cap(alg)
@@ -187,27 +206,11 @@ def decide_nrf(alg: Algebra, n: int, cap=None, verify_ct=True):
     if not walk_orbits(report, cap):
         return report
     report.b = sum(report.ell.values())
-    vals = set(report.ell.values())
-    report.homogeneous = len(vals) == 1
+    report.homogeneous = len(set(report.ell.values())) == 1
     if set(report.sigma.values()) != set(alg.vertices):
         report.reason = "orbit endpoints do not exhaust the projectives"
         return report
-    summands = [X for i in alg.vertices for X in report.orbit_table[i]]
-    report.ct_summands = summands
-    ct = direct_sum(summands, name="M")
-    if verify_ct:
-        for a_idx in range(len(summands)):
-            for b_idx in range(a_idx + 1, len(summands)):
-                Xa, Xb = summands[a_idx], summands[b_idx]
-                if Xa.dim_vector() == Xb.dim_vector() and is_isomorphic(Xa, Xb):
-                    report.reason = "cluster tilting summands are not pairwise distinct"
-                    return report
-        # Ext is additive in its second argument: one call per summand
-        # against the whole sum covers every pair
-        if n >= 2 and any(any(ext_dims_upto(X, ct, n - 1)[1:n]) for X in summands):
-            report.reason = "Ext vanishing fails on the cluster tilting module"
-            return report
-    report.ct_module = ct
+    report.ct_summands = [X for i in alg.vertices for X in report.orbit_table[i]]
     report.is_nrf = True
     return report
 
@@ -217,8 +220,7 @@ def homogeneity(report: NrfReport):
     against the fixed-point characterization ell_i = ell_sigma(i)."""
     if report.is_nrf is not True:
         raise NotNRF("homogeneity needs a positive representation-finiteness report")
-    vals = set(report.ell.values())
-    all_equal = len(vals) == 1
+    all_equal = report.homogeneous
     if report.connected:
         fixed = all(report.ell[i] == report.ell[report.sigma[i]] for i in report.ell)
         assert fixed == all_equal, "orbit-length permutation cross-check failed"
@@ -310,8 +312,7 @@ def _hom_coboundary(alg, E, lay_k: _HomLayout, lay_k1: _HomLayout, em):
     """Map Hom(B_k, M) -> Hom(B_{k+1}, M), f |-> f∘d, as vertex-pair
     matrices usable as an E-module morphism.  em is the based differential
     B_{k+1} -> B_k over E (rows over term k, cols over term k+1)."""
-    a, aop, pair_index = E.tensor_info
-    rev = {k: ij for ij, k in pair_index.items()}
+    rev = {k: ij for ij, k in E.tensor_info[2].items()}
     f = alg.field
     M = lay_k.M
     mats = {key: Mat.zero(lay_k1.dims[key], lay_k.dims[key], f) for key in lay_k.dims}
@@ -320,8 +321,7 @@ def _hom_coboundary(alg, E, lay_k: _HomLayout, lay_k1: _HomLayout, em):
             elt = em[r][s]
             if not elt:
                 continue
-            u_r, v_r = lay_k.pairs[r]
-            u_s, v_s = lay_k1.pairs[s]
+            v_s = lay_k1.pairs[s][1]
             for eidx, c in elt.items():
                 ai, aj = rev[eidx]
                 # (f∘d)(e (x) b') involves lact by a_i on values and b'|-> a_j * b'
@@ -497,53 +497,43 @@ def tensor_algebra(alg: Algebra, T: Bimodule, cap=24, name=None):
             if ox[0] == "alg" and oy[0] == "alg":
                 for k2, c in alg.mul(ox[1], oy[1]).items():
                     out[k2] = c
-            elif ox[0] == "alg" and oy[0] == "t":
-                _, k, pair, coord = oy
+            elif ox[0] != oy[0]:
+                # a degree-0 element times a T^k coordinate, on either side
+                t, side, j = (oy, "l", ox[1]) if ox[0] == "alg" else (ox, "r", oy[1])
+                _, k, pair, coord = t
                 vec = [one if c == coord else f.zero() for c in range(powers[k].dims[pair])]
-                resu = act_on_alg_side(k, pair, vec, "l", ox[1])
+                resu = act_on_alg_side(k, pair, vec, side, j)
                 if resu:
                     npair, nvec = resu
                     for c, val in enumerate(nvec):
                         if val:
                             out[index_of[("t", k, npair, c)]] = val
-            elif ox[0] == "t" and oy[0] == "alg":
-                _, k, pair, coord = ox
-                vec = [one if c == coord else f.zero() for c in range(powers[k].dims[pair])]
-                resu = act_on_alg_side(k, pair, vec, "r", oy[1])
-                if resu:
-                    npair, nvec = resu
-                    for c, val in enumerate(nvec):
-                        if val:
-                            out[index_of[("t", k, npair, c)]] = val
-            else:
+            elif ox[1] + oy[1] <= deg_max:
                 _, kx, pairx, coordx = ox
                 _, ky, pairy, coordy = oy
-                if kx + ky > deg_max:
-                    pass
-                else:
-                    for c0, chain in expansions[ky][(pairy, coordy)]:
-                        pair = pairx
-                        k = kx
-                        vec = [one if c == coordx else f.zero()
-                               for c in range(powers[kx].dims[pairx])]
-                        ok = True
-                        for (tp, tc) in chain:
-                            resu = mul_step(k, pair, vec, tp, tc)
-                            if resu is None:
-                                ok = False
-                                break
-                            pair, vec = resu
-                            k += 1
-                        if ok:
-                            for c, val in enumerate(vec):
-                                v2 = c0 * val
-                                if v2:
-                                    idx = index_of[("t", k, pair, c)]
-                                    cur = out.get(idx, f.zero()) + v2
-                                    if cur:
-                                        out[idx] = cur
-                                    elif idx in out:
-                                        del out[idx]
+                for c0, chain in expansions[ky][(pairy, coordy)]:
+                    pair = pairx
+                    k = kx
+                    vec = [one if c == coordx else f.zero()
+                           for c in range(powers[kx].dims[pairx])]
+                    ok = True
+                    for (tp, tc) in chain:
+                        resu = mul_step(k, pair, vec, tp, tc)
+                        if resu is None:
+                            ok = False
+                            break
+                        pair, vec = resu
+                        k += 1
+                    if ok:
+                        for c, val in enumerate(vec):
+                            v2 = c0 * val
+                            if v2:
+                                idx = index_of[("t", k, pair, c)]
+                                cur = out.get(idx, f.zero()) + v2
+                                if cur:
+                                    out[idx] = cur
+                                elif idx in out:
+                                    del out[idx]
             out = {k2: c for k2, c in out.items() if c}
             if out:
                 mult[(x, y)] = out
@@ -556,10 +546,13 @@ def tensor_algebra(alg: Algebra, T: Bimodule, cap=24, name=None):
 
 def preprojective(alg: Algebra, n: int, cap=24, report=None):
     """The (n+1)-preprojective algebra: tensor algebra of Ext^n(D reg, reg).
-    Requires a positive representation-finiteness verdict and verifies
-    that the result is selfinjective."""
+    Requires a positive representation-finiteness verdict (NotNRF for a
+    negative one, CapExceeded for an undecided one) and verifies that the
+    result is selfinjective."""
     if report is None:
-        report = decide_nrf(alg, n, verify_ct=False)
+        report = decide_nrf(alg, n)
+    if report.is_nrf is UNDECIDED:
+        raise CapExceeded(report.reason)
     if report.is_nrf is not True:
         raise NotNRF(report.reason or "not representation-finite")
     T = ext_bimodule(alg, n)
@@ -745,11 +738,14 @@ def recover_presentation(alg: Algebra, max_degree=None):
 def tensor_nrf(factors, ell, cap=None):
     """Tensor-product construction: factors is a list of (Algebra, n_i),
     each required to be ell-homogeneous n_i-representation-finite; returns
-    (product algebra, report) for n = sum(n_i), verifying the predicted
-    cluster tilting module."""
+    (product algebra, report) for n = sum(n_i), with the predicted cluster
+    tilting module as report.predicted_ct.  A factor that fails raises
+    FactorNotHomogeneous, one left undecided at the cap CapExceeded."""
     reports = []
     for a, ni in factors:
         rep = decide_nrf(a, ni, cap=cap)
+        if rep.is_nrf is UNDECIDED:
+            raise CapExceeded(f"{a.name}: {rep.reason}")
         if rep.is_nrf is not True or not homogeneity(rep) or rep.ell_value() != ell:
             raise FactorNotHomogeneous(
                 f"{a.name} is not {ell}-homogeneous {ni}-representation-finite"
@@ -779,5 +775,5 @@ def tensor_nrf(factors, ell, cap=None):
         for idx, nxt in enumerate(parts[1:], start=1):
             cur = outer_tensor_module(cur, nxt, chain[idx])
         predicted.append(cur)
-    rep.predicted_ct = direct_sum(predicted) if predicted else zero_module(prod)
+    rep.predicted_ct = direct_sum(predicted)
     return prod, rep

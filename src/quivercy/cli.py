@@ -213,6 +213,9 @@ def tensor(files, ns, ell, cap, pretty):
     except FactorNotHomogeneous as exc:
         click.echo(f"factor not homogeneous: {exc}", err=True)
         sys.exit(EXIT_FALSE)
+    except CapExceeded as exc:
+        click.echo(f"cap exceeded: {exc}", err=True)
+        sys.exit(EXIT_UNDECIDED)
     doc.update(rep.to_dict())
     try:
         certs = [find_twisted_cy(a, cap=cap) for a, _ in factors]
@@ -241,7 +244,7 @@ def preproj(file, n, cap, pretty):
     alg = _load(file)
     doc = {"command": "preproj", "input": file, "n": n}
     try:
-        rep = decide_nrf(alg, n, cap=cap, verify_ct=False)
+        rep = decide_nrf(alg, n, cap=cap)
         pi = preprojective(alg, n, report=rep)
     except NotNRF as exc:
         click.echo(f"not representation-finite: {exc}", err=True)

@@ -371,7 +371,7 @@ def verify_thm_homogeneous_cuts(n, s, cap=None, progress=None):
     stable_quivers = []
     for idx, c in enumerate(cuts):
         lam = cut_algebra(q, c)
-        rep = decide_nrf(lam, n, cap=cap, verify_ct=False)
+        rep = decide_nrf(lam, n, cap=cap)
         stable = omega_on_cuts(q, c) == c
         entry = {
             "cut": sorted(c),

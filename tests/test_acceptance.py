@@ -76,7 +76,7 @@ def test_03_orientation_scan():
     done = timed(30)
     for rank, half_h in [(3, 2), (5, 3)]:
         for dq in all_orientations("A", rank):
-            rep = decide_nrf(dq.algebra(), 1, verify_ct=False)
+            rep = decide_nrf(dq.algebra(), 1)
             assert rep.is_nrf is True
             stable = is_omega_stable_orientation(dq)
             assert rep.homogeneous == stable
@@ -99,7 +99,7 @@ def test_05_cut_family():
     cuts = enumerate_cuts(q)
     stable_count = 0
     for c in cuts:
-        rep = decide_nrf(cut_algebra(q, c), 2, verify_ct=False)
+        rep = decide_nrf(cut_algebra(q, c), 2)
         assert rep.is_nrf is True
         assert rep.a == 10 and rep.b == 20
         stable = omega_on_cuts(q, c) == c
@@ -122,7 +122,7 @@ def test_06_homogeneity_iff_certificate(
     for alg, n in cases:
         if global_dimension(alg) > n:
             continue
-        rep = decide_nrf(alg, n, verify_ct=False)
+        rep = decide_nrf(alg, n)
         homog = rep.is_nrf is True and rep.homogeneous
         if homog:
             ell = rep.ell_value()
@@ -137,7 +137,7 @@ def test_07_fraction_formula(a2, a3_linear, a3_stable, a4_linear, a5_stable, d4)
     done = timed(60)
     for alg, n in [(a2, 1), (a3_linear, 1), (a3_stable, 1), (a4_linear, 1),
                    (a5_stable, 1), (d4, 1)]:
-        rep = decide_nrf(alg, n, verify_ct=False)
+        rep = decide_nrf(alg, n)
         assert rep.is_nrf is True
         cert = find_twisted_cy(alg)
         assert cy_dimension(cert) == Fraction(n * (rep.b - rep.a), rep.b)
@@ -182,7 +182,7 @@ def test_10_mesh_algebras_and_permutations():
         cuts = [c for c in enumerate_cuts(q) if omega_on_cuts(q, c) == c]
         for c in cuts:
             lam = cut_algebra(q, c)
-            rep = decide_nrf(lam, n, verify_ct=False)
+            rep = decide_nrf(lam, n)
             pi = preprojective(lam, n, report=rep)
             assert nakayama_permutation(pi) == rep.sigma
     done("mesh pairing verified; permutations of the stable cuts match sigma")

@@ -149,6 +149,20 @@ def test_capped_algebra_is_undecided(runner, tmp_path):
     assert result.exit_code == 2
 
 
+def test_capped_preproj_is_undecided(runner):
+    # the orbit of the injective at 1 has three stages, over the cap of 1
+    result = runner.invoke(main, ["preproj", corpus("a3_linear"), "--n", "1", "--cap", "1"])
+    assert result.exit_code == 2
+    assert "orbit of injective at 1 exceeds the cap" in result.output
+
+
+def test_capped_tensor_factor_is_undecided(runner):
+    result = runner.invoke(main, ["tensor", corpus("a3_stable"), corpus("a3_stable"),
+                                  "--n", "1", "--n", "1", "--ell", "2", "--cap", "1"])
+    assert result.exit_code == 2
+    assert "exceeds the cap" in result.output
+
+
 def test_cy_untwisted_point(runner):
     result, doc = run_json(runner, ["cy", corpus("a2"), "--untwisted",
                                     "--ell", "3", "--m", "1"])

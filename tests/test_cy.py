@@ -231,7 +231,7 @@ def test_orbit_certificate_matches_tower_on_2_4_cuts():
         alg = cut_algebra(q, c)
         expected = _ungated_find(cut_algebra(q, c), 24)
         assert expected is not None
-        cert = certificate_from_orbits(decide_nrf(alg, 2, verify_ct=False))
+        cert = certificate_from_orbits(decide_nrf(alg, 2))
         assert (cert.ell, cert.m) == expected, c
         cert = find_twisted_cy(alg)
         assert (cert.ell, cert.m, cert.evidence["route"]) == (*expected, ORBIT_ROUTE), c
