@@ -143,12 +143,6 @@ class Algebra:
                     if lhs != rhs:
                         raise ValueError(f"associativity fails at basis triple ({i},{j},{k})")
 
-    def elt_of_path(self, path):
-        """Residue class of a Path as a sparse element (path-built only)."""
-        if path in self._path_classes:
-            return dict(self._path_classes[path])
-        return {}
-
     def __repr__(self):
         return f"Algebra({self.name}, dim {self.dim})"
 
@@ -157,9 +151,7 @@ def semisimple_algebra(labels, field=QQ, name=None):
     """Product of copies of the ground field, one per label."""
     basis = [BasisElt(f"e[{v}]", v, v, 0) for v in labels]
     mult = {(i, i): {i: field.one()} for i in range(len(basis))}
-    a = Algebra(field, labels, basis, mult, name=name or "semisimple")
-    a._path_classes = {}
-    return a
+    return Algebra(field, labels, basis, mult, name=name or "semisimple")
 
 
 def build_algebra(quiver, relations, length_cap=64, field=QQ, name=None):
@@ -277,7 +269,6 @@ def build_algebra(quiver, relations, length_cap=64, field=QQ, name=None):
                 mult[(i, j)] = {index[b]: c for b, c in red.items()}
 
     alg = Algebra(field, quiver.vertices, basis, mult, name=name or "KQ/I", quiver=quiver)
-    alg._path_classes = {p: {index[b]: c for b, c in red.items()} for p, red in reduction.items()}
     # homogeneous relations: rad^2 is spanned by the classes of degree >= 2
     alg.set_generators([i for i, b in enumerate(basis) if b.degree == 1])
     alg.check_associativity()
@@ -294,7 +285,6 @@ def opposite(a: Algebra) -> Algebra:
     mult = {(j, i): dict(prod) for (i, j), prod in a.mult.items()}
     op = Algebra(a.field, a.vertices, basis, mult, name=f"{a.name}^op",
                  quiver=a.quiver.reversed() if a.quiver else None)
-    op._path_classes = getattr(a, "_path_classes", {})
     if a._generators is not None:
         op.set_generators(a._generators)
     return op
@@ -336,7 +326,6 @@ def tensor_product(a: Algebra, b: Algebra, name=None) -> Algebra:
             mult[(pair_index[(i1, j1)], pair_index[(i2, j2)])] = out
     t = Algebra(field, vertices, basis, mult, name=name or f"{a.name}(x){b.name}")
     t.tensor_info = (a, b, pair_index)
-    t._path_classes = {}
     # Gabriel arrows of a product are g(x)e and e(x)g
     ga = a.generators()
     gb = b.generators()

@@ -348,10 +348,7 @@ def _hom_coboundary(alg, E, lay_k: _HomLayout, lay_k1: _HomLayout, em):
                                     row = lay_k1.pos.get((tgt_key, (s, bpidx, w2, row_mc)))
                                     if row is None:
                                         continue
-                                    out = mats.get(tgt_key)
-                                    if src_key == tgt_key:
-                                        out.a[row][col] = out.a[row][col] + c * cb * val
-    # note: entries only arise with src(b) == src(b'), so src_key == tgt_key
+                                    mats[tgt_key].a[row][col] += c * cb * val
     return mats
 
 
@@ -655,7 +652,6 @@ def auslander_algebra(alg: Algebra, summands):
             if out:
                 mult[(x, y)] = out
     gamma = Algebra(f, list(range(nsum)), basis_meta, mult, name=f"End({alg.name})")
-    gamma._path_classes = {}
     gamma.check_associativity()
     return gamma
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import sys
 import time
+from fractions import Fraction
 
 import click
 
@@ -223,8 +224,7 @@ def tensor(files, ns, ell, cap, pretty):
         certs = [None]  # a factor's search hit its cap: no combined certificate
     if all(certs):
         m, el = combine_cy(certs)
-        doc["cy_combined"] = {"ell": el, "m": m,
-                              "dimension": str(__import__("fractions").Fraction(m, el))}
+        doc["cy_combined"] = {"ell": el, "m": m, "dimension": str(Fraction(m, el))}
     _emit(doc, pretty, started)
     if rep.is_nrf is True:
         sys.exit(EXIT_TRUE)

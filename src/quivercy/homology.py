@@ -42,26 +42,15 @@ def _cached_regular(alg):
 
 
 class SumInfo:
-    """A direct sum of indecomposable projectives with coordinate data.
-
-    coords[w] lists the coordinates of the sum at vertex w as pairs
-    (summand index, algebra basis index); e_pos[r] gives the coordinate of
-    the idempotent generator of summand r.
-    """
+    """A direct sum of indecomposable projectives: the column sum of the
+    regular bimodule at verts, with column_sum's offsets.  Coordinate
+    offs[(r, w)] + p of the sum at vertex w is the basis element
+    R.basis_indices[(w, verts[r])][p] of summand r."""
 
     def __init__(self, alg, verts):
-        self.alg = alg
         self.verts = list(verts)
-        R = cached_regular_bimodule(alg)
-        self.coords = {w: [(r, bidx) for r, v in enumerate(self.verts)
-                           for bidx in R.basis_indices.get((w, v), ())] for w in alg.vertices}
-        self.pos = {}
-        for w, lst in self.coords.items():
-            for c, key in enumerate(lst):
-                self.pos[key] = c
-        self.e_pos = [self.pos[(r, alg.idem[v])] for r, v in enumerate(self.verts)]
         name = "P(" + ",".join(str(v) for v in self.verts) + ")"
-        self.module = column_sum(R, self.verts, name=name)[0]
+        self.module, self.offs = column_sum(cached_regular_bimodule(alg), self.verts, name=name)
 
 
 # -- element matrices --------------------------------------------------
@@ -99,34 +88,17 @@ def eltmat_compose(alg, g, f):
     return out
 
 
-def eltmat_to_morphism(alg, src: SumInfo, tgt: SumInfo, m):
-    """Module morphism src.module -> tgt.module for an element matrix."""
-    f = alg.field
-    mats = {}
-    for w in alg.vertices:
-        mat = Mat.zero(len(tgt.coords[w]), len(src.coords[w]), f)
-        for c, (s, bcol) in enumerate(src.coords[w]):
-            for r in range(len(tgt.verts)):
-                elt = m[r][s]
-                if not elt:
-                    continue
-                for tdx, cf in elt.items():
-                    for k, cf2 in alg.mul(bcol, tdx).items():
-                        mat.a[tgt.pos[(r, k)]][c] += cf * cf2
-        mats[w] = mat
-    return Morphism(src.module, tgt.module, mats)
-
-
 def images_to_eltmat(verts, tgt: SumInfo, images):
     """Element matrix of the map from the sum of the projectives at verts
     to tgt.module that sends generator s to images[s], a vector of
-    tgt.module at verts[s]; the inverse of eltmat_to_morphism."""
+    tgt.module at verts[s]."""
+    R = cached_regular_bimodule(tgt.module.alg)
     m = eltmat_zero(len(tgt.verts), len(verts))
     for s, (a, col) in enumerate(zip(verts, images)):
-        for c, val in enumerate(col):
-            if val:
-                r, bidx = tgt.coords[a][c]
-                m[r][s][bidx] = val
+        for r, v in enumerate(tgt.verts):
+            for c, bidx in enumerate(R.basis_indices.get((a, v), ()), tgt.offs[(r, a)]):
+                if col[c]:
+                    m[r][s][bidx] = col[c]
     return m
 
 
@@ -188,15 +160,9 @@ class PerfComplex:
         self.alg = alg
         self.terms = {i: list(t) for i, t in terms.items() if t}
         self.diffs = {i: d for i, d in diffs.items() if not eltmat_is_zero(d)}
-        self._infos = {}
 
     def degrees(self):
         return sorted(self.terms)
-
-    def info(self, i):
-        if i not in self._infos:
-            self._infos[i] = SumInfo(self.alg, self.terms.get(i, []))
-        return self._infos[i]
 
     def width(self):
         return sum(len(t) for t in self.terms.values())
@@ -226,11 +192,8 @@ class PerfComplex:
         return all(eltmat_entries_in_radical(self.alg, d) for d in self.diffs.values())
 
     def to_mod_complex(self):
-        terms = {i: self.info(i).module for i in self.terms}
-        diffs = {}
-        for i, d in self.diffs.items():
-            diffs[i] = eltmat_to_morphism(self.alg, self.info(i), self.info(i + 1), d)
-        return ModComplex(self.alg, terms, diffs)
+        """The complex as modules: the regular bimodule tensored with it."""
+        return tensor_complex(cached_regular_bimodule(self.alg), self)
 
     def cohomology(self, i):
         return self.to_mod_complex().cohomology(i)
@@ -287,19 +250,20 @@ def projective_cover(M: Module):
                 verts.append(v)
                 lifts.append(j)
     info = SumInfo(alg, verts)
+    R = cached_regular_bimodule(alg)
     mats = {}
     for w in alg.vertices:
-        m = Mat.zero(M.dims[w], len(info.coords[w]), f)
-        for c, (r, bidx) in enumerate(info.coords[w]):
-            # column c is the image of basis element bidx of summand r:
-            # the unit vector itself for the idempotent, column lifts[r] of
-            # the action otherwise, zero where bidx acts as 0
-            j = lifts[r]
-            if alg.basis[bidx].degree == 0:
-                m.a[j][c] = f.one()
-            elif bidx in M.act:
-                for row, act_row in zip(m.a, M.act[bidx].a):
-                    row[c] = act_row[j]
+        m = Mat.zero(M.dims[w], info.module.dims[w], f)
+        for r, (v, j) in enumerate(zip(verts, lifts)):
+            for c, bidx in enumerate(R.basis_indices.get((w, v), ()), info.offs[(r, w)]):
+                # column c is the image of basis element bidx of summand r:
+                # the unit vector itself for the idempotent, column j of the
+                # action otherwise, zero where bidx acts as 0
+                if alg.basis[bidx].degree == 0:
+                    m.a[j][c] = f.one()
+                elif bidx in M.act:
+                    for row, act_row in zip(m.a, M.act[bidx].a):
+                        row[c] = act_row[j]
         mats[w] = m
     return info, Morphism(info.module, M, mats), lifts
 
@@ -481,25 +445,26 @@ def _col_sum_diff(X: Bimodule, em, srcmod, srcoffs, tgtmod, tgtoffs):
     return Morphism(srcmod, tgtmod, mats)
 
 
+def tensor_complex(X: Bimodule, P: PerfComplex, degrees=None):
+    """X tensored with a complex of projectives P over X.right_alg, as a
+    ModComplex over X.left_alg: term i is the column sum of X at the
+    vertices of P^i, and the differential multiplies by the entries of P's
+    element matrices on the right.  degrees, when given, limits the terms
+    built, and the differentials to those between built terms."""
+    degs = P.terms if degrees is None else [i for i in degrees if i in P.terms]
+    sums = {i: column_sum(X, P.terms[i]) for i in degs}
+    diffs = {i: _col_sum_diff(X, em, *sums[i], *sums[i + 1])
+             for i, em in P.diffs.items() if i in sums and i + 1 in sums}
+    return ModComplex(X.left_alg, {i: M for i, (M, _) in sums.items()}, diffs)
+
+
 def tor(i, X: Bimodule, M: Module):
-    """Tor_i(X, M) as a left module over X.left_alg."""
+    """Tor_i(X, M) as a left module over X.left_alg: cohomology in degree
+    -i of X tensored with the resolution of M, built only around -i."""
     if i < 0:
         raise ValueError("negative Tor degree")
     res = _module_resolution(M, i + 1)
-    if i > res.length:
-        return zero_module(X.left_alg)
-    terms = {}
-    offs = {}
-    for k in (i - 1, i, i + 1):
-        if 0 <= k <= res.length:
-            terms[k], offs[k] = column_sum(X, res.term_verts(k))
-    f_out = None
-    if i >= 1:
-        f_out = _col_sum_diff(X, res.eltmats[i], terms[i], offs[i], terms[i - 1], offs[i - 1])
-    f_in = None
-    if i + 1 <= res.length:
-        f_in = _col_sum_diff(X, res.eltmats[i + 1], terms[i + 1], offs[i + 1], terms[i], offs[i])
-    return homology_module(terms[i], f_in, f_out, name=f"Tor{i}")
+    return tensor_complex(X, res.to_perf(), (-i - 1, -i, -i + 1)).cohomology(-i)
 
 
 def global_dimension(alg: Algebra, cap=None):
@@ -587,6 +552,7 @@ def to_projective_complex(C: ModComplex, cap=None):
     if not degs:
         return PerfComplex(alg, {}, {})
     hi, lo = max(degs), min(degs)
+    R = cached_regular_bimodule(alg)
     P_infos = {}
     P_diffs = {}  # i -> eltmat P^i -> P^{i+1}
     pi = {}  # i -> Morphism P^i.module -> C.term(i)
@@ -612,7 +578,7 @@ def to_projective_complex(C: ModComplex, cap=None):
         dP_next = P_diffs.get(i + 1)
         if dP_next is not None:
             Pnn = P_infos[i + 2]
-            dP_next_mor = eltmat_to_morphism(alg, Pnext, Pnn, dP_next)
+            dP_next_mor = _col_sum_diff(R, dP_next, Pnext.module, Pnext.offs, Pnn.module, Pnn.offs)
         else:
             Pnn = None
             dP_next_mor = None
@@ -764,17 +730,8 @@ def minimize(P: PerfComplex):
 def nakayama(P: PerfComplex, cap=None):
     """The derived Nakayama functor: tensor a complex of projectives with
     the dual regular bimodule, then renormalize to projective terms."""
-    alg = P.alg
-    DL = cached_dual_regular_bimodule(alg)
-    terms = {}
-    offs = {}
-    for i, verts in P.terms.items():
-        terms[i], offs[i] = column_sum(DL, verts)
-    diffs = {}
-    for i, em in P.diffs.items():
-        diffs[i] = _col_sum_diff(DL, em, terms[i], offs[i], terms[i + 1], offs[i + 1])
-    mc = ModComplex(alg, terms, diffs)
-    return minimize(to_projective_complex(mc, cap=cap))
+    DL = cached_dual_regular_bimodule(P.alg)
+    return minimize(to_projective_complex(tensor_complex(DL, P), cap=cap))
 
 
 def is_shifted_regular(P: PerfComplex):

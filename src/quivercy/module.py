@@ -599,71 +599,6 @@ def cached_dual_regular_bimodule(alg: Algebra):
     return alg.cached("dual_regular_bimodule", lambda: dual_regular_bimodule(alg))
 
 
-def tensor_bimod_module(T: Bimodule, M: Module, name=None):
-    """T tensor_B M for an (A, B)-bimodule T and a left B-module M.
-    Returns (result, data) where data gives, per left vertex u, the
-    projection from the direct sum over v of T[(u,v)] (x) M[v]."""
-    A, B = T.left_alg, T.right_alg
-    f = A.field
-    offs = {}
-    wdims = {}
-    for u in A.vertices:
-        n = 0
-        for v in B.vertices:
-            offs[(u, v)] = n
-            n += T.dims[(u, v)] * M.dims[v]
-        wdims[u] = n
-    rel_rows = {u: [] for u in A.vertices}
-    for g in B.generators():
-        bg = B.basis[g]
-        s, t = bg.src, bg.tgt
-        gm = M.act_mat(g)  # M[s] -> M[t]
-        for u in A.vertices:
-            rg = T.ract_mat(u, g)  # T[(u,t)] -> T[(u,s)]
-            dts, dms = T.dims[(u, t)], M.dims[s]
-            for a in range(dts):
-                for b in range(dms):
-                    row = [f.zero()] * wdims[u]
-                    # (t.g) (x) m  lives in the v = s block
-                    for c in range(T.dims[(u, s)]):
-                        if rg.a[c][a]:
-                            row[offs[(u, s)] + c * M.dims[s] + b] += rg.a[c][a]
-                    # t (x) (g.m)  lives in the v = t block
-                    for d in range(M.dims[t]):
-                        if gm.a[d][b]:
-                            row[offs[(u, t)] + a * M.dims[t] + d] -= gm.a[d][b]
-                    if any(row):
-                        rel_rows[u].append(row)
-    ps = {k: _quotient_maps(rel_rows[k], n, f) for k, n in wdims.items()}
-    dims = {u: ps[u][0].rows for u in A.vertices}
-    act = {}
-    for i, bi in enumerate(A.basis):
-        if bi.degree == 0:
-            continue
-        # action on the big sum: lact on the T factor, identity on M
-        m = Mat.zero(wdims[bi.tgt], wdims[bi.src], f)
-        nonzero = False
-        for v in B.vertices:
-            la = T.lact.get((i, v))
-            if la is None:
-                continue
-            nonzero = True
-            dm = M.dims[v]
-            r0, c0 = offs[(bi.tgt, v)], offs[(bi.src, v)]
-            for r in range(la.rows):
-                for c in range(la.cols):
-                    x = la.a[r][c]
-                    if x:
-                        for k in range(dm):
-                            m.a[r0 + r * dm + k][c0 + c * dm + k] = x
-        if nonzero:
-            act[i] = ps[bi.tgt][0] * (m * ps[bi.src][1])
-    res = Module(A, dims, act, name=name or f"{T.name}(x){M.name}")
-    data = {"offsets": offs, "proj": {u: ps[u][0] for u in A.vertices},
-            "sect": {u: ps[u][1] for u in A.vertices}, "big_dims": wdims}
-    return res, data
-
-
 def tensor_bimod_bimod(T: Bimodule, S: Bimodule, name=None):
     """T tensor_B S for an (A, B)-bimodule T and a (B, C)-bimodule S,
     giving an (A, C)-bimodule."""

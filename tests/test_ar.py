@@ -134,6 +134,24 @@ def test_preprojective_a3_stable(a3_stable):
     assert nakayama_permutation(pi) == {1: 3, 2: 2, 3: 1}
 
 
+@pytest.mark.parametrize("stem,dim,degree_dims", [
+    ("a3_linear", 10, [6, 3, 1]),
+    ("a4_linear", 20, [10, 6, 3, 1]),
+    ("a5_stable", 35, [11, 13, 11]),
+    ("d4", 28, [7, 14, 7]),
+])
+def test_preprojective_products_of_degree_two(request, stem, dim, degree_dims):
+    # the classical preprojective dimensions; T (x) T != 0, so products of
+    # two T coordinates (the basis after alg's own) go through mul_step
+    alg = request.getfixturevalue(stem)
+    rep = decide_nrf(alg, 1)
+    pi = preprojective(alg, 1, report=rep)
+    assert (pi.dim, pi.degree_dims) == (dim, degree_dims)
+    assert any(x >= alg.dim and y >= alg.dim for x, y in pi.mult)
+    assert is_selfinjective(pi)
+    assert nakayama_permutation(pi) == rep.sigma
+
+
 def test_nakayama_permutation_rejects_non_selfinjective(a2):
     with pytest.raises(NotSelfinjective):
         nakayama_permutation(a2)

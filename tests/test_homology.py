@@ -23,10 +23,13 @@ from quivercy.homology import (
     nakayama,
     projective_cover,
     stalk_regular,
+    tensor_complex,
     to_projective_complex,
     tor,
 )
 from quivercy.module import (
+    cached_dual_regular_bimodule,
+    cached_regular_bimodule,
     direct_sum,
     dual_regular_bimodule,
     injective_module,
@@ -71,6 +74,24 @@ def test_tor_is_ar_translate(a2):
     t = tor(1, dual_regular_bimodule(a2), S1)
     assert t.dim_vector() == (0, 1)
     assert tor(1, dual_regular_bimodule(a2), projective_module(a2, 1)).total_dim == 0
+
+
+@pytest.mark.parametrize("stem", ["a2", "a3_linear", "a3_stable", "a4_linear", "a5_stable",
+                                  "d4", "kronecker", "a2_tensor_a2"])
+def test_tor_window_matches_the_whole_complex(stem):
+    # tor builds X (x) P only in degrees -i-1, -i, -i+1 of the resolution P
+    alg = corpus_algebra(stem)
+    mods = [simple_module(alg, v) for v in alg.vertices]
+    mods += [injective_module(alg, v) for v in alg.vertices]
+    for X in (cached_dual_regular_bimodule(alg), cached_regular_bimodule(alg)):
+        for M in mods:
+            res = min_proj_resolution(M)
+            whole = tensor_complex(X, res.to_perf())
+            for i in range(res.length + 2):
+                T, H = tor(i, X, M), whole.cohomology(-i)
+                assert T.dims == H.dims
+                assert T.act.keys() == H.act.keys()
+                assert all(T.act[k] == H.act[k] for k in T.act)
 
 
 def test_global_and_dominant_dimension(a2, a3_linear, a2sq):
@@ -168,6 +189,7 @@ def test_projective_cover_matches_dense_reference(request, stem):
     # column from the dense action matrices and compare
     alg = request.getfixturevalue(stem)
     z = alg.field.zero()
+    R = cached_regular_bimodule(alg)
     simples = [simple_module(alg, v) for v in alg.vertices]
     injectives = [injective_module(alg, v) for v in alg.vertices]
     reg = regular_module(alg)
@@ -175,16 +197,18 @@ def test_projective_cover_matches_dense_reference(request, stem):
     for M in mods:
         info, epi, units = projective_cover(M)
         epi.check()
-        lifts = [epi.mats[v].column(info.e_pos[r]) for r, v in enumerate(info.verts)]
-        # generator r goes to the unit vector at units[r]
+        # the generator of summand r is its first coordinate at its vertex,
+        # the idempotent, and goes to the unit vector at units[r]
+        lifts = [epi.mats[v].column(info.offs[(r, v)]) for r, v in enumerate(info.verts)]
         assert lifts == [[int(j == u) for j in range(M.dims[v])]
                          for u, v in zip(units, info.verts)]
         for w in alg.vertices:
             assert epi.mats[w].rank() == M.dims[w]
-            for c, (r, bidx) in enumerate(info.coords[w]):
-                dense = [sum((x * y for x, y in zip(row, lifts[r])), z)
-                         for row in M.act_mat(bidx).a]
-                assert epi.mats[w].column(c) == dense
+            for r, v in enumerate(info.verts):
+                for p, bidx in enumerate(R.basis_indices.get((w, v), ())):
+                    dense = [sum((x * y for x, y in zip(row, lifts[r])), z)
+                             for row in M.act_mat(bidx).a]
+                    assert epi.mats[w].column(info.offs[(r, w)] + p) == dense
 
 
 def test_tau_n_minus_builds_opposite_once(monkeypatch):

@@ -4,6 +4,7 @@ import pytest
 import sympy
 
 from conftest import corpus_algebra
+from quivercy.homology import tor
 from quivercy.linalg import Mat
 from quivercy.module import (
     Module,
@@ -22,7 +23,6 @@ from quivercy.module import (
     regular_module,
     simple_module,
     socle_vertices,
-    tensor_bimod_module,
     top_of,
     zero_module,
 )
@@ -102,19 +102,23 @@ def test_is_isomorphic(a3_linear):
     assert not is_isomorphic(P1, M)
 
 
-def test_regular_bimodule_tensor_is_identity(a2):
-    X = regular_bimodule(a2)
-    P1 = projective_module(a2, 1)
-    T, _ = tensor_bimod_module(X, P1)
-    assert T.dim_vector() == P1.dim_vector()
-    assert is_isomorphic(T, P1)
+def test_regular_bimodule_tensor_is_identity(a2, a3_linear):
+    # Tor_0(A, P) = A (x) P = P
+    for alg in (a2, a3_linear):
+        X = regular_bimodule(alg)
+        for v in alg.vertices:
+            P = projective_module(alg, v)
+            T = tor(0, X, P)
+            assert T.dim_vector() == P.dim_vector()
+            assert is_isomorphic(T, P)
 
 
-def test_dual_regular_sends_projectives_to_injectives(a3_linear):
-    DA = dual_regular_bimodule(a3_linear)
-    for v in a3_linear.vertices:
-        T, _ = tensor_bimod_module(DA, projective_module(a3_linear, v))
-        assert is_isomorphic(T, injective_module(a3_linear, v))
+def test_dual_regular_sends_projectives_to_injectives(a3_linear, d4):
+    # Tor_0(DA, P_v) = DA e_v = I_v
+    for alg in (a3_linear, d4):
+        DA = dual_regular_bimodule(alg)
+        for v in alg.vertices:
+            assert is_isomorphic(tor(0, DA, projective_module(alg, v)), injective_module(alg, v))
 
 
 # -- the exact isomorphism test ------------------------------------------

@@ -1,6 +1,6 @@
 """The projective, injective and regular modules, the dual regular
-bimodule and the coordinates of SumInfo are all read off one regular
-bimodule.  The builders below are the direct loops over the
+bimodule and the coordinate layout of SumInfo are all read off one
+regular bimodule.  The builders below are the direct loops over the
 multiplication table that each of them used to run on its own; they stay
 here as oracles, compared entrywise with the views."""
 
@@ -14,6 +14,7 @@ from quivercy.linalg import Mat
 from quivercy.module import (
     Bimodule,
     Module,
+    cached_regular_bimodule,
     direct_sum,
     dual_regular_bimodule,
     injective_module,
@@ -112,7 +113,8 @@ def _oracle_bimodule(alg, dual):
 
 
 def _oracle_suminfo(alg, verts):
-    """(coords, pos, e_pos, module) of SumInfo(alg, verts)."""
+    """(coords, module) of the sum of the projectives at verts: coords[w]
+    lists its coordinates at w as (summand index, algebra basis index)."""
     f = alg.field
     coords = {w: [] for w in alg.vertices}
     for r, v in enumerate(verts):
@@ -124,7 +126,6 @@ def _oracle_suminfo(alg, verts):
     for w, lst in coords.items():
         for c, key in enumerate(lst):
             pos[key] = c
-    e_pos = [pos[(r, alg.idem[v])] for r, v in enumerate(verts)]
     dims = {w: len(coords[w]) for w in alg.vertices}
     act = {}
     for j, bj in enumerate(alg.basis):
@@ -135,7 +136,18 @@ def _oracle_suminfo(alg, verts):
             for k, cf in alg.mul(j, bidx).items():
                 m.a[pos[(r, k)]][c] = cf
         act[j] = m
-    return coords, pos, e_pos, Module(alg, dims, act)
+    return coords, Module(alg, dims, act)
+
+
+def _walked_coords(alg, info, w):
+    """The coordinates of info.module at w in the order projective_cover
+    and images_to_eltmat walk them: offs[(r, w)] + p is basis element
+    R.basis_indices[(w, v_r)][p] of summand r."""
+    R = cached_regular_bimodule(alg)
+    walked = {info.offs[(r, w)] + p: (r, bidx) for r, v in enumerate(info.verts)
+              for p, bidx in enumerate(R.basis_indices.get((w, v), ()))}
+    assert sorted(walked) == list(range(info.module.dims[w]))
+    return [walked[c] for c in range(info.module.dims[w])]
 
 
 def _same_module(M, N):
@@ -182,6 +194,6 @@ def test_views_match_the_direct_builders(build):
     vs = list(alg.vertices)
     for verts in (vs, vs[:1], vs[::-1] + vs[:2], []):
         info = SumInfo(alg, verts)
-        coords, pos, e_pos, module = _oracle_suminfo(alg, verts)
-        assert (info.coords, info.pos, info.e_pos) == (coords, pos, e_pos)
+        coords, module = _oracle_suminfo(alg, verts)
+        assert {w: _walked_coords(alg, info, w) for w in alg.vertices} == coords
         _same_module(info.module, module)

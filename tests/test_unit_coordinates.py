@@ -1,7 +1,9 @@
 """Submodule actions, homology coordinates and resolution differentials are
 read off the unit coordinates of rref bases instead of solved for, and
 `minimize` resumes its search for a unit entry instead of rescanning.
-The constructions they replace are kept here as oracles."""
+The constructions they replace are kept here as oracles, and so is the
+expansion of element matrices through the multiplication table that
+`_col_sum_diff` replaced on the regular bimodule."""
 
 import sys
 
@@ -11,24 +13,22 @@ from conftest import corpus_algebra
 from quivercy import ar, cy, homology, module
 from quivercy.constructions import TypeAQuiver, cut_algebra, enumerate_cuts, omega_on_cuts
 from quivercy.homology import (
-    ModComplex,
     PerfComplex,
-    _col_sum_diff,
+    SumInfo,
     _elt_inverse,
-    eltmat_to_morphism,
     eltmat_zero,
     min_proj_resolution,
     minimize,
     nakayama,
     projective_cover,
     stalk_regular,
+    tensor_complex,
     to_projective_complex,
 )
 from quivercy.linalg import Mat, kernel_units
 from quivercy.module import (
     Morphism,
     cached_dual_regular_bimodule,
-    column_sum,
     direct_sum,
     injective_module,
     kernel,
@@ -113,13 +113,40 @@ def test_radical_submodule_is_invariant(a3_linear, d4, kronecker):
 # -- resolution differentials ------------------------------------------------
 
 
+def _coords(alg, verts, w):
+    """(summand, basis index) of each coordinate at w of the sum of the
+    projectives at verts: summand by summand, the basis elements from v to
+    w of the summand at v in basis order."""
+    return [(r, k) for r, v in enumerate(verts) for k, b in enumerate(alg.basis)
+            if b.tgt == w and b.src == v]
+
+
+def _eltmat_to_morphism(alg, src, tgt, m):
+    """Module morphism src.module -> tgt.module for an element matrix, each
+    entry expanded through the multiplication table."""
+    f = alg.field
+    mats = {}
+    for w in alg.vertices:
+        scoords, tcoords = _coords(alg, src.verts, w), _coords(alg, tgt.verts, w)
+        pos = {key: c for c, key in enumerate(tcoords)}
+        mat = Mat.zero(len(tcoords), len(scoords), f)
+        for c, (s, bcol) in enumerate(scoords):
+            for r in range(len(tgt.verts)):
+                for tdx, cf in m[r][s].items():
+                    for k, cf2 in alg.mul(bcol, tdx).items():
+                        mat.a[pos[(r, k)]][c] += cf * cf2
+        mats[w] = mat
+    return Morphism(src.module, tgt.module, mats)
+
+
 def _morphism_to_eltmat(src, tgt, fm):
     """Element matrix of fm read off the images of the generators of src."""
+    alg = src.module.alg
     m = eltmat_zero(len(tgt.verts), len(src.verts))
     for s, a in enumerate(src.verts):
-        for c, val in enumerate(fm.mats[a].column(src.e_pos[s])):
+        gen = _coords(alg, src.verts, a).index((s, alg.idem[a]))
+        for (r, bidx), val in zip(_coords(alg, tgt.verts, a), fm.mats[a].column(gen)):
             if val:
-                r, bidx = tgt.coords[a][c]
                 m[r][s][bidx] = val
     return m
 
@@ -169,7 +196,7 @@ def _to_projective_complex_by_composition(C):
         tgt1, dC = C.term(i + 1), C.diff(i)
         dP = None
         if i + 1 in P_diffs:
-            dP = eltmat_to_morphism(alg, Pnext, P_infos[i + 2], P_diffs[i + 1])
+            dP = _eltmat_to_morphism(alg, Pnext, P_infos[i + 2], P_diffs[i + 1])
         mats = {}
         for v in alg.vertices:
             c1, c2 = Ci.dims[v], Pn_mod.dims[v]
@@ -201,19 +228,25 @@ def _to_projective_complex_by_composition(C):
 
 @pytest.mark.parametrize("key", CORPUS + list(CUTS_2_4))
 def test_pullback_differentials_match_the_composed_ones(key):
-    # the complexes nakayama replaces along the first three powers
+    # the complexes nakayama replaces along the first three powers; the
+    # module view of every complex on the way, and so each d_P map of
+    # to_projective_complex, also matches the product expansion
     alg = _algebra(key)
     DL = cached_dual_regular_bimodule(alg)
     P = stalk_regular(alg)
     for _ in range(3):
-        sums = {i: column_sum(DL, verts) for i, verts in P.terms.items()}
-        diffs = {i: _col_sum_diff(DL, em, *sums[i], *sums[i + 1])
-                 for i, em in P.diffs.items()}
-        C = ModComplex(alg, {i: M for i, (M, _) in sums.items()}, diffs)
+        C = tensor_complex(DL, P)
         Q = to_projective_complex(C)
         ref = _to_projective_complex_by_composition(C)
         assert (Q.terms, Q.diffs) == (ref.terms, ref.diffs)
+        for X in (P, Q):
+            view = X.to_mod_complex()
+            assert view.diffs.keys() == X.diffs.keys()
+            for i, em in X.diffs.items():
+                src, tgt = SumInfo(alg, X.terms[i]), SumInfo(alg, X.terms[i + 1])
+                assert view.diffs[i].mats == _eltmat_to_morphism(alg, src, tgt, em).mats
         P = minimize(Q)
+    assert Q.diffs
 
 
 # -- minimize ----------------------------------------------------------------
