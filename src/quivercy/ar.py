@@ -614,7 +614,7 @@ def auslander_algebra(alg: Algebra, summands):
                         m = h.mats[v]
                         for k in range(m.rows):
                             trace += m.a[k][k]
-                    lam = trace / f.of(dim_s)
+                    lam = trace * f.inv(dim_s)
                     adj = h.add(basis_mors[s].scale(-lam))
                     rad.append(adj)
                 rows = [flatten(h) for h in rad]

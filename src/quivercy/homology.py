@@ -636,7 +636,7 @@ def _elt_inverse(alg, elt):
             vidx = k
     if not c0:
         raise ValueError("element is not invertible")
-    inv_c0 = f.one() / c0
+    inv_c0 = f.inv(c0)
     # rho = elt/c0 - e; inverse = (e - rho + rho^2 - ...) / c0
     rho = {}
     for k, c in elt.items():

@@ -4,8 +4,12 @@ Everything downstream (algebra bases, Hom spaces, resolutions) reduces to
 rank/kernel/solve on dense matrices.  Kernel and span bases are rref
 bases, so each vector has a unit coordinate where the others are zero,
 and coordinates in them are read off there instead of solved for.
-Scalars are gmpy2 rationals when available (much faster than
-fractions.Fraction).  No floating point anywhere.
+Scalars are integer-first: an integral value is a Python int, and a
+rational `_mpq` (gmpy2 `mpq` when available, else `fractions.Fraction`)
+is built only when a division leaves Z.  Python mixes int and Fraction
+exactly (sums, products, `==` and `hash` agree), so only division needs
+care: it goes through `QQ.inv`, because int / int would be a float.
+No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -17,24 +21,32 @@ try:
 except ImportError:  # pragma: no cover
     _mpq = Fraction
 
-# Scalars are immutable, so every zero and one can be the same object.
-_ZERO = _mpq(0)
 _ONE = _mpq(1)
 
 
 class RationalField:
-    """The field Q.  Scalars are gmpy2.mpq (or Fraction as fallback)."""
+    """The field Q.  A scalar is an int when it is integral so far, else
+    an `_mpq`.  An `_mpq` is never turned back into an int, so an
+    integral value may be either; both compare and hash alike."""
 
     name = "Q"
 
     def zero(self):
-        return _ZERO
+        return 0
 
     def one(self):
-        return _ONE
+        return 1
 
     def of(self, num, den=1):
+        if num % den == 0:
+            return num // den
         return _mpq(num, den)
+
+    def inv(self, x):
+        """1 / x, which stays an int for the units +-1 of Z."""
+        if x == 1 or x == -1:
+            return x
+        return _ONE / x
 
     def __repr__(self):
         return "QQ"
@@ -217,7 +229,7 @@ class Mat:
                 continue
             a[r], a[piv] = a[piv], a[r]
             prow = a[r]
-            inv = one / prow[c]
+            inv = self.field.inv(prow[c])
             # the pivot row is zero left of c; its nonzeros are found once,
             # and only when it is scaled or clears another row
             nz = None

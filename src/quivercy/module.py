@@ -8,8 +8,6 @@ on their own vertex and are not stored.
 
 from __future__ import annotations
 
-import sympy
-
 from .algebra import Algebra, opposite, enveloping
 from .errors import NotAHomomorphism, UNDECIDED
 from .linalg import Mat, kernel_units, span_basis
@@ -420,6 +418,8 @@ def _min_poly(blocks, f):
 
 def _factor_poly(coeffs):
     """Irreducible factors over Q via sympy; returns [(coeff list, mult)]."""
+    import sympy
+
     x = sympy.Symbol("x")
     expr = sum(sympy.Rational(str(c)) * x**i for i, c in enumerate(coeffs))
     _, facs = sympy.Poly(expr, x).factor_list()
@@ -432,6 +432,8 @@ def _factor_poly(coeffs):
 
 def _poly_of_morphism(fm: Morphism, coeffs):
     """p(f) as a Morphism, p given low-to-high over sympy Rationals."""
+    import sympy
+
     alg = fm.src.alg
     fl = alg.field
     mats = {}
@@ -454,8 +456,11 @@ def decompose(M: Module):
     certified is True when every piece has End/rad = Q (trace rank 1), or
     UNDECIDED when some piece has a larger End/rad that no candidate
     endomorphism (a basis element of End or their fixed combination)
-    splits.
+    splits.  Only this path loads sympy, so that importing quivercy
+    does not.
     """
+    import sympy
+
     if M.total_dim == 0:
         return [], True
     E = hom(M, M)

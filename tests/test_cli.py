@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -228,3 +231,12 @@ def test_pretty_output(runner):
     result = runner.invoke(main, ["cy", corpus("a2"), "--pretty"])
     assert result.exit_code == 0
     assert "dimension: 1/3" in result.output
+
+
+def test_importing_the_cli_does_not_load_sympy():
+    # only decompose needs sympy; every CLI call would pay its import
+    src = pathlib.Path(quivercy.__file__).parent.parent
+    code = "import sys, quivercy.cli; print('sympy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "False"

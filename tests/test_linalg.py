@@ -46,6 +46,20 @@ def test_rref_matches_textbook_reference(density):
                  else Fraction(0) for _ in range(n)] for _ in range(m)]
         R, pivots = Mat.from_rows(rows).rref()
         assert (R.a, pivots) == _textbook_rref(rows)
+    # int entries with non-unit pivots: the integer-first path gives what
+    # the same calls give on the Fraction-converted matrix
+    for _ in range(40):
+        m, n = rng.randint(1, 9), rng.randint(1, 9)
+        ints = [[rng.choice([1, -1, 2, -3, 6, 4]) if rng.random() < density else 0
+                 for _ in range(n)] for _ in range(m)]
+        fracs = [[Fraction(x) for x in r] for r in ints]
+        R, pivots = Mat.from_rows(ints).rref()
+        assert (R.a, pivots) == _textbook_rref(fracs)
+        assert Mat.from_rows(ints).kernel_basis() == Mat.from_rows(fracs).kernel_basis()
+        assert span_basis(ints) == span_basis(fracs)
+        k = rng.randint(0, m)
+        assert (independent_subset(ints[:k], ints[k:])
+                == independent_subset(fracs[:k], fracs[k:]))
 
 
 def test_kernel_basis():

@@ -1,0 +1,148 @@
+"""Scalars of Q are integer-first: an int while integral, an `_mpq` once a
+division leaves Z, and never a float or a bool.  The unit cases pin the
+field's constructors; the sweep checks the scalars that the verdicts are
+built from, on the corpus, the Kronecker tower and a sample of cuts."""
+
+from fractions import Fraction
+
+import pytest
+
+from conftest import CORPUS, corpus_algebra
+from quivercy import cy, linalg
+from quivercy.ar import decide_nrf
+from quivercy.constructions import TypeAQuiver, cut_algebra, enumerate_cuts
+from quivercy.cy import check_twisted_cy, check_untwisted_cy, find_twisted_cy
+from quivercy.homology import nakayama, stalk_regular
+from quivercy.linalg import QQ
+
+SCALAR_TYPES = (int, linalg._mpq)
+STEMS = sorted(p.stem for p in CORPUS.glob("*.alg"))
+
+
+def test_of_is_an_int_when_the_division_is_exact():
+    assert type(QQ.of(4, 2)) is int and QQ.of(4, 2) == 2
+    assert type(QQ.of(-6, 3)) is int and QQ.of(-6, 3) == -2
+    assert type(QQ.of(6, -3)) is int and QQ.of(6, -3) == -2
+    assert type(QQ.of(7)) is int
+    assert QQ.of(1, 2) == Fraction(1, 2)
+    assert type(QQ.of(1, 2)) is linalg._mpq
+    assert type(QQ.zero()) is int and type(QQ.one()) is int
+
+
+def test_inv_keeps_the_units_of_z():
+    assert QQ.inv(-1) == -1 and type(QQ.inv(-1)) is int
+    assert QQ.inv(1) == 1 and type(QQ.inv(1)) is int
+    assert QQ.inv(2) == Fraction(1, 2)
+    assert QQ.inv(Fraction(2, 3)) == Fraction(3, 2)
+    assert QQ.inv(-3) == Fraction(-1, 3)
+    with pytest.raises(ZeroDivisionError):
+        QQ.inv(0)
+
+
+class _Scalars:
+    """Collects the type of every scalar seen, and how many were seen."""
+
+    def __init__(self):
+        self.bad = set()
+        self.count = 0
+
+    def add(self, x):
+        self.count += 1
+        if type(x) not in SCALAR_TYPES:
+            self.bad.add(type(x).__name__)
+
+    def mat(self, m):
+        for row in m.a:
+            for x in row:
+                self.add(x)
+
+    def module(self, M):
+        for m in M.act.values():
+            self.mat(m)
+        if M._resolution is not None:
+            for em in M._resolution.eltmats.values():
+                self.eltmat(em)
+
+    def eltmat(self, em):
+        for row in em:
+            for elt in row:
+                for c in elt.values():
+                    self.add(c)
+
+    def complex(self, P):
+        for em in P.diffs.values():
+            self.eltmat(em)
+
+    def algebra(self, alg):
+        for prod in alg.mult.values():
+            for c in prod.values():
+                self.add(c)
+
+    def report(self, rep):
+        for orbit in rep.orbit_table.values():
+            for X in orbit:
+                self.module(X)
+
+
+@pytest.fixture()
+def seen(monkeypatch):
+    """A _Scalars that also sees every Nakayama power and minimized
+    tensor power the CY checks compute, and the modules they compare."""
+    s = _Scalars()
+
+    def watch(fn, check):
+        def wrapped(*args, **kw):
+            out = fn(*args, **kw)
+            check(out)
+            return out
+        return wrapped
+
+    real_iso = cy.is_isomorphic
+
+    def is_isomorphic(M, N):
+        s.module(M)
+        s.module(N)
+        return real_iso(M, N)
+
+    monkeypatch.setattr(cy, "nakayama", watch(cy.nakayama, s.complex))
+    monkeypatch.setattr(cy, "minimize", watch(cy.minimize, s.complex))
+    monkeypatch.setattr(cy, "is_isomorphic", is_isomorphic)
+    return s
+
+
+@pytest.mark.parametrize("stem", STEMS)
+def test_corpus_scalars(stem, seen):
+    alg = corpus_algebra(stem)
+    for n in (1, 2):
+        seen.report(decide_nrf(alg, n))
+    find_twisted_cy(alg, ell_max=6 if stem == "kronecker" else 24)
+    for m in (0, 1):
+        check_twisted_cy(alg, 2, m)
+    seen.algebra(alg)
+    assert seen.count > 0 and not seen.bad
+
+
+def test_kronecker_tower_scalars(kronecker, seen):
+    C = stalk_regular(kronecker)
+    for _ in range(4):
+        C = nakayama(C)
+        seen.complex(C)
+    assert seen.count > 0 and not seen.bad
+
+
+def test_untwisted_tensor_power_scalars(a2sq, seen):
+    check_untwisted_cy(a2sq, 3, 2)
+    seen.algebra(a2sq)
+    assert seen.count > 0 and not seen.bad
+
+
+@pytest.mark.parametrize("idx", range(0, 65, 5))
+def test_cut_scalars(idx, seen):
+    q = TypeAQuiver(2, 4)
+    alg = cut_algebra(q, enumerate_cuts(q)[idx])
+    rep = decide_nrf(alg, 2)
+    assert rep.is_nrf is True
+    seen.report(rep)
+    find_twisted_cy(alg)
+    seen.algebra(alg)
+    assert seen.count > 0 and not seen.bad
