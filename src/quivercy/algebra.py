@@ -14,7 +14,7 @@ left module as a map M[src(b)] -> M[tgt(b)].
 from __future__ import annotations
 
 from .errors import MalformedRelation, NotFiniteDimensional
-from .linalg import QQ, Mat, independent_subset
+from .linalg import Mat, independent_subset
 from .quiver import Path, Quiver, Relation
 
 
@@ -33,8 +33,7 @@ class BasisElt:
 
 
 class Algebra:
-    def __init__(self, field, vertices, basis, mult, name="algebra", quiver=None):
-        self.field = field
+    def __init__(self, vertices, basis, mult, name="algebra", quiver=None):
         self.vertices = list(vertices)
         self.basis = basis
         self.mult = mult  # (i, j) -> {k: coeff}, only nonzero products stored
@@ -77,7 +76,7 @@ class Algebra:
                 if prod:
                     c = ci * cj
                     for k, ck in prod.items():
-                        v = out.get(k, self.field.zero()) + c * ck
+                        v = out.get(k, 0) + c * ck
                         if v:
                             out[k] = v
                         elif k in out:
@@ -98,14 +97,13 @@ class Algebra:
             for j in rad:
                 prod = self.mult.get((i, j))
                 if prod:
-                    vec = [self.field.zero()] * len(rad)
+                    vec = [0] * len(rad)
                     for k, c in prod.items():
                         vec[pos[k]] = c
                     rad2.append(vec)
         order = sorted(rad, key=lambda i: (self.basis[i].degree, i))
-        z, one = self.field.zero(), self.field.one()
-        units = [[one if k == pos[i] else z for k in range(len(rad))] for i in order]
-        gens = [order[k] for k in independent_subset(rad2, units, self.field)]
+        units = [[1 if k == pos[i] else 0 for k in range(len(rad))] for i in order]
+        gens = [order[k] for k in independent_subset(rad2, units)]
         self._generators = gens
         return gens
 
@@ -134,12 +132,11 @@ class Algebra:
         for idx, (s, t) in enumerate(ends):
             by_src.setdefault(s, []).append(idx)
             by_tgt.setdefault(t, []).append(idx)
-        one = self.field.one()
         for j, (s, t) in enumerate(ends):
             for i in by_src.get(t, ()):
                 for k in by_tgt.get(s, ()):
-                    lhs = self.mul_elt(self.mul(i, j), {k: one})
-                    rhs = self.mul_elt({i: one}, self.mul(j, k))
+                    lhs = self.mul_elt(self.mul(i, j), {k: 1})
+                    rhs = self.mul_elt({i: 1}, self.mul(j, k))
                     if lhs != rhs:
                         raise ValueError(f"associativity fails at basis triple ({i},{j},{k})")
 
@@ -147,14 +144,14 @@ class Algebra:
         return f"Algebra({self.name}, dim {self.dim})"
 
 
-def semisimple_algebra(labels, field=QQ, name=None):
-    """Product of copies of the ground field, one per label."""
+def semisimple_algebra(labels, name=None):
+    """Product of copies of Q, one per label."""
     basis = [BasisElt(f"e[{v}]", v, v, 0) for v in labels]
-    mult = {(i, i): {i: field.one()} for i in range(len(basis))}
-    return Algebra(field, labels, basis, mult, name=name or "semisimple")
+    mult = {(i, i): {i: 1} for i in range(len(basis))}
+    return Algebra(labels, basis, mult, name=name or "semisimple")
 
 
-def build_algebra(quiver, relations, length_cap=64, field=QQ, name=None):
+def build_algebra(quiver, relations, length_cap=64, name=None):
     """Quotient of the path algebra KQ by length-homogeneous relations.
 
     The basis consists of residue classes of paths, computed degree by
@@ -167,11 +164,10 @@ def build_algebra(quiver, relations, length_cap=64, field=QQ, name=None):
         if not r.is_homogeneous():
             raise MalformedRelation(f"relation {r!r} mixes path lengths")
 
-    one = field.one()
     # all paths per length, and the reduction of each path to basis classes
     paths_by_len = [[Path(quiver, v, ()) for v in quiver.vertices]]
     basis_paths = list(paths_by_len[0])  # trivial paths are the idempotents
-    reduction = {p: {p: one} for p in paths_by_len[0]}
+    reduction = {p: {p: 1} for p in paths_by_len[0]}
 
     rels_by_len = {}
     for r in relations:
@@ -211,14 +207,14 @@ def build_algebra(quiver, relations, length_cap=64, field=QQ, name=None):
                             for v in paths_by_len[d - rl - lu]:
                                 if v.start != r.target or v.end != key[1]:
                                     continue
-                                vec = [field.zero()] * len(block)
+                                vec = [0] * len(block)
                                 for c, pp in r.terms:
                                     full = Path(quiver, u.start, u.labels + pp.labels + v.labels)
                                     vec[col[full]] = vec[col[full]] + c
                                 if any(vec):
                                     rows.append(vec)
             if rows:
-                R, pivots = Mat.from_rows(rows, field).rref()
+                R, pivots = Mat.from_rows(rows).rref()
             else:
                 R, pivots = None, []
             pivset = set(pivots)
@@ -237,7 +233,7 @@ def build_algebra(quiver, relations, length_cap=64, field=QQ, name=None):
                             red[block[fc]] = val
                     reduction[p] = red
                 else:
-                    reduction[p] = {p: one}
+                    reduction[p] = {p: 1}
         basis_paths.extend(new_basis)
         if not new_basis:
             # nothing survives at this length, hence nothing later either
@@ -268,22 +264,22 @@ def build_algebra(quiver, relations, length_cap=64, field=QQ, name=None):
             if red:
                 mult[(i, j)] = {index[b]: c for b, c in red.items()}
 
-    alg = Algebra(field, quiver.vertices, basis, mult, name=name or "KQ/I", quiver=quiver)
+    alg = Algebra(quiver.vertices, basis, mult, name=name or "KQ/I", quiver=quiver)
     # homogeneous relations: rad^2 is spanned by the classes of degree >= 2
     alg.set_generators([i for i, b in enumerate(basis) if b.degree == 1])
     alg.check_associativity()
     return alg
 
 
-def path_algebra(quiver, field=QQ, name=None, length_cap=64):
-    return build_algebra(quiver, [], length_cap=length_cap, field=field, name=name or "KQ")
+def path_algebra(quiver, name=None, length_cap=64):
+    return build_algebra(quiver, [], length_cap=length_cap, name=name or "KQ")
 
 
 def opposite(a: Algebra) -> Algebra:
     """Same basis, reversed multiplication and src/tgt."""
     basis = [BasisElt(b.name, b.tgt, b.src, b.degree, path=b.path) for b in a.basis]
     mult = {(j, i): dict(prod) for (i, j), prod in a.mult.items()}
-    op = Algebra(a.field, a.vertices, basis, mult, name=f"{a.name}^op",
+    op = Algebra(a.vertices, basis, mult, name=f"{a.name}^op",
                  quiver=a.quiver.reversed() if a.quiver else None)
     if a._generators is not None:
         op.set_generators(a._generators)
@@ -291,10 +287,7 @@ def opposite(a: Algebra) -> Algebra:
 
 
 def tensor_product(a: Algebra, b: Algebra, name=None) -> Algebra:
-    """a (x) b over the ground field; vertices are pairs."""
-    if a.field != b.field:
-        raise ValueError("mismatched ground fields")
-    field = a.field
+    """a (x) b over Q; vertices are pairs."""
     vertices = [(u, v) for u in a.vertices for v in b.vertices]
     # order basis so that the idempotent pairs come first, matching vertices
     pairs = [(i, j) for i in range(a.nvert()) for j in range(b.nvert())]
@@ -324,7 +317,7 @@ def tensor_product(a: Algebra, b: Algebra, name=None) -> Algebra:
                 for k2, c2 in pb.items():
                     out[pair_index[(k1, k2)]] = c1 * c2
             mult[(pair_index[(i1, j1)], pair_index[(i2, j2)])] = out
-    t = Algebra(field, vertices, basis, mult, name=name or f"{a.name}(x){b.name}")
+    t = Algebra(vertices, basis, mult, name=name or f"{a.name}(x){b.name}")
     t.tensor_info = (a, b, pair_index)
     # Gabriel arrows of a product are g(x)e and e(x)g
     ga = a.generators()

@@ -19,7 +19,7 @@ from .errors import (
     NotSelfinjective,
     UNDECIDED,
 )
-from .linalg import Mat, independent_subset
+from .linalg import Mat, independent_subset, inv
 from .module import (
     Bimodule,
     Module,
@@ -268,7 +268,6 @@ class _HomLayout:
 
     def bimodule(self, name="Hom"):
         alg, M = self.alg, self.M
-        f = alg.field
         lact, ract = {}, {}
         for ai, ab in enumerate(alg.basis):
             if ab.degree == 0:
@@ -277,7 +276,7 @@ class _HomLayout:
             for w2 in alg.vertices:
                 src_key = (ab.src, w2)
                 tgt_key = (ab.tgt, w2)
-                m = Mat.zero(self.dims[tgt_key], self.dims[src_key], f)
+                m = Mat.zero(self.dims[tgt_key], self.dims[src_key])
                 hit = False
                 for row, (r, bpidx, ww, mc) in enumerate(self.coords[tgt_key]):
                     prod = alg.mul(bpidx, ai)
@@ -292,7 +291,7 @@ class _HomLayout:
             for w in alg.vertices:
                 src_key = (w, ab.tgt)
                 tgt_key = (w, ab.src)
-                m = Mat.zero(self.dims[tgt_key], self.dims[src_key], f)
+                m = Mat.zero(self.dims[tgt_key], self.dims[src_key])
                 hit = False
                 for col, (r, bidx, ww, mc) in enumerate(self.coords[src_key]):
                     u = self.pairs[r][0]
@@ -313,9 +312,8 @@ def _hom_coboundary(alg, E, lay_k: _HomLayout, lay_k1: _HomLayout, em):
     matrices usable as an E-module morphism.  em is the based differential
     B_{k+1} -> B_k over E (rows over term k, cols over term k+1)."""
     rev = {k: ij for ij, k in E.tensor_info[2].items()}
-    f = alg.field
     M = lay_k.M
-    mats = {key: Mat.zero(lay_k1.dims[key], lay_k.dims[key], f) for key in lay_k.dims}
+    mats = {key: Mat.zero(lay_k1.dims[key], lay_k.dims[key]) for key in lay_k.dims}
     for r in range(len(em)):
         for s in range(len(em[0]) if em else 0):
             elt = em[r][s]
@@ -392,7 +390,6 @@ def _build_ext_bimodule(alg, n):
 def tensor_algebra(alg: Algebra, T: Bimodule, cap=24, name=None):
     """The graded algebra alg (+) T (+) T(x)T (+) ... with multiplication
     by tensor concatenation; terminates when a tensor power vanishes."""
-    f = alg.field
     powers = [None, T]  # powers[k] = T^(x)k for k >= 1
     tensor_data = [None, None]
     while powers[-1].total_dim:
@@ -424,7 +421,7 @@ def tensor_algebra(alg: Algebra, T: Bimodule, cap=24, name=None):
     expansions = [None, {}]
     for (u, v), d in T.dims.items():
         for c in range(d):
-            expansions[1][((u, v), c)] = [(f.one(), [((u, v), c)])]
+            expansions[1][((u, v), c)] = [(1, [((u, v), c)])]
     for k in range(2, deg_max + 1):
         data = tensor_data[k]
         exp = {}
@@ -457,7 +454,7 @@ def tensor_algebra(alg: Algebra, T: Bimodule, cap=24, name=None):
             return None
         data = tensor_data[k + 1]
         big_dim = data["big_dims"][(u, w)]
-        big = [f.zero()] * big_dim
+        big = [0] * big_dim
         off = data["offsets"][(u, v, w)]
         db = T.dims[(v, w)]
         for a_i, val in enumerate(vec):
@@ -483,7 +480,6 @@ def tensor_algebra(alg: Algebra, T: Bimodule, cap=24, name=None):
         return (u, bj.src), m.apply(vec)
 
     mult = {}
-    one = f.one()
     for x in range(len(basis)):
         ox = origin[x]
         for y in range(len(basis)):
@@ -498,7 +494,7 @@ def tensor_algebra(alg: Algebra, T: Bimodule, cap=24, name=None):
                 # a degree-0 element times a T^k coordinate, on either side
                 t, side, j = (oy, "l", ox[1]) if ox[0] == "alg" else (ox, "r", oy[1])
                 _, k, pair, coord = t
-                vec = [one if c == coord else f.zero() for c in range(powers[k].dims[pair])]
+                vec = [1 if c == coord else 0 for c in range(powers[k].dims[pair])]
                 resu = act_on_alg_side(k, pair, vec, side, j)
                 if resu:
                     npair, nvec = resu
@@ -511,7 +507,7 @@ def tensor_algebra(alg: Algebra, T: Bimodule, cap=24, name=None):
                 for c0, chain in expansions[ky][(pairy, coordy)]:
                     pair = pairx
                     k = kx
-                    vec = [one if c == coordx else f.zero()
+                    vec = [1 if c == coordx else 0
                            for c in range(powers[kx].dims[pairx])]
                     ok = True
                     for (tp, tc) in chain:
@@ -526,7 +522,7 @@ def tensor_algebra(alg: Algebra, T: Bimodule, cap=24, name=None):
                             v2 = c0 * val
                             if v2:
                                 idx = index_of[("t", k, pair, c)]
-                                cur = out.get(idx, f.zero()) + v2
+                                cur = out.get(idx, 0) + v2
                                 if cur:
                                     out[idx] = cur
                                 elif idx in out:
@@ -535,7 +531,7 @@ def tensor_algebra(alg: Algebra, T: Bimodule, cap=24, name=None):
             if out:
                 mult[(x, y)] = out
 
-    pi = Algebra(f, alg.vertices, basis, mult, name=name or f"Pi({alg.name})")
+    pi = Algebra(alg.vertices, basis, mult, name=name or f"Pi({alg.name})")
     pi.degree_dims = [alg.dim] + [powers[k].total_dim for k in range(1, deg_max + 1)]
     pi.check_associativity()
     return pi
@@ -583,7 +579,6 @@ def auslander_algebra(alg: Algebra, summands):
     """Endomorphism algebra of the direct sum of the given pairwise
     non-isomorphic modules, as a based algebra with one vertex per
     summand."""
-    f = alg.field
     nsum = len(summands)
     homs = {}
     for s in range(nsum):
@@ -598,7 +593,7 @@ def auslander_algebra(alg: Algebra, summands):
     basis_meta = []
     for s in range(nsum):
         ident = Morphism(summands[s], summands[s],
-                         {v: Mat.identity(summands[s].dims[v], f) for v in alg.vertices})
+                         {v: Mat.identity(summands[s].dims[v]) for v in alg.vertices})
         basis_mors.append(ident)
         basis_meta.append(BasisElt(f"e[{s}]", s, s, 0))
     for s in range(nsum):
@@ -609,16 +604,16 @@ def auslander_algebra(alg: Algebra, summands):
                 dim_s = summands[s].total_dim
                 rad = []
                 for h in cand:
-                    trace = f.zero()
+                    trace = 0
                     for v in alg.vertices:
                         m = h.mats[v]
                         for k in range(m.rows):
                             trace += m.a[k][k]
-                    lam = trace * f.inv(dim_s)
+                    lam = trace * inv(dim_s)
                     adj = h.add(basis_mors[s].scale(-lam))
                     rad.append(adj)
                 rows = [flatten(h) for h in rad]
-                sel = independent_subset([], rows, f)
+                sel = independent_subset([], rows)
                 for idx in sel:
                     basis_mors.append(rad[idx])
                     basis_meta.append(BasisElt(f"r[{s},{t}]{idx}", s, t, 1))
@@ -634,7 +629,7 @@ def auslander_algebra(alg: Algebra, summands):
     block_mats = {}
     for key, idxs in blocks.items():
         rows = [flatten(basis_mors[i]) for i in idxs]
-        block_mats[key] = Mat.from_rows(rows, f, ncols=len(rows[0])).transpose()
+        block_mats[key] = Mat.from_rows(rows, ncols=len(rows[0])).transpose()
     mult = {}
     for x, hx in enumerate(basis_mors):
         for y, hy in enumerate(basis_mors):
@@ -651,7 +646,7 @@ def auslander_algebra(alg: Algebra, summands):
             out = {blocks[key][k]: c for k, c in enumerate(sol) if c}
             if out:
                 mult[(x, y)] = out
-    gamma = Algebra(f, list(range(nsum)), basis_meta, mult, name=f"End({alg.name})")
+    gamma = Algebra(list(range(nsum)), basis_meta, mult, name=f"End({alg.name})")
     gamma.check_associativity()
     return gamma
 
@@ -660,13 +655,12 @@ def recover_presentation(alg: Algebra, max_degree=None):
     """Quiver-and-relations presentation of a based algebra: arrows are a
     basis of rad/rad^2, relations are a minimal generating set of the
     kernel of the path-algebra surjection, found degree by degree."""
-    f = alg.field
     gens = alg.generators()
     arrows = [(f"g{k}", alg.basis[g].src, alg.basis[g].tgt) for k, g in enumerate(gens)]
     if max_degree is None:
         max_degree = alg.dim + 1
     # words[d]: list of (tuple of generator positions, image element)
-    words = {1: [((k,), {g: f.one()}) for k, g in enumerate(gens)]}
+    words = {1: [((k,), {g: 1}) for k, g in enumerate(gens)]}
     # relations per degree: coefficient vectors over the degree-d words
     relations = {}
     minimal = []
@@ -678,7 +672,7 @@ def recover_presentation(alg: Algebra, max_degree=None):
             for k, g in enumerate(gens):
                 if alg.basis[g].src != alg.basis[last].tgt:
                     continue
-                new_img = alg.mul_elt({g: f.one()}, img)
+                new_img = alg.mul_elt({g: 1}, img)
                 cur.append((w + (k,), new_img))
                 parents[w + (k,)] = (w, k)
         if not cur:
@@ -687,11 +681,11 @@ def recover_presentation(alg: Algebra, max_degree=None):
         index = {w: i for i, (w, _) in enumerate(cur)}
         rows = []
         for w, img in cur:
-            vec = [f.zero()] * alg.dim
+            vec = [0] * alg.dim
             for i, c in img.items():
                 vec[i] = c
             rows.append(vec)
-        mat = Mat.from_rows(rows, f, ncols=alg.dim).transpose()
+        mat = Mat.from_rows(rows, ncols=alg.dim).transpose()
         ker = mat.kernel_basis()
         if not ker:
             continue
@@ -704,8 +698,8 @@ def recover_presentation(alg: Algebra, max_degree=None):
                 # rel is a vector over words of degree dprime; extend by
                 # any word on either side to reach degree d
                 for wext, _ in words.get(d - dprime, []):
-                    left = [f.zero()] * len(cur)
-                    right = [f.zero()] * len(cur)
+                    left = [0] * len(cur)
+                    right = [0] * len(cur)
                     okl = okr = False
                     for wi, c in enumerate(rel):
                         if not c:
@@ -724,7 +718,7 @@ def recover_presentation(alg: Algebra, max_degree=None):
                     if okr:
                         cons.append(right)
         relations[d] = ker
-        for vec in (ker[i] for i in independent_subset(cons, ker, f)):
+        for vec in (ker[i] for i in independent_subset(cons, ker)):
             terms = [(c, tuple(f"g{k}" for k in cur[wi][0]))
                      for wi, c in enumerate(vec) if c]
             minimal.append({"degree": d, "terms": terms})

@@ -232,15 +232,11 @@ def _gamma_relations(q: TypeAQuiver, quiver=None):
     return rels
 
 
-def gamma_algebra(q: TypeAQuiver, field=None, name=None):
+def gamma_algebra(q: TypeAQuiver, name=None):
     """The mesh-type algebra of the cyclic type-A quiver: consecutive
     steps in two directions commute when both routes exist and vanish
     otherwise."""
-    kwargs = {}
-    if field is not None:
-        kwargs["field"] = field
-    g = build_algebra(q.quiver, _gamma_relations(q),
-                      name=name or f"Gamma({q.n},{q.s})", **kwargs)
+    g = build_algebra(q.quiver, _gamma_relations(q), name=name or f"Gamma({q.n},{q.s})")
     g.type_a = q
     return g
 
@@ -278,7 +274,7 @@ def omega_on_cuts(q: TypeAQuiver, c):
     return frozenset(q.omega_arrow(a) for a in c)
 
 
-def cut_algebra(q: TypeAQuiver, c, field=None, name=None):
+def cut_algebra(q: TypeAQuiver, c, name=None):
     """The quotient of the mesh-type algebra by the arrows of the cut,
     presented on the subquiver without those arrows."""
     c = frozenset(c)
@@ -295,10 +291,7 @@ def cut_algebra(q: TypeAQuiver, c, field=None, name=None):
             continue
         paths = [Path(sub, p.start, p.labels) for _, p in kept]
         rels.append(Relation(list(zip((coeff for coeff, _ in kept), paths))))
-    kwargs = {}
-    if field is not None:
-        kwargs["field"] = field
-    a = build_algebra(sub, rels, name=name or f"Lambda({q.n},{q.s})", **kwargs)
+    a = build_algebra(sub, rels, name=name or f"Lambda({q.n},{q.s})")
     a.type_a = q
     a.cut = c
     return a

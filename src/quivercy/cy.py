@@ -287,7 +287,6 @@ def tensor_complex_over_base(C: PerfComplex, D: PerfComplex, alg, E):
     algebra basis element from u2 to v.
     """
     a, aop, pair_index = E.tensor_info
-    f = alg.field
     idem = alg.idem
     mid = {}
     for u in alg.vertices:
@@ -311,7 +310,7 @@ def tensor_complex_over_base(C: PerfComplex, D: PerfComplex, alg, E):
             pos[(k, ent)] = c
 
     def add_elt(entry, eidx, coeff):
-        cur = entry.get(eidx, f.zero()) + coeff
+        cur = entry.get(eidx, 0) + coeff
         if cur:
             entry[eidx] = cur
         elif eidx in entry:
@@ -344,7 +343,7 @@ def tensor_complex_over_base(C: PerfComplex, D: PerfComplex, alg, E):
             # second-factor differential, degree q -> q+1, sign (-1)^p
             em2 = D.diffs.get(q)
             if em2 is not None:
-                sign = f.one() if p % 2 == 0 else -f.one()
+                sign = 1 if p % 2 == 0 else -1
                 for s2 in range(len(em2)):
                     elt = em2[s2][s]
                     if not elt:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from .algebra import Algebra, cached_opposite
 from .errors import CapExceeded
-from .linalg import Mat, kernel_units
+from .linalg import Mat, inv, kernel_units
 from .module import (
     Bimodule,
     Module,
@@ -79,7 +79,7 @@ def eltmat_compose(alg, g, f):
                 if fe and ge:
                     prod = alg.mul_elt(fe, ge)
                     for k, c in prod.items():
-                        v = acc.get(k, alg.field.zero()) + c
+                        v = acc.get(k, 0) + c
                         if v:
                             acc[k] = v
                         elif k in acc:
@@ -217,11 +217,10 @@ def homology_module(at: Module, f_in, f_out, name="H"):
         K, _, units = kernel(f_out)
     if f_in is None:
         return K
-    f = at.alg.field
     cols = {}
     for v, m in f_in.mats.items():
         if units is not None:
-            m = Mat(len(units[v]), m.cols, [m.a[u] for u in units[v]], f)
+            m = Mat(len(units[v]), m.cols, [m.a[u] for u in units[v]])
         cols[v] = m.transpose().a
     Q, _ = quotient(K, cols, name=name)
     return Q
@@ -238,12 +237,11 @@ def projective_cover(M: Module):
     by the rref of the radical span, so their unit vectors span a
     complement of rad M."""
     alg = M.alg
-    f = alg.field
     rad = radical_columns(M)
     verts = []
     lifts = []
     for v in alg.vertices:
-        _, pivots = Mat.from_rows(rad[v], f, ncols=M.dims[v]).rref()
+        _, pivots = Mat.from_rows(rad[v], ncols=M.dims[v]).rref()
         pivset = set(pivots)
         for j in range(M.dims[v]):
             if j not in pivset:
@@ -253,14 +251,14 @@ def projective_cover(M: Module):
     R = cached_regular_bimodule(alg)
     mats = {}
     for w in alg.vertices:
-        m = Mat.zero(M.dims[w], info.module.dims[w], f)
+        m = Mat.zero(M.dims[w], info.module.dims[w])
         for r, (v, j) in enumerate(zip(verts, lifts)):
             for c, bidx in enumerate(R.basis_indices.get((w, v), ()), info.offs[(r, w)]):
                 # column c is the image of basis element bidx of summand r:
                 # the unit vector itself for the idempotent, column j of the
                 # action otherwise, zero where bidx acts as 0
                 if alg.basis[bidx].degree == 0:
-                    m.a[j][c] = f.one()
+                    m.a[j][c] = 1
                 elif bidx in M.act:
                     for row, act_row in zip(m.a, M.act[bidx].a):
                         row[c] = act_row[j]
@@ -371,7 +369,6 @@ def _hom_cochain(res: Resolution, N: Module, top):
     summand at vertex u of term k is the block N e_u of space k.
     """
     alg = res.module.alg
-    f = alg.field
     spaces = []
     offsets = []
     for k in range(top + 1):
@@ -385,7 +382,7 @@ def _hom_cochain(res: Resolution, N: Module, top):
     deltas = []
     for k in range(top):
         em = res.eltmats.get(k + 1)
-        m = Mat.zero(spaces[k + 1], spaces[k], f)
+        m = Mat.zero(spaces[k + 1], spaces[k])
         if em is not None:
             # em rows run over term k, columns over term k+1; the entry
             # acts from N e_src to N e_tgt
@@ -430,10 +427,9 @@ def _col_sum_diff(X: Bimodule, em, srcmod, srcoffs, tgtmod, tgtoffs):
     the entries of an element matrix."""
     alg = X.left_alg
     basis = X.right_alg.basis
-    f = alg.field
     mats = {}
     for w in alg.vertices:
-        m = Mat.zero(tgtmod.dims[w], srcmod.dims[w], f)
+        m = Mat.zero(tgtmod.dims[w], srcmod.dims[w])
         for r, row in enumerate(em):
             r0 = tgtoffs[(r, w)]
             for s, elt in enumerate(row):
@@ -572,7 +568,6 @@ def to_projective_complex(C: ModComplex, cap=None):
         S = direct_sum([Ci, Pn_mod])
         tgt1 = C.term(i + 1)
         dC = C.diff(i)
-        f = alg.field
         mats = {}
         pi_next = pi.get(i + 1)
         dP_next = P_diffs.get(i + 1)
@@ -586,9 +581,9 @@ def to_projective_complex(C: ModComplex, cap=None):
         for v in alg.vertices:
             r1 = tgt1.dims[v]
             r2 = rows2[v]
-            m = Mat.zero(r1 + r2, S.dims[v], f)
-            blk_dc = dC.mats[v] if dC is not None else Mat.zero(r1, Ci.dims[v], f)
-            blk_pi = pi_next.mats[v] if pi_next is not None else Mat.zero(r1, Pn_mod.dims[v], f)
+            m = Mat.zero(r1 + r2, S.dims[v])
+            blk_dc = dC.mats[v] if dC is not None else Mat.zero(r1, Ci.dims[v])
+            blk_pi = pi_next.mats[v] if pi_next is not None else Mat.zero(r1, Pn_mod.dims[v])
             # assemble rows: [d_C, -pi_next] and [0, d_P_next]
             for r in range(r1):
                 for c in range(Ci.dims[v]):
@@ -612,7 +607,7 @@ def to_projective_complex(C: ModComplex, cap=None):
         # differential sends generator s to the P^{i+1} block of kernel
         # vector lifts[s], the image of its unit vector
         pi[i] = Morphism(info.module, Ci, {
-            v: Mat(Ci.dims[v], xinc.mats[v].cols, xinc.mats[v].a[:Ci.dims[v]], f) * cov.mats[v]
+            v: Mat(Ci.dims[v], xinc.mats[v].cols, xinc.mats[v].a[:Ci.dims[v]]) * cov.mats[v]
             for v in alg.vertices})
         P_infos[i] = info
         if Pnext is not None and Pnext.verts:
@@ -627,7 +622,6 @@ def to_projective_complex(C: ModComplex, cap=None):
 
 def _elt_inverse(alg, elt):
     """Inverse of an element e_v * (scalar + radical) * e_v."""
-    f = alg.field
     c0 = None
     vidx = None
     for k, c in elt.items():
@@ -636,24 +630,24 @@ def _elt_inverse(alg, elt):
             vidx = k
     if not c0:
         raise ValueError("element is not invertible")
-    inv_c0 = f.inv(c0)
+    inv_c0 = inv(c0)
     # rho = elt/c0 - e; inverse = (e - rho + rho^2 - ...) / c0
     rho = {}
     for k, c in elt.items():
         if k != vidx:
             rho[k] = -(c * inv_c0)
         else:
-            extra = c * inv_c0 - f.one()
+            extra = c * inv_c0 - 1
             if extra:
                 rho[k] = -extra
-    acc = {vidx: f.one()}
-    term = {vidx: f.one()}
+    acc = {vidx: 1}
+    term = {vidx: 1}
     while True:
         term = alg.mul_elt(term, rho)
         if not term:
             break
         for k, c in term.items():
-            v = acc.get(k, f.zero()) + c
+            v = acc.get(k, 0) + c
             if v:
                 acc[k] = v
             elif k in acc:
@@ -706,7 +700,7 @@ def minimize(P: PerfComplex):
                 for s2, x in left.items():
                     e = row[s2 if s2 < s else s2 - 1]
                     for k, c in alg.mul_elt(x, d[t][s]).items():
-                        v = e.get(k, alg.field.zero()) - c
+                        v = e.get(k, 0) - c
                         if v:
                             e[k] = v
                         elif k in e:
@@ -766,18 +760,17 @@ def _chain_map_space(P: PerfComplex, Q: PerfComplex, shift=0):
 def _apply_chain_condition(alg, P, Q, coords, vec, shift=0):
     """L(f) = d_Q∘f - (-1)^shift f∘d_P as a dict keyed by (i, t, s, bidx)
     living in degree shift+1 map space."""
-    f = alg.field
     bydeg = {}
     for (i, r, s, bidx), c in zip(coords, vec):
         if c:
-            bydeg.setdefault(i, {}).setdefault((r, s), {}).setdefault(bidx, f.zero())
+            bydeg.setdefault(i, {}).setdefault((r, s), {}).setdefault(bidx, 0)
             bydeg[i][(r, s)][bidx] += c
     out = {}
 
     def add(i, t, s, elt, sign=1):
         for k, c in elt.items():
             key = (i, t, s, k)
-            v = out.get(key, f.zero()) + (c if sign > 0 else -c)
+            v = out.get(key, 0) + (c if sign > 0 else -c)
             if v:
                 out[key] = v
             elif key in out:
@@ -809,7 +802,6 @@ def hom_in_D_dim(P: PerfComplex, Q: PerfComplex):
     """dim Hom of the derived category: degree-0 chain maps between
     complexes of projectives modulo null-homotopies."""
     alg = P.alg
-    f = alg.field
     coords0 = _chain_map_space(P, Q, 0)
     coords1 = _chain_map_space(P, Q, 1)
     coordsm1 = _chain_map_space(P, Q, -1)
@@ -819,25 +811,25 @@ def hom_in_D_dim(P: PerfComplex, Q: PerfComplex):
         return 0
     rows_L = []
     for j in range(n0):
-        vec = [f.zero()] * n0
-        vec[j] = f.one()
+        vec = [0] * n0
+        vec[j] = 1
         img = _apply_chain_condition(alg, P, Q, coords0, vec, 0)
-        col = [f.zero()] * len(coords1)
+        col = [0] * len(coords1)
         for key, c in img.items():
             col[idx1[key]] = c
         rows_L.append(col)
-    L = Mat.from_rows(rows_L, f, ncols=len(coords1)).transpose()
+    L = Mat.from_rows(rows_L, ncols=len(coords1)).transpose()
     ker_dim = n0 - L.rank() if L.rows else n0
     # boundaries: h |-> d_Q∘h + h∘d_P
     idx0 = {key: k for k, key in enumerate(coords0)}
     rows_B = []
     for j in range(len(coordsm1)):
-        vec = [f.zero()] * len(coordsm1)
-        vec[j] = f.one()
+        vec = [0] * len(coordsm1)
+        vec[j] = 1
         img = _apply_chain_condition(alg, P, Q, coordsm1, vec, -1)
-        col = [f.zero()] * n0
+        col = [0] * n0
         for key, c in img.items():
             col[idx0[key]] = c
         rows_B.append(col)
-    rank_B = Mat.from_rows(rows_B, f, ncols=n0).rank() if rows_B else 0
+    rank_B = Mat.from_rows(rows_B, ncols=n0).rank() if rows_B else 0
     return ker_dim - rank_B

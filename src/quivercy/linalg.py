@@ -4,12 +4,14 @@ Everything downstream (algebra bases, Hom spaces, resolutions) reduces to
 rank/kernel/solve on dense matrices.  Kernel and span bases are rref
 bases, so each vector has a unit coordinate where the others are zero,
 and coordinates in them are read off there instead of solved for.
-Scalars are integer-first: an integral value is a Python int, and a
-rational `_mpq` (gmpy2 `mpq` when available, else `fractions.Fraction`)
-is built only when a division leaves Z.  Python mixes int and Fraction
-exactly (sums, products, `==` and `hash` agree), so only division needs
-care: it goes through `QQ.inv`, because int / int would be a float.
-No floating point anywhere.
+Q is the only ground field, so scalars are plain numbers and no field
+object is stored or passed.  They are integer-first: an integral value
+is a Python int, and a rational `_mpq` (gmpy2 `mpq` when available, else
+`fractions.Fraction`) is built only when a division leaves Z, by
+`rational` or `inv`.  Python mixes int and Fraction exactly (sums,
+products, `==` and `hash` agree), so only division needs care: it goes
+through `inv`, because int / int would be a float.  No floating point
+anywhere.
 """
 
 from __future__ import annotations
@@ -24,72 +26,48 @@ except ImportError:  # pragma: no cover
 _ONE = _mpq(1)
 
 
-class RationalField:
-    """The field Q.  A scalar is an int when it is integral so far, else
-    an `_mpq`.  An `_mpq` is never turned back into an int, so an
-    integral value may be either; both compare and hash alike."""
-
-    name = "Q"
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
-    def of(self, num, den=1):
-        if num % den == 0:
-            return num // den
-        return _mpq(num, den)
-
-    def inv(self, x):
-        """1 / x, which stays an int for the units +-1 of Z."""
-        if x == 1 or x == -1:
-            return x
-        return _ONE / x
-
-    def __repr__(self):
-        return "QQ"
-
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("QQ")
+def rational(num, den=1):
+    """num / den as a scalar: an int when den divides num, else an `_mpq`.
+    An `_mpq` is never turned back into an int, so an integral value may
+    be either; both compare and hash alike."""
+    if num % den == 0:
+        return num // den
+    return _mpq(num, den)
 
 
-QQ = RationalField()
+def inv(x):
+    """1 / x, which stays an int for the units +-1 of Z."""
+    if x == 1 or x == -1:
+        return x
+    return _ONE / x
 
 
 class Mat:
-    """Dense matrix over an exact field.  Treated as immutable after build."""
+    """Dense matrix over Q.  Treated as immutable after build."""
 
-    __slots__ = ("rows", "cols", "a", "field")
+    __slots__ = ("rows", "cols", "a")
 
-    def __init__(self, rows, cols, a, field=QQ):
+    def __init__(self, rows, cols, a):
         self.rows = rows
         self.cols = cols
         self.a = a  # list of row lists
-        self.field = field
 
     @staticmethod
-    def zero(rows, cols, field=QQ):
-        z = field.zero()
-        return Mat(rows, cols, [[z] * cols for _ in range(rows)], field)
+    def zero(rows, cols):
+        return Mat(rows, cols, [[0] * cols for _ in range(rows)])
 
     @staticmethod
-    def identity(n, field=QQ):
-        z, o = field.zero(), field.one()
-        return Mat(n, n, [[o if i == j else z for j in range(n)] for i in range(n)], field)
+    def identity(n):
+        return Mat(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @staticmethod
-    def from_rows(rows, field=QQ, ncols=None):
+    def from_rows(rows, ncols=None):
         rows = [list(r) for r in rows]
         if rows:
             ncols = len(rows[0])
         elif ncols is None:
             ncols = 0
-        return Mat(len(rows), ncols, rows, field)
+        return Mat(len(rows), ncols, rows)
 
     def __eq__(self, other):
         return (
@@ -110,7 +88,6 @@ class Mat:
             self.rows,
             self.cols,
             [[x + y for x, y in zip(r, s)] for r, s in zip(self.a, other.a)],
-            self.field,
         )
 
     def __sub__(self, other):
@@ -118,38 +95,35 @@ class Mat:
             self.rows,
             self.cols,
             [[x - y for x, y in zip(r, s)] for r, s in zip(self.a, other.a)],
-            self.field,
         )
 
     def __neg__(self):
-        return Mat(self.rows, self.cols, [[-x for x in r] for r in self.a], self.field)
+        return Mat(self.rows, self.cols, [[-x for x in r] for r in self.a])
 
     def scale(self, c):
-        return Mat(self.rows, self.cols, [[c * x for x in r] for r in self.a], self.field)
+        return Mat(self.rows, self.cols, [[c * x for x in r] for r in self.a])
 
     def __mul__(self, other):
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
-        z = self.field.zero()
         out = []
         for r in self.a:
             nz = [(j, x) for j, x in enumerate(r) if x]
-            row = [z] * other.cols
+            row = [0] * other.cols
             for j, x in nz:
                 br = other.a[j]
                 for k, y in enumerate(br):
                     if y:
                         row[k] = row[k] + x * y
             out.append(row)
-        return Mat(self.rows, other.cols, out, self.field)
+        return Mat(self.rows, other.cols, out)
 
     def apply(self, vec):
         """Matrix times column vector (list)."""
         nz = [(j, y) for j, y in enumerate(vec) if y]
-        z = self.field.zero()
         out = []
         for r in self.a:
-            s = z
+            s = 0
             for j, y in nz:
                 x = r[j]
                 if x:
@@ -159,18 +133,15 @@ class Mat:
 
     def transpose(self):
         if self.rows == 0:
-            return Mat(self.cols, 0, [[] for _ in range(self.cols)], self.field)
-        return Mat(self.cols, self.rows, [list(r) for r in zip(*self.a)], self.field)
+            return Mat(self.cols, 0, [[] for _ in range(self.cols)])
+        return Mat(self.cols, self.rows, [list(r) for r in zip(*self.a)])
 
     @staticmethod
-    def block_diag(mats, field=QQ):
+    def block_diag(mats):
         mats = list(mats)
-        if not mats:
-            return Mat.zero(0, 0, field)
-        field = mats[0].field
         R = sum(m.rows for m in mats)
         C = sum(m.cols for m in mats)
-        out = Mat.zero(R, C, field)
+        out = Mat.zero(R, C)
         r0 = c0 = 0
         for m in mats:
             for i in range(m.rows):
@@ -180,8 +151,7 @@ class Mat:
         return out
 
     def kron(self, other):
-        f = self.field
-        out = Mat.zero(self.rows * other.rows, self.cols * other.cols, f)
+        out = Mat.zero(self.rows * other.rows, self.cols * other.cols)
         for i in range(self.rows):
             for j in range(self.cols):
                 x = self.a[i][j]
@@ -211,7 +181,6 @@ class Mat:
         m, n = self.rows, self.cols
         pivots = []
         r = 0
-        one = self.field.one()
         for c in range(n):
             if r >= m:
                 break
@@ -222,21 +191,21 @@ class Mat:
                 if x:
                     if piv < 0:
                         piv = i
-                    if x == one or x == -one:
+                    if x == 1 or x == -1:
                         piv = i
                         break
             if piv < 0:
                 continue
             a[r], a[piv] = a[piv], a[r]
             prow = a[r]
-            inv = self.field.inv(prow[c])
+            pinv = inv(prow[c])
             # the pivot row is zero left of c; its nonzeros are found once,
             # and only when it is scaled or clears another row
             nz = None
-            if inv != one:
+            if pinv != 1:
                 nz = [j for j in range(c, n) if prow[j]]
                 for j in nz:
-                    prow[j] = inv * prow[j]
+                    prow[j] = pinv * prow[j]
             for i in range(m):
                 if i != r and a[i][c]:
                     if nz is None:
@@ -247,7 +216,7 @@ class Mat:
                         arow[j] = arow[j] - f * prow[j]
             pivots.append(c)
             r += 1
-        return Mat(m, n, a, self.field), pivots
+        return Mat(m, n, a), pivots
 
     def rank(self):
         return len(self.rref()[1])
@@ -259,11 +228,10 @@ class Mat:
         R, pivots = self.rref()
         pivset = set(pivots)
         free = [j for j in range(self.cols) if j not in pivset]
-        z, one = self.field.zero(), self.field.one()
         basis = []
         for j in free:
-            v = [z] * self.cols
-            v[j] = one
+            v = [0] * self.cols
+            v[j] = 1
             for i, pc in enumerate(pivots):
                 v[pc] = -R.a[i][j]
             basis.append(v)
@@ -271,12 +239,11 @@ class Mat:
 
     def solve(self, b):
         """Some x with self * x = b, or None if inconsistent."""
-        aug = Mat(self.rows, self.cols + 1, [r[:] + [y] for r, y in zip(self.a, b)], self.field)
+        aug = Mat(self.rows, self.cols + 1, [r[:] + [y] for r, y in zip(self.a, b)])
         R, pivots = aug.rref()
         if self.cols in pivots:
             return None
-        z = self.field.zero()
-        x = [z] * self.cols
+        x = [0] * self.cols
         for i, pc in enumerate(pivots):
             x[pc] = R.a[i][self.cols]
         return x
@@ -288,12 +255,12 @@ class Mat:
         return f"Mat({self.rows}x{self.cols})"
 
 
-def span_basis(vectors, field=QQ):
+def span_basis(vectors):
     """Reduce a list of coordinate vectors to an rref basis of their span."""
     vectors = [v for v in vectors if any(v)]
     if not vectors:
         return []
-    M = Mat.from_rows(vectors, field)
+    M = Mat.from_rows(vectors)
     R, pivots = M.rref()
     return [R.a[i] for i in range(len(pivots))]
 
@@ -305,7 +272,7 @@ def kernel_units(basis):
     return [max(j for j, x in enumerate(v) if x) for v in basis]
 
 
-def independent_subset(span, candidates, field=QQ):
+def independent_subset(span, candidates):
     """Indices of the candidates that a greedy scan keeps: those outside
     the row span of `span` and of the candidates kept before them.  They
     are the pivot columns past `span` of the rref of the matrix whose
@@ -313,7 +280,7 @@ def independent_subset(span, candidates, field=QQ):
     rows = list(span) + list(candidates)
     if not rows:
         return []
-    _, pivots = Mat.from_rows(rows, field).transpose().rref()
+    _, pivots = Mat.from_rows(rows).transpose().rref()
     k = len(span)
     return [p - k for p in pivots if p >= k]
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .algebra import Algebra, opposite, enveloping
 from .errors import NotAHomomorphism, UNDECIDED
-from .linalg import Mat, kernel_units, span_basis
+from .linalg import Mat, kernel_units, rational, span_basis
 
 
 class Module:
@@ -28,8 +28,8 @@ class Module:
             return m
         b = self.alg.basis[i]
         if b.degree == 0:
-            return Mat.identity(self.dims[b.src], self.alg.field)
-        return Mat.zero(self.dims[b.tgt], self.dims[b.src], self.alg.field)
+            return Mat.identity(self.dims[b.src])
+        return Mat.zero(self.dims[b.tgt], self.dims[b.src])
 
     @property
     def total_dim(self):
@@ -43,7 +43,6 @@ class Module:
 
     def check(self):
         """Verify the module axioms on the multiplication table."""
-        f = self.alg.field
         for i, b in enumerate(self.alg.basis):
             m = self.act_mat(i)
             if m.rows != self.dims[b.tgt] or m.cols != self.dims[b.src]:
@@ -53,7 +52,7 @@ class Module:
             if bi.src != bj.tgt:
                 continue
             lhs = self.act_mat(i) * self.act_mat(j)
-            rhs = Mat.zero(lhs.rows, lhs.cols, f)
+            rhs = Mat.zero(lhs.rows, lhs.cols)
             for k, c in prod.items():
                 rhs = rhs + self.act_mat(k).scale(c)
             if lhs != rhs:
@@ -134,7 +133,6 @@ def column_sum(X, verts, name=None):
         dims = {w: X.dims[(w, u)] for w in alg.vertices}
         act = {i: X.lact[(i, u)] for i in range(alg.dim) if (i, u) in X.lact}
         return Module(alg, dims, act, name=name), {(0, w): 0 for w in alg.vertices}
-    f = alg.field
     offs = {}
     dims = {}
     for w in alg.vertices:
@@ -153,7 +151,7 @@ def column_sum(X, verts, name=None):
             if blk is None:
                 continue
             if m is None:
-                m = act[i] = Mat.zero(dims[b.tgt], dims[b.src], f)
+                m = act[i] = Mat.zero(dims[b.tgt], dims[b.src])
             r0, c0 = offs[(r, b.tgt)], offs[(r, b.src)]
             for x in range(blk.rows):
                 m.a[r0 + x][c0 : c0 + blk.cols] = blk.a[x][:]
@@ -176,7 +174,7 @@ def direct_sum(mods, name=None):
     keys = set()
     for m in mods:
         keys.update(m.act)
-    act = {i: Mat.block_diag([m.act_mat(i) for m in mods], alg.field) for i in keys}
+    act = {i: Mat.block_diag([m.act_mat(i) for m in mods]) for i in keys}
     return Module(alg, dims, act, name=name or "(+)".join(m.name for m in mods))
 
 
@@ -186,14 +184,13 @@ def _sub_from_columns(N: Module, cols_by_vertex, units, name="sub"):
     column is 0 there.  Restricted to those rows the inclusion is the
     identity, so the action of b is rows units[tgt b] of N's action times
     the inclusion at src b.  Returns (sub, inclusion)."""
-    f = N.alg.field
-    inc = {v: Mat(len(cols_by_vertex[v]), N.dims[v], cols_by_vertex[v], f).transpose()
+    inc = {v: Mat(len(cols_by_vertex[v]), N.dims[v], cols_by_vertex[v]).transpose()
            for v in N.alg.vertices}
     act = {}
     for i, m in N.act.items():
         b = N.alg.basis[i]
         rows = [m.a[u] for u in units[b.tgt]]
-        act[i] = Mat(len(rows), m.cols, rows, f) * inc[b.src]
+        act[i] = Mat(len(rows), m.cols, rows) * inc[b.src]
     S = Module(N.alg, {v: inc[v].cols for v in N.alg.vertices}, act, name=name)
     return S, Morphism(S, N, inc)
 
@@ -209,34 +206,33 @@ def kernel(fm: Morphism, name=None):
     return K, inc, units
 
 
-def _quotient_maps(vectors, n, f):
+def _quotient_maps(vectors, n):
     """Projection from k^n onto its quotient by the span of the vectors,
     and a section of it, in the coordinates left free by the rref of the
     span."""
-    R, pivots = Mat.from_rows([v for v in vectors if any(v)], f, ncols=n).rref()
+    R, pivots = Mat.from_rows([v for v in vectors if any(v)], ncols=n).rref()
     pivset = set(pivots)
     free = [j for j in range(n) if j not in pivset]
-    p = Mat.zero(len(free), n, f)
+    p = Mat.zero(len(free), n)
     for r, j in enumerate(free):
-        p.a[r][j] = f.one()
+        p.a[r][j] = 1
     for i, pc in enumerate(pivots):
         for r, j in enumerate(free):
             if R.a[i][j]:
                 p.a[r][pc] = -R.a[i][j]
-    s = Mat.zero(n, len(free), f)
+    s = Mat.zero(n, len(free))
     for r, j in enumerate(free):
-        s.a[j][r] = f.one()
+        s.a[j][r] = 1
     return p, s
 
 
 def quotient(N: Module, cols_by_vertex, name="quot"):
     """Quotient of N by the invariant subspace spanned by the given column
     vectors.  Returns (Q, projection)."""
-    f = N.alg.field
     proj = {}
     sect = {}
     for v in N.alg.vertices:
-        proj[v], sect[v] = _quotient_maps(cols_by_vertex.get(v, []), N.dims[v], f)
+        proj[v], sect[v] = _quotient_maps(cols_by_vertex.get(v, []), N.dims[v])
     dims = {v: proj[v].rows for v in N.alg.vertices}
     act = {}
     for i in list(N.act):
@@ -259,7 +255,7 @@ def radical_columns(M: Module):
 
 def radical_submodule(M: Module):
     """rad M = (radical of the algebra) . M, with its inclusion."""
-    cols = {v: span_basis(c, M.alg.field) for v, c in radical_columns(M).items()}
+    cols = {v: span_basis(c) for v, c in radical_columns(M).items()}
     # the unit coordinate of an rref row is its pivot, its first nonzero entry
     units = {v: [next(j for j, x in enumerate(row) if x) for row in c] for v, c in cols.items()}
     return _sub_from_columns(M, cols, units, name=f"rad({M.name})")
@@ -272,14 +268,12 @@ def top_of(M: Module):
 
 def top_dim_vector(M: Module):
     """Dimension vector of top M = M / rad M, without building the quotient."""
-    f = M.alg.field
     cols = radical_columns(M)
-    return tuple(M.dims[v] - Mat.from_rows(cols[v], f).rank() for v in M.alg.vertices)
+    return tuple(M.dims[v] - Mat.from_rows(cols[v]).rank() for v in M.alg.vertices)
 
 
 def socle_vertices(M: Module):
     """Dimension of the socle at each vertex (vectors killed by the radical)."""
-    f = M.alg.field
     out = {}
     for v in M.alg.vertices:
         rows = []
@@ -289,7 +283,7 @@ def socle_vertices(M: Module):
                 continue
             rows.extend(M.act_mat(g).a)
         if rows:
-            out[v] = len(Mat.from_rows(rows, f, ncols=M.dims[v]).kernel_basis())
+            out[v] = len(Mat.from_rows(rows, ncols=M.dims[v]).kernel_basis())
         else:
             out[v] = M.dims[v]
     return out
@@ -298,7 +292,6 @@ def socle_vertices(M: Module):
 def hom(M: Module, N: Module):
     """Basis of Hom(M, N) as a list of Morphisms."""
     alg = M.alg
-    f = alg.field
     verts = alg.vertices
     off = {}
     n = 0
@@ -315,7 +308,7 @@ def hom(M: Module, N: Module):
         MA = M.act_mat(g)
         for r in range(N.dims[w]):
             for c in range(M.dims[u]):
-                row = [f.zero()] * n
+                row = [0] * n
                 for k in range(N.dims[u]):
                     if NA.a[r][k]:
                         row[off[u] + k * M.dims[u] + c] += NA.a[r][k]
@@ -324,12 +317,12 @@ def hom(M: Module, N: Module):
                         row[off[w] + r * M.dims[w] + k] -= MA.a[k][c]
                 if any(row):
                     rows.append(row)
-    kb = Mat.from_rows(rows, f, ncols=n).kernel_basis()
+    kb = Mat.from_rows(rows, ncols=n).kernel_basis()
     out = []
     for vec in kb:
         mats = {}
         for v in verts:
-            m = Mat.zero(N.dims[v], M.dims[v], f)
+            m = Mat.zero(N.dims[v], M.dims[v])
             for r in range(N.dims[v]):
                 for c in range(M.dims[v]):
                     m.a[r][c] = vec[off[v] + r * M.dims[v] + c]
@@ -344,10 +337,9 @@ def hom_dim(M: Module, N: Module):
 
 def _weighted_sum(H):
     """The fixed combination sum over k of (k+1) h_k."""
-    f = H[0].src.alg.field
     out = H[0]
     for k, h in enumerate(H[1:], start=2):
-        out = out.add(h.scale(f.of(k)))
+        out = out.add(h.scale(k))
     return out
 
 
@@ -361,7 +353,6 @@ def _trace_rank(F, G):
     if not F or not G:
         return 0
     X, Y = F[0].src, F[0].tgt
-    f = X.alg.field
     # tr(g f) = sum_v sum_{a,b} g_v[a][b] f_v[b][a], a over X, b over Y
     coords = [(v, a, b) for v in X.alg.vertices
               for a in range(X.dims[v]) for b in range(Y.dims[v])]
@@ -370,8 +361,8 @@ def _trace_rank(F, G):
         entries = ((k, fm.mats[v].a[b][a]) for k, (v, a, b) in enumerate(coords))
         fs.append([(k, x) for k, x in entries if x])
     gs = [[g.mats[v].a[a][b] for v, a, b in coords] for g in G]
-    gram = [[sum((x * g[k] for k, x in fe), f.zero()) for g in gs] for fe in fs]
-    return Mat.from_rows(gram, f).rank()
+    gram = [[sum(x * g[k] for k, x in fe) for g in gs] for fe in fs]
+    return Mat.from_rows(gram).rank()
 
 
 def is_isomorphic(M: Module, N: Module):
@@ -394,23 +385,23 @@ def is_isomorphic(M: Module, N: Module):
     return _trace_rank(EM, EM) + _trace_rank(EN, EN) == 2 * _trace_rank(H, hom(N, M))
 
 
-def _min_poly(blocks, f):
+def _min_poly(blocks):
     """Minimal polynomial (coeff list, low degree first, monic) of the
     block-diagonal endomorphism given per-vertex square matrices."""
-    big = Mat.block_diag([b for b in blocks if b.rows], f)
+    big = Mat.block_diag([b for b in blocks if b.rows])
     n = big.rows
     if n == 0:
-        return [f.one()]
+        return [1]
     # Krylov on the flattened powers
-    powers = [Mat.identity(n, f)]
+    powers = [Mat.identity(n)]
     vecs = [[x for row in powers[0].a for x in row]]
     while True:
         nxt = powers[-1] * big
         v = [x for row in nxt.a for x in row]
-        A = Mat.from_rows(vecs, f).transpose()
+        A = Mat.from_rows(vecs).transpose()
         sol = A.solve(v)
         if sol is not None:
-            coeffs = [-c for c in sol] + [f.one()]
+            coeffs = [-c for c in sol] + [1]
             return coeffs
         powers.append(nxt)
         vecs.append(v)
@@ -435,15 +426,14 @@ def _poly_of_morphism(fm: Morphism, coeffs):
     import sympy
 
     alg = fm.src.alg
-    fl = alg.field
     mats = {}
     for v in alg.vertices:
         m = fm.mats[v]
-        acc = Mat.zero(m.rows, m.rows, fl)
-        pw = Mat.identity(m.rows, fl)
+        acc = Mat.zero(m.rows, m.rows)
+        pw = Mat.identity(m.rows)
         for c in coeffs:
             if c:
-                acc = acc + pw.scale(fl.of(int(sympy.numer(c)), int(sympy.denom(c))))
+                acc = acc + pw.scale(rational(int(sympy.numer(c)), int(sympy.denom(c))))
             pw = pw * m
         mats[v] = acc
     return Morphism(fm.src, fm.src, mats)
@@ -468,7 +458,7 @@ def decompose(M: Module):
         return [M], True
     for fm in E + [_weighted_sum(E)]:
         blocks = [fm.mats[v] for v in M.alg.vertices]
-        mp = _min_poly(blocks, M.alg.field)
+        mp = _min_poly(blocks)
         facs = _factor_poly(mp)
         if len(facs) < 2:
             continue
@@ -527,8 +517,8 @@ class Bimodule:
             return m
         b = self.left_alg.basis[i]
         if b.degree == 0:
-            return Mat.identity(self.dims[(b.src, v)], self.left_alg.field)
-        return Mat.zero(self.dims[(b.tgt, v)], self.dims[(b.src, v)], self.left_alg.field)
+            return Mat.identity(self.dims[(b.src, v)])
+        return Mat.zero(self.dims[(b.tgt, v)], self.dims[(b.src, v)])
 
     def ract_mat(self, u, j):
         m = self.ract.get((u, j))
@@ -536,8 +526,8 @@ class Bimodule:
             return m
         b = self.right_alg.basis[j]
         if b.degree == 0:
-            return Mat.identity(self.dims[(u, b.src)], self.right_alg.field)
-        return Mat.zero(self.dims[(u, b.src)], self.dims[(u, b.tgt)], self.right_alg.field)
+            return Mat.identity(self.dims[(u, b.src)])
+        return Mat.zero(self.dims[(u, b.src)], self.dims[(u, b.tgt)])
 
     @property
     def total_dim(self):
@@ -561,7 +551,6 @@ def regular_bimodule(alg: Algebra, name=None):
         for c, i in enumerate(lst):
             pos[i] = c
     dims = {pair: len(lst) for pair, lst in by_pair.items()}
-    f = alg.field
     lact, ract = {}, {}
     # b_j * b_i fills column pos[i] of the left action of b_j and column
     # pos[j] of the right action of b_i
@@ -570,13 +559,13 @@ def regular_bimodule(alg: Algebra, name=None):
         if bj.degree:
             m = lact.get((j, bi.src))
             if m is None:
-                m = lact[(j, bi.src)] = Mat.zero(dims[(bj.tgt, bi.src)], dims[(bj.src, bi.src)], f)
+                m = lact[(j, bi.src)] = Mat.zero(dims[(bj.tgt, bi.src)], dims[(bj.src, bi.src)])
             for k, c in prod.items():
                 m.a[pos[k]][pos[i]] = c
         if bi.degree:
             m = ract.get((bj.tgt, i))
             if m is None:
-                m = ract[(bj.tgt, i)] = Mat.zero(dims[(bj.tgt, bi.src)], dims[(bj.tgt, bi.tgt)], f)
+                m = ract[(bj.tgt, i)] = Mat.zero(dims[(bj.tgt, bi.src)], dims[(bj.tgt, bi.tgt)])
             for k, c in prod.items():
                 m.a[pos[k]][pos[j]] = c
     X = Bimodule(alg, alg, dims, lact, ract, name=name or "reg")
@@ -608,7 +597,6 @@ def tensor_bimod_bimod(T: Bimodule, S: Bimodule, name=None):
     """T tensor_B S for an (A, B)-bimodule T and a (B, C)-bimodule S,
     giving an (A, C)-bimodule."""
     A, B, C = T.left_alg, T.right_alg, S.right_alg
-    f = A.field
     offs = {}
     wdims = {}
     for u in A.vertices:
@@ -630,7 +618,7 @@ def tensor_bimod_bimod(T: Bimodule, S: Bimodule, name=None):
                 dss = S.dims[(s, w)]
                 for a in range(dts):
                     for b in range(dss):
-                        row = [f.zero()] * wdims[(u, w)]
+                        row = [0] * wdims[(u, w)]
                         for c in range(T.dims[(u, s)]):
                             if rg.a[c][a]:
                                 row[offs[(u, s, w)] + c * dss + b] += rg.a[c][a]
@@ -639,14 +627,14 @@ def tensor_bimod_bimod(T: Bimodule, S: Bimodule, name=None):
                                 row[offs[(u, t, w)] + a * S.dims[(t, w)] + d] -= lg.a[d][b]
                         if any(row):
                             rel_rows[(u, w)].append(row)
-    ps = {k: _quotient_maps(rel_rows[k], n, f) for k, n in wdims.items()}
+    ps = {k: _quotient_maps(rel_rows[k], n) for k, n in wdims.items()}
     dims = {k: ps[k][0].rows for k in wdims}
     lact, ract = {}, {}
     for i, bi in enumerate(A.basis):
         if bi.degree == 0:
             continue
         for w in C.vertices:
-            m = Mat.zero(wdims[(bi.tgt, w)], wdims[(bi.src, w)], f)
+            m = Mat.zero(wdims[(bi.tgt, w)], wdims[(bi.src, w)])
             nonzero = False
             for v in B.vertices:
                 la = T.lact.get((i, v))
@@ -670,7 +658,7 @@ def tensor_bimod_bimod(T: Bimodule, S: Bimodule, name=None):
             continue
         for u in A.vertices:
             # right action by bj on the S factor: S[(v,tgt)] -> S[(v,src)]
-            m = Mat.zero(wdims[(u, bj.src)], wdims[(u, bj.tgt)], f)
+            m = Mat.zero(wdims[(u, bj.src)], wdims[(u, bj.tgt)])
             nonzero = False
             for v in B.vertices:
                 ra = S.ract.get((v, j))
@@ -702,7 +690,6 @@ def bimodule_to_env_module(X: Bimodule, env=None):
     A = X.left_alg
     E = env or enveloping(A)
     _, _, pair_index = E.tensor_info
-    f = A.field
     dims = {}
     for (u, v) in E.vertices:
         dims[(u, v)] = X.dims[(u, v)]

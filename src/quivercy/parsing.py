@@ -17,7 +17,7 @@ A word like ``a*b`` is the path that follows a first and then b.
 from __future__ import annotations
 
 from .errors import ParseError
-from .linalg import QQ
+from .linalg import rational
 from .quiver import Path, Quiver, Relation
 
 _SECTIONS = ("vertices", "arrows", "relations", "zero")
@@ -56,7 +56,7 @@ class AlgebraFile:
             except Exception as exc:
                 raise ParseError(str(exc), line, 1)
         for line, labels in self.zero_specs:
-            rels.append(Relation([(QQ.one(), self._path(q, labels, line))]))
+            rels.append(Relation([(1, self._path(q, labels, line))]))
         return rels
 
     @staticmethod
@@ -80,14 +80,19 @@ class AlgebraFile:
 def _parse_term(text, line, col0):
     """One signed term: optional rational coefficient, then a label word."""
     text = text.strip()
-    coeff = QQ.one()
+    coeff = 1
     pieces = [p.strip() for p in text.split("*")]
     if not pieces or not pieces[0]:
         raise ParseError("empty term", line, col0)
     head = pieces[0]
-    if head.lstrip("-").replace("/", "").isdigit():
-        num, _, den = head.partition("/")
-        coeff = QQ.of(int(num), int(den) if den else 1)
+    if not head.lstrip("-").strip("0123456789/"):
+        # digits and slashes only: a coefficient, which must read
+        # -?digits(/digits)? with a nonzero denominator
+        num, slash, den = head.partition("/")
+        if not (num.removeprefix("-").isdecimal()
+                and (not slash or den.isdecimal() and int(den) != 0)):
+            raise ParseError(f"bad coefficient {head!r}", line, col0)
+        coeff = rational(int(num), int(den or 1))
         pieces = pieces[1:]
         if not pieces:
             raise ParseError("coefficient without a path", line, col0)

@@ -38,7 +38,6 @@ def _algebra(key):
 
 def _hom_cochain_dense(res: Resolution, N: Module, top):
     alg = res.module.alg
-    f = alg.field
     spaces = []
     layouts = []
     for k in range(top + 1):
@@ -52,7 +51,7 @@ def _hom_cochain_dense(res: Resolution, N: Module, top):
     deltas = []
     for k in range(top):
         em = res.eltmats.get(k + 1)
-        m = Mat.zero(spaces[k + 1], spaces[k], f)
+        m = Mat.zero(spaces[k + 1], spaces[k])
         if em is not None:
             src_lay = {r: off for r, _, off in layouts[k]}
             tgt_lay = {s: off for s, _, off in layouts[k + 1]}
@@ -77,10 +76,9 @@ def _hom_cochain_dense(res: Resolution, N: Module, top):
 
 def _col_sum_diff_dense(X: Bimodule, em, srcmod, srcoffs, tgtmod, tgtoffs):
     alg = X.left_alg
-    f = alg.field
     mats = {}
     for w in alg.vertices:
-        m = Mat.zero(tgtmod.dims[w], srcmod.dims[w], f)
+        m = Mat.zero(tgtmod.dims[w], srcmod.dims[w])
         for r in range(len(em)):
             for s in range(len(em[0]) if em else 0):
                 elt = em[r][s]
@@ -152,9 +150,8 @@ def test_element_matrices_with_idempotents_match_the_dense_sums(stem):
     # minimal complexes have radical entries only; here the diagonal
     # entries carry an idempotent, which acts as an identity block
     alg = corpus_algebra(stem)
-    f = alg.field
     verts = alg.vertices
-    em = [[{k: f.of(k + 2) for k, b in enumerate(alg.basis) if b.src == v and b.tgt == u}
+    em = [[{k: k + 2 for k, b in enumerate(alg.basis) if b.src == v and b.tgt == u}
            for u in verts] for v in verts]
     assert any(alg.basis[k].degree == 0 for k in em[0][0])
     info = SumInfo(alg, verts)

@@ -178,19 +178,18 @@ def test_recover_presentation(a3_stable):
 def _greedy_generators(alg):
     """Gabriel generators by the scan that independent_subset replaced:
     in degree order, each basis element outside rad^2 plus the ones kept."""
-    f = alg.field
     rad = alg.radical_indices()
     pos = {idx: k for k, idx in enumerate(rad)}
     rows = []
     for (i, j), prod in alg.mult.items():
         if i in pos and j in pos:
-            rows.append([f.zero()] * len(rad))
+            rows.append([0] * len(rad))
             for k, c in prod.items():
                 rows[-1][pos[k]] = c
     gens = []
     for i in sorted(rad, key=lambda i: (alg.basis[i].degree, i)):
-        unit = [f.one() if k == pos[i] else f.zero() for k in range(len(rad))]
-        if Mat.from_rows(rows + [unit], f).rank() > Mat.from_rows(rows, f, ncols=len(rad)).rank():
+        unit = [1 if k == pos[i] else 0 for k in range(len(rad))]
+        if Mat.from_rows(rows + [unit]).rank() > Mat.from_rows(rows, ncols=len(rad)).rank():
             gens.append(i)
             rows.append(unit)
     return gens

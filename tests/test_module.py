@@ -223,20 +223,18 @@ def _end_is_local(M, E):
     """Oracle, the regular-representation test: End(M)/rad is one
     dimensional, with rad End(M) the kernel of the trace form of left
     multiplication on End(M) (characteristic 0)."""
-    f = M.alg.field
     n = len(E)
-    big = [Mat.block_diag([e.mats[v] for v in M.alg.vertices if M.dims[v]], f) for e in E]
-    B = Mat.from_rows([[x for row in b.a for x in row] for b in big], f).transpose()
+    big = [Mat.block_diag([e.mats[v] for v in M.alg.vertices if M.dims[v]]) for e in E]
+    B = Mat.from_rows([[x for row in b.a for x in row] for b in big]).transpose()
     table = {}
     for i in range(n):
         for j in range(n):
             table[(i, j)] = B.solve([x for row in (big[i] * big[j]).a for x in row])
-    gram = Mat.zero(n, n, f)
+    gram = Mat.zero(n, n)
     for i in range(n):
         for j in range(n):
             xy = table[(i, j)]
-            gram.a[i][j] = sum((xy[l] * table[(l, k)][k] for k in range(n) for l in range(n)),
-                               f.zero())
+            gram.a[i][j] = sum(xy[l] * table[(l, k)][k] for k in range(n) for l in range(n))
     return n - len(gram.kernel_basis()) == 1
 
 

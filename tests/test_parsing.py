@@ -64,6 +64,16 @@ relations:
     assert alg.dim == 3
 
 
+@pytest.mark.parametrize("coeff", ["1/0", "1/2/3", "/2", "2/"])
+def test_parse_malformed_coefficient(coeff):
+    # a coefficient is -?digits(/digits)? with a nonzero denominator
+    text = f"vertices: 1 2\narrows:\n  a: 1 -> 2\n  b: 1 -> 2\nrelations:\n  {coeff}*a - b\n"
+    with pytest.raises(ParseError) as err:
+        parse_algebra_file(text)
+    assert (err.value.line, err.value.col) == (6, 1)
+    assert "coefficient" in err.value.message
+
+
 def test_parse_error_reports_location():
     with pytest.raises(ParseError) as err:
         parse_algebra_file("vertices: 1 2\narrows:\n  a: 1 --> 2\n")

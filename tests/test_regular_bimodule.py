@@ -35,11 +35,10 @@ def _oracle_projective(alg, v):
             pos[i] = c
     dims = {u: len(lst) for u, lst in by_vertex.items()}
     act = {}
-    f = alg.field
     for j, bj in enumerate(alg.basis):
         if bj.degree == 0:
             continue
-        m = Mat.zero(dims[bj.tgt], dims[bj.src], f)
+        m = Mat.zero(dims[bj.tgt], dims[bj.src])
         for col, i in enumerate(by_vertex[bj.src]):
             for k, c in alg.mul(j, i).items():
                 m.a[pos[k]][col] = c
@@ -54,11 +53,10 @@ def _oracle_injective(alg, v):
             by_vertex[b.src].append(i)
     dims = {u: len(lst) for u, lst in by_vertex.items()}
     act = {}
-    f = alg.field
     for j, bj in enumerate(alg.basis):
         if bj.degree == 0:
             continue
-        m = Mat.zero(dims[bj.tgt], dims[bj.src], f)
+        m = Mat.zero(dims[bj.tgt], dims[bj.src])
         for col, b in enumerate(by_vertex[bj.src]):
             for row, x in enumerate(by_vertex[bj.tgt]):
                 c = alg.mul(x, j).get(b)
@@ -78,13 +76,12 @@ def _oracle_bimodule(alg, dual):
         for c, i in enumerate(lst):
             pos[i] = c
     dims = {k: len(lst) for k, lst in by_pair.items()}
-    f = alg.field
     lact, ract = {}, {}
     for j, bj in enumerate(alg.basis):
         if bj.degree == 0:
             continue
         for v in alg.vertices:
-            m = Mat.zero(dims[(bj.tgt, v)], dims[(bj.src, v)], f)
+            m = Mat.zero(dims[(bj.tgt, v)], dims[(bj.src, v)])
             for col, i in enumerate(by_pair[(bj.src, v)]):
                 if dual:
                     # (a.xi)(x) = xi(x * a)
@@ -97,7 +94,7 @@ def _oracle_bimodule(alg, dual):
                         m.a[pos[k]][col] = c
             lact[(j, v)] = m
         for u in alg.vertices:
-            m = Mat.zero(dims[(u, bj.src)], dims[(u, bj.tgt)], f)
+            m = Mat.zero(dims[(u, bj.src)], dims[(u, bj.tgt)])
             for col, i in enumerate(by_pair[(u, bj.tgt)]):
                 if dual:
                     # (xi.b)(x) = xi(b * x)
@@ -115,7 +112,6 @@ def _oracle_bimodule(alg, dual):
 def _oracle_suminfo(alg, verts):
     """(coords, module) of the sum of the projectives at verts: coords[w]
     lists its coordinates at w as (summand index, algebra basis index)."""
-    f = alg.field
     coords = {w: [] for w in alg.vertices}
     for r, v in enumerate(verts):
         by_vertex = _oracle_projective(alg, v)[1]
@@ -131,7 +127,7 @@ def _oracle_suminfo(alg, verts):
     for j, bj in enumerate(alg.basis):
         if bj.degree == 0:
             continue
-        m = Mat.zero(dims[bj.tgt], dims[bj.src], f)
+        m = Mat.zero(dims[bj.tgt], dims[bj.src])
         for c, (r, bidx) in enumerate(coords[bj.src]):
             for k, cf in alg.mul(j, bidx).items():
                 m.a[pos[(r, k)]][c] = cf

@@ -1,42 +1,68 @@
 """Scalars of Q are integer-first: an int while integral, an `_mpq` once a
-division leaves Z, and never a float or a bool.  The unit cases pin the
-field's constructors; the sweep checks the scalars that the verdicts are
-built from, on the corpus, the Kronecker tower and a sample of cuts."""
+division leaves Z, and never a float or a bool.  The unit cases pin
+`linalg.rational` and `linalg.inv`; the sweep checks the scalars that the
+verdicts are built from, on the corpus, the Kronecker tower and a sample
+of cuts.  No public callable takes a field: Q is the only one."""
 
+import importlib
+import inspect
+import pathlib
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
 from conftest import CORPUS, corpus_algebra
+import quivercy
 from quivercy import cy, linalg
 from quivercy.ar import decide_nrf
 from quivercy.constructions import TypeAQuiver, cut_algebra, enumerate_cuts
 from quivercy.cy import check_twisted_cy, check_untwisted_cy, find_twisted_cy
 from quivercy.homology import nakayama, stalk_regular
-from quivercy.linalg import QQ
+from quivercy.linalg import inv, rational
 
 SCALAR_TYPES = (int, linalg._mpq)
 STEMS = sorted(p.stem for p in CORPUS.glob("*.alg"))
 
 
 def test_of_is_an_int_when_the_division_is_exact():
-    assert type(QQ.of(4, 2)) is int and QQ.of(4, 2) == 2
-    assert type(QQ.of(-6, 3)) is int and QQ.of(-6, 3) == -2
-    assert type(QQ.of(6, -3)) is int and QQ.of(6, -3) == -2
-    assert type(QQ.of(7)) is int
-    assert QQ.of(1, 2) == Fraction(1, 2)
-    assert type(QQ.of(1, 2)) is linalg._mpq
-    assert type(QQ.zero()) is int and type(QQ.one()) is int
+    assert type(rational(4, 2)) is int and rational(4, 2) == 2
+    assert type(rational(-6, 3)) is int and rational(-6, 3) == -2
+    assert type(rational(6, -3)) is int and rational(6, -3) == -2
+    assert type(rational(7)) is int
+    assert rational(1, 2) == Fraction(1, 2)
+    assert type(rational(1, 2)) is linalg._mpq
+    assert type(rational(0)) is int and type(rational(1)) is int
 
 
 def test_inv_keeps_the_units_of_z():
-    assert QQ.inv(-1) == -1 and type(QQ.inv(-1)) is int
-    assert QQ.inv(1) == 1 and type(QQ.inv(1)) is int
-    assert QQ.inv(2) == Fraction(1, 2)
-    assert QQ.inv(Fraction(2, 3)) == Fraction(3, 2)
-    assert QQ.inv(-3) == Fraction(-1, 3)
+    assert inv(-1) == -1 and type(inv(-1)) is int
+    assert inv(1) == 1 and type(inv(1)) is int
+    assert inv(2) == Fraction(1, 2)
+    assert inv(Fraction(2, 3)) == Fraction(3, 2)
+    assert inv(-3) == Fraction(-1, 3)
     with pytest.raises(ZeroDivisionError):
-        QQ.inv(0)
+        inv(0)
+
+
+def test_no_public_callable_takes_a_field():
+    package = pathlib.Path(quivercy.__file__).parent
+    checked = 0
+    for info in pkgutil.iter_modules([str(package)]):
+        mod = importlib.import_module(f"quivercy.{info.name}")
+        for name, obj in vars(mod).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            funcs = [obj] if inspect.isfunction(obj) else []
+            if inspect.isclass(obj):
+                # __func__ unwraps the static and class methods, such as Mat.zero
+                funcs = [getattr(f, "__func__", f) for n, f in vars(obj).items()
+                         if n == "__init__" or not n.startswith("_")]
+                funcs = [f for f in funcs if inspect.isfunction(f)]
+            for f in funcs:
+                assert "field" not in inspect.signature(f).parameters, (mod.__name__, f)
+                checked += 1
+    assert checked > 50
 
 
 class _Scalars:
