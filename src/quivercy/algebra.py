@@ -213,10 +213,7 @@ def build_algebra(quiver, relations, length_cap=64, name=None):
                                     vec[col[full]] = vec[col[full]] + c
                                 if any(vec):
                                     rows.append(vec)
-            if rows:
-                R, pivots = Mat.from_rows(rows).rref()
-            else:
-                R, pivots = None, []
+            R, pivots = Mat.from_rows(rows).rref()
             pivset = set(pivots)
             free = [c for c in range(len(block)) if c not in pivset]
             for c in free:

@@ -235,34 +235,33 @@ def projective_cover(M: Module):
     Summand r sends its generator to the unit vector at coordinate
     lifts[r] of M at its vertex.  The lifts are the coordinates left free
     by the rref of the radical span, so their unit vectors span a
-    complement of rad M."""
+    complement of rad M.  Only the vertices where M is nonzero are
+    reduced and only the stored actions of M are read, and the SumInfo of
+    a vertex list is built once per algebra."""
     alg = M.alg
     rad = radical_columns(M)
     verts = []
     lifts = []
     for v in alg.vertices:
-        _, pivots = Mat.from_rows(rad[v], ncols=M.dims[v]).rref()
-        pivset = set(pivots)
-        for j in range(M.dims[v]):
+        d = M.dims[v]
+        pivset = set(Mat.from_rows(rad[v], ncols=d).rref()[1]) if rad[v] else ()
+        for j in range(d):
             if j not in pivset:
                 verts.append(v)
                 lifts.append(j)
-    info = SumInfo(alg, verts)
-    R = cached_regular_bimodule(alg)
-    mats = {}
-    for w in alg.vertices:
-        m = Mat.zero(M.dims[w], info.module.dims[w])
-        for r, (v, j) in enumerate(zip(verts, lifts)):
-            for c, bidx in enumerate(R.basis_indices.get((w, v), ()), info.offs[(r, w)]):
-                # column c is the image of basis element bidx of summand r:
-                # the unit vector itself for the idempotent, column j of the
-                # action otherwise, zero where bidx acts as 0
-                if alg.basis[bidx].degree == 0:
-                    m.a[j][c] = 1
-                elif bidx in M.act:
-                    for row, act_row in zip(m.a, M.act[bidx].a):
-                        row[c] = act_row[j]
-        mats[w] = m
+    info = alg.cached(("sum_info", tuple(verts)), lambda: SumInfo(alg, verts))
+    pos = cached_regular_bimodule(alg).basis_pos
+    mats = {w: Mat.zero(M.dims[w], info.module.dims[w]) for w in alg.vertices}
+    acts = [(alg.basis[i], pos[i], m.a) for i, m in M.act.items() if alg.basis[i].degree]
+    for r, (v, j) in enumerate(zip(verts, lifts)):
+        # basis element b of summand r goes to column j of b's action; the
+        # idempotent, first in the basis, to the unit vector itself
+        mats[v].a[j][info.offs[(r, v)]] = 1
+        for b, p, act in acts:
+            if b.src == v:
+                c = info.offs[(r, b.tgt)] + p
+                for row, act_row in zip(mats[b.tgt].a, act):
+                    row[c] = act_row[j]
     return info, Morphism(info.module, M, mats), lifts
 
 
@@ -302,8 +301,6 @@ def min_proj_resolution(M: Module, max_len=None, strict=False):
     alg = M.alg
     if max_len is None:
         max_len = default_cap(alg)
-    if M.total_dim == 0:
-        return Resolution(M, [SumInfo(alg, [])], {}, True)
     info0, cur, _ = projective_cover(M)
     infos = [info0]
     eltmats = {}
@@ -819,7 +816,7 @@ def hom_in_D_dim(P: PerfComplex, Q: PerfComplex):
             col[idx1[key]] = c
         rows_L.append(col)
     L = Mat.from_rows(rows_L, ncols=len(coords1)).transpose()
-    ker_dim = n0 - L.rank() if L.rows else n0
+    ker_dim = n0 - L.rank()
     # boundaries: h |-> d_Q∘h + h∘d_P
     idx0 = {key: k for k, key in enumerate(coords0)}
     rows_B = []
@@ -831,5 +828,5 @@ def hom_in_D_dim(P: PerfComplex, Q: PerfComplex):
         for key, c in img.items():
             col[idx0[key]] = c
         rows_B.append(col)
-    rank_B = Mat.from_rows(rows_B, ncols=n0).rank() if rows_B else 0
+    rank_B = Mat.from_rows(rows_B, ncols=n0).rank()
     return ker_dim - rank_B

@@ -176,9 +176,12 @@ class Mat:
     # -- elimination --------------------------------------------------
 
     def rref(self):
-        """Reduced row echelon form.  Returns (R, pivot_columns)."""
-        a = [row[:] for row in self.a]
+        """Reduced row echelon form.  Returns (R, pivot_columns).  A matrix
+        without rows or columns is its own rref."""
         m, n = self.rows, self.cols
+        if not m or not n:
+            return self, []
+        a = [row[:] for row in self.a]
         pivots = []
         r = 0
         for c in range(n):
@@ -257,11 +260,7 @@ class Mat:
 
 def span_basis(vectors):
     """Reduce a list of coordinate vectors to an rref basis of their span."""
-    vectors = [v for v in vectors if any(v)]
-    if not vectors:
-        return []
-    M = Mat.from_rows(vectors)
-    R, pivots = M.rref()
+    R, pivots = Mat.from_rows([v for v in vectors if any(v)]).rref()
     return [R.a[i] for i in range(len(pivots))]
 
 
@@ -277,10 +276,7 @@ def independent_subset(span, candidates):
     the row span of `span` and of the candidates kept before them.  They
     are the pivot columns past `span` of the rref of the matrix whose
     columns are the rows of span followed by the candidates."""
-    rows = list(span) + list(candidates)
-    if not rows:
-        return []
-    _, pivots = Mat.from_rows(rows).transpose().rref()
+    _, pivots = Mat.from_rows(list(span) + list(candidates)).transpose().rref()
     k = len(span)
     return [p - k for p in pivots if p >= k]
 

@@ -125,13 +125,14 @@ def regular_module(alg, name=None):
 def column_sum(X, verts, name=None):
     """The left module of the columns X e_u, u over verts, summed in that
     order, as (module, offsets) where offsets[(r, w)] locates column r at
-    vertex w.  A single column shares its blocks with X."""
+    vertex w.  Only the blocks of X.lact_by_col at verts are read.  A
+    single column shares its blocks with X."""
     alg = X.left_alg
     name = name or f"{X.name}(cols)"
     if len(verts) == 1:
         (u,) = verts
         dims = {w: X.dims[(w, u)] for w in alg.vertices}
-        act = {i: X.lact[(i, u)] for i in range(alg.dim) if (i, u) in X.lact}
+        act = X.lact_by_col.get(u, {})
         return Module(alg, dims, act, name=name), {(0, w): 0 for w in alg.vertices}
     offs = {}
     dims = {}
@@ -142,14 +143,12 @@ def column_sum(X, verts, name=None):
             n += X.dims[(w, u)]
         dims[w] = n
     act = {}
-    for i, b in enumerate(alg.basis):
-        if b.degree == 0:
-            continue
-        m = None
-        for r, u in enumerate(verts):
-            blk = X.lact.get((i, u))
-            if blk is None:
+    for r, u in enumerate(verts):
+        for i, blk in X.lact_by_col.get(u, {}).items():
+            b = alg.basis[i]
+            if b.degree == 0:
                 continue
+            m = act.get(i)
             if m is None:
                 m = act[i] = Mat.zero(dims[b.tgt], dims[b.src])
             r0, c0 = offs[(r, b.tgt)], offs[(r, b.src)]
@@ -184,13 +183,16 @@ def _sub_from_columns(N: Module, cols_by_vertex, units, name="sub"):
     column is 0 there.  Restricted to those rows the inclusion is the
     identity, so the action of b is rows units[tgt b] of N's action times
     the inclusion at src b.  Returns (sub, inclusion)."""
-    inc = {v: Mat(len(cols_by_vertex[v]), N.dims[v], cols_by_vertex[v]).transpose()
-           for v in N.alg.vertices}
+    inc = {}
+    for v in N.alg.vertices:
+        c, d = cols_by_vertex[v], N.dims[v]
+        inc[v] = Mat(len(c), d, c).transpose() if c else Mat(d, 0, [[] for _ in range(d)])
     act = {}
     for i, m in N.act.items():
         b = N.alg.basis[i]
         rows = [m.a[u] for u in units[b.tgt]]
-        act[i] = Mat(len(rows), m.cols, rows) * inc[b.src]
+        if rows and inc[b.src].cols:
+            act[i] = Mat(len(rows), m.cols, rows) * inc[b.src]
     S = Module(N.alg, {v: inc[v].cols for v in N.alg.vertices}, act, name=name)
     return S, Morphism(S, N, inc)
 
@@ -244,12 +246,14 @@ def quotient(N: Module, cols_by_vertex, name="quot"):
 
 def radical_columns(M: Module):
     """The nonzero columns of the radical action matrices of M, by the
-    vertex they lie at: a spanning set of rad M."""
+    vertex they lie at: a spanning set of rad M.  Only the stored nonzero
+    actions of positive degree are read, so a vertex where M is zero gets
+    no columns."""
     cols = {v: [] for v in M.alg.vertices}
-    for g in M.alg.radical_indices():
-        m = M.act.get(g)
-        if m is not None:
-            cols[M.alg.basis[g].tgt].extend(c for c in m.columns() if any(c))
+    for g, m in M.act.items():
+        b = M.alg.basis[g]
+        if b.degree:
+            cols[b.tgt].extend(c for c in m.columns() if any(c))
     return cols
 
 
@@ -269,7 +273,8 @@ def top_of(M: Module):
 def top_dim_vector(M: Module):
     """Dimension vector of top M = M / rad M, without building the quotient."""
     cols = radical_columns(M)
-    return tuple(M.dims[v] - Mat.from_rows(cols[v]).rank() for v in M.alg.vertices)
+    return tuple(M.dims[v] - (Mat.from_rows(cols[v]).rank() if cols[v] else 0)
+                 for v in M.alg.vertices)
 
 
 def socle_vertices(M: Module):
@@ -282,10 +287,7 @@ def socle_vertices(M: Module):
             if b.src != v:
                 continue
             rows.extend(M.act_mat(g).a)
-        if rows:
-            out[v] = len(Mat.from_rows(rows, ncols=M.dims[v]).kernel_basis())
-        else:
-            out[v] = M.dims[v]
+        out[v] = len(Mat.from_rows(rows, ncols=M.dims[v]).kernel_basis())
     return out
 
 
@@ -501,6 +503,8 @@ class Bimodule:
     right vertex v, a map X[(src_i, v)] -> X[(tgt_i, v)].  ract[(u, j)] is
     right multiplication by the B-basis element j, X[(u, tgt_j)] ->
     X[(u, src_j)].  Only nonzero matrices and dimensions are stored.
+    lact_by_col[v] = {i: lact[(i, v)]}, in basis order, is the left action
+    on the column X e_v, grouped once so that no reader scans the basis.
     """
 
     def __init__(self, left_alg, right_alg, dims, lact, ract, name="X"):
@@ -509,6 +513,9 @@ class Bimodule:
         self.dims = _PairDims((k, d) for k, d in dims.items() if d)
         self.lact = {k: m for k, m in lact.items() if not m.is_zero()}
         self.ract = {k: m for k, m in ract.items() if not m.is_zero()}
+        self.lact_by_col = {}
+        for (i, v), m in sorted(self.lact.items(), key=lambda kv: kv[0][0]):
+            self.lact_by_col.setdefault(v, {})[i] = m
         self.name = name
 
     def lact_mat(self, i, v):
@@ -540,7 +547,8 @@ class Bimodule:
 def regular_bimodule(alg: Algebra, name=None):
     """The algebra over itself; X[(u, v)] has the basis elements with
     tgt == u and src == v as coordinates, in basis order, listed in
-    X.basis_indices[(u, v)] when there are any.  The projective, injective
+    X.basis_indices[(u, v)] when there are any; basis element i is
+    coordinate X.basis_pos[i] of its pair.  The projective, injective
     and regular modules are read off this bimodule or its dual, so this
     is where the multiplication table becomes their action matrices."""
     by_pair = {}  # only the nonempty pairs: an enveloping algebra has many
@@ -570,6 +578,7 @@ def regular_bimodule(alg: Algebra, name=None):
                 m.a[pos[k]][pos[j]] = c
     X = Bimodule(alg, alg, dims, lact, ract, name=name or "reg")
     X.basis_indices = by_pair
+    X.basis_pos = pos
     return X
 
 

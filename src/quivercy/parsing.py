@@ -38,8 +38,8 @@ class AlgebraFile:
     def __init__(self, vertices, arrows, relation_specs, zero_specs):
         self.vertices = vertices
         self.arrows = arrows
-        self.relation_specs = relation_specs  # list of (line, [(coeff, [labels])])
-        self.zero_specs = zero_specs  # list of (line, [labels])
+        self.relation_specs = relation_specs  # list of (line, [(coeff, [labels], col)])
+        self.zero_specs = zero_specs  # list of (line, [labels], col)
 
     def quiver(self):
         return Quiver(self.vertices, self.arrows)
@@ -49,26 +49,26 @@ class AlgebraFile:
         rels = []
         for line, terms in self.relation_specs:
             parts = []
-            for coeff, labels in terms:
-                parts.append((coeff, self._path(q, labels, line)))
+            for coeff, labels, col in terms:
+                parts.append((coeff, self._path(q, labels, line, col)))
             try:
                 rels.append(Relation(parts))
             except Exception as exc:
-                raise ParseError(str(exc), line, 1)
-        for line, labels in self.zero_specs:
-            rels.append(Relation([(1, self._path(q, labels, line))]))
+                raise ParseError(str(exc), line, terms[0][2])
+        for line, labels, col in self.zero_specs:
+            rels.append(Relation([(1, self._path(q, labels, line, col))]))
         return rels
 
     @staticmethod
-    def _path(q, labels, line):
+    def _path(q, labels, line, col):
         for lab in labels:
             if lab not in q.arrow_by_label:
-                raise ParseError(f"unknown arrow label {lab!r}", line, 1)
+                raise ParseError(f"unknown arrow label {lab!r}", line, col)
         start = q.arrow_by_label[labels[0]].source
         try:
             return Path(q, start, labels)
         except ValueError as exc:
-            raise ParseError(str(exc), line, 1)
+            raise ParseError(str(exc), line, col)
 
     def build(self, name=None):
         from .algebra import build_algebra
@@ -103,36 +103,37 @@ def _parse_term(text, line, col0):
     return coeff, pieces
 
 
-def _parse_combination(text, line):
-    """Signed sum of terms: t1 - t2 + t3 ..."""
+def _parse_combination(text, line, col0):
+    """Signed sum of terms: t1 - t2 + t3 ...  text starts at column col0
+    of the file line; each term is returned with the column of its first
+    character, where its errors point."""
     terms = []
     sign = 1
     buf = ""
-    col = 1
-    start_col = 1
+    start = None
     depth = 0
-    for ch in text + "\n":
+    for k, ch in enumerate(text + "\n"):
         if ch == "[":
             depth += 1
         elif ch == "]":
             depth -= 1
         if ch in "+-\n" and depth == 0 and buf.strip():
-            coeff, labels = _parse_term(buf, line, start_col)
+            coeff, labels = _parse_term(buf, line, col0 + start)
             if sign < 0:
                 coeff = -coeff
-            terms.append((coeff, labels))
+            terms.append((coeff, labels, col0 + start))
             sign = 1 if ch != "-" else -1
             buf = ""
-            start_col = col + 1
+            start = None
         elif ch in "+-\n" and depth == 0:
             if ch == "-":
                 sign = -sign
-            start_col = col + 1
         else:
+            if start is None and not ch.isspace():
+                start = k
             buf += ch
-        col += 1
     if not terms:
-        raise ParseError("empty relation", line, 1)
+        raise ParseError("empty relation", line, col0)
     return terms
 
 
@@ -148,6 +149,7 @@ def parse_algebra_file(text):
         if not line.strip():
             continue
         stripped = line.strip()
+        col = len(line) - len(line.lstrip()) + 1  # of stripped in the file line
         head = stripped.split(":", 1)[0].strip().lower()
         if head in _SECTIONS and (stripped.startswith(head) or not line[0].isspace()):
             section = head
@@ -156,25 +158,25 @@ def parse_algebra_file(text):
             if not rest:
                 continue
             stripped = rest
+            col = len(line) - len(rest) + 1
         if section is None:
-            raise ParseError(f"content before any section header: {stripped!r}",
-                             lineno, len(raw) - len(raw.lstrip()) + 1)
+            raise ParseError(f"content before any section header: {stripped!r}", lineno, col)
         if section == "vertices":
             vertices.extend(_vertex_token(t) for t in stripped.split())
         elif section == "arrows":
             if ":" not in stripped or "->" not in stripped:
-                raise ParseError("arrow lines look like 'a: 1 -> 2'", lineno, 1)
+                raise ParseError("arrow lines look like 'a: 1 -> 2'", lineno, col)
             lab, _, tail = stripped.partition(":")
             src, _, tgt = tail.partition("->")
             if not src.strip() or not tgt.strip():
-                raise ParseError("arrow lines look like 'a: 1 -> 2'", lineno, 1)
+                raise ParseError("arrow lines look like 'a: 1 -> 2'", lineno, col)
             arrows.append((lab.strip(), _vertex_token(src.strip()),
                            _vertex_token(tgt.strip())))
         elif section == "relations":
-            relation_specs.append((lineno, _parse_combination(stripped, lineno)))
+            relation_specs.append((lineno, _parse_combination(stripped, lineno, col)))
         elif section == "zero":
-            _, labels = _parse_term(stripped, lineno, 1)
-            zero_specs.append((lineno, labels))
+            _, labels = _parse_term(stripped, lineno, col)
+            zero_specs.append((lineno, labels, col))
     if "vertices" not in seen:
         raise ParseError("missing vertices section", 1, 1)
     if not vertices:

@@ -62,7 +62,7 @@ def test_malformed_coefficient_exit_code(runner, tmp_path):
     bad.write_text("vertices: 1 2\narrows:\n  a: 1 -> 2\nrelations:\n  1/0*a\n")
     result = runner.invoke(main, ["analyze", str(bad), "--n", "1"])
     assert result.exit_code == 64
-    assert f"parse error at {bad}:5:1" in result.stderr
+    assert f"parse error at {bad}:5:3" in result.stderr
 
 
 # usage errors exit 64 like a parse error; click's own 2 would read as

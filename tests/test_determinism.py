@@ -8,7 +8,9 @@ import pathlib
 import pkgutil
 
 import quivercy
+from quivercy.algebra import Algebra
 from quivercy.cli import main
+from quivercy.linalg import Mat
 
 PACKAGE = pathlib.Path(quivercy.__file__).parent
 KNOBS = {"seed", "tries", "samples"}
@@ -32,19 +34,23 @@ def test_no_module_imports_random():
 
 
 def test_no_public_function_takes_a_seed():
-    checked = 0
+    checked = []
     for mod in _modules():
         for name, obj in vars(mod).items():
             if name.startswith("_") or getattr(obj, "__module__", None) != mod.__name__:
                 continue
             funcs = [obj] if inspect.isfunction(obj) else []
             if inspect.isclass(obj):
-                funcs = [f for n, f in vars(obj).items()
-                         if inspect.isfunction(f) and not n.startswith("_")]
+                # __func__ unwraps the static and class methods, such as Mat.zero
+                funcs = [getattr(f, "__func__", f) for n, f in vars(obj).items()
+                         if n == "__init__" or not n.startswith("_")]
+                funcs = [f for f in funcs if inspect.isfunction(f)]
             for f in funcs:
                 assert not KNOBS & set(inspect.signature(f).parameters), (mod.__name__, f)
-                checked += 1
-    assert checked > 50
+                checked.append(f)
+    assert len(checked) > 50
+    # constructors and static methods are walked too
+    assert Mat.zero in checked and Algebra.__init__ in checked
 
 
 def test_no_cli_subcommand_takes_a_seed():

@@ -62,6 +62,22 @@ def test_rref_matches_textbook_reference(density):
                 == independent_subset(fracs[:k], fracs[k:]))
 
 
+@pytest.mark.parametrize("m,n", [(0, 0), (0, 1), (0, 4), (1, 0), (3, 0), (1, 1), (2, 3), (4, 2)])
+def test_rref_of_empty_and_zero_matrices(m, n):
+    # no rows, no columns, or every entry zero: no pivots, the whole
+    # identity as kernel basis and nothing to span
+    rows = [[0] * n for _ in range(m)]
+    M = Mat(m, n, rows)
+    R, pivots = M.rref()
+    assert (R.rows, R.cols, R.a, pivots) == (m, n, rows, [])
+    if m:  # the textbook oracle reads the width off the first row
+        assert (R.a, pivots) == _textbook_rref([[Fraction(x) for x in r] for r in rows])
+    assert M.rank() == 0
+    assert M.kernel_basis() == [[int(i == j) for i in range(n)] for j in range(n)]
+    assert span_basis(rows) == []
+    assert Mat.from_rows(rows, ncols=n).rref()[1] == []
+
+
 def test_kernel_basis():
     m = mat([[1, 2], [2, 4]])
     kb = m.kernel_basis()

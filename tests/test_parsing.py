@@ -70,8 +70,31 @@ def test_parse_malformed_coefficient(coeff):
     text = f"vertices: 1 2\narrows:\n  a: 1 -> 2\n  b: 1 -> 2\nrelations:\n  {coeff}*a - b\n"
     with pytest.raises(ParseError) as err:
         parse_algebra_file(text)
-    assert (err.value.line, err.value.col) == (6, 1)
+    assert (err.value.line, err.value.col) == (6, 3)
     assert "coefficient" in err.value.message
+
+
+@pytest.mark.parametrize("relation,col", [("  1/0*a - b", 3), ("  3*a - 1/0*a", 9),
+                                          ("  3*a +1/0*a", 8), ("\t-  1/0*a", 5)])
+def test_parse_error_points_at_the_term(relation, col):
+    # 1-based columns of the file line, at the first character of the term
+    text = f"vertices: 1 2\narrows:\n  a: 1 -> 2\n  b: 1 -> 2\nrelations:\n{relation}\n"
+    with pytest.raises(ParseError) as err:
+        parse_algebra_file(text)
+    assert (err.value.line, err.value.col) == (6, col)
+
+
+@pytest.mark.parametrize("text,line,col", [
+    ("relations:\n  a - 2*c\n", 5, 7),
+    ("relations: a - 2*c\n", 4, 16),
+    ("zero:\n    a*c\n", 5, 5),
+    ("zero: a*c\n", 4, 7),
+])
+def test_path_errors_point_at_the_term(text, line, col):
+    af = parse_algebra_file("vertices: 1 2\narrows:\n  a: 1 -> 2\n" + text)
+    with pytest.raises(ParseError) as err:
+        af.relations()
+    assert (err.value.line, err.value.col) == (line, col)
 
 
 def test_parse_error_reports_location():
