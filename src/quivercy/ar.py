@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .algebra import Algebra, BasisElt, cached_opposite, enveloping, tensor_product
+from .algebra import Algebra, BasisElt, cached_opposite, tensor_product
 from .errors import (
     CapExceeded,
     FactorNotHomogeneous,
@@ -24,8 +24,8 @@ from .module import (
     Bimodule,
     Module,
     Morphism,
-    bimodule_to_env_module,
     cached_dual_regular_bimodule,
+    cached_env_module,
     cached_regular_bimodule,
     direct_sum,
     dual_module,
@@ -39,14 +39,15 @@ from .module import (
     tensor_bimod_bimod,
 )
 from .homology import (
+    PerfComplex,
     _cached_regular,
     _match_projective,
     _module_resolution,
     default_cap,
     ext_dims_upto,
     global_dimension,
-    homology_module,
     is_selfinjective,
+    tensor_complex,
     tor,
 )
 
@@ -173,7 +174,8 @@ def decide_nrf(alg: Algebra, n: int, cap=None, *, verify_ct=None):
     """Decide n-representation-finiteness by walking the tau_n-orbit of
     each injective: a stage X needs Ext^k(X, reg) = 0 for k != n before
     tau_n is applied again, and the orbit must end on an indecomposable
-    projective.  verify_ct is ignored; it goes with ROADMAP item 7.
+    projective.  verify_ct is ignored; it stays because
+    perfbench/workloads.py passes it, and goes with ROADMAP item 3.
 
     A positive verdict is the criterion of Iyama and Oppermann,
     "n-representation-finite algebras and n-APR tilting" (arXiv 0909.0593),
@@ -230,126 +232,6 @@ def homogeneity(report: NrfReport):
 # -- Ext^n(D(reg), reg) as a bimodule ----------------------------------
 
 
-def _env_resolution(alg, upto):
-    """Minimal projective resolution of the dual regular bimodule over the
-    enveloping algebra, cached on the algebra."""
-    E = enveloping(alg)
-    M = alg.cached("env_res_mod",
-                   lambda: bimodule_to_env_module(cached_dual_regular_bimodule(alg), E))
-    return _module_resolution(M, upto), E
-
-
-class _HomLayout:
-    """Coordinates of Hom over the base algebra from a sum of enveloping
-    projectives P(u,v) into a bimodule M: one coordinate per (summand r,
-    basis elt b with tgt(b) = v_r, coordinate of M[(u_r, w')])."""
-
-    def __init__(self, alg, pairs, M: Bimodule):
-        self.alg = alg
-        self.pairs = list(pairs)
-        self.M = M
-        coords = {}
-        for w in alg.vertices:
-            for w2 in alg.vertices:
-                coords[(w, w2)] = []
-        for r, (u, v) in enumerate(self.pairs):
-            for bidx, b in enumerate(alg.basis):
-                if b.tgt != v:
-                    continue
-                for w2 in alg.vertices:
-                    for mc in range(M.dims[(u, w2)]):
-                        coords[(b.src, w2)].append((r, bidx, w2, mc))
-        self.coords = coords
-        self.pos = {}
-        for key, lst in coords.items():
-            for c, ent in enumerate(lst):
-                self.pos[(key, ent)] = c
-        self.dims = {key: len(lst) for key, lst in coords.items()}
-
-    def bimodule(self, name="Hom"):
-        alg, M = self.alg, self.M
-        lact, ract = {}, {}
-        for ai, ab in enumerate(alg.basis):
-            if ab.degree == 0:
-                continue
-            # (a.f)(e_u (x) b') = f(e_u (x) (b' * a))
-            for w2 in alg.vertices:
-                src_key = (ab.src, w2)
-                tgt_key = (ab.tgt, w2)
-                m = Mat.zero(self.dims[tgt_key], self.dims[src_key])
-                hit = False
-                for row, (r, bpidx, ww, mc) in enumerate(self.coords[tgt_key]):
-                    prod = alg.mul(bpidx, ai)
-                    for bidx, c in prod.items():
-                        col = self.pos.get((src_key, (r, bidx, ww, mc)))
-                        if col is not None:
-                            m.a[row][col] = c
-                            hit = True
-                if hit:
-                    lact[(ai, w2)] = m
-            # (f.a)(x) = f(x).a through the right action of M
-            for w in alg.vertices:
-                src_key = (w, ab.tgt)
-                tgt_key = (w, ab.src)
-                m = Mat.zero(self.dims[tgt_key], self.dims[src_key])
-                hit = False
-                for col, (r, bidx, ww, mc) in enumerate(self.coords[src_key]):
-                    u = self.pairs[r][0]
-                    ra = M.ract_mat(u, ai)  # M[(u, tgt_a)] -> M[(u, src_a)]
-                    for row_mc in range(ra.rows):
-                        val = ra.a[row_mc][mc]
-                        if val:
-                            row = self.pos[(tgt_key, (r, bidx, ab.src, row_mc))]
-                            m.a[row][col] = val
-                            hit = True
-                if hit:
-                    ract[(w, ai)] = m
-        return Bimodule(alg, alg, self.dims, lact, ract, name=name)
-
-
-def _hom_coboundary(alg, E, lay_k: _HomLayout, lay_k1: _HomLayout, em):
-    """Map Hom(B_k, M) -> Hom(B_{k+1}, M), f |-> f∘d, as vertex-pair
-    matrices usable as an E-module morphism.  em is the based differential
-    B_{k+1} -> B_k over E (rows over term k, cols over term k+1)."""
-    rev = {k: ij for ij, k in E.tensor_info[2].items()}
-    M = lay_k.M
-    mats = {key: Mat.zero(lay_k1.dims[key], lay_k.dims[key]) for key in lay_k.dims}
-    for r in range(len(em)):
-        for s in range(len(em[0]) if em else 0):
-            elt = em[r][s]
-            if not elt:
-                continue
-            v_s = lay_k1.pairs[s][1]
-            for eidx, c in elt.items():
-                ai, aj = rev[eidx]
-                # (f∘d)(e (x) b') involves lact by a_i on values and b'|-> a_j * b'
-                la = {}
-                for w2 in alg.vertices:
-                    la[w2] = M.lact_mat(ai, w2)  # rows M[(tgt ai, w2)], cols M[(src ai, w2)]
-                for bpidx, bp in enumerate(alg.basis):
-                    if bp.tgt != v_s:
-                        continue
-                    prod = alg.mul(aj, bpidx)  # a_j * b'
-                    for bidx, cb in prod.items():
-                        for w2 in alg.vertices:
-                            mat = la[w2]
-                            for row_mc in range(mat.rows):
-                                for col_mc in range(mat.cols):
-                                    val = mat.a[row_mc][col_mc]
-                                    if not val:
-                                        continue
-                                    src_key = (alg.basis[bidx].src, w2)
-                                    col = lay_k.pos.get((src_key, (r, bidx, w2, col_mc)))
-                                    if col is None:
-                                        continue
-                                    tgt_key = (bp.src, w2)
-                                    row = lay_k1.pos.get((tgt_key, (s, bpidx, w2, row_mc)))
-                                    if row is None:
-                                        continue
-                                    mats[tgt_key].a[row][col] += c * cb * val
-    return mats
-
-
 def ext_bimodule(alg: Algebra, n: int):
     """Ext^n(D(reg), reg) with both module structures: the bimodule T
     generating the higher preprojective algebra."""
@@ -357,28 +239,38 @@ def ext_bimodule(alg: Algebra, n: int):
 
 
 def _build_ext_bimodule(alg, n):
-    res, E = _env_resolution(alg, n + 1)
-    if n > res.length:
-        return Bimodule(alg, alg, {(u, v): 0 for u in alg.vertices for v in alg.vertices},
-                        {}, {}, name="T")
-    reg_bimod = cached_regular_bimodule(alg)
-    lays = {}
-    for k in (n - 1, n, n + 1):
-        if 0 <= k <= res.length:
-            lays[k] = _HomLayout(alg, res.term_verts(k), reg_bimod)
-    Hn = lays[n].bimodule()
-    Hn_env = bimodule_to_env_module(Hn, E)
-    f_out = None
-    if n + 1 <= res.length:
-        mats = _hom_coboundary(alg, E, lays[n], lays[n + 1], res.eltmats[n + 1])
-        tgt_env = bimodule_to_env_module(lays[n + 1].bimodule(), E)
-        f_out = Morphism(Hn_env, tgt_env, mats)
-    f_in = None
-    if n >= 1:
-        mats = _hom_coboundary(alg, E, lays[n - 1], lays[n], res.eltmats[n])
-        src_env = bimodule_to_env_module(lays[n - 1].bimodule(), E)
-        f_in = Morphism(src_env, Hn_env, mats)
-    H = homology_module(Hn_env, f_in, f_out, name="T")
+    """T = Ext^n_A(DA, A) as Ext^n_E(A, E) over E = A (x) A^op: the n-th
+    cohomology of the dual of the minimal E-resolution P of A.
+
+    Keller ("Deformed Calabi-Yau completions", arXiv 0908.3499, section 4)
+    calls Theta = RHom_E(A, E) the inverse dualizing complex; for A finite-
+    dimensional of finite global dimension, Theta (x)^L_A - is quasi-inverse
+    to the Nakayama functor DA (x)^L_A -, so Theta = RHom_A(DA, A).  In
+    degree n, with both actions: the terms Ae_u (x) e_vA of P are projective
+    as right modules, so the augmented P splits as a complex of right
+    modules and P (x)_A DA resolves DA by the left projectives
+    Ae_u (x) e_v DA.  Hence T = H^n Hom_A(P (x)_A DA, A), with a acting on the
+    left through the right action on DA and on the right through A.  And
+    Hom_A(Ae_u (x) e_v DA, A) = Hom_k(e_v DA, e_uA) = e_uA (x) Ae_v =
+    Hom_E(Ae_u (x) e_vA, E), naturally in P, with a acting on the left on
+    Ae_v and on the right on e_uA on both sides (the inner structure of E).
+
+    The right E-modules e_x E of Hom_E(P, E) are made left ones by the swap
+    anti-automorphism s(i (x) j) = j (x) i of E: term k has the vertices
+    (v, u) of the resolution's term (u, v), and as Hom_E(-, E) turns right
+    multiplication by m into left, each differential is transposed with s
+    applied to its entries.  For n > pd A the complex is zero in degree n."""
+    M = cached_env_module(alg, cached_regular_bimodule)
+    res = _module_resolution(M, n + 1)
+    E = M.alg
+    pair_index = E.tensor_info[2]
+    swap = {k: pair_index[(j, i)] for (i, j), k in pair_index.items()}
+    terms = {k: [(v, u) for u, v in res.term_verts(k)] for k in range(res.length + 1)}
+    diffs = {k - 1: [[{swap[e]: c for e, c in row[s].items()} for row in em]
+                     for s in range(len(terms[k]))]
+             for k, em in res.eltmats.items()}
+    P = PerfComplex(E, terms, diffs)
+    H = tensor_complex(cached_regular_bimodule(E), P, (n - 1, n, n + 1)).cohomology(n)
     out = env_module_to_bimodule(H, alg)
     out.name = "T"
     return out

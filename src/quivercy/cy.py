@@ -35,17 +35,24 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .ar import NrfReport, _env_resolution, walk_orbits
+from .algebra import enveloping
+from .ar import NrfReport, walk_orbits
 from .errors import CapExceeded
 from .homology import (
     PerfComplex,
+    _module_resolution,
     global_dimension,
     is_shifted_regular,
     minimize,
     nakayama,
     stalk_regular,
 )
-from .module import bimodule_to_env_module, cached_regular_bimodule, is_isomorphic
+from .module import (
+    cached_dual_regular_bimodule,
+    cached_env_module,
+    cached_regular_bimodule,
+    is_isomorphic,
+)
 
 
 class CyCertificate:
@@ -272,10 +279,10 @@ def _tower_search(alg, candidates, m_max, cap):
 def dual_regular_perf(alg):
     """Minimal resolution of the dual regular bimodule by enveloping-
     algebra projectives, as a complex in degrees [-length, 0]."""
-    res, E = _env_resolution(alg, 0)
+    res = _module_resolution(cached_env_module(alg, cached_dual_regular_bimodule), 0)
     if not res.complete:
         raise CapExceeded("bimodule resolution of the dual regular module")
-    return res.to_perf(), E
+    return res.to_perf(), enveloping(alg)
 
 
 def tensor_complex_over_base(C: PerfComplex, D: PerfComplex, alg, E):
@@ -367,11 +374,6 @@ def _rev(E):
     return E.cached("pair_rev", lambda: {k: ij for ij, k in E.tensor_info[2].items()})
 
 
-def _regular_env_module(alg, E):
-    return alg.cached("reg_env_mod",
-                      lambda: bimodule_to_env_module(cached_regular_bimodule(alg), E))
-
-
 def check_untwisted_cy(alg, ell, m, cap=None):
     """True when the ell-fold derived tensor power of the dual regular
     bimodule is the regular bimodule shifted by m, with no twist.  False
@@ -392,7 +394,7 @@ def check_untwisted_cy(alg, ell, m, cap=None):
     if set(table) != {-m}:
         return False
     H = table[-m]
-    reg = _regular_env_module(alg, E)
+    reg = cached_env_module(alg, cached_regular_bimodule)
     if H.dim_vector() != reg.dim_vector():
         return False
     return bool(is_isomorphic(H, reg))

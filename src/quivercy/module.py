@@ -602,6 +602,13 @@ def cached_dual_regular_bimodule(alg: Algebra):
     return alg.cached("dual_regular_bimodule", lambda: dual_regular_bimodule(alg))
 
 
+def cached_env_module(alg: Algebra, bimodule):
+    """bimodule(alg), one of the two cached bimodules above, as a module
+    over the enveloping algebra, built once per algebra."""
+    return alg.cached(("env_module", bimodule.__name__),
+                      lambda: bimodule_to_env_module(bimodule(alg)))
+
+
 def tensor_bimod_bimod(T: Bimodule, S: Bimodule, name=None):
     """T tensor_B S for an (A, B)-bimodule T and a (B, C)-bimodule S,
     giving an (A, C)-bimodule."""
@@ -694,26 +701,19 @@ def tensor_bimod_bimod(T: Bimodule, S: Bimodule, name=None):
     return out
 
 
-def bimodule_to_env_module(X: Bimodule, env=None):
+def bimodule_to_env_module(X: Bimodule):
     """View an (A, A)-bimodule as a left module over A (x) A^op."""
     A = X.left_alg
-    E = env or enveloping(A)
+    E = enveloping(A)
     _, _, pair_index = E.tensor_info
-    dims = {}
-    for (u, v) in E.vertices:
-        dims[(u, v)] = X.dims[(u, v)]
+    dims = {x: X.dims[x] for x in E.vertices}
     act = {}
-    aop = E.tensor_info[1]
     for (i, j), k in pair_index.items():
         bi = A.basis[i]
-        bj = aop.basis[j]  # same index as in A, src/tgt swapped
         if bi.degree + A.basis[j].degree == 0:
             continue
         # (i (x) j^op) sends X[(src_i, tgt_j in A)] to X[(tgt_i, src_j in A)]
-        bja = A.basis[j]
-        la = X.lact_mat(i, bja.tgt)
-        ra = X.ract_mat(bi.tgt, j)
-        m = ra * la
+        m = X.ract_mat(bi.tgt, j) * X.lact_mat(i, A.basis[j].tgt)
         if not m.is_zero():
             act[k] = m
     return Module(E, dims, act, name=X.name)
@@ -740,8 +740,7 @@ def env_module_to_bimodule(M: Module, alg: Algebra):
             m = M.act.get(k)
             if m is not None:
                 ract[(u, j)] = m
-    dims = {key: M.dims[key] for key in M.dims}
-    return Bimodule(alg, alg, dims, lact, ract, name=M.name)
+    return Bimodule(alg, alg, M.dims, lact, ract, name=M.name)
 
 
 def flip_bimodule(X: Bimodule, new_left, new_right, name=None):

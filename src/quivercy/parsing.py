@@ -106,18 +106,23 @@ def _parse_term(text, line, col0):
 def _parse_combination(text, line, col0):
     """Signed sum of terms: t1 - t2 + t3 ...  text starts at column col0
     of the file line; each term is returned with the column of its first
-    character, where its errors point."""
+    character, where its errors point.  Signs inside brackets belong to a
+    label, and an unmatched bracket is an error at its own column."""
     terms = []
     sign = 1
     buf = ""
     start = None
-    depth = 0
+    opens = []  # positions of the '[' not yet closed
     for k, ch in enumerate(text + "\n"):
         if ch == "[":
-            depth += 1
+            opens.append(k)
         elif ch == "]":
-            depth -= 1
-        if ch in "+-\n" and depth == 0 and buf.strip():
+            if not opens:
+                raise ParseError("unmatched ']'", line, col0 + k)
+            opens.pop()
+        elif ch == "\n" and opens:
+            raise ParseError("unmatched '['", line, col0 + opens[-1])
+        if ch in "+-\n" and not opens and buf.strip():
             coeff, labels = _parse_term(buf, line, col0 + start)
             if sign < 0:
                 coeff = -coeff
@@ -125,7 +130,7 @@ def _parse_combination(text, line, col0):
             sign = 1 if ch != "-" else -1
             buf = ""
             start = None
-        elif ch in "+-\n" and depth == 0:
+        elif ch in "+-\n" and not opens:
             if ch == "-":
                 sign = -sign
         else:

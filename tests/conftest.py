@@ -3,9 +3,19 @@ import pathlib
 import pytest
 
 import quivercy
-from quivercy.homology import ext_dims_upto
+from quivercy.algebra import enveloping
+from quivercy.homology import _module_resolution, ext_dims_upto, homology_module
 from quivercy.linalg import Mat
-from quivercy.module import cached_regular_bimodule, is_isomorphic
+from quivercy.module import (
+    Bimodule,
+    Morphism,
+    bimodule_to_env_module,
+    cached_dual_regular_bimodule,
+    cached_env_module,
+    cached_regular_bimodule,
+    env_module_to_bimodule,
+    is_isomorphic,
+)
 from quivercy.parsing import load_algebra_file
 
 CORPUS = pathlib.Path(quivercy.__file__).parent / "corpus"
@@ -97,6 +107,150 @@ def projective_cover_oracle(M):
                         row[c] = act_row[j]
         mats[w] = m
     return verts, dims, act, offs, mats, lifts
+
+
+class _HomLayout:
+    """Coordinates of Hom over the base algebra from a sum of enveloping
+    projectives P(u,v) into a bimodule M: one coordinate per (summand r,
+    basis elt b with tgt(b) = v_r, coordinate of M[(u_r, w')])."""
+
+    def __init__(self, alg, pairs, M: Bimodule):
+        self.alg = alg
+        self.pairs = list(pairs)
+        self.M = M
+        coords = {}
+        for w in alg.vertices:
+            for w2 in alg.vertices:
+                coords[(w, w2)] = []
+        for r, (u, v) in enumerate(self.pairs):
+            for bidx, b in enumerate(alg.basis):
+                if b.tgt != v:
+                    continue
+                for w2 in alg.vertices:
+                    for mc in range(M.dims[(u, w2)]):
+                        coords[(b.src, w2)].append((r, bidx, w2, mc))
+        self.coords = coords
+        self.pos = {}
+        for key, lst in coords.items():
+            for c, ent in enumerate(lst):
+                self.pos[(key, ent)] = c
+        self.dims = {key: len(lst) for key, lst in coords.items()}
+
+    def bimodule(self, name="Hom"):
+        alg, M = self.alg, self.M
+        lact, ract = {}, {}
+        for ai, ab in enumerate(alg.basis):
+            if ab.degree == 0:
+                continue
+            # (a.f)(e_u (x) b') = f(e_u (x) (b' * a))
+            for w2 in alg.vertices:
+                src_key = (ab.src, w2)
+                tgt_key = (ab.tgt, w2)
+                m = Mat.zero(self.dims[tgt_key], self.dims[src_key])
+                hit = False
+                for row, (r, bpidx, ww, mc) in enumerate(self.coords[tgt_key]):
+                    prod = alg.mul(bpidx, ai)
+                    for bidx, c in prod.items():
+                        col = self.pos.get((src_key, (r, bidx, ww, mc)))
+                        if col is not None:
+                            m.a[row][col] = c
+                            hit = True
+                if hit:
+                    lact[(ai, w2)] = m
+            # (f.a)(x) = f(x).a through the right action of M
+            for w in alg.vertices:
+                src_key = (w, ab.tgt)
+                tgt_key = (w, ab.src)
+                m = Mat.zero(self.dims[tgt_key], self.dims[src_key])
+                hit = False
+                for col, (r, bidx, ww, mc) in enumerate(self.coords[src_key]):
+                    u = self.pairs[r][0]
+                    ra = M.ract_mat(u, ai)  # M[(u, tgt_a)] -> M[(u, src_a)]
+                    for row_mc in range(ra.rows):
+                        val = ra.a[row_mc][mc]
+                        if val:
+                            row = self.pos[(tgt_key, (r, bidx, ab.src, row_mc))]
+                            m.a[row][col] = val
+                            hit = True
+                if hit:
+                    ract[(w, ai)] = m
+        return Bimodule(alg, alg, self.dims, lact, ract, name=name)
+
+
+def _hom_coboundary(alg, E, lay_k: _HomLayout, lay_k1: _HomLayout, em):
+    """Map Hom(B_k, M) -> Hom(B_{k+1}, M), f |-> f∘d, as vertex-pair
+    matrices usable as an E-module morphism.  em is the based differential
+    B_{k+1} -> B_k over E (rows over term k, cols over term k+1)."""
+    rev = {k: ij for ij, k in E.tensor_info[2].items()}
+    M = lay_k.M
+    mats = {key: Mat.zero(lay_k1.dims[key], lay_k.dims[key]) for key in lay_k.dims}
+    for r in range(len(em)):
+        for s in range(len(em[0]) if em else 0):
+            elt = em[r][s]
+            if not elt:
+                continue
+            v_s = lay_k1.pairs[s][1]
+            for eidx, c in elt.items():
+                ai, aj = rev[eidx]
+                # (f∘d)(e (x) b') involves lact by a_i on values and b'|-> a_j * b'
+                la = {}
+                for w2 in alg.vertices:
+                    la[w2] = M.lact_mat(ai, w2)  # rows M[(tgt ai, w2)], cols M[(src ai, w2)]
+                for bpidx, bp in enumerate(alg.basis):
+                    if bp.tgt != v_s:
+                        continue
+                    prod = alg.mul(aj, bpidx)  # a_j * b'
+                    for bidx, cb in prod.items():
+                        for w2 in alg.vertices:
+                            mat = la[w2]
+                            for row_mc in range(mat.rows):
+                                for col_mc in range(mat.cols):
+                                    val = mat.a[row_mc][col_mc]
+                                    if not val:
+                                        continue
+                                    src_key = (alg.basis[bidx].src, w2)
+                                    col = lay_k.pos.get((src_key, (r, bidx, w2, col_mc)))
+                                    if col is None:
+                                        continue
+                                    tgt_key = (bp.src, w2)
+                                    row = lay_k1.pos.get((tgt_key, (s, bpidx, w2, row_mc)))
+                                    if row is None:
+                                        continue
+                                    mats[tgt_key].a[row][col] += c * cb * val
+    return mats
+
+
+def ext_bimodule_oracle(alg, n):
+    """ar.ext_bimodule as it was before it dualised the resolution of the
+    regular bimodule: Hom over the algebra from the enveloping resolution
+    of the dual regular bimodule into the regular bimodule, with its two
+    actions and coboundaries written out in coordinates."""
+    E = enveloping(alg)
+    res = _module_resolution(cached_env_module(alg, cached_dual_regular_bimodule), n + 1)
+    if n > res.length:
+        return Bimodule(alg, alg, {(u, v): 0 for u in alg.vertices for v in alg.vertices},
+                        {}, {}, name="T")
+    reg_bimod = cached_regular_bimodule(alg)
+    lays = {}
+    for k in (n - 1, n, n + 1):
+        if 0 <= k <= res.length:
+            lays[k] = _HomLayout(alg, res.term_verts(k), reg_bimod)
+    Hn = lays[n].bimodule()
+    Hn_env = bimodule_to_env_module(Hn)
+    f_out = None
+    if n + 1 <= res.length:
+        mats = _hom_coboundary(alg, E, lays[n], lays[n + 1], res.eltmats[n + 1])
+        tgt_env = bimodule_to_env_module(lays[n + 1].bimodule())
+        f_out = Morphism(Hn_env, tgt_env, mats)
+    f_in = None
+    if n >= 1:
+        mats = _hom_coboundary(alg, E, lays[n - 1], lays[n], res.eltmats[n])
+        src_env = bimodule_to_env_module(lays[n - 1].bimodule())
+        f_in = Morphism(src_env, Hn_env, mats)
+    H = homology_module(Hn_env, f_in, f_out, name="T")
+    out = env_module_to_bimodule(H, alg)
+    out.name = "T"
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -184,8 +184,10 @@ def test_10_mesh_algebras_and_permutations():
             lam = cut_algebra(q, c)
             rep = decide_nrf(lam, n)
             pi = preprojective(lam, n, report=rep)
+            # Pi_{n+1} of an omega-stable cut has the dimension of Gamma
+            assert pi.dim == g.dim
             assert nakayama_permutation(pi) == rep.sigma
-    done("mesh pairing verified; permutations of the stable cuts match sigma")
+    done("mesh pairing verified; stable cuts give Gamma's dimension and permutations match sigma")
 
 
 def test_11_property_suites(a2, a3_stable):

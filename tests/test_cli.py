@@ -65,6 +65,15 @@ def test_malformed_coefficient_exit_code(runner, tmp_path):
     assert f"parse error at {bad}:5:3" in result.stderr
 
 
+def test_unmatched_bracket_exit_code(runner, tmp_path):
+    bad = tmp_path / "bad.alg"
+    bad.write_text("vertices: 1 2 3\narrows:\n  a: 1 -> 2\n  b: 2 -> 3\n"
+                   "relations:\n  a*b - 2*[b\n")
+    result = runner.invoke(main, ["analyze", str(bad), "--n", "1"])
+    assert result.exit_code == 64
+    assert f"parse error at {bad}:6:11" in result.stderr
+
+
 # usage errors exit 64 like a parse error; click's own 2 would read as
 # undecided
 

@@ -84,6 +84,28 @@ def test_parse_error_points_at_the_term(relation, col):
     assert (err.value.line, err.value.col) == (6, col)
 
 
+PATH_TEXT = "vertices: 1 2 3\narrows:\n  a: 1 -> 2\n  b: 2 -> 3\nrelations:\n"
+
+
+@pytest.mark.parametrize("relation,col,bracket", [("  a*b - 2*[b", 11, "["),
+                                                  ("  a*b - b]", 10, "]"),
+                                                  ("  a*b - 2*b]*a", 12, "]"),
+                                                  ("  [a]*b - [[b]", 11, "[")])
+def test_unmatched_bracket_is_a_parse_error(relation, col, bracket):
+    # a term with an unmatched bracket is an error, not silently dropped
+    with pytest.raises(ParseError) as err:
+        parse_algebra_file(PATH_TEXT + relation + "\n")
+    assert (err.value.line, err.value.col) == (6, col)
+    assert f"unmatched {bracket!r}" in err.value.message
+
+
+def test_matched_brackets_keep_their_signs():
+    text = ("vertices: 1 2\narrows:\n  a[0,-1]: 1 -> 2\n  b[1,-2]: 1 -> 2\n"
+            "relations:\n  a[0,-1] - b[1,-2]\n")
+    (line, terms), = parse_algebra_file(text).relation_specs
+    assert [(c, labels) for c, labels, _ in terms] == [(1, ["a[0,-1]"]), (-1, ["b[1,-2]"])]
+
+
 @pytest.mark.parametrize("text,line,col", [
     ("relations:\n  a - 2*c\n", 5, 7),
     ("relations: a - 2*c\n", 4, 16),
