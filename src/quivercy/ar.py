@@ -26,13 +26,13 @@ from .module import (
     Morphism,
     cached_dual_regular_bimodule,
     cached_env_module,
+    cached_injective,
     cached_regular_bimodule,
     direct_sum,
     dual_module,
     env_module_to_bimodule,
     flip_bimodule,
     hom,
-    injective_module,
     outer_tensor_module,
     projective_module,
     socle_vertices,
@@ -124,9 +124,11 @@ def _walk_tau_orbit(alg, i, n, cap):
     Ext^k(X, reg) = 0 for all k != n, the condition making tau_n agree
     with the derived Nakayama shift.  The walk ends with v when the last
     stage is P_v, and with v None and a reason when a stage fails that
-    condition or tau_n kills it.  Raises _OrbitCut past cap stages."""
+    condition or tau_n kills it.  Raises _OrbitCut past cap stages.
+    Stage 0 is `cached_injective`, so a resolution that global_dimension
+    has already built is read, not rebuilt."""
     reg = _cached_regular(alg)
-    X = injective_module(alg, i)
+    X = cached_injective(alg, i)
     orbit = [X]
     while True:
         v = _match_projective(X)
@@ -192,6 +194,12 @@ def decide_nrf(alg: Algebra, n: int, cap=None, *, verify_ct=None):
     sigma is onto; this is still checked.  The stages then form the
     n-cluster tilting module; its check (pairwise distinct summands,
     Ext^1..n-1 vanishing on their sum) is kept in the tests as an oracle.
+
+    The hypothesis gl.dim A <= n is checked first.  On an acyclic quiver
+    `global_dimension` reads it off the resolutions of the injectives
+    (gl.dim A = max_i pd I_i there; its docstring gives the proof), and
+    the walks start from the same injectives, so each one is resolved
+    once and no simple module is resolved at all.
     """
     if cap is None:
         cap = default_cap(alg)

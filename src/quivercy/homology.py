@@ -10,6 +10,8 @@ composite g∘f the element of the composite is elt(f) * elt(g).
 
 from __future__ import annotations
 
+from graphlib import CycleError, TopologicalSorter
+
 from .algebra import Algebra, cached_opposite
 from .errors import CapExceeded
 from .linalg import Mat, inv, kernel_units
@@ -19,11 +21,11 @@ from .module import (
     Morphism,
     _sub_from_columns,
     cached_dual_regular_bimodule,
+    cached_injective,
     cached_regular_bimodule,
     column_sum,
     direct_sum,
     dual_module,
-    injective_module,
     kernel,
     quotient,
     radical_columns,
@@ -464,14 +466,52 @@ def global_dimension(alg: Algebra, cap=None):
     """The largest length of a minimal projective resolution of a simple
     module.  Raises CapExceeded when one is longer than cap.  The lengths
     are cached once a call returns, and a later call with a smaller cap
-    raises from them just as a fresh call would."""
+    raises from them just as a fresh call would.
+
+    On an acyclic Gabriel quiver it is the largest length of a resolution
+    of an indecomposable injective instead, read from `cached_injective`,
+    whose resolution the orbit walk of `decide_nrf` reuses.  Proof: let
+    d = gl.dim A be finite.  Some simples S, S' have Ext^d(S, S') != 0.
+    As Ext^(d+1) vanishes, the embedding S -> I(S) makes
+    Ext^d(I(S), S') -> Ext^d(S, S') onto, so pd I(S) >= d, and pd I <= d
+    for every module I; hence d = max_v pd I_v.  An algebra with an
+    acyclic quiver is triangular, and a triangular algebra has
+    gl.dim <= #vertices - 1, so d is finite whenever this rule is used.
+    A cyclic quiver keeps the simple modules: a selfinjective algebra has
+    pd I = 0 for every injective but infinite global dimension."""
     if cap is None:
         cap = default_cap(alg)
-    lengths = alg.cached("gl_dim", lambda: _simple_resolution_lengths(alg, cap))
+    label, lengths = alg.cached(
+        "gl_dim", lambda: (("I", _injective_resolution_lengths(alg)) if _quiver_is_acyclic(alg)
+                           else ("S", _simple_resolution_lengths(alg, cap))))
     for v, length in zip(alg.vertices, lengths):
         if length > cap:
-            raise CapExceeded(f"projective resolution of S[{v}] exceeds {cap}")
+            raise CapExceeded(f"projective resolution of {label}[{v}] exceeds {cap}")
     return max(lengths, default=0)
+
+
+def _quiver_is_acyclic(alg):
+    """Whether the Gabriel quiver has no oriented cycle, by a topological
+    sort of the ends of the positive-degree basis elements: every arrow
+    is such an element and every such element is a path of arrows, so
+    the two graphs have the same cycles."""
+    preds = {v: set() for v in alg.vertices}
+    for b in alg.basis[len(alg.vertices):]:
+        preds[b.tgt].add(b.src)
+    try:
+        tuple(TopologicalSorter(preds).static_order())
+    except CycleError:
+        return False
+    return True
+
+
+def _injective_resolution_lengths(alg):
+    lengths = []
+    for v in alg.vertices:
+        res = _module_resolution(cached_injective(alg, v), 0)
+        assert res.complete, "a triangular algebra has finite global dimension"
+        lengths.append(res.length)
+    return lengths
 
 
 def _simple_resolution_lengths(alg, cap):
@@ -505,7 +545,7 @@ def _is_regular_module(M: Module):
 
 def _injective_is_projective(alg, v):
     return alg.cached(("inj_proj", v),
-                      lambda: _match_projective(injective_module(alg, v)) is not None)
+                      lambda: _match_projective(cached_injective(alg, v)) is not None)
 
 
 def dominant_dimension(alg: Algebra, cap=None):

@@ -609,6 +609,12 @@ def cached_env_module(alg: Algebra, bimodule):
                       lambda: bimodule_to_env_module(bimodule(alg)))
 
 
+def cached_injective(alg: Algebra, v):
+    """The injective at v, built once per algebra, so that every reader
+    shares it and the resolution kept on it."""
+    return alg.cached(("injective", v), lambda: injective_module(alg, v))
+
+
 def tensor_bimod_bimod(T: Bimodule, S: Bimodule, name=None):
     """T tensor_B S for an (A, B)-bimodule T and a (B, C)-bimodule S,
     giving an (A, C)-bimodule."""
