@@ -13,6 +13,8 @@ left module as a map M[src(b)] -> M[tgt(b)].
 
 from __future__ import annotations
 
+from functools import wraps
+
 from .errors import MalformedRelation, NotFiniteDimensional
 from .linalg import Mat, independent_subset
 from .quiver import Path, Quiver, Relation
@@ -30,6 +32,27 @@ class BasisElt:
 
     def __repr__(self):
         return str(self.name)
+
+
+_MISSING = object()
+
+
+def per_algebra(fn):
+    """Memoize fn(alg, *args) on alg under the key (fn, args): a derived
+    object has one spelling and is built once per algebra.  Keyword-only
+    arguments, the caps, are not part of the key.  A call that raises
+    stores nothing, so the next call builds again.  A miss builds through
+    the memo's __wrapped__, so that a test can count the builds."""
+
+    @wraps(fn)
+    def memo(alg, *args, **caps):
+        key = (fn, args)
+        out = alg._cache.get(key, _MISSING)
+        if out is _MISSING:
+            out = alg._cache[key] = memo.__wrapped__(alg, *args, **caps)
+        return out
+
+    return memo
 
 
 class Algebra:
@@ -55,13 +78,6 @@ class Algebra:
 
     def nvert(self):
         return len(self.vertices)
-
-    def cached(self, key, build):
-        """The object derived from this algebra under key; build() makes
-        it on the first call only."""
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
 
     def mul(self, i, j):
         """basis[i] * basis[j] as a sparse {index: coeff} dict."""
@@ -272,6 +288,7 @@ def path_algebra(quiver, name=None, length_cap=64):
     return build_algebra(quiver, [], length_cap=length_cap, name=name or "KQ")
 
 
+@per_algebra
 def opposite(a: Algebra) -> Algebra:
     """Same basis, reversed multiplication and src/tgt."""
     basis = [BasisElt(b.name, b.tgt, b.src, b.degree, path=b.path) for b in a.basis]
@@ -325,11 +342,7 @@ def tensor_product(a: Algebra, b: Algebra, name=None) -> Algebra:
     return t
 
 
-def cached_opposite(a: Algebra) -> Algebra:
-    """opposite(a), built once per algebra."""
-    return a.cached("op", lambda: opposite(a))
-
-
+@per_algebra
 def enveloping(a: Algebra) -> Algebra:
     """a (x) a^op; bimodules over a are left modules over this."""
-    return a.cached("env", lambda: tensor_product(a, cached_opposite(a), name=f"{a.name}^env"))
+    return tensor_product(a, opposite(a), name=f"{a.name}^env")

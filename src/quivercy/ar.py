@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .algebra import Algebra, BasisElt, cached_opposite, tensor_product
+from .algebra import Algebra, BasisElt, opposite, per_algebra, tensor_product
 from .errors import (
     CapExceeded,
     FactorNotHomogeneous,
@@ -24,25 +24,24 @@ from .module import (
     Bimodule,
     Module,
     Morphism,
-    cached_dual_regular_bimodule,
-    cached_env_module,
-    cached_injective,
-    cached_regular_bimodule,
     direct_sum,
     dual_module,
+    dual_regular_bimodule,
+    env_module,
     env_module_to_bimodule,
     flip_bimodule,
     hom,
+    injective_module,
     outer_tensor_module,
-    projective_module,
-    socle_vertices,
+    regular_bimodule,
+    regular_module,
     tensor_bimod_bimod,
 )
 from .homology import (
     PerfComplex,
-    _cached_regular,
     _match_projective,
     _module_resolution,
+    _projective_partner,
     default_cap,
     ext_dims_upto,
     global_dimension,
@@ -54,18 +53,22 @@ from .homology import (
 
 def tau_n(M: Module, n: int):
     """Higher AR translate Tor_n(D(reg), M)."""
-    return tor(n, cached_dual_regular_bimodule(M.alg), M)
+    return tor(n, dual_regular_bimodule(M.alg), M)
 
 
 def tau_n_minus(M: Module, n: int):
     """Inverse translate, via D Tor_n(D M, D(reg)) resolved over the
     opposite algebra."""
     alg = M.alg
-    op = cached_opposite(alg)
-    Y = alg.cached("dreg_flip", lambda: flip_bimodule(cached_dual_regular_bimodule(alg), op, op))
-    Mop = dual_module(M, op)
-    T = tor(n, Y, Mop)
+    T = tor(n, _flipped_dual_regular(alg), dual_module(M, opposite(alg)))
     return dual_module(T, alg, name=f"tau{n}-({M.name})")
+
+
+@per_algebra
+def _flipped_dual_regular(alg):
+    """The dual regular bimodule as a bimodule over the opposite algebra."""
+    op = opposite(alg)
+    return flip_bimodule(dual_regular_bimodule(alg), op, op)
 
 
 class NrfReport:
@@ -114,21 +117,23 @@ class NrfReport:
 
 
 class _OrbitCut(Exception):
-    """An orbit walk passed its cap; raised inside `Algebra.cached`, so
+    """An orbit walk passed its cap; raised inside the memoized walk, so
     the cut walk is not stored."""
 
 
-def _walk_tau_orbit(alg, i, n, cap):
+@per_algebra
+def _walk_tau_orbit(alg, i, n, *, cap):
     """The tau_n-orbit X_0 = I_i, X_1 = tau_n X_0, ... of the injective
     at i, as (stages, v, reason).  Every stage but the last has
     Ext^k(X, reg) = 0 for all k != n, the condition making tau_n agree
     with the derived Nakayama shift.  The walk ends with v when the last
     stage is P_v, and with v None and a reason when a stage fails that
-    condition or tau_n kills it.  Raises _OrbitCut past cap stages.
-    Stage 0 is `cached_injective`, so a resolution that global_dimension
+    condition or tau_n kills it.  Raises _OrbitCut past cap stages.  A
+    walk is kept on the algebra per (i, n), whatever cap it ran under.
+    Stage 0 is `injective_module`, so a resolution that global_dimension
     has already built is read, not rebuilt."""
-    reg = _cached_regular(alg)
-    X = cached_injective(alg, i)
+    reg = regular_module(alg)
+    X = injective_module(alg, i)
     orbit = [X]
     while True:
         v = _match_projective(X)
@@ -152,13 +157,12 @@ def walk_orbits(report, cap):
     report.ell, report.sigma and report.orbit_table, orbits of at most cap
     stages.  True when every orbit ends on a projective; otherwise False
     with report.reason set, and report.is_nrf UNDECIDED for a cut walk.
-    Needs gl.dim <= report.n.  Each walk that was not cut is cached on the
+    Needs gl.dim <= report.n.  Each walk that was not cut is kept on the
     algebra, whatever cap it ran under."""
     alg, n = report.alg, report.n
     for i in alg.vertices:
         try:
-            orbit, v, reason = alg.cached(("tau_orbit", n, i),
-                                          lambda: _walk_tau_orbit(alg, i, n, cap))
+            orbit, v, reason = _walk_tau_orbit(alg, i, n, cap=cap)
         except _OrbitCut:
             report.is_nrf = UNDECIDED
             report.reason = f"orbit of injective at {i} exceeds the cap"
@@ -198,8 +202,9 @@ def decide_nrf(alg: Algebra, n: int, cap=None, *, verify_ct=None):
     The hypothesis gl.dim A <= n is checked first.  On an acyclic quiver
     `global_dimension` reads it off the resolutions of the injectives
     (gl.dim A = max_i pd I_i there; its docstring gives the proof), and
-    the walks start from the same injectives, so each one is resolved
-    once and no simple module is resolved at all.
+    the walks start from the same injectives, the one `injective_module`
+    keeps per vertex, so each one is resolved once and no simple module
+    is resolved at all.
     """
     if cap is None:
         cap = default_cap(alg)
@@ -240,14 +245,12 @@ def homogeneity(report: NrfReport):
 # -- Ext^n(D(reg), reg) as a bimodule ----------------------------------
 
 
+@per_algebra
 def ext_bimodule(alg: Algebra, n: int):
     """Ext^n(D(reg), reg) with both module structures: the bimodule T
-    generating the higher preprojective algebra."""
-    return alg.cached(("ext_bimod", n), lambda: _build_ext_bimodule(alg, n))
+    generating the higher preprojective algebra.
 
-
-def _build_ext_bimodule(alg, n):
-    """T = Ext^n_A(DA, A) as Ext^n_E(A, E) over E = A (x) A^op: the n-th
+    T = Ext^n_A(DA, A) as Ext^n_E(A, E) over E = A (x) A^op: the n-th
     cohomology of the dual of the minimal E-resolution P of A.
 
     Keller ("Deformed Calabi-Yau completions", arXiv 0908.3499, section 4)
@@ -268,7 +271,7 @@ def _build_ext_bimodule(alg, n):
     (v, u) of the resolution's term (u, v), and as Hom_E(-, E) turns right
     multiplication by m into left, each differential is transposed with s
     applied to its entries.  For n > pd A the complex is zero in degree n."""
-    M = cached_env_module(alg, cached_regular_bimodule)
+    M = env_module(alg, regular_bimodule)
     res = _module_resolution(M, n + 1)
     E = M.alg
     pair_index = E.tensor_info[2]
@@ -278,7 +281,7 @@ def _build_ext_bimodule(alg, n):
                      for s in range(len(terms[k]))]
              for k, em in res.eltmats.items()}
     P = PerfComplex(E, terms, diffs)
-    H = tensor_complex(cached_regular_bimodule(E), P, (n - 1, n, n + 1)).cohomology(n)
+    H = tensor_complex(regular_bimodule(E), P, (n - 1, n, n + 1)).cohomology(n)
     out = env_module_to_bimodule(H, alg)
     out.name = "T"
     return out
@@ -461,18 +464,11 @@ def preprojective(alg: Algebra, n: int, cap=24, report=None):
 def nakayama_permutation(p: Algebra):
     """For selfinjective p: the permutation sending i to the vertex j
     with the injective at i isomorphic to the projective at j,
-    equivalently socle(P_j) is the simple at i."""
+    equivalently socle(P_j) is the simple at i.  It is the match that
+    `is_selfinjective` has already made."""
     if not is_selfinjective(p):
         raise NotSelfinjective(p.name)
-    perm = {}
-    for j in p.vertices:
-        P = projective_module(p, j)
-        soc = socle_vertices(P)
-        support = [v for v, d in soc.items() if d]
-        if len(support) != 1 or soc[support[0]] != 1:
-            raise NotSelfinjective(f"socle of projective at {j} is not simple")
-        perm[support[0]] = j
-    return perm
+    return {i: _projective_partner(p, i) for i in p.vertices}
 
 
 def auslander_algebra(alg: Algebra, summands):
@@ -657,7 +653,7 @@ def tensor_nrf(factors, ell, cap=None):
     for i in range(ell):
         parts = []
         for a, ni in factors:
-            X = _cached_regular(a)
+            X = regular_module(a)
             for _ in range(i):
                 X = tau_n_minus(X, ni)
             parts.append(X)

@@ -35,7 +35,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .algebra import enveloping
+from .algebra import enveloping, per_algebra
 from .ar import NrfReport, walk_orbits
 from .errors import CapExceeded
 from .homology import (
@@ -47,12 +47,7 @@ from .homology import (
     nakayama,
     stalk_regular,
 )
-from .module import (
-    cached_dual_regular_bimodule,
-    cached_env_module,
-    cached_regular_bimodule,
-    is_isomorphic,
-)
+from .module import dual_regular_bimodule, env_module, is_isomorphic, regular_bimodule
 
 
 class CyCertificate:
@@ -89,16 +84,13 @@ def combine_cy(certs):
 # -- the K_0 gate -------------------------------------------------------
 
 
+@per_algebra
 def k0_nakayama(alg):
     """The matrix N = C⁻¹Cᵀ of the Nakayama functor on K_0 in the basis
     of the classes [P_v], as integer rows.  C[u][w] counts the basis
     elements from w to u, the dimension of P_w at u; the injective
     I_w = ν P_w has the transposed counts.  Call it once global_dimension
     has returned: then det C = ±1, so N is integral."""
-    return alg.cached("k0_nu", lambda: _k0_nakayama(alg))
-
-
-def _k0_nakayama(alg):
     pos = {v: k for k, v in enumerate(alg.vertices)}
     n = len(pos)
     C = [[0] * n for _ in range(n)]
@@ -201,9 +193,9 @@ def find_twisted_cy(alg, ell_max=24, m_max=24, cap=None):
     nu^ell_i P_i = P_sigma(i)[n (ell_i - 1)], and `certificate_from_orbits`
     chains these into nu^ell A = A[m].  Each orbit is walked to at most
     the largest candidate stages (ell_i <= ell), and `decide_nrf` at that
-    n has already cached the walks.  The tower route iterates nu on the
-    regular module; here it tests only the candidates below the orbit
-    ell, so that the answer is minimal.  When the orbits give no
+    n has already kept the walks on the algebra.  The tower route
+    iterates nu on the regular module; here it tests only the candidates
+    below the orbit ell, so that the answer is minimal.  When the orbits give no
     certificate within ell_max and m_max, the tower tests every
     candidate, and no Nakayama power past the last one tested is
     computed.  Raises CapExceeded when the global dimension or a computed
@@ -279,7 +271,7 @@ def _tower_search(alg, candidates, m_max, cap):
 def dual_regular_perf(alg):
     """Minimal resolution of the dual regular bimodule by enveloping-
     algebra projectives, as a complex in degrees [-length, 0]."""
-    res = _module_resolution(cached_env_module(alg, cached_dual_regular_bimodule), 0)
+    res = _module_resolution(env_module(alg, dual_regular_bimodule), 0)
     if not res.complete:
         raise CapExceeded("bimodule resolution of the dual regular module")
     return res.to_perf(), enveloping(alg)
@@ -370,8 +362,10 @@ def tensor_complex_over_base(C: PerfComplex, D: PerfComplex, alg, E):
     return out
 
 
+@per_algebra
 def _rev(E):
-    return E.cached("pair_rev", lambda: {k: ij for ij, k in E.tensor_info[2].items()})
+    """The basis pair (i, j) of each basis index of a tensor product E."""
+    return {k: ij for ij, k in E.tensor_info[2].items()}
 
 
 def check_untwisted_cy(alg, ell, m, cap=None):
@@ -394,7 +388,7 @@ def check_untwisted_cy(alg, ell, m, cap=None):
     if set(table) != {-m}:
         return False
     H = table[-m]
-    reg = cached_env_module(alg, cached_regular_bimodule)
+    reg = env_module(alg, regular_bimodule)
     if H.dim_vector() != reg.dim_vector():
         return False
     return bool(is_isomorphic(H, reg))

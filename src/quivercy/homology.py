@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from graphlib import CycleError, TopologicalSorter
 
-from .algebra import Algebra, cached_opposite
+from .algebra import Algebra, opposite, per_algebra
 from .errors import CapExceeded
 from .linalg import Mat, inv, kernel_units
 from .module import (
@@ -20,16 +20,17 @@ from .module import (
     Module,
     Morphism,
     _sub_from_columns,
-    cached_dual_regular_bimodule,
-    cached_injective,
-    cached_regular_bimodule,
     column_sum,
     direct_sum,
     dual_module,
+    dual_regular_bimodule,
+    injective_module,
     kernel,
     quotient,
     radical_columns,
+    regular_bimodule,
     regular_module,
+    simple_module,
     top_dim_vector,
     zero_module,
 )
@@ -37,10 +38,6 @@ from .module import (
 
 def default_cap(alg):
     return 4 * len(alg.vertices) + 8
-
-
-def _cached_regular(alg):
-    return alg.cached("regmod", lambda: regular_module(alg))
 
 
 class SumInfo:
@@ -52,7 +49,13 @@ class SumInfo:
     def __init__(self, alg, verts):
         self.verts = list(verts)
         name = "P(" + ",".join(str(v) for v in self.verts) + ")"
-        self.module, self.offs = column_sum(cached_regular_bimodule(alg), self.verts, name=name)
+        self.module, self.offs = column_sum(regular_bimodule(alg), self.verts, name=name)
+
+
+@per_algebra
+def _sum_info(alg, verts):
+    """The SumInfo of a tuple of vertices."""
+    return SumInfo(alg, verts)
 
 
 # -- element matrices --------------------------------------------------
@@ -94,7 +97,7 @@ def images_to_eltmat(verts, tgt: SumInfo, images):
     """Element matrix of the map from the sum of the projectives at verts
     to tgt.module that sends generator s to images[s], a vector of
     tgt.module at verts[s]."""
-    R = cached_regular_bimodule(tgt.module.alg)
+    R = regular_bimodule(tgt.module.alg)
     m = eltmat_zero(len(tgt.verts), len(verts))
     for s, (a, col) in enumerate(zip(verts, images)):
         for r, v in enumerate(tgt.verts):
@@ -195,7 +198,7 @@ class PerfComplex:
 
     def to_mod_complex(self):
         """The complex as modules: the regular bimodule tensored with it."""
-        return tensor_complex(cached_regular_bimodule(self.alg), self)
+        return tensor_complex(regular_bimodule(self.alg), self)
 
     def cohomology(self, i):
         return self.to_mod_complex().cohomology(i)
@@ -251,8 +254,8 @@ def projective_cover(M: Module):
             if j not in pivset:
                 verts.append(v)
                 lifts.append(j)
-    info = alg.cached(("sum_info", tuple(verts)), lambda: SumInfo(alg, verts))
-    pos = cached_regular_bimodule(alg).basis_pos
+    info = _sum_info(alg, tuple(verts))
+    pos = regular_bimodule(alg).basis_pos
     mats = {w: Mat.zero(M.dims[w], info.module.dims[w]) for w in alg.vertices}
     acts = [(alg.basis[i], pos[i], m.a) for i, m in M.act.items() if alg.basis[i].degree]
     for r, (v, j) in enumerate(zip(verts, lifts)):
@@ -465,11 +468,11 @@ def tor(i, X: Bimodule, M: Module):
 def global_dimension(alg: Algebra, cap=None):
     """The largest length of a minimal projective resolution of a simple
     module.  Raises CapExceeded when one is longer than cap.  The lengths
-    are cached once a call returns, and a later call with a smaller cap
-    raises from them just as a fresh call would.
+    are kept on the algebra once a call returns, and a later call with a
+    smaller cap raises from them just as a fresh call would.
 
     On an acyclic Gabriel quiver it is the largest length of a resolution
-    of an indecomposable injective instead, read from `cached_injective`,
+    of an indecomposable injective instead, read from `injective_module`,
     whose resolution the orbit walk of `decide_nrf` reuses.  Proof: let
     d = gl.dim A be finite.  Some simples S, S' have Ext^d(S, S') != 0.
     As Ext^(d+1) vanishes, the embedding S -> I(S) makes
@@ -481,13 +484,20 @@ def global_dimension(alg: Algebra, cap=None):
     pd I = 0 for every injective but infinite global dimension."""
     if cap is None:
         cap = default_cap(alg)
-    label, lengths = alg.cached(
-        "gl_dim", lambda: (("I", _injective_resolution_lengths(alg)) if _quiver_is_acyclic(alg)
-                           else ("S", _simple_resolution_lengths(alg, cap))))
+    label, lengths = _resolution_lengths(alg, cap=cap)
     for v, length in zip(alg.vertices, lengths):
         if length > cap:
             raise CapExceeded(f"projective resolution of {label}[{v}] exceeds {cap}")
     return max(lengths, default=0)
+
+
+@per_algebra
+def _resolution_lengths(alg, *, cap):
+    """("I", the lengths of the injectives' resolutions) on an acyclic
+    quiver, else ("S", those of the simples', each at most cap)."""
+    if _quiver_is_acyclic(alg):
+        return "I", _injective_resolution_lengths(alg)
+    return "S", _simple_resolution_lengths(alg, cap)
 
 
 def _quiver_is_acyclic(alg):
@@ -508,15 +518,13 @@ def _quiver_is_acyclic(alg):
 def _injective_resolution_lengths(alg):
     lengths = []
     for v in alg.vertices:
-        res = _module_resolution(cached_injective(alg, v), 0)
+        res = _module_resolution(injective_module(alg, v), 0)
         assert res.complete, "a triangular algebra has finite global dimension"
         lengths.append(res.length)
     return lengths
 
 
 def _simple_resolution_lengths(alg, cap):
-    from .module import simple_module
-
     return [min_proj_resolution(simple_module(alg, v), max_len=cap, strict=True).length
             for v in alg.vertices]
 
@@ -532,20 +540,21 @@ def _match_projective(M: Module):
         return None
     alg = M.alg
     v = alg.vertices[top.index(1)]
-    R = cached_regular_bimodule(alg)
+    R = regular_bimodule(alg)
     return v if all(R.dims[(w, v)] == M.dims[w] for w in alg.vertices) else None
 
 
 def _is_regular_module(M: Module):
     """M ≅ the regular module, by the test of `_match_projective`: the
     top of the regular module is one copy of every simple."""
-    return (M.dim_vector() == _cached_regular(M.alg).dim_vector()
+    return (M.dim_vector() == regular_module(M.alg).dim_vector()
             and all(t == 1 for t in top_dim_vector(M)))
 
 
-def _injective_is_projective(alg, v):
-    return alg.cached(("inj_proj", v),
-                      lambda: _match_projective(cached_injective(alg, v)) is not None)
+@per_algebra
+def _projective_partner(alg, v):
+    """The vertex w with I_v isomorphic to P_w, else None."""
+    return _match_projective(injective_module(alg, v))
 
 
 def dominant_dimension(alg: Algebra, cap=None):
@@ -554,12 +563,12 @@ def dominant_dimension(alg: Algebra, cap=None):
     coresolution stays projective-injective throughout (∞ convention)."""
     if cap is None:
         cap = default_cap(alg)
-    DM = dual_module(regular_module(alg), cached_opposite(alg))
+    DM = dual_module(regular_module(alg), opposite(alg))
     res = min_proj_resolution(DM, max_len=cap, strict=True)
     count = 0
     for k in range(res.length + 1):
         verts = res.term_verts(k)
-        if all(_injective_is_projective(alg, v) for v in verts):
+        if all(_projective_partner(alg, v) is not None for v in verts):
             count += 1
         else:
             break
@@ -569,7 +578,7 @@ def dominant_dimension(alg: Algebra, cap=None):
 
 
 def is_selfinjective(alg: Algebra):
-    return all(_injective_is_projective(alg, v) for v in alg.vertices)
+    return all(_projective_partner(alg, v) is not None for v in alg.vertices)
 
 
 # -- projective replacement and minimization ---------------------------
@@ -585,7 +594,7 @@ def to_projective_complex(C: ModComplex, cap=None):
     if not degs:
         return PerfComplex(alg, {}, {})
     hi, lo = max(degs), min(degs)
-    R = cached_regular_bimodule(alg)
+    R = regular_bimodule(alg)
     P_infos = {}
     P_diffs = {}  # i -> eltmat P^i -> P^{i+1}
     pi = {}  # i -> Morphism P^i.module -> C.term(i)
@@ -761,7 +770,7 @@ def minimize(P: PerfComplex):
 def nakayama(P: PerfComplex, cap=None):
     """The derived Nakayama functor: tensor a complex of projectives with
     the dual regular bimodule, then renormalize to projective terms."""
-    DL = cached_dual_regular_bimodule(P.alg)
+    DL = dual_regular_bimodule(P.alg)
     return minimize(to_projective_complex(tensor_complex(DL, P), cap=cap))
 
 

@@ -8,7 +8,7 @@ on their own vertex and are not stored.
 
 from __future__ import annotations
 
-from .algebra import Algebra, opposite, enveloping
+from .algebra import Algebra, enveloping, opposite, per_algebra
 from .errors import NotAHomomorphism, UNDECIDED
 from .linalg import Mat, kernel_units, rational, span_basis
 
@@ -110,16 +110,19 @@ def simple_module(alg, v, name=None):
 
 def projective_module(alg, v, name=None):
     """P_v = (algebra) e_v, the column of the regular bimodule at v."""
-    return column_sum(cached_regular_bimodule(alg), [v], name=name or f"P[{v}]")[0]
+    return column_sum(regular_bimodule(alg), [v], name=name or f"P[{v}]")[0]
 
 
-def injective_module(alg, v, name=None):
-    """I_v = D(e_v (algebra)), the column of the dual regular bimodule at v."""
-    return column_sum(cached_dual_regular_bimodule(alg), [v], name=name or f"I[{v}]")[0]
+@per_algebra
+def injective_module(alg, v):
+    """I_v = D(e_v (algebra)), the column of the dual regular bimodule at
+    v, shared by every reader together with the resolution kept on it."""
+    return column_sum(dual_regular_bimodule(alg), [v], name=f"I[{v}]")[0]
 
 
-def regular_module(alg, name=None):
-    return column_sum(cached_regular_bimodule(alg), alg.vertices, name=name or "reg")[0]
+@per_algebra
+def regular_module(alg):
+    return column_sum(regular_bimodule(alg), alg.vertices, name="reg")[0]
 
 
 def column_sum(X, verts, name=None):
@@ -277,20 +280,6 @@ def top_dim_vector(M: Module):
                  for v in M.alg.vertices)
 
 
-def socle_vertices(M: Module):
-    """Dimension of the socle at each vertex (vectors killed by the radical)."""
-    out = {}
-    for v in M.alg.vertices:
-        rows = []
-        for g in M.alg.radical_indices():
-            b = M.alg.basis[g]
-            if b.src != v:
-                continue
-            rows.extend(M.act_mat(g).a)
-        out[v] = len(Mat.from_rows(rows, ncols=M.dims[v]).kernel_basis())
-    return out
-
-
 def hom(M: Module, N: Module):
     """Basis of Hom(M, N) as a list of Morphisms."""
     alg = M.alg
@@ -320,17 +309,13 @@ def hom(M: Module, N: Module):
                 if any(row):
                     rows.append(row)
     kb = Mat.from_rows(rows, ncols=n).kernel_basis()
-    out = []
-    for vec in kb:
-        mats = {}
-        for v in verts:
-            m = Mat.zero(N.dims[v], M.dims[v])
-            for r in range(N.dims[v]):
-                for c in range(M.dims[v]):
-                    m.a[r][c] = vec[off[v] + r * M.dims[v] + c]
-            mats[v] = m
-        out.append(Morphism(M, N, mats))
-    return out
+
+    def block(vec, v):
+        # N.dims[v] rows of M.dims[v] consecutive entries each, from off[v]
+        r, c, o = N.dims[v], M.dims[v], off[v]
+        return Mat(r, c, [vec[o + k * c:o + (k + 1) * c] for k in range(r)])
+
+    return [Morphism(M, N, {v: block(vec, v) for v in verts}) for vec in kb]
 
 
 def hom_dim(M: Module, N: Module):
@@ -544,7 +529,8 @@ class Bimodule:
         return f"Bimodule({self.name}, dim {self.total_dim})"
 
 
-def regular_bimodule(alg: Algebra, name=None):
+@per_algebra
+def regular_bimodule(alg: Algebra):
     """The algebra over itself; X[(u, v)] has the basis elements with
     tgt == u and src == v as coordinates, in basis order, listed in
     X.basis_indices[(u, v)] when there are any; basis element i is
@@ -576,43 +562,30 @@ def regular_bimodule(alg: Algebra, name=None):
                 m = ract[(bj.tgt, i)] = Mat.zero(dims[(bj.tgt, bi.src)], dims[(bj.tgt, bi.tgt)])
             for k, c in prod.items():
                 m.a[pos[k]][pos[j]] = c
-    X = Bimodule(alg, alg, dims, lact, ract, name=name or "reg")
+    X = Bimodule(alg, alg, dims, lact, ract, name="reg")
     X.basis_indices = by_pair
     X.basis_pos = pos
     return X
 
 
-def dual_regular_bimodule(alg: Algebra, name=None):
+@per_algebra
+def dual_regular_bimodule(alg: Algebra):
     """The k-dual of the algebra as a bimodule: the transpose of the
     regular bimodule with its sides swapped.  X[(u, v)] is the dual of the
     span of basis elements with src == u and tgt == v; a acts on the left
     by (a.xi)(x) = xi(x * a) and on the right by (xi.a)(x) = xi(a * x)."""
-    R = cached_regular_bimodule(alg)
+    R = regular_bimodule(alg)
     dims = {(u, v): d for (v, u), d in R.dims.items()}
     lact = {(j, v): m.transpose() for (v, j), m in R.ract.items()}
     ract = {(u, j): m.transpose() for (j, u), m in R.lact.items()}
-    return Bimodule(alg, alg, dims, lact, ract, name=name or "D(reg)")
+    return Bimodule(alg, alg, dims, lact, ract, name="D(reg)")
 
 
-def cached_regular_bimodule(alg: Algebra):
-    return alg.cached("regular_bimodule", lambda: regular_bimodule(alg))
-
-
-def cached_dual_regular_bimodule(alg: Algebra):
-    return alg.cached("dual_regular_bimodule", lambda: dual_regular_bimodule(alg))
-
-
-def cached_env_module(alg: Algebra, bimodule):
-    """bimodule(alg), one of the two cached bimodules above, as a module
-    over the enveloping algebra, built once per algebra."""
-    return alg.cached(("env_module", bimodule.__name__),
-                      lambda: bimodule_to_env_module(bimodule(alg)))
-
-
-def cached_injective(alg: Algebra, v):
-    """The injective at v, built once per algebra, so that every reader
-    shares it and the resolution kept on it."""
-    return alg.cached(("injective", v), lambda: injective_module(alg, v))
+@per_algebra
+def env_module(alg: Algebra, bimodule):
+    """bimodule(alg), regular_bimodule or dual_regular_bimodule, as a
+    module over the enveloping algebra."""
+    return bimodule_to_env_module(bimodule(alg))
 
 
 def tensor_bimod_bimod(T: Bimodule, S: Bimodule, name=None):

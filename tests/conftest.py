@@ -10,11 +10,12 @@ from quivercy.module import (
     Bimodule,
     Morphism,
     bimodule_to_env_module,
-    cached_dual_regular_bimodule,
-    cached_env_module,
-    cached_regular_bimodule,
+    dual_regular_bimodule,
+    env_module,
     env_module_to_bimodule,
     is_isomorphic,
+    projective_module,
+    regular_bimodule,
 )
 from quivercy.parsing import load_algebra_file
 
@@ -23,6 +24,31 @@ CORPUS = pathlib.Path(quivercy.__file__).parent / "corpus"
 
 def corpus_algebra(stem):
     return load_algebra_file(str(CORPUS / (stem + ".alg"))).build(name=stem)
+
+
+def socle_vertices(M):
+    """Dimension of the socle of M at each vertex: the vectors there that
+    every radical basis element kills."""
+    out = {}
+    for v in M.alg.vertices:
+        rows = []
+        for g in M.alg.radical_indices():
+            if M.alg.basis[g].src == v:
+                rows.extend(M.act_mat(g).a)
+        out[v] = len(Mat.from_rows(rows, ncols=M.dims[v]).kernel_basis())
+    return out
+
+
+def socle_permutation_oracle(p):
+    """The Nakayama permutation of a selfinjective algebra p read off the
+    socles: i goes to j when socle(P_j) is the simple at i."""
+    perm = {}
+    for j in p.vertices:
+        soc = socle_vertices(projective_module(p, j))
+        (i,) = [v for v, d in soc.items() if d]
+        assert soc[i] == 1, f"socle of the projective at {j} is not simple"
+        perm[i] = j
+    return perm
 
 
 def cluster_tilting_oracle(report):
@@ -93,7 +119,7 @@ def projective_cover_oracle(M):
             if j not in pivset:
                 verts.append(v)
                 lifts.append(j)
-    R = cached_regular_bimodule(alg)
+    R = regular_bimodule(alg)
     dims, act, offs = column_sum_oracle(R, verts)
     mats = {}
     for w in alg.vertices:
@@ -226,11 +252,11 @@ def ext_bimodule_oracle(alg, n):
     of the dual regular bimodule into the regular bimodule, with its two
     actions and coboundaries written out in coordinates."""
     E = enveloping(alg)
-    res = _module_resolution(cached_env_module(alg, cached_dual_regular_bimodule), n + 1)
+    res = _module_resolution(env_module(alg, dual_regular_bimodule), n + 1)
     if n > res.length:
         return Bimodule(alg, alg, {(u, v): 0 for u in alg.vertices for v in alg.vertices},
                         {}, {}, name="T")
-    reg_bimod = cached_regular_bimodule(alg)
+    reg_bimod = regular_bimodule(alg)
     lays = {}
     for k in (n - 1, n, n + 1):
         if 0 <= k <= res.length:

@@ -41,7 +41,7 @@ from quivercy.module import (
     tensor_bimod_bimod,
 )
 
-from conftest import corpus_algebra
+from conftest import corpus_algebra, socle_permutation_oracle
 
 
 def timed(budget):
@@ -186,7 +186,7 @@ def test_10_mesh_algebras_and_permutations():
             pi = preprojective(lam, n, report=rep)
             # Pi_{n+1} of an omega-stable cut has the dimension of Gamma
             assert pi.dim == g.dim
-            assert nakayama_permutation(pi) == rep.sigma
+            assert nakayama_permutation(pi) == socle_permutation_oracle(pi) == rep.sigma
     done("mesh pairing verified; stable cuts give Gamma's dimension and permutations match sigma")
 
 

@@ -16,8 +16,8 @@ from quivercy.module import (
     Bimodule,
     Module,
     Morphism,
-    cached_dual_regular_bimodule,
     column_sum,
+    dual_regular_bimodule,
     regular_module,
 )
 
@@ -158,7 +158,7 @@ def test_element_matrices_with_idempotents_match_the_dense_sums(stem):
     res = Resolution(regular_module(alg), [info, info], {1: em}, True)
     for N in (regular_module(alg), info.module):
         assert homology._hom_cochain(res, N, 1) == _hom_cochain_dense(res, N, 1)
-    DL = cached_dual_regular_bimodule(alg)
+    DL = dual_regular_bimodule(alg)
     sums = column_sum(DL, verts)
     out = homology._col_sum_diff(DL, em, *sums, *sums)
     assert out.mats == _col_sum_diff_dense(DL, em, *sums, *sums).mats

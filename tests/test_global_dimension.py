@@ -24,7 +24,7 @@ from quivercy.homology import (
     default_cap,
     global_dimension,
 )
-from quivercy.module import cached_injective
+from quivercy.module import injective_module
 from quivercy.parsing import parse_algebra_file
 
 STEMS = sorted(p.stem for p in CORPUS.glob("*.alg"))
@@ -73,7 +73,7 @@ def test_injective_rule_matches_simple_oracle(case):
     d = global_dimension(alg)
     assert d == max(_simple_resolution_lengths(alg, default_cap(alg)))
     for v in alg.vertices:
-        assert _module_resolution(cached_injective(alg, v), 0).length <= d
+        assert _module_resolution(injective_module(alg, v), 0).length <= d
 
 
 @pytest.mark.parametrize("s", [3, 4])
@@ -127,4 +127,4 @@ def test_each_injective_is_resolved_once(monkeypatch):
     injectives = [M for M in resolved if M.name.startswith("I[")]
     assert len(injectives) == len(alg.vertices)
     for v in alg.vertices:
-        assert sum(M is cached_injective(alg, v) for M in injectives) == 1
+        assert sum(M is injective_module(alg, v) for M in injectives) == 1

@@ -1,5 +1,4 @@
 import gc
-import sys
 import weakref
 
 import pytest
@@ -28,13 +27,12 @@ from quivercy.homology import (
     tor,
 )
 from quivercy.module import (
-    cached_dual_regular_bimodule,
-    cached_regular_bimodule,
     direct_sum,
     dual_regular_bimodule,
     injective_module,
     is_isomorphic,
     projective_module,
+    regular_bimodule,
     regular_module,
     simple_module,
 )
@@ -83,7 +81,7 @@ def test_tor_window_matches_the_whole_complex(stem):
     alg = corpus_algebra(stem)
     mods = [simple_module(alg, v) for v in alg.vertices]
     mods += [injective_module(alg, v) for v in alg.vertices]
-    for X in (cached_dual_regular_bimodule(alg), cached_regular_bimodule(alg)):
+    for X in (dual_regular_bimodule(alg), regular_bimodule(alg)):
         for M in mods:
             res = min_proj_resolution(M)
             whole = tensor_complex(X, res.to_perf())
@@ -188,7 +186,7 @@ def test_projective_cover_matches_dense_reference(request, stem):
     # projective_cover skips idempotents and absent actions; rebuild every
     # column from the dense action matrices and compare
     alg = request.getfixturevalue(stem)
-    R = cached_regular_bimodule(alg)
+    R = regular_bimodule(alg)
     simples = [simple_module(alg, v) for v in alg.vertices]
     injectives = [injective_module(alg, v) for v in alg.vertices]
     reg = regular_module(alg)
@@ -211,17 +209,16 @@ def test_projective_cover_matches_dense_reference(request, stem):
 
 
 def test_tau_n_minus_builds_opposite_once(monkeypatch):
-    alg = corpus_algebra("a3_linear")  # fresh, so nothing is cached yet
+    alg = corpus_algebra("a3_linear")  # fresh, so nothing is built yet
     calls = []
+    build = opposite.__wrapped__
 
     def counting(a):
         calls.append(a)
-        return opposite(a)
+        return build(a)
 
-    # replace the name wherever a quivercy module bound it
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("quivercy") and vars(mod).get("opposite") is opposite:
-            monkeypatch.setattr(mod, "opposite", counting)
+    # count the builds behind the per-algebra memo, not its hits
+    monkeypatch.setattr(opposite, "__wrapped__", counting)
     S = simple_module(alg, 2)
     tau_n_minus(S, 1)
     tau_n_minus(S, 1)
@@ -229,8 +226,10 @@ def test_tau_n_minus_builds_opposite_once(monkeypatch):
 
 
 def test_resolution_dies_with_its_module(a3_linear):
-    # the resolution ext_dims_upto computes is kept on X, not on the algebra
-    X = injective_module(a3_linear, 2)
+    # the resolution ext_dims_upto computes is kept on X, not on the
+    # algebra; the simple is built afresh, as the memoized injectives live
+    # as long as their algebra
+    X = simple_module(a3_linear, 2)
     ext_dims_upto(X, regular_module(a3_linear), 2)
     ref = weakref.ref(X)
     del X

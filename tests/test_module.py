@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from conftest import corpus_algebra
+from conftest import corpus_algebra, socle_vertices
 from quivercy.homology import tor
 from quivercy.linalg import Mat
 from quivercy.module import (
@@ -22,7 +22,6 @@ from quivercy.module import (
     regular_bimodule,
     regular_module,
     simple_module,
-    socle_vertices,
     top_of,
     zero_module,
 )

@@ -14,7 +14,6 @@ from quivercy.linalg import Mat
 from quivercy.module import (
     Bimodule,
     Module,
-    cached_regular_bimodule,
     direct_sum,
     dual_regular_bimodule,
     injective_module,
@@ -139,7 +138,7 @@ def _walked_coords(alg, info, w):
     """The coordinates of info.module at w in the order projective_cover
     and images_to_eltmat walk them: offs[(r, w)] + p is basis element
     R.basis_indices[(w, v_r)][p] of summand r."""
-    R = cached_regular_bimodule(alg)
+    R = regular_bimodule(alg)
     walked = {info.offs[(r, w)] + p: (r, bidx) for r, v in enumerate(info.verts)
               for p, bidx in enumerate(R.basis_indices.get((w, v), ()))}
     assert sorted(walked) == list(range(info.module.dims[w]))

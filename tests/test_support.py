@@ -15,12 +15,12 @@ from quivercy.constructions import TypeAQuiver, cut_algebra, enumerate_cuts
 from quivercy.cy import find_twisted_cy
 from quivercy.homology import projective_cover
 from quivercy.module import (
-    cached_dual_regular_bimodule,
-    cached_regular_bimodule,
     column_sum,
+    dual_regular_bimodule,
     injective_module,
     kernel,
     projective_module,
+    regular_bimodule,
     regular_module,
     simple_module,
     zero_module,
@@ -49,7 +49,7 @@ def _vertex_lists(alg):
 @pytest.mark.parametrize("case", CASES, ids=str)
 def test_column_sums_match_the_scan(case):
     alg = _algebra(case)
-    for X in (cached_regular_bimodule(alg), cached_dual_regular_bimodule(alg)):
+    for X in (regular_bimodule(alg), dual_regular_bimodule(alg)):
         for v, blocks in X.lact_by_col.items():
             assert list(blocks) == sorted(blocks)  # basis order
             assert all(X.lact[(i, v)] is m for i, m in blocks.items())

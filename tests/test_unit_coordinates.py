@@ -28,8 +28,8 @@ from quivercy.homology import (
 from quivercy.linalg import Mat, kernel_units
 from quivercy.module import (
     Morphism,
-    cached_dual_regular_bimodule,
     direct_sum,
+    dual_regular_bimodule,
     injective_module,
     kernel,
     simple_module,
@@ -231,7 +231,7 @@ def test_pullback_differentials_match_the_composed_ones(key):
     # module view of every complex on the way, and so each d_P map of
     # to_projective_complex, also matches the product expansion
     alg = _algebra(key)
-    DL = cached_dual_regular_bimodule(alg)
+    DL = dual_regular_bimodule(alg)
     P = stalk_regular(alg)
     for _ in range(3):
         C = tensor_complex(DL, P)
