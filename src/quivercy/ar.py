@@ -158,12 +158,15 @@ def walk_orbits(report, cap):
     stages.  True when every orbit ends on a projective; otherwise False
     with report.reason set, and report.is_nrf UNDECIDED for a cut walk.
     Needs gl.dim <= report.n.  Each walk that was not cut is kept on the
-    algebra, whatever cap it ran under."""
+    algebra, whatever cap it ran under; a kept walk of more than cap
+    stages counts as cut, as it would be on a fresh algebra."""
     alg, n = report.alg, report.n
     for i in alg.vertices:
         try:
             orbit, v, reason = _walk_tau_orbit(alg, i, n, cap=cap)
         except _OrbitCut:
+            orbit = None
+        if orbit is None or len(orbit) > cap:
             report.is_nrf = UNDECIDED
             report.reason = f"orbit of injective at {i} exceeds the cap"
             return False

@@ -14,7 +14,7 @@ from graphlib import CycleError, TopologicalSorter
 
 from .algebra import Algebra, opposite, per_algebra
 from .errors import CapExceeded
-from .linalg import Mat, inv, kernel_units
+from .linalg import Mat, inv, kernel_and_units
 from .module import (
     Bimodule,
     Module,
@@ -42,9 +42,9 @@ def default_cap(alg):
 
 class SumInfo:
     """A direct sum of indecomposable projectives: the column sum of the
-    regular bimodule at verts, with column_sum's offsets.  Coordinate
-    offs[(r, w)] + p of the sum at vertex w is the basis element
-    R.basis_indices[(w, verts[r])][p] of summand r."""
+    regular bimodule at verts, with column_sum's offsets, a view on the
+    bimodule's blocks.  Coordinate offs[(r, w)] + p of the sum at vertex w
+    is the basis element R.basis_indices[(w, verts[r])][p] of summand r."""
 
     def __init__(self, alg, verts):
         self.verts = list(verts)
@@ -241,8 +241,9 @@ def projective_cover(M: Module):
     lifts[r] of M at its vertex.  The lifts are the coordinates left free
     by the rref of the radical span, so their unit vectors span a
     complement of rad M.  Only the vertices where M is nonzero are
-    reduced and only the stored actions of M are read, and the SumInfo of
-    a vertex list is built once per algebra."""
+    reduced and filled, only the stored actions of M are read and only
+    their nonzeros copied, and the SumInfo of a vertex list is built once
+    per algebra."""
     alg = M.alg
     rad = radical_columns(M)
     verts = []
@@ -256,17 +257,25 @@ def projective_cover(M: Module):
                 lifts.append(j)
     info = _sum_info(alg, tuple(verts))
     pos = regular_bimodule(alg).basis_pos
-    mats = {w: Mat.zero(M.dims[w], info.module.dims[w]) for w in alg.vertices}
-    acts = [(alg.basis[i], pos[i], m.a) for i, m in M.act.items() if alg.basis[i].degree]
+    mats = {}
+    for w in alg.vertices:
+        d, n = M.dims[w], info.module.dims[w]
+        mats[w] = Mat.zero(d, n) if d else Mat(0, n, [])
+    acts = {}  # source vertex -> (target vertex, position, action rows)
+    for i, m in M.act.items():
+        b = alg.basis[i]
+        if b.degree:
+            acts.setdefault(b.src, []).append((b.tgt, pos[i], m.a))
     for r, (v, j) in enumerate(zip(verts, lifts)):
         # basis element b of summand r goes to column j of b's action; the
         # idempotent, first in the basis, to the unit vector itself
         mats[v].a[j][info.offs[(r, v)]] = 1
-        for b, p, act in acts:
-            if b.src == v:
-                c = info.offs[(r, b.tgt)] + p
-                for row, act_row in zip(mats[b.tgt].a, act):
-                    row[c] = act_row[j]
+        for t, p, act in acts.get(v, ()):
+            c = info.offs[(r, t)] + p
+            for row, act_row in zip(mats[t].a, act):
+                x = act_row[j]
+                if x:
+                    row[c] = x
     return info, Morphism(info.module, M, mats), lifts
 
 
@@ -311,7 +320,7 @@ def min_proj_resolution(M: Module, max_len=None, strict=False):
     eltmats = {}
     k = 0
     while True:
-        K, inc, _ = kernel(cur)
+        K, cols, _ = kernel(cur)
         if K.total_dim == 0:
             return Resolution(M, infos, eltmats, True)
         if k >= max_len:
@@ -321,7 +330,7 @@ def min_proj_resolution(M: Module, max_len=None, strict=False):
         info, cov, lifts = projective_cover(K)
         # the cover sends generator s to the unit vector at lifts[s] of K,
         # so the differential sends it to kernel vector lifts[s]
-        images = [inc.mats[v].column(j) for v, j in zip(info.verts, lifts)]
+        images = [cols[v][j] for v, j in zip(info.verts, lifts)]
         em = images_to_eltmat(info.verts, infos[-1], images)
         assert eltmat_entries_in_radical(alg, em), "resolution differential not minimal"
         infos.append(info)
@@ -347,12 +356,11 @@ class ExtResult:
         return f"Ext(dim {self.dim})"
 
 
-def _scatter_action(m, r0, c0, act, key, idem_dim, c):
-    """Add c times the action matrix act[key] into m with its corner at
-    (r0, c0), reading only its nonzeros.  An absent key stands for the
+def _scatter_action(m, r0, c0, blk, idem_dim, c):
+    """Add c times the action block blk into m with its corner at (r0, c0),
+    reading only its nonzeros.  An absent block (None) stands for the
     identity of size idem_dim for an idempotent and for zero otherwise
     (idem_dim 0), so nothing is allocated for either."""
-    blk = act.get(key)
     if blk is None:
         for i in range(idem_dim):
             m.a[r0 + i][c0 + i] += c
@@ -381,6 +389,7 @@ def _hom_cochain(res: Resolution, N: Module, top):
             n += N.dims[u]
         spaces.append(n)
         offsets.append(offs)
+    blocks = N.blocks()
     deltas = []
     for k in range(top):
         em = res.eltmats.get(k + 1)
@@ -391,10 +400,14 @@ def _hom_cochain(res: Resolution, N: Module, top):
             for r, row in enumerate(em):
                 offr = offsets[k][r]
                 for s, elt in enumerate(row):
+                    r0 = offsets[k + 1][s]
                     for bidx, c in elt.items():
-                        b = alg.basis[bidx]
-                        _scatter_action(m, offsets[k + 1][s], offr, N.act, bidx,
-                                        N.dims[b.src] if b.degree == 0 else 0, c)
+                        blks = blocks.get(bidx)
+                        if blks is not None:
+                            for dr, dc, blk in blks:
+                                _scatter_action(m, r0 + dr, offr + dc, blk, 0, c)
+                        elif alg.basis[bidx].degree == 0:
+                            _scatter_action(m, r0, offr, None, N.dims[alg.basis[bidx].src], c)
         deltas.append(m)
     return spaces, deltas
 
@@ -431,15 +444,16 @@ def _col_sum_diff(X: Bimodule, em, srcmod, srcoffs, tgtmod, tgtoffs):
     basis = X.right_alg.basis
     mats = {}
     for w in alg.vertices:
-        m = Mat.zero(tgtmod.dims[w], srcmod.dims[w])
+        m = mats[w] = Mat.zero(tgtmod.dims[w], srcmod.dims[w])
+        if not (m.rows and m.cols):
+            continue
         for r, row in enumerate(em):
             r0 = tgtoffs[(r, w)]
             for s, elt in enumerate(row):
                 for bidx, c in elt.items():
                     b = basis[bidx]
-                    _scatter_action(m, r0, srcoffs[(s, w)], X.ract, (w, bidx),
+                    _scatter_action(m, r0, srcoffs[(s, w)], X.ract.get((w, bidx)),
                                     X.dims[(w, b.src)] if b.degree == 0 else 0, c)
-        mats[w] = m
     return Morphism(srcmod, tgtmod, mats)
 
 
@@ -643,18 +657,20 @@ def to_projective_complex(C: ModComplex, cap=None):
                         m.a[r1 + r][Ci.dims[v] + c] = dpm.a[r][c]
             mats[v] = m
         # kernel columns give X; cover it
-        cols = {v: mats[v].kernel_basis() for v in alg.vertices}
-        units = {v: kernel_units(c) for v, c in cols.items()}
-        X, xinc = _sub_from_columns(S, cols, units, name="pullback")
+        cols, units = {}, {}
+        for v in alg.vertices:
+            cols[v], units[v] = kernel_and_units(mats[v])
+        X = _sub_from_columns(S, cols, units, name="pullback")
         if X.total_dim == 0 and i <= lo:
             break
         info, cov, lifts = projective_cover(X)
-        # pi^i is the C^i block of the inclusion of X times the cover; the
-        # differential sends generator s to the P^{i+1} block of kernel
-        # vector lifts[s], the image of its unit vector
+        # pi^i is the C^i block of the inclusion of X, whose columns are the
+        # kernel columns, times the cover; the differential sends generator
+        # s to the P^{i+1} block of kernel vector lifts[s], the image of its
+        # unit vector
         pi[i] = Morphism(info.module, Ci, {
-            v: Mat(Ci.dims[v], xinc.mats[v].cols, xinc.mats[v].a[:Ci.dims[v]]) * cov.mats[v]
-            for v in alg.vertices})
+            v: Mat.from_rows([c[:Ci.dims[v]] for c in cols[v]], ncols=Ci.dims[v]).transpose()
+            * cov.mats[v] for v in alg.vertices})
         P_infos[i] = info
         if Pnext is not None and Pnext.verts:
             images = [cols[v][j][Ci.dims[v]:] for v, j in zip(info.verts, lifts)]

@@ -3,14 +3,18 @@
 A Module stores one vector space dimension per algebra vertex and one
 matrix per basis element that acts nontrivially; the matrix for a basis
 element b is a map M[src(b)] -> M[tgt(b)].  Idempotents act as identity
-on their own vertex and are not stored.
+on their own vertex and are not stored.  A sum of several columns of a
+bimodule is a `ColumnSum`, which reads its action as the bimodule's
+blocks and builds these matrices only when asked for them.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from .algebra import Algebra, enveloping, opposite, per_algebra
 from .errors import NotAHomomorphism, UNDECIDED
-from .linalg import Mat, kernel_units, rational, span_basis
+from .linalg import Mat, kernel_and_units, rational
 
 
 class Module:
@@ -30,6 +34,11 @@ class Module:
         if b.degree == 0:
             return Mat.identity(self.dims[b.src])
         return Mat.zero(self.dims[b.tgt], self.dims[b.src])
+
+    def blocks(self):
+        """The stored actions as {i: [(row offset, column offset, block)]};
+        here each is its one matrix."""
+        return {i: ((0, 0, m),) for i, m in self.act.items()}
 
     @property
     def total_dim(self):
@@ -129,35 +138,70 @@ def column_sum(X, verts, name=None):
     """The left module of the columns X e_u, u over verts, summed in that
     order, as (module, offsets) where offsets[(r, w)] locates column r at
     vertex w.  Only the blocks of X.lact_by_col at verts are read.  A
-    single column shares its blocks with X."""
-    alg = X.left_alg
+    single column shares its blocks with X; more columns give a
+    `ColumnSum`, a view on those blocks."""
     name = name or f"{X.name}(cols)"
     if len(verts) == 1:
         (u,) = verts
-        dims = {w: X.dims[(w, u)] for w in alg.vertices}
+        alg = X.left_alg
+        dims = {w: X.dims.get((w, u), 0) for w in alg.vertices}
         act = X.lact_by_col.get(u, {})
         return Module(alg, dims, act, name=name), {(0, w): 0 for w in alg.vertices}
-    offs = {}
-    dims = {}
-    for w in alg.vertices:
-        n = 0
-        for r, u in enumerate(verts):
-            offs[(r, w)] = n
-            n += X.dims[(w, u)]
-        dims[w] = n
-    act = {}
-    for r, u in enumerate(verts):
-        for i, blk in X.lact_by_col.get(u, {}).items():
-            b = alg.basis[i]
-            if b.degree == 0:
-                continue
-            m = act.get(i)
-            if m is None:
-                m = act[i] = Mat.zero(dims[b.tgt], dims[b.src])
-            r0, c0 = offs[(r, b.tgt)], offs[(r, b.src)]
-            for x in range(blk.rows):
-                m.a[r0 + x][c0 : c0 + blk.cols] = blk.a[x][:]
-    return Module(alg, dims, act, name=name), offs
+    M = ColumnSum(X, verts, name)
+    return M, M.offs
+
+
+class ColumnSum(Module):
+    """The column sum of a bimodule X at a list of vertices, as a view:
+    it stores dims and offsets, and its action is read as the blocks of
+    X.lact_by_col at its columns (`blocks`).  The dense `act` is built on
+    first read, by `_dense_act`."""
+
+    def __init__(self, X, verts, name):
+        alg = X.left_alg
+        self.alg = alg
+        self.name = name
+        self._resolution = None
+        self.bimodule = X
+        self.verts = list(verts)
+        self.offs = {}
+        self.dims = {}
+        pair_dims = X.dims.get
+        for w in alg.vertices:
+            n = 0
+            for r, u in enumerate(self.verts):
+                self.offs[(r, w)] = n
+                n += pair_dims((w, u), 0)
+            self.dims[w] = n
+        self._blocks = self._act = None
+
+    def blocks(self):
+        if self._blocks is None:
+            basis, offs = self.alg.basis, self.offs
+            self._blocks = {}
+            for r, u in enumerate(self.verts):
+                for i, blk in self.bimodule.lact_by_col.get(u, {}).items():
+                    b = basis[i]
+                    if b.degree:
+                        self._blocks.setdefault(i, []).append(
+                            (offs[(r, b.tgt)], offs[(r, b.src)], blk))
+        return self._blocks
+
+    @property
+    def act(self):
+        if self._act is None:
+            self._act = self._dense_act()
+        return self._act
+
+    def _dense_act(self):
+        act = {}
+        for i, triples in self.blocks().items():
+            b = self.alg.basis[i]
+            m = act[i] = Mat.zero(self.dims[b.tgt], self.dims[b.src])
+            for r0, c0, blk in triples:
+                for x, row in enumerate(blk.a):
+                    m.a[r0 + x][c0 : c0 + blk.cols] = row
+        return act
 
 
 def dual_module(M: Module, op=None, name=None):
@@ -180,35 +224,62 @@ def direct_sum(mods, name=None):
     return Module(alg, dims, act, name=name or "(+)".join(m.name for m in mods))
 
 
-def _sub_from_columns(N: Module, cols_by_vertex, units, name="sub"):
-    """Submodule spanned by the given column vectors (assumed invariant),
-    where column k at v is 1 at coordinate units[v][k] and every other
-    column is 0 there.  Restricted to those rows the inclusion is the
-    identity, so the action of b is rows units[tgt b] of N's action times
-    the inclusion at src b.  Returns (sub, inclusion)."""
-    inc = {}
-    for v in N.alg.vertices:
-        c, d = cols_by_vertex[v], N.dims[v]
-        inc[v] = Mat(len(c), d, c).transpose() if c else Mat(d, 0, [[] for _ in range(d)])
+def _sub_from_columns(N: Module, cols, units, name="sub"):
+    """Submodule spanned by the column vectors cols[v] (assumed
+    invariant), where column k at v is 1 at coordinate units[v][k] and
+    every other column is 0 there, units[v] ascending.  Restricted to
+    those rows the inclusion is the identity, so the action of b on
+    column k is the entries at units[tgt b] of b times column k.  N's
+    action is read as its blocks, and only the nonzeros of a column that
+    fall in a block's columns are multiplied, into the rows of the block
+    at the unit coordinates."""
+    alg = N.alg
+    nonzeros = {}
     act = {}
-    for i, m in N.act.items():
-        b = N.alg.basis[i]
-        rows = [m.a[u] for u in units[b.tgt]]
-        if rows and inc[b.src].cols:
-            act[i] = Mat(len(rows), m.cols, rows) * inc[b.src]
-    S = Module(N.alg, {v: inc[v].cols for v in N.alg.vertices}, act, name=name)
-    return S, Morphism(S, N, inc)
+    for i, triples in N.blocks().items():
+        b = alg.basis[i]
+        us, cs = units[b.tgt], cols[b.src]
+        if not us or not cs:
+            continue
+        nzs = nonzeros.get(b.src)
+        if nzs is None:
+            nzs = nonzeros[b.src] = [[(j, x) for j, x in enumerate(c) if x] for c in cs]
+        out = None
+        for r0, c0, blk in triples:
+            lo, hi = bisect_left(us, r0), bisect_left(us, r0 + blk.rows)
+            if lo == hi:
+                continue
+            rows = [(p, blk.a[us[p] - r0]) for p in range(lo, hi)]
+            c1 = c0 + blk.cols
+            for k, nz in enumerate(nzs):
+                part = [(j - c0, x) for j, x in nz if c0 <= j < c1]
+                if not part:
+                    continue
+                for p, row in rows:
+                    s = 0
+                    for j, x in part:
+                        y = row[j]
+                        if y:
+                            s = s + y * x
+                    if s:
+                        if out is None:
+                            out = [[0] * len(cs) for _ in us]
+                        out[p][k] = out[p][k] + s
+        if out is not None:
+            act[i] = Mat(len(us), len(cs), out)
+    return Module(alg, {v: len(cols[v]) for v in alg.vertices}, act, name=name)
 
 
 def kernel(fm: Morphism, name=None):
-    """ker fm as (K, inclusion, units): column k of the inclusion at v is
-    1 at coordinate units[v][k] of fm.src and every other column is 0
-    there, so the coordinates in K of a vector of the kernel are its
-    entries at units[v]."""
-    cols = {v: fm.mats[v].kernel_basis() for v in fm.mats}
-    units = {v: kernel_units(c) for v, c in cols.items()}
-    K, inc = _sub_from_columns(fm.src, cols, units, name=name or f"ker({fm.src.name})")
-    return K, inc, units
+    """ker fm as (K, cols, units): column k of cols[v], a vector of fm.src
+    at v, is the image of basis vector k of K at v; it is 1 at coordinate
+    units[v][k] and every other column is 0 there, so the coordinates in
+    K of a vector of the kernel are its entries at units[v]."""
+    cols, units = {}, {}
+    for v, m in fm.mats.items():
+        cols[v], units[v] = kernel_and_units(m)
+    K = _sub_from_columns(fm.src, cols, units, name=name or f"ker({fm.src.name})")
+    return K, cols, units
 
 
 def _quotient_maps(vectors, n):
@@ -258,14 +329,6 @@ def radical_columns(M: Module):
         if b.degree:
             cols[b.tgt].extend(c for c in m.columns() if any(c))
     return cols
-
-
-def radical_submodule(M: Module):
-    """rad M = (radical of the algebra) . M, with its inclusion."""
-    cols = {v: span_basis(c) for v, c in radical_columns(M).items()}
-    # the unit coordinate of an rref row is its pivot, its first nonzero entry
-    units = {v: [next(j for j, x in enumerate(row) if x) for row in c] for v, c in cols.items()}
-    return _sub_from_columns(M, cols, units, name=f"rad({M.name})")
 
 
 def top_of(M: Module):

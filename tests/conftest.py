@@ -5,16 +5,18 @@ import pytest
 import quivercy
 from quivercy.algebra import enveloping
 from quivercy.homology import _module_resolution, ext_dims_upto, homology_module
-from quivercy.linalg import Mat
+from quivercy.linalg import Mat, span_basis
 from quivercy.module import (
     Bimodule,
     Morphism,
+    _sub_from_columns,
     bimodule_to_env_module,
     dual_regular_bimodule,
     env_module,
     env_module_to_bimodule,
     is_isomorphic,
     projective_module,
+    radical_columns,
     regular_bimodule,
 )
 from quivercy.parsing import load_algebra_file
@@ -133,6 +135,36 @@ def projective_cover_oracle(M):
                         row[c] = act_row[j]
         mats[w] = m
     return verts, dims, act, offs, mats, lifts
+
+
+def submodule_oracle(N, cols, units):
+    """module._sub_from_columns as it was before it read N's blocks: per
+    vertex the dense inclusion, the transpose of the columns, and per
+    stored action of N its rows at the unit coordinates times the
+    inclusion at the source.  Returns (dims, act, inclusion maps)."""
+    inc = {}
+    for v in N.alg.vertices:
+        c, d = cols[v], N.dims[v]
+        inc[v] = Mat(len(c), d, c).transpose() if c else Mat(d, 0, [[] for _ in range(d)])
+    act = {}
+    for i, m in N.act.items():
+        b = N.alg.basis[i]
+        rows = [m.a[u] for u in units[b.tgt]]
+        if rows and inc[b.src].cols:
+            prod = Mat(len(rows), m.cols, rows) * inc[b.src]
+            if not prod.is_zero():
+                act[i] = prod
+    return {v: inc[v].cols for v in N.alg.vertices}, act, inc
+
+
+def radical_submodule(M):
+    """rad M = (radical of the algebra) . M, with its inclusion: the rref
+    basis of the radical columns, whose unit coordinates are its pivots,
+    the first nonzero entry of each row."""
+    cols = {v: span_basis(c) for v, c in radical_columns(M).items()}
+    units = {v: [next(j for j, x in enumerate(row) if x) for row in c] for v, c in cols.items()}
+    R = _sub_from_columns(M, cols, units, name=f"rad({M.name})")
+    return R, Morphism(R, M, submodule_oracle(M, cols, units)[2])
 
 
 class _HomLayout:

@@ -45,6 +45,24 @@ def test_orbit_walk_cut_by_the_cap_is_not_kept():
     assert rep.ell == {1: 3, 2: 2, 3: 1}
 
 
+def test_kept_orbit_walk_longer_than_the_cap_counts_as_cut():
+    # a walk kept under the default cap gives a later capped call the
+    # verdict, and the report, of the same call on a fresh algebra
+    fresh = decide_nrf(corpus_algebra("a3_linear"), 1, cap=1).to_dict()
+    alg = corpus_algebra("a3_linear")
+    assert decide_nrf(alg, 1).is_nrf is True
+    rep = decide_nrf(alg, 1, cap=1)
+    assert rep.is_nrf is UNDECIDED
+    assert rep.reason == "orbit of injective at 1 exceeds the cap"
+    assert rep.to_dict() == fresh
+    # a cap as long as the longest orbit keeps the verdict
+    assert decide_nrf(alg, 1, cap=3).is_nrf is True
+    assert decide_nrf(alg, 1, cap=2).is_nrf is UNDECIDED
+    rep = decide_nrf(alg, 1)
+    assert rep.is_nrf is True
+    assert rep.ell == {1: 3, 2: 2, 3: 1}
+
+
 def test_decide_nrf_a2(a2):
     rep = decide_nrf(a2, 1)
     assert rep.is_nrf is True

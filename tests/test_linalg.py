@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from quivercy.linalg import Mat, independent_subset, kernel_units, span_basis
+from quivercy.linalg import Mat, independent_subset, kernel_and_units, kernel_units, span_basis
 
 
 def mat(rows):
@@ -156,9 +156,28 @@ def test_kernel_units_read_coordinates_in_the_kernel():
         m = Mat.from_rows(entries, ncols=cols)
         kb = m.kernel_basis()
         units = kernel_units(kb)
+        assert kernel_and_units(m) == (kb, units)
         assert len(kb) == cols - m.rank()
         for k, u in enumerate(units):
             assert [v[u] for v in kb] == [1 if j == k else 0 for j in range(len(kb))]
         coeffs = [rng.randint(-3, 3) for _ in kb]
         x = [sum((c * v[j] for c, v in zip(coeffs, kb)), 0) for j in range(cols)]
         assert [x[u] for u in units] == coeffs
+
+
+@pytest.mark.parametrize("d", range(5))
+def test_kernel_without_rows_or_columns_skips_the_rref(monkeypatch, d):
+    # a 0 x d block (a cover at a vertex where the covered module is
+    # zero) and a d x 0 block: the shortcut gives the columns and units of
+    # kernel_basis and kernel_units without an rref
+    empty_rows, empty_cols = Mat.zero(0, d), Mat.zero(d, 0)
+    expected = [(m.kernel_basis(), kernel_units(m.kernel_basis()))
+                for m in (empty_rows, empty_cols)]
+
+    def refuse(self):
+        raise AssertionError("rref called")
+
+    monkeypatch.setattr(Mat, "rref", refuse)
+    assert [kernel_and_units(m) for m in (empty_rows, empty_cols)] == expected
+    assert expected[0] == ([[int(j == k) for j in range(d)] for k in range(d)], list(range(d)))
+    assert expected[1] == ([], [])

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from conftest import corpus_algebra, socle_vertices
+from conftest import corpus_algebra, radical_submodule, socle_vertices
 from quivercy.homology import tor
 from quivercy.linalg import Mat
 from quivercy.module import (
@@ -18,7 +18,6 @@ from quivercy.module import (
     injective_module,
     is_isomorphic,
     projective_module,
-    radical_submodule,
     regular_bimodule,
     regular_module,
     simple_module,

@@ -2,7 +2,9 @@
 The scans they replaced are the oracles `column_sum_oracle` and
 `projective_cover_oracle` of conftest; the fast paths must equal them
 entry for entry on the corpus, all 65 (2,4) cuts and every 60th (2,5)
-cut."""
+cut.  A column sum of several columns is a view on the bimodule's blocks
+whose dense action is built only when read, and the verdicts never read
+it."""
 
 import functools
 
@@ -14,7 +16,9 @@ from quivercy.ar import decide_nrf
 from quivercy.constructions import TypeAQuiver, cut_algebra, enumerate_cuts
 from quivercy.cy import find_twisted_cy
 from quivercy.homology import projective_cover
+from quivercy.linalg import Mat
 from quivercy.module import (
+    ColumnSum,
     column_sum,
     dual_regular_bimodule,
     injective_module,
@@ -56,7 +60,25 @@ def test_column_sums_match_the_scan(case):
         assert sum(map(len, X.lact_by_col.values())) == len(X.lact)
         for verts in _vertex_lists(alg):
             M, offs = column_sum(X, verts)
-            assert (M.dims, M.act, offs) == column_sum_oracle(X, verts), verts
+            dims, act, offs0 = column_sum_oracle(X, verts)
+            if len(verts) > 1:
+                assert isinstance(M, ColumnSum) and M._act is None, verts
+            assert _laid_out(M) == act, verts
+            # reading act builds the dense action of a view
+            assert (M.dims, M.act, offs) == (dims, act, offs0), verts
+
+
+def _laid_out(M):
+    """M's blocks placed at their offsets in dense matrices."""
+    out = {}
+    for i, triples in M.blocks().items():
+        b = M.alg.basis[i]
+        m = out[i] = Mat.zero(M.dims[b.tgt], M.dims[b.src])
+        for r0, c0, blk in triples:
+            for x in range(blk.rows):
+                for y in range(blk.cols):
+                    m.a[r0 + x][c0 + y] += blk.a[x][y]
+    return out
 
 
 def _modules(alg):
@@ -100,3 +122,25 @@ def test_each_vertex_list_is_summed_once(monkeypatch):
     # 60 projective covers use 38 distinct vertex lists; no simple module
     # is resolved, as global_dimension reads the injectives' resolutions
     assert len(built) == len(set(built)) == 38
+
+
+@pytest.mark.parametrize("case", [(2, 4, 30), (2, 5, 240)], ids=str)
+def test_verdicts_build_no_dense_column_sum(monkeypatch, case):
+    # the kernels, the Hom cochains and the Tor terms of decide_nrf and
+    # find_twisted_cy read the blocks of every column sum of several
+    # columns, the covers' domains and the regular module among them
+    built = []
+    real = ColumnSum._dense_act
+
+    def spy(self):
+        built.append(self.name)
+        return real(self)
+
+    monkeypatch.setattr(ColumnSum, "_dense_act", spy)
+    n, s, idx = case
+    q = TypeAQuiver(n, s)
+    alg = cut_algebra(q, enumerate_cuts(q)[idx])  # fresh: no cached module is dense
+    assert decide_nrf(alg, 2).is_nrf is True
+    assert find_twisted_cy(alg) is not None
+    assert built == []
+    assert regular_module(alg).act and built == ["reg"]

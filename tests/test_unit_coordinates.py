@@ -3,13 +3,15 @@ read off the unit coordinates of rref bases instead of solved for, and
 `minimize` resumes its search for a unit entry instead of rescanning.
 The constructions they replace are kept here as oracles, and so is the
 expansion of element matrices through the multiplication table that
-`_col_sum_diff` replaced on the regular bimodule."""
+`_col_sum_diff` replaced on the regular bimodule.  A submodule's action
+is read off the blocks of its ambient module; the dense product with the
+inclusion it replaced is `conftest.submodule_oracle`."""
 
 import sys
 
 import pytest
 
-from conftest import corpus_algebra
+from conftest import corpus_algebra, radical_submodule, submodule_oracle
 from quivercy import ar, cy, homology, module
 from quivercy.constructions import TypeAQuiver, cut_algebra, enumerate_cuts, omega_on_cuts
 from quivercy.homology import (
@@ -28,6 +30,7 @@ from quivercy.homology import (
 from quivercy.linalg import Mat, kernel_units
 from quivercy.module import (
     Morphism,
+    column_sum,
     direct_sum,
     dual_regular_bimodule,
     injective_module,
@@ -39,13 +42,15 @@ from quivercy.module import (
 CORPUS = ["a2", "a3_linear", "a3_stable", "a4_linear", "a5_stable", "d4", "kronecker",
           "a2_tensor_a2"]
 CUTS_2_4 = range(0, 65, 5)
+CUTS_2_5 = [(2, 5, 0), (2, 5, 240)]
 
 
 def _algebra(key):
     if key in CORPUS:
         return corpus_algebra(key)
-    q = TypeAQuiver(2, 4)
-    return cut_algebra(q, enumerate_cuts(q)[key])
+    n, s, idx = key if isinstance(key, tuple) else (2, 4, key)
+    q = TypeAQuiver(n, s)
+    return cut_algebra(q, enumerate_cuts(q)[idx])
 
 
 def _gl_dim_n(key):
@@ -72,22 +77,26 @@ def _solve_columns(A, B):
     return Mat.from_rows(cols, ncols=A.cols).transpose()
 
 
-@pytest.mark.parametrize("key", CORPUS + list(CUTS_2_4))
+@pytest.mark.parametrize("key", CORPUS + list(CUTS_2_4) + CUTS_2_5, ids=str)
 def test_submodule_actions_match_the_solved_ones(monkeypatch, key):
     # every submodule built along decide_nrf, find_twisted_cy and two
-    # Nakayama powers is invariant, and its action is the one solve finds
+    # Nakayama powers has, entry for entry, the action of the dense
+    # oracle; that action makes the span invariant and is the one solve
+    # finds
     real = module._sub_from_columns
     seen = []
 
     def checked(N, cols, units, name="sub"):
-        S, inc = real(N, cols, units, name=name)
+        S = real(N, cols, units, name=name)
+        dims, act, inc = submodule_oracle(N, cols, units)
+        assert (S.dims, S.act) == (dims, act)
         for i, m in N.act.items():
             b = N.alg.basis[i]
-            rhs = m * inc.mats[b.src]
-            assert inc.mats[b.tgt] * S.act_mat(i) == rhs
-            assert S.act_mat(i) == _solve_columns(inc.mats[b.tgt], rhs)
+            rhs = m * inc[b.src]
+            assert inc[b.tgt] * S.act_mat(i) == rhs
+            assert S.act_mat(i) == _solve_columns(inc[b.tgt], rhs)
         seen.append(name)
-        return S, inc
+        return S
 
     _replace_everywhere(monkeypatch, "_sub_from_columns", real, checked)
     alg = _algebra(key)
@@ -100,10 +109,17 @@ def test_submodule_actions_match_the_solved_ones(monkeypatch, key):
 
 
 def test_radical_submodule_is_invariant(a3_linear, d4, kronecker):
+    # the block-read action of rad M on the injectives and on their sum,
+    # a column sum, equals the dense oracle's and the one solve finds
     for alg in (a3_linear, d4, kronecker):
-        for M in [injective_module(alg, v) for v in alg.vertices]:
-            R, inc = module.radical_submodule(M)
+        mods = [injective_module(alg, v) for v in alg.vertices]
+        for M in mods + [column_sum(dual_regular_bimodule(alg), alg.vertices)[0]]:
+            R, inc = radical_submodule(M)
             inc.check()
+            cols = {v: inc.mats[v].columns() for v in alg.vertices}
+            units = {v: [next(j for j, x in enumerate(c) if x) for c in cs]
+                     for v, cs in cols.items()}
+            assert (R.dims, R.act) == submodule_oracle(M, cols, units)[:2]
             for i, m in M.act.items():
                 b = alg.basis[i]
                 rhs = m * inc.mats[b.src]
@@ -157,8 +173,9 @@ def _differentials_by_composition(M, length):
     infos = [info]
     out = {}
     for k in range(1, length + 1):
-        _, inc, _ = kernel(cur)
-        info, cov, _ = projective_cover(inc.src)
+        K, cols, units = kernel(cur)
+        inc = Morphism(K, cur.src, submodule_oracle(cur.src, cols, units)[2])
+        info, cov, _ = projective_cover(K)
         out[k] = _morphism_to_eltmat(info, infos[-1], inc.compose(cov))
         infos.append(info)
         cur = cov
@@ -206,7 +223,8 @@ def _to_projective_complex_by_composition(C):
             mats[v] = Mat.from_rows(top + bottom, ncols=c1 + c2)
         cols = {v: mats[v].kernel_basis() for v in alg.vertices}
         units = {v: kernel_units(c) for v, c in cols.items()}
-        X, xinc = module._sub_from_columns(S, cols, units, name="pullback")
+        X = module._sub_from_columns(S, cols, units, name="pullback")
+        xinc = Morphism(X, S, submodule_oracle(S, cols, units)[2])
         if X.total_dim == 0 and i <= lo:
             break
         info, cov, _ = projective_cover(X)
