@@ -14,7 +14,7 @@ from graphlib import CycleError, TopologicalSorter
 
 from .algebra import Algebra, opposite, per_algebra
 from .errors import CapExceeded
-from .linalg import Mat, inv, kernel_and_units
+from .linalg import Mat, inv, kernel_units
 from .module import (
     Bimodule,
     Module,
@@ -241,9 +241,9 @@ def projective_cover(M: Module):
     lifts[r] of M at its vertex.  The lifts are the coordinates left free
     by the rref of the radical span, so their unit vectors span a
     complement of rad M.  Only the vertices where M is nonzero are
-    reduced and filled, only the stored actions of M are read and only
-    their nonzeros copied, and the SumInfo of a vertex list is built once
-    per algebra."""
+    reduced, only the stored actions of M are read and only their
+    nonzeros copied, and the SumInfo of a vertex list is built once per
+    algebra."""
     alg = M.alg
     rad = radical_columns(M)
     verts = []
@@ -257,10 +257,7 @@ def projective_cover(M: Module):
                 lifts.append(j)
     info = _sum_info(alg, tuple(verts))
     pos = regular_bimodule(alg).basis_pos
-    mats = {}
-    for w in alg.vertices:
-        d, n = M.dims[w], info.module.dims[w]
-        mats[w] = Mat.zero(d, n) if d else Mat(0, n, [])
+    mats = {w: Mat.zero(M.dims[w], info.module.dims[w]) for w in alg.vertices}
     acts = {}  # source vertex -> (target vertex, position, action rows)
     for i, m in M.act.items():
         b = alg.basis[i]
@@ -657,9 +654,8 @@ def to_projective_complex(C: ModComplex, cap=None):
                         m.a[r1 + r][Ci.dims[v] + c] = dpm.a[r][c]
             mats[v] = m
         # kernel columns give X; cover it
-        cols, units = {}, {}
-        for v in alg.vertices:
-            cols[v], units[v] = kernel_and_units(mats[v])
+        cols = {v: mats[v].kernel_basis() for v in alg.vertices}
+        units = {v: kernel_units(c) for v, c in cols.items()}
         X = _sub_from_columns(S, cols, units, name="pullback")
         if X.total_dim == 0 and i <= lo:
             break

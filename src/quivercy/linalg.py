@@ -271,16 +271,6 @@ def kernel_units(basis):
     return [max(j for j, x in enumerate(v) if x) for v in basis]
 
 
-def kernel_and_units(m):
-    """(m.kernel_basis(), its kernel_units).  A matrix without rows or
-    columns has the unit vectors as its kernel basis, given at once."""
-    if not (m.rows and m.cols):
-        n = m.cols
-        return [[int(j == k) for j in range(n)] for k in range(n)], list(range(n))
-    basis = m.kernel_basis()
-    return basis, kernel_units(basis)
-
-
 def independent_subset(span, candidates):
     """Indices of the candidates that a greedy scan keeps: those outside
     the row span of `span` and of the candidates kept before them.  They

@@ -14,7 +14,7 @@ from bisect import bisect_left
 
 from .algebra import Algebra, enveloping, opposite, per_algebra
 from .errors import NotAHomomorphism, UNDECIDED
-from .linalg import Mat, kernel_and_units, rational
+from .linalg import Mat, kernel_units, rational
 
 
 class Module:
@@ -144,7 +144,7 @@ def column_sum(X, verts, name=None):
     if len(verts) == 1:
         (u,) = verts
         alg = X.left_alg
-        dims = {w: X.dims.get((w, u), 0) for w in alg.vertices}
+        dims = {w: X.dims[(w, u)] for w in alg.vertices}
         act = X.lact_by_col.get(u, {})
         return Module(alg, dims, act, name=name), {(0, w): 0 for w in alg.vertices}
     M = ColumnSum(X, verts, name)
@@ -166,12 +166,11 @@ class ColumnSum(Module):
         self.verts = list(verts)
         self.offs = {}
         self.dims = {}
-        pair_dims = X.dims.get
         for w in alg.vertices:
             n = 0
             for r, u in enumerate(self.verts):
                 self.offs[(r, w)] = n
-                n += pair_dims((w, u), 0)
+                n += X.dims[(w, u)]
             self.dims[w] = n
         self._blocks = self._act = None
 
@@ -275,9 +274,8 @@ def kernel(fm: Morphism, name=None):
     at v, is the image of basis vector k of K at v; it is 1 at coordinate
     units[v][k] and every other column is 0 there, so the coordinates in
     K of a vector of the kernel are its entries at units[v]."""
-    cols, units = {}, {}
-    for v, m in fm.mats.items():
-        cols[v], units[v] = kernel_and_units(m)
+    cols = {v: m.kernel_basis() for v, m in fm.mats.items()}
+    units = {v: kernel_units(c) for v, c in cols.items()}
     K = _sub_from_columns(fm.src, cols, units, name=name or f"ker({fm.src.name})")
     return K, cols, units
 

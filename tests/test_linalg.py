@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from quivercy.linalg import Mat, independent_subset, kernel_and_units, kernel_units, span_basis
+from quivercy.linalg import Mat, independent_subset, kernel_units, span_basis
 
 
 def mat(rows):
@@ -65,7 +65,8 @@ def test_rref_matches_textbook_reference(density):
 @pytest.mark.parametrize("m,n", [(0, 0), (0, 1), (0, 4), (1, 0), (3, 0), (1, 1), (2, 3), (4, 2)])
 def test_rref_of_empty_and_zero_matrices(m, n):
     # no rows, no columns, or every entry zero: no pivots, the whole
-    # identity as kernel basis and nothing to span
+    # identity as kernel basis, each vector its own unit coordinate, and
+    # nothing to span
     rows = [[0] * n for _ in range(m)]
     M = Mat(m, n, rows)
     R, pivots = M.rref()
@@ -74,6 +75,7 @@ def test_rref_of_empty_and_zero_matrices(m, n):
         assert (R.a, pivots) == _textbook_rref([[Fraction(x) for x in r] for r in rows])
     assert M.rank() == 0
     assert M.kernel_basis() == [[int(i == j) for i in range(n)] for j in range(n)]
+    assert kernel_units(M.kernel_basis()) == list(range(n))
     assert span_basis(rows) == []
     assert Mat.from_rows(rows, ncols=n).rref()[1] == []
 
@@ -156,7 +158,6 @@ def test_kernel_units_read_coordinates_in_the_kernel():
         m = Mat.from_rows(entries, ncols=cols)
         kb = m.kernel_basis()
         units = kernel_units(kb)
-        assert kernel_and_units(m) == (kb, units)
         assert len(kb) == cols - m.rank()
         for k, u in enumerate(units):
             assert [v[u] for v in kb] == [1 if j == k else 0 for j in range(len(kb))]
@@ -164,20 +165,3 @@ def test_kernel_units_read_coordinates_in_the_kernel():
         x = [sum((c * v[j] for c, v in zip(coeffs, kb)), 0) for j in range(cols)]
         assert [x[u] for u in units] == coeffs
 
-
-@pytest.mark.parametrize("d", range(5))
-def test_kernel_without_rows_or_columns_skips_the_rref(monkeypatch, d):
-    # a 0 x d block (a cover at a vertex where the covered module is
-    # zero) and a d x 0 block: the shortcut gives the columns and units of
-    # kernel_basis and kernel_units without an rref
-    empty_rows, empty_cols = Mat.zero(0, d), Mat.zero(d, 0)
-    expected = [(m.kernel_basis(), kernel_units(m.kernel_basis()))
-                for m in (empty_rows, empty_cols)]
-
-    def refuse(self):
-        raise AssertionError("rref called")
-
-    monkeypatch.setattr(Mat, "rref", refuse)
-    assert [kernel_and_units(m) for m in (empty_rows, empty_cols)] == expected
-    assert expected[0] == ([[int(j == k) for j in range(d)] for k in range(d)], list(range(d)))
-    assert expected[1] == ([], [])
