@@ -48,7 +48,11 @@ def test_orbit_walk_cut_by_the_cap_is_not_kept():
 def test_kept_orbit_walk_longer_than_the_cap_counts_as_cut():
     # a walk kept under the default cap gives a later capped call the
     # verdict, and the report, of the same call on a fresh algebra
-    fresh = decide_nrf(corpus_algebra("a3_linear"), 1, cap=1).to_dict()
+    first = corpus_algebra("a3_linear")
+    fresh = decide_nrf(first, 1, cap=1).to_dict()
+    assert fresh["is_nrf"] == "undecided"
+    # the capped call first: a default-cap call after it still decides
+    assert decide_nrf(first, 1).is_nrf is True
     alg = corpus_algebra("a3_linear")
     assert decide_nrf(alg, 1).is_nrf is True
     rep = decide_nrf(alg, 1, cap=1)
