@@ -43,7 +43,6 @@ from .homology import (
     _module_resolution,
     _projective_partner,
     default_cap,
-    ext_dims_upto,
     global_dimension,
     is_selfinjective,
     tensor_complex,
@@ -124,27 +123,29 @@ class _OrbitCut(Exception):
 @per_algebra
 def _walk_tau_orbit(alg, i, n, *, cap):
     """The tau_n-orbit X_0 = I_i, X_1 = tau_n X_0, ... of the injective
-    at i, as (stages, v, reason).  Every stage but the last has
-    Ext^k(X, reg) = 0 for all k != n, the condition making tau_n agree
-    with the derived Nakayama shift.  The walk ends with v when the last
+    at i, as (stages, v, reason).  The walk computes nu X = DA (x)_A P_X
+    itself, once per stage, on the resolution P_X kept on X: its
+    cohomology in degree -k is Tor_k(DA, X) = D Ext^k(X, A).  Every stage
+    but the last has it zero for k < n, so nu X is tau_n X = H^{-n}(nu X)
+    shifted by n, the next stage.  The walk ends with v when the last
     stage is P_v, and with v None and a reason when a stage fails that
-    condition or tau_n kills it.  Raises _OrbitCut past cap stages.  A
-    walk is kept on the algebra per (i, n), whatever cap it ran under.
-    Stage 0 is `injective_module`, so a resolution that global_dimension
-    has already built is read, not rebuilt."""
-    reg = regular_module(alg)
+    check or tau_n kills it.  Raises _OrbitCut past cap stages.  A walk
+    is kept on the algebra per (i, n), whatever cap it ran under.  Stage
+    0 is `injective_module`, so a resolution that global_dimension has
+    already built is read, not rebuilt."""
+    DA = dual_regular_bimodule(alg)
     X = injective_module(alg, i)
     orbit = [X]
     while True:
         v = _match_projective(X)
         if v is not None:
             return orbit, v, None
-        dims = ext_dims_upto(X, reg, n)
-        bad = [k for k, d in enumerate(dims) if d and k != n]
-        if bad:
+        nu = tensor_complex(DA, _module_resolution(X, n + 1).to_perf(), range(-n - 1, 1))
+        bad = next((k for k in range(n) if nu.cohomology_dim(-k)), None)
+        if bad is not None:
             return orbit, None, (f"orbit of injective at {i}: stage {len(orbit)-1} has "
-                                 f"Ext^{bad[0]}(X, reg) != 0")
-        X = tau_n(X, n)
+                                 f"Ext^{bad}(X, reg) != 0")
+        X = nu.cohomology(-n)
         if X.total_dim == 0:
             return orbit, None, f"orbit of injective at {i} dies before a projective"
         if len(orbit) >= cap:
@@ -183,8 +184,10 @@ def decide_nrf(alg: Algebra, n: int, cap=None, *, verify_ct=None):
     """Decide n-representation-finiteness by walking the tau_n-orbit of
     each injective: a stage X needs Ext^k(X, reg) = 0 for k != n before
     tau_n is applied again, and the orbit must end on an indecomposable
-    projective.  verify_ct is ignored; it stays because
-    perfbench/workloads.py passes it, and goes with ROADMAP item 3.
+    projective.  The walk computes nu X itself, once per stage, and reads
+    both off it: the Ext condition as the vanishing of H^{-k}(nu X) for
+    k < n, and tau_n X as H^{-n}(nu X).  verify_ct is ignored; it stays
+    because perfbench/workloads.py passes it, and goes with ROADMAP item 3.
 
     A positive verdict is the criterion of Iyama and Oppermann,
     "n-representation-finite algebras and n-APR tilting" (arXiv 0909.0593),

@@ -3,7 +3,7 @@
 Exit codes: 0 for a positive verdict, 1 for a definite negative, 2 when a
 computation hit its cap and stayed undecided, 64 for input that does not
 parse and for usage errors (an unknown option, a missing required option,
-a FILE that does not exist).
+a number out of its option's range, a FILE that does not exist).
 """
 
 from __future__ import annotations
@@ -26,6 +26,9 @@ EXIT_TRUE = 0
 EXIT_FALSE = 1
 EXIT_UNDECIDED = 2
 EXIT_PARSE = 64
+
+_POSITIVE = click.IntRange(min=1)
+_NATURAL = click.IntRange(min=0)
 
 
 def _load(path, name=None):
@@ -79,8 +82,8 @@ def main():
 
 @main.command()
 @click.argument("file", type=click.Path(exists=True))
-@click.option("--n", type=int, required=True, help="homological degree")
-@click.option("--cap", type=int, default=None, help="iteration cap")
+@click.option("--n", type=_POSITIVE, required=True, help="homological degree")
+@click.option("--cap", type=_NATURAL, default=None, help="iteration cap")
 @click.option("--pretty", is_flag=True)
 def analyze(file, n, cap, pretty):
     """Decide n-representation-finiteness of the algebra in FILE."""
@@ -99,14 +102,14 @@ def analyze(file, n, cap, pretty):
 
 @main.command()
 @click.argument("file", type=click.Path(exists=True))
-@click.option("--ell-max", type=int, default=24)
-@click.option("--m-max", type=int, default=24)
-@click.option("--ell", type=int, default=None, help="check this ell only")
-@click.option("--m", type=int, default=None, help="check this m only")
+@click.option("--ell-max", type=_POSITIVE, default=24)
+@click.option("--m-max", type=_NATURAL, default=24)
+@click.option("--ell", type=_POSITIVE, default=None, help="check this ell only")
+@click.option("--m", type=_NATURAL, default=None, help="check this m only")
 @click.option("--untwisted", is_flag=True, help="bimodule-level check")
-@click.option("--dim-ceiling", type=int, default=12,
+@click.option("--dim-ceiling", type=_NATURAL, default=12,
               help="largest algebra dimension for untwisted checks")
-@click.option("--cap", type=int, default=None)
+@click.option("--cap", type=_NATURAL, default=None)
 @click.option("--pretty", is_flag=True)
 def cy(file, ell_max, m_max, ell, m, untwisted, dim_ceiling, cap, pretty):
     """Search or check fractional Calabi-Yau certificates for FILE."""
@@ -146,12 +149,12 @@ def cy(file, ell_max, m_max, ell, m, untwisted, dim_ceiling, cap, pretty):
 
 
 @main.command()
-@click.option("--n", type=int, required=True)
-@click.option("--s", type=int, required=True)
+@click.option("--n", type=_POSITIVE, required=True)
+@click.option("--s", type=_POSITIVE, required=True)
 @click.option("--enumerate-cuts", "do_cuts", is_flag=True)
 @click.option("--omega-stable-only", is_flag=True)
 @click.option("--verify", is_flag=True, help="run the homogeneity theorem check")
-@click.option("--cap", type=int, default=None)
+@click.option("--cap", type=_NATURAL, default=None)
 @click.option("--pretty", is_flag=True)
 def typea(n, s, do_cuts, omega_stable_only, verify, cap, pretty):
     """The cyclic type-A quiver family and its cuts."""
@@ -193,10 +196,10 @@ def typea(n, s, do_cuts, omega_stable_only, verify, cap, pretty):
 
 @main.command()
 @click.argument("files", nargs=-1, type=click.Path(exists=True), required=True)
-@click.option("--n", "ns", type=int, multiple=True, required=True,
+@click.option("--n", "ns", type=_POSITIVE, multiple=True, required=True,
               help="one value per factor")
-@click.option("--ell", type=int, required=True)
-@click.option("--cap", type=int, default=None)
+@click.option("--ell", type=_POSITIVE, required=True)
+@click.option("--cap", type=_NATURAL, default=None)
 @click.option("--pretty", is_flag=True)
 def tensor(files, ns, ell, cap, pretty):
     """Tensor-product construction from factor algebras in FILES."""
@@ -233,8 +236,8 @@ def tensor(files, ns, ell, cap, pretty):
 
 @main.command()
 @click.argument("file", type=click.Path(exists=True))
-@click.option("--n", type=int, required=True)
-@click.option("--cap", type=int, default=None)
+@click.option("--n", type=_POSITIVE, required=True)
+@click.option("--cap", type=_NATURAL, default=None)
 @click.option("--pretty", is_flag=True)
 def preproj(file, n, cap, pretty):
     """Preprojective algebra of the algebra in FILE."""
@@ -266,8 +269,8 @@ def preproj(file, n, cap, pretty):
 
 @main.command()
 @click.argument("file", type=click.Path(exists=True))
-@click.option("--n", type=int, required=True)
-@click.option("--cap", type=int, default=None)
+@click.option("--n", type=_POSITIVE, required=True)
+@click.option("--cap", type=_NATURAL, default=None)
 @click.option("--pretty", is_flag=True)
 def auslander(file, n, cap, pretty):
     """Higher Auslander algebra of the cluster tilting module of FILE."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from graphlib import CycleError, TopologicalSorter
 
-from .algebra import Algebra, opposite, per_algebra
+from .algebra import Algebra, opposite, per_algebra, semisimple_algebra
 from .errors import CapExceeded
 from .linalg import Mat, inv, kernel_units
 from .module import (
@@ -144,6 +144,13 @@ class ModComplex:
 
     def cohomology(self, i):
         return homology_module(self.term(i), self.diff(i - 1), self.diff(i))
+
+    def cohomology_dim(self, i):
+        """dim H^i: the dimension of term i less the ranks of the two
+        differentials at i, vertex by vertex."""
+        ds = [d for d in (self.diff(i - 1), self.diff(i)) if d is not None]
+        return sum(n - sum(d.mats[w].rank() for d in ds)
+                   for w, n in self.term(i).dims.items() if n)
 
     def cohomology_table(self):
         if not self.terms:
@@ -345,98 +352,31 @@ def _module_resolution(M, upto):
     return res
 
 
-class ExtResult:
-    def __init__(self, dim):
-        self.dim = dim
-
-    def __repr__(self):
-        return f"Ext(dim {self.dim})"
-
-
-def _scatter_action(m, r0, c0, blk, idem_dim, c):
-    """Add c times the action block blk into m with its corner at (r0, c0),
-    reading only its nonzeros.  An absent block (None) stands for the
-    identity of size idem_dim for an idempotent and for zero otherwise
-    (idem_dim 0), so nothing is allocated for either."""
-    if blk is None:
-        for i in range(idem_dim):
-            m.a[r0 + i][c0 + i] += c
-        return
-    for i, brow in enumerate(blk.a):
-        row = m.a[r0 + i]
-        for j, x in enumerate(brow):
-            if x:
-                row[c0 + j] += c * x
-
-
-def _hom_cochain(res: Resolution, N: Module, top):
-    """Spaces and maps of Hom(P_k, N) for k = 0..top as coordinate data.
-
-    Returns (dims, deltas) where deltas[k]: space k -> space k+1.  The
-    summand at vertex u of term k is the block N e_u of space k.
-    """
-    alg = res.module.alg
-    spaces = []
-    offsets = []
-    for k in range(top + 1):
-        offs = []
-        n = 0
-        for u in res.term_verts(k):
-            offs.append(n)
-            n += N.dims[u]
-        spaces.append(n)
-        offsets.append(offs)
-    blocks = N.blocks()
-    deltas = []
-    for k in range(top):
-        em = res.eltmats.get(k + 1)
-        m = Mat.zero(spaces[k + 1], spaces[k])
-        if em is not None:
-            # em rows run over term k, columns over term k+1; the entry
-            # acts from N e_src to N e_tgt
-            for r, row in enumerate(em):
-                offr = offsets[k][r]
-                for s, elt in enumerate(row):
-                    r0 = offsets[k + 1][s]
-                    for bidx, c in elt.items():
-                        blks = blocks.get(bidx)
-                        if blks is not None:
-                            for dr, dc, blk in blks:
-                                _scatter_action(m, r0 + dr, offr + dc, blk, 0, c)
-                        elif alg.basis[bidx].degree == 0:
-                            _scatter_action(m, r0, offr, None, N.dims[alg.basis[bidx].src], c)
-        deltas.append(m)
-    return spaces, deltas
-
-
-def ext(i, M: Module, N: Module):
-    """Ext^i(M, N) as an ExtResult with .dim."""
-    if i < 0:
-        raise ValueError("negative Ext degree")
-    return ExtResult(ext_dims_upto(M, N, i)[i])
-
-
 def ext_dims_upto(M: Module, N: Module, n):
-    """dim Ext^i(M, N) for i = 0..n, sharing one resolution and one
-    cochain complex."""
+    """dim Ext^i(M, N) for i = 0..n, sharing one resolution P of M and one
+    complex.  Hom_A(P, N) is the k-dual of DN (x)_A P, for DN the dual of
+    N as a right module, so Ext^i(M, N) has the dimension of H^{-i} of
+    DN tensored with P."""
     res = _module_resolution(M, n + 1)
-    top = min(n + 1, res.length)
-    spaces, deltas = _hom_cochain(res, N, top)
-    ranks = [d.rank() for d in deltas]
-    out = []
-    for i in range(n + 1):
-        if i > res.length:
-            out.append(0)
-            continue
-        ker = spaces[i] - (ranks[i] if i < len(ranks) else 0)
-        im = ranks[i - 1] if i >= 1 else 0
-        out.append(ker - im)
-    return out
+    C = tensor_complex(_dual_right_module(N), res.to_perf(), range(-n - 1, 1))
+    return [C.cohomology_dim(-i) for i in range(n + 1)]
+
+
+def _dual_right_module(N: Module):
+    """The k-dual of N as a right module over N.alg: a bimodule with the
+    one-vertex semisimple algebra on the left, on which a basis element
+    acts on the right by the transpose of its action on N."""
+    dims = {(0, u): d for u, d in N.dims.items()}
+    ract = {(0, j): m.transpose() for j, m in N.act.items()}
+    return Bimodule(semisimple_algebra([0]), N.alg, dims, {}, ract, name=f"D({N.name})")
 
 
 def _col_sum_diff(X: Bimodule, em, srcmod, srcoffs, tgtmod, tgtoffs):
     """Morphism between column sums induced by right multiplication with
-    the entries of an element matrix."""
+    the entries of an element matrix.  Entry c * b adds c times the block
+    of b's right action, reading only its nonzeros, with its corner at the
+    entry's offsets; an idempotent, whose block is not stored, adds c on
+    the diagonal of that corner."""
     alg = X.left_alg
     basis = X.right_alg.basis
     mats = {}
@@ -447,10 +387,18 @@ def _col_sum_diff(X: Bimodule, em, srcmod, srcoffs, tgtmod, tgtoffs):
         for r, row in enumerate(em):
             r0 = tgtoffs[(r, w)]
             for s, elt in enumerate(row):
+                c0 = srcoffs[(s, w)]
                 for bidx, c in elt.items():
-                    b = basis[bidx]
-                    _scatter_action(m, r0, srcoffs[(s, w)], X.ract.get((w, bidx)),
-                                    X.dims[(w, b.src)] if b.degree == 0 else 0, c)
+                    blk = X.ract.get((w, bidx))
+                    if blk is not None:
+                        for i, brow in enumerate(blk.a):
+                            mrow = m.a[r0 + i]
+                            for j, x in enumerate(brow):
+                                if x:
+                                    mrow[c0 + j] += c * x
+                    elif basis[bidx].degree == 0:
+                        for i in range(X.dims[(w, basis[bidx].src)]):
+                            m.a[r0 + i][c0 + i] += c
     return Morphism(srcmod, tgtmod, mats)
 
 
@@ -795,99 +743,3 @@ def is_shifted_regular(P: PerfComplex):
     (deg, H), = table.items()
     return -deg if _is_regular_module(H) else None
 
-
-# -- Hom in the derived category ---------------------------------------
-
-
-def _chain_map_space(P: PerfComplex, Q: PerfComplex, shift=0):
-    """Coordinates for degree-`shift` maps P -> Q: per degree i, entries
-    (r over Q^{i+shift}, s over P^i, basis elt with matching src/tgt)."""
-    alg = P.alg
-    coords = []
-    for i in sorted(set(P.terms) | set(Q.terms)):
-        pv = P.terms.get(i, [])
-        qv = Q.terms.get(i + shift, [])
-        for s, u in enumerate(pv):
-            for r, v in enumerate(qv):
-                for bidx, b in enumerate(alg.basis):
-                    if b.src == v and b.tgt == u:
-                        coords.append((i, r, s, bidx))
-    return coords
-
-
-def _apply_chain_condition(alg, P, Q, coords, vec, shift=0):
-    """L(f) = d_Q∘f - (-1)^shift f∘d_P as a dict keyed by (i, t, s, bidx)
-    living in degree shift+1 map space."""
-    bydeg = {}
-    for (i, r, s, bidx), c in zip(coords, vec):
-        if c:
-            bydeg.setdefault(i, {}).setdefault((r, s), {}).setdefault(bidx, 0)
-            bydeg[i][(r, s)][bidx] += c
-    out = {}
-
-    def add(i, t, s, elt, sign=1):
-        for k, c in elt.items():
-            key = (i, t, s, k)
-            v = out.get(key, 0) + (c if sign > 0 else -c)
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
-
-    for i in sorted(set(P.terms) | set(Q.terms)):
-        fi = bydeg.get(i, {})
-        # d_Q component: (d_Q∘f)[t][s] = sum_r f[r][s] * dQ[t][r]
-        dQ = Q.diffs.get(i + shift)
-        if dQ is not None and fi:
-            for (r, s), elt in fi.items():
-                for t in range(len(dQ)):
-                    ge = dQ[t][r]
-                    if ge:
-                        add(i, t, s, alg.mul_elt(elt, ge))
-        # f component: (f∘d_P)[t][s] = sum_r dP[r][s] * f^{i+1}[t][r]
-        dP = P.diffs.get(i)
-        fnext = bydeg.get(i + 1, {})
-        if dP is not None and fnext:
-            for (t, r), elt in fnext.items():
-                for s in range(len(dP[0]) if dP else 0):
-                    fe = dP[r][s]
-                    if fe:
-                        add(i, t, s, alg.mul_elt(fe, elt), sign=-1 if shift % 2 == 0 else 1)
-    return out
-
-
-def hom_in_D_dim(P: PerfComplex, Q: PerfComplex):
-    """dim Hom of the derived category: degree-0 chain maps between
-    complexes of projectives modulo null-homotopies."""
-    alg = P.alg
-    coords0 = _chain_map_space(P, Q, 0)
-    coords1 = _chain_map_space(P, Q, 1)
-    coordsm1 = _chain_map_space(P, Q, -1)
-    idx1 = {key: k for k, key in enumerate(coords1)}
-    n0 = len(coords0)
-    if n0 == 0:
-        return 0
-    rows_L = []
-    for j in range(n0):
-        vec = [0] * n0
-        vec[j] = 1
-        img = _apply_chain_condition(alg, P, Q, coords0, vec, 0)
-        col = [0] * len(coords1)
-        for key, c in img.items():
-            col[idx1[key]] = c
-        rows_L.append(col)
-    L = Mat.from_rows(rows_L, ncols=len(coords1)).transpose()
-    ker_dim = n0 - L.rank()
-    # boundaries: h |-> d_Q∘h + h∘d_P
-    idx0 = {key: k for k, key in enumerate(coords0)}
-    rows_B = []
-    for j in range(len(coordsm1)):
-        vec = [0] * len(coordsm1)
-        vec[j] = 1
-        img = _apply_chain_condition(alg, P, Q, coordsm1, vec, -1)
-        col = [0] * n0
-        for key, c in img.items():
-            col[idx0[key]] = c
-        rows_B.append(col)
-    rank_B = Mat.from_rows(rows_B, ncols=n0).rank()
-    return ker_dim - rank_B

@@ -4,7 +4,7 @@ import pytest
 
 import quivercy
 from quivercy.algebra import enveloping
-from quivercy.homology import _module_resolution, ext_dims_upto, homology_module
+from quivercy.homology import PerfComplex, _module_resolution, ext_dims_upto, homology_module
 from quivercy.linalg import Mat, span_basis
 from quivercy.module import (
     Bimodule,
@@ -165,6 +165,103 @@ def radical_submodule(M):
     units = {v: [next(j for j, x in enumerate(row) if x) for row in c] for v, c in cols.items()}
     R = _sub_from_columns(M, cols, units, name=f"rad({M.name})")
     return R, Morphism(R, M, submodule_oracle(M, cols, units)[2])
+
+
+# -- Hom in the derived category ---------------------------------------
+
+
+def _chain_map_space(P: PerfComplex, Q: PerfComplex, shift=0):
+    """Coordinates for degree-`shift` maps P -> Q: per degree i, entries
+    (r over Q^{i+shift}, s over P^i, basis elt with matching src/tgt)."""
+    alg = P.alg
+    coords = []
+    for i in sorted(set(P.terms) | set(Q.terms)):
+        pv = P.terms.get(i, [])
+        qv = Q.terms.get(i + shift, [])
+        for s, u in enumerate(pv):
+            for r, v in enumerate(qv):
+                for bidx, b in enumerate(alg.basis):
+                    if b.src == v and b.tgt == u:
+                        coords.append((i, r, s, bidx))
+    return coords
+
+
+def _apply_chain_condition(alg, P, Q, coords, vec, shift=0):
+    """L(f) = d_Q∘f - (-1)^shift f∘d_P as a dict keyed by (i, t, s, bidx)
+    living in degree shift+1 map space."""
+    bydeg = {}
+    for (i, r, s, bidx), c in zip(coords, vec):
+        if c:
+            bydeg.setdefault(i, {}).setdefault((r, s), {}).setdefault(bidx, 0)
+            bydeg[i][(r, s)][bidx] += c
+    out = {}
+
+    def add(i, t, s, elt, sign=1):
+        for k, c in elt.items():
+            key = (i, t, s, k)
+            v = out.get(key, 0) + (c if sign > 0 else -c)
+            if v:
+                out[key] = v
+            elif key in out:
+                del out[key]
+
+    for i in sorted(set(P.terms) | set(Q.terms)):
+        fi = bydeg.get(i, {})
+        # d_Q component: (d_Q∘f)[t][s] = sum_r f[r][s] * dQ[t][r]
+        dQ = Q.diffs.get(i + shift)
+        if dQ is not None and fi:
+            for (r, s), elt in fi.items():
+                for t in range(len(dQ)):
+                    ge = dQ[t][r]
+                    if ge:
+                        add(i, t, s, alg.mul_elt(elt, ge))
+        # f component: (f∘d_P)[t][s] = sum_r dP[r][s] * f^{i+1}[t][r]
+        dP = P.diffs.get(i)
+        fnext = bydeg.get(i + 1, {})
+        if dP is not None and fnext:
+            for (t, r), elt in fnext.items():
+                for s in range(len(dP[0]) if dP else 0):
+                    fe = dP[r][s]
+                    if fe:
+                        add(i, t, s, alg.mul_elt(fe, elt), sign=-1 if shift % 2 == 0 else 1)
+    return out
+
+
+def hom_in_D_dim(P: PerfComplex, Q: PerfComplex):
+    """dim Hom of the derived category: degree-0 chain maps between
+    complexes of projectives modulo null-homotopies."""
+    alg = P.alg
+    coords0 = _chain_map_space(P, Q, 0)
+    coords1 = _chain_map_space(P, Q, 1)
+    coordsm1 = _chain_map_space(P, Q, -1)
+    idx1 = {key: k for k, key in enumerate(coords1)}
+    n0 = len(coords0)
+    if n0 == 0:
+        return 0
+    rows_L = []
+    for j in range(n0):
+        vec = [0] * n0
+        vec[j] = 1
+        img = _apply_chain_condition(alg, P, Q, coords0, vec, 0)
+        col = [0] * len(coords1)
+        for key, c in img.items():
+            col[idx1[key]] = c
+        rows_L.append(col)
+    L = Mat.from_rows(rows_L, ncols=len(coords1)).transpose()
+    ker_dim = n0 - L.rank()
+    # boundaries: h |-> d_Q∘h + h∘d_P
+    idx0 = {key: k for k, key in enumerate(coords0)}
+    rows_B = []
+    for j in range(len(coordsm1)):
+        vec = [0] * len(coordsm1)
+        vec[j] = 1
+        img = _apply_chain_condition(alg, P, Q, coordsm1, vec, -1)
+        col = [0] * n0
+        for key, c in img.items():
+            col[idx0[key]] = c
+        rows_B.append(col)
+    rank_B = Mat.from_rows(rows_B, ncols=n0).rank()
+    return ker_dim - rank_B
 
 
 class _HomLayout:

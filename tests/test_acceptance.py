@@ -23,9 +23,8 @@ from quivercy.cy import check_twisted_cy, check_untwisted_cy, cy_dimension, \
     find_twisted_cy
 from quivercy.homology import (
     dominant_dimension,
-    ext,
+    ext_dims_upto,
     global_dimension,
-    hom_in_D_dim,
     is_selfinjective,
     min_proj_resolution,
     nakayama,
@@ -41,7 +40,7 @@ from quivercy.module import (
     tensor_bimod_bimod,
 )
 
-from conftest import corpus_algebra, socle_permutation_oracle
+from conftest import corpus_algebra, hom_in_D_dim, socle_permutation_oracle
 
 
 def timed(budget):
@@ -205,7 +204,7 @@ def test_11_property_suites(a2, a3_stable):
             for N in mods:
                 PN = perf(N)
                 for i in range(3):
-                    assert ext(i, M, N).dim == hom_in_D_dim(PN, nuM.shift(-i))
+                    assert ext_dims_upto(M, N, i)[i] == hom_in_D_dim(PN, nuM.shift(-i))
     # translate functors are quasi-inverse on the orbit summands, and
     # non-projective summands admit no map to the algebra
     rep = decide_nrf(a3_stable, 1)

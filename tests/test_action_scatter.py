@@ -1,7 +1,10 @@
-"""The Hom-cochain and Tor/Nakayama block maps add each nonzero of an
-action matrix straight into the target.  The dense constructions they
-replace, which sum scaled copies of whole action matrices, are kept here
-as oracles and compared entry for entry on the maps the frontier needs."""
+"""The column-sum maps behind Ext, Tor and the Nakayama functor add each
+nonzero of an action matrix straight into the target.  The dense
+constructions they replace, which sum scaled copies of whole action
+matrices, are kept here as oracles and compared entry for entry on the
+maps the frontier needs.  Ext is read as the dual of a tensor complex, so
+its differentials are compared with the transposed maps of the dense Hom
+cochain complex."""
 
 import pytest
 
@@ -18,7 +21,9 @@ from quivercy.module import (
     Morphism,
     column_sum,
     dual_regular_bimodule,
+    injective_module,
     regular_module,
+    simple_module,
 )
 
 # the corpus algebras that are n-representation-finite, all with n = 1
@@ -100,41 +105,100 @@ def _col_sum_diff_dense(X: Bimodule, em, srcmod, srcoffs, tgtmod, tgtoffs):
 
 @pytest.fixture
 def checked(monkeypatch):
-    """Make every Hom-cochain and column-sum map assert equality with its
-    dense oracle; returns the modules N of the cochains and the number of
-    column-sum maps checked."""
-    seen = {"hom": [], "col": 0}
-    real_hom, real_col = homology._hom_cochain, homology._col_sum_diff
-
-    def hom_cochain(res, N, top):
-        out = real_hom(res, N, top)
-        assert out == _hom_cochain_dense(res, N, top)
-        seen["hom"].append(N)
-        return out
+    """Make every column-sum map assert equality with its dense oracle;
+    returns the bimodules of the maps checked."""
+    seen = []
+    real_col = homology._col_sum_diff
 
     def col_sum_diff(X, em, *sums):
         out = real_col(X, em, *sums)
         ref = _col_sum_diff_dense(X, em, *sums)
         assert (out.src, out.tgt, out.mats) == (ref.src, ref.tgt, ref.mats)
-        seen["col"] += 1
+        seen.append(X)
         return out
 
-    monkeypatch.setattr(homology, "_hom_cochain", hom_cochain)
     monkeypatch.setattr(homology, "_col_sum_diff", col_sum_diff)
     return seen
 
 
 @pytest.mark.parametrize("key", CORPUS_NRF + CUTS_2_4 + CUTS_2_5)
 def test_ext_and_tau_maps_match_the_dense_sums(key, checked):
-    # tau_n = Tor_n along the orbits, then the Ext vanishing of the
-    # cluster tilting module, which only the oracle computes now
+    # tau_n = H^{-n} of the Nakayama complex along the orbits, then the Ext
+    # vanishing of the cluster tilting module, which only the oracle
+    # computes now
     n = 1 if key in CORPUS else 2
     report = decide_nrf(_algebra(key), n)
     assert report.is_nrf is True
-    assert checked["col"] > 0
+    assert checked
     assert cluster_tilting_oracle(report)
     if n >= 2:
-        assert any(N is report.ct_module for N in checked["hom"])
+        # Ext's complex is over the one-vertex algebra of a dual right module
+        assert any(X.left_alg.vertices == [0] for X in checked)
+
+
+def _ext_against_the_oracle(monkeypatch, M, N, n):
+    """ext_dims_upto(M, N, n), asserting that each differential of the
+    complex it builds is the transpose of the dense Hom cochain map, entry
+    for entry, and that its dimensions are those of the cochain complex."""
+    built = []
+    real = homology.tensor_complex
+
+    def tensor_complex(X, P, degrees=None):
+        built.append(real(X, P, degrees))
+        return built[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(homology, "tensor_complex", tensor_complex)
+        dims = homology.ext_dims_upto(M, N, n)
+    (C,) = built
+    res = M._resolution
+    top = min(n + 1, res.length)
+    spaces, deltas = _hom_cochain_dense(res, N, top)
+    assert set(C.diffs) <= {-k - 1 for k in range(top)}
+    for k, delta in enumerate(deltas):
+        d = C.diffs.get(-k - 1)
+        assert (d.mats[0] if d else Mat.zero(spaces[k], spaces[k + 1])) == delta.transpose()
+    ranks = [delta.rank() for delta in deltas] + [0]
+    assert dims == [spaces[i] - ranks[i] - (ranks[i - 1] if i else 0) if i <= res.length else 0
+                    for i in range(n + 1)]
+    return dims
+
+
+def _idempotent_resolution(alg):
+    """A one-step 'resolution' of a fresh sum of every projective whose
+    differential has an idempotent on the diagonal, which acts as an
+    identity block; minimal complexes have radical entries only."""
+    verts = alg.vertices
+    em = [[{k: k + 2 for k, b in enumerate(alg.basis) if b.src == v and b.tgt == u}
+           for u in verts] for v in verts]
+    assert any(alg.basis[k].degree == 0 for k in em[0][0])
+    info = SumInfo(alg, verts)
+    M = SumInfo(alg, verts).module
+    M._resolution = Resolution(M, [info, info], {1: em}, True)
+    return M, info, em
+
+
+@pytest.mark.parametrize("key", CORPUS_NRF + CUTS_2_4[::4] + CUTS_2_5
+                         + [f"idempotents/{stem}" for stem in CORPUS])
+def test_ext_differentials_are_the_transposed_cochain_maps(key, monkeypatch):
+    if key.startswith("idempotents/"):
+        alg = corpus_algebra(key.split("/")[1])
+        M, info, _ = _idempotent_resolution(alg)
+        for N in (regular_module(alg), info.module):
+            _ext_against_the_oracle(monkeypatch, M, N, 1)
+        return
+    alg = _algebra(key)
+    reg, S = regular_module(alg), simple_module(alg, alg.vertices[0])
+    for v in alg.vertices:
+        _ext_against_the_oracle(monkeypatch, injective_module(alg, v), reg, 2)
+        _ext_against_the_oracle(monkeypatch, simple_module(alg, v), S, 2)
+    if key in CORPUS:
+        return
+    report = decide_nrf(alg, 2)
+    assert report.is_nrf is True
+    for X in report.ct_summands:
+        dims = _ext_against_the_oracle(monkeypatch, X, report.ct_module, 2)
+        assert dims[1] == 0
 
 
 @pytest.mark.parametrize("stem", CORPUS)
@@ -142,24 +206,15 @@ def test_nakayama_maps_match_the_dense_sums(stem, checked):
     P = stalk_regular(corpus_algebra(stem))
     for _ in range(3):
         P = nakayama(P)
-    assert checked["col"] > 0
+    assert checked
 
 
 @pytest.mark.parametrize("stem", CORPUS)
 def test_element_matrices_with_idempotents_match_the_dense_sums(stem):
-    # minimal complexes have radical entries only; here the diagonal
-    # entries carry an idempotent, which acts as an identity block
     alg = corpus_algebra(stem)
-    verts = alg.vertices
-    em = [[{k: k + 2 for k, b in enumerate(alg.basis) if b.src == v and b.tgt == u}
-           for u in verts] for v in verts]
-    assert any(alg.basis[k].degree == 0 for k in em[0][0])
-    info = SumInfo(alg, verts)
-    res = Resolution(regular_module(alg), [info, info], {1: em}, True)
-    for N in (regular_module(alg), info.module):
-        assert homology._hom_cochain(res, N, 1) == _hom_cochain_dense(res, N, 1)
+    _, _, em = _idempotent_resolution(alg)
     DL = dual_regular_bimodule(alg)
-    sums = column_sum(DL, verts)
+    sums = column_sum(DL, alg.vertices)
     out = homology._col_sum_diff(DL, em, *sums, *sums)
     assert out.mats == _col_sum_diff_dense(DL, em, *sums, *sums).mats
 

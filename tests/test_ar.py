@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import corpus_algebra, socle_permutation_oracle
+from quivercy import ar, homology
 from quivercy.ar import (
     auslander_algebra,
     decide_nrf,
@@ -24,7 +25,7 @@ from quivercy.homology import (
     is_selfinjective,
 )
 from quivercy.linalg import Mat
-from quivercy.module import injective_module, is_isomorphic, simple_module
+from quivercy.module import dual_regular_bimodule, injective_module, is_isomorphic, simple_module
 
 
 def test_tau_on_a2(a2):
@@ -65,6 +66,40 @@ def test_kept_orbit_walk_longer_than_the_cap_counts_as_cut():
     rep = decide_nrf(alg, 1)
     assert rep.is_nrf is True
     assert rep.ell == {1: 3, 2: 2, 3: 1}
+
+
+def test_orbit_walk_builds_one_nakayama_complex_per_stage(monkeypatch):
+    # every stage that is not a projective is resolved once, and nu X is
+    # built once on that resolution; Ext and tau_n are read off it
+    q = TypeAQuiver(2, 5)
+    alg = cut_algebra(q, enumerate_cuts(q)[240])  # fresh, so no walk is kept
+    built, resolved = [], []
+    real_tensor, real_resolution = ar.tensor_complex, homology.min_proj_resolution
+
+    def tensor_complex(X, P, degrees=None):
+        built.append(X)
+        return real_tensor(X, P, degrees)
+
+    def min_proj_resolution(M, *args, **kwargs):
+        resolved.append(M)
+        return real_resolution(M, *args, **kwargs)
+
+    def forbidden(*args):
+        raise AssertionError("the orbit walk reads Ext and tau_n off nu X")
+
+    monkeypatch.setattr(ar, "tensor_complex", tensor_complex)
+    monkeypatch.setattr(homology, "min_proj_resolution", min_proj_resolution)
+    for mod in (homology, ar):
+        monkeypatch.setattr(mod, "ext_dims_upto", forbidden, raising=False)
+        monkeypatch.setattr(mod, "tor", forbidden)
+    rep = decide_nrf(alg, 2)
+    assert rep.is_nrf is True
+    stages = [X for orbit in rep.orbit_table.values() for X in orbit[:-1]]
+    assert stages and len(built) == len(stages)
+    assert all(X is dual_regular_bimodule(alg) for X in built)
+    ids = [id(M) for M in resolved]
+    assert len(ids) == len(set(ids))
+    assert all(ids.count(id(X)) == 1 for X in stages)
 
 
 def test_decide_nrf_a2(a2):

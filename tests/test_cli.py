@@ -102,6 +102,46 @@ def test_missing_option_exit_code(runner, args):
     assert runner.invoke(main, args).exit_code == 64
 
 
+# a number out of its option's range is a usage error too: click's message,
+# no traceback, and no verdict computed from it
+
+
+def _out_of_range_cases():
+    base = {
+        "analyze": ["analyze", corpus("a2"), "--n", "1"],
+        "cy": ["cy", corpus("a2")],
+        "typea": ["typea", "--n", "1", "--s", "3"],
+        "tensor": ["tensor", corpus("a2"), "--n", "1", "--ell", "3"],
+        "preproj": ["preproj", corpus("a2"), "--n", "1"],
+        "auslander": ["auslander", corpus("a2"), "--n", "1"],
+    }
+    bad = [(cmd, "--n", "0") for cmd in base if cmd != "cy"]
+    bad += [("analyze", "--n", "-1"), ("typea", "--s", "0"), ("cy", "--ell", "0"),
+            ("tensor", "--ell", "0"), ("cy", "--ell-max", "0"), ("cy", "--m", "-1"),
+            ("cy", "--m-max", "-1"), ("cy", "--dim-ceiling", "-1")]
+    bad += [(cmd, "--cap", "-1") for cmd in base]
+    cases = []
+    for cmd, opt, val in bad:
+        args = list(base[cmd])
+        if opt in args:
+            args[args.index(opt) + 1] = val
+        else:
+            args += [opt, val]
+        if cmd == "cy" and opt == "--ell":
+            args += ["--m", "1"]
+        cases.append(pytest.param(args, opt, id=f"{cmd}{opt}={val}"))
+    return cases
+
+
+@pytest.mark.parametrize("args,opt", _out_of_range_cases())
+def test_out_of_range_number_exit_code(runner, args, opt):
+    result = runner.invoke(main, args)
+    assert result.exit_code == 64
+    assert isinstance(result.exception, SystemExit)
+    assert f"Invalid value for '{opt}'" in result.output
+    assert "Traceback" not in result.output
+
+
 @pytest.mark.parametrize("command", ["analyze", "cy", "tensor", "preproj", "auslander"])
 def test_missing_file_exit_code(runner, tmp_path, command):
     args = [command, str(tmp_path / "absent.alg")]

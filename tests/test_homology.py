@@ -3,7 +3,7 @@ import weakref
 
 import pytest
 
-from conftest import corpus_algebra
+from conftest import corpus_algebra, hom_in_D_dim
 from quivercy.algebra import opposite
 from quivercy.ar import tau_n_minus
 from quivercy.errors import CapExceeded
@@ -11,10 +11,8 @@ from quivercy.homology import (
     _is_regular_module,
     _match_projective,
     dominant_dimension,
-    ext,
     ext_dims_upto,
     global_dimension,
-    hom_in_D_dim,
     is_selfinjective,
     is_shifted_regular,
     min_proj_resolution,
@@ -58,10 +56,10 @@ def test_resolution_of_projective_is_trivial(a3_linear):
 
 def test_ext_oracles(a2, a3_linear):
     S1, S2 = simple_module(a2, 1), simple_module(a2, 2)
-    assert ext(1, S1, S2).dim == 1
-    assert ext(1, S2, S1).dim == 0
-    assert ext(0, S1, S1).dim == 1
-    assert ext(1, simple_module(a3_linear, 2), simple_module(a3_linear, 3)).dim == 1
+    assert ext_dims_upto(S1, S2, 1)[1] == 1
+    assert ext_dims_upto(S2, S1, 1)[1] == 0
+    assert ext_dims_upto(S1, S1, 0)[0] == 1
+    assert ext_dims_upto(simple_module(a3_linear, 2), simple_module(a3_linear, 3), 1)[1] == 1
     assert ext_dims_upto(simple_module(a3_linear, 1),
                          regular_module(a3_linear), 2) == [0, 1, 0]
 
