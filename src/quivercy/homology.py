@@ -374,31 +374,28 @@ def _dual_right_module(N: Module):
 def _col_sum_diff(X: Bimodule, em, srcmod, srcoffs, tgtmod, tgtoffs):
     """Morphism between column sums induced by right multiplication with
     the entries of an element matrix.  Entry c * b adds c times the block
-    of b's right action, reading only its nonzeros, with its corner at the
-    entry's offsets; an idempotent, whose block is not stored, adds c on
-    the diagonal of that corner."""
+    of b's right action at each vertex where it is stored, reading only
+    its nonzeros, with its corner at the entry's offsets; an idempotent,
+    whose blocks are not stored, adds c on the diagonal of that corner."""
     alg = X.left_alg
     basis = X.right_alg.basis
-    mats = {}
-    for w in alg.vertices:
-        m = mats[w] = Mat.zero(tgtmod.dims[w], srcmod.dims[w])
-        if not (m.rows and m.cols):
-            continue
-        for r, row in enumerate(em):
-            r0 = tgtoffs[(r, w)]
-            for s, elt in enumerate(row):
-                c0 = srcoffs[(s, w)]
-                for bidx, c in elt.items():
-                    blk = X.ract.get((w, bidx))
-                    if blk is not None:
+    mats = {w: Mat.zero(tgtmod.dims[w], srcmod.dims[w]) for w in alg.vertices}
+    for r, row in enumerate(em):
+        for s, elt in enumerate(row):
+            for bidx, c in elt.items():
+                if basis[bidx].degree:
+                    for w, blk in X.ract_by_elt.get(bidx, ()):
+                        m, r0, c0 = mats[w].a, tgtoffs[(r, w)], srcoffs[(s, w)]
                         for i, brow in enumerate(blk.a):
-                            mrow = m.a[r0 + i]
+                            mrow = m[r0 + i]
                             for j, x in enumerate(brow):
                                 if x:
                                     mrow[c0 + j] += c * x
-                    elif basis[bidx].degree == 0:
+                else:
+                    for w in alg.vertices:
+                        m, r0, c0 = mats[w].a, tgtoffs[(r, w)], srcoffs[(s, w)]
                         for i in range(X.dims[(w, basis[bidx].src)]):
-                            m.a[r0 + i][c0 + i] += c
+                            m[r0 + i][c0 + i] += c
     return Morphism(srcmod, tgtmod, mats)
 
 

@@ -170,7 +170,7 @@ class ColumnSum(Module):
             n = 0
             for r, u in enumerate(self.verts):
                 self.offs[(r, w)] = n
-                n += X.dims[(w, u)]
+                n += X.dims.get((w, u), 0)  # no __missing__ call per absent pair
             self.dims[w] = n
         self._blocks = self._act = None
 
@@ -550,7 +550,9 @@ class Bimodule:
     right multiplication by the B-basis element j, X[(u, tgt_j)] ->
     X[(u, src_j)].  Only nonzero matrices and dimensions are stored.
     lact_by_col[v] = {i: lact[(i, v)]}, in basis order, is the left action
-    on the column X e_v, grouped once so that no reader scans the basis.
+    on the column X e_v, grouped once so that no reader scans the basis;
+    ract_by_elt[j] lists the pairs (u, ract[(u, j)]) in the same way, so
+    that a right multiplication by j visits only the rows where it acts.
     """
 
     def __init__(self, left_alg, right_alg, dims, lact, ract, name="X"):
@@ -562,6 +564,9 @@ class Bimodule:
         self.lact_by_col = {}
         for (i, v), m in sorted(self.lact.items(), key=lambda kv: kv[0][0]):
             self.lact_by_col.setdefault(v, {})[i] = m
+        self.ract_by_elt = {}
+        for (u, j), m in self.ract.items():
+            self.ract_by_elt.setdefault(j, []).append((u, m))
         self.name = name
 
     def lact_mat(self, i, v):
