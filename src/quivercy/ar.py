@@ -125,9 +125,10 @@ def _walk_tau_orbit(alg, i, n, *, cap):
     """The tau_n-orbit X_0 = I_i, X_1 = tau_n X_0, ... of the injective
     at i, as (stages, v, reason).  The walk computes nu X = DA (x)_A P_X
     itself, once per stage, on the resolution P_X kept on X: its
-    cohomology in degree -k is Tor_k(DA, X) = D Ext^k(X, A).  Every stage
-    but the last has it zero for k < n, so nu X is tau_n X = H^{-n}(nu X)
-    shifted by n, the next stage.  The walk ends with v when the last
+    cohomology in degree -k is Tor_k(DA, X) = D Ext^k(X, A), zero for
+    k > n as pd X <= gl.dim <= n.  Every stage but the last has it zero
+    for k < n too, so nu X is tau_n X = H^{-n}(nu X) shifted by n, and
+    that is the next stage.  The walk ends with v when the last
     stage is P_v, and with v None and a reason when a stage fails that
     check or tau_n kills it.  Raises _OrbitCut past cap stages.  A walk
     is kept on the algebra per (i, n), whatever cap it ran under.  Stage
