@@ -139,9 +139,11 @@ class Algebra:
         """Associativity on every basis triple, exhaustively; raises
         ValueError on failure.  Once every product (i, j) is checked to run
         from src(j) to tgt(i) with src(i) == tgt(j) (the vertex grading),
-        both sides vanish off the composable triples; only those are tried."""
+        both sides vanish off the composable triples; only those are tried,
+        and a triple with b_i b_j = 0 = b_j b_k has both sides zero."""
+        mult = self.mult
         ends = [(b.src, b.tgt) for b in self.basis]
-        for (i, j), prod in self.mult.items():
+        for (i, j), prod in mult.items():
             if ends[i][0] != ends[j][1] or any(ends[k] != (ends[j][0], ends[i][1]) for k in prod):
                 raise ValueError(f"product ({i},{j}) breaks the vertex grading")
         by_src, by_tgt = {}, {}
@@ -149,12 +151,15 @@ class Algebra:
             by_src.setdefault(s, []).append(idx)
             by_tgt.setdefault(t, []).append(idx)
         for j, (s, t) in enumerate(ends):
+            right = [(k, mult.get((j, k))) for k in by_tgt.get(s, ())]
             for i in by_src.get(t, ()):
-                for k in by_tgt.get(s, ()):
-                    lhs = self.mul_elt(self.mul(i, j), {k: 1})
-                    rhs = self.mul_elt({i: 1}, self.mul(j, k))
-                    if lhs != rhs:
-                        raise ValueError(f"associativity fails at basis triple ({i},{j},{k})")
+                ij = mult.get((i, j))
+                for k, jk in right:
+                    if ij or jk:
+                        lhs = self.mul_elt(ij, {k: 1}) if ij else {}
+                        rhs = self.mul_elt({i: 1}, jk) if jk else {}
+                        if lhs != rhs:
+                            raise ValueError(f"associativity fails at basis triple ({i},{j},{k})")
 
     def __repr__(self):
         return f"Algebra({self.name}, dim {self.dim})"

@@ -7,9 +7,9 @@ from __future__ import annotations
 from itertools import permutations
 from math import comb
 
-from .algebra import build_algebra
+from .algebra import Algebra, BasisElt, build_algebra
 from .errors import BijectionFailure, InvalidSpec, NotACut
-from .quiver import Path, Quiver, Relation
+from .quiver import Path, Quiver
 
 
 # -- Dynkin quivers ----------------------------------------------------
@@ -206,39 +206,120 @@ class TypeAQuiver:
         return f"TypeAQuiver(n={self.n}, s={self.s}, {len(self.vertices)} vertices)"
 
 
-def _gamma_relations(q: TypeAQuiver, quiver=None):
-    quiver = quiver or q.quiver
-    vset = set(q.vertices)
-    rels = []
+def _box_algebra(q: TypeAQuiver, cut, name):
+    """Gamma(n, s) in closed form, restricted to the classes whose paths
+    avoid the arrows of `cut` (all of them when `cut` is empty).
+
+    Gamma is the path algebra of q.quiver modulo these relations: at a
+    vertex y with y + f_i and y + f_i + f_j vertices (i != j), the two
+    steps i then j equal the steps j then i when y + f_j is a vertex, and
+    vanish when it is not.  A path from x with multidegree d (d_i steps
+    in direction i) ends at x + sum d_i f_i, whose slot k is
+    x_k - d_k + d_{k-1} (slots mod n+1).  The classes are the pairs
+    (x, d) with 0 <= d <= x slotwise, and (y, e) * (x, d) = (x, d + e)
+    when d + e <= x, else 0 (y the end of (x, d)); every constant is 1.
+
+    Proof.  (a) Inside the box.  If d <= x, every ordering of the steps
+    of d is a path from x: after a prefix of multidegree d' <= d the walk
+    is at y with y_k >= x_k - d_k >= 0.  Two orderings differ by swaps of
+    adjacent steps; a swap of i, j at y has d' + e_i + e_j <= x, so
+    y + f_i, y + f_j and y + f_i + f_j are all vertices, and the swap is
+    a commutation relation.  So these paths are all equal in Gamma.
+    (b) Leaving the box.  Let p from x have multidegree not <= x.  Cut it
+    after its longest prefix with multidegree d' <= x: the next step j
+    has d'_j = x_j, from y with y_j = d'_{j-1}, which is >= 1 since that
+    step exists.  By (a) the prefix may end with a step j-1, from
+    z = y - f_{j-1} with z_j = d'_{j-1} - 1.  If z_j = 0, z + f_j is no
+    vertex and the steps j-1, j at z meet a zero relation, so p = 0.
+    Otherwise swapping them is a commutation, and the new path has a
+    step j after the prefix d' - e_{j-1} <= x, whose slot j is x_j:
+    induction on d'_{j-1} ends at a zero relation.  (c) So Gamma is spanned by the
+    classes (x, d), d <= x.  The closed form B is associative (both
+    sides of a triple are (x, d + e + f) or 0) with unit sum (x, 0), and
+    e_x -> (x, 0), a_i(x) -> (x, e_i) sends a path to its (x, d), or to
+    0 when it leaves the box; that kills the commutations (both sides
+    are (y, e_i + e_j)) and the zero relations (y + f_j is no vertex, so
+    y_j = 0 < 1).  This onto map from Gamma to B is an isomorphism, as
+    dim Gamma <= dim B.  (d) Cuts.  A cut C meets every (n+1)-cycle (a
+    closed walk taking each direction once) exactly once.  A commutation
+    square at y closes into two such cycles through one walk from
+    w = y + f_i + f_j back to y: take the other directions in runs of
+    cyclically consecutive ones, k, k+1, ..., m in that order, each run
+    carrying one unit from slot k, which holds w_k = y_k + 1 >= 1 since
+    no other step touches it.  So both routes carry the same number of
+    cut arrows, zero relations are monomials, and by (a) that number is
+    a grading of Gamma by classes.  The ideal (C) is the span of the
+    classes of positive degree, so Gamma/(C), which is Q_C modulo the
+    terms of the relations that avoid C, is the span of the classes of
+    degree 0 with the product of Gamma.  A product of two
+    kept classes that lands in the box on a removed class would break
+    this grading; it raises NotACut.
+
+    Names and order are those of `build_algebra`.  After the idempotents
+    it sorts the basis by (degree, str(src), str(tgt)), with one class per
+    key, as x + sum d_i f_i fixes d up to (1, ..., 1) and the degree fixes
+    that.
+    The relation consequences of a block of parallel paths span the
+    vectors whose coordinates on the class's paths sum to 0 (and
+    anything on paths leaving the box), so its rref leaves free only the
+    class's last path by label strings, and every path reduces to it
+    with coefficient 1.  Labels from one vertex compare by their prefix
+    a{i+1}[, so that path takes the directions in the descending order
+    of these prefixes, each d_i times; in Gamma/(C) a class of degree 0
+    has the same paths, hence the same name."""
+    quiver = q.quiver
+    if cut:
+        quiver = Quiver(q.vertices, [(a.label, a.source, a.target)
+                                     for a in q.quiver.arrows if a.label not in cut])
+    # directions by ascending label prefix: a class's path extends the
+    # path of the class with one step fewer in its first direction here
+    order = sorted(range(q.n + 1), key=lambda i: f"a{i + 1}[")
+    arrow = {(a.source, q.arrow_dir[a.label]): a for a in q.quiver.arrows}
+    zero = (0,) * (q.n + 1)
+    idem = [(x, zero, x, ()) for x in q.vertices]
+    kept, removed = [], set()
     for x in q.vertices:
-        for i in range(q.n + 1):
-            xi = q.step(x, i)
-            if xi not in vset:
-                continue
-            for j in range(q.n + 1):
-                if j == i:
-                    continue
-                xij = q.step(xi, j)
-                if xij not in vset:
-                    continue
-                pij = Path(quiver, x, [q.arrow_label(x, i), q.arrow_label(xi, j)])
-                xj = q.step(x, j)
-                if xj in vset:
-                    if j > i:
-                        pji = Path(quiver, x, [q.arrow_label(x, j), q.arrow_label(xj, i)])
-                        rels.append(Relation([(1, pij), (-1, pji)]))
-                else:
-                    rels.append(Relation([(1, pij)]))
-    return rels
+        walks = {zero: ((), x, False)}  # multidegree -> (labels, end, meets cut)
+        for d in _boxes(x)[1:]:  # after every box below it
+            i = next(i for i in order if d[i])
+            labels, y, hit = walks[d[:i] + (d[i] - 1,) + d[i + 1:]]
+            a = arrow[(y, i)]
+            labels, y, hit = walks[d] = (labels + (a.label,), a.target, hit or a.label in cut)
+            if hit:
+                removed.add((x, d))
+            else:
+                kept.append((x, d, y, labels))
+    kept = idem + sorted(kept, key=lambda c: (len(c[3]), str(c[0]), str(c[2])))
+    basis = [BasisElt(f"e[{x}]" if not labels else "*".join(labels), x, y,
+                      len(labels), path=Path(quiver, x, labels))
+             for x, d, y, labels in kept]
+    index = {(x, d): k for k, (x, d, _, _) in enumerate(kept)}
+    by_tgt = {}
+    for j, (_, _, y, _) in enumerate(kept):
+        by_tgt.setdefault(y, []).append(j)
+    mult = {}
+    for i, (y, e, _, _) in enumerate(kept):
+        for j in by_tgt.get(y, ()):
+            x, d = kept[j][0], kept[j][1]
+            de = (x, tuple(a + b for a, b in zip(d, e)))
+            k = index.get(de)
+            if k is not None:
+                mult[(i, j)] = {k: 1}
+            elif de in removed:
+                raise NotACut(f"{basis[i].name} * {basis[j].name} leaves the "
+                              f"classes that avoid the cut: it is not a grading")
+    alg = Algebra(q.vertices, basis, mult, name=name, quiver=quiver)
+    alg.set_generators([i for i, b in enumerate(basis) if b.degree == 1])
+    alg.check_associativity()
+    alg.type_a = q
+    return alg
 
 
 def gamma_algebra(q: TypeAQuiver, name=None):
     """The mesh-type algebra of the cyclic type-A quiver: consecutive
     steps in two directions commute when both routes exist and vanish
-    otherwise."""
-    g = build_algebra(q.quiver, _gamma_relations(q), name=name or f"Gamma({q.n},{q.s})")
-    g.type_a = q
-    return g
+    otherwise.  Built in closed form by `_box_algebra`."""
+    return _box_algebra(q, frozenset(), name or f"Gamma({q.n},{q.s})")
 
 
 def enumerate_cuts(q: TypeAQuiver):
@@ -275,24 +356,13 @@ def omega_on_cuts(q: TypeAQuiver, c):
 
 
 def cut_algebra(q: TypeAQuiver, c, name=None):
-    """The quotient of the mesh-type algebra by the arrows of the cut,
-    presented on the subquiver without those arrows."""
+    """The quotient of the mesh-type algebra by the arrows of the cut, on
+    the subquiver without those arrows: the classes of Gamma that avoid
+    the cut, built in closed form by `_box_algebra`."""
     c = frozenset(c)
     if not is_cut(q, c):
         raise NotACut(f"{sorted(c)} does not meet every cycle exactly once")
-    arrows = [(a.label, a.source, a.target) for a in q.quiver.arrows
-              if a.label not in c]
-    sub = Quiver(q.vertices, arrows)
-    rels = []
-    for r in _gamma_relations(q):
-        kept = [(coeff, p) for coeff, p in r.terms
-                if not any(l in c for l in p.labels)]
-        if not kept:
-            continue
-        paths = [Path(sub, p.start, p.labels) for _, p in kept]
-        rels.append(Relation(list(zip((coeff for coeff, _ in kept), paths))))
-    a = build_algebra(sub, rels, name=name or f"Lambda({q.n},{q.s})")
-    a.type_a = q
+    a = _box_algebra(q, c, name or f"Lambda({q.n},{q.s})")
     a.cut = c
     return a
 

@@ -57,6 +57,14 @@ class Mat:
         return Mat(rows, cols, [[0] * cols for _ in range(rows)])
 
     @staticmethod
+    def blank(rows, cols):
+        """A zero matrix to be filled in place.  A shape without entries
+        has no row to write to, so its rows share one empty list."""
+        if rows and cols:
+            return Mat.zero(rows, cols)
+        return Mat(rows, cols, [[]] * rows)
+
+    @staticmethod
     def identity(n):
         return Mat(n, n, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 

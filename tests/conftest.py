@@ -3,7 +3,7 @@ import pathlib
 import pytest
 
 import quivercy
-from quivercy.algebra import enveloping
+from quivercy.algebra import build_algebra, enveloping
 from quivercy.homology import PerfComplex, _module_resolution, ext_dims_upto, homology_module
 from quivercy.linalg import Mat, span_basis
 from quivercy.module import (
@@ -20,6 +20,7 @@ from quivercy.module import (
     regular_bimodule,
 )
 from quivercy.parsing import load_algebra_file
+from quivercy.quiver import Path, Quiver, Relation
 
 CORPUS = pathlib.Path(quivercy.__file__).parent / "corpus"
 
@@ -406,6 +407,60 @@ def ext_bimodule_oracle(alg, n):
     out = env_module_to_bimodule(H, alg)
     out.name = "T"
     return out
+
+
+def gamma_relations(q):
+    """The relations of Gamma(n, s) on q.quiver: at each vertex x, the
+    steps i then j commute when both routes exist and vanish when only
+    this one does."""
+    vset = set(q.vertices)
+    rels = []
+    for x in q.vertices:
+        for i in range(q.n + 1):
+            xi = q.step(x, i)
+            if xi not in vset:
+                continue
+            for j in range(q.n + 1):
+                if j == i:
+                    continue
+                xij = q.step(xi, j)
+                if xij not in vset:
+                    continue
+                pij = Path(q.quiver, x, [q.arrow_label(x, i), q.arrow_label(xi, j)])
+                xj = q.step(x, j)
+                if xj in vset:
+                    if j > i:
+                        pji = Path(q.quiver, x, [q.arrow_label(x, j), q.arrow_label(xj, i)])
+                        rels.append(Relation([(1, pij), (-1, pji)]))
+                else:
+                    rels.append(Relation([(1, pij)]))
+    return rels
+
+
+def gamma_algebra_oracle(q):
+    """constructions.gamma_algebra as it was before the closed form: the
+    path algebra of q.quiver modulo `gamma_relations`, by build_algebra."""
+    g = build_algebra(q.quiver, gamma_relations(q), name=f"Gamma({q.n},{q.s})")
+    g.type_a = q
+    return g
+
+
+def cut_algebra_oracle(q, c):
+    """constructions.cut_algebra as it was before the closed form:
+    build_algebra on the subquiver without the arrows of the cut c, with
+    the terms of `gamma_relations` that avoid c."""
+    sub = Quiver(q.vertices, [(a.label, a.source, a.target)
+                              for a in q.quiver.arrows if a.label not in c])
+    rels = []
+    for r in gamma_relations(q):
+        kept = [(coeff, Path(sub, p.start, p.labels)) for coeff, p in r.terms
+                if not any(lab in c for lab in p.labels)]
+        if kept:
+            rels.append(Relation(kept))
+    lam = build_algebra(sub, rels, name=f"Lambda({q.n},{q.s})")
+    lam.type_a = q
+    lam.cut = frozenset(c)
+    return lam
 
 
 @pytest.fixture(scope="session")
