@@ -249,8 +249,8 @@ def projective_cover(M: Module):
     by the rref of the radical span, so their unit vectors span a
     complement of rad M.  Only the vertices where M is nonzero are
     reduced, only the stored actions of M are read and only their
-    nonzeros copied, a vertex where M is zero gets an empty block,
-    and the SumInfo of a vertex list is built once per algebra."""
+    nonzeros copied, and the SumInfo of a vertex list is built once per
+    algebra."""
     alg = M.alg
     rad = radical_columns(M)
     verts = []
@@ -264,7 +264,7 @@ def projective_cover(M: Module):
                 lifts.append(j)
     info = _sum_info(alg, tuple(verts))
     pos = regular_bimodule(alg).basis_pos
-    mats = {w: Mat.blank(M.dims[w], info.module.dims[w]) for w in alg.vertices}
+    mats = {w: Mat.zero(M.dims[w], info.module.dims[w]) for w in alg.vertices}
     acts = {}  # source vertex -> (target vertex, position, action rows)
     for i, m in M.act.items():
         b = alg.basis[i]
@@ -376,11 +376,10 @@ def _col_sum_diff(X: Bimodule, em, srcmod, srcoffs, tgtmod, tgtoffs):
     the entries of an element matrix.  Entry c * b adds c times the block
     of b's right action at each vertex where it is stored, reading only
     its nonzeros, with its corner at the entry's offsets; an idempotent,
-    whose blocks are not stored, adds c on the diagonal of that corner.
-    A vertex where either sum is zero gets an empty block."""
+    whose blocks are not stored, adds c on the diagonal of that corner."""
     alg = X.left_alg
     basis = X.right_alg.basis
-    mats = {w: Mat.blank(tgtmod.dims[w], srcmod.dims[w]) for w in alg.vertices}
+    mats = {w: Mat.zero(tgtmod.dims[w], srcmod.dims[w]) for w in alg.vertices}
     for r, row in enumerate(em):
         for s, elt in enumerate(row):
             for bidx, c in elt.items():

@@ -54,14 +54,9 @@ class Mat:
 
     @staticmethod
     def zero(rows, cols):
-        return Mat(rows, cols, [[0] * cols for _ in range(rows)])
-
-    @staticmethod
-    def blank(rows, cols):
-        """A zero matrix to be filled in place.  A shape without entries
-        has no row to write to, so its rows share one empty list."""
         if rows and cols:
-            return Mat.zero(rows, cols)
+            return Mat(rows, cols, [[0] * cols for _ in range(rows)])
+        # no entry to fill in: the rows, if any, share one empty list
         return Mat(rows, cols, [[]] * rows)
 
     @staticmethod

@@ -138,15 +138,15 @@ def column_sum(X, verts, name=None):
     """The left module of the columns X e_u, u over verts, summed in that
     order, as (module, offsets) where offsets[(r, w)] locates column r at
     vertex w.  Only the blocks of X.lact_by_col at verts are read.  A
-    single column shares its blocks with X, which stored only nonzero
-    ones, so they are not tested again; more columns give a `ColumnSum`,
-    a view on those blocks."""
+    single column gets its own dict of X's blocks, which X stored only
+    when nonzero, so they are not tested again; more columns give a
+    `ColumnSum`, a view on those blocks."""
     name = name or f"{X.name}(cols)"
     if len(verts) == 1:
         (u,) = verts
         alg = X.left_alg
         M = Module(alg, {w: X.dims[(w, u)] for w in alg.vertices}, {}, name=name)
-        M.act = X.lact_by_col.get(u, {})
+        M.act = dict(X.lact_by_col.get(u, ()))
         return M, {(0, w): 0 for w in alg.vertices}
     M = ColumnSum(X, verts, name)
     return M, M.offs

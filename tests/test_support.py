@@ -63,6 +63,9 @@ def test_column_sums_match_the_scan(case):
             dims, act, offs0 = column_sum_oracle(X, verts)
             if len(verts) > 1:
                 assert isinstance(M, ColumnSum) and M._act is None, verts
+            elif verts:
+                # a single column's action is its own dict, not X's index
+                assert M.act is not X.lact_by_col.get(verts[0]), verts
             assert _laid_out(M) == act, verts
             # reading act builds the dense action of a view
             assert (M.dims, M.act, offs) == (dims, act, offs0), verts
