@@ -188,7 +188,7 @@ def decide_nrf(alg: Algebra, n: int, cap=None, *, verify_ct=None):
     projective.  The walk computes nu X itself, once per stage, and reads
     both off it: the Ext condition as the vanishing of H^{-k}(nu X) for
     k < n, and tau_n X as H^{-n}(nu X).  verify_ct is ignored; it stays
-    because perfbench/workloads.py passes it, and goes with ROADMAP item 3.
+    until perfbench/workloads.py stops passing it.
 
     A positive verdict is the criterion of Iyama and Oppermann,
     "n-representation-finite algebras and n-APR tilting" (arXiv 0909.0593),
@@ -299,150 +299,79 @@ def ext_bimodule(alg: Algebra, n: int):
 
 def tensor_algebra(alg: Algebra, T: Bimodule, cap=24, name=None):
     """The graded algebra alg (+) T (+) T(x)T (+) ... with multiplication
-    by tensor concatenation; terminates when a tensor power vanishes."""
+    by tensor concatenation; NotNilpotent when the power of degree cap + 1
+    is nonzero.
+
+    Degree 0 multiplies as alg and acts on T^k by the actions of T^k.  Two
+    factors of positive degree multiply by associativity: the section of
+    T^k = T^(k-1) (x)_A T writes y as a sum of val * y' (x) t, with y' the
+    idempotent at tgt y for k = 1, and x * y is the projection of the sum
+    of val * (x * y') (x) t.  The products by degree 0 come first and the
+    loop then runs over y in ascending degree, so x * y' is read from the
+    table it is building."""
     powers = [None, T]  # powers[k] = T^(x)k for k >= 1
-    tensor_data = [None, None]
     while powers[-1].total_dim:
-        if len(powers) - 1 >= cap:
+        if len(powers) > cap + 1:
             raise NotNilpotent(f"tensor powers persist past {cap}")
-        nxt = tensor_bimod_bimod(powers[-1], T)
-        powers.append(nxt)
-        tensor_data.append(nxt.tensor_data)
-    powers.pop()  # drop the zero power at the end
-    deg_max = len(powers) - 1
+        powers.append(tensor_bimod_bimod(powers[-1], T))
+    deg_max = len(powers) - 2  # the last power is zero
 
     # basis: algebra basis in degree 0, then coordinates of each T^k
-    basis = []
-    origin = []  # ("alg", idx) or ("t", k, (u,v), coord)
-    for i, b in enumerate(alg.basis):
-        basis.append(BasisElt(b.name, b.src, b.tgt, b.degree))
-        origin.append(("alg", i))
+    basis = [BasisElt(b.name, b.src, b.tgt, b.degree) for b in alg.basis]
+    start = {}  # (k, pair) -> index of coordinate 0 of T^k at pair
+    place = []  # place[y - alg.dim] = (k, pair, coordinate)
     for k in range(1, deg_max + 1):
-        Tk = powers[k]
-        for (u, v) in sorted(Tk.dims, key=lambda p: (str(p[0]), str(p[1]))):
-            for c in range(Tk.dims[(u, v)]):
+        dims = powers[k].dims
+        for (u, v) in sorted(dims, key=lambda p: (str(p[0]), str(p[1]))):
+            start[(k, (u, v))] = len(basis)
+            for c in range(dims[(u, v)]):
                 basis.append(BasisElt(f"t{k}[{u},{v}]{c}", v, u, 64 * k + 1))
-                origin.append(("t", k, (u, v), c))
-    index_of = {}
-    for idx, o in enumerate(origin):
-        index_of[o] = idx
+                place.append((k, (u, v), c))
+    by_src = {}  # the indices of positive degree by source vertex
+    for x in range(alg.dim, len(basis)):
+        by_src.setdefault(basis[x].src, []).append(x)
 
-    # pure-tensor expansions of every T^k coordinate vector
-    expansions = [None, {}]
-    for (u, v), d in T.dims.items():
-        for c in range(d):
-            expansions[1][((u, v), c)] = [(1, [((u, v), c)])]
-    for k in range(2, deg_max + 1):
-        data = tensor_data[k]
-        exp = {}
-        Tk = powers[k]
-        for (u, w), d in Tk.dims.items():
-            sect = data["sect"][(u, w)]
-            for c in range(d):
-                big = sect.column(c)
-                terms = []
-                for (uu, v, ww), off in data["offsets"].items():
-                    if uu != u or ww != w:
-                        continue
-                    da = powers[k - 1].dims[(u, v)]
-                    db = T.dims[(v, w)]
-                    for a_i in range(da):
-                        for b_i in range(db):
-                            val = big[off + a_i * db + b_i]
-                            if val:
-                                for c0, chain in expansions[k - 1][((u, v), a_i)]:
-                                    terms.append((c0 * val, chain + [((v, w), b_i)]))
-                exp[((u, w), c)] = terms
-        expansions.append(exp)
+    prods = {key: dict(p) for key, p in alg.mult.items()}
 
-    def mul_step(k, pair, vec, tpair, tcoord):
-        """Multiply a vector in T^k at `pair` by a single T coordinate on
-        the right; returns (new pair, vector in T^{k+1}) or None."""
-        u, v = pair
-        v2, w = tpair
-        if v != v2 or k + 1 > deg_max:
-            return None
-        data = tensor_data[k + 1]
-        big_dim = data["big_dims"][(u, w)]
-        big = [0] * big_dim
-        off = data["offsets"][(u, v, w)]
-        db = T.dims[(v, w)]
-        for a_i, val in enumerate(vec):
-            if val:
-                big[off + a_i * db + tcoord] = val
-        proj = data["proj"][(u, w)]
-        return (u, w), proj.apply(big)
+    def put(key, k, pair, vec):
+        out = {start[(k, pair)] + c: val for c, val in enumerate(vec) if val}
+        if out:
+            prods[key] = out
 
-    def act_on_alg_side(k, pair, vec, side, j):
-        """Multiply a T^k vector by a degree-0 basis element on the given
-        side ('l' for left action, 'r' for right)."""
-        Tk = powers[k]
-        u, v = pair
-        bj = alg.basis[j]
-        if side == "l":
-            if bj.src != u:
-                return None
-            m = Tk.lact_mat(j, v)
-            return (bj.tgt, v), m.apply(vec)
-        if bj.tgt != v:
-            return None
-        m = Tk.ract_mat(u, j)
-        return (u, bj.src), m.apply(vec)
-
-    mult = {}
-    for x in range(len(basis)):
-        ox = origin[x]
-        for y in range(len(basis)):
-            oy = origin[y]
-            if basis[x].src != basis[y].tgt:
+    for y, (k, (u, w), c) in enumerate(place, start=alg.dim):
+        for j, b in enumerate(alg.basis):
+            if b.src == u:
+                put((j, y), k, (b.tgt, w), powers[k].lact_mat(j, w).column(c))
+            if b.tgt == w:
+                put((y, j), k, (u, b.src), powers[k].ract_mat(u, j).column(c))
+    for y, (ky, (u, w), c) in enumerate(place, start=alg.dim):
+        if ky == 1:
+            lift = [(u, alg.idem[u], c, 1)]  # y = e_u (x) t
+        else:
+            data = powers[ky].tensor_data
+            sect = data["sect"][(u, w)].column(c)
+            lift = []  # (v, y', t, val) with y' in T^(k-1) at (u, v), t in T at (v, w)
+            for v in alg.vertices:
+                off, db = data["offsets"][(u, v, w)], T.dims[(v, w)]
+                for a in range(powers[ky - 1].dims[(u, v)] * db):
+                    if sect[off + a]:
+                        lift.append((v, start[(ky - 1, (u, v))] + a // db, a % db, sect[off + a]))
+        for x in by_src.get(u, ()):
+            k = ky + place[x - alg.dim][0]
+            if k > deg_max:
                 continue
-            out = {}
-            if ox[0] == "alg" and oy[0] == "alg":
-                for k2, c in alg.mul(ox[1], oy[1]).items():
-                    out[k2] = c
-            elif ox[0] != oy[0]:
-                # a degree-0 element times a T^k coordinate, on either side
-                t, side, j = (oy, "l", ox[1]) if ox[0] == "alg" else (ox, "r", oy[1])
-                _, k, pair, coord = t
-                vec = [1 if c == coord else 0 for c in range(powers[k].dims[pair])]
-                resu = act_on_alg_side(k, pair, vec, side, j)
-                if resu:
-                    npair, nvec = resu
-                    for c, val in enumerate(nvec):
-                        if val:
-                            out[index_of[("t", k, npair, c)]] = val
-            elif ox[1] + oy[1] <= deg_max:
-                _, kx, pairx, coordx = ox
-                _, ky, pairy, coordy = oy
-                for c0, chain in expansions[ky][(pairy, coordy)]:
-                    pair = pairx
-                    k = kx
-                    vec = [1 if c == coordx else 0
-                           for c in range(powers[kx].dims[pairx])]
-                    ok = True
-                    for (tp, tc) in chain:
-                        resu = mul_step(k, pair, vec, tp, tc)
-                        if resu is None:
-                            ok = False
-                            break
-                        pair, vec = resu
-                        k += 1
-                    if ok:
-                        for c, val in enumerate(vec):
-                            v2 = c0 * val
-                            if v2:
-                                idx = index_of[("t", k, pair, c)]
-                                cur = out.get(idx, 0) + v2
-                                if cur:
-                                    out[idx] = cur
-                                elif idx in out:
-                                    del out[idx]
-            out = {k2: c for k2, c in out.items() if c}
-            if out:
-                mult[(x, y)] = out
+            ux = basis[x].tgt
+            data = powers[k].tensor_data
+            big = [0] * data["big_dims"][(ux, w)]
+            for v, yp, t, val in lift:
+                off, db = data["offsets"][(ux, v, w)], T.dims[(v, w)]
+                for i, ci in prods.get((x, yp), {}).items():
+                    big[off + (i - start[(k - 1, (ux, v))]) * db + t] += val * ci
+            put((x, y), k, (ux, w), data["proj"][(ux, w)].apply(big))
 
-    pi = Algebra(alg.vertices, basis, mult, name=name or f"Pi({alg.name})")
-    pi.degree_dims = [alg.dim] + [powers[k].total_dim for k in range(1, deg_max + 1)]
+    pi = Algebra(alg.vertices, basis, {key: prods[key] for key in sorted(prods)},
+                 name=name or f"Pi({alg.name})")
+    pi.degree_dims = [alg.dim] + [p.total_dim for p in powers[1:-1]]
     pi.check_associativity()
     return pi
 
@@ -458,11 +387,7 @@ def preprojective(alg: Algebra, n: int, cap=24, report=None):
         raise CapExceeded(report.reason)
     if report.is_nrf is not True:
         raise NotNRF(report.reason or "not representation-finite")
-    T = ext_bimodule(alg, n)
-    if T.total_dim == 0:
-        pi = alg
-        return pi
-    pi = tensor_algebra(alg, T, cap=cap)
+    pi = tensor_algebra(alg, ext_bimodule(alg, n), cap=cap)
     if not is_selfinjective(pi):
         raise NotSelfinjective("preprojective algebra fails selfinjectivity")
     return pi

@@ -259,7 +259,7 @@ def preproj(file, n, cap, pretty):
     doc.update({
         "dim": pi.dim,
         "selfinjective": is_selfinjective(pi),
-        "degree_dims": getattr(pi, "degree_dims", [alg.dim]),
+        "degree_dims": pi.degree_dims,
         "nakayama_permutation": {str(k): str(v) for k, v in perm.items()},
         "matches_sigma": perm == rep.sigma,
     })

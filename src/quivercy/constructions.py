@@ -88,36 +88,6 @@ class DynkinQuiver:
         return f"DynkinQuiver({self.letter}{self.rank}, h={self.h})"
 
 
-def all_orientations(letter, rank):
-    edges = _dynkin_edges(letter, rank)
-    out = []
-    for mask in range(1 << len(edges)):
-        orient = [(v, u) if (mask >> k) & 1 else (u, v)
-                  for k, (u, v) in enumerate(edges)]
-        out.append(DynkinQuiver(letter, rank, orient))
-    return out
-
-
-def is_omega_stable_orientation(dq: DynkinQuiver):
-    """True when the diagram involution maps the arrow set to itself."""
-    arrows = {(u, v) for u, v in dq.orientation}
-    return all((dq.omega[u], dq.omega[v]) in arrows for u, v in arrows)
-
-
-def classify_homogeneous_dynkin(ell):
-    """Diagram types whose omega-stable orientations are ell-homogeneous."""
-    if ell < 2:
-        raise InvalidSpec("the classification starts at ell = 2")
-    out = [("A", 2 * ell - 1), ("D", ell + 1)]
-    if ell == 6:
-        out.append(("E", 6))
-    elif ell == 9:
-        out.append(("E", 7))
-    elif ell == 15:
-        out.append(("E", 8))
-    return out
-
-
 # -- the cyclic type-A family ------------------------------------------
 
 

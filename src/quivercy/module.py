@@ -117,11 +117,6 @@ def simple_module(alg, v, name=None):
     return Module(alg, dims, {}, name=name or f"S[{v}]")
 
 
-def projective_module(alg, v, name=None):
-    """P_v = (algebra) e_v, the column of the regular bimodule at v."""
-    return column_sum(regular_bimodule(alg), [v], name=name or f"P[{v}]")[0]
-
-
 @per_algebra
 def injective_module(alg, v):
     """I_v = D(e_v (algebra)), the column of the dual regular bimodule at
@@ -378,10 +373,6 @@ def hom(M: Module, N: Module):
         return Mat(r, c, [vec[o + k * c:o + (k + 1) * c] for k in range(r)])
 
     return [Morphism(M, N, {v: block(vec, v) for v in verts}) for vec in kb]
-
-
-def hom_dim(M: Module, N: Module):
-    return len(hom(M, N))
 
 
 def _weighted_sum(H):

@@ -3,7 +3,9 @@ import pathlib
 import pytest
 
 import quivercy
-from quivercy.algebra import build_algebra, enveloping
+from quivercy.algebra import Algebra, BasisElt, build_algebra, enveloping
+from quivercy.constructions import DynkinQuiver, _dynkin_edges
+from quivercy.errors import InvalidSpec, NotNilpotent
 from quivercy.homology import PerfComplex, _module_resolution, ext_dims_upto, homology_module
 from quivercy.linalg import Mat, span_basis
 from quivercy.module import (
@@ -11,13 +13,15 @@ from quivercy.module import (
     Morphism,
     _sub_from_columns,
     bimodule_to_env_module,
+    column_sum,
     dual_regular_bimodule,
     env_module,
     env_module_to_bimodule,
+    hom,
     is_isomorphic,
-    projective_module,
     radical_columns,
     regular_bimodule,
+    tensor_bimod_bimod,
 )
 from quivercy.parsing import load_algebra_file
 from quivercy.quiver import Path, Quiver, Relation
@@ -27,6 +31,48 @@ CORPUS = pathlib.Path(quivercy.__file__).parent / "corpus"
 
 def corpus_algebra(stem):
     return load_algebra_file(str(CORPUS / (stem + ".alg"))).build(name=stem)
+
+
+# -- constructions the program itself does not call ---------------------
+
+
+def projective_module(alg, v, name=None):
+    """P_v = (algebra) e_v, the column of the regular bimodule at v."""
+    return column_sum(regular_bimodule(alg), [v], name=name or f"P[{v}]")[0]
+
+
+def hom_dim(M, N):
+    return len(hom(M, N))
+
+
+def all_orientations(letter, rank):
+    edges = _dynkin_edges(letter, rank)
+    out = []
+    for mask in range(1 << len(edges)):
+        orient = [(v, u) if (mask >> k) & 1 else (u, v)
+                  for k, (u, v) in enumerate(edges)]
+        out.append(DynkinQuiver(letter, rank, orient))
+    return out
+
+
+def is_omega_stable_orientation(dq):
+    """True when the diagram involution maps the arrow set to itself."""
+    arrows = {(u, v) for u, v in dq.orientation}
+    return all((dq.omega[u], dq.omega[v]) in arrows for u, v in arrows)
+
+
+def classify_homogeneous_dynkin(ell):
+    """Diagram types whose omega-stable orientations are ell-homogeneous."""
+    if ell < 2:
+        raise InvalidSpec("the classification starts at ell = 2")
+    out = [("A", 2 * ell - 1), ("D", ell + 1)]
+    if ell == 6:
+        out.append(("E", 6))
+    elif ell == 9:
+        out.append(("E", 7))
+    elif ell == 15:
+        out.append(("E", 8))
+    return out
 
 
 def socle_vertices(M):
@@ -407,6 +453,158 @@ def ext_bimodule_oracle(alg, n):
     out = env_module_to_bimodule(H, alg)
     out.name = "T"
     return out
+
+
+def tensor_algebra_oracle(alg: Algebra, T: Bimodule, cap=24, name=None):
+    """ar.tensor_algebra as it was before it multiplied by associativity:
+    every coordinate of T^k expanded into pure-tensor chains, multiplied
+    onto the left factor one T coordinate at a time.  It raises
+    NotNilpotent once T^cap is nonzero, a degree early."""
+    powers = [None, T]  # powers[k] = T^(x)k for k >= 1
+    tensor_data = [None, None]
+    while powers[-1].total_dim:
+        if len(powers) - 1 >= cap:
+            raise NotNilpotent(f"tensor powers persist past {cap}")
+        nxt = tensor_bimod_bimod(powers[-1], T)
+        powers.append(nxt)
+        tensor_data.append(nxt.tensor_data)
+    powers.pop()  # drop the zero power at the end
+    deg_max = len(powers) - 1
+
+    # basis: algebra basis in degree 0, then coordinates of each T^k
+    basis = []
+    origin = []  # ("alg", idx) or ("t", k, (u,v), coord)
+    for i, b in enumerate(alg.basis):
+        basis.append(BasisElt(b.name, b.src, b.tgt, b.degree))
+        origin.append(("alg", i))
+    for k in range(1, deg_max + 1):
+        Tk = powers[k]
+        for (u, v) in sorted(Tk.dims, key=lambda p: (str(p[0]), str(p[1]))):
+            for c in range(Tk.dims[(u, v)]):
+                basis.append(BasisElt(f"t{k}[{u},{v}]{c}", v, u, 64 * k + 1))
+                origin.append(("t", k, (u, v), c))
+    index_of = {}
+    for idx, o in enumerate(origin):
+        index_of[o] = idx
+
+    # pure-tensor expansions of every T^k coordinate vector
+    expansions = [None, {}]
+    for (u, v), d in T.dims.items():
+        for c in range(d):
+            expansions[1][((u, v), c)] = [(1, [((u, v), c)])]
+    for k in range(2, deg_max + 1):
+        data = tensor_data[k]
+        exp = {}
+        Tk = powers[k]
+        for (u, w), d in Tk.dims.items():
+            sect = data["sect"][(u, w)]
+            for c in range(d):
+                big = sect.column(c)
+                terms = []
+                for (uu, v, ww), off in data["offsets"].items():
+                    if uu != u or ww != w:
+                        continue
+                    da = powers[k - 1].dims[(u, v)]
+                    db = T.dims[(v, w)]
+                    for a_i in range(da):
+                        for b_i in range(db):
+                            val = big[off + a_i * db + b_i]
+                            if val:
+                                for c0, chain in expansions[k - 1][((u, v), a_i)]:
+                                    terms.append((c0 * val, chain + [((v, w), b_i)]))
+                exp[((u, w), c)] = terms
+        expansions.append(exp)
+
+    def mul_step(k, pair, vec, tpair, tcoord):
+        """Multiply a vector in T^k at `pair` by a single T coordinate on
+        the right; returns (new pair, vector in T^{k+1}) or None."""
+        u, v = pair
+        v2, w = tpair
+        if v != v2 or k + 1 > deg_max:
+            return None
+        data = tensor_data[k + 1]
+        big_dim = data["big_dims"][(u, w)]
+        big = [0] * big_dim
+        off = data["offsets"][(u, v, w)]
+        db = T.dims[(v, w)]
+        for a_i, val in enumerate(vec):
+            if val:
+                big[off + a_i * db + tcoord] = val
+        proj = data["proj"][(u, w)]
+        return (u, w), proj.apply(big)
+
+    def act_on_alg_side(k, pair, vec, side, j):
+        """Multiply a T^k vector by a degree-0 basis element on the given
+        side ('l' for left action, 'r' for right)."""
+        Tk = powers[k]
+        u, v = pair
+        bj = alg.basis[j]
+        if side == "l":
+            if bj.src != u:
+                return None
+            m = Tk.lact_mat(j, v)
+            return (bj.tgt, v), m.apply(vec)
+        if bj.tgt != v:
+            return None
+        m = Tk.ract_mat(u, j)
+        return (u, bj.src), m.apply(vec)
+
+    mult = {}
+    for x in range(len(basis)):
+        ox = origin[x]
+        for y in range(len(basis)):
+            oy = origin[y]
+            if basis[x].src != basis[y].tgt:
+                continue
+            out = {}
+            if ox[0] == "alg" and oy[0] == "alg":
+                for k2, c in alg.mul(ox[1], oy[1]).items():
+                    out[k2] = c
+            elif ox[0] != oy[0]:
+                # a degree-0 element times a T^k coordinate, on either side
+                t, side, j = (oy, "l", ox[1]) if ox[0] == "alg" else (ox, "r", oy[1])
+                _, k, pair, coord = t
+                vec = [1 if c == coord else 0 for c in range(powers[k].dims[pair])]
+                resu = act_on_alg_side(k, pair, vec, side, j)
+                if resu:
+                    npair, nvec = resu
+                    for c, val in enumerate(nvec):
+                        if val:
+                            out[index_of[("t", k, npair, c)]] = val
+            elif ox[1] + oy[1] <= deg_max:
+                _, kx, pairx, coordx = ox
+                _, ky, pairy, coordy = oy
+                for c0, chain in expansions[ky][(pairy, coordy)]:
+                    pair = pairx
+                    k = kx
+                    vec = [1 if c == coordx else 0
+                           for c in range(powers[kx].dims[pairx])]
+                    ok = True
+                    for (tp, tc) in chain:
+                        resu = mul_step(k, pair, vec, tp, tc)
+                        if resu is None:
+                            ok = False
+                            break
+                        pair, vec = resu
+                        k += 1
+                    if ok:
+                        for c, val in enumerate(vec):
+                            v2 = c0 * val
+                            if v2:
+                                idx = index_of[("t", k, pair, c)]
+                                cur = out.get(idx, 0) + v2
+                                if cur:
+                                    out[idx] = cur
+                                elif idx in out:
+                                    del out[idx]
+            out = {k2: c for k2, c in out.items() if c}
+            if out:
+                mult[(x, y)] = out
+
+    pi = Algebra(alg.vertices, basis, mult, name=name or f"Pi({alg.name})")
+    pi.degree_dims = [alg.dim] + [powers[k].total_dim for k in range(1, deg_max + 1)]
+    pi.check_associativity()
+    return pi
 
 
 def gamma_relations(q):

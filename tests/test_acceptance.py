@@ -10,11 +10,9 @@ from quivercy.ar import _match_projective, decide_nrf, ext_bimodule, \
 from quivercy.constructions import (
     DynkinQuiver,
     TypeAQuiver,
-    all_orientations,
     cut_algebra,
     enumerate_cuts,
     gamma_algebra,
-    is_omega_stable_orientation,
     omega_on_cuts,
     verify_nakayama_bijection,
     verify_thm_homogeneous_cuts,
@@ -31,16 +29,22 @@ from quivercy.homology import (
     stalk_regular,
 )
 from quivercy.module import (
-    hom_dim,
     injective_module,
     is_isomorphic,
-    projective_module,
     regular_module,
     simple_module,
     tensor_bimod_bimod,
 )
 
-from conftest import corpus_algebra, hom_in_D_dim, socle_permutation_oracle
+from conftest import (
+    all_orientations,
+    corpus_algebra,
+    hom_dim,
+    hom_in_D_dim,
+    is_omega_stable_orientation,
+    projective_module,
+    socle_permutation_oracle,
+)
 
 
 def timed(budget):

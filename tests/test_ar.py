@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import corpus_algebra, socle_permutation_oracle
+from conftest import corpus_algebra, socle_permutation_oracle, tensor_algebra_oracle
 from quivercy import ar, homology
 from quivercy.ar import (
     auslander_algebra,
@@ -14,10 +14,12 @@ from quivercy.ar import (
     recover_presentation,
     tau_n,
     tau_n_minus,
+    tensor_algebra,
     tensor_nrf,
 )
 from quivercy.constructions import TypeAQuiver, cut_algebra, enumerate_cuts, gamma_algebra
-from quivercy.errors import UNDECIDED, FactorNotHomogeneous, NotNRF, NotSelfinjective
+from quivercy.algebra import semisimple_algebra
+from quivercy.errors import UNDECIDED, FactorNotHomogeneous, NotNilpotent, NotNRF, NotSelfinjective
 from quivercy.homology import (
     dominant_dimension,
     ext_dims_upto,
@@ -199,14 +201,58 @@ def test_preprojective_a3_stable(a3_stable):
 ])
 def test_preprojective_products_of_degree_two(request, stem, dim, degree_dims):
     # the classical preprojective dimensions; T (x) T != 0, so products of
-    # two T coordinates (the basis after alg's own) go through mul_step
+    # two T coordinates (the basis after alg's own) go through the lift of
+    # the right factor to T^(k-1) (x) T
     alg = request.getfixturevalue(stem)
     rep = decide_nrf(alg, 1)
     pi = preprojective(alg, 1, report=rep)
     assert (pi.dim, pi.degree_dims) == (dim, degree_dims)
     assert any(x >= alg.dim and y >= alg.dim for x, y in pi.mult)
+    _assert_same_tensor_algebra(pi, tensor_algebra_oracle(alg, ext_bimodule(alg, 1)))
     assert is_selfinjective(pi)
     assert nakayama_permutation(pi) == socle_permutation_oracle(pi) == rep.sigma
+
+
+def _assert_same_tensor_algebra(pi, oracle):
+    def ends(p):
+        return [(b.name, b.src, b.tgt, b.degree) for b in p.basis]
+
+    assert ends(pi) == ends(oracle)
+    assert list(pi.mult.items()) == list(oracle.mult.items())
+    assert pi.degree_dims == oracle.degree_dims
+
+
+def _oracle_cuts():
+    # every cut of (1,3), (1,4) and (2,3), every 8th of (2,4), and the
+    # (1,5) cut whose Pi has five degrees
+    for n, s, step in [(1, 3, 1), (1, 4, 1), (2, 3, 1), (2, 4, 8)]:
+        yield from ((n, s, k) for k in range(0, len(enumerate_cuts(TypeAQuiver(n, s))), step))
+    yield (1, 5, 0)
+
+
+@pytest.mark.parametrize("n,s,k", list(_oracle_cuts()))
+def test_tensor_algebra_matches_the_chain_oracle_on_cuts(n, s, k):
+    q = TypeAQuiver(n, s)
+    lam = cut_algebra(q, enumerate_cuts(q)[k])
+    T = ext_bimodule(lam, n)
+    pi = tensor_algebra(lam, T)
+    _assert_same_tensor_algebra(pi, tensor_algebra_oracle(lam, T))
+    if (n, s) == (1, 5):
+        assert pi.degree_dims == [15, 10, 6, 3, 1]
+
+
+def test_tensor_algebra_cap_bounds_the_last_nonzero_power(a3_linear):
+    T = ext_bimodule(a3_linear, 1)  # T (x) T (x) T = 0
+    with pytest.raises(NotNilpotent):
+        tensor_algebra(a3_linear, T, cap=1)
+    assert tensor_algebra(a3_linear, T, cap=2).degree_dims == [6, 3, 1]
+
+
+def test_preprojective_of_a_semisimple_algebra():
+    alg = semisimple_algebra([0, 1])
+    pi = preprojective(alg, 1)
+    assert (pi.dim, pi.degree_dims) == (2, [2])
+    assert is_selfinjective(pi)
 
 
 def test_nakayama_permutation_rejects_non_selfinjective(a2):

@@ -1,16 +1,14 @@
 import pytest
 
+from conftest import all_orientations, classify_homogeneous_dynkin, is_omega_stable_orientation
 from quivercy.constructions import (
     DynkinQuiver,
     TypeAQuiver,
-    all_orientations,
-    classify_homogeneous_dynkin,
     coxeter_number,
     cut_algebra,
     enumerate_cuts,
     gamma_algebra,
     is_cut,
-    is_omega_stable_orientation,
     omega_involution,
     omega_on_cuts,
     verify_nakayama_bijection,

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import corpus_algebra
+from conftest import corpus_algebra, projective_module
 from quivercy import ar, cy
 from quivercy.ar import decide_nrf
 from quivercy.constructions import TypeAQuiver, cut_algebra, enumerate_cuts
@@ -21,7 +21,7 @@ from quivercy.cy import (
     k0_nakayama,
 )
 from quivercy.homology import global_dimension, is_shifted_regular, nakayama, stalk_regular
-from quivercy.module import injective_module, projective_module
+from quivercy.module import injective_module
 
 # the minimal twisted certificate (ell, m) of each corpus algebra but Kronecker
 CORPUS_CERTS = {

@@ -3,7 +3,7 @@ import weakref
 
 import pytest
 
-from conftest import corpus_algebra, hom_in_D_dim
+from conftest import corpus_algebra, hom_in_D_dim, projective_module
 from quivercy.algebra import opposite
 from quivercy.ar import tau_n_minus
 from quivercy.errors import CapExceeded
@@ -29,7 +29,6 @@ from quivercy.module import (
     dual_regular_bimodule,
     injective_module,
     is_isomorphic,
-    projective_module,
     regular_bimodule,
     regular_module,
     simple_module,

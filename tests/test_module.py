@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from conftest import corpus_algebra, radical_submodule, socle_vertices
+from conftest import corpus_algebra, hom_dim, projective_module, radical_submodule, socle_vertices
 from quivercy.homology import tor
 from quivercy.linalg import Mat
 from quivercy.module import (
@@ -14,10 +14,8 @@ from quivercy.module import (
     dual_module,
     dual_regular_bimodule,
     hom,
-    hom_dim,
     injective_module,
     is_isomorphic,
-    projective_module,
     regular_bimodule,
     regular_module,
     simple_module,

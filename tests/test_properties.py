@@ -5,7 +5,7 @@ Calabi-Yau certificates and basic sanity of every produced complex."""
 
 import pytest
 
-from conftest import hom_in_D_dim
+from conftest import hom_dim, hom_in_D_dim, projective_module
 from quivercy.ar import _match_projective, decide_nrf, tau_n, tau_n_minus
 from quivercy.cy import check_twisted_cy
 from quivercy.homology import (
@@ -15,10 +15,8 @@ from quivercy.homology import (
     stalk_regular,
 )
 from quivercy.module import (
-    hom_dim,
     injective_module,
     is_isomorphic,
-    projective_module,
     regular_module,
     simple_module,
 )

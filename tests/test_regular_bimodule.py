@@ -6,7 +6,7 @@ here as oracles, compared entrywise with the views."""
 
 import pytest
 
-from conftest import CORPUS, corpus_algebra
+from conftest import CORPUS, corpus_algebra, projective_module
 from quivercy.algebra import enveloping, tensor_product
 from quivercy.constructions import TypeAQuiver, cut_algebra, enumerate_cuts, gamma_algebra
 from quivercy.homology import SumInfo
@@ -17,7 +17,6 @@ from quivercy.module import (
     direct_sum,
     dual_regular_bimodule,
     injective_module,
-    projective_module,
     regular_bimodule,
     regular_module,
 )

@@ -10,7 +10,7 @@ import functools
 
 import pytest
 
-from conftest import CORPUS, column_sum_oracle, corpus_algebra, projective_cover_oracle
+from conftest import CORPUS, column_sum_oracle, corpus_algebra, projective_cover_oracle, projective_module
 from quivercy import homology
 from quivercy.ar import decide_nrf
 from quivercy.constructions import TypeAQuiver, cut_algebra, enumerate_cuts
@@ -23,7 +23,6 @@ from quivercy.module import (
     dual_regular_bimodule,
     injective_module,
     kernel,
-    projective_module,
     regular_bimodule,
     regular_module,
     simple_module,
