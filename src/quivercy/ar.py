@@ -35,6 +35,7 @@ from .module import (
     outer_tensor_module,
     regular_bimodule,
     regular_module,
+    simple_module,
     tensor_bimod_bimod,
 )
 from .homology import (
@@ -45,6 +46,7 @@ from .homology import (
     default_cap,
     global_dimension,
     is_selfinjective,
+    min_proj_resolution,
     tensor_complex,
     tor,
 )
@@ -141,7 +143,7 @@ def _walk_tau_orbit(alg, i, n, *, cap):
         v = _match_projective(X)
         if v is not None:
             return orbit, v, None
-        nu = tensor_complex(DA, _module_resolution(X, n + 1).to_perf(), range(-n - 1, 1))
+        nu = tensor_complex(DA, _module_resolution(X, n + 1), range(-n - 1, 1))
         bad = next((k for k in range(n) if nu.cohomology_dim(-k)), None)
         if bad is not None:
             return orbit, None, (f"orbit of injective at {i}: stage {len(orbit)-1} has "
@@ -283,10 +285,10 @@ def ext_bimodule(alg: Algebra, n: int):
     E = M.alg
     pair_index = E.tensor_info[2]
     swap = {k: pair_index[(j, i)] for (i, j), k in pair_index.items()}
-    terms = {k: [(v, u) for u, v in res.term_verts(k)] for k in range(res.length + 1)}
-    diffs = {k - 1: [[{swap[e]: c for e, c in row[s].items()} for row in em]
-                     for s in range(len(terms[k]))]
-             for k, em in res.eltmats.items()}
+    terms = {-d: [(v, u) for u, v in verts] for d, verts in res.terms.items()}
+    diffs = {-d - 1: [[{swap[e]: c for e, c in row[s].items()} for row in em]
+                      for s in range(len(terms[-d]))]
+             for d, em in res.diffs.items()}
     P = PerfComplex(E, terms, diffs)
     H = tensor_complex(regular_bimodule(E), P, (n - 1, n, n + 1)).cohomology(n)
     out = env_module_to_bimodule(H, alg)
@@ -479,78 +481,19 @@ def auslander_algebra(alg: Algebra, summands):
     return gamma
 
 
-def recover_presentation(alg: Algebra, max_degree=None):
-    """Quiver-and-relations presentation of a based algebra: arrows are a
-    basis of rad/rad^2, relations are a minimal generating set of the
-    kernel of the path-algebra surjection, found degree by degree."""
-    gens = alg.generators()
-    arrows = [(f"g{k}", alg.basis[g].src, alg.basis[g].tgt) for k, g in enumerate(gens)]
-    if max_degree is None:
-        max_degree = alg.dim + 1
-    # words[d]: list of (tuple of generator positions, image element)
-    words = {1: [((k,), {g: 1}) for k, g in enumerate(gens)]}
-    # relations per degree: coefficient vectors over the degree-d words
-    relations = {}
-    minimal = []
-    for d in range(2, max_degree + 1):
-        cur = []
-        parents = {}  # word -> (prefix word, appended generator)
-        for w, img in words[d - 1]:
-            last = gens[w[-1]]
-            for k, g in enumerate(gens):
-                if alg.basis[g].src != alg.basis[last].tgt:
-                    continue
-                new_img = alg.mul_elt({g: 1}, img)
-                cur.append((w + (k,), new_img))
-                parents[w + (k,)] = (w, k)
-        if not cur:
-            break
-        words[d] = cur
-        index = {w: i for i, (w, _) in enumerate(cur)}
-        rows = []
-        for w, img in cur:
-            vec = [0] * alg.dim
-            for i, c in img.items():
-                vec[i] = c
-            rows.append(vec)
-        mat = Mat.from_rows(rows, ncols=alg.dim).transpose()
-        ker = mat.kernel_basis()
-        if not ker:
-            continue
-        # consequences of lower relations: left and right extensions
-        cons = []
-        for dprime, rels in relations.items():
-            if dprime >= d:
-                continue
-            for rel in rels:
-                # rel is a vector over words of degree dprime; extend by
-                # any word on either side to reach degree d
-                for wext, _ in words.get(d - dprime, []):
-                    left = [0] * len(cur)
-                    right = [0] * len(cur)
-                    okl = okr = False
-                    for wi, c in enumerate(rel):
-                        if not c:
-                            continue
-                        wr = words[dprime][wi][0]
-                        cat = wr + wext
-                        if cat in index:
-                            left[index[cat]] = c
-                            okl = True
-                        cat2 = wext + wr
-                        if cat2 in index:
-                            right[index[cat2]] = c
-                            okr = True
-                    if okl:
-                        cons.append(left)
-                    if okr:
-                        cons.append(right)
-        relations[d] = ker
-        for vec in (ker[i] for i in independent_subset(cons, ker)):
-            terms = [(c, tuple(f"g{k}" for k in cur[wi][0]))
-                     for wi, c in enumerate(vec) if c]
-            minimal.append({"degree": d, "terms": terms})
-    return {"arrows": arrows, "relations": minimal}
+def presentation_size(alg: Algebra):
+    """(number of arrows, number of relations) of a minimal quiver-and-
+    relations presentation of a basic algebra with an admissible ideal,
+    read off the minimal projective resolutions of the simples: P_1(S_u)
+    has one summand per arrow starting at u, and P_2(S_u) has
+    dim Ext^2(S_u, S_v) summands at v, the number of relations from u to v
+    in a minimal set (Bongartz, "Algebras and quadratic forms",
+    J. London Math. Soc. 1983).  Each resolution stops at P_2, so a
+    selfinjective algebra needs no cap."""
+    terms = [min_proj_resolution(simple_module(alg, u), max_len=2).terms
+             for u in alg.vertices]
+    return (sum(len(t.get(-1, ())) for t in terms),
+            sum(len(t.get(-2, ())) for t in terms))
 
 
 def tensor_nrf(factors, ell, cap=None):

@@ -274,7 +274,7 @@ def preproj(file, n, cap, pretty):
 @click.option("--pretty", is_flag=True)
 def auslander(file, n, cap, pretty):
     """Higher Auslander algebra of the cluster tilting module of FILE."""
-    from .ar import auslander_algebra, decide_nrf, recover_presentation
+    from .ar import auslander_algebra, decide_nrf, presentation_size
 
     started = time.time()
     alg = _load(file)
@@ -290,15 +290,15 @@ def auslander(file, n, cap, pretty):
         sys.exit(EXIT_UNDECIDED)
     gd = global_dimension(gamma)
     dd = dominant_dimension(gamma)
-    pres = recover_presentation(gamma)
+    arrows, relations = presentation_size(gamma)
     doc.update({
         "dim": gamma.dim,
         "summands": len(rep.ct_summands),
         "gl_dim": gd,
         "dom_dim": dd,
         "chain": f"gl.dim {gd} <= {n + 1} <= dom.dim {dd}",
-        "quiver_arrows": len(pres["arrows"]),
-        "relation_count": len(pres["relations"]),
+        "quiver_arrows": arrows,
+        "relation_count": relations,
     })
     _emit(doc, pretty, started)
     sys.exit(EXIT_TRUE if gd <= n + 1 <= dd else EXIT_FALSE)

@@ -388,7 +388,7 @@ def _quiver_isomorphic(q1: Quiver, q2: Quiver):
     return rec(0, {}, set())
 
 
-def verify_thm_homogeneous_cuts(n, s, cap=None, progress=None):
+def verify_thm_homogeneous_cuts(n, s, cap=None):
     """For every cut: the quotient is n-representation-finite, it is
     homogeneous exactly when the cut is stable under the cyclic symmetry,
     and then the common orbit length is (s+n)/(n+1).
@@ -402,7 +402,7 @@ def verify_thm_homogeneous_cuts(n, s, cap=None, progress=None):
     ell_expected = (s + n) // (n + 1) if (s + n) % (n + 1) == 0 else None
     results = []
     stable_quivers = []
-    for idx, c in enumerate(cuts):
+    for c in cuts:
         lam = cut_algebra(q, c)
         rep = decide_nrf(lam, n, cap=cap)
         stable = omega_on_cuts(q, c) == c
@@ -418,8 +418,6 @@ def verify_thm_homogeneous_cuts(n, s, cap=None, progress=None):
         results.append(entry)
         if stable:
             stable_quivers.append(lam.quiver)
-        if progress:
-            progress(idx + 1, len(cuts))
     iso_classes = []
     for qq in stable_quivers:
         if not any(_quiver_isomorphic(qq, rep_q) for rep_q in iso_classes):

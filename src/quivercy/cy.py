@@ -274,7 +274,7 @@ def dual_regular_perf(alg):
     res = _module_resolution(env_module(alg, dual_regular_bimodule), 0)
     if not res.complete:
         raise CapExceeded("bimodule resolution of the dual regular module")
-    return res.to_perf(), enveloping(alg)
+    return res, enveloping(alg)
 
 
 def tensor_complex_over_base(C: PerfComplex, D: PerfComplex, alg, E):

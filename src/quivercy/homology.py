@@ -17,6 +17,7 @@ from .errors import CapExceeded
 from .linalg import Mat, inv, kernel_units
 from .module import (
     Bimodule,
+    ColumnSum,
     Module,
     Morphism,
     _sub_from_columns,
@@ -40,22 +41,14 @@ def default_cap(alg):
     return 4 * len(alg.vertices) + 8
 
 
-class SumInfo:
-    """A direct sum of indecomposable projectives: the column sum of the
-    regular bimodule at verts, with column_sum's offsets, a view on the
-    bimodule's blocks.  Coordinate offs[(r, w)] + p of the sum at vertex w
-    is the basis element R.basis_indices[(w, verts[r])][p] of summand r."""
-
-    def __init__(self, alg, verts):
-        self.verts = list(verts)
-        name = "P(" + ",".join(str(v) for v in self.verts) + ")"
-        self.module, self.offs = column_sum(regular_bimodule(alg), self.verts, name=name)
-
-
 @per_algebra
 def _sum_info(alg, verts):
-    """The SumInfo of a tuple of vertices."""
-    return SumInfo(alg, verts)
+    """The direct sum of the indecomposable projectives at a tuple of
+    vertices: the column sum of the regular bimodule R there.  Coordinate
+    offs[(r, w)] + p of the sum at vertex w is the basis element
+    R.basis_indices[(w, verts[r])][p] of summand r."""
+    name = "P(" + ",".join(str(v) for v in verts) + ")"
+    return column_sum(regular_bimodule(alg), verts, name=name)
 
 
 # -- element matrices --------------------------------------------------
@@ -93,11 +86,11 @@ def eltmat_compose(alg, g, f):
     return out
 
 
-def images_to_eltmat(verts, tgt: SumInfo, images):
+def images_to_eltmat(verts, tgt: ColumnSum, images):
     """Element matrix of the map from the sum of the projectives at verts
-    to tgt.module that sends generator s to images[s], a vector of
-    tgt.module at verts[s]."""
-    R = regular_bimodule(tgt.module.alg)
+    to the sum of projectives tgt (a `_sum_info`) that sends generator s
+    to images[s], a vector of tgt at verts[s]."""
+    R = tgt.bimodule
     m = eltmat_zero(len(tgt.verts), len(verts))
     for s, (a, col) in enumerate(zip(verts, images)):
         for r, v in enumerate(tgt.verts):
@@ -242,15 +235,16 @@ def homology_module(at: Module, f_in, f_out, name="H"):
 
 
 def projective_cover(M: Module):
-    """Returns (info: SumInfo, epi: Morphism info.module -> M, lifts).
+    """Returns (P, epi: Morphism P -> M, lifts), P the sum of projectives
+    (a `_sum_info`) at the tops of M.
 
     Summand r sends its generator to the unit vector at coordinate
     lifts[r] of M at its vertex.  The lifts are the coordinates left free
     by the rref of the radical span, so their unit vectors span a
     complement of rad M.  Only the vertices where M is nonzero are
     reduced, only the stored actions of M are read and only their
-    nonzeros copied, and the SumInfo of a vertex list is built once per
-    algebra."""
+    nonzeros copied, and the sum of projectives at a vertex list is built
+    once per algebra."""
     alg = M.alg
     rad = radical_columns(M)
     verts = []
@@ -262,9 +256,9 @@ def projective_cover(M: Module):
             if j not in pivset:
                 verts.append(v)
                 lifts.append(j)
-    info = _sum_info(alg, tuple(verts))
+    P = _sum_info(alg, tuple(verts))
     pos = regular_bimodule(alg).basis_pos
-    mats = {w: Mat.zero(M.dims[w], info.module.dims[w]) for w in alg.vertices}
+    mats = {w: Mat.zero(M.dims[w], P.dims[w]) for w in alg.vertices}
     acts = {}  # source vertex -> (target vertex, position, action rows)
     for i, m in M.act.items():
         b = alg.basis[i]
@@ -273,79 +267,51 @@ def projective_cover(M: Module):
     for r, (v, j) in enumerate(zip(verts, lifts)):
         # basis element b of summand r goes to column j of b's action; the
         # idempotent, first in the basis, to the unit vector itself
-        mats[v].a[j][info.offs[(r, v)]] = 1
+        mats[v].a[j][P.offs[(r, v)]] = 1
         for t, p, act in acts.get(v, ()):
-            c = info.offs[(r, t)] + p
+            c = P.offs[(r, t)] + p
             for row, act_row in zip(mats[t].a, act):
                 x = act_row[j]
                 if x:
                     row[c] = x
-    return info, Morphism(info.module, M, mats), lifts
-
-
-class Resolution:
-    """Minimal projective resolution ... -> P_1 -> P_0 -> M -> 0.
-
-    infos[k] is the SumInfo of the k-th term; eltmats[k] (k >= 1) is the
-    based differential P_k -> P_{k-1}; complete is False when max_len was
-    hit with a nonzero kernel.
-    """
-
-    def __init__(self, M, infos, eltmats, complete):
-        self.module = M
-        self.infos = infos
-        self.eltmats = eltmats
-        self.complete = complete
-
-    @property
-    def length(self):
-        return len(self.infos) - 1
-
-    @property
-    def proj_dim(self):
-        return self.length if self.complete else None
-
-    def term_verts(self, k):
-        return self.infos[k].verts if k < len(self.infos) else []
-
-    def to_perf(self):
-        """As a complex in degrees [-length, 0]."""
-        terms = {-k: info.verts for k, info in enumerate(self.infos)}
-        diffs = {-k: self.eltmats[k] for k in range(1, len(self.infos))}
-        return PerfComplex(self.module.alg, terms, diffs)
+    return P, Morphism(P, M, mats), lifts
 
 
 def min_proj_resolution(M: Module, max_len=None, strict=False):
+    """The minimal projective resolution ... -> P_1 -> P_0 of M, as a
+    complex with P_k in degree -k.  It carries its length and whether it
+    is complete: False when max_len stopped it at a nonzero kernel, which
+    raises CapExceeded instead when strict."""
     alg = M.alg
     if max_len is None:
         max_len = default_cap(alg)
-    info0, cur, _ = projective_cover(M)
-    infos = [info0]
-    eltmats = {}
+    P, cur, _ = projective_cover(M)
+    terms = {0: P.verts}
+    diffs = {}
     k = 0
     while True:
         K, cols, _ = kernel(cur)
-        if K.total_dim == 0:
-            return Resolution(M, infos, eltmats, True)
-        if k >= max_len:
-            if strict:
-                raise CapExceeded(f"projective resolution of {M.name} exceeds {max_len}")
-            return Resolution(M, infos, eltmats, False)
-        info, cov, lifts = projective_cover(K)
+        if K.total_dim == 0 or k >= max_len:
+            break
+        Q, cov, lifts = projective_cover(K)
         # the cover sends generator s to the unit vector at lifts[s] of K,
         # so the differential sends it to kernel vector lifts[s]
-        images = [cols[v][j] for v, j in zip(info.verts, lifts)]
-        em = images_to_eltmat(info.verts, infos[-1], images)
+        images = [cols[v][j] for v, j in zip(Q.verts, lifts)]
+        em = images_to_eltmat(Q.verts, P, images)
         assert eltmat_entries_in_radical(alg, em), "resolution differential not minimal"
-        infos.append(info)
-        eltmats[k + 1] = em
-        cur = cov
         k += 1
+        terms[-k], diffs[-k] = Q.verts, em
+        P, cur = Q, cov
+    if K.total_dim and strict:
+        raise CapExceeded(f"projective resolution of {M.name} exceeds {max_len}")
+    res = PerfComplex(alg, terms, diffs)
+    res.complete, res.length = not K.total_dim, k
+    return res
 
 
 def _module_resolution(M, upto):
-    """Resolution prefix of M of length at least upto (or complete), kept
-    on M so that it lives exactly as long as M does."""
+    """The `min_proj_resolution` of M to length at least upto (or
+    complete), kept on M so that it lives exactly as long as M does."""
     res = M._resolution
     if res is None or not (res.complete or res.length >= upto):
         res = M._resolution = min_proj_resolution(M, max_len=max(upto, default_cap(M.alg)))
@@ -358,7 +324,7 @@ def ext_dims_upto(M: Module, N: Module, n):
     N as a right module, so Ext^i(M, N) has the dimension of H^{-i} of
     DN tensored with P."""
     res = _module_resolution(M, n + 1)
-    C = tensor_complex(_dual_right_module(N), res.to_perf(), range(-n - 1, 1))
+    C = tensor_complex(_dual_right_module(N), res, range(-n - 1, 1))
     return [C.cohomology_dim(-i) for i in range(n + 1)]
 
 
@@ -371,7 +337,7 @@ def _dual_right_module(N: Module):
     return Bimodule(semisimple_algebra([0]), N.alg, dims, {}, ract, name=f"D({N.name})")
 
 
-def _col_sum_diff(X: Bimodule, em, srcmod, srcoffs, tgtmod, tgtoffs):
+def _col_sum_diff(X: Bimodule, em, src: ColumnSum, tgt: ColumnSum):
     """Morphism between column sums induced by right multiplication with
     the entries of an element matrix.  Entry c * b adds c times the block
     of b's right action at each vertex where it is stored, reading only
@@ -379,13 +345,13 @@ def _col_sum_diff(X: Bimodule, em, srcmod, srcoffs, tgtmod, tgtoffs):
     whose blocks are not stored, adds c on the diagonal of that corner."""
     alg = X.left_alg
     basis = X.right_alg.basis
-    mats = {w: Mat.zero(tgtmod.dims[w], srcmod.dims[w]) for w in alg.vertices}
+    mats = {w: Mat.zero(tgt.dims[w], src.dims[w]) for w in alg.vertices}
     for r, row in enumerate(em):
         for s, elt in enumerate(row):
             for bidx, c in elt.items():
                 if basis[bidx].degree:
                     for w, blk in X.ract_by_elt.get(bidx, ()):
-                        m, r0, c0 = mats[w].a, tgtoffs[(r, w)], srcoffs[(s, w)]
+                        m, r0, c0 = mats[w].a, tgt.offs[(r, w)], src.offs[(s, w)]
                         for i, brow in enumerate(blk.a):
                             mrow = m[r0 + i]
                             for j, x in enumerate(brow):
@@ -393,10 +359,10 @@ def _col_sum_diff(X: Bimodule, em, srcmod, srcoffs, tgtmod, tgtoffs):
                                     mrow[c0 + j] += c * x
                 else:
                     for w in alg.vertices:
-                        m, r0, c0 = mats[w].a, tgtoffs[(r, w)], srcoffs[(s, w)]
+                        m, r0, c0 = mats[w].a, tgt.offs[(r, w)], src.offs[(s, w)]
                         for i in range(X.dims[(w, basis[bidx].src)]):
                             m[r0 + i][c0 + i] += c
-    return Morphism(srcmod, tgtmod, mats)
+    return Morphism(src, tgt, mats)
 
 
 def tensor_complex(X: Bimodule, P: PerfComplex, degrees=None):
@@ -407,9 +373,9 @@ def tensor_complex(X: Bimodule, P: PerfComplex, degrees=None):
     built, and the differentials to those between built terms."""
     degs = P.terms if degrees is None else [i for i in degrees if i in P.terms]
     sums = {i: column_sum(X, P.terms[i]) for i in degs}
-    diffs = {i: _col_sum_diff(X, em, *sums[i], *sums[i + 1])
+    diffs = {i: _col_sum_diff(X, em, sums[i], sums[i + 1])
              for i, em in P.diffs.items() if i in sums and i + 1 in sums}
-    return ModComplex(X.left_alg, {i: M for i, (M, _) in sums.items()}, diffs)
+    return ModComplex(X.left_alg, sums, diffs)
 
 
 def tor(i, X: Bimodule, M: Module):
@@ -418,7 +384,7 @@ def tor(i, X: Bimodule, M: Module):
     if i < 0:
         raise ValueError("negative Tor degree")
     res = _module_resolution(M, i + 1)
-    return tensor_complex(X, res.to_perf(), (-i - 1, -i, -i + 1)).cohomology(-i)
+    return tensor_complex(X, res, (-i - 1, -i, -i + 1)).cohomology(-i)
 
 
 def global_dimension(alg: Algebra, cap=None):
@@ -500,13 +466,6 @@ def _match_projective(M: Module):
     return v if all(R.dims[(w, v)] == M.dims[w] for w in alg.vertices) else None
 
 
-def _is_regular_module(M: Module):
-    """M ≅ the regular module, by the test of `_match_projective`: the
-    top of the regular module is one copy of every simple."""
-    return (M.dim_vector() == regular_module(M.alg).dim_vector()
-            and all(t == 1 for t in top_dim_vector(M)))
-
-
 @per_algebra
 def _projective_partner(alg, v):
     """The vertex w with I_v isomorphic to P_w, else None."""
@@ -523,8 +482,7 @@ def dominant_dimension(alg: Algebra, cap=None):
     res = min_proj_resolution(DM, max_len=cap, strict=True)
     count = 0
     for k in range(res.length + 1):
-        verts = res.term_verts(k)
-        if all(_projective_partner(alg, v) is not None for v in verts):
+        if all(_projective_partner(alg, v) is not None for v in res.terms.get(-k, ())):
             count += 1
         else:
             break
@@ -551,17 +509,14 @@ def to_projective_complex(C: ModComplex, cap=None):
         return PerfComplex(alg, {}, {})
     hi, lo = max(degs), min(degs)
     R = regular_bimodule(alg)
-    P_infos = {}
+    P_sums = {}  # i -> P^i, a `_sum_info`
     P_diffs = {}  # i -> eltmat P^i -> P^{i+1}
-    pi = {}  # i -> Morphism P^i.module -> C.term(i)
+    pi = {}  # i -> Morphism P^i -> C.term(i)
     i = hi
     while True:
         Ci = C.term(i)
-        Pnext = P_infos.get(i + 1)
-        if Pnext is None:
-            Pn_mod = zero_module(alg)
-        else:
-            Pn_mod = Pnext.module
+        Pnext = P_sums.get(i + 1)
+        Pn_mod = zero_module(alg) if Pnext is None else Pnext
         if Ci.total_dim == 0 and Pn_mod.total_dim == 0 and i < hi:
             break
         if i < lo - cap:
@@ -574,12 +529,12 @@ def to_projective_complex(C: ModComplex, cap=None):
         pi_next = pi.get(i + 1)
         dP_next = P_diffs.get(i + 1)
         if dP_next is not None:
-            Pnn = P_infos[i + 2]
-            dP_next_mor = _col_sum_diff(R, dP_next, Pnext.module, Pnext.offs, Pnn.module, Pnn.offs)
+            Pnn = P_sums[i + 2]
+            dP_next_mor = _col_sum_diff(R, dP_next, Pnext, Pnn)
         else:
             Pnn = None
             dP_next_mor = None
-        rows2 = Pnn.module.dims if Pnn else {v: 0 for v in alg.vertices}
+        rows2 = Pnn.dims if Pnn else {v: 0 for v in alg.vertices}
         for v in alg.vertices:
             r1 = tgt1.dims[v]
             r2 = rows2[v]
@@ -604,20 +559,20 @@ def to_projective_complex(C: ModComplex, cap=None):
         X = _sub_from_columns(S, cols, units, name="pullback")
         if X.total_dim == 0 and i <= lo:
             break
-        info, cov, lifts = projective_cover(X)
+        Pi, cov, lifts = projective_cover(X)
         # pi^i is the C^i block of the inclusion of X, whose columns are the
         # kernel columns, times the cover; the differential sends generator
         # s to the P^{i+1} block of kernel vector lifts[s], the image of its
         # unit vector
-        pi[i] = Morphism(info.module, Ci, {
+        pi[i] = Morphism(Pi, Ci, {
             v: Mat.from_rows([c[:Ci.dims[v]] for c in cols[v]], ncols=Ci.dims[v]).transpose()
             * cov.mats[v] for v in alg.vertices})
-        P_infos[i] = info
+        P_sums[i] = Pi
         if Pnext is not None and Pnext.verts:
-            images = [cols[v][j][Ci.dims[v]:] for v, j in zip(info.verts, lifts)]
-            P_diffs[i] = images_to_eltmat(info.verts, Pnext, images)
+            images = [cols[v][j][Ci.dims[v]:] for v, j in zip(Pi.verts, lifts)]
+            P_diffs[i] = images_to_eltmat(Pi.verts, Pnext, images)
         i -= 1
-    terms = {d: inf.verts for d, inf in P_infos.items() if inf.verts}
+    terms = {d: Pd.verts for d, Pd in P_sums.items() if Pd.verts}
     diffs = {d: em for d, em in P_diffs.items()
              if d in terms and (d + 1) in terms}
     return PerfComplex(alg, terms, diffs)
@@ -733,10 +688,14 @@ def nakayama(P: PerfComplex, cap=None):
 
 def is_shifted_regular(P: PerfComplex):
     """Returns m if the complex is isomorphic in the derived category to
-    the regular module placed in degree -m, else None."""
-    table = P.cohomology_table()
-    if len(table) != 1:
+    the regular module placed in degree -m, else None.  P must be minimal,
+    as `nakayama` outputs and stalk complexes are.  Then P is A[m] iff it
+    has one term, in degree -m, holding every vertex exactly once: two
+    minimal complexes of projectives that are isomorphic in the derived
+    category are isomorphic as complexes, and A[m] is minimal."""
+    if len(P.terms) != 1:
         return None
-    (deg, H), = table.items()
-    return -deg if _is_regular_module(H) else None
+    (deg, verts), = P.terms.items()
+    vs = P.alg.vertices
+    return -deg if len(verts) == len(vs) and set(verts) == set(vs) else None
 

@@ -3,9 +3,9 @@
 A Module stores one vector space dimension per algebra vertex and one
 matrix per basis element that acts nontrivially; the matrix for a basis
 element b is a map M[src(b)] -> M[tgt(b)].  Idempotents act as identity
-on their own vertex and are not stored.  A sum of several columns of a
-bimodule is a `ColumnSum`, which reads its action as the bimodule's
-blocks and builds these matrices only when asked for them.
+on their own vertex and are not stored.  A sum of columns of a bimodule
+is a `ColumnSum`, which reads its action as the bimodule's blocks and
+builds these matrices only when asked for them.
 """
 
 from __future__ import annotations
@@ -121,37 +121,27 @@ def simple_module(alg, v, name=None):
 def injective_module(alg, v):
     """I_v = D(e_v (algebra)), the column of the dual regular bimodule at
     v, shared by every reader together with the resolution kept on it."""
-    return column_sum(dual_regular_bimodule(alg), [v], name=f"I[{v}]")[0]
+    return column_sum(dual_regular_bimodule(alg), [v], name=f"I[{v}]")
 
 
 @per_algebra
 def regular_module(alg):
-    return column_sum(regular_bimodule(alg), alg.vertices, name="reg")[0]
+    return column_sum(regular_bimodule(alg), alg.vertices, name="reg")
 
 
 def column_sum(X, verts, name=None):
     """The left module of the columns X e_u, u over verts, summed in that
-    order, as (module, offsets) where offsets[(r, w)] locates column r at
-    vertex w.  Only the blocks of X.lact_by_col at verts are read.  A
-    single column gets its own dict of X's blocks, which X stored only
-    when nonzero, so they are not tested again; more columns give a
-    `ColumnSum`, a view on those blocks."""
-    name = name or f"{X.name}(cols)"
-    if len(verts) == 1:
-        (u,) = verts
-        alg = X.left_alg
-        M = Module(alg, {w: X.dims[(w, u)] for w in alg.vertices}, {}, name=name)
-        M.act = dict(X.lact_by_col.get(u, ()))
-        return M, {(0, w): 0 for w in alg.vertices}
-    M = ColumnSum(X, verts, name)
-    return M, M.offs
+    order, as a `ColumnSum`: a view on the blocks of X.lact_by_col at
+    verts, which X stored only when nonzero."""
+    return ColumnSum(X, verts, name or f"{X.name}(cols)")
 
 
 class ColumnSum(Module):
     """The column sum of a bimodule X at a list of vertices, as a view:
     it stores dims and offsets, and its action is read as the blocks of
-    X.lact_by_col at its columns (`blocks`).  The dense `act` is built on
-    first read, by `_dense_act`."""
+    X.lact_by_col at its columns (`blocks`).  Coordinate offs[(r, w)] + p
+    at vertex w is coordinate p of X[(w, verts[r])].  The dense `act` is
+    built on first read, by `_dense_act`."""
 
     def __init__(self, X, verts, name):
         alg = X.left_alg
@@ -189,10 +179,17 @@ class ColumnSum(Module):
         return self._act
 
     def _dense_act(self):
+        """A basis element whose one block fills its whole shape, as on a
+        single column, acts by that block itself, shared with X."""
         act = {}
         for i, triples in self.blocks().items():
             b = self.alg.basis[i]
-            m = act[i] = Mat.zero(self.dims[b.tgt], self.dims[b.src])
+            rows, cols = self.dims[b.tgt], self.dims[b.src]
+            blk = triples[0][2]
+            if len(triples) == 1 and (blk.rows, blk.cols) == (rows, cols):
+                act[i] = blk
+                continue
+            m = act[i] = Mat.zero(rows, cols)
             for r0, c0, blk in triples:
                 for x, row in enumerate(blk.a):
                     m.a[r0 + x][c0 : c0 + blk.cols] = row
@@ -663,10 +660,10 @@ def tensor_bimod_bimod(T: Bimodule, S: Bimodule, name=None):
     for g in B.generators():
         bg = B.basis[g]
         s, t = bg.src, bg.tgt
+        lgs = {w: S.lact_mat(g, w) for w in C.vertices}  # S[(s,w)] -> S[(t,w)]
         for u in A.vertices:
             rg = T.ract_mat(u, g)  # T[(u,t)] -> T[(u,s)]
-            for w in C.vertices:
-                lg = S.lact_mat(g, w)  # S[(s,w)] -> S[(t,w)]
+            for w, lg in lgs.items():
                 dts = T.dims[(u, t)]
                 dss = S.dims[(s, w)]
                 for a in range(dts):

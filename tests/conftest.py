@@ -7,7 +7,7 @@ from quivercy.algebra import Algebra, BasisElt, build_algebra, enveloping
 from quivercy.constructions import DynkinQuiver, _dynkin_edges
 from quivercy.errors import InvalidSpec, NotNilpotent
 from quivercy.homology import PerfComplex, _module_resolution, ext_dims_upto, homology_module
-from quivercy.linalg import Mat, span_basis
+from quivercy.linalg import Mat, independent_subset, span_basis
 from quivercy.module import (
     Bimodule,
     Morphism,
@@ -21,7 +21,9 @@ from quivercy.module import (
     is_isomorphic,
     radical_columns,
     regular_bimodule,
+    regular_module,
     tensor_bimod_bimod,
+    top_dim_vector,
 )
 from quivercy.parsing import load_algebra_file
 from quivercy.quiver import Path, Quiver, Relation
@@ -38,7 +40,7 @@ def corpus_algebra(stem):
 
 def projective_module(alg, v, name=None):
     """P_v = (algebra) e_v, the column of the regular bimodule at v."""
-    return column_sum(regular_bimodule(alg), [v], name=name or f"P[{v}]")[0]
+    return column_sum(regular_bimodule(alg), [v], name=name or f"P[{v}]")
 
 
 def hom_dim(M, N):
@@ -212,6 +214,102 @@ def radical_submodule(M):
     units = {v: [next(j for j, x in enumerate(row) if x) for row in c] for v, c in cols.items()}
     R = _sub_from_columns(M, cols, units, name=f"rad({M.name})")
     return R, Morphism(R, M, submodule_oracle(M, cols, units)[2])
+
+
+def is_regular_module_oracle(M):
+    """homology._is_regular_module as it was while is_shifted_regular read
+    the cohomology: M is the regular module iff it has its dimension
+    vector and a top of one copy of every simple, the test of
+    `_match_projective`."""
+    return (M.dim_vector() == regular_module(M.alg).dim_vector()
+            and all(t == 1 for t in top_dim_vector(M)))
+
+
+def is_shifted_regular_oracle(P: PerfComplex):
+    """homology.is_shifted_regular as it was before it read the minimal
+    complex: m when the cohomology is one regular module in degree -m, for
+    any complex of projectives, minimal or not."""
+    table = P.cohomology_table()
+    if len(table) != 1:
+        return None
+    (deg, H), = table.items()
+    return -deg if is_regular_module_oracle(H) else None
+
+
+def recover_presentation(alg: Algebra, max_degree=None):
+    """Quiver-and-relations presentation of a based algebra, as
+    ar.recover_presentation found it before `quivercy auslander` read its
+    counts off the simples' resolutions: arrows are a basis of rad/rad^2,
+    relations are a minimal generating set of the kernel of the
+    path-algebra surjection, found degree by degree."""
+    gens = alg.generators()
+    arrows = [(f"g{k}", alg.basis[g].src, alg.basis[g].tgt) for k, g in enumerate(gens)]
+    if max_degree is None:
+        max_degree = alg.dim + 1
+    # words[d]: list of (tuple of generator positions, image element)
+    words = {1: [((k,), {g: 1}) for k, g in enumerate(gens)]}
+    # relations per degree: coefficient vectors over the degree-d words
+    relations = {}
+    minimal = []
+    for d in range(2, max_degree + 1):
+        cur = []
+        parents = {}  # word -> (prefix word, appended generator)
+        for w, img in words[d - 1]:
+            last = gens[w[-1]]
+            for k, g in enumerate(gens):
+                if alg.basis[g].src != alg.basis[last].tgt:
+                    continue
+                new_img = alg.mul_elt({g: 1}, img)
+                cur.append((w + (k,), new_img))
+                parents[w + (k,)] = (w, k)
+        if not cur:
+            break
+        words[d] = cur
+        index = {w: i for i, (w, _) in enumerate(cur)}
+        rows = []
+        for w, img in cur:
+            vec = [0] * alg.dim
+            for i, c in img.items():
+                vec[i] = c
+            rows.append(vec)
+        mat = Mat.from_rows(rows, ncols=alg.dim).transpose()
+        ker = mat.kernel_basis()
+        if not ker:
+            continue
+        # consequences of lower relations: left and right extensions
+        cons = []
+        for dprime, rels in relations.items():
+            if dprime >= d:
+                continue
+            for rel in rels:
+                # rel is a vector over words of degree dprime; extend by
+                # any word on either side to reach degree d
+                for wext, _ in words.get(d - dprime, []):
+                    left = [0] * len(cur)
+                    right = [0] * len(cur)
+                    okl = okr = False
+                    for wi, c in enumerate(rel):
+                        if not c:
+                            continue
+                        wr = words[dprime][wi][0]
+                        cat = wr + wext
+                        if cat in index:
+                            left[index[cat]] = c
+                            okl = True
+                        cat2 = wext + wr
+                        if cat2 in index:
+                            right[index[cat2]] = c
+                            okr = True
+                    if okl:
+                        cons.append(left)
+                    if okr:
+                        cons.append(right)
+        relations[d] = ker
+        for vec in (ker[i] for i in independent_subset(cons, ker)):
+            terms = [(c, tuple(f"g{k}" for k in cur[wi][0]))
+                     for wi, c in enumerate(vec) if c]
+            minimal.append({"degree": d, "terms": terms})
+    return {"arrows": arrows, "relations": minimal}
 
 
 # -- Hom in the derived category ---------------------------------------
@@ -436,17 +534,17 @@ def ext_bimodule_oracle(alg, n):
     lays = {}
     for k in (n - 1, n, n + 1):
         if 0 <= k <= res.length:
-            lays[k] = _HomLayout(alg, res.term_verts(k), reg_bimod)
+            lays[k] = _HomLayout(alg, res.terms.get(-k, []), reg_bimod)
     Hn = lays[n].bimodule()
     Hn_env = bimodule_to_env_module(Hn)
     f_out = None
     if n + 1 <= res.length:
-        mats = _hom_coboundary(alg, E, lays[n], lays[n + 1], res.eltmats[n + 1])
+        mats = _hom_coboundary(alg, E, lays[n], lays[n + 1], res.diffs[-n - 1])
         tgt_env = bimodule_to_env_module(lays[n + 1].bimodule())
         f_out = Morphism(Hn_env, tgt_env, mats)
     f_in = None
     if n >= 1:
-        mats = _hom_coboundary(alg, E, lays[n - 1], lays[n], res.eltmats[n])
+        mats = _hom_coboundary(alg, E, lays[n - 1], lays[n], res.diffs[-n])
         src_env = bimodule_to_env_module(lays[n - 1].bimodule())
         f_in = Morphism(src_env, Hn_env, mats)
     H = homology_module(Hn_env, f_in, f_out, name="T")

@@ -197,7 +197,7 @@ def test_11_property_suites(a2, a3_stable):
     done = timed(180)
 
     def perf(M):
-        return min_proj_resolution(M).to_perf()
+        return min_proj_resolution(M)
 
     # derived duality between Ext groups and maps into the twisted shift
     for alg in (a2, a3_stable):

@@ -13,7 +13,7 @@ from quivercy import homology
 from quivercy.ar import decide_nrf
 from quivercy.constructions import TypeAQuiver, cut_algebra, enumerate_cuts
 from quivercy.cy import check_twisted_cy, find_twisted_cy
-from quivercy.homology import Resolution, SumInfo, nakayama, stalk_regular
+from quivercy.homology import PerfComplex, _sum_info, nakayama, stalk_regular
 from quivercy.linalg import Mat
 from quivercy.module import (
     Bimodule,
@@ -41,21 +41,20 @@ def _algebra(key):
     return cut_algebra(q, enumerate_cuts(q)[int(idx)])
 
 
-def _hom_cochain_dense(res: Resolution, N: Module, top):
-    alg = res.module.alg
+def _hom_cochain_dense(res: PerfComplex, N: Module, top):
     spaces = []
     layouts = []
     for k in range(top + 1):
         lay = []
         n = 0
-        for r, u in enumerate(res.term_verts(k)):
+        for r, u in enumerate(res.terms.get(-k, [])):
             lay.append((r, u, n))
             n += N.dims[u]
         spaces.append(n)
         layouts.append(lay)
     deltas = []
     for k in range(top):
-        em = res.eltmats.get(k + 1)
+        em = res.diffs.get(-k - 1)
         m = Mat.zero(spaces[k + 1], spaces[k])
         if em is not None:
             src_lay = {r: off for r, _, off in layouts[k]}
@@ -79,11 +78,11 @@ def _hom_cochain_dense(res: Resolution, N: Module, top):
     return spaces, deltas
 
 
-def _col_sum_diff_dense(X: Bimodule, em, srcmod, srcoffs, tgtmod, tgtoffs):
+def _col_sum_diff_dense(X: Bimodule, em, src, tgt):
     alg = X.left_alg
     mats = {}
     for w in alg.vertices:
-        m = Mat.zero(tgtmod.dims[w], srcmod.dims[w])
+        m = Mat.zero(tgt.dims[w], src.dims[w])
         for r in range(len(em)):
             for s in range(len(em[0]) if em else 0):
                 elt = em[r][s]
@@ -93,14 +92,14 @@ def _col_sum_diff_dense(X: Bimodule, em, srcmod, srcoffs, tgtmod, tgtoffs):
                 for bidx, c in elt.items():
                     mm = X.ract_mat(w, bidx).scale(c)
                     blk = mm if blk is None else blk + mm
-                r0 = tgtoffs[(r, w)]
-                c0 = srcoffs[(s, w)]
+                r0 = tgt.offs[(r, w)]
+                c0 = src.offs[(s, w)]
                 for x in range(blk.rows):
                     for y in range(blk.cols):
                         if blk.a[x][y]:
                             m.a[r0 + x][c0 + y] += blk.a[x][y]
         mats[w] = m
-    return Morphism(srcmod, tgtmod, mats)
+    return Morphism(src, tgt, mats)
 
 
 @pytest.fixture
@@ -172,10 +171,11 @@ def _idempotent_resolution(alg):
     em = [[{k: k + 2 for k, b in enumerate(alg.basis) if b.src == v and b.tgt == u}
            for u in verts] for v in verts]
     assert any(alg.basis[k].degree == 0 for k in em[0][0])
-    info = SumInfo(alg, verts)
-    M = SumInfo(alg, verts).module
-    M._resolution = Resolution(M, [info, info], {1: em}, True)
-    return M, info, em
+    P = _sum_info.__wrapped__(alg, tuple(verts))
+    M = _sum_info.__wrapped__(alg, tuple(verts))
+    res = M._resolution = PerfComplex(alg, {0: verts, -1: verts}, {-1: em})
+    res.complete, res.length = True, 1
+    return M, P, em
 
 
 @pytest.mark.parametrize("key", CORPUS_NRF + CUTS_2_4[::4] + CUTS_2_5
@@ -183,8 +183,8 @@ def _idempotent_resolution(alg):
 def test_ext_differentials_are_the_transposed_cochain_maps(key, monkeypatch):
     if key.startswith("idempotents/"):
         alg = corpus_algebra(key.split("/")[1])
-        M, info, _ = _idempotent_resolution(alg)
-        for N in (regular_module(alg), info.module):
+        M, P, _ = _idempotent_resolution(alg)
+        for N in (regular_module(alg), P):
             _ext_against_the_oracle(monkeypatch, M, N, 1)
         return
     alg = _algebra(key)
@@ -214,9 +214,9 @@ def test_element_matrices_with_idempotents_match_the_dense_sums(stem):
     alg = corpus_algebra(stem)
     _, _, em = _idempotent_resolution(alg)
     DL = dual_regular_bimodule(alg)
-    sums = column_sum(DL, alg.vertices)
-    out = homology._col_sum_diff(DL, em, *sums, *sums)
-    assert out.mats == _col_sum_diff_dense(DL, em, *sums, *sums).mats
+    S = column_sum(DL, alg.vertices)
+    out = homology._col_sum_diff(DL, em, S, S)
+    assert out.mats == _col_sum_diff_dense(DL, em, S, S).mats
 
 
 def test_frontier_path_scales_no_dense_matrix(monkeypatch):

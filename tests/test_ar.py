@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import corpus_algebra, socle_permutation_oracle, tensor_algebra_oracle
+from conftest import corpus_algebra, recover_presentation, socle_permutation_oracle, tensor_algebra_oracle
 from quivercy import ar, homology
 from quivercy.ar import (
     auslander_algebra,
@@ -11,7 +11,7 @@ from quivercy.ar import (
     homogeneity,
     nakayama_permutation,
     preprojective,
-    recover_presentation,
+    presentation_size,
     tau_n,
     tau_n_minus,
     tensor_algebra,
@@ -28,6 +28,7 @@ from quivercy.homology import (
 )
 from quivercy.linalg import Mat
 from quivercy.module import dual_regular_bimodule, injective_module, is_isomorphic, simple_module
+from quivercy.parsing import parse_algebra_file
 
 
 def test_tau_on_a2(a2):
@@ -276,6 +277,7 @@ def test_recover_presentation(a3_stable):
     assert len(pres["arrows"]) == 6
     assert len(pres["relations"]) == 3
     assert all(r["degree"] == 2 for r in pres["relations"])
+    assert presentation_size(gamma) == (6, 3)
 
 
 def _greedy_generators(alg):
@@ -313,6 +315,7 @@ def test_generators_match_the_greedy_scan(a3_stable):
 def test_recover_presentation_of_the_a3_stable_auslander_algebra(a3_stable):
     gamma = auslander_algebra(a3_stable, decide_nrf(a3_stable, 1).ct_summands)
     pres = recover_presentation(gamma)
+    assert presentation_size(gamma) == (len(pres["arrows"]), len(pres["relations"]))
     assert pres["arrows"] == [("g0", 1, 2), ("g1", 2, 0), ("g2", 2, 4),
                               ("g3", 3, 1), ("g4", 3, 5), ("g5", 5, 2)]
     one = Fraction(1)
@@ -329,6 +332,28 @@ def test_recover_presentation_roundtrip(a2):
     # the double quiver of A2 with both compositions zero
     assert len(pres["arrows"]) == 2
     assert len(pres["relations"]) == 2
+    # Pi is selfinjective: the resolutions stop at P_2 without a cap
+    assert presentation_size(pi) == (2, 2)
+
+
+A6 = """vertices: 1 2 3 4 5 6
+arrows:
+  a: 1 -> 2
+  b: 2 -> 3
+  c: 3 -> 4
+  d: 4 -> 5
+  e: 5 -> 6
+zero:
+"""
+
+
+@pytest.mark.parametrize("zero,relations", [("b*c", 1), ("b*c*d", 1), ("a*b\n  d*e", 2)])
+def test_presentation_size_matches_the_recovered_presentation(zero, relations):
+    # linear A6 with zero relations: five arrows, one relation per path
+    alg = parse_algebra_file(A6 + "  " + zero + "\n").build(name="a6")
+    pres = recover_presentation(alg)
+    assert (len(pres["arrows"]), len(pres["relations"])) == (5, relations)
+    assert presentation_size(alg) == (5, relations)
 
 
 def test_tensor_nrf_rejects_inhomogeneous(a2):

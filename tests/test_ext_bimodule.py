@@ -43,7 +43,7 @@ def test_ext_bimodule_matches_the_hom_construction(case, n):
 @pytest.mark.parametrize("case,n", TAU_CASES, ids=str)
 def test_left_module_of_ext_bimodule_is_tau_n_minus_of_reg(case, n):
     alg = _algebra(case)
-    left, _ = column_sum(ext_bimodule(alg, n), alg.vertices)
+    left = column_sum(ext_bimodule(alg, n), alg.vertices)
     assert is_isomorphic(left, tau_n_minus(regular_module(alg), n))
 
 

@@ -23,7 +23,7 @@ from quivercy.module import (
 
 
 def perf(M):
-    return min_proj_resolution(M).to_perf()
+    return min_proj_resolution(M)
 
 
 def sample_modules(alg):

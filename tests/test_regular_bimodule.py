@@ -1,15 +1,15 @@
 """The projective, injective and regular modules, the dual regular
-bimodule and the coordinate layout of SumInfo are all read off one
-regular bimodule.  The builders below are the direct loops over the
-multiplication table that each of them used to run on its own; they stay
-here as oracles, compared entrywise with the views."""
+bimodule and the coordinate layout of a sum of projectives are all read
+off one regular bimodule.  The builders below are the direct loops over
+the multiplication table that each of them used to run on its own; they
+stay here as oracles, compared entrywise with the views."""
 
 import pytest
 
 from conftest import CORPUS, corpus_algebra, projective_module
 from quivercy.algebra import enveloping, tensor_product
 from quivercy.constructions import TypeAQuiver, cut_algebra, enumerate_cuts, gamma_algebra
-from quivercy.homology import SumInfo
+from quivercy.homology import _sum_info
 from quivercy.linalg import Mat
 from quivercy.module import (
     Bimodule,
@@ -107,7 +107,7 @@ def _oracle_bimodule(alg, dual):
     return Bimodule(alg, alg, dims, lact, ract)
 
 
-def _oracle_suminfo(alg, verts):
+def _oracle_projective_sum(alg, verts):
     """(coords, module) of the sum of the projectives at verts: coords[w]
     lists its coordinates at w as (summand index, algebra basis index)."""
     coords = {w: [] for w in alg.vertices}
@@ -133,15 +133,15 @@ def _oracle_suminfo(alg, verts):
     return coords, Module(alg, dims, act)
 
 
-def _walked_coords(alg, info, w):
-    """The coordinates of info.module at w in the order projective_cover
-    and images_to_eltmat walk them: offs[(r, w)] + p is basis element
+def _walked_coords(alg, P, w):
+    """The coordinates of P at w in the order projective_cover and
+    images_to_eltmat walk them: offs[(r, w)] + p is basis element
     R.basis_indices[(w, v_r)][p] of summand r."""
     R = regular_bimodule(alg)
-    walked = {info.offs[(r, w)] + p: (r, bidx) for r, v in enumerate(info.verts)
+    walked = {P.offs[(r, w)] + p: (r, bidx) for r, v in enumerate(P.verts)
               for p, bidx in enumerate(R.basis_indices.get((w, v), ()))}
-    assert sorted(walked) == list(range(info.module.dims[w]))
-    return [walked[c] for c in range(info.module.dims[w])]
+    assert sorted(walked) == list(range(P.dims[w]))
+    return [walked[c] for c in range(P.dims[w])]
 
 
 def _same_module(M, N):
@@ -187,7 +187,7 @@ def test_views_match_the_direct_builders(build):
     _same_module(regular_module(alg), direct_sum(projectives))
     vs = list(alg.vertices)
     for verts in (vs, vs[:1], vs[::-1] + vs[:2], []):
-        info = SumInfo(alg, verts)
-        coords, module = _oracle_suminfo(alg, verts)
-        assert {w: _walked_coords(alg, info, w) for w in alg.vertices} == coords
-        _same_module(info.module, module)
+        P = _sum_info.__wrapped__(alg, tuple(verts))
+        coords, module = _oracle_projective_sum(alg, verts)
+        assert {w: _walked_coords(alg, P, w) for w in alg.vertices} == coords
+        _same_module(P, module)

@@ -86,8 +86,7 @@ class _Scalars:
         for m in M.act.values():
             self.mat(m)
         if M._resolution is not None:
-            for em in M._resolution.eltmats.values():
-                self.eltmat(em)
+            self.complex(M._resolution)
 
     def eltmat(self, em):
         for row in em:

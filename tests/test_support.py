@@ -2,9 +2,9 @@
 The scans they replaced are the oracles `column_sum_oracle` and
 `projective_cover_oracle` of conftest; the fast paths must equal them
 entry for entry on the corpus, all 65 (2,4) cuts and every 60th (2,5)
-cut.  A column sum of several columns is a view on the bimodule's blocks
-whose dense action is built only when read, and the verdicts never read
-it."""
+cut.  A column sum is a view on the bimodule's blocks whose dense action
+is built only when read; the verdicts never read it for several columns,
+and a single column's is the bimodule's own blocks."""
 
 import functools
 
@@ -58,16 +58,17 @@ def test_column_sums_match_the_scan(case):
             assert all(X.lact[(i, v)] is m for i, m in blocks.items())
         assert sum(map(len, X.lact_by_col.values())) == len(X.lact)
         for verts in _vertex_lists(alg):
-            M, offs = column_sum(X, verts)
+            M = column_sum(X, verts)
             dims, act, offs0 = column_sum_oracle(X, verts)
-            if len(verts) > 1:
-                assert isinstance(M, ColumnSum) and M._act is None, verts
-            elif verts:
-                # a single column's action is its own dict, not X's index
-                assert M.act is not X.lact_by_col.get(verts[0]), verts
+            assert isinstance(M, ColumnSum) and M._act is None, verts
             assert _laid_out(M) == act, verts
             # reading act builds the dense action of a view
-            assert (M.dims, M.act, offs) == (dims, act, offs0), verts
+            assert (M.dims, M.act, M.offs) == (dims, act, offs0), verts
+            if len(verts) == 1:
+                # a single column acts by X's own blocks, in a dict of its own
+                blocks = X.lact_by_col.get(verts[0], {})
+                assert M.act is not blocks and M.act.keys() == blocks.keys(), verts
+                assert all(M.act[i] is m for i, m in blocks.items()), verts
 
 
 def _laid_out(M):
@@ -98,25 +99,26 @@ def _modules(alg):
 def test_projective_covers_match_the_oracle(case):
     alg = _algebra(case)
     for M in _modules(alg):
-        info, epi, lifts = projective_cover(M)
+        P, epi, lifts = projective_cover(M)
         verts, dims, act, offs, mats, lifts0 = projective_cover_oracle(M)
-        assert (info.verts, lifts) == (verts, lifts0), M
-        assert (info.module.dims, info.module.act, info.offs) == (dims, act, offs), M
-        assert epi.src is info.module and epi.tgt is M
+        assert (P.verts, lifts) == (verts, lifts0), M
+        assert (P.dims, P.act, P.offs) == (dims, act, offs), M
+        assert epi.src is P and epi.tgt is M
         assert epi.mats == mats, M
 
 
 def test_each_vertex_list_is_summed_once(monkeypatch):
-    # decide_nrf and find_twisted_cy on a fixed (2,5) cut: every SumInfo
-    # is built once per vertex list and then read from the algebra's cache
+    # decide_nrf and find_twisted_cy on a fixed (2,5) cut: every sum of
+    # projectives is built once per vertex list and then read from the
+    # algebra's cache; the builds are the misses of the memo
     built = []
-    init = homology.SumInfo.__init__
+    build = homology._sum_info.__wrapped__
 
-    def counting_init(self, alg, verts):
-        built.append(tuple(verts))
-        init(self, alg, verts)
+    def counting(alg, verts):
+        built.append(verts)
+        return build(alg, verts)
 
-    monkeypatch.setattr(homology.SumInfo, "__init__", counting_init)
+    monkeypatch.setattr(homology._sum_info, "__wrapped__", counting)
     q = TypeAQuiver(2, 5)
     alg = cut_algebra(q, enumerate_cuts(q)[60])
     assert decide_nrf(alg, 2).is_nrf is True
@@ -130,13 +132,22 @@ def test_each_vertex_list_is_summed_once(monkeypatch):
 def test_verdicts_build_no_dense_column_sum(monkeypatch, case):
     # the kernels, the Hom cochains and the Tor terms of decide_nrf and
     # find_twisted_cy read the blocks of every column sum of several
-    # columns, the covers' domains and the regular module among them
-    built = []
+    # columns, the covers' domains and the regular module among them; a
+    # single column's dense action allocates no matrix
+    built, single = [], []
     real = ColumnSum._dense_act
 
+    def no_zero(rows, cols):
+        raise AssertionError("Mat.zero in a single column's dense action")
+
     def spy(self):
-        built.append(self.name)
-        return real(self)
+        if len(self.verts) > 1:
+            built.append(self.name)
+            return real(self)
+        single.append(self.name)
+        with monkeypatch.context() as m:
+            m.setattr(Mat, "zero", no_zero)
+            return real(self)
 
     monkeypatch.setattr(ColumnSum, "_dense_act", spy)
     n, s, idx = case
@@ -144,5 +155,5 @@ def test_verdicts_build_no_dense_column_sum(monkeypatch, case):
     alg = cut_algebra(q, enumerate_cuts(q)[idx])  # fresh: no cached module is dense
     assert decide_nrf(alg, 2).is_nrf is True
     assert find_twisted_cy(alg) is not None
-    assert built == []
+    assert built == [] and single
     assert regular_module(alg).act and built == ["reg"]
