@@ -58,7 +58,8 @@ def _emit(doc, pretty, started):
 class _Main(click.Group):
     """Usage errors exit with EXIT_PARSE: click's own code, 2, would read
     as EXIT_UNDECIDED.  The group's own arguments are parsed in
-    make_context, a subcommand's in the group's invoke."""
+    make_context, a subcommand's in the group's invoke.  A computation
+    that hits its cap in any subcommand exits with EXIT_UNDECIDED."""
 
     def make_context(self, *args, **kwargs):
         try:
@@ -73,6 +74,9 @@ class _Main(click.Group):
         except click.UsageError as exc:
             exc.exit_code = EXIT_PARSE
             raise
+        except CapExceeded as exc:
+            click.echo(f"cap exceeded: {exc}", err=True)
+            sys.exit(EXIT_UNDECIDED)
 
 
 @click.group(cls=_Main)
@@ -119,33 +123,29 @@ def cy(file, ell_max, m_max, ell, m, untwisted, dim_ceiling, cap, pretty):
     started = time.time()
     alg = _load(file)
     doc = {"command": "cy", "input": file, "untwisted": untwisted}
-    try:
-        if untwisted and alg.dim > dim_ceiling:
-            click.echo(f"algebra dimension {alg.dim} exceeds the untwisted "
-                       f"ceiling {dim_ceiling}", err=True)
-            sys.exit(EXIT_UNDECIDED)
-        if ell is not None and m is not None:
-            check = check_untwisted_cy if untwisted else check_twisted_cy
-            ok = check(alg, ell, m, cap=cap)
-            doc.update({"ell": ell, "m": m, "passed": ok})
-            _emit(doc, pretty, started)
-            sys.exit(EXIT_TRUE if ok else EXIT_FALSE)
-        cert = find_twisted_cy(alg, ell_max=ell_max, m_max=m_max, cap=cap)
-        if cert is None:
-            doc.update({"found": False, "ell_max": ell_max, "m_max": m_max,
-                        "k0_candidates": [e for e, _ in k0_candidates(alg, ell_max)]})
-            _emit(doc, pretty, started)
-            sys.exit(EXIT_FALSE)
-        if untwisted:
-            ok = check_untwisted_cy(alg, cert.ell, cert.m, cap=cap)
-            cert.twisted = not ok
-        doc.update({"found": True, "dimension": str(cy_dimension(cert))})
-        doc.update(cert.to_dict())
-        _emit(doc, pretty, started)
-        sys.exit(EXIT_TRUE)
-    except CapExceeded as exc:
-        click.echo(f"cap exceeded: {exc}", err=True)
+    if untwisted and alg.dim > dim_ceiling:
+        click.echo(f"algebra dimension {alg.dim} exceeds the untwisted "
+                   f"ceiling {dim_ceiling}", err=True)
         sys.exit(EXIT_UNDECIDED)
+    if ell is not None and m is not None:
+        check = check_untwisted_cy if untwisted else check_twisted_cy
+        ok = check(alg, ell, m, cap=cap)
+        doc.update({"ell": ell, "m": m, "passed": ok})
+        _emit(doc, pretty, started)
+        sys.exit(EXIT_TRUE if ok else EXIT_FALSE)
+    cert = find_twisted_cy(alg, ell_max=ell_max, m_max=m_max, cap=cap)
+    if cert is None:
+        doc.update({"found": False, "ell_max": ell_max, "m_max": m_max,
+                    "k0_candidates": [e for e, _ in k0_candidates(alg, ell_max)]})
+        _emit(doc, pretty, started)
+        sys.exit(EXIT_FALSE)
+    if untwisted:
+        ok = check_untwisted_cy(alg, cert.ell, cert.m, cap=cap)
+        cert.twisted = not ok
+    doc.update({"found": True, "dimension": str(cy_dimension(cert))})
+    doc.update(cert.to_dict())
+    _emit(doc, pretty, started)
+    sys.exit(EXIT_TRUE)
 
 
 @main.command()
@@ -217,9 +217,6 @@ def tensor(files, ns, ell, cap, pretty):
     except FactorNotHomogeneous as exc:
         click.echo(f"factor not homogeneous: {exc}", err=True)
         sys.exit(EXIT_FALSE)
-    except CapExceeded as exc:
-        click.echo(f"cap exceeded: {exc}", err=True)
-        sys.exit(EXIT_UNDECIDED)
     doc.update(rep.to_dict())
     try:
         certs = [find_twisted_cy(a, cap=cap) for a, _ in factors]
@@ -252,9 +249,6 @@ def preproj(file, n, cap, pretty):
     except NotNRF as exc:
         click.echo(f"not representation-finite: {exc}", err=True)
         sys.exit(EXIT_FALSE)
-    except CapExceeded as exc:
-        click.echo(f"cap exceeded: {exc}", err=True)
-        sys.exit(EXIT_UNDECIDED)
     perm = nakayama_permutation(pi)
     doc.update({
         "dim": pi.dim,
@@ -279,15 +273,11 @@ def auslander(file, n, cap, pretty):
     started = time.time()
     alg = _load(file)
     doc = {"command": "auslander", "input": file, "n": n}
-    try:
-        rep = decide_nrf(alg, n, cap=cap)
-        if rep.is_nrf is not True:
-            click.echo(f"not representation-finite: {rep.reason}", err=True)
-            sys.exit(EXIT_FALSE if rep.is_nrf is False else EXIT_UNDECIDED)
-        gamma = auslander_algebra(alg, rep.ct_summands)
-    except CapExceeded as exc:
-        click.echo(f"cap exceeded: {exc}", err=True)
-        sys.exit(EXIT_UNDECIDED)
+    rep = decide_nrf(alg, n, cap=cap)
+    if rep.is_nrf is not True:
+        click.echo(f"not representation-finite: {rep.reason}", err=True)
+        sys.exit(EXIT_FALSE if rep.is_nrf is False else EXIT_UNDECIDED)
+    gamma = auslander_algebra(alg, rep.ct_summands)
     gd = global_dimension(gamma)
     dd = dominant_dimension(gamma)
     arrows, relations = presentation_size(gamma)

@@ -20,8 +20,9 @@ The tower route iterates nu on the regular module and looks for a
 shifted copy of the regular module.  It decides algebras whose orbits
 give no certificate, such as those that are not n-representation-finite.
 
-The untwisted check works with complexes of bimodules over the enveloping
-algebra and compares against the regular bimodule on the nose.
+The untwisted check computes the derived tensor powers of the dual
+regular bimodule as powers of the Nakayama functor of the enveloping
+algebra, and compares against the regular bimodule on the nose.
 
 Both are gated on K_0.  By Krull-Schmidt a twisted certificate (ell, m)
 sends each P_v to some P_w[m], so the integer matrix N of the Nakayama
@@ -35,17 +36,16 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .algebra import enveloping, per_algebra
+from .algebra import per_algebra
 from .ar import NrfReport, walk_orbits
 from .errors import CapExceeded
 from .homology import (
-    PerfComplex,
     _module_resolution,
     global_dimension,
     is_shifted_regular,
-    minimize,
     nakayama,
     stalk_regular,
+    tensor_complex,
 )
 from .module import dual_regular_bimodule, env_module, is_isomorphic, regular_bimodule
 
@@ -271,107 +271,34 @@ def _tower_search(alg, candidates, m_max, cap):
 def dual_regular_perf(alg):
     """Minimal resolution of the dual regular bimodule by enveloping-
     algebra projectives, as a complex in degrees [-length, 0]."""
-    res = _module_resolution(env_module(alg, dual_regular_bimodule), 0)
+    return _bimodule_resolution(alg, dual_regular_bimodule)
+
+
+def _bimodule_resolution(alg, bimodule):
+    """The complete minimal resolution of bimodule(alg) over the
+    enveloping algebra."""
+    res = _module_resolution(env_module(alg, bimodule), 0)
     if not res.complete:
-        raise CapExceeded("bimodule resolution of the dual regular module")
-    return res, enveloping(alg)
-
-
-def tensor_complex_over_base(C: PerfComplex, D: PerfComplex, alg, E):
-    """Tensor product over the base algebra of two complexes of
-    enveloping-projective bimodules, again based in such bimodules.
-
-    The projective at the vertex pair (u, v) tensored with the one at
-    (u2, v2) splits into one copy of the projective at (u, v2) for every
-    algebra basis element from u2 to v.
-    """
-    a, aop, pair_index = E.tensor_info
-    idem = alg.idem
-    mid = {}
-    for u in alg.vertices:
-        for v in alg.vertices:
-            mid[(v, u)] = [i for i, b in enumerate(alg.basis)
-                           if b.tgt == v and b.src == u]
-    # summand lists per total degree: (p, r, s, middle basis index)
-    terms = {}
-    layout = {}
-    pos = {}
-    for p, ct in C.terms.items():
-        for q, dt in D.terms.items():
-            k = p + q
-            for r, (u, v) in enumerate(ct):
-                for s, (u2, v2) in enumerate(dt):
-                    for bidx in mid[(v, u2)]:
-                        terms.setdefault(k, []).append((u, v2))
-                        layout.setdefault(k, []).append((p, r, s, bidx))
-    for k, lst in layout.items():
-        for c, ent in enumerate(lst):
-            pos[(k, ent)] = c
-
-    def add_elt(entry, eidx, coeff):
-        cur = entry.get(eidx, 0) + coeff
-        if cur:
-            entry[eidx] = cur
-        elif eidx in entry:
-            del entry[eidx]
-
-    diffs = {}
-    for k in terms:
-        if k + 1 not in terms:
-            continue
-        d = [[{} for _ in layout[k]] for _ in layout[k + 1]]
-        for col, (p, r, s, bidx) in enumerate(layout[k]):
-            q = k - p
-            b = alg.basis[bidx]
-            # first-factor differential, degree p -> p+1
-            em = C.diffs.get(p)
-            if em is not None:
-                for r2 in range(len(em)):
-                    elt = em[r2][r]
-                    if not elt:
-                        continue
-                    for eidx, cc in elt.items():
-                        ii, jj = _rev(E)[eidx]
-                        prod = alg.mul(jj, bidx)  # j * b
-                        for b2, cb in prod.items():
-                            row = pos.get((k + 1, (p + 1, r2, s, b2)))
-                            if row is None:
-                                continue
-                            out_eidx = pair_index[(ii, idem[D.terms[q][s][1]])]
-                            add_elt(d[row][col], out_eidx, cc * cb)
-            # second-factor differential, degree q -> q+1, sign (-1)^p
-            em2 = D.diffs.get(q)
-            if em2 is not None:
-                sign = 1 if p % 2 == 0 else -1
-                for s2 in range(len(em2)):
-                    elt = em2[s2][s]
-                    if not elt:
-                        continue
-                    for eidx, cc in elt.items():
-                        ii, jj = _rev(E)[eidx]
-                        prod = alg.mul(bidx, ii)  # b * i
-                        for b2, cb in prod.items():
-                            row = pos.get((k + 1, (p, r, s2, b2)))
-                            if row is None:
-                                continue
-                            u = C.terms[p][r][0]
-                            out_eidx = pair_index[(idem[u], jj)]
-                            add_elt(d[row][col], out_eidx, sign * cc * cb)
-        diffs[k] = d
-    out = PerfComplex(E, terms, diffs)
-    return out
-
-
-@per_algebra
-def _rev(E):
-    """The basis pair (i, j) of each basis index of a tensor product E."""
-    return {k: ij for ij, k in E.tensor_info[2].items()}
+        raise CapExceeded(f"bimodule resolution of {bimodule.__name__}")
+    return res
 
 
 def check_untwisted_cy(alg, ell, m, cap=None):
     """True when the ell-fold derived tensor power of the dual regular
-    bimodule is the regular bimodule shifted by m, with no twist.  False
-    without any tensor power unless N^ell = (-1)^m * I on K_0."""
+    bimodule DA is the regular bimodule A shifted by m, with no twist.
+    False without any tensor power unless N^ell = (-1)^m * I on K_0.
+
+    The tensor power is a power of the derived Nakayama functor nu_E of
+    the enveloping algebra E = A (x) A^op, which sends a bimodule X to
+    DE (x)_E X = DA (x)_A X (x)_A DA.  Both sides are right exact and
+    agree on E, so they agree on every bimodule (Eilenberg-Watts); an
+    E-projective is projective on each side, so on complexes of
+    E-projectives both compute the derived functors.  Hence nu_E^k A =
+    DA^(x 2k) and nu_E^k DA = DA^(x 2k+1): the check applies nu_E
+    floor(ell / 2) times to the E-resolution of A (ell even) or DA (ell
+    odd).  The last power is not replaced by projectives: its cohomology
+    is that of DE (x)_E C for the power C before it.  cap is the width
+    cap of each projective replacement."""
     if ell < 1:
         raise ValueError("ell must be positive")
     global_dimension(alg, cap)
@@ -380,10 +307,11 @@ def check_untwisted_cy(alg, ell, m, cap=None):
     if (_permutation_sign(power) != _shift_sign(m)
             or not all(row[i] for i, row in enumerate(power))):
         return False
-    P0, E = dual_regular_perf(alg)
-    C = P0
-    for _ in range(ell - 1):
-        C = minimize(tensor_complex_over_base(P0, C, alg, E))
+    C = dual_regular_perf(alg) if ell % 2 else _bimodule_resolution(alg, regular_bimodule)
+    for _ in range(ell // 2 - 1):
+        C = nakayama(C, cap=cap)
+    if ell > 1:
+        C = tensor_complex(dual_regular_bimodule(C.alg), C)
     table = C.cohomology_table()
     if set(table) != {-m}:
         return False

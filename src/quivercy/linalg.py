@@ -93,16 +93,6 @@ class Mat:
             [[x + y for x, y in zip(r, s)] for r, s in zip(self.a, other.a)],
         )
 
-    def __sub__(self, other):
-        return Mat(
-            self.rows,
-            self.cols,
-            [[x - y for x, y in zip(r, s)] for r, s in zip(self.a, other.a)],
-        )
-
-    def __neg__(self):
-        return Mat(self.rows, self.cols, [[-x for x in r] for r in self.a])
-
     def scale(self, c):
         return Mat(self.rows, self.cols, [[c * x for x in r] for r in self.a])
 
@@ -135,6 +125,8 @@ class Mat:
         return out
 
     def transpose(self):
+        if self.rows == 1 == self.cols:
+            return self  # its own transpose, and never changed after build
         if self.rows == 0:
             return Mat(self.cols, 0, [[] for _ in range(self.cols)])
         return Mat(self.cols, self.rows, [list(r) for r in zip(*self.a)])

@@ -736,21 +736,27 @@ def tensor_bimod_bimod(T: Bimodule, S: Bimodule, name=None):
 
 
 def bimodule_to_env_module(X: Bimodule):
-    """View an (A, A)-bimodule as a left module over A (x) A^op."""
+    """View an (A, A)-bimodule as a left module over A (x) A^op.
+
+    i (x) j^op sends X[(src_i, tgt_j)] to X[(tgt_i, src_j)].  Only the
+    stored blocks are visited: e_u (x) j acts by ract[(u, j)], i (x) e_v
+    by lact[(i, v)], and i (x) j with both of positive degree by
+    ract[(tgt_i, j)] * lact[(i, tgt_j)] when both are stored."""
     A = X.left_alg
     E = enveloping(A)
     _, _, pair_index = E.tensor_info
-    dims = {x: X.dims[x] for x in E.vertices}
+    idem = A.idem
     act = {}
-    for (i, j), k in pair_index.items():
-        bi = A.basis[i]
-        if bi.degree + A.basis[j].degree == 0:
-            continue
-        # (i (x) j^op) sends X[(src_i, tgt_j in A)] to X[(tgt_i, src_j in A)]
-        m = X.ract_mat(bi.tgt, j) * X.lact_mat(i, A.basis[j].tgt)
-        if not m.is_zero():
-            act[k] = m
-    return Module(E, dims, act, name=X.name)
+    by_tgt = {}  # (u, tgt_j) -> [(j, ract[(u, j)])]
+    for (u, j), m in X.ract.items():
+        act[pair_index[(idem[u], j)]] = m
+        by_tgt.setdefault((u, A.basis[j].tgt), []).append((j, m))
+    for (i, v), la in X.lact.items():
+        act[pair_index[(i, idem[v])]] = la
+        for j, ra in by_tgt.get((A.basis[i].tgt, v), ()):
+            act[pair_index[(i, j)]] = ra * la
+    dims = {x: X.dims[x] for x in E.vertices}
+    return Module(E, dims, dict(sorted(act.items())), name=X.name)
 
 
 def env_module_to_bimodule(M: Module, alg: Algebra):

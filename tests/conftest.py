@@ -5,11 +5,20 @@ import pytest
 import quivercy
 from quivercy.algebra import Algebra, BasisElt, build_algebra, enveloping
 from quivercy.constructions import DynkinQuiver, _dynkin_edges
+from quivercy.cy import _k0_powers, _permutation_sign, _shift_sign, dual_regular_perf
 from quivercy.errors import InvalidSpec, NotNilpotent
-from quivercy.homology import PerfComplex, _module_resolution, ext_dims_upto, homology_module
+from quivercy.homology import (
+    PerfComplex,
+    _module_resolution,
+    ext_dims_upto,
+    global_dimension,
+    homology_module,
+    minimize,
+)
 from quivercy.linalg import Mat, independent_subset, span_basis
 from quivercy.module import (
     Bimodule,
+    Module,
     Morphism,
     _sub_from_columns,
     bimodule_to_env_module,
@@ -551,6 +560,141 @@ def ext_bimodule_oracle(alg, n):
     out = env_module_to_bimodule(H, alg)
     out.name = "T"
     return out
+
+
+# -- the untwisted check as it was -------------------------------------
+
+
+def bimodule_to_env_module_oracle(X: Bimodule):
+    """module.bimodule_to_env_module as it was before it visited only the
+    stored blocks: i (x) j^op acts by ract_mat(tgt_i, j) * lact_mat(i,
+    tgt_j), for every pair of basis elements."""
+    A = X.left_alg
+    E = enveloping(A)
+    _, _, pair_index = E.tensor_info
+    dims = {x: X.dims[x] for x in E.vertices}
+    act = {}
+    for (i, j), k in pair_index.items():
+        bi = A.basis[i]
+        if bi.degree + A.basis[j].degree == 0:
+            continue
+        m = X.ract_mat(bi.tgt, j) * X.lact_mat(i, A.basis[j].tgt)
+        if not m.is_zero():
+            act[k] = m
+    return Module(E, dims, act, name=X.name)
+
+
+def tensor_complex_over_base(C: PerfComplex, D: PerfComplex, alg, E):
+    """Tensor product over the base algebra of two complexes of
+    enveloping-projective bimodules, again based in such bimodules, in
+    coordinates: the untwisted check's tensor powers before they were
+    Nakayama powers of the enveloping algebra.
+
+    The projective at the vertex pair (u, v) tensored with the one at
+    (u2, v2) splits into one copy of the projective at (u, v2) for every
+    algebra basis element from u2 to v.
+    """
+    a, aop, pair_index = E.tensor_info
+    rev = {k: ij for ij, k in pair_index.items()}
+    idem = alg.idem
+    mid = {}
+    for u in alg.vertices:
+        for v in alg.vertices:
+            mid[(v, u)] = [i for i, b in enumerate(alg.basis)
+                           if b.tgt == v and b.src == u]
+    # summand lists per total degree: (p, r, s, middle basis index)
+    terms = {}
+    layout = {}
+    pos = {}
+    for p, ct in C.terms.items():
+        for q, dt in D.terms.items():
+            k = p + q
+            for r, (u, v) in enumerate(ct):
+                for s, (u2, v2) in enumerate(dt):
+                    for bidx in mid[(v, u2)]:
+                        terms.setdefault(k, []).append((u, v2))
+                        layout.setdefault(k, []).append((p, r, s, bidx))
+    for k, lst in layout.items():
+        for c, ent in enumerate(lst):
+            pos[(k, ent)] = c
+
+    def add_elt(entry, eidx, coeff):
+        cur = entry.get(eidx, 0) + coeff
+        if cur:
+            entry[eidx] = cur
+        elif eidx in entry:
+            del entry[eidx]
+
+    diffs = {}
+    for k in terms:
+        if k + 1 not in terms:
+            continue
+        d = [[{} for _ in layout[k]] for _ in layout[k + 1]]
+        for col, (p, r, s, bidx) in enumerate(layout[k]):
+            q = k - p
+            b = alg.basis[bidx]
+            # first-factor differential, degree p -> p+1
+            em = C.diffs.get(p)
+            if em is not None:
+                for r2 in range(len(em)):
+                    elt = em[r2][r]
+                    if not elt:
+                        continue
+                    for eidx, cc in elt.items():
+                        ii, jj = rev[eidx]
+                        prod = alg.mul(jj, bidx)  # j * b
+                        for b2, cb in prod.items():
+                            row = pos.get((k + 1, (p + 1, r2, s, b2)))
+                            if row is None:
+                                continue
+                            out_eidx = pair_index[(ii, idem[D.terms[q][s][1]])]
+                            add_elt(d[row][col], out_eidx, cc * cb)
+            # second-factor differential, degree q -> q+1, sign (-1)^p
+            em2 = D.diffs.get(q)
+            if em2 is not None:
+                sign = 1 if p % 2 == 0 else -1
+                for s2 in range(len(em2)):
+                    elt = em2[s2][s]
+                    if not elt:
+                        continue
+                    for eidx, cc in elt.items():
+                        ii, jj = rev[eidx]
+                        prod = alg.mul(bidx, ii)  # b * i
+                        for b2, cb in prod.items():
+                            row = pos.get((k + 1, (p, r, s2, b2)))
+                            if row is None:
+                                continue
+                            u = C.terms[p][r][0]
+                            out_eidx = pair_index[(idem[u], jj)]
+                            add_elt(d[row][col], out_eidx, sign * cc * cb)
+        diffs[k] = d
+    return PerfComplex(E, terms, diffs)
+
+
+def check_untwisted_cy_oracle(alg, ell, m, cap=None):
+    """cy.check_untwisted_cy as it was before it took Nakayama powers of
+    the enveloping algebra: the K_0 gate, then DA^(x ell) as ell - 1
+    minimized tensor products over the algebra with the E-resolution P0
+    of DA, compared with the regular bimodule."""
+    if ell < 1:
+        raise ValueError("ell must be positive")
+    global_dimension(alg, cap)
+    *_, power = _k0_powers(alg, ell)
+    if (_permutation_sign(power) != _shift_sign(m)
+            or not all(row[i] for i, row in enumerate(power))):
+        return False
+    E = enveloping(alg)
+    P0 = C = dual_regular_perf(alg)
+    for _ in range(ell - 1):
+        C = minimize(tensor_complex_over_base(P0, C, alg, E))
+    table = C.cohomology_table()
+    if set(table) != {-m}:
+        return False
+    H = table[-m]
+    reg = env_module(alg, regular_bimodule)
+    if H.dim_vector() != reg.dim_vector():
+        return False
+    return bool(is_isomorphic(H, reg))
 
 
 def tensor_algebra_oracle(alg: Algebra, T: Bimodule, cap=24, name=None):

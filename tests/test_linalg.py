@@ -99,6 +99,8 @@ def test_transpose_and_stacks():
     m = mat([[1, 2, 3], [4, 5, 6]])
     t = m.transpose()
     assert (t.rows, t.cols) == (3, 2)
+    one = mat([[7]])
+    assert one.transpose() is one  # never changed after build, so shared
     d = Mat.block_diag([mat([[1]]), mat([[2, 0], [0, 3]])])
     assert (d.rows, d.cols) == (3, 3)
     assert d.a[0][1] == 0

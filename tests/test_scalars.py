@@ -98,6 +98,11 @@ class _Scalars:
         for em in P.diffs.values():
             self.eltmat(em)
 
+    def mod_complex(self, C):
+        for f in C.diffs.values():
+            for m in f.mats.values():
+                self.mat(m)
+
     def algebra(self, alg):
         for prod in alg.mult.values():
             for c in prod.values():
@@ -111,8 +116,9 @@ class _Scalars:
 
 @pytest.fixture()
 def seen(monkeypatch):
-    """A _Scalars that also sees every Nakayama power and minimized
-    tensor power the CY checks compute, and the modules they compare."""
+    """A _Scalars that also sees every Nakayama power the CY checks
+    compute, the E-resolution the untwisted check starts from and the
+    last tensor power it reads, and the modules they compare."""
     s = _Scalars()
 
     def watch(fn, check):
@@ -130,7 +136,8 @@ def seen(monkeypatch):
         return real_iso(M, N)
 
     monkeypatch.setattr(cy, "nakayama", watch(cy.nakayama, s.complex))
-    monkeypatch.setattr(cy, "minimize", watch(cy.minimize, s.complex))
+    monkeypatch.setattr(cy, "dual_regular_perf", watch(cy.dual_regular_perf, s.complex))
+    monkeypatch.setattr(cy, "tensor_complex", watch(cy.tensor_complex, s.mod_complex))
     monkeypatch.setattr(cy, "is_isomorphic", is_isomorphic)
     return s
 
