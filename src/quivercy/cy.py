@@ -19,6 +19,9 @@ i, and sigma is a permutation, nu^ell A = A[n (ell - k)]
 The tower route iterates nu on the regular module and looks for a
 shifted copy of the regular module.  It decides algebras whose orbits
 give no certificate, such as those that are not n-representation-finite.
+The powers A, nu A, nu^2 A, ... are kept per algebra and cap
+(`nakayama_power`), and both `check_twisted_cy` and the search read
+them there, so no power of one algebra is computed twice.
 
 The untwisted check computes the derived tensor powers of the dual
 regular bimodule as powers of the Nakayama functor of the enveloping
@@ -165,17 +168,34 @@ def check_twisted_cy(alg, ell, m, cap=None):
     """True when the ell-th power of the derived Nakayama functor sends
     the regular module to its shift by m, up to automorphism twist.
     False without any Nakayama power unless N^ell = (-1)^m * (permutation
-    matrix) on K_0."""
+    matrix) on K_0.  nu^ell of the regular module is read from the
+    algebra's tower for this cap (`nakayama_power`), which the search
+    shares."""
     if ell < 1:
         raise ValueError("ell must be positive")
     global_dimension(alg, cap)  # raises CapExceeded when not finite
     *_, power = _k0_powers(alg, ell)
     if _permutation_sign(power) != _shift_sign(m):
         return False
-    C = stalk_regular(alg)
-    for _ in range(ell):
-        C = nakayama(C, cap=cap)
-    return is_shifted_regular(C) == m
+    return is_shifted_regular(nakayama_power(alg, ell, cap)) == m
+
+
+@per_algebra
+def _nakayama_tower(alg, cap):
+    """[A, nu A, nu^2 A, ...] as far as built under the width cap, which
+    is positional so that a tower never serves another cap."""
+    return [stalk_regular(alg)]
+
+
+def nakayama_power(alg, k, cap=None):
+    """nu^k of the regular module.  The powers are kept per algebra and
+    cap; the ones past the highest built are made one at a time by
+    `nakayama` and appended.  When one raises CapExceeded the powers
+    before it stay kept, and the next call raises at the same power."""
+    tower = _nakayama_tower(alg, cap)
+    while len(tower) <= k:
+        tower.append(nakayama(tower[-1], cap=cap))
+    return tower[k]
 
 
 TOWER_ROUTE = "one-sided nakayama power"
@@ -193,13 +213,15 @@ def find_twisted_cy(alg, ell_max=24, m_max=24, cap=None):
     nu^ell_i P_i = P_sigma(i)[n (ell_i - 1)], and `certificate_from_orbits`
     chains these into nu^ell A = A[m].  Each orbit is walked to at most
     the largest candidate stages (ell_i <= ell), and `decide_nrf` at that
-    n has already kept the walks on the algebra.  The tower route
-    iterates nu on the regular module; here it tests only the candidates
-    below the orbit ell, so that the answer is minimal.  When the orbits give no
-    certificate within ell_max and m_max, the tower tests every
-    candidate, and no Nakayama power past the last one tested is
-    computed.  Raises CapExceeded when the global dimension or a computed
-    Nakayama power exceeds the cap, which leaves the search undecided."""
+    n has already kept the walks on the algebra.  The tower route reads
+    nu^ell of the regular module from the algebra's tower for this cap
+    (`nakayama_power`), which `check_twisted_cy` shares; here it tests
+    only the candidates below the orbit ell, so that the answer is
+    minimal.  When the orbits give no certificate within ell_max and
+    m_max, the tower tests every candidate, and no Nakayama power past
+    the last one tested is computed.  Raises CapExceeded when the global
+    dimension or a computed Nakayama power exceeds the cap, which leaves
+    the search undecided."""
     n = global_dimension(alg, cap)
     candidates = list(k0_candidates(alg, ell_max))
     if not candidates:
@@ -248,13 +270,8 @@ def certificate_from_orbits(report):
 def _tower_search(alg, candidates, m_max, cap):
     """The first (ell, eps) of candidates at which nu^ell of the regular
     module is its shift by some m in [0, m_max], as a certificate."""
-    C = stalk_regular(alg)
-    reached = 0
     for ell, eps in candidates:
-        for _ in range(ell - reached):
-            C = nakayama(C, cap=cap)
-        reached = ell
-        m = is_shifted_regular(C)
+        m = is_shifted_regular(nakayama_power(alg, ell, cap))
         if m is None:
             continue
         if _shift_sign(m) != eps:

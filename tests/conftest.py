@@ -13,7 +13,10 @@ from quivercy.homology import (
     ext_dims_upto,
     global_dimension,
     homology_module,
+    is_shifted_regular,
     minimize,
+    nakayama,
+    stalk_regular,
 )
 from quivercy.linalg import Mat, independent_subset, span_basis
 from quivercy.module import (
@@ -695,6 +698,31 @@ def check_untwisted_cy_oracle(alg, ell, m, cap=None):
     if H.dim_vector() != reg.dim_vector():
         return False
     return bool(is_isomorphic(H, reg))
+
+
+def nakayama_powers_oracle(alg, ell_max, cap=None):
+    """[nu A, nu^2 A, ..., nu^ell_max A] by one loop of `nakayama` from the
+    stalk complex of the regular module, keeping nothing on the algebra:
+    the loop that cy.check_twisted_cy ran per call before the powers
+    were kept per algebra and cap."""
+    C = stalk_regular(alg)
+    out = []
+    for _ in range(ell_max):
+        C = nakayama(C, cap=cap)
+        out.append(C)
+    return out
+
+
+def check_twisted_cy_oracle(alg, ell, m, cap=None):
+    """cy.check_twisted_cy as it was before it read the per-algebra
+    tower: the K_0 gate, then ell fresh Nakayama powers."""
+    if ell < 1:
+        raise ValueError("ell must be positive")
+    global_dimension(alg, cap)
+    *_, power = _k0_powers(alg, ell)
+    if _permutation_sign(power) != _shift_sign(m):
+        return False
+    return is_shifted_regular(nakayama_powers_oracle(alg, ell, cap)[-1]) == m
 
 
 def tensor_algebra_oracle(alg: Algebra, T: Bimodule, cap=24, name=None):

@@ -3,7 +3,12 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import corpus_algebra, projective_module
+from conftest import (
+    check_twisted_cy_oracle,
+    corpus_algebra,
+    nakayama_powers_oracle,
+    projective_module,
+)
 from quivercy import ar, cy
 from quivercy.ar import decide_nrf
 from quivercy.constructions import TypeAQuiver, cut_algebra, enumerate_cuts
@@ -19,7 +24,9 @@ from quivercy.cy import (
     find_twisted_cy,
     k0_candidates,
     k0_nakayama,
+    nakayama_power,
 )
+from quivercy.errors import CapExceeded
 from quivercy.homology import global_dimension, is_shifted_regular, nakayama, stalk_regular
 from quivercy.module import injective_module
 
@@ -253,6 +260,124 @@ def test_orbits_are_walked_once(monkeypatch):
     calls = _counting(monkeypatch, ar, "tau_n")
     assert (find_twisted_cy(alg).ell, decide_nrf(alg, 1).is_nrf) == (2, True)
     assert calls == []
+
+
+# -- the Nakayama tower, kept per algebra and cap -------------------------
+
+STEMS = [*CORPUS_CERTS, "kronecker"]
+GLDIM = dict.fromkeys(STEMS, 1) | {"a2_tensor_a2": 2}
+
+
+@pytest.mark.parametrize("stem", STEMS)
+def test_tower_matches_the_loop(stem):
+    alg = corpus_algebra(stem)
+    # extend the tower in steps, then read every power back
+    for k in (3, 1, 8):
+        nakayama_power(alg, k)
+    powers = [nakayama_power(alg, k) for k in range(1, 9)]
+    for k, (P, Q) in enumerate(zip(powers, nakayama_powers_oracle(corpus_algebra(stem), 8)), 1):
+        assert (P.terms, P.diffs) == (Q.terms, Q.diffs), k
+
+
+def _search(alg):
+    cert = find_twisted_cy(alg)
+    return cert and cert.to_dict()
+
+
+def _scan(alg, check):
+    return [(ell, m) for ell in range(2, 7) for m in range(2 * ell) if check(alg, ell, m)]
+
+
+@pytest.mark.parametrize("stem", STEMS)
+def test_scan_and_search_agree_in_either_order(stem):
+    fresh = (_search(corpus_algebra(stem)), _scan(corpus_algebra(stem), check_twisted_cy_oracle))
+    alg = corpus_algebra(stem)
+    scan = _scan(alg, check_twisted_cy)
+    assert (_search(alg), scan) == fresh
+    alg = corpus_algebra(stem)
+    search = _search(alg)
+    assert (search, _scan(alg, check_twisted_cy)) == fresh
+
+
+# nakayama calls of the benchmark's corpus_cy operation on a fresh
+# algebra: each power is built once.  Building the powers afresh per
+# check and per search made 12 for a2_tensor_a2 and 8 for a3_stable.
+CORPUS_CY_CALLS = {"a2": 0, "a3_linear": 0, "a3_stable": 6, "a4_linear": 0,
+                   "a5_stable": 3, "d4": 3, "a2_tensor_a2": 6}
+
+
+@pytest.mark.parametrize("stem", CORPUS_CY_CALLS)
+def test_corpus_cy_operation_builds_each_power_once(stem, monkeypatch):
+    alg = corpus_algebra(stem)
+    n = GLDIM[stem]
+    calls = _counting(monkeypatch, cy, "nakayama")
+    decide_nrf(alg, n)
+    find_twisted_cy(alg)
+    for ell in range(2, 7):
+        check_twisted_cy(alg, ell, n * (ell - 1))
+    assert len(calls) == CORPUS_CY_CALLS[stem]
+
+
+def test_a_deep_tower_is_built_without_recursion():
+    # nu^3 A = A[1] for A2; a memo that built nu^k from nu^(k-1) by
+    # recursion would exceed the interpreter's recursion limit here
+    assert check_twisted_cy(corpus_algebra("a2"), 1200, 400)
+
+
+@pytest.mark.parametrize("stem, cap, raises", [
+    ("a2", 1, True), ("a2", 2, False), ("a2_tensor_a2", 2, True), ("a2_tensor_a2", 3, False),
+])
+def test_a_capped_check_builds_its_own_tower(stem, cap, raises, monkeypatch):
+    # both raising caps pass global_dimension and raise in the projective
+    # replacement of nu A
+    ell, m = CORPUS_CERTS[stem]
+    calls = _counting(monkeypatch, cy, "nakayama")
+
+    def outcome(alg):
+        calls.clear()
+        try:
+            out = check_twisted_cy(alg, ell, m, cap)
+        except CapExceeded as exc:
+            out = f"CapExceeded: {exc}"
+        return out, len(calls)
+
+    fresh = outcome(corpus_algebra(stem))
+    assert fresh[0] == ("CapExceeded: projective replacement exceeded the width cap"
+                        if raises else True)
+    alg = corpus_algebra(stem)
+    assert check_twisted_cy(alg, ell, m) and calls
+    assert outcome(alg) == fresh
+    # a raising power is not kept: the next call raises at it again
+    assert outcome(alg) == (fresh if raises else (True, 0))
+
+
+def test_a_cap_exceeded_mid_tower_keeps_the_powers_below_it(monkeypatch):
+    alg = corpus_algebra("a2")
+    nu2 = nakayama_power(alg, 2)
+    real = cy.nakayama
+    calls = []
+
+    def capped(P, cap=None):
+        calls.append(P)
+        if P is nu2:
+            raise CapExceeded("projective replacement exceeded the width cap")
+        return real(P, cap=cap)
+
+    monkeypatch.setattr(cy, "nakayama", capped)
+    for _ in range(2):
+        with pytest.raises(CapExceeded):
+            check_twisted_cy(alg, 3, 1)
+    assert calls == [nu2, nu2]
+    assert nakayama_power(alg, 2) is nu2
+
+
+@pytest.mark.parametrize("stem", ["a2", "kronecker"])
+def test_no_candidate_to_test_builds_no_tower(stem):
+    # a2's orbits give its least candidate ell, so no candidate is left
+    # below it; Kronecker has none
+    alg = corpus_algebra(stem)
+    find_twisted_cy(alg)
+    assert (cy._nakayama_tower.__wrapped__, (None,)) not in alg._cache
 
 
 # -- the ell rule on synthetic orbit tables --------------------------------
