@@ -3,7 +3,8 @@
 A twisted certificate (ell, m) says that the ell-th power of the derived
 Nakayama functor nu sends the regular module to its shift by m, one-sided,
 which certifies the isomorphism up to an algebra automorphism twist.
-`find_twisted_cy` reaches it by one of two routes.
+`_least_certificate` reaches the least one by one of two routes, for
+both `check_twisted_cy` and `find_twisted_cy`.
 
 The tau_n orbits route reads it off the orbits that `decide_nrf` walks,
 following the proof that every n-representation-finite algebra is twisted
@@ -20,8 +21,19 @@ The tower route iterates nu on the regular module and looks for a
 shifted copy of the regular module.  It decides algebras whose orbits
 give no certificate, such as those that are not n-representation-finite.
 The powers A, nu A, nu^2 A, ... are kept per algebra and cap
-(`nakayama_power`), and both `check_twisted_cy` and the search read
-them there, so no power of one algebra is computed twice.
+(`nakayama_power`), so no power of one algebra is computed twice.
+
+Both the check and the search answer from the least certificate (ell0,
+m0) (`_least_certificate`): nu^ell A = A[m] holds exactly when ell0
+divides ell and m = (ell / ell0) m0.  At finite global dimension nu is
+a triangle functor of D^b(mod A), the Serre functor (Happel), so it
+commutes with shifts and keeps isomorphisms.  If ell = q ell0, then
+nu^ell A = nu^((q-1) ell0)(A[m0]) = ... = A[q m0], and as A is nonzero
+no other shift of A is isomorphic to it.  Conversely let nu^ell A =
+A[m] with ell = q ell0 + r and 0 < r < ell0.  Then A[m] = nu^r(nu^(q
+ell0) A) = (nu^r A)[q m0], so nu^r A = A[m - q m0], against the
+minimality of ell0.  So a check computes no Nakayama power past ell0,
+and none at all when the orbits give ell0.
 
 The untwisted check computes the derived tensor powers of the dual
 regular bimodule as powers of the Nakayama functor of the enveloping
@@ -168,16 +180,22 @@ def check_twisted_cy(alg, ell, m, cap=None):
     """True when the ell-th power of the derived Nakayama functor sends
     the regular module to its shift by m, up to automorphism twist.
     False without any Nakayama power unless N^ell = (-1)^m * (permutation
-    matrix) on K_0.  nu^ell of the regular module is read from the
-    algebra's tower for this cap (`nakayama_power`), which the search
-    shares."""
+    matrix) on K_0.  Otherwise the answer is read off the least
+    certificate (ell0, m0) with ell0 <= ell: True exactly when ell0
+    divides ell and m = (ell / ell0) m0.  For nu^(q ell0) A = A[q m0],
+    and nu^ell A = A[m] with ell = q ell0 + r, 0 < r < ell0, would give
+    nu^r A = A[m - q m0] below ell0 (module docstring).  No power past
+    ell0 is built, and none when the tau_n orbits give ell0.  Raises
+    CapExceeded when the global dimension or a Nakayama power that is
+    built exceeds the cap."""
     if ell < 1:
         raise ValueError("ell must be positive")
     global_dimension(alg, cap)  # raises CapExceeded when not finite
-    *_, power = _k0_powers(alg, ell)
-    if _permutation_sign(power) != _shift_sign(m):
+    candidates = list(k0_candidates(alg, ell))
+    if (ell, _shift_sign(m)) not in candidates:
         return False
-    return is_shifted_regular(nakayama_power(alg, ell, cap)) == m
+    cert = _least_certificate(alg, candidates, cap)
+    return cert is not None and ell % cert.ell == 0 and m == ell // cert.ell * cert.m
 
 
 @per_algebra
@@ -203,9 +221,24 @@ ORBIT_ROUTE = "tau_n orbits"
 
 
 def find_twisted_cy(alg, ell_max=24, m_max=24, cap=None):
-    """Smallest ell admitting a twisted certificate, or None when no ell up
-    to ell_max admits one.  Only the ell of `k0_candidates` can carry one;
-    with none, no orbit is walked and no Nakayama power is computed.
+    """The least twisted certificate (ell0, m0) when ell0 <= ell_max and
+    0 <= m0 <= m_max, else None.  No larger ell can carry an m in
+    [0, m_max] instead: by the rule of the module docstring the
+    certificates are exactly (k ell0, k m0) for k >= 1, and k m0 lies in
+    [0, m_max] only if m0 does.  Only the ell of `k0_candidates` can
+    carry a certificate; with none, no orbit is walked and no Nakayama
+    power is computed.  Raises CapExceeded when the global dimension or a
+    computed Nakayama power exceeds the cap, which leaves the search
+    undecided."""
+    global_dimension(alg, cap)
+    cert = _least_certificate(alg, list(k0_candidates(alg, ell_max)), cap)
+    return cert if cert is not None and 0 <= cert.m <= m_max else None
+
+
+def _least_certificate(alg, candidates, cap):
+    """The twisted certificate (ell0, m0) with ell0 least, whatever m0,
+    or None when no ell of candidates, the list of `k0_candidates`,
+    carries one.
 
     The tau_n orbits route comes first, at n = gl.dim.  Each stage X of
     a walked orbit has Ext^i(X, A) = 0 for i != n, so nu X = tau_n X [n];
@@ -213,28 +246,25 @@ def find_twisted_cy(alg, ell_max=24, m_max=24, cap=None):
     nu^ell_i P_i = P_sigma(i)[n (ell_i - 1)], and `certificate_from_orbits`
     chains these into nu^ell A = A[m].  Each orbit is walked to at most
     the largest candidate stages (ell_i <= ell), and `decide_nrf` at that
-    n has already kept the walks on the algebra.  The tower route reads
-    nu^ell of the regular module from the algebra's tower for this cap
-    (`nakayama_power`), which `check_twisted_cy` shares; here it tests
-    only the candidates below the orbit ell, so that the answer is
-    minimal.  When the orbits give no certificate within ell_max and
-    m_max, the tower tests every candidate, and no Nakayama power past
-    the last one tested is computed.  Raises CapExceeded when the global
-    dimension or a computed Nakayama power exceeds the cap, which leaves
-    the search undecided."""
-    n = global_dimension(alg, cap)
-    candidates = list(k0_candidates(alg, ell_max))
+    n has already kept the walks on the algebra.  The tower route then
+    tests only the candidates below the orbit ell, so that the answer is
+    least; when the orbits give no certificate within the candidates, it
+    tests every candidate.  It reads nu^ell of the regular module from
+    the algebra's tower for this cap (`nakayama_power`), and computes no
+    power past the first certificate it finds."""
     if not candidates:
         return None
+    n = global_dimension(alg, cap)
+    last = candidates[-1][0]
     report = NrfReport(alg, n)
-    cert = certificate_from_orbits(report) if walk_orbits(report, candidates[-1][0]) else None
-    if cert is None or cert.ell > ell_max or cert.m > m_max:
-        return _tower_search(alg, candidates, m_max, cap)
+    cert = certificate_from_orbits(report) if walk_orbits(report, last) else None
+    if cert is None or cert.ell > last:
+        return _tower_search(alg, candidates, cap)
     if (cert.ell, _shift_sign(cert.m)) not in candidates:
         raise AssertionError(f"the tau_{n} orbits give nu^{cert.ell} of the regular module "
                              f"as its shift by {cert.m}, which K_0 rules out")
     below = [(ell, eps) for ell, eps in candidates if ell < cert.ell]
-    return _tower_search(alg, below, m_max, cap) or cert
+    return _tower_search(alg, below, cap) or cert
 
 
 def certificate_from_orbits(report):
@@ -267,9 +297,9 @@ def certificate_from_orbits(report):
     return CyCertificate(top, ms.pop(), twisted=True, evidence={"route": ORBIT_ROUTE})
 
 
-def _tower_search(alg, candidates, m_max, cap):
+def _tower_search(alg, candidates, cap):
     """The first (ell, eps) of candidates at which nu^ell of the regular
-    module is its shift by some m in [0, m_max], as a certificate."""
+    module is a shift of it, as a certificate."""
     for ell, eps in candidates:
         m = is_shifted_regular(nakayama_power(alg, ell, cap))
         if m is None:
@@ -277,8 +307,7 @@ def _tower_search(alg, candidates, m_max, cap):
         if _shift_sign(m) != eps:
             raise AssertionError(f"nu^{ell} of the regular module is its shift by {m}, "
                                  f"but N^{ell} on K_0 has sign {eps}")
-        if 0 <= m <= m_max:
-            return CyCertificate(ell, m, twisted=True, evidence={"route": TOWER_ROUTE})
+        return CyCertificate(ell, m, twisted=True, evidence={"route": TOWER_ROUTE})
     return None
 
 

@@ -5,7 +5,18 @@ import pytest
 import quivercy
 from quivercy.algebra import Algebra, BasisElt, build_algebra, enveloping
 from quivercy.constructions import DynkinQuiver, _dynkin_edges
-from quivercy.cy import _k0_powers, _permutation_sign, _shift_sign, dual_regular_perf
+from quivercy.ar import NrfReport, walk_orbits
+from quivercy.cy import (
+    TOWER_ROUTE,
+    CyCertificate,
+    _k0_powers,
+    _permutation_sign,
+    _shift_sign,
+    certificate_from_orbits,
+    dual_regular_perf,
+    k0_candidates,
+    nakayama_power,
+)
 from quivercy.errors import InvalidSpec, NotNilpotent
 from quivercy.homology import (
     PerfComplex,
@@ -723,6 +734,36 @@ def check_twisted_cy_oracle(alg, ell, m, cap=None):
     if _permutation_sign(power) != _shift_sign(m):
         return False
     return is_shifted_regular(nakayama_powers_oracle(alg, ell, cap)[-1]) == m
+
+
+def find_twisted_cy_oracle(alg, ell_max=24, m_max=24, cap=None):
+    """cy.find_twisted_cy as it was before it answered from the least
+    certificate: the orbit certificate when it lies within ell_max and
+    m_max, else the tower tests every K_0 candidate for an m in [0,
+    m_max]; below an orbit certificate the tower tests the candidates
+    under its ell."""
+    n = global_dimension(alg, cap)
+    candidates = list(k0_candidates(alg, ell_max))
+    if not candidates:
+        return None
+    report = NrfReport(alg, n)
+    cert = certificate_from_orbits(report) if walk_orbits(report, candidates[-1][0]) else None
+    if cert is None or cert.ell > ell_max or cert.m > m_max:
+        return _tower_search_oracle(alg, candidates, m_max, cap)
+    assert (cert.ell, _shift_sign(cert.m)) in candidates
+    below = [(ell, eps) for ell, eps in candidates if ell < cert.ell]
+    return _tower_search_oracle(alg, below, m_max, cap) or cert
+
+
+def _tower_search_oracle(alg, candidates, m_max, cap):
+    for ell, eps in candidates:
+        m = is_shifted_regular(nakayama_power(alg, ell, cap))
+        if m is None:
+            continue
+        assert _shift_sign(m) == eps
+        if 0 <= m <= m_max:
+            return CyCertificate(ell, m, twisted=True, evidence={"route": TOWER_ROUTE})
+    return None
 
 
 def tensor_algebra_oracle(alg: Algebra, T: Bimodule, cap=24, name=None):

@@ -9,7 +9,7 @@ cochain complex."""
 import pytest
 
 from conftest import cluster_tilting_oracle, corpus_algebra
-from quivercy import homology
+from quivercy import cy, homology
 from quivercy.ar import decide_nrf
 from quivercy.constructions import TypeAQuiver, cut_algebra, enumerate_cuts
 from quivercy.cy import check_twisted_cy, find_twisted_cy
@@ -227,7 +227,17 @@ def test_frontier_path_scales_no_dense_matrix(monkeypatch):
     alg = _algebra("2_5/0")
     assert decide_nrf(alg, 2).is_nrf is True
     assert find_twisted_cy(alg) is not None
-    # (2, 1) is ruled out on K_0; (3, 1) computes three Nakayama powers
-    a2 = corpus_algebra("a2")
-    assert check_twisted_cy(a2, 2, 1) is False
-    assert check_twisted_cy(a2, 3, 1) is True
+    # (2, 2) is ruled out on K_0; the orbits of the commutative square
+    # give no certificate, so (3, 2) computes three Nakayama powers
+    calls = []
+    real = cy.nakayama
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cy, "nakayama", counting)
+    a2sq = corpus_algebra("a2_tensor_a2")
+    assert check_twisted_cy(a2sq, 2, 2) is False
+    assert check_twisted_cy(a2sq, 3, 2) is True
+    assert len(calls) == 3

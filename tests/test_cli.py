@@ -236,6 +236,18 @@ def test_cy_untwisted_dim_ceiling(runner):
     assert result.exit_code == 2
 
 
+def test_cy_capped_point(runner):
+    # the orbits give a2's certificate (3, 1) with no Nakayama power, so
+    # the width cap is never met; the commutative square's orbits give
+    # none, and its first power exceeds a cap of 2
+    result, doc = run_json(runner, ["cy", corpus("a2"), "--ell", "3", "--m", "1", "--cap", "1"])
+    assert result.exit_code == 0
+    assert doc["passed"] is True
+    result = runner.invoke(main, ["cy", corpus("a2_tensor_a2"), "--ell", "3", "--m", "2",
+                                  "--cap", "2"])
+    assert result.exit_code == 2
+
+
 def test_typea_counts(runner):
     result, doc = run_json(runner, ["typea", "--n", "1", "--s", "3",
                                     "--enumerate-cuts"])

@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     check_twisted_cy_oracle,
     corpus_algebra,
+    find_twisted_cy_oracle,
     nakayama_powers_oracle,
     projective_module,
 )
@@ -300,10 +301,11 @@ def test_scan_and_search_agree_in_either_order(stem):
 
 
 # nakayama calls of the benchmark's corpus_cy operation on a fresh
-# algebra: each power is built once.  Building the powers afresh per
-# check and per search made 12 for a2_tensor_a2 and 8 for a3_stable.
-CORPUS_CY_CALLS = {"a2": 0, "a3_linear": 0, "a3_stable": 6, "a4_linear": 0,
-                   "a5_stable": 3, "d4": 3, "a2_tensor_a2": 6}
+# algebra.  The checks answer from the least certificate, so only
+# a2_tensor_a2, whose orbits give none, builds powers: nu^1..nu^3, where
+# its tower finds (3, 2).
+CORPUS_CY_CALLS = {"a2": 0, "a3_linear": 0, "a3_stable": 0, "a4_linear": 0,
+                   "a5_stable": 0, "d4": 0, "a2_tensor_a2": 3}
 
 
 @pytest.mark.parametrize("stem", CORPUS_CY_CALLS)
@@ -320,8 +322,22 @@ def test_corpus_cy_operation_builds_each_power_once(stem, monkeypatch):
 
 def test_a_deep_tower_is_built_without_recursion():
     # nu^3 A = A[1] for A2; a memo that built nu^k from nu^(k-1) by
-    # recursion would exceed the interpreter's recursion limit here
-    assert check_twisted_cy(corpus_algebra("a2"), 1200, 400)
+    # recursion would exceed the interpreter's recursion limit here.  The
+    # check reads (3, 1) off the orbits and builds no power, so the tower
+    # is driven directly.
+    alg = corpus_algebra("a2")
+    assert check_twisted_cy(alg, 1200, 400)
+    assert is_shifted_regular(nakayama_power(alg, 1200)) == 400
+
+
+def _tower_probe(stem, cap):
+    """a2's orbits decide its check, so its tower is read directly;
+    a2_tensor_a2's orbits give no certificate, so its check reads the
+    tower."""
+    ell, m = CORPUS_CERTS[stem]
+    if stem == "a2":
+        return lambda alg: is_shifted_regular(nakayama_power(alg, ell, cap)) == m
+    return lambda alg: check_twisted_cy(alg, ell, m, cap)
 
 
 @pytest.mark.parametrize("stem, cap, raises", [
@@ -330,13 +346,12 @@ def test_a_deep_tower_is_built_without_recursion():
 def test_a_capped_check_builds_its_own_tower(stem, cap, raises, monkeypatch):
     # both raising caps pass global_dimension and raise in the projective
     # replacement of nu A
-    ell, m = CORPUS_CERTS[stem]
     calls = _counting(monkeypatch, cy, "nakayama")
 
     def outcome(alg):
         calls.clear()
         try:
-            out = check_twisted_cy(alg, ell, m, cap)
+            out = _tower_probe(stem, cap)(alg)
         except CapExceeded as exc:
             out = f"CapExceeded: {exc}"
         return out, len(calls)
@@ -345,14 +360,16 @@ def test_a_capped_check_builds_its_own_tower(stem, cap, raises, monkeypatch):
     assert fresh[0] == ("CapExceeded: projective replacement exceeded the width cap"
                         if raises else True)
     alg = corpus_algebra(stem)
-    assert check_twisted_cy(alg, ell, m) and calls
+    assert _tower_probe(stem, None)(alg) and calls
     assert outcome(alg) == fresh
     # a raising power is not kept: the next call raises at it again
     assert outcome(alg) == (fresh if raises else (True, 0))
 
 
 def test_a_cap_exceeded_mid_tower_keeps_the_powers_below_it(monkeypatch):
-    alg = corpus_algebra("a2")
+    # the orbits of a2_tensor_a2 give no certificate, so its check reads
+    # the tower up to nu^3
+    alg = corpus_algebra("a2_tensor_a2")
     nu2 = nakayama_power(alg, 2)
     real = cy.nakayama
     calls = []
@@ -366,9 +383,79 @@ def test_a_cap_exceeded_mid_tower_keeps_the_powers_below_it(monkeypatch):
     monkeypatch.setattr(cy, "nakayama", capped)
     for _ in range(2):
         with pytest.raises(CapExceeded):
-            check_twisted_cy(alg, 3, 1)
+            check_twisted_cy(alg, 3, 2)
     assert calls == [nu2, nu2]
     assert nakayama_power(alg, 2) is nu2
+
+
+def test_a_capped_check_the_orbits_decide_builds_no_power(monkeypatch):
+    # the tower raises under cap 1 at nu A, as the oracle shows, but the
+    # orbits give a2's certificate (3, 1) without any power
+    with pytest.raises(CapExceeded):
+        check_twisted_cy_oracle(corpus_algebra("a2"), 3, 1, 1)
+    calls = _counting(monkeypatch, cy, "nakayama")
+    alg = corpus_algebra("a2")
+    assert [check_twisted_cy(alg, ell, 1, 1) for ell in (3, 6)] == [True, False]
+    assert check_twisted_cy(alg, 6, 2, 1)
+    assert calls == []
+
+
+# -- the least certificate, cross-checked against the oracles -------------
+
+
+@pytest.mark.parametrize("stem", STEMS)
+def test_check_matches_the_oracle(stem):
+    alg, fresh = corpus_algebra(stem), corpus_algebra(stem)
+    for ell in range(1, 13):
+        for m in range(2 * ell + 1):
+            assert check_twisted_cy(alg, ell, m) == check_twisted_cy_oracle(fresh, ell, m), (ell, m)
+
+
+def test_check_matches_the_oracle_on_2_4_cuts():
+    q = TypeAQuiver(2, 4)
+    for c in enumerate_cuts(q)[::5]:
+        alg, fresh = cut_algebra(q, c), cut_algebra(q, c)
+        global_dimension(alg)
+        signs = dict(k0_candidates(alg, 6))
+        for ell in range(1, 7):
+            # 2 (ell - 1), and the m of ell or ell + 1 that has the sign
+            # of N^ell on K_0, when N^ell is a signed permutation
+            ms = {2 * (ell - 1)}
+            ms |= {m for m in (ell, ell + 1) if ell in signs and (-1) ** m == signs[ell]}
+            for m in sorted(ms):
+                assert check_twisted_cy(alg, ell, m) == check_twisted_cy_oracle(fresh, ell, m), \
+                    (c, ell, m)
+
+
+@pytest.mark.parametrize("stem", STEMS)
+def test_search_matches_the_oracle(stem):
+    alg, fresh = corpus_algebra(stem), corpus_algebra(stem)
+    for ell_max in (1, 2, 3, 4, 5, 6, 24):
+        for m_max in (0, 1, 2, 24):
+            got, want = (f(a, ell_max, m_max) for f, a in
+                         ((find_twisted_cy, alg), (find_twisted_cy_oracle, fresh)))
+            assert (got and got.to_dict()) == (want and want.to_dict()), (ell_max, m_max)
+
+
+def test_the_rule_needs_ell0_to_divide_ell(d4, monkeypatch):
+    # no algebra at hand has its least ell0 above its least K_0
+    # candidate, where divisibility alone decides; so d4, whose K_0
+    # candidates are the multiples of 3 with sign +1, is given the
+    # stand-in least certificate (6, 4), and nu^9 A = A[4] passes the
+    # K_0 gate and 9 // 6 * 4 = 4, but 6 does not divide 9
+    cert = CyCertificate(6, 4, twisted=True)
+    monkeypatch.setattr(cy, "_least_certificate", lambda alg, candidates, cap: cert)
+    assert [check_twisted_cy(d4, ell, m) for ell, m in [(6, 4), (9, 4), (12, 8)]] == \
+        [True, False, True]
+
+
+@pytest.mark.parametrize("stem", CORPUS_CERTS)
+def test_certificates_scale_on_fresh_powers(stem):
+    # the divisibility rule, on powers built by the loop rather than read
+    # off the orbits or the tower: nu^(k ell0) A = A[k m0]
+    ell, m = CORPUS_CERTS[stem]
+    powers = nakayama_powers_oracle(corpus_algebra(stem), 3 * ell)
+    assert [is_shifted_regular(powers[k * ell - 1]) for k in (1, 2, 3)] == [m, 2 * m, 3 * m]
 
 
 @pytest.mark.parametrize("stem", ["a2", "kronecker"])

@@ -17,7 +17,7 @@ import quivercy
 from quivercy import cy, linalg
 from quivercy.ar import decide_nrf
 from quivercy.constructions import TypeAQuiver, cut_algebra, enumerate_cuts
-from quivercy.cy import check_twisted_cy, check_untwisted_cy, find_twisted_cy
+from quivercy.cy import check_twisted_cy, check_untwisted_cy, find_twisted_cy, nakayama_power
 from quivercy.homology import nakayama, stalk_regular
 from quivercy.linalg import inv, rational
 
@@ -120,6 +120,7 @@ def seen(monkeypatch):
     compute, the E-resolution the untwisted check starts from and the
     last tensor power it reads, and the modules they compare."""
     s = _Scalars()
+    s.powers = 0
 
     def watch(fn, check):
         def wrapped(*args, **kw):
@@ -128,6 +129,12 @@ def seen(monkeypatch):
             return out
         return wrapped
 
+    nu = watch(cy.nakayama, s.complex)
+
+    def power(*args, **kw):
+        s.powers += 1
+        return nu(*args, **kw)
+
     real_iso = cy.is_isomorphic
 
     def is_isomorphic(M, N):
@@ -135,7 +142,7 @@ def seen(monkeypatch):
         s.module(N)
         return real_iso(M, N)
 
-    monkeypatch.setattr(cy, "nakayama", watch(cy.nakayama, s.complex))
+    monkeypatch.setattr(cy, "nakayama", power)
     monkeypatch.setattr(cy, "dual_regular_perf", watch(cy.dual_regular_perf, s.complex))
     monkeypatch.setattr(cy, "tensor_complex", watch(cy.tensor_complex, s.mod_complex))
     monkeypatch.setattr(cy, "is_isomorphic", is_isomorphic)
@@ -150,7 +157,11 @@ def test_corpus_scalars(stem, seen):
     find_twisted_cy(alg, ell_max=6 if stem == "kronecker" else 24)
     for m in (0, 1):
         check_twisted_cy(alg, 2, m)
+    # the checks answer from the certificate, which builds a power only
+    # where the orbits give none; read the tower itself
+    nakayama_power(alg, 2)
     seen.algebra(alg)
+    assert seen.powers >= 1
     assert seen.count > 0 and not seen.bad
 
 
