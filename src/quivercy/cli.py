@@ -120,6 +120,8 @@ def cy(file, ell_max, m_max, ell, m, untwisted, dim_ceiling, cap, pretty):
     from .cy import (check_twisted_cy, check_untwisted_cy, cy_dimension, find_twisted_cy,
                      k0_candidates)
 
+    if (ell is None) != (m is None):
+        raise click.UsageError("--ell and --m check one certificate and go together")
     started = time.time()
     alg = _load(file)
     doc = {"command": "cy", "input": file, "untwisted": untwisted}

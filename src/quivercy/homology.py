@@ -21,6 +21,7 @@ from .module import (
     Module,
     Morphism,
     _sub_from_columns,
+    action_matrix,
     column_sum,
     direct_sum,
     dual_module,
@@ -259,21 +260,22 @@ def projective_cover(M: Module):
     P = _sum_info(alg, tuple(verts))
     pos = regular_bimodule(alg).basis_pos
     mats = {w: Mat.zero(M.dims[w], P.dims[w]) for w in alg.vertices}
-    acts = {}  # source vertex -> (target vertex, position, action rows)
-    for i, m in M.act.items():
+    acts = {}  # source vertex -> [(target vertex, position, block triple)]
+    for i, triples in M.blocks().items():
         b = alg.basis[i]
-        if b.degree:
-            acts.setdefault(b.src, []).append((b.tgt, pos[i], m.a))
+        acts.setdefault(b.src, []).extend((b.tgt, pos[i], t) for t in triples)
     for r, (v, j) in enumerate(zip(verts, lifts)):
-        # basis element b of summand r goes to column j of b's action; the
-        # idempotent, first in the basis, to the unit vector itself
+        # basis element b of summand r goes to column j of b's action, in
+        # the one block of b holding it; the idempotent to the unit vector
         mats[v].a[j][P.offs[(r, v)]] = 1
-        for t, p, act in acts.get(v, ()):
-            c = P.offs[(r, t)] + p
-            for row, act_row in zip(mats[t].a, act):
-                x = act_row[j]
-                if x:
-                    row[c] = x
+        for t, p, (r0, c0, blk) in acts.get(v, ()):
+            y = j - c0
+            if 0 <= y < blk.cols:
+                c = P.offs[(r, t)] + p
+                rows = mats[t].a
+                for x, brow in enumerate(blk.a, r0):
+                    if brow[y]:
+                        rows[x][c] = brow[y]
     return P, Morphism(P, M, mats), lifts
 
 
@@ -333,7 +335,7 @@ def _dual_right_module(N: Module):
     one-vertex semisimple algebra on the left, on which a basis element
     acts on the right by the transpose of its action on N."""
     dims = {(0, u): d for u, d in N.dims.items()}
-    ract = {(0, j): m.transpose() for j, m in N.act.items()}
+    ract = {(0, j): action_matrix(N, j).transpose() for j in N.blocks()}
     return Bimodule(semisimple_algebra([0]), N.alg, dims, {}, ract, name=f"D({N.name})")
 
 
@@ -528,31 +530,16 @@ def to_projective_complex(C: ModComplex, cap=None):
         mats = {}
         pi_next = pi.get(i + 1)
         dP_next = P_diffs.get(i + 1)
-        if dP_next is not None:
-            Pnn = P_sums[i + 2]
-            dP_next_mor = _col_sum_diff(R, dP_next, Pnext, Pnn)
-        else:
-            Pnn = None
-            dP_next_mor = None
-        rows2 = Pnn.dims if Pnn else {v: 0 for v in alg.vertices}
+        dP_next_mor = None if dP_next is None else _col_sum_diff(R, dP_next, Pnext, P_sums[i + 2])
         for v in alg.vertices:
             r1 = tgt1.dims[v]
-            r2 = rows2[v]
-            m = Mat.zero(r1 + r2, S.dims[v])
             blk_dc = dC.mats[v] if dC is not None else Mat.zero(r1, Ci.dims[v])
             blk_pi = pi_next.mats[v] if pi_next is not None else Mat.zero(r1, Pn_mod.dims[v])
-            # assemble rows: [d_C, -pi_next] and [0, d_P_next]
-            for r in range(r1):
-                for c in range(Ci.dims[v]):
-                    m.a[r][c] = blk_dc.a[r][c]
-                for c in range(Pn_mod.dims[v]):
-                    m.a[r][Ci.dims[v] + c] = -blk_pi.a[r][c]
+            # the rows [d_C, -pi_next] and [0, d_P_next]
+            rows = [dc + [-x for x in p] for dc, p in zip(blk_dc.a, blk_pi.a)]
             if dP_next_mor is not None:
-                dpm = dP_next_mor.mats[v]
-                for r in range(r2):
-                    for c in range(Pn_mod.dims[v]):
-                        m.a[r1 + r][Ci.dims[v] + c] = dpm.a[r][c]
-            mats[v] = m
+                rows += [[0] * Ci.dims[v] + row for row in dP_next_mor.mats[v].a]
+            mats[v] = Mat(len(rows), S.dims[v], rows)
         # kernel columns give X; cover it
         cols = {v: mats[v].kernel_basis() for v in alg.vertices}
         units = {v: kernel_units(c) for v, c in cols.items()}

@@ -1,11 +1,14 @@
 """Finite dimensional left modules over a based algebra, and bimodules.
 
-A Module stores one vector space dimension per algebra vertex and one
-matrix per basis element that acts nontrivially; the matrix for a basis
-element b is a map M[src(b)] -> M[tgt(b)].  Idempotents act as identity
-on their own vertex and are not stored.  A sum of columns of a bimodule
-is a `ColumnSum`, which reads its action as the bimodule's blocks and
-builds these matrices only when asked for them.
+A Module stores one vector space dimension per algebra vertex and its
+action as `blocks()`: {i: [(row offset, column offset, block)]} for the
+basis elements i of positive degree; i acts by a map M[src(i)] ->
+M[tgt(i)] that is zero outside its blocks.  The blocks are nonzero, and
+those of one element have disjoint row ranges and disjoint column
+ranges.  Idempotents act as identity on their own vertex.  A sum of
+columns of a bimodule is a `ColumnSum`, whose blocks are the bimodule's.
+Readers whose output is whole matrices lay out one element with
+`action_matrix`.
 """
 
 from __future__ import annotations
@@ -18,27 +21,15 @@ from .linalg import Mat, kernel_units, rational
 
 
 class Module:
-    def __init__(self, alg: Algebra, dims, act, name="M"):
+    def __init__(self, alg: Algebra, dims, blocks, name="M"):
         self.alg = alg
         self.dims = dict(dims)
-        # keep only the nonzero action matrices
-        self.act = {i: m for i, m in act.items() if not m.is_zero()}
+        self._blocks = blocks  # {i: [(row offset, column offset, block)]}
         self.name = name
         self._resolution = None  # see homology._module_resolution
 
-    def act_mat(self, i):
-        m = self.act.get(i)
-        if m is not None:
-            return m
-        b = self.alg.basis[i]
-        if b.degree == 0:
-            return Mat.identity(self.dims[b.src])
-        return Mat.zero(self.dims[b.tgt], self.dims[b.src])
-
     def blocks(self):
-        """The stored actions as {i: [(row offset, column offset, block)]};
-        here each is its one matrix."""
-        return {i: ((0, 0, m),) for i, m in self.act.items()}
+        return self._blocks
 
     @property
     def total_dim(self):
@@ -51,24 +42,46 @@ class Module:
         return self.total_dim == 0
 
     def check(self):
-        """Verify the module axioms on the multiplication table."""
-        for i, b in enumerate(self.alg.basis):
-            m = self.act_mat(i)
-            if m.rows != self.dims[b.tgt] or m.cols != self.dims[b.src]:
-                raise ValueError(f"action of {b} has wrong shape")
+        """Verify the block rule of the module docstring and the module
+        axioms on the multiplication table."""
+        for i, triples in self.blocks().items():
+            b = self.alg.basis[i]
+            for n, spans in ((self.dims[b.tgt], [(r0, m.rows) for r0, _, m in triples]),
+                             (self.dims[b.src], [(c0, m.cols) for _, c0, m in triples])):
+                ends = [0] + [x for o, k in sorted(spans) for x in (o, o + k)] + [n]
+                if not b.degree or ends != sorted(ends) or any(m.is_zero() for *_, m in triples):
+                    raise ValueError(f"blocks of {b} are not nonzero and block-diagonal")
         for (i, j), prod in self.alg.mult.items():
             bi, bj = self.alg.basis[i], self.alg.basis[j]
             if bi.src != bj.tgt:
                 continue
-            lhs = self.act_mat(i) * self.act_mat(j)
+            lhs = action_matrix(self, i) * action_matrix(self, j)
             rhs = Mat.zero(lhs.rows, lhs.cols)
             for k, c in prod.items():
-                rhs = rhs + self.act_mat(k).scale(c)
+                rhs = rhs + action_matrix(self, k).scale(c)
             if lhs != rhs:
                 raise ValueError(f"action breaks product {bi} * {bj}")
 
     def __repr__(self):
         return f"Module({self.name}, dims {self.dim_vector()})"
+
+
+def action_matrix(M: Module, i):
+    """The action of basis element i on M as one matrix, for the readers
+    whose output is whole matrices: the block itself when one fills the
+    whole shape, else a new matrix.  Nothing is cached."""
+    b = M.alg.basis[i]
+    rows, cols = M.dims[b.tgt], M.dims[b.src]
+    if not b.degree:
+        return Mat.identity(rows)
+    triples = M.blocks().get(i, ())
+    if len(triples) == 1 and (triples[0][2].rows, triples[0][2].cols) == (rows, cols):
+        return triples[0][2]
+    m = Mat.zero(rows, cols)
+    for r0, c0, blk in triples:
+        for x, row in enumerate(blk.a):
+            m.a[r0 + x][c0:c0 + blk.cols] = row
+    return m
 
 
 class Morphism:
@@ -80,8 +93,8 @@ class Morphism:
     def check(self):
         for g in self.src.alg.generators():
             b = self.src.alg.basis[g]
-            lhs = self.tgt.act_mat(g) * self.mats[b.src]
-            rhs = self.mats[b.tgt] * self.src.act_mat(g)
+            lhs = action_matrix(self.tgt, g) * self.mats[b.src]
+            rhs = self.mats[b.tgt] * action_matrix(self.src, g)
             if lhs != rhs:
                 raise NotAHomomorphism(f"square fails at generator {b}")
 
@@ -139,26 +152,23 @@ def column_sum(X, verts, name=None):
 class ColumnSum(Module):
     """The column sum of a bimodule X at a list of vertices, as a view:
     it stores dims and offsets, and its action is read as the blocks of
-    X.lact_by_col at its columns (`blocks`).  Coordinate offs[(r, w)] + p
-    at vertex w is coordinate p of X[(w, verts[r])].  The dense `act` is
-    built on first read, by `_dense_act`."""
+    X.lact_by_col at its columns, listed on the first call of `blocks`.
+    Coordinate offs[(r, w)] + p at vertex w is coordinate p of
+    X[(w, verts[r])], so the blocks of one element, one per column where
+    it acts, sit block-diagonally."""
 
     def __init__(self, X, verts, name):
-        alg = X.left_alg
-        self.alg = alg
-        self.name = name
-        self._resolution = None
         self.bimodule = X
         self.verts = list(verts)
         self.offs = {}
-        self.dims = {}
-        for w in alg.vertices:
+        dims = {}
+        for w in X.left_alg.vertices:
             n = 0
             for r, u in enumerate(self.verts):
                 self.offs[(r, w)] = n
                 n += X.dims.get((w, u), 0)  # no __missing__ call per absent pair
-            self.dims[w] = n
-        self._blocks = self._act = None
+            dims[w] = n
+        super().__init__(X.left_alg, dims, None, name)
 
     def blocks(self):
         if self._blocks is None:
@@ -172,48 +182,31 @@ class ColumnSum(Module):
                             (offs[(r, b.tgt)], offs[(r, b.src)], blk))
         return self._blocks
 
-    @property
-    def act(self):
-        if self._act is None:
-            self._act = self._dense_act()
-        return self._act
-
-    def _dense_act(self):
-        """A basis element whose one block fills its whole shape, as on a
-        single column, acts by that block itself, shared with X."""
-        act = {}
-        for i, triples in self.blocks().items():
-            b = self.alg.basis[i]
-            rows, cols = self.dims[b.tgt], self.dims[b.src]
-            blk = triples[0][2]
-            if len(triples) == 1 and (blk.rows, blk.cols) == (rows, cols):
-                act[i] = blk
-                continue
-            m = act[i] = Mat.zero(rows, cols)
-            for r0, c0, blk in triples:
-                for x, row in enumerate(blk.a):
-                    m.a[r0 + x][c0 : c0 + blk.cols] = row
-        return act
-
 
 def dual_module(M: Module, op=None, name=None):
-    """k-dual as a left module over the opposite algebra."""
+    """k-dual as a left module over the opposite algebra: each block
+    transposed, with its offsets swapped."""
     op = op or opposite(M.alg)
-    act = {i: m.transpose() for i, m in M.act.items()}
-    return Module(op, dict(M.dims), act, name=name or f"D({M.name})")
+    blocks = {i: [(c0, r0, blk.transpose()) for r0, c0, blk in triples]
+              for i, triples in M.blocks().items()}
+    return Module(op, M.dims, blocks, name=name or f"D({M.name})")
 
 
 def direct_sum(mods, name=None):
-    """The direct sum module, with the summands' coordinates in order."""
+    """The direct sum module, with the summands' coordinates in order: their
+    blocks, shifted by the dimensions of the summands before them."""
     if not mods:
         raise ValueError("empty direct sum")
     alg = mods[0].alg
-    dims = {v: sum(m.dims[v] for m in mods) for v in alg.vertices}
-    keys = set()
+    dims = dict.fromkeys(alg.vertices, 0)
+    blocks = {}
     for m in mods:
-        keys.update(m.act)
-    act = {i: Mat.block_diag([m.act_mat(i) for m in mods]) for i in keys}
-    return Module(alg, dims, act, name=name or "(+)".join(m.name for m in mods))
+        for i, triples in m.blocks().items():
+            b = alg.basis[i]
+            r, c = dims[b.tgt], dims[b.src]
+            blocks.setdefault(i, []).extend((r + r0, c + c0, blk) for r0, c0, blk in triples)
+        dims = {v: d + m.dims[v] for v, d in dims.items()}
+    return Module(alg, dims, blocks, name=name or "(+)".join(m.name for m in mods))
 
 
 def _sub_from_columns(N: Module, cols, units, name="sub"):
@@ -227,7 +220,7 @@ def _sub_from_columns(N: Module, cols, units, name="sub"):
     at the unit coordinates."""
     alg = N.alg
     nonzeros = {}
-    act = {}
+    blocks = {}
     for i, triples in N.blocks().items():
         b = alg.basis[i]
         us, cs = units[b.tgt], cols[b.src]
@@ -258,8 +251,8 @@ def _sub_from_columns(N: Module, cols, units, name="sub"):
                             out = [[0] * len(cs) for _ in us]
                         out[p][k] = out[p][k] + s
         if out is not None:
-            act[i] = Mat(len(us), len(cs), out)
-    return Module(alg, {v: len(cols[v]) for v in alg.vertices}, act, name=name)
+            blocks[i] = ((0, 0, Mat(len(us), len(cs), out)),)
+    return Module(alg, {v: len(cols[v]) for v in alg.vertices}, blocks, name=name)
 
 
 def kernel(fm: Morphism, name=None):
@@ -295,30 +288,40 @@ def _quotient_maps(vectors, n):
 
 def quotient(N: Module, cols_by_vertex, name="quot"):
     """Quotient of N by the invariant subspace spanned by the given column
-    vectors.  Returns (Q, projection)."""
+    vectors.  Returns (Q, projection).  b acts on Q by the projection
+    times b's action times the section: per block of b, a column slice of
+    the projection, the block and a row slice of the section."""
     proj = {}
     sect = {}
     for v in N.alg.vertices:
         proj[v], sect[v] = _quotient_maps(cols_by_vertex.get(v, []), N.dims[v])
     dims = {v: proj[v].rows for v in N.alg.vertices}
-    act = {}
-    for i in list(N.act):
+    blocks = {}
+    for i, triples in N.blocks().items():
         b = N.alg.basis[i]
-        act[i] = proj[b.tgt] * (N.act_mat(i) * sect[b.src])
-    Q = Module(N.alg, dims, act, name=name)
+        p, s = proj[b.tgt], sect[b.src]
+        m = None
+        for r0, c0, blk in triples:
+            part = (Mat(p.rows, blk.rows, [row[r0:r0 + blk.rows] for row in p.a])
+                    * (blk * Mat(blk.cols, s.cols, s.a[c0:c0 + blk.cols])))
+            m = part if m is None else m + part
+        if not m.is_zero():
+            blocks[i] = ((0, 0, m),)
+    Q = Module(N.alg, dims, blocks, name=name)
     return Q, Morphism(N, Q, proj)
 
 
 def radical_columns(M: Module):
     """The nonzero columns of the radical action matrices of M, by the
-    vertex they lie at: a spanning set of rad M.  Only the stored nonzero
-    actions of positive degree are read, so a vertex where M is zero gets
-    no columns."""
+    vertex they lie at: a spanning set of rad M.  A vertex where M is zero
+    gets no columns.  A nonzero column of a block, padded by zeros, is one
+    of the whole action, as no other block shares its columns."""
     cols = {v: [] for v in M.alg.vertices}
-    for g, m in M.act.items():
-        b = M.alg.basis[g]
-        if b.degree:
-            cols[b.tgt].extend(c for c in m.columns() if any(c))
+    for g, triples in M.blocks().items():
+        t = M.alg.basis[g].tgt
+        for r0, _, blk in triples:
+            above, below = [0] * r0, [0] * (M.dims[t] - r0 - blk.rows)
+            cols[t].extend([*above, *c, *below] for c in zip(*blk.a) if any(c))
     return cols
 
 
@@ -345,21 +348,23 @@ def hom(M: Module, N: Module):
         n += N.dims[v] * M.dims[v]
     if n == 0:
         return []
+    # f commutes with generator g when N_g f_u - f_w M_g = 0: one row per
+    # entry (r, c), from row r of N_g and column c of M_g, read off blocks
     rows = []
     for g in alg.generators():
         b = alg.basis[g]
         u, w = b.src, b.tgt
-        NA = N.act_mat(g)
-        MA = M.act_mat(g)
+        nrows = {r0 + x: [(c0 + y, e) for y, e in enumerate(row) if e]
+                 for r0, c0, blk in N.blocks().get(g, ()) for x, row in enumerate(blk.a)}
+        mcols = {c0 + y: [(r0 + x, e) for x, e in enumerate(col) if e]
+                 for r0, c0, blk in M.blocks().get(g, ()) for y, col in enumerate(blk.columns())}
         for r in range(N.dims[w]):
             for c in range(M.dims[u]):
                 row = [0] * n
-                for k in range(N.dims[u]):
-                    if NA.a[r][k]:
-                        row[off[u] + k * M.dims[u] + c] += NA.a[r][k]
-                for k in range(M.dims[w]):
-                    if MA.a[k][c]:
-                        row[off[w] + r * M.dims[w] + k] -= MA.a[k][c]
+                for k, e in nrows.get(r, ()):
+                    row[off[u] + k * M.dims[u] + c] += e
+                for k, e in mcols.get(c, ()):
+                    row[off[w] + r * M.dims[w] + k] -= e
                 if any(row):
                     rows.append(row)
     kb = Mat.from_rows(rows, ncols=n).kernel_basis()
@@ -749,37 +754,30 @@ def bimodule_to_env_module(X: Bimodule):
     act = {}
     by_tgt = {}  # (u, tgt_j) -> [(j, ract[(u, j)])]
     for (u, j), m in X.ract.items():
-        act[pair_index[(idem[u], j)]] = m
+        act[pair_index[(idem[u], j)]] = ((0, 0, m),)
         by_tgt.setdefault((u, A.basis[j].tgt), []).append((j, m))
     for (i, v), la in X.lact.items():
-        act[pair_index[(i, idem[v])]] = la
+        act[pair_index[(i, idem[v])]] = ((0, 0, la),)
         for j, ra in by_tgt.get((A.basis[i].tgt, v), ()):
-            act[pair_index[(i, j)]] = ra * la
+            m = ra * la
+            if not m.is_zero():
+                act[pair_index[(i, j)]] = ((0, 0, m),)
     dims = {x: X.dims[x] for x in E.vertices}
     return Module(E, dims, dict(sorted(act.items())), name=X.name)
 
 
 def env_module_to_bimodule(M: Module, alg: Algebra):
     """Inverse of bimodule_to_env_module for modules over A (x) A^op."""
-    E = M.alg
-    a, aop, pair_index = E.tensor_info
+    a, _, pair_index = M.alg.tensor_info
+    blocks = M.blocks()
     lact, ract = {}, {}
-    for i, bi in enumerate(a.basis):
-        if bi.degree == 0:
-            continue
-        for v in a.vertices:
-            k = pair_index[(i, a.idem[v])]
-            m = M.act.get(k)
-            if m is not None:
-                lact[(i, v)] = m
-    for j, bj in enumerate(a.basis):
-        if bj.degree == 0:
-            continue
-        for u in a.vertices:
-            k = pair_index[(a.idem[u], j)]
-            m = M.act.get(k)
-            if m is not None:
-                ract[(u, j)] = m
+    for (i, j), k in pair_index.items():
+        if k in blocks:
+            bi, bj = a.basis[i], a.basis[j]
+            if not bj.degree:
+                lact[(i, bj.src)] = action_matrix(M, k)
+            elif not bi.degree:
+                ract[(bi.src, j)] = action_matrix(M, k)
     return Bimodule(alg, alg, M.dims, lact, ract, name=M.name)
 
 
@@ -798,11 +796,12 @@ def outer_tensor_module(M: Module, N: Module, t: Algebra, name=None):
     M.alg and N.alg."""
     a, b, pair_index = t.tensor_info
     dims = {(u, v): M.dims[u] * N.dims[v] for u in a.vertices for v in b.vertices}
-    act = {}
-    for (i, j), k in pair_index.items():
-        if a.basis[i].degree + b.basis[j].degree == 0:
-            continue
-        m = M.act_mat(i).kron(N.act_mat(j))
-        if not m.is_zero():
-            act[k] = m
-    return Module(t, dims, act, name=name or f"{M.name}(x){N.name}")
+    # each factor's nonzero actions, its identities and its stored ones
+    ma, na = ({x.alg.idem[v]: Mat.identity(d) for v, d in x.dims.items() if d}
+              | {i: action_matrix(x, i) for i in x.blocks()} for x in (M, N))
+    blocks = {}
+    for i, x in ma.items():
+        for j, y in na.items():
+            if a.basis[i].degree + b.basis[j].degree:
+                blocks[pair_index[(i, j)]] = ((0, 0, x.kron(y)),)
+    return Module(t, dims, dict(sorted(blocks.items())), name=name or f"{M.name}(x){N.name}")

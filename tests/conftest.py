@@ -58,6 +58,58 @@ def corpus_algebra(stem):
     return load_algebra_file(str(CORPUS / (stem + ".alg"))).build(name=stem)
 
 
+# -- the dense reader of module actions --------------------------------
+
+
+def _laid_out(M, i):
+    """The blocks of basis element i placed at their offsets in a dense
+    matrix, summed entry by entry so that overlapping blocks would show."""
+    b = M.alg.basis[i]
+    m = Mat.zero(M.dims[b.tgt], M.dims[b.src])
+    for r0, c0, blk in M.blocks().get(i, ()):
+        for x in range(blk.rows):
+            for y in range(blk.cols):
+                m.a[r0 + x][c0 + y] += blk.a[x][y]
+    return m
+
+
+def dense_action(M):
+    """M's stored actions as dense matrices."""
+    return {i: _laid_out(M, i) for i in M.blocks()}
+
+
+def dense_act_mat(M, i):
+    """The dense action of basis element i on M: the identity at an
+    idempotent and zero where nothing is stored."""
+    b = M.alg.basis[i]
+    return Mat.identity(M.dims[b.src]) if b.degree == 0 else _laid_out(M, i)
+
+
+def dense_module(alg, dims, act, name="M"):
+    """The module with the dense actions act, each stored as one block
+    when it is nonzero."""
+    return Module(alg, dims, {i: [(0, 0, m)] for i, m in act.items() if not m.is_zero()},
+                  name=name)
+
+
+def assert_block_rule(M):
+    """The blocks of each basis element are nonzero, of positive degree,
+    inside its shape and block-diagonal: their row ranges are disjoint,
+    and so are their column ranges."""
+    for i, triples in M.blocks().items():
+        b = M.alg.basis[i]
+        assert b.degree and triples, (M, i)
+        rows, cols = set(), set()
+        for r0, c0, blk in triples:
+            assert not blk.is_zero() and len(blk.a) == blk.rows, (M, i)
+            assert all(len(row) == blk.cols for row in blk.a), (M, i)
+            rs, cs = set(range(r0, r0 + blk.rows)), set(range(c0, c0 + blk.cols))
+            assert not rs & rows and not cs & cols, (M, i)
+            rows |= rs
+            cols |= cs
+        assert rows <= set(range(M.dims[b.tgt])) and cols <= set(range(M.dims[b.src])), (M, i)
+
+
 # -- constructions the program itself does not call ---------------------
 
 
@@ -103,12 +155,13 @@ def classify_homogeneous_dynkin(ell):
 def socle_vertices(M):
     """Dimension of the socle of M at each vertex: the vectors there that
     every radical basis element kills."""
+    act = dense_action(M)
     out = {}
     for v in M.alg.vertices:
         rows = []
         for g in M.alg.radical_indices():
-            if M.alg.basis[g].src == v:
-                rows.extend(M.act_mat(g).a)
+            if M.alg.basis[g].src == v and g in act:
+                rows.extend(act[g].a)
         out[v] = len(Mat.from_rows(rows, ncols=M.dims[v]).kernel_basis())
     return out
 
@@ -180,10 +233,11 @@ def projective_cover_oracle(M):
     maps, lifts), where dims, act and offsets are those of the cover's
     domain."""
     alg = M.alg
+    act = dense_action(M)
     rad = {v: [] for v in alg.vertices}
     for g in alg.radical_indices():
-        if g in M.act:
-            rad[alg.basis[g].tgt].extend(c for c in M.act[g].columns() if any(c))
+        if g in act:
+            rad[alg.basis[g].tgt].extend(c for c in act[g].columns() if any(c))
     verts = []
     lifts = []
     for v in alg.vertices:
@@ -194,7 +248,7 @@ def projective_cover_oracle(M):
                 verts.append(v)
                 lifts.append(j)
     R = regular_bimodule(alg)
-    dims, act, offs = column_sum_oracle(R, verts)
+    dims, P_act, offs = column_sum_oracle(R, verts)
     mats = {}
     for w in alg.vertices:
         m = Mat.zero(M.dims[w], dims[w])
@@ -202,11 +256,11 @@ def projective_cover_oracle(M):
             for c, bidx in enumerate(R.basis_indices.get((w, v), ()), offs[(r, w)]):
                 if alg.basis[bidx].degree == 0:
                     m.a[j][c] = 1
-                elif bidx in M.act:
-                    for row, act_row in zip(m.a, M.act[bidx].a):
+                elif bidx in act:
+                    for row, act_row in zip(m.a, act[bidx].a):
                         row[c] = act_row[j]
         mats[w] = m
-    return verts, dims, act, offs, mats, lifts
+    return verts, dims, P_act, offs, mats, lifts
 
 
 def submodule_oracle(N, cols, units):
@@ -219,7 +273,7 @@ def submodule_oracle(N, cols, units):
         c, d = cols[v], N.dims[v]
         inc[v] = Mat(len(c), d, c).transpose() if c else Mat(d, 0, [[] for _ in range(d)])
     act = {}
-    for i, m in N.act.items():
+    for i, m in dense_action(N).items():
         b = N.alg.basis[i]
         rows = [m.a[u] for u in units[b.tgt]]
         if rows and inc[b.src].cols:
@@ -595,7 +649,7 @@ def bimodule_to_env_module_oracle(X: Bimodule):
         m = X.ract_mat(bi.tgt, j) * X.lact_mat(i, A.basis[j].tgt)
         if not m.is_zero():
             act[k] = m
-    return Module(E, dims, act, name=X.name)
+    return dense_module(E, dims, act, name=X.name)
 
 
 def tensor_complex_over_base(C: PerfComplex, D: PerfComplex, alg, E):

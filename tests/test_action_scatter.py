@@ -8,7 +8,7 @@ cochain complex."""
 
 import pytest
 
-from conftest import cluster_tilting_oracle, corpus_algebra
+from conftest import cluster_tilting_oracle, corpus_algebra, dense_act_mat
 from quivercy import cy, homology
 from quivercy.ar import decide_nrf
 from quivercy.constructions import TypeAQuiver, cut_algebra, enumerate_cuts
@@ -68,7 +68,7 @@ def _hom_cochain_dense(res: PerfComplex, N: Module, top):
                     offr = src_lay[r]
                     blk = None
                     for bidx, c in elt.items():
-                        mm = N.act_mat(bidx).scale(c)
+                        mm = dense_act_mat(N, bidx).scale(c)
                         blk = mm if blk is None else blk + mm
                     for i in range(blk.rows):
                         for j in range(blk.cols):

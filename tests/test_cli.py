@@ -102,6 +102,15 @@ def test_missing_option_exit_code(runner, args):
     assert runner.invoke(main, args).exit_code == 64
 
 
+@pytest.mark.parametrize("opt,val", [("--ell", "5"), ("--m", "1")])
+def test_cy_point_check_needs_both_ell_and_m(runner, opt, val):
+    # either one alone used to be ignored, and the search ran instead
+    result = runner.invoke(main, ["cy", corpus("a2"), opt, val])
+    assert result.exit_code == 64
+    assert "--ell and --m" in result.output
+    assert "Traceback" not in result.output
+
+
 # a number out of its option's range is a usage error too: click's message,
 # no traceback, and no verdict computed from it
 

@@ -9,6 +9,7 @@ import pytest
 from conftest import (
     CORPUS,
     bimodule_to_env_module_oracle,
+    dense_action,
     check_untwisted_cy_oracle,
     corpus_algebra,
 )
@@ -31,7 +32,7 @@ def _assert_same_env_module(alg):
         got, want = bimodule_to_env_module(X), bimodule_to_env_module_oracle(X)
         assert got.alg is want.alg
         assert got.dims == want.dims
-        assert list(got.act.items()) == list(want.act.items())
+        assert list(dense_action(got).items()) == list(dense_action(want).items())
 
 
 @pytest.mark.parametrize("stem", STEMS)

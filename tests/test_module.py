@@ -3,7 +3,14 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from conftest import corpus_algebra, hom_dim, projective_module, radical_submodule, socle_vertices
+from conftest import (
+    corpus_algebra,
+    dense_module,
+    hom_dim,
+    projective_module,
+    radical_submodule,
+    socle_vertices,
+)
 from quivercy.homology import tor
 from quivercy.linalg import Mat
 from quivercy.module import (
@@ -125,13 +132,24 @@ def _kronecker_module(kronecker, a_rows, b_rows):
     square matrices."""
     d = len(a_rows)
     act = {2: Mat.from_rows(a_rows), 3: Mat.from_rows(b_rows)}
-    M = Module(kronecker, {1: d, 2: d}, act)
+    M = dense_module(kronecker, {1: d, 2: d}, act)
     M.check()
     return M
 
 
 def _q(rows):
     return [[Fraction(x) for x in row] for row in rows]
+
+
+def test_check_holds_modules_to_the_block_rule(kronecker):
+    # two 1x1 blocks of a on the diagonal pass; a zero block, two blocks
+    # sharing a row or a column, and a block past the shape do not
+    one = Mat.from_rows([[1]])
+    Module(kronecker, {1: 2, 2: 2}, {2: [(0, 0, one), (1, 1, one)]}).check()
+    for blocks in ([(0, 0, Mat.from_rows([[0]]))], [(0, 0, one), (0, 1, one)],
+                   [(0, 0, one), (1, 0, one)], [(2, 0, one)]):
+        with pytest.raises(ValueError, match="block-diagonal"):
+            Module(kronecker, {1: 2, 2: 2}, {2: blocks}).check()
 
 
 def test_kronecker_with_field_endomorphisms(kronecker):

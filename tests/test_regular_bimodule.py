@@ -6,14 +6,13 @@ stay here as oracles, compared entrywise with the views."""
 
 import pytest
 
-from conftest import CORPUS, corpus_algebra, projective_module
+from conftest import CORPUS, corpus_algebra, dense_action, dense_module, projective_module
 from quivercy.algebra import enveloping, tensor_product
 from quivercy.constructions import TypeAQuiver, cut_algebra, enumerate_cuts, gamma_algebra
 from quivercy.homology import _sum_info
 from quivercy.linalg import Mat
 from quivercy.module import (
     Bimodule,
-    Module,
     direct_sum,
     dual_regular_bimodule,
     injective_module,
@@ -41,7 +40,7 @@ def _oracle_projective(alg, v):
             for k, c in alg.mul(j, i).items():
                 m.a[pos[k]][col] = c
         act[j] = m
-    return Module(alg, dims, act), by_vertex
+    return dense_module(alg, dims, act), by_vertex
 
 
 def _oracle_injective(alg, v):
@@ -61,7 +60,7 @@ def _oracle_injective(alg, v):
                 if c:
                     m.a[row][col] = c
         act[j] = m
-    return Module(alg, dims, act)
+    return dense_module(alg, dims, act)
 
 
 def _oracle_bimodule(alg, dual):
@@ -130,7 +129,7 @@ def _oracle_projective_sum(alg, verts):
             for k, cf in alg.mul(j, bidx).items():
                 m.a[pos[(r, k)]][c] = cf
         act[j] = m
-    return coords, Module(alg, dims, act)
+    return coords, dense_module(alg, dims, act)
 
 
 def _walked_coords(alg, P, w):
@@ -146,8 +145,7 @@ def _walked_coords(alg, P, w):
 
 def _same_module(M, N):
     assert M.dims == N.dims
-    assert M.act.keys() == N.act.keys()
-    assert all(M.act[i] == N.act[i] for i in M.act)
+    assert dense_action(M) == dense_action(N)
 
 
 def _same_bimodule(X, Y):

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import CORPUS, corpus_algebra
+from conftest import CORPUS, corpus_algebra, dense_action
 import quivercy
 from quivercy import cy, linalg
 from quivercy.ar import decide_nrf
@@ -83,7 +83,7 @@ class _Scalars:
                 self.add(x)
 
     def module(self, M):
-        for m in M.act.values():
+        for m in dense_action(M).values():
             self.mat(m)
         if M._resolution is not None:
             self.complex(M._resolution)

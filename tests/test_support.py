@@ -2,30 +2,53 @@
 The scans they replaced are the oracles `column_sum_oracle` and
 `projective_cover_oracle` of conftest; the fast paths must equal them
 entry for entry on the corpus, all 65 (2,4) cuts and every 60th (2,5)
-cut.  A column sum is a view on the bimodule's blocks whose dense action
-is built only when read; the verdicts never read it for several columns,
-and a single column's is the bimodule's own blocks."""
+cut.  A column sum is a view on the bimodule's blocks, listed on first
+read; the verdicts never lay them out as one matrix for several columns,
+and a single column's matrices are the bimodule's own blocks.
+
+Every module stores its action only as block triples, and every reader
+reads those: on the same algebras each equals its dense computation,
+read through conftest's `dense_action`, and every module they return
+keeps the block rule (nonzero, block-diagonal)."""
 
 import functools
 
 import pytest
 
-from conftest import CORPUS, column_sum_oracle, corpus_algebra, projective_cover_oracle, projective_module
-from quivercy import homology
+from conftest import (
+    CORPUS,
+    assert_block_rule,
+    column_sum_oracle,
+    corpus_algebra,
+    dense_act_mat,
+    dense_action,
+    projective_cover_oracle,
+    projective_module,
+)
+from quivercy import homology, module
+from quivercy.algebra import tensor_product
 from quivercy.ar import decide_nrf
 from quivercy.constructions import TypeAQuiver, cut_algebra, enumerate_cuts
-from quivercy.cy import find_twisted_cy
+from quivercy.cy import check_twisted_cy, check_untwisted_cy, find_twisted_cy
 from quivercy.homology import projective_cover
 from quivercy.linalg import Mat
 from quivercy.module import (
     ColumnSum,
+    _quotient_maps,
     column_sum,
+    direct_sum,
+    dual_module,
     dual_regular_bimodule,
+    hom,
     injective_module,
     kernel,
+    outer_tensor_module,
+    quotient,
+    radical_columns,
     regular_bimodule,
     regular_module,
     simple_module,
+    top_dim_vector,
     zero_module,
 )
 
@@ -60,28 +83,19 @@ def test_column_sums_match_the_scan(case):
         for verts in _vertex_lists(alg):
             M = column_sum(X, verts)
             dims, act, offs0 = column_sum_oracle(X, verts)
-            assert isinstance(M, ColumnSum) and M._act is None, verts
-            assert _laid_out(M) == act, verts
-            # reading act builds the dense action of a view
-            assert (M.dims, M.act, M.offs) == (dims, act, offs0), verts
+            # the blocks of a view are listed on first read
+            assert isinstance(M, ColumnSum) and M._blocks is None, verts
+            assert (M.dims, dense_action(M), M.offs) == (dims, act, offs0), verts
+            assert_block_rule(M)
             if len(verts) == 1:
-                # a single column acts by X's own blocks, in a dict of its own
+                # a single column acts by X's own blocks, which its whole
+                # matrices are
                 blocks = X.lact_by_col.get(verts[0], {})
-                assert M.act is not blocks and M.act.keys() == blocks.keys(), verts
-                assert all(M.act[i] is m for i, m in blocks.items()), verts
-
-
-def _laid_out(M):
-    """M's blocks placed at their offsets in dense matrices."""
-    out = {}
-    for i, triples in M.blocks().items():
-        b = M.alg.basis[i]
-        m = out[i] = Mat.zero(M.dims[b.tgt], M.dims[b.src])
-        for r0, c0, blk in triples:
-            for x in range(blk.rows):
-                for y in range(blk.cols):
-                    m.a[r0 + x][c0 + y] += blk.a[x][y]
-    return out
+                assert M.blocks().keys() == blocks.keys(), verts
+                for i, m in blocks.items():
+                    (r0, c0, blk), = M.blocks()[i]
+                    assert (r0, c0) == (0, 0) and blk is m, verts
+                    assert module.action_matrix(M, i) is m, verts
 
 
 def _modules(alg):
@@ -102,7 +116,7 @@ def test_projective_covers_match_the_oracle(case):
         P, epi, lifts = projective_cover(M)
         verts, dims, act, offs, mats, lifts0 = projective_cover_oracle(M)
         assert (P.verts, lifts) == (verts, lifts0), M
-        assert (P.dims, P.act, P.offs) == (dims, act, offs), M
+        assert (P.dims, dense_action(P), P.offs) == (dims, act, offs), M
         assert epi.src is P and epi.tgt is M
         assert epi.mats == mats, M
 
@@ -131,29 +145,162 @@ def test_each_vertex_list_is_summed_once(monkeypatch):
 @pytest.mark.parametrize("case", [(2, 4, 30), (2, 5, 240)], ids=str)
 def test_verdicts_build_no_dense_column_sum(monkeypatch, case):
     # the kernels, the Hom cochains and the Tor terms of decide_nrf and
-    # find_twisted_cy read the blocks of every column sum of several
-    # columns, the covers' domains and the regular module among them; a
-    # single column's dense action allocates no matrix
-    built, single = [], []
-    real = ColumnSum._dense_act
+    # find_twisted_cy read the blocks of every column sum, the covers'
+    # domains and the regular module among them, and lay none of them out
+    # as whole matrices; a single column's whole matrices are its blocks
+    # and allocate no matrix
+    seen = []
+    real = module.action_matrix
 
     def no_zero(rows, cols):
-        raise AssertionError("Mat.zero in a single column's dense action")
+        raise AssertionError("Mat.zero in a single column's action matrix")
 
-    def spy(self):
-        if len(self.verts) > 1:
-            built.append(self.name)
-            return real(self)
-        single.append(self.name)
+    def spy(M, i):
+        seen.append((M.name, len(M.verts) if isinstance(M, ColumnSum) else None))
+        if seen[-1][1] != 1:
+            return real(M, i)
         with monkeypatch.context() as m:
             m.setattr(Mat, "zero", no_zero)
-            return real(self)
+            return real(M, i)
 
-    monkeypatch.setattr(ColumnSum, "_dense_act", spy)
+    for mod in (module, homology):
+        monkeypatch.setattr(mod, "action_matrix", spy)
     n, s, idx = case
     q = TypeAQuiver(n, s)
-    alg = cut_algebra(q, enumerate_cuts(q)[idx])  # fresh: no cached module is dense
+    alg = cut_algebra(q, enumerate_cuts(q)[idx])  # fresh: no cached module
     assert decide_nrf(alg, 2).is_nrf is True
     assert find_twisted_cy(alg) is not None
-    assert built == [] and single
-    assert regular_module(alg).act and built == ["reg"]
+    assert seen == []
+    for v in alg.vertices:
+        inj = injective_module(alg, v)
+        for i in inj.blocks():
+            module.action_matrix(inj, i)
+    assert seen and all(k == 1 for _, k in seen)
+    reg = regular_module(alg)
+    module.action_matrix(reg, next(iter(reg.blocks())))
+    assert seen[-1] == ("reg", len(alg.vertices))
+
+
+# -- every reader on the block triples ---------------------------------
+
+
+def _hom_oracle(M, N):
+    """module.hom as it was on dense actions: one row per entry (r, c) of
+    N_g f_u - f_w M_g for every generator g."""
+    alg = M.alg
+    off, n = {}, 0
+    for v in alg.vertices:
+        off[v] = n
+        n += N.dims[v] * M.dims[v]
+    if n == 0:
+        return []
+    rows = []
+    for g in alg.generators():
+        b = alg.basis[g]
+        u, w = b.src, b.tgt
+        NA, MA = dense_act_mat(N, g), dense_act_mat(M, g)
+        for r in range(N.dims[w]):
+            for c in range(M.dims[u]):
+                row = [0] * n
+                for k in range(N.dims[u]):
+                    row[off[u] + k * M.dims[u] + c] += NA.a[r][k]
+                for k in range(M.dims[w]):
+                    row[off[w] + r * M.dims[w] + k] -= MA.a[k][c]
+                if any(row):
+                    rows.append(row)
+    kb = Mat.from_rows(rows, ncols=n).kernel_basis()
+    return [{v: Mat(N.dims[v], M.dims[v], [vec[off[v] + k * M.dims[v]:off[v] + (k + 1) * M.dims[v]]
+                                           for k in range(N.dims[v])])
+             for v in alg.vertices} for vec in kb]
+
+
+def _quotient_oracle(N, cols):
+    """The dense action of N's quotient: projection times action times
+    section, per basis element."""
+    maps = {v: _quotient_maps(cols.get(v, []), N.dims[v]) for v in N.alg.vertices}
+    act = {}
+    for i, m in dense_action(N).items():
+        b = N.alg.basis[i]
+        q = maps[b.tgt][0] * (m * maps[b.src][1])
+        if not q.is_zero():
+            act[i] = q
+    return act
+
+
+@pytest.mark.parametrize("case", CASES, ids=str)
+def test_block_readers_match_the_dense_oracle(case):
+    alg = _algebra(case)
+    mods = _modules(alg)
+    for M in mods:
+        assert_block_rule(M)
+        # the k-dual transposes every action
+        D = dual_module(M)
+        assert_block_rule(D)
+        assert dense_action(D) == {i: m.transpose() for i, m in dense_action(M).items()}
+        # the radical columns are the nonzero columns of the dense actions
+        rad = {v: [] for v in alg.vertices}
+        for i, m in dense_action(M).items():
+            rad[alg.basis[i].tgt] += [c for c in m.columns() if any(c)]
+        assert {v: sorted(c) for v, c in radical_columns(M).items()} == \
+            {v: sorted(c) for v, c in rad.items()}
+        assert top_dim_vector(M) == tuple(
+            M.dims[v] - (Mat.from_rows(rad[v]).rank() if rad[v] else 0) for v in alg.vertices)
+        # the quotient by the radical, and M as the quotient of its cover
+        # by the kernel, a column sum of several columns
+        Q, _ = quotient(M, rad)
+        assert_block_rule(Q)
+        assert dense_action(Q) == _quotient_oracle(M, rad)
+        P, epi, lifts = projective_cover(M)
+        assert_block_rule(P)
+        verts, dims, act, offs, mats, lifts0 = projective_cover_oracle(M)
+        assert (P.verts, lifts, P.dims, dense_action(P)) == (verts, lifts0, dims, act)
+        assert epi.mats == mats
+        _, kcols, _ = kernel(epi)
+        Q, _ = quotient(P, kcols)
+        assert_block_rule(Q)
+        assert dense_action(Q) == _quotient_oracle(P, kcols)
+        # the endomorphisms, read off the blocks
+        assert [f.mats for f in hom(M, M)] == _hom_oracle(M, M)
+        assert [f.mats for f in hom(M, P)] == _hom_oracle(M, P)
+    # a direct sum is block diagonal in the summands' dense actions
+    S = direct_sum(mods)
+    assert_block_rule(S)
+    stored = {i for M in mods for i in M.blocks()}
+    assert dense_action(S) == {i: Mat.block_diag([dense_act_mat(M, i) for M in mods])
+                               for i in stored}
+
+
+@pytest.mark.parametrize("case", CASES, ids=str)
+def test_outer_tensor_matches_the_kronecker_products(case):
+    # with a2 on the right: every pair of actions, idempotents included
+    alg, a2 = _algebra(case), _algebra("a2")
+    t = tensor_product(alg, a2)
+    _, _, pair_index = t.tensor_info
+    for M in _modules(alg)[:6]:
+        for N in _modules(a2)[:6]:
+            T = outer_tensor_module(M, N, t)
+            assert_block_rule(T)
+            want = {}
+            for (i, j), k in pair_index.items():
+                if alg.basis[i].degree + a2.basis[j].degree:
+                    m = dense_act_mat(M, i).kron(dense_act_mat(N, j))
+                    if not m.is_zero():
+                        want[k] = m
+            assert dense_action(T) == want
+
+
+def test_no_dense_cone(monkeypatch):
+    # to_projective_complex sums each term of the cone with the next
+    # projective as blocks, so neither the untwisted check nor the
+    # corpus_cy benchmark operation on a2 (x) a2 builds a block-diagonal
+    # matrix (416 and 42 calls while the sum was dense)
+    calls = []
+    real = Mat.block_diag
+    monkeypatch.setattr(Mat, "block_diag", staticmethod(lambda mats: calls.append(1) or real(mats)))
+    assert check_untwisted_cy(corpus_algebra("a2_tensor_a2"), 6, 4) is True
+    assert calls == []
+    alg = corpus_algebra("a2_tensor_a2")
+    assert decide_nrf(alg, 2).is_nrf is False
+    assert find_twisted_cy(alg) is not None
+    assert [l for l in range(2, 7) if check_twisted_cy(alg, l, 2 * (l - 1))] == []
+    assert calls == []

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from conftest import corpus_algebra, radical_submodule, submodule_oracle
+from conftest import corpus_algebra, dense_act_mat, dense_action, radical_submodule, submodule_oracle
 from quivercy import ar, cy, homology, module
 from quivercy.constructions import TypeAQuiver, cut_algebra, enumerate_cuts, omega_on_cuts
 from quivercy.homology import (
@@ -89,12 +89,12 @@ def test_submodule_actions_match_the_solved_ones(monkeypatch, key):
     def checked(N, cols, units, name="sub"):
         S = real(N, cols, units, name=name)
         dims, act, inc = submodule_oracle(N, cols, units)
-        assert (S.dims, S.act) == (dims, act)
-        for i, m in N.act.items():
+        assert (S.dims, dense_action(S)) == (dims, act)
+        for i, m in dense_action(N).items():
             b = N.alg.basis[i]
             rhs = m * inc[b.src]
-            assert inc[b.tgt] * S.act_mat(i) == rhs
-            assert S.act_mat(i) == _solve_columns(inc[b.tgt], rhs)
+            assert inc[b.tgt] * dense_act_mat(S, i) == rhs
+            assert dense_act_mat(S, i) == _solve_columns(inc[b.tgt], rhs)
         seen.append(name)
         return S
 
@@ -119,11 +119,11 @@ def test_radical_submodule_is_invariant(a3_linear, d4, kronecker):
             cols = {v: inc.mats[v].columns() for v in alg.vertices}
             units = {v: [next(j for j, x in enumerate(c) if x) for c in cs]
                      for v, cs in cols.items()}
-            assert (R.dims, R.act) == submodule_oracle(M, cols, units)[:2]
-            for i, m in M.act.items():
+            assert (R.dims, dense_action(R)) == submodule_oracle(M, cols, units)[:2]
+            for i, m in dense_action(M).items():
                 b = alg.basis[i]
                 rhs = m * inc.mats[b.src]
-                assert R.act_mat(i) == _solve_columns(inc.mats[b.tgt], rhs)
+                assert dense_act_mat(R, i) == _solve_columns(inc.mats[b.tgt], rhs)
 
 
 # -- resolution differentials ------------------------------------------------
