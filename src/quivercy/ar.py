@@ -304,13 +304,14 @@ def tensor_algebra(alg: Algebra, T: Bimodule, cap=24, name=None):
     by tensor concatenation; NotNilpotent when the power of degree cap + 1
     is nonzero.
 
-    Degree 0 multiplies as alg and acts on T^k by the actions of T^k.  Two
-    factors of positive degree multiply by associativity: the section of
-    T^k = T^(k-1) (x)_A T writes y as a sum of val * y' (x) t, with y' the
-    idempotent at tgt y for k = 1, and x * y is the projection of the sum
-    of val * (x * y') (x) t.  The products by degree 0 come first and the
-    loop then runs over y in ascending degree, so x * y' is read from the
-    table it is building."""
+    Degree 0 multiplies as alg and acts on T^k by the stored blocks of
+    T^k; an idempotent times a coordinate of T^k at its vertex is that
+    coordinate.  Two factors of positive degree multiply by associativity:
+    the section of T^k = T^(k-1) (x)_A T writes y as a sum of
+    val * y' (x) t, with y' the idempotent at tgt y for k = 1, and x * y is
+    the projection of the sum of val * (x * y') (x) t.  The products by
+    degree 0 come first and the loop then runs over y in ascending degree,
+    so x * y' is read from the table it is building."""
     powers = [None, T]  # powers[k] = T^(x)k for k >= 1
     while powers[-1].total_dim:
         if len(powers) > cap + 1:
@@ -341,11 +342,13 @@ def tensor_algebra(alg: Algebra, T: Bimodule, cap=24, name=None):
             prods[key] = out
 
     for y, (k, (u, w), c) in enumerate(place, start=alg.dim):
-        for j, b in enumerate(alg.basis):
-            if b.src == u:
-                put((j, y), k, (b.tgt, w), powers[k].lact_mat(j, w).column(c))
-            if b.tgt == w:
-                put((y, j), k, (u, b.src), powers[k].ract_mat(u, j).column(c))
+        prods[(alg.idem[u], y)], prods[(y, alg.idem[w])] = {y: 1}, {y: 1}
+        for j, m in powers[k].lact_by_col.get(w, {}).items():
+            if alg.basis[j].src == u:
+                put((j, y), k, (alg.basis[j].tgt, w), m.column(c))
+        for j, by_row in powers[k].ract_by_elt.items():
+            if alg.basis[j].tgt == w and u in by_row:
+                put((y, j), k, (u, alg.basis[j].src), by_row[u].column(c))
     for y, (ky, (u, w), c) in enumerate(place, start=alg.dim):
         if ky == 1:
             lift = [(u, alg.idem[u], c, 1)]  # y = e_u (x) t

@@ -44,6 +44,11 @@ def _load(path, name=None):
         sys.exit(EXIT_PARSE)
 
 
+def _exit(verdict):
+    """Exit with the code of a verdict: True, False, or undecided."""
+    sys.exit(EXIT_TRUE if verdict is True else EXIT_FALSE if verdict is False else EXIT_UNDECIDED)
+
+
 def _emit(doc, pretty, started):
     doc["schema_version"] = SCHEMA_VERSION
     doc["version"] = __version__
@@ -99,9 +104,7 @@ def analyze(file, n, cap, pretty):
     doc = {"command": "analyze", "input": file, "cap": cap}
     doc.update(report.to_dict())
     _emit(doc, pretty, started)
-    if report.is_nrf is True:
-        sys.exit(EXIT_TRUE)
-    sys.exit(EXIT_FALSE if report.is_nrf is False else EXIT_UNDECIDED)
+    _exit(report.is_nrf)
 
 
 @main.command()
@@ -134,7 +137,7 @@ def cy(file, ell_max, m_max, ell, m, untwisted, dim_ceiling, cap, pretty):
         ok = check(alg, ell, m, cap=cap)
         doc.update({"ell": ell, "m": m, "passed": ok})
         _emit(doc, pretty, started)
-        sys.exit(EXIT_TRUE if ok else EXIT_FALSE)
+        _exit(ok)
     cert = find_twisted_cy(alg, ell_max=ell_max, m_max=m_max, cap=cap)
     if cert is None:
         doc.update({"found": False, "ell_max": ell_max, "m_max": m_max,
@@ -193,7 +196,7 @@ def typea(n, s, do_cuts, omega_stable_only, verify, cap, pretty):
     else:
         doc["gamma_dim"] = gamma_algebra(q).dim
     _emit(doc, pretty, started)
-    sys.exit(EXIT_TRUE if doc.get("verified", True) else EXIT_FALSE)
+    _exit(doc.get("verified", True))
 
 
 @main.command()
@@ -228,9 +231,7 @@ def tensor(files, ns, ell, cap, pretty):
         m, el = combine_cy(certs)
         doc["cy_combined"] = {"ell": el, "m": m, "dimension": str(Fraction(m, el))}
     _emit(doc, pretty, started)
-    if rep.is_nrf is True:
-        sys.exit(EXIT_TRUE)
-    sys.exit(EXIT_FALSE if rep.is_nrf is False else EXIT_UNDECIDED)
+    _exit(rep.is_nrf)
 
 
 @main.command()
@@ -260,7 +261,7 @@ def preproj(file, n, cap, pretty):
         "matches_sigma": perm == rep.sigma,
     })
     _emit(doc, pretty, started)
-    sys.exit(EXIT_TRUE if doc["matches_sigma"] else EXIT_FALSE)
+    _exit(doc["matches_sigma"])
 
 
 @main.command()
@@ -277,8 +278,9 @@ def auslander(file, n, cap, pretty):
     doc = {"command": "auslander", "input": file, "n": n}
     rep = decide_nrf(alg, n, cap=cap)
     if rep.is_nrf is not True:
-        click.echo(f"not representation-finite: {rep.reason}", err=True)
-        sys.exit(EXIT_FALSE if rep.is_nrf is False else EXIT_UNDECIDED)
+        verdict = "not representation-finite" if rep.is_nrf is False else "undecided"
+        click.echo(f"{verdict}: {rep.reason}", err=True)
+        _exit(rep.is_nrf)
     gamma = auslander_algebra(alg, rep.ct_summands)
     gd = global_dimension(gamma)
     dd = dominant_dimension(gamma)
@@ -293,7 +295,7 @@ def auslander(file, n, cap, pretty):
         "relation_count": relations,
     })
     _emit(doc, pretty, started)
-    sys.exit(EXIT_TRUE if gd <= n + 1 <= dd else EXIT_FALSE)
+    _exit(gd <= n + 1 <= dd)
 
 
 if __name__ == "__main__":

@@ -152,7 +152,8 @@ def column_sum(X, verts, name=None):
 class ColumnSum(Module):
     """The column sum of a bimodule X at a list of vertices, as a view:
     it stores dims and offsets, and its action is read as the blocks of
-    X.lact_by_col at its columns, listed on the first call of `blocks`.
+    X.lact_by_col at its columns, listed on the first call of `blocks`;
+    X keeps only nonzero blocks of positive degree, so they need no test.
     Coordinate offs[(r, w)] + p at vertex w is coordinate p of
     X[(w, verts[r])], so the blocks of one element, one per column where
     it acts, sit block-diagonally."""
@@ -177,9 +178,8 @@ class ColumnSum(Module):
             for r, u in enumerate(self.verts):
                 for i, blk in self.bimodule.lact_by_col.get(u, {}).items():
                     b = basis[i]
-                    if b.degree:
-                        self._blocks.setdefault(i, []).append(
-                            (offs[(r, b.tgt)], offs[(r, b.src)], blk))
+                    self._blocks.setdefault(i, []).append(
+                        (offs[(r, b.tgt)], offs[(r, b.src)], blk))
         return self._blocks
 
 
@@ -286,11 +286,21 @@ def _quotient_maps(vectors, n):
     return p, s
 
 
+def _projected(triples, p, s):
+    """p times the map with the given blocks times s, one block at a time:
+    a column slice of p, the block and a row slice of s."""
+    m = None
+    for r0, c0, blk in triples:
+        part = (Mat(p.rows, blk.rows, [row[r0:r0 + blk.rows] for row in p.a])
+                * (blk * Mat(blk.cols, s.cols, s.a[c0:c0 + blk.cols])))
+        m = part if m is None else m + part
+    return m
+
+
 def quotient(N: Module, cols_by_vertex, name="quot"):
     """Quotient of N by the invariant subspace spanned by the given column
     vectors.  Returns (Q, projection).  b acts on Q by the projection
-    times b's action times the section: per block of b, a column slice of
-    the projection, the block and a row slice of the section."""
+    times b's action times the section, block by block (`_projected`)."""
     proj = {}
     sect = {}
     for v in N.alg.vertices:
@@ -299,12 +309,7 @@ def quotient(N: Module, cols_by_vertex, name="quot"):
     blocks = {}
     for i, triples in N.blocks().items():
         b = N.alg.basis[i]
-        p, s = proj[b.tgt], sect[b.src]
-        m = None
-        for r0, c0, blk in triples:
-            part = (Mat(p.rows, blk.rows, [row[r0:r0 + blk.rows] for row in p.a])
-                    * (blk * Mat(blk.cols, s.cols, s.a[c0:c0 + blk.cols])))
-            m = part if m is None else m + part
+        m = _projected(triples, proj[b.tgt], sect[b.src])
         if not m.is_zero():
             blocks[i] = ((0, 0, m),)
     Q = Module(N.alg, dims, blocks, name=name)
@@ -539,47 +544,29 @@ class _PairDims(dict):
 class Bimodule:
     """An (A, B)-bimodule with one space per vertex pair (u, v).
 
-    lact[(i, v)] is the action of the A-basis element i on the spaces with
-    right vertex v, a map X[(src_i, v)] -> X[(tgt_i, v)].  ract[(u, j)] is
-    right multiplication by the B-basis element j, X[(u, tgt_j)] ->
-    X[(u, src_j)].  Only nonzero matrices and dimensions are stored.
-    lact_by_col[v] = {i: lact[(i, v)]}, in basis order, is the left action
-    on the column X e_v, grouped once so that no reader scans the basis;
-    ract_by_elt[j] lists the pairs (u, ract[(u, j)]) in the same way, so
-    that a right multiplication by j visits only the rows where it acts.
+    The A-basis element i acts on the spaces with right vertex v by a map
+    X[(src_i, v)] -> X[(tgt_i, v)], kept as lact_by_col[v][i]: the left
+    action on the column X e_v, in basis order.  Right multiplication by
+    the B-basis element j, X[(u, tgt_j)] -> X[(u, src_j)], is kept as
+    ract_by_elt[j][u], so that it visits only the rows where j acts.
+    Only nonzero dimensions and the nonzero blocks of elements of positive
+    degree are kept: an idempotent acts as the identity on its own spaces,
+    and an absent block is zero.  The constructor takes the blocks as flat
+    dicts {(i, v): Mat} and {(u, j): Mat} and groups them; its callers
+    pass only nonzero blocks.
     """
 
     def __init__(self, left_alg, right_alg, dims, lact, ract, name="X"):
         self.left_alg = left_alg
         self.right_alg = right_alg
         self.dims = _PairDims((k, d) for k, d in dims.items() if d)
-        self.lact = {k: m for k, m in lact.items() if not m.is_zero()}
-        self.ract = {k: m for k, m in ract.items() if not m.is_zero()}
         self.lact_by_col = {}
-        for (i, v), m in sorted(self.lact.items(), key=lambda kv: kv[0][0]):
+        for (i, v), m in sorted(lact.items(), key=lambda kv: kv[0][0]):
             self.lact_by_col.setdefault(v, {})[i] = m
         self.ract_by_elt = {}
-        for (u, j), m in self.ract.items():
-            self.ract_by_elt.setdefault(j, []).append((u, m))
+        for (u, j), m in ract.items():
+            self.ract_by_elt.setdefault(j, {})[u] = m
         self.name = name
-
-    def lact_mat(self, i, v):
-        m = self.lact.get((i, v))
-        if m is not None:
-            return m
-        b = self.left_alg.basis[i]
-        if b.degree == 0:
-            return Mat.identity(self.dims[(b.src, v)])
-        return Mat.zero(self.dims[(b.tgt, v)], self.dims[(b.src, v)])
-
-    def ract_mat(self, u, j):
-        m = self.ract.get((u, j))
-        if m is not None:
-            return m
-        b = self.right_alg.basis[j]
-        if b.degree == 0:
-            return Mat.identity(self.dims[(u, b.src)])
-        return Mat.zero(self.dims[(u, b.src)], self.dims[(u, b.tgt)])
 
     @property
     def total_dim(self):
@@ -636,8 +623,10 @@ def dual_regular_bimodule(alg: Algebra):
     by (a.xi)(x) = xi(x * a) and on the right by (xi.a)(x) = xi(a * x)."""
     R = regular_bimodule(alg)
     dims = {(u, v): d for (v, u), d in R.dims.items()}
-    lact = {(j, v): m.transpose() for (v, j), m in R.ract.items()}
-    ract = {(u, j): m.transpose() for (j, u), m in R.lact.items()}
+    lact = {(j, v): m.transpose() for j, by_row in R.ract_by_elt.items()
+            for v, m in by_row.items()}
+    ract = {(u, j): m.transpose() for u, by_elt in R.lact_by_col.items()
+            for j, m in by_elt.items()}
     return Bimodule(alg, alg, dims, lact, ract, name="D(reg)")
 
 
@@ -648,9 +637,24 @@ def env_module(alg: Algebra, bimodule):
     return bimodule_to_env_module(bimodule(alg))
 
 
+def _column_nonzeros(m, n):
+    """The (row, entry) nonzeros of each of the n columns of m; none when
+    m, a block that is not stored, is None."""
+    if m is None:
+        return [()] * n
+    return [[(k, x) for k, x in enumerate(col) if x] for col in m.columns()]
+
+
 def tensor_bimod_bimod(T: Bimodule, S: Bimodule, name=None):
     """T tensor_B S for an (A, B)-bimodule T and a (B, C)-bimodule S,
-    giving an (A, C)-bimodule."""
+    giving an (A, C)-bimodule.
+
+    The big space at (u, w) is the sum over v of T[(u, v)] (x) S[(v, w)],
+    summand v from offsets[(u, v, w)], coordinate a (x) b at a * dim S[(v, w)]
+    + b.  Its quotient by the relations t.g (x) s - t (x) g.s, g a generator
+    of B, is the space of the product, with a projection and a section.  i
+    acts on summand v by T's block kron the identity, j by the identity
+    kron S's block; each action is projected block by block."""
     A, B, C = T.left_alg, T.right_alg, S.right_alg
     offs = {}
     wdims = {}
@@ -665,75 +669,52 @@ def tensor_bimod_bimod(T: Bimodule, S: Bimodule, name=None):
     for g in B.generators():
         bg = B.basis[g]
         s, t = bg.src, bg.tgt
-        lgs = {w: S.lact_mat(g, w) for w in C.vertices}  # S[(s,w)] -> S[(t,w)]
+        rgs = T.ract_by_elt.get(g, {})  # rgs[u]: T[(u,t)] -> T[(u,s)]
         for u in A.vertices:
-            rg = T.ract_mat(u, g)  # T[(u,t)] -> T[(u,s)]
-            for w, lg in lgs.items():
-                dts = T.dims[(u, t)]
-                dss = S.dims[(s, w)]
-                for a in range(dts):
-                    for b in range(dss):
+            rg = rgs.get(u)
+            rcols = _column_nonzeros(rg, T.dims[(u, t)])
+            for w in C.vertices:
+                lg = S.lact_by_col.get(w, {}).get(g)  # S[(s,w)] -> S[(t,w)]
+                if rg is None and lg is None:
+                    continue
+                lcols = _column_nonzeros(lg, S.dims[(s, w)])
+                dss, dtw = S.dims[(s, w)], S.dims[(t, w)]
+                o_s, o_t = offs[(u, s, w)], offs[(u, t, w)]
+                for a, rnz in enumerate(rcols):
+                    for b, lnz in enumerate(lcols):
                         row = [0] * wdims[(u, w)]
-                        for c in range(T.dims[(u, s)]):
-                            if rg.a[c][a]:
-                                row[offs[(u, s, w)] + c * dss + b] += rg.a[c][a]
-                        for d in range(S.dims[(t, w)]):
-                            if lg.a[d][b]:
-                                row[offs[(u, t, w)] + a * S.dims[(t, w)] + d] -= lg.a[d][b]
+                        for c, x in rnz:
+                            row[o_s + c * dss + b] += x
+                        for d, x in lnz:
+                            row[o_t + a * dtw + d] -= x
                         if any(row):
                             rel_rows[(u, w)].append(row)
     ps = {k: _quotient_maps(rel_rows[k], n) for k, n in wdims.items()}
     dims = {k: ps[k][0].rows for k in wdims}
-    lact, ract = {}, {}
-    for i, bi in enumerate(A.basis):
-        if bi.degree == 0:
-            continue
+    # key -> (target pair, source pair, the action's blocks in the big space)
+    lblocks, rblocks = {}, {}
+    for v, by_elt in T.lact_by_col.items():
         for w in C.vertices:
-            m = Mat.zero(wdims[(bi.tgt, w)], wdims[(bi.src, w)])
-            nonzero = False
-            for v in B.vertices:
-                la = T.lact.get((i, v))
-                if la is None:
-                    continue
-                nonzero = True
-                dm = S.dims[(v, w)]
-                r0, c0 = offs[(bi.tgt, v, w)], offs[(bi.src, v, w)]
-                for r in range(la.rows):
-                    for c in range(la.cols):
-                        x = la.a[r][c]
-                        if x:
-                            for k in range(dm):
-                                m.a[r0 + r * dm + k][c0 + c * dm + k] = x
-            if nonzero:
-                res = ps[(bi.tgt, w)][0] * (m * ps[(bi.src, w)][1])
-                if not res.is_zero():
-                    lact[(i, w)] = res
-    for j, bj in enumerate(C.basis):
-        if bj.degree == 0:
-            continue
-        for u in A.vertices:
-            # right action by bj on the S factor: S[(v,tgt)] -> S[(v,src)]
-            m = Mat.zero(wdims[(u, bj.src)], wdims[(u, bj.tgt)])
-            nonzero = False
-            for v in B.vertices:
-                ra = S.ract.get((v, j))
-                if ra is None:
-                    continue
-                nonzero = True
-                dt = T.dims[(u, v)]
-                dcols = S.dims[(v, bj.tgt)]
-                drows = S.dims[(v, bj.src)]
-                r0, c0 = offs[(u, v, bj.src)], offs[(u, v, bj.tgt)]
-                for a in range(dt):
-                    for r in range(drows):
-                        for c in range(dcols):
-                            x = ra.a[r][c]
-                            if x:
-                                m.a[r0 + a * drows + r][c0 + a * dcols + c] = x
-            if nonzero:
-                res = ps[(u, bj.src)][0] * (m * ps[(u, bj.tgt)][1])
-                if not res.is_zero():
-                    ract[(u, j)] = res
+            if S.dims[(v, w)]:
+                eye = Mat.identity(S.dims[(v, w)])
+                for i, la in by_elt.items():
+                    bi = A.basis[i]
+                    lblocks.setdefault((i, w), ((bi.tgt, w), (bi.src, w), []))[2].append(
+                        (offs[(bi.tgt, v, w)], offs[(bi.src, v, w)], la.kron(eye)))
+    for j, by_row in S.ract_by_elt.items():
+        bj = C.basis[j]
+        for v, ra in by_row.items():
+            for u in A.vertices:
+                if T.dims[(u, v)]:
+                    rblocks.setdefault((u, j), ((u, bj.src), (u, bj.tgt), []))[2].append(
+                        (offs[(u, v, bj.src)], offs[(u, v, bj.tgt)],
+                         Mat.identity(T.dims[(u, v)]).kron(ra)))
+    lact, ract = {}, {}
+    for acts, blocks in ((lact, lblocks), (ract, rblocks)):
+        for key, (tgt, src, triples) in blocks.items():
+            m = _projected(triples, ps[tgt][0], ps[src][1])
+            if not m.is_zero():
+                acts[key] = m
     out = Bimodule(A, C, dims, lact, ract, name=name or f"{T.name}(x){S.name}")
     out.tensor_data = {"offsets": offs, "proj": {k: ps[k][0] for k in wdims},
                        "sect": {k: ps[k][1] for k in wdims}, "big_dims": wdims}
@@ -744,24 +725,27 @@ def bimodule_to_env_module(X: Bimodule):
     """View an (A, A)-bimodule as a left module over A (x) A^op.
 
     i (x) j^op sends X[(src_i, tgt_j)] to X[(tgt_i, src_j)].  Only the
-    stored blocks are visited: e_u (x) j acts by ract[(u, j)], i (x) e_v
-    by lact[(i, v)], and i (x) j with both of positive degree by
-    ract[(tgt_i, j)] * lact[(i, tgt_j)] when both are stored."""
+    stored blocks are visited: e_u (x) j acts by ract_by_elt[j][u],
+    i (x) e_v by lact_by_col[v][i], and i (x) j with both of positive
+    degree by ract_by_elt[j][tgt_i] * lact_by_col[tgt_j][i] when both are
+    stored."""
     A = X.left_alg
     E = enveloping(A)
     _, _, pair_index = E.tensor_info
     idem = A.idem
     act = {}
-    by_tgt = {}  # (u, tgt_j) -> [(j, ract[(u, j)])]
-    for (u, j), m in X.ract.items():
-        act[pair_index[(idem[u], j)]] = ((0, 0, m),)
-        by_tgt.setdefault((u, A.basis[j].tgt), []).append((j, m))
-    for (i, v), la in X.lact.items():
-        act[pair_index[(i, idem[v])]] = ((0, 0, la),)
-        for j, ra in by_tgt.get((A.basis[i].tgt, v), ()):
-            m = ra * la
-            if not m.is_zero():
-                act[pair_index[(i, j)]] = ((0, 0, m),)
+    by_tgt = {}  # (u, tgt_j) -> [(j, ract_by_elt[j][u])]
+    for j, by_row in X.ract_by_elt.items():
+        for u, m in by_row.items():
+            act[pair_index[(idem[u], j)]] = ((0, 0, m),)
+            by_tgt.setdefault((u, A.basis[j].tgt), []).append((j, m))
+    for v, by_elt in X.lact_by_col.items():
+        for i, la in by_elt.items():
+            act[pair_index[(i, idem[v])]] = ((0, 0, la),)
+            for j, ra in by_tgt.get((A.basis[i].tgt, v), ()):
+                m = ra * la
+                if not m.is_zero():
+                    act[pair_index[(i, j)]] = ((0, 0, m),)
     dims = {x: X.dims[x] for x in E.vertices}
     return Module(E, dims, dict(sorted(act.items())), name=X.name)
 
@@ -786,8 +770,8 @@ def flip_bimodule(X: Bimodule, new_left, new_right, name=None):
     action becomes the left action and vice versa.  new_left and new_right
     must be the opposite algebras sharing basis indices with B and A."""
     dims = {(v, u): d for (u, v), d in X.dims.items()}
-    lact = {(j, u): m for (u, j), m in X.ract.items()}
-    ract = {(v, i): m for (i, v), m in X.lact.items()}
+    lact = {(j, u): m for j, by_row in X.ract_by_elt.items() for u, m in by_row.items()}
+    ract = {(v, i): m for v, by_elt in X.lact_by_col.items() for i, m in by_elt.items()}
     return Bimodule(new_left, new_right, dims, lact, ract, name=name or f"{X.name}^flip")
 
 

@@ -29,7 +29,9 @@ def _strip_comment(line):
 
 
 def _vertex_token(tok):
-    if tok.lstrip("-").isdigit():
+    """An int for an optionally signed run of decimal digits, as
+    coefficients are read; any other token is a string label."""
+    if tok.removeprefix("-").isdecimal():
         return int(tok)
     return tok
 

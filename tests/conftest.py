@@ -34,6 +34,7 @@ from quivercy.module import (
     Bimodule,
     Module,
     Morphism,
+    _quotient_maps,
     _sub_from_columns,
     bimodule_to_env_module,
     column_sum,
@@ -108,6 +109,51 @@ def assert_block_rule(M):
             rows |= rs
             cols |= cs
         assert rows <= set(range(M.dims[b.tgt])) and cols <= set(range(M.dims[b.src])), (M, i)
+
+
+# -- the dense reader of bimodule actions ------------------------------
+
+
+def dense_bimodule_action(X, key, left=True):
+    """One action of X as a dense matrix: with left, the left-algebra
+    element i on the column at v, key (i, v), X[(src_i, v)] ->
+    X[(tgt_i, v)]; else the right-algebra element j on the row at u, key
+    (u, j), X[(u, tgt_j)] -> X[(u, src_j)].  The stored block, the identity
+    for an idempotent, else zero."""
+    if left:
+        i, v = key
+        b = X.left_alg.basis[i]
+        blk = X.lact_by_col.get(v, {}).get(i)
+        shape = (X.dims[(b.tgt, v)], X.dims[(b.src, v)])
+    else:
+        u, j = key
+        b = X.right_alg.basis[j]
+        blk = X.ract_by_elt.get(j, {}).get(u)
+        shape = (X.dims[(u, b.src)], X.dims[(u, b.tgt)])
+    if blk is not None:
+        return blk
+    return Mat.zero(*shape) if b.degree else Mat.identity(shape[0])
+
+
+def assert_bimodule_store(X):
+    """X keeps only nonzero dimensions and the nonzero blocks of elements
+    of positive degree, each of the shape of its spaces, with each column
+    of lact_by_col in basis order."""
+    def check(m, b, shape, where):
+        assert b.degree and not m.is_zero() and (m.rows, m.cols) == shape, where
+        assert len(m.a) == m.rows and all(len(r) == m.cols for r in m.a), where
+
+    assert all(X.dims.values()), X
+    for v, by_elt in X.lact_by_col.items():
+        assert by_elt and list(by_elt) == sorted(by_elt), (X, v)
+        for i, m in by_elt.items():
+            b = X.left_alg.basis[i]
+            check(m, b, (X.dims[(b.tgt, v)], X.dims[(b.src, v)]), (X, i, v))
+    for j, by_row in X.ract_by_elt.items():
+        assert by_row, (X, j)
+        for u, m in by_row.items():
+            b = X.right_alg.basis[j]
+            check(m, b, (X.dims[(u, b.src)], X.dims[(u, b.tgt)]), (X, u, j))
 
 
 # -- constructions the program itself does not call ---------------------
@@ -214,7 +260,7 @@ def column_sum_oracle(X, verts):
             continue
         m = None
         for r, u in enumerate(verts):
-            blk = X.lact.get((i, u))
+            blk = X.lact_by_col.get(u, {}).get(i)
             if blk is None:
                 continue
             if m is None:
@@ -542,7 +588,8 @@ class _HomLayout:
                 hit = False
                 for col, (r, bidx, ww, mc) in enumerate(self.coords[src_key]):
                     u = self.pairs[r][0]
-                    ra = M.ract_mat(u, ai)  # M[(u, tgt_a)] -> M[(u, src_a)]
+                    # M[(u, tgt_a)] -> M[(u, src_a)]
+                    ra = dense_bimodule_action(M, (u, ai), left=False)
                     for row_mc in range(ra.rows):
                         val = ra.a[row_mc][mc]
                         if val:
@@ -572,7 +619,8 @@ def _hom_coboundary(alg, E, lay_k: _HomLayout, lay_k1: _HomLayout, em):
                 # (f∘d)(e (x) b') involves lact by a_i on values and b'|-> a_j * b'
                 la = {}
                 for w2 in alg.vertices:
-                    la[w2] = M.lact_mat(ai, w2)  # rows M[(tgt ai, w2)], cols M[(src ai, w2)]
+                    # rows M[(tgt ai, w2)], cols M[(src ai, w2)]
+                    la[w2] = dense_bimodule_action(M, (ai, w2))
                 for bpidx, bp in enumerate(alg.basis):
                     if bp.tgt != v_s:
                         continue
@@ -635,8 +683,9 @@ def ext_bimodule_oracle(alg, n):
 
 def bimodule_to_env_module_oracle(X: Bimodule):
     """module.bimodule_to_env_module as it was before it visited only the
-    stored blocks: i (x) j^op acts by ract_mat(tgt_i, j) * lact_mat(i,
-    tgt_j), for every pair of basis elements."""
+    stored blocks: i (x) j^op acts by the dense right action of j on the
+    row at tgt_i times the dense left action of i on the column at tgt_j,
+    for every pair of basis elements."""
     A = X.left_alg
     E = enveloping(A)
     _, _, pair_index = E.tensor_info
@@ -646,7 +695,8 @@ def bimodule_to_env_module_oracle(X: Bimodule):
         bi = A.basis[i]
         if bi.degree + A.basis[j].degree == 0:
             continue
-        m = X.ract_mat(bi.tgt, j) * X.lact_mat(i, A.basis[j].tgt)
+        m = (dense_bimodule_action(X, (bi.tgt, j), left=False)
+             * dense_bimodule_action(X, (i, A.basis[j].tgt)))
         if not m.is_zero():
             act[k] = m
     return dense_module(E, dims, act, name=X.name)
@@ -820,6 +870,100 @@ def _tower_search_oracle(alg, candidates, m_max, cap):
     return None
 
 
+def tensor_bimod_bimod_oracle(T: Bimodule, S: Bimodule, name=None):
+    """module.tensor_bimod_bimod as it was before it read only stored
+    blocks: the relations from the dense actions of every generator, and
+    each action filled into a dense matrix of the big space, then
+    projected as proj * (m * sect)."""
+    A, B, C = T.left_alg, T.right_alg, S.right_alg
+    offs = {}
+    wdims = {}
+    for u in A.vertices:
+        for w in C.vertices:
+            n = 0
+            for v in B.vertices:
+                offs[(u, v, w)] = n
+                n += T.dims[(u, v)] * S.dims[(v, w)]
+            wdims[(u, w)] = n
+    rel_rows = {k: [] for k in wdims}
+    for g in B.generators():
+        bg = B.basis[g]
+        s, t = bg.src, bg.tgt
+        lgs = {w: dense_bimodule_action(S, (g, w)) for w in C.vertices}  # S[(s,w)] -> S[(t,w)]
+        for u in A.vertices:
+            rg = dense_bimodule_action(T, (u, g), left=False)  # T[(u,t)] -> T[(u,s)]
+            for w, lg in lgs.items():
+                dts = T.dims[(u, t)]
+                dss = S.dims[(s, w)]
+                for a in range(dts):
+                    for b in range(dss):
+                        row = [0] * wdims[(u, w)]
+                        for c in range(T.dims[(u, s)]):
+                            if rg.a[c][a]:
+                                row[offs[(u, s, w)] + c * dss + b] += rg.a[c][a]
+                        for d in range(S.dims[(t, w)]):
+                            if lg.a[d][b]:
+                                row[offs[(u, t, w)] + a * S.dims[(t, w)] + d] -= lg.a[d][b]
+                        if any(row):
+                            rel_rows[(u, w)].append(row)
+    ps = {k: _quotient_maps(rel_rows[k], n) for k, n in wdims.items()}
+    dims = {k: ps[k][0].rows for k in wdims}
+    lact, ract = {}, {}
+    for i, bi in enumerate(A.basis):
+        if bi.degree == 0:
+            continue
+        for w in C.vertices:
+            m = Mat.zero(wdims[(bi.tgt, w)], wdims[(bi.src, w)])
+            nonzero = False
+            for v in B.vertices:
+                la = T.lact_by_col.get(v, {}).get(i)
+                if la is None:
+                    continue
+                nonzero = True
+                dm = S.dims[(v, w)]
+                r0, c0 = offs[(bi.tgt, v, w)], offs[(bi.src, v, w)]
+                for r in range(la.rows):
+                    for c in range(la.cols):
+                        x = la.a[r][c]
+                        if x:
+                            for k in range(dm):
+                                m.a[r0 + r * dm + k][c0 + c * dm + k] = x
+            if nonzero:
+                res = ps[(bi.tgt, w)][0] * (m * ps[(bi.src, w)][1])
+                if not res.is_zero():
+                    lact[(i, w)] = res
+    for j, bj in enumerate(C.basis):
+        if bj.degree == 0:
+            continue
+        for u in A.vertices:
+            # right action by bj on the S factor: S[(v,tgt)] -> S[(v,src)]
+            m = Mat.zero(wdims[(u, bj.src)], wdims[(u, bj.tgt)])
+            nonzero = False
+            for v in B.vertices:
+                ra = S.ract_by_elt.get(j, {}).get(v)
+                if ra is None:
+                    continue
+                nonzero = True
+                dt = T.dims[(u, v)]
+                dcols = S.dims[(v, bj.tgt)]
+                drows = S.dims[(v, bj.src)]
+                r0, c0 = offs[(u, v, bj.src)], offs[(u, v, bj.tgt)]
+                for a in range(dt):
+                    for r in range(drows):
+                        for c in range(dcols):
+                            x = ra.a[r][c]
+                            if x:
+                                m.a[r0 + a * drows + r][c0 + a * dcols + c] = x
+            if nonzero:
+                res = ps[(u, bj.src)][0] * (m * ps[(u, bj.tgt)][1])
+                if not res.is_zero():
+                    ract[(u, j)] = res
+    out = Bimodule(A, C, dims, lact, ract, name=name or f"{T.name}(x){S.name}")
+    out.tensor_data = {"offsets": offs, "proj": {k: ps[k][0] for k in wdims},
+                       "sect": {k: ps[k][1] for k in wdims}, "big_dims": wdims}
+    return out
+
+
 def tensor_algebra_oracle(alg: Algebra, T: Bimodule, cap=24, name=None):
     """ar.tensor_algebra as it was before it multiplied by associativity:
     every coordinate of T^k expanded into pure-tensor chains, multiplied
@@ -907,11 +1051,11 @@ def tensor_algebra_oracle(alg: Algebra, T: Bimodule, cap=24, name=None):
         if side == "l":
             if bj.src != u:
                 return None
-            m = Tk.lact_mat(j, v)
+            m = dense_bimodule_action(Tk, (j, v))
             return (bj.tgt, v), m.apply(vec)
         if bj.tgt != v:
             return None
-        m = Tk.ract_mat(u, j)
+        m = dense_bimodule_action(Tk, (u, j), left=False)
         return (u, bj.src), m.apply(vec)
 
     mult = {}

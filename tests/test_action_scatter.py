@@ -8,7 +8,12 @@ cochain complex."""
 
 import pytest
 
-from conftest import cluster_tilting_oracle, corpus_algebra, dense_act_mat
+from conftest import (
+    cluster_tilting_oracle,
+    corpus_algebra,
+    dense_act_mat,
+    dense_bimodule_action,
+)
 from quivercy import cy, homology
 from quivercy.ar import decide_nrf
 from quivercy.constructions import TypeAQuiver, cut_algebra, enumerate_cuts
@@ -90,7 +95,7 @@ def _col_sum_diff_dense(X: Bimodule, em, src, tgt):
                     continue
                 blk = None
                 for bidx, c in elt.items():
-                    mm = X.ract_mat(w, bidx).scale(c)
+                    mm = dense_bimodule_action(X, (w, bidx), left=False).scale(c)
                     blk = mm if blk is None else blk + mm
                 r0 = tgt.offs[(r, w)]
                 c0 = src.offs[(s, w)]

@@ -305,6 +305,23 @@ def test_auslander(runner):
     assert doc["relation_count"] == 3
 
 
+def test_auslander_undecided_says_so(runner):
+    result = runner.invoke(main, ["auslander", corpus("kronecker"), "--n", "1", "--cap", "0"])
+    assert result.exit_code == 2
+    assert "undecided: global dimension exceeds the cap" in result.stderr
+    assert "not representation-finite" not in result.stderr
+
+
+def test_odd_vertex_labels_are_labels(runner, tmp_path):
+    # "--1" and "²" are not ints; reading them as ints crashed the parser
+    path = tmp_path / "labels.alg"
+    path.write_text("vertices: --1 ²\narrows:\n  a: --1 -> ²\n")
+    result, doc = run_json(runner, ["analyze", str(path), "--n", "1"])
+    assert result.exception is None and result.exit_code == 0
+    assert "Traceback" not in result.output
+    assert doc["is_nrf"] is True and doc["b"] == 3
+
+
 def test_pretty_output(runner):
     result = runner.invoke(main, ["cy", corpus("a2"), "--pretty"])
     assert result.exit_code == 0

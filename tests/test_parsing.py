@@ -129,6 +129,19 @@ def test_parse_error_reports_location():
         parse_algebra_file("vertices: 1 1\n")
 
 
+@pytest.mark.parametrize("tok,vertex", [
+    ("7", 7), ("-3", -3), ("007", 7), ("--1", "--1"), ("²", "²"), ("-²", "-²"),
+    ("+1", "+1"), ("1a", "1a"), ("x", "x"),
+])
+def test_vertex_tokens(tok, vertex):
+    # an int exactly for an optionally signed run of decimal digits, as
+    # coefficients are read; any other token is a label
+    af = parse_algebra_file(f"vertices: {tok} y\narrows:\n  a: {tok} -> y\n")
+    assert af.vertices == [vertex, "y"]
+    assert af.arrows == [("a", vertex, "y")]
+    assert af.build().dim == 3
+
+
 def test_parse_undeclared_vertex():
     with pytest.raises(ParseError):
         parse_algebra_file("vertices: 1 2\narrows:\n  a: 1 -> 3\n")

@@ -89,7 +89,8 @@ def _oracle_bimodule(alg, dual):
                 else:
                     for k, c in alg.mul(j, i).items():
                         m.a[pos[k]][col] = c
-            lact[(j, v)] = m
+            if not m.is_zero():
+                lact[(j, v)] = m
         for u in alg.vertices:
             m = Mat.zero(dims[(u, bj.src)], dims[(u, bj.tgt)])
             for col, i in enumerate(by_pair[(u, bj.tgt)]):
@@ -102,7 +103,8 @@ def _oracle_bimodule(alg, dual):
                 else:
                     for k, c in alg.mul(i, j).items():
                         m.a[pos[k]][col] = c
-            ract[(u, j)] = m
+            if not m.is_zero():
+                ract[(u, j)] = m
     return Bimodule(alg, alg, dims, lact, ract)
 
 
@@ -150,9 +152,10 @@ def _same_module(M, N):
 
 def _same_bimodule(X, Y):
     assert X.dims == Y.dims
-    assert X.lact.keys() == Y.lact.keys() and X.ract.keys() == Y.ract.keys()
-    assert all(X.lact[k] == Y.lact[k] for k in X.lact)
-    assert all(X.ract[k] == Y.ract[k] for k in X.ract)
+    assert X.lact_by_col.keys() == Y.lact_by_col.keys()
+    assert X.ract_by_elt.keys() == Y.ract_by_elt.keys()
+    assert all(X.lact_by_col[v] == Y.lact_by_col[v] for v in X.lact_by_col)
+    assert all(X.ract_by_elt[j] == Y.ract_by_elt[j] for j in X.ract_by_elt)
 
 
 def _algebras():

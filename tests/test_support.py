@@ -17,6 +17,7 @@ import pytest
 
 from conftest import (
     CORPUS,
+    assert_bimodule_store,
     assert_block_rule,
     column_sum_oracle,
     corpus_algebra,
@@ -76,10 +77,7 @@ def _vertex_lists(alg):
 def test_column_sums_match_the_scan(case):
     alg = _algebra(case)
     for X in (regular_bimodule(alg), dual_regular_bimodule(alg)):
-        for v, blocks in X.lact_by_col.items():
-            assert list(blocks) == sorted(blocks)  # basis order
-            assert all(X.lact[(i, v)] is m for i, m in blocks.items())
-        assert sum(map(len, X.lact_by_col.values())) == len(X.lact)
+        assert_bimodule_store(X)  # nonzero blocks, each column in basis order
         for verts in _vertex_lists(alg):
             M = column_sum(X, verts)
             dims, act, offs0 = column_sum_oracle(X, verts)
