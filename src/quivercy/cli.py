@@ -187,7 +187,7 @@ def typea(n, s, do_cuts, omega_stable_only, verify, cap, pretty):
         doc["cuts"] = [sorted(c) for c in shown]
     if verify:
         rep = verify_thm_homogeneous_cuts(n, s, cap=cap)
-        doc["verified"] = rep["verified"]
+        doc["verified"] = rep["verified"] if isinstance(rep["verified"], bool) else "undecided"
         doc["cut_count"] = rep["cut_count"]
         doc["omega_stable_count"] = rep["omega_stable_count"]
         doc["omega_stable_iso_classes"] = rep["omega_stable_iso_classes"]

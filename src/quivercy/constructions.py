@@ -8,7 +8,7 @@ from itertools import permutations
 from math import comb
 
 from .algebra import Algebra, BasisElt, build_algebra
-from .errors import BijectionFailure, InvalidSpec, NotACut
+from .errors import UNDECIDED, BijectionFailure, InvalidSpec, NotACut
 from .quiver import Path, Quiver
 
 
@@ -422,13 +422,16 @@ def verify_thm_homogeneous_cuts(n, s, cap=None):
     for qq in stable_quivers:
         if not any(_quiver_isomorphic(qq, rep_q) for rep_q in iso_classes):
             iso_classes.append(qq)
+    decided = [e for e in results if e["is_nrf"] is not UNDECIDED]
     ok = all(
         e["is_nrf"] is True and e["homogeneous"] == e["omega_stable"]
         and (not e["homogeneous"] or e["ell"] == ell_expected)
-        for e in results
+        for e in decided
     )
     if ell_expected is None:
-        ok = ok and not any(e["homogeneous"] for e in results)
+        ok = ok and not any(e["homogeneous"] for e in decided)
+    if ok and len(decided) < len(results):
+        ok = UNDECIDED
     return {
         "n": n,
         "s": s,

@@ -356,12 +356,12 @@ def check_untwisted_cy(alg, ell, m, cap=None):
     C = dual_regular_perf(alg) if ell % 2 else _bimodule_resolution(alg, regular_bimodule)
     for _ in range(ell // 2 - 1):
         C = nakayama(C, cap=cap)
-    if ell > 1:
-        C = tensor_complex(dual_regular_bimodule(C.alg), C)
-    table = C.cohomology_table()
-    if set(table) != {-m}:
+    C = tensor_complex(dual_regular_bimodule(C.alg), C) if ell > 1 else C.to_mod_complex()
+    # the cheap criterion first: no cohomology off -m, by ranks alone; an
+    # H^{-m} = 0 then fails the dimension vector test below
+    if any(C.cohomology_dim(i) for i in C.degrees() if i != -m):
         return False
-    H = table[-m]
+    H = C.cohomology(-m)
     reg = env_module(alg, regular_bimodule)
     if H.dim_vector() != reg.dim_vector():
         return False

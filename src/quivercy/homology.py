@@ -14,13 +14,12 @@ from graphlib import CycleError, TopologicalSorter
 
 from .algebra import Algebra, opposite, per_algebra, semisimple_algebra
 from .errors import CapExceeded
-from .linalg import Mat, inv, kernel_units
+from .linalg import Mat, inv
 from .module import (
     Bimodule,
     ColumnSum,
     Module,
     Morphism,
-    _sub_from_columns,
     action_matrix,
     column_sum,
     direct_sum,
@@ -502,7 +501,14 @@ def is_selfinjective(alg: Algebra):
 
 def to_projective_complex(C: ModComplex, cap=None):
     """Quasi-isomorphic based complex of projectives, built from the top
-    degree down by projective covers of pullbacks."""
+    degree down by projective covers of pullbacks.
+
+    Step i keeps one map, inc: the inclusion of the pullback X times its
+    cover P^i -> X, into C^i (+) P^{i+1}.  Its first C^i rows are pi^i and
+    the rest d_P^i.  X is the kernel of the cone map [d_C, -pi; 0, d_P]
+    from C^i (+) P^{i+1} to C^{i+1} (+) P^{i+2}, read off the inc of the
+    step before; the loop starts from the empty sum P^{hi+1}, so that inc
+    is the empty map."""
     alg = C.alg
     if cap is None:
         cap = default_cap(alg)
@@ -510,58 +516,41 @@ def to_projective_complex(C: ModComplex, cap=None):
     if not degs:
         return PerfComplex(alg, {}, {})
     hi, lo = max(degs), min(degs)
-    R = regular_bimodule(alg)
-    P_sums = {}  # i -> P^i, a `_sum_info`
-    P_diffs = {}  # i -> eltmat P^i -> P^{i+1}
-    pi = {}  # i -> Morphism P^i -> C.term(i)
+    P = S = _sum_info(alg, ())  # P^{i+1}, and C^{i+1} (+) P^{i+2}
+    inc = Morphism(P, S, {v: Mat.zero(0, 0) for v in alg.vertices})
+    terms, diffs = {}, {}
     i = hi
     while True:
         Ci = C.term(i)
-        Pnext = P_sums.get(i + 1)
-        Pn_mod = zero_module(alg) if Pnext is None else Pnext
-        if Ci.total_dim == 0 and Pn_mod.total_dim == 0 and i < hi:
+        if Ci.total_dim == 0 and P.total_dim == 0 and i < hi:
             break
         if i < lo - cap:
             raise CapExceeded("projective replacement exceeded the width cap")
         # X = {(c, p) : d_C c = pi(p), d_P p = 0} inside C^i (+) P^{i+1}
-        S = direct_sum([Ci, Pn_mod])
-        tgt1 = C.term(i + 1)
+        S_prev, S = S, direct_sum([Ci, P])
         dC = C.diff(i)
         mats = {}
-        pi_next = pi.get(i + 1)
-        dP_next = P_diffs.get(i + 1)
-        dP_next_mor = None if dP_next is None else _col_sum_diff(R, dP_next, Pnext, P_sums[i + 2])
         for v in alg.vertices:
-            r1 = tgt1.dims[v]
-            blk_dc = dC.mats[v] if dC is not None else Mat.zero(r1, Ci.dims[v])
-            blk_pi = pi_next.mats[v] if pi_next is not None else Mat.zero(r1, Pn_mod.dims[v])
-            # the rows [d_C, -pi_next] and [0, d_P_next]
-            rows = [dc + [-x for x in p] for dc, p in zip(blk_dc.a, blk_pi.a)]
-            if dP_next_mor is not None:
-                rows += [[0] * Ci.dims[v] + row for row in dP_next_mor.mats[v].a]
-            mats[v] = Mat(len(rows), S.dims[v], rows)
-        # kernel columns give X; cover it
-        cols = {v: mats[v].kernel_basis() for v in alg.vertices}
-        units = {v: kernel_units(c) for v, c in cols.items()}
-        X = _sub_from_columns(S, cols, units, name="pullback")
+            n, rows = Ci.dims[v], inc.mats[v].a
+            dc = dC.mats[v].a if dC is not None else [[0] * n] * C.term(i + 1).dims[v]
+            # the rows [d_C, -pi] on C^{i+1}, then [0, d_P] on P^{i+2}
+            cone = [a + [-x for x in b] for a, b in zip(dc, rows)]
+            cone += [[0] * n + b for b in rows[len(dc):]]
+            mats[v] = Mat(len(cone), S.dims[v], cone)
+        X, cols, _ = kernel(Morphism(S, S_prev, mats), name="pullback")
         if X.total_dim == 0 and i <= lo:
             break
         Pi, cov, lifts = projective_cover(X)
-        # pi^i is the C^i block of the inclusion of X, whose columns are the
-        # kernel columns, times the cover; the differential sends generator
-        # s to the P^{i+1} block of kernel vector lifts[s], the image of its
-        # unit vector
-        pi[i] = Morphism(Pi, Ci, {
-            v: Mat.from_rows([c[:Ci.dims[v]] for c in cols[v]], ncols=Ci.dims[v]).transpose()
-            * cov.mats[v] for v in alg.vertices})
-        P_sums[i] = Pi
-        if Pnext is not None and Pnext.verts:
-            images = [cols[v][j][Ci.dims[v]:] for v, j in zip(Pi.verts, lifts)]
-            P_diffs[i] = images_to_eltmat(Pi.verts, Pnext, images)
+        # the inclusion of X has the kernel columns as its columns; the
+        # differential sends generator s to the P^{i+1} block of kernel
+        # vector lifts[s], the image of its unit vector
+        inc = Morphism(Pi, S, {
+            v: Mat.from_rows(cols[v], ncols=S.dims[v]).transpose() * cov.mats[v]
+            for v in alg.vertices})
+        images = [cols[v][j][Ci.dims[v]:] for v, j in zip(Pi.verts, lifts)]
+        terms[i], diffs[i] = Pi.verts, images_to_eltmat(Pi.verts, P, images)
+        P = Pi
         i -= 1
-    terms = {d: Pd.verts for d, Pd in P_sums.items() if Pd.verts}
-    diffs = {d: em for d, em in P_diffs.items()
-             if d in terms and (d + 1) in terms}
     return PerfComplex(alg, terms, diffs)
 
 

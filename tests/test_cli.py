@@ -273,6 +273,14 @@ def test_typea_verify(runner):
     assert doc["ell"] == 2
 
 
+def test_typea_verify_undecided_says_so(runner):
+    # at cap 1 no cut is decided: the theorem check is undecided, not false
+    result, doc = run_json(runner, ["typea", "--n", "1", "--s", "3", "--verify", "--cap", "1"])
+    assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    assert doc["verified"] == "undecided"
+
+
 def test_tensor_rejects_inhomogeneous(runner):
     result = runner.invoke(main, ["tensor", corpus("a2"), corpus("a2"),
                                   "--n", "1", "--n", "1", "--ell", "2"])

@@ -1,6 +1,7 @@
 import pytest
 
 from conftest import all_orientations, classify_homogeneous_dynkin, is_omega_stable_orientation
+from quivercy import ar
 from quivercy.constructions import (
     DynkinQuiver,
     TypeAQuiver,
@@ -14,7 +15,7 @@ from quivercy.constructions import (
     verify_nakayama_bijection,
     verify_thm_homogeneous_cuts,
 )
-from quivercy.errors import BijectionFailure, InvalidSpec, NotACut
+from quivercy.errors import UNDECIDED, BijectionFailure, InvalidSpec, NotACut
 from quivercy.homology import is_selfinjective
 
 
@@ -150,3 +151,22 @@ def test_verify_homogeneous_cuts_small():
     assert rep["cut_count"] == 16
     assert rep["omega_stable_count"] == 4
     assert rep["ell"] == 3
+
+
+def test_verify_homogeneous_cuts_keeps_an_undecided_cut_undecided(monkeypatch):
+    # at cap 1 no cut of (1,3) is decided, and no decided cut fails
+    assert verify_thm_homogeneous_cuts(1, 3, cap=1)["verified"] is UNDECIDED
+    # a decided failure outweighs the undecided cuts
+    real = ar.decide_nrf
+    seen = []
+
+    def first_fails(alg, n, cap=None):
+        rep = real(alg, n, cap=cap)
+        if not seen:
+            rep.is_nrf = False
+        seen.append(rep)
+        return rep
+
+    monkeypatch.setattr(ar, "decide_nrf", first_fails)
+    assert verify_thm_homogeneous_cuts(1, 3, cap=1)["verified"] is False
+    assert [r.is_nrf for r in seen[1:]] == [UNDECIDED] * 3

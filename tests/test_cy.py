@@ -28,7 +28,13 @@ from quivercy.cy import (
     nakayama_power,
 )
 from quivercy.errors import CapExceeded
-from quivercy.homology import global_dimension, is_shifted_regular, nakayama, stalk_regular
+from quivercy.homology import (
+    ModComplex,
+    global_dimension,
+    is_shifted_regular,
+    nakayama,
+    stalk_regular,
+)
 from quivercy.module import injective_module
 
 # the minimal twisted certificate (ell, m) of each corpus algebra but Kronecker
@@ -111,6 +117,15 @@ def test_twisted_but_not_untwisted(a3_stable):
 
 def test_untwisted_tensor_square(a2sq):
     assert check_untwisted_cy(a2sq, 3, 2)
+
+
+def test_untwisted_builds_only_the_shifted_cohomology(monkeypatch, a2sq):
+    # the other degrees are ruled out by ranks, and H^{-m} alone is built
+    calls = []
+    real = ModComplex.cohomology
+    monkeypatch.setattr(ModComplex, "cohomology", lambda C, i: calls.append(i) or real(C, i))
+    assert check_untwisted_cy(a2sq, 6, 4) is True
+    assert calls == [-4]
 
 
 # -- the K_0 gate, cross-checked against the ungated search ---------------

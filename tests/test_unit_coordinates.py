@@ -35,6 +35,7 @@ from quivercy.module import (
     dual_regular_bimodule,
     injective_module,
     kernel,
+    regular_bimodule,
     simple_module,
     zero_module,
 )
@@ -43,6 +44,8 @@ CORPUS = ["a2", "a3_linear", "a3_stable", "a4_linear", "a5_stable", "d4", "krone
           "a2_tensor_a2"]
 CUTS_2_4 = range(0, 65, 5)
 CUTS_2_5 = [(2, 5, 0), (2, 5, 240)]
+CUTS_2_5_SPARSE = [(2, 5, k) for k in range(0, 480, 120)]
+CUTS_3_4_SPARSE = [(3, 4, k) for k in range(0, 640, 160)]
 
 
 def _algebra(key):
@@ -241,15 +244,13 @@ def _to_projective_complex_by_composition(C):
     return PerfComplex(alg, terms, diffs)
 
 
-@pytest.mark.parametrize("key", CORPUS + list(CUTS_2_4))
-def test_pullback_differentials_match_the_composed_ones(key):
-    # the complexes nakayama replaces along the first three powers; the
-    # module view of every complex on the way, and so each d_P map of
-    # to_projective_complex, also matches the product expansion
-    alg = _algebra(key)
+def _assert_pullbacks_match(P, powers):
+    """The complexes nakayama replaces along the given number of powers
+    from P equal the oracle's; the module view of every complex on the
+    way, and so each d_P map, also matches the product expansion."""
+    alg = P.alg
     DL = dual_regular_bimodule(alg)
-    P = stalk_regular(alg)
-    for _ in range(3):
+    for _ in range(powers):
         C = tensor_complex(DL, P)
         Q = to_projective_complex(C)
         ref = _to_projective_complex_by_composition(C)
@@ -263,6 +264,28 @@ def test_pullback_differentials_match_the_composed_ones(key):
                 assert view.diffs[i].mats == _eltmat_to_morphism(alg, src, tgt, em).mats
         P = minimize(Q)
     assert Q.diffs
+
+
+@pytest.mark.parametrize("key", CORPUS + list(CUTS_2_4) + CUTS_2_5_SPARSE + CUTS_3_4_SPARSE,
+                         ids=str)
+def test_pullback_differentials_match_the_composed_ones(key):
+    _assert_pullbacks_match(stalk_regular(_algebra(key)), 3)
+
+
+def test_pullback_differentials_match_the_composed_ones_over_the_enveloping_algebra(a2sq):
+    # the two nu_E steps of check_untwisted_cy(a2sq, 6, 4)
+    _assert_pullbacks_match(cy._bimodule_resolution(a2sq, regular_bimodule), 2)
+
+
+def test_projective_replacement_rebuilds_no_differential(monkeypatch, a2sq):
+    # d_P^{i+1} is read off the map kept from the step before, not
+    # re-expanded from its element matrix
+    C = tensor_complex(dual_regular_bimodule(a2sq), nakayama(stalk_regular(a2sq)))
+    calls = []
+    real = homology._col_sum_diff
+    monkeypatch.setattr(homology, "_col_sum_diff", lambda *a: calls.append(a) or real(*a))
+    Q = to_projective_complex(C)
+    assert len(Q.terms) > 2 and not calls
 
 
 # -- minimize ----------------------------------------------------------------
