@@ -13,7 +13,7 @@ left module as a map M[src(b)] -> M[tgt(b)].
 
 from __future__ import annotations
 
-from functools import wraps
+from functools import cached_property, wraps
 
 from .errors import MalformedRelation, NotFiniteDimensional
 from .linalg import Mat, independent_subset
@@ -59,7 +59,8 @@ class Algebra:
     def __init__(self, vertices, basis, mult, name="algebra", quiver=None):
         self.vertices = list(vertices)
         self.basis = basis
-        self.mult = mult  # (i, j) -> {k: coeff}, only nonzero products stored
+        if mult is not None:  # None: a subclass builds the table on first read
+            self.mult = mult  # (i, j) -> {k: coeff}, only nonzero products stored
         self.name = name
         self.quiver = quiver
         self.idem = {v: i for i, v in enumerate(self.vertices)}
@@ -305,10 +306,32 @@ def opposite(a: Algebra) -> Algebra:
     return op
 
 
-def tensor_product(a: Algebra, b: Algebra, name=None) -> Algebra:
-    """a (x) b over Q; vertices are pairs."""
+class TensorProduct(Algebra):
+    """a (x) b as built by `tensor_product`, with tensor_info =
+    (a, b, pair_index).  Its table, one product per pair of products of
+    the factors, is built on first read: the bimodule path reads the
+    algebra off its factors instead (`module.regular_bimodule`)."""
+
+    @cached_property
+    def mult(self):
+        """(i1 (x) j1)(i2 (x) j2) = i1 i2 (x) j1 j2, from the factors' tables."""
+        a, b, pair_index = self.tensor_info
+        mult = {}
+        for (i1, i2), pa in a.mult.items():
+            for (j1, j2), pb in b.mult.items():
+                mult[(pair_index[(i1, j1)], pair_index[(i2, j2)])] = {
+                    pair_index[(k1, k2)]: c1 * c2 for k1, c1 in pa.items() for k2, c2 in pb.items()}
+        return mult
+
+
+def tensor_product(a: Algebra, b: Algebra, name=None) -> TensorProduct:
+    """a (x) b over Q; vertices are pairs.  Basis element pair_index[(i, j)]
+    is a.basis[i] (x) b.basis[j]: the idempotent pairs first, matching the
+    vertices, then every other pair in lexicographic order.  Among the
+    pairs from one vertex pair to another, an idempotent pair is the
+    least one too, so they run in lexicographic order: the kron order of
+    the factors' spaces.  The table is built on first read."""
     vertices = [(u, v) for u in a.vertices for v in b.vertices]
-    # order basis so that the idempotent pairs come first, matching vertices
     pairs = [(i, j) for i in range(a.nvert()) for j in range(b.nvert())]
     pairs += [
         (i, j)
@@ -328,22 +351,14 @@ def tensor_product(a: Algebra, b: Algebra, name=None) -> Algebra:
                 x.degree + y.degree,
             )
         )
-    mult = {}
-    for (i1, i2), pa in a.mult.items():
-        for (j1, j2), pb in b.mult.items():
-            out = {}
-            for k1, c1 in pa.items():
-                for k2, c2 in pb.items():
-                    out[pair_index[(k1, k2)]] = c1 * c2
-            mult[(pair_index[(i1, j1)], pair_index[(i2, j2)])] = out
-    t = Algebra(vertices, basis, mult, name=name or f"{a.name}(x){b.name}")
+    t = TensorProduct(vertices, basis, None, name=name or f"{a.name}(x){b.name}")
     t.tensor_info = (a, b, pair_index)
     # Gabriel arrows of a product are g(x)e and e(x)g
     ga = a.generators()
     gb = b.generators()
     gens = [pair_index[(g, j)] for g in ga for j in range(b.nvert())]
     gens += [pair_index[(i, g)] for i in range(a.nvert()) for g in gb]
-    t.set_generators([g for g in gens])
+    t.set_generators(gens)
     return t
 
 

@@ -351,7 +351,7 @@ def _col_sum_diff(X: Bimodule, em, src: ColumnSum, tgt: ColumnSum):
         for s, elt in enumerate(row):
             for bidx, c in elt.items():
                 if basis[bidx].degree:
-                    for w, blk in X.ract_by_elt.get(bidx, {}).items():
+                    for w, blk in X.ract_elt(bidx).items():
                         m, r0, c0 = mats[w].a, tgt.offs[(r, w)], src.offs[(s, w)]
                         for i, brow in enumerate(blk.a):
                             mrow = m[r0 + i]

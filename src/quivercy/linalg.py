@@ -146,21 +146,11 @@ class Mat:
         return out
 
     def kron(self, other):
-        out = Mat.zero(self.rows * other.rows, self.cols * other.cols)
-        for i in range(self.rows):
-            for j in range(self.cols):
-                x = self.a[i][j]
-                if not x:
-                    continue
-                for k in range(other.rows):
-                    orow = other.a[k]
-                    trow = out.a[i * other.rows + k]
-                    base = j * other.cols
-                    for l in range(other.cols):
-                        y = orow[l]
-                        if y:
-                            trow[base + l] = x * y
-        return out
+        """Kronecker product: entry (i * other.rows + k, j * other.cols + l)
+        is self[i][j] * other[k][l], an int 0 where either factor is 0."""
+        return Mat(self.rows * other.rows, self.cols * other.cols,
+                   [[x * y if x and y else 0 for x in srow for y in orow]
+                    for srow in self.a for orow in other.a])
 
     def column(self, j):
         return [r[j] for r in self.a]

@@ -14,8 +14,9 @@ Readers whose output is whole matrices lay out one element with
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import cached_property
 
-from .algebra import Algebra, enveloping, opposite, per_algebra
+from .algebra import Algebra, TensorProduct, enveloping, opposite, per_algebra
 from .errors import NotAHomomorphism, UNDECIDED
 from .linalg import Mat, kernel_units, rational
 
@@ -152,7 +153,7 @@ def column_sum(X, verts, name=None):
 class ColumnSum(Module):
     """The column sum of a bimodule X at a list of vertices, as a view:
     it stores dims and offsets, and its action is read as the blocks of
-    X.lact_by_col at its columns, listed on the first call of `blocks`;
+    X at its columns (`X.lact_col`), listed on the first call of `blocks`;
     X keeps only nonzero blocks of positive degree, so they need no test.
     Coordinate offs[(r, w)] + p at vertex w is coordinate p of
     X[(w, verts[r])], so the blocks of one element, one per column where
@@ -176,7 +177,7 @@ class ColumnSum(Module):
             basis, offs = self.alg.basis, self.offs
             self._blocks = {}
             for r, u in enumerate(self.verts):
-                for i, blk in self.bimodule.lact_by_col.get(u, {}).items():
+                for i, blk in self.bimodule.lact_col(u).items():
                     b = basis[i]
                     self._blocks.setdefault(i, []).append(
                         (offs[(r, b.tgt)], offs[(r, b.src)], blk))
@@ -568,12 +569,96 @@ class Bimodule:
             self.ract_by_elt.setdefault(j, {})[u] = m
         self.name = name
 
+    def lact_col(self, v):
+        """The left action's blocks {i: Mat} on the column at v."""
+        return self.lact_by_col.get(v, {})
+
+    def ract_elt(self, j):
+        """The right action's blocks {u: Mat} of j, by row."""
+        return self.ract_by_elt.get(j, {})
+
     @property
     def total_dim(self):
         return sum(self.dims.values())
 
     def __repr__(self):
         return f"Bimodule({self.name}, dim {self.total_dim})"
+
+
+class _TensorRegular(Bimodule):
+    """The regular bimodule of a tensor product, read off the regular
+    bimodules of its factors (see `regular_bimodule`).  dims and the
+    basis layout are built at once; the blocks of a column or of an
+    element when first read, and lact_by_col and ract_by_elt whole when
+    first read."""
+
+    def __init__(self, t):
+        a, b, pair_index = t.tensor_info
+        Ra, Rb = regular_bimodule(a), regular_bimodule(b)
+        self._factors, self._pair_index = (a, b), pair_index
+        self._pairs = list(pair_index)  # the pair (i, j) of each index
+        self.left_alg = self.right_alg = t
+        self.name = "reg"
+        self.dims, self.basis_indices, self.basis_pos = _PairDims(), {}, {}
+        for (u1, v1), ia in Ra.basis_indices.items():
+            for (u2, v2), ib in Rb.basis_indices.items():
+                key = ((u1, u2), (v1, v2))
+                idx = self.basis_indices[key] = [pair_index[(i, j)] for i in ia for j in ib]
+                self.dims[key] = len(idx)
+                self.basis_pos.update(zip(idx, range(len(idx))))
+        self._cols, self._elts = {}, {}
+
+    def lact_col(self, v):
+        blocks = self._cols.get(v)
+        if blocks is None:
+            a, b = self._factors
+            # idempotents first in each factor, so the pairs run in
+            # lexicographic order, which is t's basis order
+            fa, fb = _left_blocks(a, v[0]), _left_blocks(b, v[1])
+            blocks = self._cols[v] = {
+                self._pair_index[(i, j)]: p.kron(q) for i, p in fa for j, q in fb
+                if a.basis[i].degree or b.basis[j].degree}
+        return blocks
+
+    def ract_elt(self, k):
+        blocks = self._elts.get(k)
+        if blocks is None:
+            blocks = self._elts[k] = {}
+            if self.right_alg.basis[k].degree:
+                (a, b), (i, j) = self._factors, self._pairs[k]
+                fb = _right_blocks(b, j).items()
+                for u1, p in _right_blocks(a, i).items():
+                    for u2, q in fb:
+                        blocks[(u1, u2)] = p.kron(q)
+        return blocks
+
+    @cached_property
+    def lact_by_col(self):
+        return {v: blocks for v in self.left_alg.vertices if (blocks := self.lact_col(v))}
+
+    @cached_property
+    def ract_by_elt(self):
+        return {k: blocks for k in range(self.right_alg.dim) if (blocks := self.ract_elt(k))}
+
+
+@per_algebra
+def _left_blocks(alg, x):
+    """[(i, block)] of the left action on the column at x of the regular
+    bimodule: the identity of each idempotent where it is nonzero, then
+    the stored blocks."""
+    R = regular_bimodule(alg)
+    return ([(alg.idem[u], Mat.identity(R.dims[(u, x)])) for u in alg.vertices if R.dims[(u, x)]]
+            + list(R.lact_col(x).items()))
+
+
+@per_algebra
+def _right_blocks(alg, i):
+    """{u: block} of the right action of i on the regular bimodule, an
+    identity for an idempotent."""
+    R, b = regular_bimodule(alg), alg.basis[i]
+    if b.degree:
+        return R.ract_elt(i)
+    return {u: Mat.identity(R.dims[(u, b.src)]) for u in alg.vertices if R.dims[(u, b.src)]}
 
 
 @per_algebra
@@ -583,7 +668,25 @@ def regular_bimodule(alg: Algebra):
     X.basis_indices[(u, v)] when there are any; basis element i is
     coordinate X.basis_pos[i] of its pair.  The projective, injective
     and regular modules are read off this bimodule or its dual, so this
-    is where the multiplication table becomes their action matrices."""
+    is where the multiplication table becomes their action matrices.
+
+    A tensor product t = a (x) b, whose table may never be read, is read
+    off the regular bimodules Ra and Rb of its factors instead
+    (`_TensorRegular`).  t e_(x,y) = a e_x (x) b e_y, on which i (x) j
+    acts by (i.) (x) (j.); so the left block of (i, j) on the column
+    (x, y) is the kron of Ra's block of i on the column x and Rb's block
+    of j on the column y, an idempotent giving an identity block, and
+    the right block of (i, j) on the row (u1, u2) is the kron of their
+    right blocks on the rows u1 and u2.  The kron order, coordinate
+    (p, q) at p * n + q for n the dimension of Rb's space, is t's basis
+    order in each space (`tensor_product`)."""
+    if isinstance(alg, TensorProduct):
+        return _TensorRegular(alg)
+    return _regular_from_table(alg)
+
+
+def _regular_from_table(alg: Algebra):
+    """`regular_bimodule` by one pass over the multiplication table."""
     by_pair = {}  # only the nonempty pairs: an enveloping algebra has many
     for i, b in enumerate(alg.basis):
         by_pair.setdefault((b.tgt, b.src), []).append(i)

@@ -35,6 +35,7 @@ from quivercy.module import (
     Module,
     Morphism,
     _quotient_maps,
+    _regular_from_table,
     _sub_from_columns,
     bimodule_to_env_module,
     column_sum,
@@ -154,6 +155,27 @@ def assert_bimodule_store(X):
         for u, m in by_row.items():
             b = X.right_alg.basis[j]
             check(m, b, (X.dims[(u, b.src)], X.dims[(u, b.tgt)]), (X, u, j))
+
+
+def regular_bimodule_oracle(alg):
+    """regular_bimodule by the loop over alg.mult, as it was built for a
+    tensor product before it was read off the factors."""
+    return _regular_from_table(alg)
+
+
+def tensor_table_oracle(t):
+    """The product table of a tensor product t, built as tensor_product
+    built it eagerly before the table was deferred to its first read."""
+    a, b, pair_index = t.tensor_info
+    mult = {}
+    for (i1, i2), pa in a.mult.items():
+        for (j1, j2), pb in b.mult.items():
+            out = {}
+            for k1, c1 in pa.items():
+                for k2, c2 in pb.items():
+                    out[pair_index[(k1, k2)]] = c1 * c2
+            mult[(pair_index[(i1, j1)], pair_index[(i2, j2)])] = out
+    return mult
 
 
 # -- constructions the program itself does not call ---------------------

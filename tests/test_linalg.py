@@ -167,3 +167,30 @@ def test_kernel_units_read_coordinates_in_the_kernel():
         x = [sum((c * v[j] for c, v in zip(coeffs, kb)), 0) for j in range(cols)]
         assert [x[u] for u in units] == coeffs
 
+
+
+def _kron_oracle(x, y):
+    """Entry (i, j) of x kron y, read off the definition."""
+    return [[x.a[i // y.rows][j // y.cols] * y.a[i % y.rows][j % y.cols]
+             for j in range(x.cols * y.cols)] for i in range(x.rows * y.rows)]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_kron_matches_the_entrywise_definition(seed):
+    rng = random.Random(seed)
+    # odd seeds draw Fraction entries, a Fraction zero among them
+    values = ([0, 0, 1, -1, Fraction(1, 2), Fraction(-3, 4), Fraction(0)] if seed % 2
+              else [0, 0, 1, -1, 2, 3])
+
+    def draw():
+        r, c = rng.randint(0, 3), rng.randint(0, 3)
+        return Mat(r, c, [[rng.choice(values) for _ in range(c)] for _ in range(r)])
+
+    for _ in range(25):
+        x, y = draw(), draw()
+        k = x.kron(y)
+        assert (k.rows, k.cols) == (x.rows * y.rows, x.cols * y.cols)
+        assert len(k.a) == k.rows and all(len(row) == k.cols for row in k.a)
+        assert k.a == _kron_oracle(x, y)
+        # a zero factor leaves an int 0, never a Fraction zero
+        assert all(type(e) is int for row in k.a for e in row if not e)
