@@ -29,7 +29,6 @@ from .module import (
     dual_regular_bimodule,
     env_module,
     env_module_to_bimodule,
-    flip_bimodule,
     hom,
     injective_module,
     outer_tensor_module,
@@ -61,15 +60,9 @@ def tau_n_minus(M: Module, n: int):
     """Inverse translate, via D Tor_n(D M, D(reg)) resolved over the
     opposite algebra."""
     alg = M.alg
-    T = tor(n, _flipped_dual_regular(alg), dual_module(M, opposite(alg)))
-    return dual_module(T, alg, name=f"tau{n}-({M.name})")
-
-
-@per_algebra
-def _flipped_dual_regular(alg):
-    """The dual regular bimodule as a bimodule over the opposite algebra."""
     op = opposite(alg)
-    return flip_bimodule(dual_regular_bimodule(alg), op, op)
+    T = tor(n, dual_regular_bimodule(op), dual_module(M, op))
+    return dual_module(T, alg, name=f"tau{n}-({M.name})")
 
 
 class NrfReport:

@@ -1,9 +1,10 @@
 """Command line front end.
 
 Exit codes: 0 for a positive verdict, 1 for a definite negative, 2 when a
-computation hit its cap and stayed undecided, 64 for input that does not
-parse and for usage errors (an unknown option, a missing required option,
-a number out of its option's range, a FILE that does not exist).
+computation hit its cap or ran out of memory and stayed undecided, 64 for
+input that does not parse and for usage errors (an unknown option, a
+missing required option, a number out of its option's range, a FILE that
+does not exist).
 """
 
 from __future__ import annotations
@@ -64,7 +65,8 @@ class _Main(click.Group):
     """Usage errors exit with EXIT_PARSE: click's own code, 2, would read
     as EXIT_UNDECIDED.  The group's own arguments are parsed in
     make_context, a subcommand's in the group's invoke.  A computation
-    that hits its cap in any subcommand exits with EXIT_UNDECIDED."""
+    that hits its cap or runs out of memory in any subcommand exits with
+    EXIT_UNDECIDED: exit 1 would read as a definite negative."""
 
     def make_context(self, *args, **kwargs):
         try:
@@ -81,6 +83,9 @@ class _Main(click.Group):
             raise
         except CapExceeded as exc:
             click.echo(f"cap exceeded: {exc}", err=True)
+            sys.exit(EXIT_UNDECIDED)
+        except MemoryError as exc:
+            click.echo(f"out of memory: {exc}", err=True)
             sys.exit(EXIT_UNDECIDED)
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cached_property
+from math import gcd, isqrt, lcm
 
 from .algebra import Algebra, TensorProduct, enveloping, opposite, per_algebra
 from .errors import NotAHomomorphism, UNDECIDED
@@ -433,101 +434,101 @@ def is_isomorphic(M: Module, N: Module):
     return _trace_rank(EM, EM) + _trace_rank(EN, EN) == 2 * _trace_rank(H, hom(N, M))
 
 
-def _min_poly(blocks):
-    """Minimal polynomial (coeff list, low degree first, monic) of the
-    block-diagonal endomorphism given per-vertex square matrices."""
-    big = Mat.block_diag([b for b in blocks if b.rows])
-    n = big.rows
-    if n == 0:
-        return [1]
-    # Krylov on the flattened powers
-    powers = [Mat.identity(n)]
-    vecs = [[x for row in powers[0].a for x in row]]
+def _min_poly(mats):
+    """Minimal polynomial (coefficients, low degree first, monic) of the
+    endomorphism with the given square blocks, one per vertex.  Its powers
+    are flattened block by block until one depends on those before it:
+    the one kernel vector of that matrix is 1 at its single free column,
+    the last, so it is the monic minimal polynomial."""
+    mats = [m for m in mats if m.rows]
+    power = [Mat.identity(m.rows) for m in mats]
+    flat = []
     while True:
-        nxt = powers[-1] * big
-        v = [x for row in nxt.a for x in row]
-        A = Mat.from_rows(vecs).transpose()
-        sol = A.solve(v)
-        if sol is not None:
-            coeffs = [-c for c in sol] + [1]
-            return coeffs
-        powers.append(nxt)
-        vecs.append(v)
+        flat.append([x for m in power for row in m.a for x in row])
+        kb = Mat.from_rows(flat).transpose().kernel_basis()
+        if kb:
+            return kb[0]
+        power = [p * m for p, m in zip(power, mats)]
 
 
-def _factor_poly(coeffs):
-    """Irreducible factors over Q via sympy; returns [(coeff list, mult)]."""
-    import sympy
-
-    x = sympy.Symbol("x")
-    expr = sum(sympy.Rational(str(c)) * x**i for i, c in enumerate(coeffs))
-    _, facs = sympy.Poly(expr, x).factor_list()
-    out = []
-    for p, m in facs:
-        cl = [sympy.Rational(c) for c in reversed(sympy.Poly(p, x).all_coeffs())]
-        out.append((cl, m))
-    return out
+def _divisors(n):
+    """The positive divisors of n > 0, by trial division up to sqrt(n)."""
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
-def _poly_of_morphism(fm: Morphism, coeffs):
-    """p(f) as a Morphism, p given low-to-high over sympy Rationals."""
-    import sympy
+def _rational_roots(coeffs):
+    """The distinct rational roots, ascending, of the nonzero polynomial
+    sum c_i x^i.  Rational root theorem: once the coefficients are scaled
+    to integers, a root p/q in lowest terms has p dividing the lowest and
+    q the highest nonzero coefficient; 0 is a root when c_0 is 0."""
+    den = lcm(*(c.denominator for c in coeffs))
+    ints = [int(c * den) for c in coeffs]
+    while not ints[-1]:
+        ints.pop()
+    low = next(i for i, c in enumerate(ints) if c)
+    ints = ints[low:]
+    d = len(ints) - 1
+    roots = [0] if low else []
+    for q in _divisors(abs(ints[-1])):
+        for p in _divisors(abs(ints[0])):
+            if gcd(p, q) != 1:
+                continue
+            for x in (p, -p):
+                # q^d times the value at x/q
+                if not sum(c * x**i * q**(d - i) for i, c in enumerate(ints)):
+                    roots.append(rational(x, q))
+    return sorted(roots)
 
-    alg = fm.src.alg
-    mats = {}
-    for v in alg.vertices:
-        m = fm.mats[v]
-        acc = Mat.zero(m.rows, m.rows)
-        pw = Mat.identity(m.rows)
-        for c in coeffs:
-            if c:
-                acc = acc + pw.scale(rational(int(sympy.numer(c)), int(sympy.denom(c))))
-            pw = pw * m
-        mats[v] = acc
-    return Morphism(fm.src, fm.src, mats)
+
+def _fitting_pieces(M: Module, fm: Morphism):
+    """M split by Fitting's lemma at the rational eigenvalues of the
+    endomorphism f: the generalized eigenspaces ker (f - r)^k, k >= dim M_v
+    at each vertex v, at the rational roots r of f's minimal polynomial,
+    and, if they do not fill M, the quotient of M by their sum.  f commutes
+    with the action, so each primary component of f is a submodule and M is
+    their direct sum; that quotient is the sum of the other components."""
+    pieces = []
+    cols = {v: [] for v in M.alg.vertices}
+    for r in _rational_roots(_min_poly([fm.mats[v] for v in M.alg.vertices])):
+        mats = {}
+        for v, m in fm.mats.items():
+            m = m + Mat.identity(m.rows).scale(-r)
+            k = 1
+            while k < m.rows:
+                m, k = m * m, 2 * k
+            mats[v] = m
+        K, kcols, _ = kernel(Morphism(M, M, mats), name=f"{M.name}~")
+        pieces.append(K)
+        for v, c in kcols.items():
+            cols[v].extend(c)
+    if sum(P.total_dim for P in pieces) < M.total_dim:
+        pieces.append(quotient(M, cols, name=f"{M.name}~")[0])
+    return pieces
 
 
 def decompose(M: Module):
-    """Split M into indecomposable summands.
+    """Split M into indecomposable summands, by Fitting's lemma.
 
-    Returns (summands, certified) where summands is a list of Modules and
-    certified is True when every piece has End/rad = Q (trace rank 1), or
-    UNDECIDED when some piece has a larger End/rad that no candidate
-    endomorphism (a basis element of End or their fixed combination)
-    splits.  Only this path loads sympy, so that importing quivercy
-    does not.
+    Returns (summands, certified): certified is True when every summand
+    has End/rad = Q (trace rank 1), and UNDECIDED when some summand has a
+    larger End/rad that no candidate (a basis element of End or their
+    fixed combination) splits into two `_fitting_pieces` or more.  Only
+    rational roots split, so a candidate with minimal polynomial
+    (x^2 + 1)(x^2 - 2) is left to the other candidates, to the recursion
+    or to UNDECIDED; no split is ever wrong.
     """
-    import sympy
-
     if M.total_dim == 0:
         return [], True
     E = hom(M, M)
     if _trace_rank(E, E) == 1:
         return [M], True
     for fm in E + [_weighted_sum(E)]:
-        blocks = [fm.mats[v] for v in M.alg.vertices]
-        mp = _min_poly(blocks)
-        facs = _factor_poly(mp)
-        if len(facs) < 2:
-            continue
-        summands = []
-        certified = True
-        for coeffs, mult in facs:
-            # power the factor enough to reach the generalized kernel
-            pc = [sympy.Rational(c) for c in coeffs]
-            pw = [sympy.Rational(1)]
-            for _ in range(mult):
-                new = [sympy.Rational(0)] * (len(pw) + len(pc) - 1)
-                for i, a in enumerate(pw):
-                    for j, b in enumerate(pc):
-                        new[i + j] += a * b
-                pw = new
-            K = kernel(_poly_of_morphism(fm, pw), name=f"{M.name}~")[0]
-            subs, cert = decompose(K)
-            summands.extend(subs)
-            if cert is not True:
-                certified = cert
-        return summands, certified
+        pieces = _fitting_pieces(M, fm)
+        if len(pieces) > 1:
+            splits = [decompose(P) for P in pieces]
+            certified = all(cert is True for _, cert in splits) or UNDECIDED
+            return [S for subs, _ in splits for S in subs], certified
     return [M], UNDECIDED
 
 
@@ -866,16 +867,6 @@ def env_module_to_bimodule(M: Module, alg: Algebra):
             elif not bi.degree:
                 ract[(bi.src, j)] = action_matrix(M, k)
     return Bimodule(alg, alg, M.dims, lact, ract, name=M.name)
-
-
-def flip_bimodule(X: Bimodule, new_left, new_right, name=None):
-    """View an (A, B)-bimodule as a (B^op, A^op)-bimodule: the right
-    action becomes the left action and vice versa.  new_left and new_right
-    must be the opposite algebras sharing basis indices with B and A."""
-    dims = {(v, u): d for (u, v), d in X.dims.items()}
-    lact = {(j, u): m for j, by_row in X.ract_by_elt.items() for u, m in by_row.items()}
-    ract = {(v, i): m for v, by_elt in X.lact_by_col.items() for i, m in by_elt.items()}
-    return Bimodule(new_left, new_right, dims, lact, ract, name=name or f"{X.name}^flip")
 
 
 def outer_tensor_module(M: Module, N: Module, t: Algebra, name=None):

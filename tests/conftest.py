@@ -17,7 +17,7 @@ from quivercy.cy import (
     k0_candidates,
     nakayama_power,
 )
-from quivercy.errors import InvalidSpec, NotNilpotent
+from quivercy.errors import UNDECIDED, InvalidSpec, NotNilpotent
 from quivercy.homology import (
     PerfComplex,
     _module_resolution,
@@ -29,7 +29,7 @@ from quivercy.homology import (
     nakayama,
     stalk_regular,
 )
-from quivercy.linalg import Mat, independent_subset, span_basis
+from quivercy.linalg import Mat, independent_subset, rational, span_basis
 from quivercy.module import (
     Bimodule,
     Module,
@@ -37,6 +37,8 @@ from quivercy.module import (
     _quotient_maps,
     _regular_from_table,
     _sub_from_columns,
+    _trace_rank,
+    _weighted_sum,
     bimodule_to_env_module,
     column_sum,
     dual_regular_bimodule,
@@ -44,6 +46,7 @@ from quivercy.module import (
     env_module_to_bimodule,
     hom,
     is_isomorphic,
+    kernel,
     radical_columns,
     regular_bimodule,
     regular_module,
@@ -1190,6 +1193,91 @@ def cut_algebra_oracle(q, c):
     lam.type_a = q
     lam.cut = frozenset(c)
     return lam
+
+
+# -- the splitter by factorization over Q, and the flipped bimodule -----
+
+
+def _char_poly_factors(fm: Morphism):
+    """Irreducible factors over Q, as (coeff list low-to-high, mult), of
+    the characteristic polynomial of the endomorphism fm: the product of
+    those of its vertex blocks, by sympy."""
+    import sympy
+
+    x = sympy.Symbol("x")
+    p = sympy.Integer(1)
+    for m in fm.mats.values():
+        if m.rows:
+            block = sympy.Matrix(m.rows, m.cols, lambda r, c: sympy.Rational(str(m.a[r][c])))
+            p *= block.charpoly(x).as_expr()
+    _, facs = sympy.Poly(p, x).factor_list()
+    return [([sympy.Rational(c) for c in reversed(sympy.Poly(f, x).all_coeffs())], k)
+            for f, k in facs]
+
+
+def _poly_of_morphism(fm: Morphism, coeffs):
+    """p(f) as a Morphism, p given low-to-high over sympy Rationals."""
+    import sympy
+
+    mats = {}
+    for v in fm.src.alg.vertices:
+        m = fm.mats[v]
+        acc = Mat.zero(m.rows, m.rows)
+        pw = Mat.identity(m.rows)
+        for c in coeffs:
+            if c:
+                acc = acc + pw.scale(rational(int(sympy.numer(c)), int(sympy.denom(c))))
+            pw = pw * m
+        mats[v] = acc
+    return Morphism(fm.src, fm.src, mats)
+
+
+def decompose_oracle(M: Module):
+    """`module.decompose` by sympy's factorization over Q of each
+    candidate's characteristic polynomial, whose irreducible factors are
+    those of the minimal polynomial: one piece ker p(f)^mult, the primary
+    component, per irreducible factor p.  It splits wherever there are
+    two factors, rational roots or not."""
+    import sympy
+
+    if M.total_dim == 0:
+        return [], True
+    E = hom(M, M)
+    if _trace_rank(E, E) == 1:
+        return [M], True
+    for fm in E + [_weighted_sum(E)]:
+        facs = _char_poly_factors(fm)
+        if len(facs) < 2:
+            continue
+        summands = []
+        certified = True
+        for coeffs, mult in facs:
+            # power the factor enough to reach the generalized kernel
+            pc = [sympy.Rational(c) for c in coeffs]
+            pw = [sympy.Rational(1)]
+            for _ in range(mult):
+                new = [sympy.Rational(0)] * (len(pw) + len(pc) - 1)
+                for i, a in enumerate(pw):
+                    for j, b in enumerate(pc):
+                        new[i + j] += a * b
+                pw = new
+            K = kernel(_poly_of_morphism(fm, pw), name=f"{M.name}~")[0]
+            subs, cert = decompose_oracle(K)
+            summands.extend(subs)
+            if cert is not True:
+                certified = cert
+        return summands, certified
+    return [M], UNDECIDED
+
+
+def flip_bimodule(X: Bimodule, new_left, new_right, name=None):
+    """View an (A, B)-bimodule as a (B^op, A^op)-bimodule: the right
+    action becomes the left action and vice versa.  new_left and new_right
+    must be the opposite algebras sharing basis indices with B and A."""
+    dims = {(v, u): d for (u, v), d in X.dims.items()}
+    lact = {(j, u): m for j, by_row in X.ract_by_elt.items() for u, m in by_row.items()}
+    ract = {(v, i): m for v, by_elt in X.lact_by_col.items() for i, m in by_elt.items()}
+    return Bimodule(new_left, new_right, dims, lact, ract, name=name or f"{X.name}^flip")
 
 
 @pytest.fixture(scope="session")

@@ -336,10 +336,40 @@ def test_pretty_output(runner):
     assert "dimension: 1/3" in result.output
 
 
-def test_importing_the_cli_does_not_load_sympy():
-    # only decompose needs sympy; every CLI call would pay its import
+def _run_python(code):
     src = pathlib.Path(quivercy.__file__).parent.parent
-    code = "import sys, quivercy.cli; print('sympy' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": str(src)})
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_importing_the_cli_does_not_load_sympy():
+    # sympy is a test dependency only: no program path may import it
+    assert _run_python("import sys, quivercy.cli; print('sympy' in sys.modules)") == "False"
+
+
+def test_decompose_runs_without_sympy():
+    # a None entry in sys.modules makes every import of sympy fail
+    code = ("import sys; sys.modules['sympy'] = None\n"
+            "import quivercy.cli\n"
+            "from quivercy.module import decompose, regular_module\n"
+            "from quivercy.parsing import load_algebra_file\n"
+            f"alg = load_algebra_file({corpus('a3_linear')!r}).build()\n"
+            "print(decompose(regular_module(alg))[1])")
+    assert _run_python(code) == "True"
+
+
+@pytest.mark.parametrize("target,args", [
+    ("quivercy.ar.decide_nrf", ["analyze", corpus("a2"), "--n", "1"]),
+    ("quivercy.cy.find_twisted_cy", ["cy", corpus("a2")]),
+])
+def test_out_of_memory_is_undecided(runner, monkeypatch, target, args):
+    # exit 1 would read as a definite negative
+    def exhausted(*args, **kwargs):
+        raise MemoryError("no room for the next stage")
+
+    monkeypatch.setattr(target, exhausted)
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert "out of memory: no room for the next stage" in result.stderr
+    assert "Traceback" not in result.output

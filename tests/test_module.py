@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,16 +6,22 @@ import sympy
 
 from conftest import (
     corpus_algebra,
+    decompose_oracle,
     dense_module,
     hom_dim,
     projective_module,
     radical_submodule,
     socle_vertices,
 )
+from quivercy.ar import decide_nrf
 from quivercy.homology import tor
 from quivercy.linalg import Mat
 from quivercy.module import (
     Module,
+    Morphism,
+    _fitting_pieces,
+    _min_poly,
+    _rational_roots,
     _trace_rank,
     decompose,
     direct_sum,
@@ -50,6 +57,100 @@ def test_regular_decomposes_into_projectives(a3_linear):
     parts, certified = decompose(regular_module(a3_linear))
     assert certified is True
     assert sorted(p.dim_vector() for p in parts) == [(0, 0, 1), (0, 1, 1), (1, 1, 1)]
+
+
+@pytest.mark.parametrize("blocks,poly", [
+    ([], [1]),
+    ([[[2]], [[2, 1], [0, 2]]], [4, -4, 1]),                 # (x - 2)^2
+    ([[[1]], [[0, -1], [1, 0]]], [-1, 1, -1, 1]),            # (x - 1)(x^2 + 1)
+    ([[[0, 1], [0, 0]], [[Fraction(1, 2)]]], [0, 0, Fraction(-1, 2), 1]),
+])
+def test_min_poly_spans_every_vertex_block(blocks, poly):
+    assert _min_poly([Mat.from_rows(b) for b in blocks] + [Mat.zero(0, 0)]) == poly
+
+
+@pytest.mark.parametrize("coeffs,roots", [
+    ([0, -1, 1], [0, 1]),                                   # x (x - 1)
+    ([0, 0, 3, 1], [-3, 0]),                                # x^2 (x + 3)
+    ([3, 5, 2], [Fraction(-3, 2), -1]),                     # (2x + 3)(x + 1)
+    ([Fraction(-1, 4), 0, 1], [Fraction(-1, 2), Fraction(1, 2)]),
+    ([-8, 12, -6, 1], [2]),                                 # (x - 2)^3
+    ([-2, 0, -1, 0, 1], []),                                # (x^2 + 1)(x^2 - 2)
+    ([-1000003, -1000002, 1], [-1, 1000003]),               # (x - 1000003)(x + 1)
+    ([1000003, 0, -7], []),                                 # 7x^2 - 1000003
+])
+def test_rational_roots(coeffs, roots):
+    assert _rational_roots(coeffs) == roots
+
+
+def _kronecker_modules():
+    """X = (1; 0), Y = (1; 1), and Z_i, Z_2 with a = I and b of minimal
+    polynomial x^2 + 1 and x^2 - 2, so that End Z_i = Q(i) and
+    End Z_2 = Q(sqrt 2): no rational root splits them."""
+    alg = corpus_algebra("kronecker")
+
+    def rep(a, b, name):
+        # basis elements 2 and 3 are the arrows a and b
+        return dense_module(alg, {1: len(a), 2: len(a)},
+                            {2: Mat.from_rows(a), 3: Mat.from_rows(b)}, name=name)
+
+    eye = [[1, 0], [0, 1]]
+    X, Y = rep([[1]], [[0]], "X"), rep([[1]], [[1]], "Y")
+    Zi, Z2 = rep(eye, [[0, -1], [1, 0]], "Zi"), rep(eye, [[0, 2], [1, 0]], "Z2")
+    return [X, Y, Zi, Z2, direct_sum([Zi, Z2]), direct_sum([Zi, Zi]),
+            direct_sum([X, Zi, Y]), direct_sum([X, X, Y])]
+
+
+def _decompose_cases():
+    """Per corpus algebra: its simples, projectives and injectives, their
+    sums of two distinct ones, ten seeded sums of three, the regular
+    module and, where the algebra is 1-RF, its cluster tilting module."""
+    mods = []
+    for stem in ("a2", "a3_linear", "a3_stable", "a4_linear", "d4", "a2_tensor_a2",
+                 "kronecker"):
+        alg = corpus_algebra(stem)
+        basic = ([simple_module(alg, v) for v in alg.vertices]
+                 + [projective_module(alg, v) for v in alg.vertices]
+                 + [injective_module(alg, v) for v in alg.vertices])
+        rng = random.Random(1)
+        mods += basic
+        mods += [direct_sum([basic[i], basic[j]])
+                 for i in range(len(basic)) for j in range(i + 1, len(basic))]
+        mods += [direct_sum(rng.sample(basic, 3)) for _ in range(10)]
+        mods.append(regular_module(alg))
+        report = decide_nrf(alg, 1)
+        if report.is_nrf is True:
+            mods.append(report.ct_module)
+    return mods + _kronecker_modules()
+
+
+def _split(result):
+    parts, certified = result
+    return sorted(p.dim_vector() for p in parts), certified
+
+
+def test_decompose_matches_the_factoring_oracle():
+    mods = _decompose_cases()
+    assert len(mods) == 456
+    for M in mods:
+        assert _split(decompose(M)) == _split(decompose_oracle(M)), M.name
+
+
+def test_fitting_pieces_take_the_complement_and_the_full_eigenspace():
+    X, _, Zi, *_ = _kronecker_modules()
+    # f = 1 on X and b on Z_i: minimal polynomial (x - 1)(x^2 + 1), so
+    # ker (f - 1) = X and Z_i is the quotient by it
+    f = Mat.from_rows([[1, 0, 0], [0, 0, -1], [0, 1, 0]])
+    XZ = direct_sum([X, Zi])
+    pieces = _fitting_pieces(XZ, Morphism(XZ, XZ, {1: f, 2: f}))
+    assert [P.dim_vector() for P in pieces] == [(1, 1), (2, 2)]
+    assert is_isomorphic(pieces[1], Zi)
+    # f = 1 + a shift of index 3 on S^3: one generalized eigenspace, all of it
+    S = simple_module(X.alg, 1)
+    S3 = direct_sum([S, S, S])
+    f = Mat.from_rows([[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+    pieces = _fitting_pieces(S3, Morphism(S3, S3, {1: f, 2: Mat.zero(0, 0)}))
+    assert [P.dim_vector() for P in pieces] == [(3, 0)]
 
 
 def test_hom_dims(a3_linear):

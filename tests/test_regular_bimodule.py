@@ -6,8 +6,15 @@ stay here as oracles, compared entrywise with the views."""
 
 import pytest
 
-from conftest import CORPUS, corpus_algebra, dense_action, dense_module, projective_module
-from quivercy.algebra import enveloping, tensor_product
+from conftest import (
+    CORPUS,
+    corpus_algebra,
+    dense_action,
+    dense_module,
+    flip_bimodule,
+    projective_module,
+)
+from quivercy.algebra import enveloping, opposite, tensor_product
 from quivercy.constructions import TypeAQuiver, cut_algebra, enumerate_cuts, gamma_algebra
 from quivercy.homology import _sum_info
 from quivercy.linalg import Mat
@@ -192,3 +199,26 @@ def test_views_match_the_direct_builders(build):
         coords, module = _oracle_projective_sum(alg, verts)
         assert {w: _walked_coords(alg, P, w) for w in alg.vertices} == coords
         _same_module(P, module)
+
+
+def _flip_cases():
+    cases = [(stem, lambda stem=stem: corpus_algebra(stem))
+             for stem in sorted(p.stem for p in CORPUS.glob("*.alg"))]
+    for (n, s), step in (((2, 4), 1), ((2, 5), 24)):
+        q = TypeAQuiver(n, s)
+        cases += [(f"cut_{n}_{s}/{i}", lambda q=q, c=c: cut_algebra(q, c))
+                  for i, c in enumerate(enumerate_cuts(q)) if i % step == 0]
+    return cases
+
+
+FLIP_CASES = _flip_cases()
+
+
+@pytest.mark.parametrize("build", [b for _, b in FLIP_CASES], ids=[n for n, _ in FLIP_CASES])
+def test_dual_regular_of_the_opposite_is_the_flipped_dual(build):
+    # the right action of i on row u of reg(A^op) is the left action of i
+    # on column u of reg(A), in the same coordinates, so tau_n^- may read
+    # D(A) over A^op as dual_regular_bimodule(A^op)
+    alg = build()
+    op = opposite(alg)
+    _same_bimodule(dual_regular_bimodule(op), flip_bimodule(dual_regular_bimodule(alg), op, op))

@@ -22,7 +22,6 @@ from quivercy.module import (
     bimodule_to_env_module,
     dual_regular_bimodule,
     env_module_to_bimodule,
-    flip_bimodule,
     regular_bimodule,
     tensor_bimod_bimod,
 )
@@ -73,7 +72,7 @@ def test_every_builder_keeps_the_store_rule(case, n):
     alg = _algebra(case)
     op = opposite(alg)
     R, D, T = regular_bimodule(alg), dual_regular_bimodule(alg), ext_bimodule(alg, n)
-    for X in (R, D, T, flip_bimodule(D, op, op), env_module_to_bimodule(
+    for X in (R, D, T, dual_regular_bimodule(op), env_module_to_bimodule(
             bimodule_to_env_module(T), alg)):
         assert_bimodule_store(X)
 
