@@ -127,8 +127,8 @@ def _walk_tau_orbit(alg, i, n, *, cap):
     stage is P_v, and with v None and a reason when a stage fails that
     check or tau_n kills it.  Raises _OrbitCut past cap stages.  A walk
     is kept on the algebra per (i, n), whatever cap it ran under.  Stage
-    0 is `injective_module`, so a resolution that global_dimension has
-    already built is read, not rebuilt."""
+    0 is `injective_module`, so the resolution that global_dimension
+    split off the resolution of DA is read, not rebuilt."""
     DA = dual_regular_bimodule(alg)
     X = injective_module(alg, i)
     orbit = [X]
@@ -205,8 +205,8 @@ def decide_nrf(alg: Algebra, n: int, cap=None, *, verify_ct=None):
     `global_dimension` reads it off the resolutions of the injectives
     (gl.dim A = max_i pd I_i there; its docstring gives the proof), and
     the walks start from the same injectives, the one `injective_module`
-    keeps per vertex, so each one is resolved once and no simple module
-    is resolved at all.
+    keeps per vertex with its slice of the one resolution of DA, so no
+    injective is resolved on its own and no simple module at all.
     """
     if cap is None:
         cap = default_cap(alg)

@@ -49,6 +49,7 @@ is computed for an ell that fails this.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 from math import lcm
 
 from .algebra import per_algebra
@@ -131,13 +132,14 @@ def k0_nakayama(alg):
     return [[x * prev for x in row[n:]] for row in a]
 
 
-def _k0_powers(alg, ell_max):
-    """N^1, ..., N^ell_max, one at a time."""
+def _k0_powers(alg, ell_max=None):
+    """N^1, ..., N^ell_max, one at a time; without end when ell_max is
+    None."""
     N = k0_nakayama(alg)
     cols = [[(k, x) for k, x in enumerate(col) if x] for col in zip(*N)]
     power = N
     yield power
-    for _ in range(1, ell_max):
+    for _ in count(1) if ell_max is None else range(1, ell_max):
         power = [[sum(row[k] * x for k, x in col) for col in cols] for row in power]
         yield power
 
@@ -158,6 +160,29 @@ def _shift_sign(m):
     return -1 if m % 2 else 1
 
 
+class _K0Scan:
+    """The scan of N^1, N^2, ... for the least signed permutation: how far
+    it has gone, the powers still to come, and (ell0, eps0) once found."""
+
+    def __init__(self, alg):
+        k0_nakayama(alg)  # raises now for a singular Cartan matrix, and keeps no scan
+        self.ell, self.powers, self.found = 0, _k0_powers(alg), None
+
+    def extend(self, ell_max):
+        """Scan on to ell_max, or until (ell0, eps0) is found."""
+        while self.found is None and self.ell < ell_max:
+            self.ell += 1
+            eps0 = _permutation_sign(next(self.powers))
+            if eps0 is not None:
+                self.found, self.powers = (self.ell, eps0), None
+
+
+@per_algebra
+def _k0_scan(alg):
+    """The `_K0Scan` of alg, kept so that no call repeats its powers."""
+    return _K0Scan(alg)
+
+
 def k0_candidates(alg, ell_max):
     """Yield (ell, eps) for each ell <= ell_max with N^ell = eps *
     (permutation matrix): the only ell at which a twisted certificate
@@ -167,13 +192,15 @@ def k0_candidates(alg, ell_max):
     eps0 * P: the candidates are exactly the multiples k * ell0, with
     sign eps0^k.  For if N^b is a signed permutation, write b = q * ell0
     + r with 0 <= r < ell0; then N^r = N^b * (eps0 * P)^(-q) is a signed
-    permutation too, so r = 0 by the minimality of ell0."""
-    for ell0, power in enumerate(_k0_powers(alg, ell_max), 1):
-        eps0 = _permutation_sign(power)
-        if eps0 is not None:
-            for k in range(1, ell_max // ell0 + 1):
-                yield k * ell0, eps0 ** k
-            return
+    permutation too, so r = 0 by the minimality of ell0.  The scan is
+    kept per algebra (`_k0_scan`): a later call extends it and never
+    repeats it."""
+    scan = _k0_scan(alg)
+    scan.extend(ell_max)
+    if scan.found is not None and scan.found[0] <= ell_max:
+        ell0, eps0 = scan.found
+        for k in range(1, ell_max // ell0 + 1):
+            yield k * ell0, eps0 ** k
 
 
 def check_twisted_cy(alg, ell, m, cap=None):

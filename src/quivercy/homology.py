@@ -10,6 +10,7 @@ composite g∘f the element of the composite is elt(f) * elt(g).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from graphlib import CycleError, TopologicalSorter
 
 from .algebra import Algebra, opposite, per_algebra, semisimple_algebra
@@ -86,17 +87,41 @@ def eltmat_compose(alg, g, f):
     return out
 
 
+def _summands(S: ColumnSum):
+    """{w: the summand of S holding each coordinate of S at w}, read off
+    the offsets, which list the summands of each vertex in order."""
+    X = S.bimodule
+    out = {w: [] for w in S.alg.vertices}
+    for (r, w) in S.offs:
+        out[w] += [r] * X.dims[(w, S.verts[r])]
+    return out
+
+
+def _image_entries(verts, tgt: ColumnSum, images):
+    """For each s, the nonzeros of images[s], a vector of the sum of
+    projectives tgt (a `_sum_info`) at verts[s], as (summand, basis
+    element, coefficient) triples, in coordinate order.  Each coordinate
+    is mapped to its summand once per call (`_summands`)."""
+    R, summand, out = tgt.bimodule, _summands(tgt), []
+    for a, col in zip(verts, images):
+        at, entries = summand[a], []
+        for c, x in enumerate(col):
+            if x:
+                r = at[c]
+                entries.append((r, R.basis_indices[(a, tgt.verts[r])][c - tgt.offs[(r, a)]], x))
+        out.append(entries)
+    return out
+
+
 def images_to_eltmat(verts, tgt: ColumnSum, images):
     """Element matrix of the map from the sum of the projectives at verts
     to the sum of projectives tgt (a `_sum_info`) that sends generator s
-    to images[s], a vector of tgt at verts[s]."""
-    R = tgt.bimodule
+    to images[s], a vector of tgt at verts[s]; it reads only the
+    nonzeros of each image (`_image_entries`)."""
     m = eltmat_zero(len(tgt.verts), len(verts))
-    for s, (a, col) in enumerate(zip(verts, images)):
-        for r, v in enumerate(tgt.verts):
-            for c, bidx in enumerate(R.basis_indices.get((a, v), ()), tgt.offs[(r, a)]):
-                if col[c]:
-                    m[r][s][bidx] = col[c]
+    for s, entries in enumerate(_image_entries(verts, tgt, images)):
+        for r, bidx, x in entries:
+            m[r][s][bidx] = x
     return m
 
 
@@ -243,39 +268,65 @@ def projective_cover(M: Module):
     by the rref of the radical span, so their unit vectors span a
     complement of rad M.  Only the vertices where M is nonzero are
     reduced, only the stored actions of M are read and only their
-    nonzeros copied, and the sum of projectives at a vertex list is built
-    once per algebra."""
+    nonzeros copied, each block's columns are matched to the lifts once,
+    and the sum of projectives at a vertex list is built once per
+    algebra."""
     alg = M.alg
     rad = radical_columns(M)
     verts = []
     lifts = []
+    first, at = {}, {}  # the summands at v from index first[v], their lifts in at[v]
     for v in alg.vertices:
         d = M.dims[v]
         pivset = set(Mat.from_rows(rad[v], ncols=d).rref()[1]) if rad[v] else ()
-        for j in range(d):
-            if j not in pivset:
-                verts.append(v)
-                lifts.append(j)
+        free = [j for j in range(d) if j not in pivset]
+        if free:
+            first[v], at[v] = len(verts), free
+            verts += [v] * len(free)
+            lifts += free
     P = _sum_info(alg, tuple(verts))
     pos = regular_bimodule(alg).basis_pos
     mats = {w: Mat.zero(M.dims[w], P.dims[w]) for w in alg.vertices}
-    acts = {}  # source vertex -> [(target vertex, position, block triple)]
+    # the idempotent of summand r goes to the unit vector at its lift
+    for r, (v, j) in enumerate(zip(verts, lifts)):
+        mats[v].a[j][P.offs[(r, v)]] = 1
+    # basis element i of summand r goes to column j of i's action, in the
+    # block of i whose columns hold the lift j: each block finds the lifts
+    # in its columns by bisection
     for i, triples in M.blocks().items():
         b = alg.basis[i]
-        acts.setdefault(b.src, []).extend((b.tgt, pos[i], t) for t in triples)
-    for r, (v, j) in enumerate(zip(verts, lifts)):
-        # basis element b of summand r goes to column j of b's action, in
-        # the one block of b holding it; the idempotent to the unit vector
-        mats[v].a[j][P.offs[(r, v)]] = 1
-        for t, p, (r0, c0, blk) in acts.get(v, ()):
-            y = j - c0
-            if 0 <= y < blk.cols:
-                c = P.offs[(r, t)] + p
-                rows = mats[t].a
+        js = at.get(b.src)
+        if js is None:
+            continue
+        r1, p, rows = first[b.src], pos[i], mats[b.tgt].a
+        for r0, c0, blk in triples:
+            for q in range(bisect_left(js, c0), bisect_left(js, c0 + blk.cols)):
+                y, c = js[q] - c0, P.offs[(r1 + q, b.tgt)] + p
                 for x, brow in enumerate(blk.a, r0):
                     if brow[y]:
                         rows[x][c] = brow[y]
     return P, Morphism(P, M, mats), lifts
+
+
+def _resolution_steps(M: Module, max_len):
+    """The minimal projective resolution of M one term at a time: yields
+    (P_k, images, K_k) for k = 0, 1, ...  Generator s of P_k goes to
+    images[s]: for k = 0 its lift (`projective_cover`), else a vector of
+    P_(k-1) at its vertex, a kernel vector.  K_k is the kernel of P_k ->
+    P_(k-1) (-> M).  The steps end at the first zero kernel, or at
+    P_max_len."""
+    P, cur, images = projective_cover(M)
+    k = 0
+    while True:
+        K, cols, _ = kernel(cur)
+        yield P, images, K
+        if K.total_dim == 0 or k >= max_len:
+            return
+        P, cur, lifts = projective_cover(K)
+        # the cover sends generator s to the unit vector at lifts[s] of K,
+        # so the differential sends it to kernel vector lifts[s]
+        images = [cols[v][j] for v, j in zip(P.verts, lifts)]
+        k += 1
 
 
 def min_proj_resolution(M: Module, max_len=None, strict=False):
@@ -286,23 +337,13 @@ def min_proj_resolution(M: Module, max_len=None, strict=False):
     alg = M.alg
     if max_len is None:
         max_len = default_cap(alg)
-    P, cur, _ = projective_cover(M)
-    terms = {0: P.verts}
-    diffs = {}
-    k = 0
-    while True:
-        K, cols, _ = kernel(cur)
-        if K.total_dim == 0 or k >= max_len:
-            break
-        Q, cov, lifts = projective_cover(K)
-        # the cover sends generator s to the unit vector at lifts[s] of K,
-        # so the differential sends it to kernel vector lifts[s]
-        images = [cols[v][j] for v, j in zip(Q.verts, lifts)]
-        em = images_to_eltmat(Q.verts, P, images)
-        assert eltmat_entries_in_radical(alg, em), "resolution differential not minimal"
-        k += 1
-        terms[-k], diffs[-k] = Q.verts, em
-        P, cur = Q, cov
+    terms, diffs = {}, {}
+    for k, (Q, images, K) in enumerate(_resolution_steps(M, max_len)):
+        terms[-k] = Q.verts
+        if k:
+            em = diffs[-k] = images_to_eltmat(Q.verts, P, images)
+            assert eltmat_entries_in_radical(alg, em), "resolution differential not minimal"
+        P = Q
     if K.total_dim and strict:
         raise CapExceeded(f"projective resolution of {M.name} exceeds {max_len}")
     res = PerfComplex(alg, terms, diffs)
@@ -359,9 +400,9 @@ def _col_sum_diff(X: Bimodule, em, src: ColumnSum, tgt: ColumnSum):
                                 if x:
                                     mrow[c0 + j] += c * x
                 else:
-                    for w in alg.vertices:
+                    for w, n in X.column_support.get(basis[bidx].src, ()):
                         m, r0, c0 = mats[w].a, tgt.offs[(r, w)], src.offs[(s, w)]
-                        for i in range(X.dims[(w, basis[bidx].src)]):
+                        for i in range(n):
                             m[r0 + i][c0 + i] += c
     return Morphism(src, tgt, mats)
 
@@ -395,16 +436,17 @@ def global_dimension(alg: Algebra, cap=None):
     smaller cap raises from them just as a fresh call would.
 
     On an acyclic Gabriel quiver it is the largest length of a resolution
-    of an indecomposable injective instead, read from `injective_module`,
-    whose resolution the orbit walk of `decide_nrf` reuses.  Proof: let
-    d = gl.dim A be finite.  Some simples S, S' have Ext^d(S, S') != 0.
-    As Ext^(d+1) vanishes, the embedding S -> I(S) makes
-    Ext^d(I(S), S') -> Ext^d(S, S') onto, so pd I(S) >= d, and pd I <= d
-    for every module I; hence d = max_v pd I_v.  An algebra with an
-    acyclic quiver is triangular, and a triangular algebra has
-    gl.dim <= #vertices - 1, so d is finite whenever this rule is used.
-    A cyclic quiver keeps the simple modules: a selfinjective algebra has
-    pd I = 0 for every injective but infinite global dimension."""
+    of an indecomposable injective instead, and the resolution of each is
+    kept on `injective_module`, where the orbit walk of `decide_nrf` reads
+    it (`_injective_resolution_lengths`).  Proof: let d = gl.dim A be
+    finite.  Some simples S, S' have Ext^d(S, S') != 0.  As Ext^(d+1)
+    vanishes, the embedding S -> I(S) makes Ext^d(I(S), S') ->
+    Ext^d(S, S') onto, so pd I(S) >= d, and pd I <= d for every module I;
+    hence d = max_v pd I_v.  An algebra with an acyclic quiver is
+    triangular, and a triangular algebra has gl.dim <= #vertices - 1, so
+    d is finite whenever this rule is used.  A cyclic quiver keeps the
+    simple modules: a selfinjective algebra has pd I = 0 for every
+    injective but infinite global dimension."""
     if cap is None:
         cap = default_cap(alg)
     label, lengths = _resolution_lengths(alg, cap=cap)
@@ -439,10 +481,70 @@ def _quiver_is_acyclic(alg):
 
 
 def _injective_resolution_lengths(alg):
+    """The lengths of the minimal resolutions of the injectives, from one
+    resolution of DA, the column sum of the dual regular bimodule at every
+    vertex, split by owner into the resolution of each I_v, which is kept
+    on `injective_module(alg, v)`.  A summand of P_0 belongs to the
+    column of DA that holds its lift, and a summand of P_k, k > 0, to the
+    owner of its image, which lies inside one owner's summands.
+
+    The slice of I_v is `min_proj_resolution(I_v)` exactly: the same
+    terms in the same order, the same element matrices, length and
+    completeness.  DA is the direct sum of the I_v, with each I_v's
+    coordinates at a vertex in a consecutive range.  Suppose P_k -> ...
+    -> DA is so far the sum of the I_v's steps, its maps block-diagonal
+    for the owners, with each owner's coordinates in its own order.
+    Every matrix reduced in the next step is then block-diagonal up to a
+    permutation of rows and columns that keeps each owner's order: the
+    radical columns of the kernel, and the maps of the cover.  Its row
+    space is the direct sum of the blocks' row spaces, on disjoint
+    columns, so the rows of the blocks' rrefs, sorted by pivot, form a
+    matrix in rref with that row space.  The rref is unique, so it is the
+    rref of the sum: its pivot and free columns are the union of the
+    blocks' ones, the kernel basis vectors are the blocks' own, padded
+    by zeros, and the lifts are the blocks' lifts.  The next term lists
+    the summands by vertex and then by coordinate, so each owner's
+    summands keep its order; the kernel's action, a product of blocks
+    and kernel vectors, is again block-diagonal.  A triangular algebra
+    has finite global dimension (`global_dimension`), so the resolution
+    of DA is complete under the default cap."""
+    DA = column_sum(dual_regular_bimodule(alg), alg.vertices, name="D(reg)")
+    terms, diffs = [{} for _ in DA.verts], [{} for _ in DA.verts]  # by owner
+    for k, (Q, images, K) in enumerate(_resolution_steps(DA, default_cap(alg))):
+        if k == 0:
+            summand = _summands(DA)
+            owner = [summand[v][j] for v, j in zip(Q.verts, images)]
+        else:
+            # one element matrix per owner, its rows that owner's summands
+            # of P; each image fills one column of its owner's
+            ems = [eltmat_zero(len(ts), 0) for ts in idx]
+            owner = []
+            for e in _image_entries(Q.verts, P, images):
+                us = {prev[r] for r, _, _ in e}
+                assert len(us) == 1, "an image leaves the summands of its injective"
+                u = us.pop()
+                owner.append(u)
+                for row in ems[u]:
+                    row.append({})
+                for r, bidx, x in e:
+                    ems[u][pos[r]][-1][bidx] = x
+            for u, em in enumerate(ems):
+                assert eltmat_entries_in_radical(alg, em), "resolution differential not minimal"
+                diffs[u][-k] = em
+        idx = [[] for _ in DA.verts]  # the summands of Q of each owner, in order
+        pos = []  # the place of each summand of Q among its owner's
+        for t, u in enumerate(owner):
+            pos.append(len(idx[u]))
+            idx[u].append(t)
+        for u, ts in enumerate(idx):
+            terms[u][-k] = [Q.verts[t] for t in ts]
+        P, prev = Q, owner
+    assert not K.total_dim, "a triangular algebra has finite global dimension"
     lengths = []
-    for v in alg.vertices:
-        res = _module_resolution(injective_module(alg, v), 0)
-        assert res.complete, "a triangular algebra has finite global dimension"
+    for v, t, d in zip(DA.verts, terms, diffs):
+        res = PerfComplex(alg, t, d)
+        res.complete, res.length = True, -min(res.terms)
+        injective_module(alg, v)._resolution = res
         lengths.append(res.length)
     return lengths
 
@@ -452,19 +554,31 @@ def _simple_resolution_lengths(alg, cap):
             for v in alg.vertices]
 
 
+@per_algebra
+def _projective_dim_vectors(alg):
+    """{dimension vector: the vertices v whose P_v has it}."""
+    R = regular_bimodule(alg)
+    out = {}
+    for v in alg.vertices:
+        out.setdefault(tuple(R.dims[(w, v)] for w in alg.vertices), []).append(v)
+    return out
+
+
 def _match_projective(M: Module):
     """Vertex v with M isomorphic to the projective at v, else None.
 
-    Exact: M ≅ P_v iff top M ≅ S_v and dim M = dim P_v, because the
+    Exact: M ≅ P_v iff dim M = dim P_v and top M ≅ S_v, because the
     projective cover P_v -> M is then a surjection between spaces of
-    equal dimension."""
+    equal dimension.  The top is computed only when M has the dimension
+    vector of some projective."""
+    vs = _projective_dim_vectors(M.alg).get(M.dim_vector())
+    if vs is None:
+        return None
     top = top_dim_vector(M)
     if sum(top) != 1:
         return None
-    alg = M.alg
-    v = alg.vertices[top.index(1)]
-    R = regular_bimodule(alg)
-    return v if all(R.dims[(w, v)] == M.dims[w] for w in alg.vertices) else None
+    v = M.alg.vertices[top.index(1)]
+    return v if v in vs else None
 
 
 @per_algebra

@@ -13,7 +13,7 @@ Readers whose output is whole matrices lay out one element with
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from functools import cached_property
 from math import gcd, isqrt, lcm
 
@@ -158,19 +158,21 @@ class ColumnSum(Module):
     X keeps only nonzero blocks of positive degree, so they need no test.
     Coordinate offs[(r, w)] + p at vertex w is coordinate p of
     X[(w, verts[r])], so the blocks of one element, one per column where
-    it acts, sit block-diagonally."""
+    it acts, sit block-diagonally.  offs holds only the pairs (r, w) with
+    X[(w, verts[r])] nonzero, built from each column's support
+    (`Bimodule.column_support`), so a sum costs its nonzero spaces and
+    not summands times vertices."""
 
     def __init__(self, X, verts, name):
         self.bimodule = X
         self.verts = list(verts)
         self.offs = {}
-        dims = {}
-        for w in X.left_alg.vertices:
-            n = 0
-            for r, u in enumerate(self.verts):
-                self.offs[(r, w)] = n
-                n += X.dims.get((w, u), 0)  # no __missing__ call per absent pair
-            dims[w] = n
+        dims = dict.fromkeys(X.left_alg.vertices, 0)
+        support = X.column_support
+        for r, u in enumerate(self.verts):
+            for w, d in support.get(u, ()):
+                self.offs[(r, w)] = dims[w]
+                dims[w] += d
         super().__init__(X.left_alg, dims, None, name)
 
     def blocks(self):
@@ -217,9 +219,10 @@ def _sub_from_columns(N: Module, cols, units, name="sub"):
     every other column is 0 there, units[v] ascending.  Restricted to
     those rows the inclusion is the identity, so the action of b on
     column k is the entries at units[tgt b] of b times column k.  N's
-    action is read as its blocks, and only the nonzeros of a column that
-    fall in a block's columns are multiplied, into the rows of the block
-    at the unit coordinates."""
+    action is read as its blocks: each nonzero of a column goes to the
+    one block whose columns hold it (a bisection on the block starts),
+    and is multiplied into the rows of that block at the unit
+    coordinates."""
     alg = N.alg
     nonzeros = {}
     blocks = {}
@@ -231,18 +234,23 @@ def _sub_from_columns(N: Module, cols, units, name="sub"):
         nzs = nonzeros.get(b.src)
         if nzs is None:
             nzs = nonzeros[b.src] = [[(j, x) for j, x in enumerate(c) if x] for c in cs]
+        triples = sorted(triples, key=lambda t: t[1])
+        starts = [c0 for _, c0, _ in triples]
+        rows = {}  # block -> its rows at the unit coordinates, built on first hit
         out = None
-        for r0, c0, blk in triples:
-            lo, hi = bisect_left(us, r0), bisect_left(us, r0 + blk.rows)
-            if lo == hi:
-                continue
-            rows = [(p, blk.a[us[p] - r0]) for p in range(lo, hi)]
-            c1 = c0 + blk.cols
-            for k, nz in enumerate(nzs):
-                part = [(j - c0, x) for j, x in nz if c0 <= j < c1]
-                if not part:
-                    continue
-                for p, row in rows:
+        for k, nz in enumerate(nzs):
+            parts = {}  # block -> the nonzeros of column k in its columns
+            for j, x in nz:
+                t = bisect_right(starts, j) - 1
+                if t >= 0 and j - starts[t] < triples[t][2].cols:
+                    parts.setdefault(t, []).append((j - starts[t], x))
+            for t, part in parts.items():
+                trows = rows.get(t)
+                if trows is None:
+                    r0, _, blk = triples[t]
+                    lo, hi = bisect_left(us, r0), bisect_left(us, r0 + blk.rows)
+                    trows = rows[t] = [(p, blk.a[us[p] - r0]) for p in range(lo, hi)]
+                for p, row in trows:
                     s = 0
                     for j, x in part:
                         y = row[j]
@@ -569,6 +577,14 @@ class Bimodule:
         for (u, j), m in ract.items():
             self.ract_by_elt.setdefault(j, {})[u] = m
         self.name = name
+
+    @cached_property
+    def column_support(self):
+        """{v: [(u, dim X[(u, v)])]}: the nonzero spaces of each column."""
+        support = {}
+        for (u, v), d in self.dims.items():
+            support.setdefault(v, []).append((u, d))
+        return support
 
     def lact_col(self, v):
         """The left action's blocks {i: Mat} on the column at v."""

@@ -364,6 +364,19 @@ def radical_submodule(M):
     return R, Morphism(R, M, submodule_oracle(M, cols, units)[2])
 
 
+def match_projective_oracle(M):
+    """homology._match_projective as it was before it compared dimension
+    vectors first: the top of M, then the dimensions of the projective at
+    its vertex."""
+    top = top_dim_vector(M)
+    if sum(top) != 1:
+        return None
+    alg = M.alg
+    v = alg.vertices[top.index(1)]
+    R = regular_bimodule(alg)
+    return v if all(R.dims[(w, v)] == M.dims[w] for w in alg.vertices) else None
+
+
 def is_regular_module_oracle(M):
     """homology._is_regular_module as it was while is_shifted_regular read
     the cohomology: M is the regular module iff it has its dimension

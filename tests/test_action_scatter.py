@@ -10,6 +10,7 @@ import pytest
 
 from conftest import (
     cluster_tilting_oracle,
+    column_sum_oracle,
     corpus_algebra,
     dense_act_mat,
     dense_bimodule_action,
@@ -84,7 +85,10 @@ def _hom_cochain_dense(res: PerfComplex, N: Module, top):
 
 
 def _col_sum_diff_dense(X: Bimodule, em, src, tgt):
+    # the scan's own offsets, zero dimensions included: the sums store
+    # only the nonzero ones
     alg = X.left_alg
+    src_offs, tgt_offs = (column_sum_oracle(X, S.verts)[2] for S in (src, tgt))
     mats = {}
     for w in alg.vertices:
         m = Mat.zero(tgt.dims[w], src.dims[w])
@@ -97,8 +101,8 @@ def _col_sum_diff_dense(X: Bimodule, em, src, tgt):
                 for bidx, c in elt.items():
                     mm = dense_bimodule_action(X, (w, bidx), left=False).scale(c)
                     blk = mm if blk is None else blk + mm
-                r0 = tgt.offs[(r, w)]
-                c0 = src.offs[(s, w)]
+                r0 = tgt_offs[(r, w)]
+                c0 = src_offs[(s, w)]
                 for x in range(blk.rows):
                     for y in range(blk.cols):
                         if blk.a[x][y]:

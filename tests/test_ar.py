@@ -72,8 +72,8 @@ def test_kept_orbit_walk_longer_than_the_cap_counts_as_cut():
 
 
 def test_orbit_walk_builds_one_nakayama_complex_per_stage(monkeypatch):
-    # every stage that is not a projective is resolved once, and nu X is
-    # built once on that resolution; Ext and tau_n are read off it
+    # every stage that is not a projective is resolved at most once, and
+    # nu X is built once on that resolution; Ext and tau_n are read off it
     q = TypeAQuiver(2, 5)
     alg = cut_algebra(q, enumerate_cuts(q)[240])  # fresh, so no walk is kept
     built, resolved = [], []
@@ -102,7 +102,12 @@ def test_orbit_walk_builds_one_nakayama_complex_per_stage(monkeypatch):
     assert all(X is dual_regular_bimodule(alg) for X in built)
     ids = [id(M) for M in resolved]
     assert len(ids) == len(set(ids))
-    assert all(ids.count(id(X)) == 1 for X in stages)
+    # stage 0 is the injective, whose resolution global_dimension kept as
+    # its slice of DA's; every later stage is resolved once
+    starts = {id(injective_module(alg, i)) for i in alg.vertices}
+    assert all(orbit[0] is injective_module(alg, i) for i, orbit in rep.orbit_table.items())
+    assert any(id(X) not in starts for X in stages)
+    assert all(ids.count(id(X)) == (id(X) not in starts) for X in stages)
 
 
 def test_decide_nrf_a2(a2):

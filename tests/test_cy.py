@@ -225,6 +225,51 @@ def test_k0_candidates_match_the_full_power_scan():
         assert list(k0_candidates(alg, 24)) == _k0_candidates_by_full_scan(alg, 24), alg.name
 
 
+def _k0_candidates_uncached(alg, ell_max):
+    """[(ell, eps)] for every ell <= ell_max at which N^ell is a signed
+    permutation, by an in-test scan of the powers that keeps nothing."""
+    N = k0_nakayama(alg)
+    out, P = [], N
+    for ell in range(1, ell_max + 1):
+        signs = {x for row in P for x in row if x}
+        if (all(sum(1 for x in row if x) == 1 for row in P)
+                and all(sum(1 for x in col if x) == 1 for col in zip(*P))
+                and len(signs) == 1 and signs <= {1, -1}):
+            out.append((ell, signs.pop()))
+        P = [[sum(x * y for x, y in zip(row, col)) for col in zip(*N)] for row in P]
+    return out
+
+
+def test_kept_k0_scan_matches_an_uncached_scan(monkeypatch):
+    # k0_candidates keeps its scan on the algebra: whatever the order of
+    # the calls, each ell <= 24 gets the uncached answer, and no power is
+    # computed twice
+    q = TypeAQuiver(2, 4)
+    builds = ([lambda stem=stem: corpus_algebra(stem) for stem in [*CORPUS_CERTS, "kronecker"]]
+              + [lambda c=c: cut_algebra(q, c) for c in enumerate_cuts(q)])
+    assert len(builds) == 8 + 65
+    signs = _counting(monkeypatch, cy, "_permutation_sign")
+    for build in builds:
+        full = _k0_candidates_uncached(build(), 24)
+        for order in (range(1, 25), range(24, 0, -1)):
+            alg = build()
+            signs.clear()
+            for ell in order:
+                expected = [(e, s) for e, s in full if e <= ell]
+                assert list(k0_candidates(alg, ell)) == expected, (alg.name, ell)
+            assert len(signs) == (full[0][0] if full else 24), alg.name
+
+
+def test_kronecker_k0_scan_runs_once(monkeypatch):
+    kronecker = corpus_algebra("kronecker")  # fresh: the fixture may have scanned
+    signs = _counting(monkeypatch, cy, "_permutation_sign")
+    assert find_twisted_cy(kronecker, ell_max=24) is None
+    for ell in range(2, 7):
+        assert check_twisted_cy(kronecker, ell, 0) is False
+    assert find_twisted_cy(kronecker, ell_max=24) is None
+    assert len(signs) == 24
+
+
 def _counting(monkeypatch, mod, name):
     calls = []
     real = getattr(mod, name)

@@ -7,7 +7,11 @@ the oracle: both must agree on the corpus, all 65 (2,4) cuts, every 10th
 A cyclic quiver (selfinjective Γ, the 2-cycle with rad^2 = 0, a
 preprojective algebra) must keep the simple rule: there pd I_v = 0 for
 every v while gl.dim is infinite.  `tests/test_cli.py::
-test_capped_algebra_is_undecided` checks the 2-cycle's undecided verdict."""
+test_capped_algebra_is_undecided` checks the 2-cycle's undecided verdict.
+
+The injectives are resolved together, as DA, and the resolution is split
+into each I_v's; each slice must equal a fresh resolution of I_v on the
+corpus, all (2,4) cuts, every 24th (2,5) cut and every 80th (3,4) cut."""
 
 import pytest
 
@@ -23,8 +27,9 @@ from quivercy.homology import (
     _simple_resolution_lengths,
     default_cap,
     global_dimension,
+    min_proj_resolution,
 )
-from quivercy.module import injective_module
+from quivercy.module import ColumnSum, column_sum, dual_regular_bimodule, injective_module
 from quivercy.parsing import parse_algebra_file
 
 STEMS = sorted(p.stem for p in CORPUS.glob("*.alg"))
@@ -76,6 +81,25 @@ def test_injective_rule_matches_simple_oracle(case):
         assert _module_resolution(injective_module(alg, v), 0).length <= d
 
 
+SPLIT_CASES = (STEMS + [(2, 4, i) for i in range(65)] + [(2, 5, i) for i in range(0, 480, 24)]
+               + [(3, 4, i) for i in range(0, 640, 80)])
+
+
+@pytest.mark.parametrize("case", SPLIT_CASES, ids=str)
+def test_split_resolutions_equal_fresh_ones(case):
+    # the slice of DA's resolution kept on each injective is the minimal
+    # resolution of a fresh I_v on a fresh algebra, byte for byte
+    alg, fresh = _build(case), _build(case)
+    global_dimension(alg)
+    DA = dual_regular_bimodule(fresh)
+    for v in alg.vertices:
+        kept = injective_module(alg, v)._resolution
+        res = min_proj_resolution(column_sum(DA, [v], name=f"I[{v}]"))
+        assert kept.terms == res.terms, v
+        assert repr(kept.diffs) == repr(res.diffs) and kept.diffs == res.diffs, v
+        assert (kept.length, kept.complete) == (res.length, res.complete), v
+
+
 @pytest.mark.parametrize("s", [3, 4])
 def test_selfinjective_gamma_exceeds_the_cap(s):
     # every injective of Γ is projective, so the injective rule would give 0
@@ -110,21 +134,31 @@ def test_route_follows_acyclicity(monkeypatch):
 
 
 def test_each_injective_is_resolved_once(monkeypatch):
-    # decide_nrf and find_twisted_cy on a fixed (2,5) cut resolve no simple
-    # module, and every injective exactly once, as the cached object
-    resolved = []
-    real = homology.min_proj_resolution
+    # decide_nrf and find_twisted_cy on a fixed (2,5) cut resolve DA, the
+    # sum of every injective, once, and no injective and no simple module
+    # on its own: each injective's kept resolution is its slice of DA's
+    resolved, stepped = [], []
+    real, real_steps = homology.min_proj_resolution, homology._resolution_steps
 
     def counting(M, *args, **kwargs):
         resolved.append(M)
         return real(M, *args, **kwargs)
 
+    def steps(M, *args):
+        stepped.append(M)
+        return real_steps(M, *args)
+
     monkeypatch.setattr(homology, "min_proj_resolution", counting)
+    monkeypatch.setattr(homology, "_resolution_steps", steps)
     alg = _cut(2, 5, 60)
     assert decide_nrf(alg, 2).is_nrf is True
     assert find_twisted_cy(alg) is not None
-    assert not [M for M in resolved if M.name.startswith("S[")]
-    injectives = [M for M in resolved if M.name.startswith("I[")]
-    assert len(injectives) == len(alg.vertices)
+    injectives = {id(injective_module(alg, v)) for v in alg.vertices}
+    assert not [M for M in resolved if M.name.startswith("S[") or id(M) in injectives]
+    # every resolution but DA's goes through min_proj_resolution
+    (DA,) = [M for M in stepped if all(M is not N for N in resolved)]
+    assert isinstance(DA, ColumnSum) and DA.bimodule is dual_regular_bimodule(alg)
+    assert DA.verts == alg.vertices and len(stepped) == len(resolved) + 1
     for v in alg.vertices:
-        assert sum(M is injective_module(alg, v) for M in injectives) == 1
+        res = injective_module(alg, v)._resolution
+        assert res.complete and res.length == -min(res.terms)

@@ -10,12 +10,15 @@ from conftest import (
     hom_in_D_dim,
     is_regular_module_oracle,
     is_shifted_regular_oracle,
+    match_projective_oracle,
     projective_module,
 )
 from quivercy.algebra import opposite
 from quivercy.ar import tau_n_minus
 from quivercy.constructions import TypeAQuiver, cut_algebra, enumerate_cuts
 from quivercy.errors import CapExceeded
+from quivercy import homology
+from quivercy.ar import decide_nrf
 from quivercy.homology import (
     _match_projective,
     dominant_dimension,
@@ -37,6 +40,7 @@ from quivercy.module import (
     dual_regular_bimodule,
     injective_module,
     is_isomorphic,
+    kernel,
     regular_bimodule,
     regular_module,
     simple_module,
@@ -259,6 +263,40 @@ def test_projective_recognition_matches_is_isomorphic(stem):
         slow = next((v for v, P in projs.items() if is_isomorphic(M, P)), None)
         assert _match_projective(M) == slow, M
         assert is_regular_module_oracle(M) == bool(is_isomorphic(M, reg)), M
+
+
+_MATCH_CASES = (["a2", "a3_linear", "a3_stable", "a4_linear", "a5_stable", "d4", "kronecker",
+                 "a2_tensor_a2"] + [(2, 4, i) for i in range(65)])
+
+
+@pytest.mark.parametrize("case", _MATCH_CASES, ids=str)
+def test_projective_match_equals_the_top_first_oracle(case, monkeypatch):
+    # the dimension vector is compared first, and the top is computed only
+    # for a module with the dimension vector of some projective
+    if isinstance(case, str):
+        alg, n = corpus_algebra(case), 1
+    else:
+        q = TypeAQuiver(case[0], case[1])
+        alg, n = cut_algebra(q, enumerate_cuts(q)[case[2]]), 2
+    report = decide_nrf(alg, n)
+    mods = [regular_module(alg), direct_sum([injective_module(alg, v) for v in alg.vertices])]
+    for v in alg.vertices:
+        inj = injective_module(alg, v)
+        mods += [projective_module(alg, v), inj, simple_module(alg, v),
+                 kernel(projective_cover(inj)[1])[0]]
+    mods += [X for orbit in report.orbit_table.values() for X in orbit]
+    tops = []
+    real = homology.top_dim_vector
+
+    def counting(M):
+        tops.append(M)
+        return real(M)
+
+    monkeypatch.setattr(homology, "top_dim_vector", counting)
+    projective_dims = {projective_module(alg, v).dim_vector() for v in alg.vertices}
+    for M in mods:
+        assert _match_projective(M) == match_projective_oracle(M), M
+    assert [id(M) for M in tops] == [id(M) for M in mods if M.dim_vector() in projective_dims]
 
 
 def _nakayama_cases():

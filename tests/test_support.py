@@ -83,6 +83,8 @@ def test_column_sums_match_the_scan(case):
             dims, act, offs0 = column_sum_oracle(X, verts)
             # the blocks of a view are listed on first read
             assert isinstance(M, ColumnSum) and M._blocks is None, verts
+            # offsets only where the summand is nonzero, each as in the scan
+            offs0 = {(r, w): o for (r, w), o in offs0.items() if X.dims[(w, verts[r])]}
             assert (M.dims, dense_action(M), M.offs) == (dims, act, offs0), verts
             assert_block_rule(M)
             if len(verts) == 1:
@@ -94,6 +96,28 @@ def test_column_sums_match_the_scan(case):
                     (r0, c0, blk), = M.blocks()[i]
                     assert (r0, c0) == (0, 0) and blk is m, verts
                     assert module.action_matrix(M, i) is m, verts
+
+
+@pytest.mark.parametrize("case", CASES, ids=str)
+def test_column_sums_store_only_nonzero_offsets(case):
+    # an offset for every (summand, vertex) pair with a nonzero space and
+    # for no other pair: on the sums of the vertex lists, on each
+    # injective, and on every sum kept once the global dimension is known
+    alg = _algebra(case)
+    homology.global_dimension(alg)
+    sums = [column_sum(X, verts) for X in (regular_bimodule(alg), dual_regular_bimodule(alg))
+            for verts in _vertex_lists(alg)]
+    sums += [M for M in alg._cache.values() if isinstance(M, ColumnSum)]
+    for v in alg.vertices:
+        inj = injective_module(alg, v)
+        DA = inj.bimodule
+        assert inj.offs == {(0, w): 0 for w in alg.vertices if DA.dims[(w, v)]}
+        sums.append(inj)
+    assert len(sums) > 2 * len(_vertex_lists(alg)) + len(alg.vertices)
+    for M in sums:
+        X = M.bimodule
+        nonzero = {(r, w) for r, u in enumerate(M.verts) for w in alg.vertices if X.dims[(w, u)]}
+        assert set(M.offs) == nonzero, M
 
 
 def _modules(alg):
@@ -114,6 +138,8 @@ def test_projective_covers_match_the_oracle(case):
         P, epi, lifts = projective_cover(M)
         verts, dims, act, offs, mats, lifts0 = projective_cover_oracle(M)
         assert (P.verts, lifts) == (verts, lifts0), M
+        R = regular_bimodule(alg)
+        offs = {(r, w): o for (r, w), o in offs.items() if R.dims[(w, verts[r])]}
         assert (P.dims, dense_action(P), P.offs) == (dims, act, offs), M
         assert epi.src is P and epi.tgt is M
         assert epi.mats == mats, M
@@ -135,9 +161,9 @@ def test_each_vertex_list_is_summed_once(monkeypatch):
     alg = cut_algebra(q, enumerate_cuts(q)[60])
     assert decide_nrf(alg, 2).is_nrf is True
     assert find_twisted_cy(alg) is not None
-    # 60 projective covers use 38 distinct vertex lists; no simple module
-    # is resolved, as global_dimension reads the injectives' resolutions
-    assert len(built) == len(set(built)) == 38
+    # 18 projective covers use 16 distinct vertex lists: the injectives
+    # are resolved together, as one sum, and no simple module is resolved
+    assert len(built) == len(set(built)) == 16
 
 
 @pytest.mark.parametrize("case", [(2, 4, 30), (2, 5, 240)], ids=str)
