@@ -8,7 +8,7 @@ everything inside one-sided module machinery.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, reduce
 
 from .algebra import Algebra, BasisElt, opposite, per_algebra, tensor_product
 from .errors import (
@@ -19,7 +19,7 @@ from .errors import (
     NotSelfinjective,
     UNDECIDED,
 )
-from .linalg import Mat, independent_subset, inv
+from .linalg import Mat, inv, kernel_units
 from .module import (
     Bimodule,
     Module,
@@ -34,7 +34,6 @@ from .module import (
     outer_tensor_module,
     regular_bimodule,
     regular_module,
-    simple_module,
     tensor_bimod_bimod,
 )
 from .homology import (
@@ -404,75 +403,60 @@ def nakayama_permutation(p: Algebra):
 def auslander_algebra(alg: Algebra, summands):
     """Endomorphism algebra of the direct sum of the given pairwise
     non-isomorphic modules, as a based algebra with one vertex per
-    summand."""
-    nsum = len(summands)
-    homs = {}
-    for s in range(nsum):
-        for t in range(nsum):
-            homs[(s, t)] = hom(summands[s], summands[t])
+    summand.
+
+    Its basis is the identity of each summand, then each Hom space: off
+    the diagonal its `hom` basis, and on it the trace-zero combinations of
+    that basis (a `kernel_basis` of its row of traces), which are radical.
+    Coordinates are read, not solved for.  The identity's coefficient in
+    an endomorphism is its trace over the dimension.  What is left is a
+    combination of the `hom` basis, an rref kernel basis in the flattened
+    coordinates, so its coefficient on a basis element is its entry at
+    that element's unit coordinate (`kernel_units`), and on a trace-zero
+    combination its coefficient on the `hom` basis element at the
+    combination's unit coordinate."""
 
     def flatten(mor):
         return [x for v in alg.vertices for row in mor.mats[v].a for x in row]
 
-    # basis: identity per summand first, then a radical complement
-    basis_mors = []
-    basis_meta = []
-    for s in range(nsum):
-        ident = Morphism(summands[s], summands[s],
-                         {v: Mat.identity(summands[s].dims[v]) for v in alg.vertices})
-        basis_mors.append(ident)
-        basis_meta.append(BasisElt(f"e[{s}]", s, s, 0))
-    for s in range(nsum):
-        for t in range(nsum):
-            cand = homs[(s, t)]
+    def trace(mor):
+        return sum(m.a[k][k] for m in mor.mats.values() for k in range(m.rows))
+
+    basis_mors = [Morphism(M, M, {v: Mat.identity(M.dims[v]) for v in alg.vertices})
+                  for M in summands]
+    basis_meta = [BasisElt(f"e[{s}]", s, s, 0) for s in range(len(summands))]
+    units = {}  # (s, t) -> [(basis index, the coordinate its coefficient is read at)]
+    for s, M in enumerate(summands):
+        for t, N in enumerate(summands):
+            H = hom(M, N)
+            at = kernel_units([flatten(h) for h in H])
             if s == t:
-                # subtract the scalar part so the rest is radical
-                dim_s = summands[s].total_dim
-                rad = []
-                for h in cand:
-                    trace = 0
-                    for v in alg.vertices:
-                        m = h.mats[v]
-                        for k in range(m.rows):
-                            trace += m.a[k][k]
-                    lam = trace * inv(dim_s)
-                    adj = h.add(basis_mors[s].scale(-lam))
-                    rad.append(adj)
-                rows = [flatten(h) for h in rad]
-                sel = independent_subset([], rows)
-                for idx in sel:
-                    basis_mors.append(rad[idx])
-                    basis_meta.append(BasisElt(f"r[{s},{t}]{idx}", s, t, 1))
-            else:
-                for idx, h in enumerate(cand):
-                    basis_mors.append(h)
-                    basis_meta.append(BasisElt(f"h[{s},{t}]{idx}", s, t, 1))
-    # per-block coordinate matrices for product expansion: morphisms with
-    # the same domain and codomain summand flatten to equal-length vectors
-    blocks = {}
-    for idx, bm in enumerate(basis_meta):
-        blocks.setdefault((bm.src, bm.tgt), []).append(idx)
-    block_mats = {}
-    for key, idxs in blocks.items():
-        rows = [flatten(basis_mors[i]) for i in idxs]
-        block_mats[key] = Mat.from_rows(rows, ncols=len(rows[0])).transpose()
+                combos = Mat.from_rows([[trace(h) for h in H]]).kernel_basis()
+                at = [at[j] for j in kernel_units(combos)]
+                H = [reduce(Morphism.add, [h.scale(c) for h, c in zip(H, cs) if c])
+                     for cs in combos]
+            units[(s, t)] = [(len(basis_mors) + idx, j) for idx, j in enumerate(at)]
+            basis_mors += H
+            basis_meta += [BasisElt(f"{'r' if s == t else 'h'}[{s},{t}]{idx}", s, t, 1)
+                           for idx in range(len(H))]
     mult = {}
     for x, hx in enumerate(basis_mors):
         for y, hy in enumerate(basis_mors):
             if basis_meta[x].src != basis_meta[y].tgt:
                 continue
-            comp = hx.compose(hy)
-            vec = flatten(comp)
-            if not any(vec):
-                continue
             key = (basis_meta[y].src, basis_meta[x].tgt)
-            sol = block_mats[key].solve(vec)
-            if sol is None:
-                raise ValueError("endomorphism composition leaves the basis span")
-            out = {blocks[key][k]: c for k, c in enumerate(sol) if c}
+            comp = hx.compose(hy)
+            out = {}
+            if key[0] == key[1]:
+                lam = trace(comp) * inv(summands[key[0]].total_dim)
+                if lam:
+                    out[key[0]] = lam
+                    comp = comp.add(basis_mors[key[0]].scale(-lam))
+            vec = flatten(comp)
+            out.update((i, vec[j]) for i, j in units[key] if vec[j])
             if out:
                 mult[(x, y)] = out
-    gamma = Algebra(list(range(nsum)), basis_meta, mult, name=f"End({alg.name})")
+    gamma = Algebra(list(range(len(summands))), basis_meta, mult, name=f"End({alg.name})")
     gamma.check_associativity()
     return gamma
 
@@ -480,16 +464,15 @@ def auslander_algebra(alg: Algebra, summands):
 def presentation_size(alg: Algebra):
     """(number of arrows, number of relations) of a minimal quiver-and-
     relations presentation of a basic algebra with an admissible ideal,
-    read off the minimal projective resolutions of the simples: P_1(S_u)
-    has one summand per arrow starting at u, and P_2(S_u) has
-    dim Ext^2(S_u, S_v) summands at v, the number of relations from u to v
-    in a minimal set (Bongartz, "Algebras and quadratic forms",
-    J. London Math. Soc. 1983).  Each resolution stops at P_2, so a
-    selfinjective algebra needs no cap."""
-    terms = [min_proj_resolution(simple_module(alg, u), max_len=2).terms
-             for u in alg.vertices]
-    return (sum(len(t.get(-1, ())) for t in terms),
-            sum(len(t.get(-2, ())) for t in terms))
+    read off the minimal projective resolution of A/rad A, the sum of
+    the simples S_u: P_1(S_u) has one summand per arrow starting at u,
+    and P_2(S_u) has dim Ext^2(S_u, S_v) summands at v, the number of
+    relations from u to v in a minimal set (Bongartz, "Algebras and
+    quadratic forms", J. London Math. Soc. 1983).  The resolution stops
+    at P_2, so a selfinjective algebra needs no cap."""
+    top = Module(alg, dict.fromkeys(alg.vertices, 1), {}, name="top(reg)")
+    terms = min_proj_resolution(top, max_len=2).terms
+    return len(terms.get(-1, ())), len(terms.get(-2, ()))
 
 
 def tensor_nrf(factors, ell, cap=None):

@@ -13,16 +13,16 @@ class NotFiniteDimensional(QuivercyError):
     pass
 
 
-class NotNilpotent(QuivercyError):
-    pass
-
-
 class NotAHomomorphism(QuivercyError):
     pass
 
 
 class CapExceeded(QuivercyError):
     pass
+
+
+class NotNilpotent(CapExceeded):
+    """Tensor powers still nonzero at the cap: undecided, not false."""
 
 
 class NotNRF(QuivercyError):

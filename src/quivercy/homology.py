@@ -308,46 +308,90 @@ def projective_cover(M: Module):
     return P, Morphism(P, M, mats), lifts
 
 
-def _resolution_steps(M: Module, max_len):
-    """The minimal projective resolution of M one term at a time: yields
-    (P_k, images, K_k) for k = 0, 1, ...  Generator s of P_k goes to
-    images[s]: for k = 0 its lift (`projective_cover`), else a vector of
-    P_(k-1) at its vertex, a kernel vector.  K_k is the kernel of P_k ->
-    P_(k-1) (-> M).  The steps end at the first zero kernel, or at
-    P_max_len."""
-    P, cur, images = projective_cover(M)
-    k = 0
-    while True:
-        K, cols, _ = kernel(cur)
-        yield P, images, K
-        if K.total_dim == 0 or k >= max_len:
-            return
-        P, cur, lifts = projective_cover(K)
-        # the cover sends generator s to the unit vector at lifts[s] of K,
-        # so the differential sends it to kernel vector lifts[s]
-        images = [cols[v][j] for v, j in zip(P.verts, lifts)]
-        k += 1
+def split_resolution(M: Module, owner, count, max_len=None):
+    """The minimal projective resolution ... -> P_1 -> P_0 of M, split by
+    owner into `count` complexes with P_k in degree -k: coordinate j of M
+    at v belongs to summand owner[v][j] of M, a summand of P_0 to the
+    owner of its lift, and a summand of P_k, k > 0, to the owner of its
+    image, which lies inside that owner's summands of P_(k-1).  Each
+    complex carries its length and whether it is complete: False when
+    max_len stopped the resolution at a kernel vector whose unit
+    coordinate lies in that owner's summands.
 
-
-def min_proj_resolution(M: Module, max_len=None, strict=False):
-    """The minimal projective resolution ... -> P_1 -> P_0 of M, as a
-    complex with P_k in degree -k.  It carries its length and whether it
-    is complete: False when max_len stopped it at a nonzero kernel, which
-    raises CapExceeded instead when strict."""
+    Each owner's complex is the resolution of its summand alone exactly:
+    the same terms in the same order, the same element matrices, length
+    and completeness.  Suppose P_k -> ... -> M is so far the sum of the
+    summands' steps, its maps block-diagonal for the owners, with each
+    owner's coordinates in its own order.  Every matrix reduced in the
+    next step is then block-diagonal up to a permutation of rows and
+    columns that keeps each owner's order: the radical columns of the
+    kernel, and the maps of the cover.  Its row space is the direct sum
+    of the blocks' row spaces, on disjoint columns, so the rows of the
+    blocks' rrefs, sorted by pivot, form a matrix in rref with that row
+    space.  The rref is unique, so it is the rref of the sum: its pivot
+    and free columns are the union of the blocks' ones, the kernel basis
+    vectors are the blocks' own, padded by zeros, and the lifts are the
+    blocks' lifts.  The next term lists the summands by vertex and then
+    by coordinate, so each owner's summands keep its order; the kernel's
+    action, a product of blocks and kernel vectors, is again
+    block-diagonal."""
     alg = M.alg
     if max_len is None:
         max_len = default_cap(alg)
-    terms, diffs = {}, {}
-    for k, (Q, images, K) in enumerate(_resolution_steps(M, max_len)):
-        terms[-k] = Q.verts
-        if k:
-            em = diffs[-k] = images_to_eltmat(Q.verts, P, images)
+    terms, diffs = [{} for _ in range(count)], [{} for _ in range(count)]
+    P, cur, lifts = projective_cover(M)
+    owners = [owner[v][j] for v, j in zip(P.verts, lifts)]
+    k = 0
+    while True:
+        idx = [[] for _ in range(count)]  # the summands of P of each owner, in order
+        pos = []  # the place of each summand of P among its owner's
+        for t, u in enumerate(owners):
+            pos.append(len(idx[u]))
+            idx[u].append(t)
+        for u, ts in enumerate(idx):
+            terms[u][-k] = [P.verts[t] for t in ts]
+        K, cols, units = kernel(cur)
+        if K.total_dim == 0 or k >= max_len:
+            break
+        Q, cur, lifts = projective_cover(K)
+        k += 1
+        # the cover sends generator s to the unit vector at lifts[s] of K,
+        # so the differential sends it to kernel vector lifts[s]: one
+        # element matrix per owner, its rows that owner's summands of P;
+        # each image fills one column of its owner's
+        ems = [eltmat_zero(len(ts), 0) for ts in idx]
+        images = [cols[v][j] for v, j in zip(Q.verts, lifts)]
+        prev, owners = owners, []
+        for e in _image_entries(Q.verts, P, images):
+            u = prev[e[0][0]]
+            owners.append(u)
+            em = ems[u]
+            for row in em:
+                row.append({})
+            for r, bidx, x in e:
+                assert prev[r] == u, "an image leaves its owner's summands"
+                em[pos[r]][-1][bidx] = x
+        for u, em in enumerate(ems):
             assert eltmat_entries_in_radical(alg, em), "resolution differential not minimal"
+            diffs[u][-k] = em
         P = Q
-    if K.total_dim and strict:
-        raise CapExceeded(f"projective resolution of {M.name} exceeds {max_len}")
-    res = PerfComplex(alg, terms, diffs)
-    res.complete, res.length = not K.total_dim, k
+    unfinished = set()
+    if K.total_dim:  # the owners of the kernel vectors left at the cap
+        summand = _summands(P)
+        unfinished = {owners[summand[v][j]] for v, us in units.items() for j in us}
+    out = []
+    for u in range(count):
+        res = PerfComplex(alg, terms[u], diffs[u])
+        res.complete, res.length = u not in unfinished, -min(res.terms, default=0)
+        out.append(res)
+    return out
+
+
+def min_proj_resolution(M: Module, max_len=None):
+    """The minimal projective resolution ... -> P_1 -> P_0 of M, with its
+    length and whether it is complete: `split_resolution` with one
+    owner."""
+    (res,) = split_resolution(M, dict.fromkeys(M.dims, [0] * M.total_dim), 1, max_len)
     return res
 
 
@@ -483,75 +527,29 @@ def _quiver_is_acyclic(alg):
 def _injective_resolution_lengths(alg):
     """The lengths of the minimal resolutions of the injectives, from one
     resolution of DA, the column sum of the dual regular bimodule at every
-    vertex, split by owner into the resolution of each I_v, which is kept
-    on `injective_module(alg, v)`.  A summand of P_0 belongs to the
-    column of DA that holds its lift, and a summand of P_k, k > 0, to the
-    owner of its image, which lies inside one owner's summands.
-
-    The slice of I_v is `min_proj_resolution(I_v)` exactly: the same
-    terms in the same order, the same element matrices, length and
-    completeness.  DA is the direct sum of the I_v, with each I_v's
-    coordinates at a vertex in a consecutive range.  Suppose P_k -> ...
-    -> DA is so far the sum of the I_v's steps, its maps block-diagonal
-    for the owners, with each owner's coordinates in its own order.
-    Every matrix reduced in the next step is then block-diagonal up to a
-    permutation of rows and columns that keeps each owner's order: the
-    radical columns of the kernel, and the maps of the cover.  Its row
-    space is the direct sum of the blocks' row spaces, on disjoint
-    columns, so the rows of the blocks' rrefs, sorted by pivot, form a
-    matrix in rref with that row space.  The rref is unique, so it is the
-    rref of the sum: its pivot and free columns are the union of the
-    blocks' ones, the kernel basis vectors are the blocks' own, padded
-    by zeros, and the lifts are the blocks' lifts.  The next term lists
-    the summands by vertex and then by coordinate, so each owner's
-    summands keep its order; the kernel's action, a product of blocks
-    and kernel vectors, is again block-diagonal.  A triangular algebra
-    has finite global dimension (`global_dimension`), so the resolution
-    of DA is complete under the default cap."""
+    vertex, split by column (`split_resolution`, whose docstring proves
+    each slice exact) into the resolution of each I_v, which is kept on
+    `injective_module(alg, v)`.  A triangular algebra has finite global
+    dimension (`global_dimension`), so the resolution of DA is complete
+    under the default cap."""
     DA = column_sum(dual_regular_bimodule(alg), alg.vertices, name="D(reg)")
-    terms, diffs = [{} for _ in DA.verts], [{} for _ in DA.verts]  # by owner
-    for k, (Q, images, K) in enumerate(_resolution_steps(DA, default_cap(alg))):
-        if k == 0:
-            summand = _summands(DA)
-            owner = [summand[v][j] for v, j in zip(Q.verts, images)]
-        else:
-            # one element matrix per owner, its rows that owner's summands
-            # of P; each image fills one column of its owner's
-            ems = [eltmat_zero(len(ts), 0) for ts in idx]
-            owner = []
-            for e in _image_entries(Q.verts, P, images):
-                us = {prev[r] for r, _, _ in e}
-                assert len(us) == 1, "an image leaves the summands of its injective"
-                u = us.pop()
-                owner.append(u)
-                for row in ems[u]:
-                    row.append({})
-                for r, bidx, x in e:
-                    ems[u][pos[r]][-1][bidx] = x
-            for u, em in enumerate(ems):
-                assert eltmat_entries_in_radical(alg, em), "resolution differential not minimal"
-                diffs[u][-k] = em
-        idx = [[] for _ in DA.verts]  # the summands of Q of each owner, in order
-        pos = []  # the place of each summand of Q among its owner's
-        for t, u in enumerate(owner):
-            pos.append(len(idx[u]))
-            idx[u].append(t)
-        for u, ts in enumerate(idx):
-            terms[u][-k] = [Q.verts[t] for t in ts]
-        P, prev = Q, owner
-    assert not K.total_dim, "a triangular algebra has finite global dimension"
-    lengths = []
-    for v, t, d in zip(DA.verts, terms, diffs):
-        res = PerfComplex(alg, t, d)
-        res.complete, res.length = True, -min(res.terms)
+    slices = split_resolution(DA, _summands(DA), len(DA.verts))
+    assert all(res.complete for res in slices), "a triangular algebra has finite global dimension"
+    for v, res in zip(DA.verts, slices):
         injective_module(alg, v)._resolution = res
-        lengths.append(res.length)
-    return lengths
+    return [res.length for res in slices]
 
 
 def _simple_resolution_lengths(alg, cap):
-    return [min_proj_resolution(simple_module(alg, v), max_len=cap, strict=True).length
-            for v in alg.vertices]
+    """The lengths of the simples' resolutions, one simple at a time, up
+    to the first that exceeds cap."""
+    lengths = []
+    for v in alg.vertices:
+        res = min_proj_resolution(simple_module(alg, v), max_len=cap)
+        if not res.complete:
+            raise CapExceeded(f"projective resolution of S[{v}] exceeds {cap}")
+        lengths.append(res.length)
+    return lengths
 
 
 @per_algebra
@@ -594,14 +592,16 @@ def dominant_dimension(alg: Algebra, cap=None):
     if cap is None:
         cap = default_cap(alg)
     DM = dual_module(regular_module(alg), opposite(alg))
-    res = min_proj_resolution(DM, max_len=cap, strict=True)
+    res = min_proj_resolution(DM, max_len=cap)
+    if not res.complete:
+        raise CapExceeded(f"projective resolution of {DM.name} exceeds {cap}")
     count = 0
     for k in range(res.length + 1):
         if all(_projective_partner(alg, v) is not None for v in res.terms.get(-k, ())):
             count += 1
         else:
             break
-    if count == res.length + 1 and res.complete:
+    if count == res.length + 1:
         return cap
     return count
 

@@ -1,7 +1,7 @@
 """Exact linear algebra over the rationals.
 
 Everything downstream (algebra bases, Hom spaces, resolutions) reduces to
-rank/kernel/solve on dense matrices.  Kernel and span bases are rref
+rank and kernel on dense matrices.  Kernel and span bases are rref
 bases, so each vector has a unit coordinate where the others are zero,
 and coordinates in them are read off there instead of solved for.
 Q is the only ground field, so scalars are plain numbers and no field
@@ -224,17 +224,6 @@ class Mat:
                 v[pc] = -R.a[i][j]
             basis.append(v)
         return basis
-
-    def solve(self, b):
-        """Some x with self * x = b, or None if inconsistent."""
-        aug = Mat(self.rows, self.cols + 1, [r[:] + [y] for r, y in zip(self.a, b)])
-        R, pivots = aug.rref()
-        if self.cols in pivots:
-            return None
-        x = [0] * self.cols
-        for i, pc in enumerate(pivots):
-            x[pc] = R.a[i][self.cols]
-        return x
 
     def is_invertible(self):
         return self.rows == self.cols and self.rank() == self.rows

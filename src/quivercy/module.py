@@ -704,7 +704,7 @@ def regular_bimodule(alg: Algebra):
 
 def _regular_from_table(alg: Algebra):
     """`regular_bimodule` by one pass over the multiplication table."""
-    by_pair = {}  # only the nonempty pairs: an enveloping algebra has many
+    by_pair = {}  # only the nonempty pairs
     for i, b in enumerate(alg.basis):
         by_pair.setdefault((b.tgt, b.src), []).append(i)
     pos = {}

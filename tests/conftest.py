@@ -17,19 +17,23 @@ from quivercy.cy import (
     k0_candidates,
     nakayama_power,
 )
-from quivercy.errors import UNDECIDED, InvalidSpec, NotNilpotent
+from quivercy.errors import UNDECIDED, CapExceeded, InvalidSpec, NotNilpotent
 from quivercy.homology import (
     PerfComplex,
     _module_resolution,
+    default_cap,
+    eltmat_entries_in_radical,
     ext_dims_upto,
     global_dimension,
     homology_module,
+    images_to_eltmat,
     is_shifted_regular,
     minimize,
     nakayama,
+    projective_cover,
     stalk_regular,
 )
-from quivercy.linalg import Mat, independent_subset, rational, span_basis
+from quivercy.linalg import Mat, independent_subset, inv, rational, span_basis
 from quivercy.module import (
     Bimodule,
     Module,
@@ -332,6 +336,115 @@ def projective_cover_oracle(M):
                         row[c] = act_row[j]
         mats[w] = m
     return verts, dims, P_act, offs, mats, lifts
+
+
+def _resolution_steps_oracle(M, max_len):
+    """The minimal projective resolution of M one term at a time: yields
+    (P_k, images, K_k) for k = 0, 1, ...  Generator s of P_k goes to
+    images[s]: for k = 0 its lift (`projective_cover`), else a vector of
+    P_(k-1) at its vertex, a kernel vector.  K_k is the kernel of P_k ->
+    P_(k-1) (-> M).  The steps end at the first zero kernel, or at
+    P_max_len."""
+    P, cur, images = projective_cover(M)
+    k = 0
+    while True:
+        K, cols, _ = kernel(cur)
+        yield P, images, K
+        if K.total_dim == 0 or k >= max_len:
+            return
+        P, cur, lifts = projective_cover(K)
+        images = [cols[v][j] for v, j in zip(P.verts, lifts)]
+        k += 1
+
+
+def min_proj_resolution_oracle(M, max_len=None, strict=False):
+    """homology.min_proj_resolution as it was before it became the
+    one-owner case of `split_resolution`: each differential assembled by
+    `images_to_eltmat` from one resolution step.  It carries its length
+    and whether it is complete: False when max_len stopped it at a
+    nonzero kernel, which raises CapExceeded instead when strict."""
+    alg = M.alg
+    if max_len is None:
+        max_len = default_cap(alg)
+    terms, diffs = {}, {}
+    for k, (Q, images, K) in enumerate(_resolution_steps_oracle(M, max_len)):
+        terms[-k] = Q.verts
+        if k:
+            em = diffs[-k] = images_to_eltmat(Q.verts, P, images)
+            assert eltmat_entries_in_radical(alg, em), "resolution differential not minimal"
+        P = Q
+    if K.total_dim and strict:
+        raise CapExceeded(f"projective resolution of {M.name} exceeds {max_len}")
+    res = PerfComplex(alg, terms, diffs)
+    res.complete, res.length = not K.total_dim, k
+    return res
+
+
+def solve_oracle(A, b):
+    """Some x with A * x = b, or None if inconsistent: the rref of the
+    augmented matrix (the retired `Mat.solve`)."""
+    aug = Mat(A.rows, A.cols + 1, [r[:] + [y] for r, y in zip(A.a, b)])
+    R, pivots = aug.rref()
+    if A.cols in pivots:
+        return None
+    x = [0] * A.cols
+    for i, pc in enumerate(pivots):
+        x[pc] = R.a[i][A.cols]
+    return x
+
+
+def auslander_algebra_oracle(alg, summands):
+    """ar.auslander_algebra as it was before it read coordinates at unit
+    coordinates: on the diagonal, each `hom` basis element less its
+    scalar part, kept by `independent_subset`, and every composite's
+    coordinates solved for in its block (`solve_oracle`)."""
+    nsum = len(summands)
+    homs = {(s, t): hom(summands[s], summands[t]) for s in range(nsum) for t in range(nsum)}
+
+    def flatten(mor):
+        return [x for v in alg.vertices for row in mor.mats[v].a for x in row]
+
+    basis_mors, basis_meta = [], []
+    for s in range(nsum):
+        basis_mors.append(Morphism(summands[s], summands[s],
+                                   {v: Mat.identity(summands[s].dims[v]) for v in alg.vertices}))
+        basis_meta.append(BasisElt(f"e[{s}]", s, s, 0))
+    for s in range(nsum):
+        for t in range(nsum):
+            if s == t:
+                rad = []
+                for h in homs[(s, t)]:
+                    trace = sum(m.a[k][k] for m in h.mats.values() for k in range(m.rows))
+                    rad.append(h.add(basis_mors[s].scale(-trace * inv(summands[s].total_dim))))
+                for idx in independent_subset([], [flatten(h) for h in rad]):
+                    basis_mors.append(rad[idx])
+                    basis_meta.append(BasisElt(f"r[{s},{t}]{idx}", s, t, 1))
+            else:
+                for idx, h in enumerate(homs[(s, t)]):
+                    basis_mors.append(h)
+                    basis_meta.append(BasisElt(f"h[{s},{t}]{idx}", s, t, 1))
+    blocks = {}
+    for idx, bm in enumerate(basis_meta):
+        blocks.setdefault((bm.src, bm.tgt), []).append(idx)
+    block_mats = {key: Mat.from_rows([flatten(basis_mors[i]) for i in idxs]).transpose()
+                  for key, idxs in blocks.items()}
+    mult = {}
+    for x, hx in enumerate(basis_mors):
+        for y, hy in enumerate(basis_mors):
+            if basis_meta[x].src != basis_meta[y].tgt:
+                continue
+            vec = flatten(hx.compose(hy))
+            if not any(vec):
+                continue
+            key = (basis_meta[y].src, basis_meta[x].tgt)
+            sol = solve_oracle(block_mats[key], vec)
+            assert sol is not None, "endomorphism composition leaves the basis span"
+            out = {blocks[key][k]: c for k, c in enumerate(sol) if c}
+            if out:
+                mult[(x, y)] = out
+    gamma = Algebra(list(range(nsum)), basis_meta, mult, name=f"End({alg.name})")
+    gamma.check_associativity()
+    return gamma
 
 
 def submodule_oracle(N, cols, units):

@@ -2,7 +2,16 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import corpus_algebra, recover_presentation, socle_permutation_oracle, tensor_algebra_oracle
+from conftest import (
+    auslander_algebra_oracle,
+    corpus_algebra,
+    dense_action,
+    dense_module,
+    projective_module,
+    recover_presentation,
+    socle_permutation_oracle,
+    tensor_algebra_oracle,
+)
 from quivercy import ar, homology
 from quivercy.ar import (
     auslander_algebra,
@@ -27,7 +36,14 @@ from quivercy.homology import (
     is_selfinjective,
 )
 from quivercy.linalg import Mat
-from quivercy.module import dual_regular_bimodule, injective_module, is_isomorphic, simple_module
+from quivercy.module import (
+    Morphism,
+    dual_regular_bimodule,
+    hom,
+    injective_module,
+    is_isomorphic,
+    simple_module,
+)
 from quivercy.parsing import parse_algebra_file
 
 
@@ -273,6 +289,115 @@ def test_auslander_algebra(a3_stable):
     assert len(gamma.vertices) == 6
     assert global_dimension(gamma) == 2
     assert dominant_dimension(gamma) == 2
+
+
+CYCLES = {"cycle2_ab": "vertices: 1 2\narrows:\n  a: 1 -> 2\n  b: 2 -> 1\nrelations:\n  a*b\n",
+          "loop3": "vertices: 1\narrows:\n  x: 1 -> 1\nrelations:\n  x*x*x\n"}
+
+
+def _twisted(M):
+    """M with its basis at each vertex changed by the lower-triangular
+    all-ones matrix L, so that b acts by L b L^-1: its radical
+    endomorphisms get nonzero diagonal entries, and the identity is no
+    longer a single `hom` basis element."""
+    n = M.dims
+    L = {v: Mat(d, d, [[int(i >= j) for j in range(d)] for i in range(d)]) for v, d in n.items()}
+    Li = {v: Mat(d, d, [[(i == j) - (i == j + 1) for j in range(d)] for i in range(d)])
+          for v, d in n.items()}
+    basis = M.alg.basis
+    act = {i: L[basis[i].tgt] * m * Li[basis[i].src] for i, m in dense_action(M).items()}
+    return dense_module(M.alg, n, act, name=f"L{M.name}")
+
+
+def _auslander_summands(case):
+    """(algebra, summands): the cluster tilting summands of an n-RF
+    algebra, whose endomorphism rings are k, or the indecomposable
+    projectives or the twisted injectives of an algebra with an oriented
+    cycle, whose endomorphism rings have a radical."""
+    kind, name = case
+    if kind == "ct":
+        if name == "cut_2_4_25":
+            q = TypeAQuiver(2, 4)
+            alg, n = cut_algebra(q, enumerate_cuts(q)[25]), 2
+        else:
+            alg, n = corpus_algebra(name), 1
+        return alg, decide_nrf(alg, n).ct_summands
+    if name == "gamma_1_3":
+        alg = gamma_algebra(TypeAQuiver(1, 3))
+    elif name == "pi_a3":
+        alg = preprojective(corpus_algebra("a3_linear"), 1)
+    else:
+        alg = parse_algebra_file(CYCLES[name]).build()
+    if kind == "proj":
+        return alg, [projective_module(alg, v) for v in alg.vertices]
+    return alg, [_twisted(injective_module(alg, v)) for v in alg.vertices]
+
+
+AUSLANDER_CASES = ([("ct", s) for s in ("a2", "a3_linear", "a3_stable", "a4_linear", "a5_stable",
+                                        "d4", "cut_2_4_25")]
+                   + [("proj", s) for s in ("gamma_1_3", "cycle2_ab", "pi_a3")]
+                   + [("twisted_inj", s) for s in ("gamma_1_3", "cycle2_ab", "loop3", "pi_a3")])
+
+
+@pytest.mark.parametrize("case", AUSLANDER_CASES, ids=str)
+def test_auslander_algebra_matches_the_solved_oracle(case):
+    # the same basis shape; the identities and the off-diagonal Hom bases
+    # are the same morphisms in both, so a product of them has the same
+    # coordinates off the diagonal and the same identity coefficient on
+    # it; only the radical bases of the diagonal blocks differ
+    alg, summands = _auslander_summands(case)
+    gamma, oracle = auslander_algebra(alg, summands), auslander_algebra_oracle(alg, summands)
+    shape = [[(b.src, b.tgt, b.degree) for b in g.basis] for g in (gamma, oracle)]
+    assert gamma.vertices == oracle.vertices and shape[0] == shape[1]
+    kept = [i for i, b in enumerate(gamma.basis) if b.src != b.tgt or not b.degree]
+    assert [gamma.basis[i].name for i in kept] == [oracle.basis[i].name for i in kept]
+    for x in kept:
+        for y in kept:
+            src, tgt = gamma.basis[y].src, gamma.basis[x].tgt
+            new, old = gamma.mult.get((x, y), {}), oracle.mult.get((x, y), {})
+            if src != tgt:
+                assert new == old, (x, y)
+            else:
+                assert new.get(src, 0) == old.get(src, 0), (x, y)
+    for f in (presentation_size, is_selfinjective):
+        assert f(gamma) == f(oracle), f.__name__
+
+
+@pytest.mark.parametrize("case", AUSLANDER_CASES, ids=str)
+def test_auslander_products_are_the_compositions(case):
+    # rebuild the basis morphisms as the docstring lays them out and check
+    # that each product's coordinates recombine to the composite
+    alg, summands = _auslander_summands(case)
+    gamma = auslander_algebra(alg, summands)
+    mors = [Morphism(M, M, {v: Mat.identity(M.dims[v]) for v in alg.vertices}) for M in summands]
+    for s, M in enumerate(summands):
+        for t, N in enumerate(summands):
+            H = hom(M, N)
+            if s == t:
+                traces = [sum(m.a[k][k] for m in h.mats.values() for k in range(m.rows)) for h in H]
+                H = [_combination(H, cs, H[0]) for cs in Mat.from_rows([traces]).kernel_basis()]
+            mors += H
+    assert len(mors) == gamma.dim
+    # only the projectives of a cyclic quiver have a radical to read
+    assert any(len(hom(M, M)) > 1 for M in summands) == (case[0] != "ct")
+    for x, hx in enumerate(mors):
+        for y, hy in enumerate(mors):
+            if gamma.basis[x].src != gamma.basis[y].tgt:
+                assert (x, y) not in gamma.mult
+                continue
+            prod = gamma.mult.get((x, y), {})
+            expect = hx.compose(hy)
+            got = _combination([mors[k] for k in prod], list(prod.values()), like=expect)
+            assert got.mats == expect.mats, (x, y)
+
+
+def _combination(mors, coeffs, like):
+    """The sum of c * m over the pairs, from the zero morphism shaped like
+    `like`."""
+    out = like.scale(0)
+    for m, c in zip(mors, coeffs):
+        out = out.add(m.scale(c))
+    return out
 
 
 def test_recover_presentation(a3_stable):

@@ -373,3 +373,18 @@ def test_out_of_memory_is_undecided(runner, monkeypatch, target, args):
     assert result.exit_code == 2
     assert "out of memory: no room for the next stage" in result.stderr
     assert "Traceback" not in result.output
+
+
+def test_tensor_algebra_cap_is_undecided(runner, monkeypatch):
+    # tensor powers that outlast the cap leave preproj undecided: exit 2,
+    # not the exit 1 of a definite negative
+    from quivercy.errors import NotNilpotent
+
+    def persisting(*args, **kwargs):
+        raise NotNilpotent("tensor powers persist past 24")
+
+    monkeypatch.setattr("quivercy.ar.tensor_algebra", persisting)
+    result = runner.invoke(main, ["preproj", corpus("a3_stable"), "--n", "1"])
+    assert result.exit_code == 2
+    assert "cap exceeded: tensor powers persist past 24" in result.stderr
+    assert "Traceback" not in result.output

@@ -10,14 +10,19 @@ every v while gl.dim is infinite.  `tests/test_cli.py::
 test_capped_algebra_is_undecided` checks the 2-cycle's undecided verdict.
 
 The injectives are resolved together, as DA, and the resolution is split
-into each I_v's; each slice must equal a fresh resolution of I_v on the
-corpus, all (2,4) cuts, every 24th (2,5) cut and every 80th (3,4) cut."""
+into each I_v's by `split_resolution`, whose one-owner case is
+`min_proj_resolution`.  Both must equal `conftest.min_proj_resolution_oracle`,
+the step-by-step assembly they replaced, on the corpus, all (2,4) cuts,
+every 24th (2,5) cut and every 80th (3,4) cut.  Two cyclic quivers of
+finite global dimension take the simple-module route."""
+
+import re
 
 import pytest
 
-from conftest import CORPUS, corpus_algebra
+from conftest import CORPUS, corpus_algebra, min_proj_resolution_oracle
 from quivercy import homology
-from quivercy.ar import auslander_algebra, decide_nrf, preprojective
+from quivercy.ar import auslander_algebra, decide_nrf, preprojective, presentation_size
 from quivercy.constructions import TypeAQuiver, cut_algebra, enumerate_cuts, gamma_algebra
 from quivercy.cy import find_twisted_cy
 from quivercy.errors import CapExceeded
@@ -25,17 +30,31 @@ from quivercy.homology import (
     _module_resolution,
     _quiver_is_acyclic,
     _simple_resolution_lengths,
+    _summands,
     default_cap,
     global_dimension,
     min_proj_resolution,
+    split_resolution,
 )
-from quivercy.module import ColumnSum, column_sum, dual_regular_bimodule, injective_module
+from quivercy.module import (
+    ColumnSum,
+    column_sum,
+    dual_regular_bimodule,
+    injective_module,
+    simple_module,
+    zero_module,
+)
 from quivercy.parsing import parse_algebra_file
 
 STEMS = sorted(p.stem for p in CORPUS.glob("*.alg"))
 CUTS = ([(2, 4, i) for i in range(65)] + [(2, 5, i) for i in range(0, 480, 10)]
         + [(3, 4, i) for i in range(0, 640, 20)])
 CYCLE2 = "vertices: 1 2\narrows:\n  a: 1 -> 2\n  b: 2 -> 1\nrelations:\n  a*b\n  b*a\n"
+# cyclic quivers of finite global dimension: the 2-cycle with a*b = 0
+# (dim 5) and the 3-cycle with a*b = b*c = 0 (dim 7)
+CYCLE2_AB = "vertices: 1 2\narrows:\n  a: 1 -> 2\n  b: 2 -> 1\nrelations:\n  a*b\n"
+CYCLE3 = ("vertices: 1 2 3\narrows:\n  a: 1 -> 2\n  b: 2 -> 3\n  c: 3 -> 1\n"
+          "relations:\n  a*b\n  b*c\n")
 
 
 def _cut(n, s, i):
@@ -85,19 +104,53 @@ SPLIT_CASES = (STEMS + [(2, 4, i) for i in range(65)] + [(2, 5, i) for i in rang
                + [(3, 4, i) for i in range(0, 640, 80)])
 
 
+def _assert_same_resolution(res, oracle, what):
+    assert res.terms == oracle.terms, what
+    assert repr(res.diffs) == repr(oracle.diffs) and res.diffs == oracle.diffs, what
+    assert (res.length, res.complete) == (oracle.length, oracle.complete), what
+
+
 @pytest.mark.parametrize("case", SPLIT_CASES, ids=str)
 def test_split_resolutions_equal_fresh_ones(case):
-    # the slice of DA's resolution kept on each injective is the minimal
+    # the slice of DA's resolution kept on each injective is the oracle's
     # resolution of a fresh I_v on a fresh algebra, byte for byte
     alg, fresh = _build(case), _build(case)
     global_dimension(alg)
     DA = dual_regular_bimodule(fresh)
     for v in alg.vertices:
-        kept = injective_module(alg, v)._resolution
-        res = min_proj_resolution(column_sum(DA, [v], name=f"I[{v}]"))
-        assert kept.terms == res.terms, v
-        assert repr(kept.diffs) == repr(res.diffs) and kept.diffs == res.diffs, v
-        assert (kept.length, kept.complete) == (res.length, res.complete), v
+        oracle = min_proj_resolution_oracle(column_sum(DA, [v], name=f"I[{v}]"))
+        _assert_same_resolution(injective_module(alg, v)._resolution, oracle, v)
+
+
+def _parsed(text):
+    return parse_algebra_file(text).build()
+
+
+@pytest.mark.parametrize("case", SPLIT_CASES + ["cycle2", "cycle2_ab", "cycle3"], ids=str)
+def test_builder_equals_the_oracle(case):
+    # the one-owner builder on every simple, every injective, DA and the
+    # zero module, and every slice of DA's split, equal the step-by-step
+    # oracle, in full and at each max_len 0, 1, 2 that stops it early
+    texts = {"cycle2": CYCLE2, "cycle2_ab": CYCLE2_AB, "cycle3": CYCLE3}
+    alg = _parsed(texts[case]) if case in texts else _build(case)
+    DR = dual_regular_bimodule(alg)
+    DA = column_sum(DR, alg.vertices, name="D(reg)")
+    injectives = [column_sum(DR, [v], name=f"I[{v}]") for v in alg.vertices]
+    mods = [simple_module(alg, v) for v in alg.vertices] + injectives + [DA, zero_module(alg)]
+    cap = default_cap(alg)
+    for M in mods:
+        full = min_proj_resolution_oracle(M)
+        _assert_same_resolution(min_proj_resolution(M), full, M.name)
+        for max_len in (0, 1, 2):
+            if full.length > max_len or not full.complete:
+                oracle = min_proj_resolution_oracle(M, max_len=max_len)
+                assert not oracle.complete
+                _assert_same_resolution(min_proj_resolution(M, max_len), oracle, (M.name, max_len))
+    for max_len in (cap, 0, 1, 2):
+        slices = split_resolution(DA, _summands(DA), len(DA.verts), max_len)
+        for I, res in zip(injectives, slices):
+            oracle = min_proj_resolution_oracle(I, max_len=max_len)
+            _assert_same_resolution(res, oracle, (I.name, max_len))
 
 
 @pytest.mark.parametrize("s", [3, 4])
@@ -105,7 +158,9 @@ def test_selfinjective_gamma_exceeds_the_cap(s):
     # every injective of Γ is projective, so the injective rule would give 0
     g = gamma_algebra(TypeAQuiver(s - 2, s))
     assert not _quiver_is_acyclic(g) and _has_cycle_oracle(g)
-    with pytest.raises(CapExceeded, match=r"projective resolution of S\["):
+    # every simple exceeds the cap; the first one resolved is named
+    first = f"projective resolution of S[{g.vertices[0]}] exceeds {default_cap(g)}"
+    with pytest.raises(CapExceeded, match=re.escape(first) + "$"):
         global_dimension(g)
 
 
@@ -137,28 +192,48 @@ def test_each_injective_is_resolved_once(monkeypatch):
     # decide_nrf and find_twisted_cy on a fixed (2,5) cut resolve DA, the
     # sum of every injective, once, and no injective and no simple module
     # on its own: each injective's kept resolution is its slice of DA's
-    resolved, stepped = [], []
-    real, real_steps = homology.min_proj_resolution, homology._resolution_steps
+    resolved, split = [], []
+    real, real_split = homology.min_proj_resolution, homology.split_resolution
 
     def counting(M, *args, **kwargs):
         resolved.append(M)
         return real(M, *args, **kwargs)
 
-    def steps(M, *args):
-        stepped.append(M)
-        return real_steps(M, *args)
+    def splitting(M, owner, count, *args, **kwargs):
+        split.append((M, count))
+        return real_split(M, owner, count, *args, **kwargs)
 
     monkeypatch.setattr(homology, "min_proj_resolution", counting)
-    monkeypatch.setattr(homology, "_resolution_steps", steps)
+    monkeypatch.setattr(homology, "split_resolution", splitting)
     alg = _cut(2, 5, 60)
     assert decide_nrf(alg, 2).is_nrf is True
     assert find_twisted_cy(alg) is not None
     injectives = {id(injective_module(alg, v)) for v in alg.vertices}
-    assert not [M for M in resolved if M.name.startswith("S[") or id(M) in injectives]
-    # every resolution but DA's goes through min_proj_resolution
-    (DA,) = [M for M in stepped if all(M is not N for N in resolved)]
+    assert not [M for M, _ in split if M.name.startswith("S[") or id(M) in injectives]
+    # every resolution but DA's goes through min_proj_resolution, which
+    # splits by one owner
+    (DA, count), = [(M, c) for M, c in split if all(M is not N for N in resolved)]
     assert isinstance(DA, ColumnSum) and DA.bimodule is dual_regular_bimodule(alg)
-    assert DA.verts == alg.vertices and len(stepped) == len(resolved) + 1
+    assert DA.verts == alg.vertices and count == len(alg.vertices)
+    assert len(split) == len(resolved) + 1
+    assert all(c == 1 for M, c in split if M is not DA)
     for v in alg.vertices:
         res = injective_module(alg, v)._resolution
         assert res.complete and res.length == -min(res.terms)
+
+
+@pytest.mark.parametrize("text,dim,gl_dim,size", [(CYCLE2_AB, 5, 2, (2, 1)),
+                                                  (CYCLE3, 7, 3, (3, 2))])
+def test_cyclic_quiver_of_finite_global_dimension(text, dim, gl_dim, size):
+    # the simple-module route on a cyclic quiver whose simples all finish
+    alg = _parsed(text)
+    assert alg.dim == dim and not _quiver_is_acyclic(alg) and _has_cycle_oracle(alg)
+    assert global_dimension(alg) == gl_dim
+    assert presentation_size(alg) == size
+    for n in range(1, gl_dim + 2):
+        rep = decide_nrf(_parsed(text), n)
+        assert rep.is_nrf is False and rep.gl_dim == gl_dim
+        if n < gl_dim:
+            assert rep.reason == f"gl.dim = {gl_dim} > n"
+        else:
+            assert rep.reason == "orbit of injective at 1: stage 0 has Ext^0(X, reg) != 0"

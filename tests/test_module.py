@@ -12,6 +12,7 @@ from conftest import (
     projective_module,
     radical_submodule,
     socle_vertices,
+    solve_oracle,
 )
 from quivercy.ar import decide_nrf
 from quivercy.homology import tor
@@ -344,7 +345,7 @@ def _end_is_local(M, E):
     table = {}
     for i in range(n):
         for j in range(n):
-            table[(i, j)] = B.solve([x for row in (big[i] * big[j]).a for x in row])
+            table[(i, j)] = solve_oracle(B, [x for row in (big[i] * big[j]).a for x in row])
     gram = Mat.zero(n, n)
     for i in range(n):
         for j in range(n):
