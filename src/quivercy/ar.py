@@ -41,6 +41,8 @@ from .homology import (
     _match_projective,
     _module_resolution,
     _projective_partner,
+    _sum_resolutions,
+    _summands,
     default_cap,
     global_dimension,
     is_selfinjective,
@@ -109,63 +111,162 @@ class NrfReport:
         return f"NrfReport(n={self.n}, is_nrf={self.is_nrf!r})"
 
 
-class _OrbitCut(Exception):
-    """An orbit walk passed its cap; raised inside the memoized walk, so
-    the cut walk is not stored."""
-
-
 @per_algebra
-def _walk_tau_orbit(alg, i, n, *, cap):
-    """The tau_n-orbit X_0 = I_i, X_1 = tau_n X_0, ... of the injective
-    at i, as (stages, v, reason).  The walk computes nu X = DA (x)_A P_X
-    itself, once per stage, on the resolution P_X kept on X: its
-    cohomology in degree -k is Tor_k(DA, X) = D Ext^k(X, A), zero for
-    k > n as pd X <= gl.dim <= n.  Every stage but the last has it zero
-    for k < n too, so nu X is tau_n X = H^{-n}(nu X) shifted by n, and
-    that is the next stage.  The walk ends with v when the last
-    stage is P_v, and with v None and a reason when a stage fails that
-    check or tau_n kills it.  Raises _OrbitCut past cap stages.  A walk
-    is kept on the algebra per (i, n), whatever cap it ran under.  Stage
-    0 is `injective_module`, so the resolution that global_dimension
-    split off the resolution of DA is read, not rebuilt."""
+def _kept_walks(alg, n):
+    """{i: (stages, v, reason)}: the tau_n-orbit of the injective at i for
+    each orbit walked to its end, whatever cap it ran under.  An orbit cut
+    by its cap is not kept (`walk_orbits`)."""
+    return {}
+
+
+def _split_module(H: Module, dims):
+    """H, a kernel or a quotient whose coordinates at each vertex run owner
+    by owner, dims[u][w] of them owner u's, as one module per owner: the
+    one block of each element cut to the owner's rows and columns, kept
+    where nonzero.  H is block-diagonal by owner (`_nu_by_owner`), so the
+    cut loses nothing."""
+    at, starts = dict.fromkeys(H.dims, 0), []
+    for d in dims:
+        starts.append(at)
+        at = {w: x + d[w] for w, x in at.items()}
+    assert at == H.dims, "the owners' dimensions do not add up to H's"
+    blocks = [{} for _ in dims]
+    for i, [(_, _, m)] in H.blocks().items():
+        b = H.alg.basis[i]
+        for bl, d, st in zip(blocks, dims, starts):
+            rs, cs = st[b.tgt], st[b.src]
+            sub = [row[cs:cs + d[b.src]] for row in m.a[rs:rs + d[b.tgt]]]
+            if any(any(row) for row in sub):
+                bl[i] = ((0, 0, Mat(d[b.tgt], d[b.src], sub)),)
+    return [Module(H.alg, d, bl, name=H.name) for d, bl in zip(dims, blocks)]
+
+
+def _nu_by_owner(DA, ress, n):
+    """Each owner's stage read off one complex nu = DA (x)_A P, P the
+    resolutions ress of the live stages laid out owner by owner
+    (`tensor_complex`): per owner, (k, None) for the least k < n with
+    H^{-k} != 0 in its part of nu, else (None, H^{-n} of its part).
+
+    The split is exact.  Laid out owner by owner, each differential of nu
+    is block-diagonal at every vertex, one block per owner on consecutive
+    rows and columns, and owner u's block is the differential of DA (x)
+    P_u, the complex a walk of u alone builds.  The rows of the blocks'
+    rrefs, sorted by pivot, form a matrix in rref with the row space of
+    the sum; the rref is unique, so it is the rref of the sum.  Each pivot
+    column thus lies in one owner's columns, owner u's rank is the number
+    of its pivots, and that gives each owner's dim H^{-k}.  The same
+    uniqueness carries through H^{-n} = ker d^{-n} / im d^{-n-1}.  The
+    kernel basis of the sum is the blocks' kernel bases padded by zeros,
+    in owner order, and its unit coordinates are theirs, so the kernel's
+    action, read at those coordinates, is block-diagonal with owner u's
+    kernel action as its block.  The image in kernel coordinates is then
+    block-diagonal too, so the quotient keeps the blocks' free coordinates
+    in owner order, its projection and section are block-diagonal, and so
+    is its action, with owner u's quotient action as its block.  Cutting
+    H^{-n} to each owner's rows and columns (`_split_module`) gives each
+    stage's next module with the dimensions and blocks that its own walk
+    gives."""
+    nu = tensor_complex(DA, ress, range(-n - 1, 1))
+    count, alg = len(ress), DA.left_alg
+    owner, left = {}, {}  # owner of each coordinate; each owner's dim H^i at w
+    for i, S in nu.terms.items():
+        of = [u for u, res in enumerate(ress) for _ in res.terms.get(i, ())]
+        for w, rs in _summands(S).items():
+            owner[(i, w)] = [of[r] for r in rs]
+            left[(i, w)] = tally = [0] * count
+            for r in rs:
+                tally[of[r]] += 1
+    # a pivot of d^i in owner u's columns is a rank of u's block, which H^i
+    # and H^(i+1) of u both lose
+    for i, d in nu.diffs.items():
+        for w, m in d.mats.items():
+            for j in m.rref()[1]:
+                u = owner[(i, w)][j]
+                left[(i, w)][u] -= 1
+                left[(i + 1, w)][u] -= 1
+    bad, dims = [None] * count, [dict.fromkeys(alg.vertices, 0) for _ in range(count)]
+    for (i, w), tally in left.items():
+        for u, x in enumerate(tally):
+            if x and i > -n and (bad[u] is None or -i < bad[u]):
+                bad[u] = -i
+        if i == -n:
+            for d, x in zip(dims, tally):
+                d[w] = x
+    H = _split_module(nu.cohomology(-n), dims)
+    return [(k, None) if k is not None else (None, X) for k, X in zip(bad, H)]
+
+
+def _walk_in_lockstep(alg, n, todo, cap, kept):
+    """Walk the tau_n-orbits of the injectives at todo, a list in vertex
+    order, in lockstep into kept.  Stage 0 is `injective_module`, whose
+    resolution global_dimension split off the resolution of DA.  Each
+    stage matches every live orbit's module against the projectives,
+    resolves the sum of the others once (`_sum_resolutions`), and reads
+    each orbit's Ext condition and next module off one Nakayama complex
+    (`_nu_by_owner`).  An orbit ends with v when its last stage is P_v,
+    and with v None and a reason when a stage has Ext^k(X, reg) != 0 for
+    some k < n or tau_n kills it; each ended orbit is kept.  Orbits that
+    would pass cap stages are cut and not kept, and once an orbit ends
+    without a projective or is cut, the orbits after it in todo stop, as
+    the report names only the first."""
     DA = dual_regular_bimodule(alg)
-    X = injective_module(alg, i)
-    orbit = [X]
-    while True:
-        v = _match_projective(X)
-        if v is not None:
-            return orbit, v, None
-        nu = tensor_complex(DA, _module_resolution(X, n + 1), range(-n - 1, 1))
-        bad = next((k for k in range(n) if nu.cohomology_dim(-k)), None)
-        if bad is not None:
-            return orbit, None, (f"orbit of injective at {i}: stage {len(orbit)-1} has "
-                                 f"Ext^{bad}(X, reg) != 0")
-        X = nu.cohomology(-n)
-        if X.total_dim == 0:
-            return orbit, None, f"orbit of injective at {i} dies before a projective"
-        if len(orbit) >= cap:
-            raise _OrbitCut
-        orbit.append(X)
+    orbits = {i: [injective_module(alg, i)] for i in todo}
+    live, stage = list(todo), 0
+    while live:
+        walking = []
+        for i in live:
+            v = _match_projective(orbits[i][-1])
+            if v is None:
+                walking.append(i)
+            else:
+                kept[i] = orbits[i], v, None
+        if not walking:
+            return
+        ress = _sum_resolutions([orbits[i][-1] for i in walking], n + 1)
+        live, first_end = [], len(todo)
+        for i, (bad, X) in zip(walking, _nu_by_owner(DA, ress, n)):
+            if bad is not None:
+                kept[i] = orbits[i], None, (f"orbit of injective at {i}: stage {stage} has "
+                                            f"Ext^{bad}(X, reg) != 0")
+            elif X.total_dim == 0:
+                kept[i] = orbits[i], None, f"orbit of injective at {i} dies before a projective"
+            elif stage + 1 < cap:
+                orbits[i].append(X)
+                live.append(i)
+                continue
+            first_end = min(first_end, todo.index(i))
+        live = [i for i in live if todo.index(i) < first_end]
+        stage += 1
 
 
 def walk_orbits(report, cap):
     """Walk the tau_n-orbit of every injective at report.n into
     report.ell, report.sigma and report.orbit_table, orbits of at most cap
     stages.  True when every orbit ends on a projective; otherwise False
-    with report.reason set, and report.is_nrf UNDECIDED for a cut walk.
-    Needs gl.dim <= report.n.  Each walk that was not cut is kept on the
-    algebra, whatever cap it ran under; a kept walk of more than cap
-    stages counts as cut, as it would be on a fresh algebra."""
+    with report.reason set for the first vertex whose orbit does not, and
+    report.is_nrf UNDECIDED when that orbit was cut.  Needs gl.dim <=
+    report.n.  The orbits not kept on the algebra are walked together,
+    one Nakayama complex per stage for all of them (`_walk_in_lockstep`).
+    Each orbit walked to its end is kept on the algebra, whatever cap it
+    ran under; a kept walk of more than cap stages counts as cut, as it
+    would be on a fresh algebra."""
     alg, n = report.alg, report.n
+    kept = _kept_walks(alg, n)
+    todo = []
     for i in alg.vertices:
-        try:
-            orbit, v, reason = _walk_tau_orbit(alg, i, n, cap=cap)
-        except _OrbitCut:
-            orbit = None
-        if orbit is None or len(orbit) > cap:
+        walk = kept.get(i)
+        if walk is None:
+            todo.append(i)
+        elif walk[1] is None or len(walk[0]) > cap:
+            break
+    _walk_in_lockstep(alg, n, todo, cap, kept)
+    for i in alg.vertices:
+        walk = kept.get(i)
+        if walk is None or len(walk[0]) > cap:
             report.is_nrf = UNDECIDED
             report.reason = f"orbit of injective at {i} exceeds the cap"
             return False
+        orbit, v, reason = walk
         if v is None:
             report.reason = reason
             return False
@@ -179,9 +280,11 @@ def decide_nrf(alg: Algebra, n: int, cap=None, *, verify_ct=None):
     """Decide n-representation-finiteness by walking the tau_n-orbit of
     each injective: a stage X needs Ext^k(X, reg) = 0 for k != n before
     tau_n is applied again, and the orbit must end on an indecomposable
-    projective.  The walk computes nu X itself, once per stage, and reads
-    both off it: the Ext condition as the vanishing of H^{-k}(nu X) for
-    k < n, and tau_n X as H^{-n}(nu X).  verify_ct is ignored; it stays
+    projective.  The walk computes nu X itself and reads both off it: the
+    Ext condition as the vanishing of H^{-k}(nu X) for k < n, and tau_n X
+    as H^{-n}(nu X).  It walks every orbit in lockstep (`walk_orbits`):
+    one resolution, one nu and one H^{-n} per stage for the sum of the
+    live orbits' modules, split by orbit.  verify_ct is ignored; it stays
     until perfbench/workloads.py stops passing it.
 
     A positive verdict is the criterion of Iyama and Oppermann,
@@ -205,7 +308,8 @@ def decide_nrf(alg: Algebra, n: int, cap=None, *, verify_ct=None):
     (gl.dim A = max_i pd I_i there; its docstring gives the proof), and
     the walks start from the same injectives, the one `injective_module`
     keeps per vertex with its slice of the one resolution of DA, so no
-    injective is resolved on its own and no simple module at all.
+    injective is resolved on its own and no simple module at all; each
+    later stage is resolved as part of one sum per stage.
     """
     if cap is None:
         cap = default_cap(alg)

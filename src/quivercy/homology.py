@@ -395,13 +395,32 @@ def min_proj_resolution(M: Module, max_len=None):
     return res
 
 
+def _is_resolved(M, upto):
+    """Whether M keeps a resolution that is complete or reaches upto."""
+    res = M._resolution
+    return res is not None and (res.complete or res.length >= upto)
+
+
 def _module_resolution(M, upto):
     """The `min_proj_resolution` of M to length at least upto (or
     complete), kept on M so that it lives exactly as long as M does."""
-    res = M._resolution
-    if res is None or not (res.complete or res.length >= upto):
-        res = M._resolution = min_proj_resolution(M, max_len=max(upto, default_cap(M.alg)))
-    return res
+    if not _is_resolved(M, upto):
+        M._resolution = min_proj_resolution(M, max_len=max(upto, default_cap(M.alg)))
+    return M._resolution
+
+
+def _sum_resolutions(mods, upto):
+    """The `_module_resolution` of each of mods, modules over one algebra.
+    Those not kept are resolved together: their direct sum once, split by
+    module (`split_resolution`), each slice kept on its module."""
+    need = [M for M in mods if not _is_resolved(M, upto)]
+    if need:
+        S = direct_sum(need, name="sum")
+        owner = {v: [u for u, M in enumerate(need) for _ in range(M.dims[v])] for v in S.dims}
+        slices = split_resolution(S, owner, len(need), max(upto, default_cap(S.alg)))
+        for M, res in zip(need, slices):
+            M._resolution = res
+    return [M._resolution for M in mods]
 
 
 def ext_dims_upto(M: Module, N: Module, n):
@@ -423,44 +442,65 @@ def _dual_right_module(N: Module):
     return Bimodule(semisimple_algebra([0]), N.alg, dims, {}, ract, name=f"D({N.name})")
 
 
-def _col_sum_diff(X: Bimodule, em, src: ColumnSum, tgt: ColumnSum):
+def _col_sum_diff(X: Bimodule, ems, src: ColumnSum, tgt: ColumnSum):
     """Morphism between column sums induced by right multiplication with
-    the entries of an element matrix.  Entry c * b adds c times the block
-    of b's right action at each vertex where it is stored, reading only
-    its nonzeros, with its corner at the entry's offsets; an idempotent,
-    whose blocks are not stored, adds c on the diagonal of that corner."""
+    the entries of a block-diagonal element matrix, given as its diagonal
+    blocks ems: (element matrix, summand of tgt at its first row, summand
+    of src at its first column).  Entry c * b adds c times the block of
+    b's right action at each vertex where it is stored, reading only its
+    nonzeros, with its corner at the entry's offsets; an idempotent, whose
+    blocks are not stored, adds c on the diagonal of that corner."""
     alg = X.left_alg
     basis = X.right_alg.basis
     mats = {w: Mat.zero(tgt.dims[w], src.dims[w]) for w in alg.vertices}
-    for r, row in enumerate(em):
-        for s, elt in enumerate(row):
-            for bidx, c in elt.items():
-                if basis[bidx].degree:
-                    for w, blk in X.ract_elt(bidx).items():
-                        m, r0, c0 = mats[w].a, tgt.offs[(r, w)], src.offs[(s, w)]
-                        for i, brow in enumerate(blk.a):
-                            mrow = m[r0 + i]
-                            for j, x in enumerate(brow):
-                                if x:
-                                    mrow[c0 + j] += c * x
-                else:
-                    for w, n in X.column_support.get(basis[bidx].src, ()):
-                        m, r0, c0 = mats[w].a, tgt.offs[(r, w)], src.offs[(s, w)]
-                        for i in range(n):
-                            m[r0 + i][c0 + i] += c
+    for em, r1, s1 in ems:
+        for r, row in enumerate(em, r1):
+            for s, elt in enumerate(row, s1):
+                for bidx, c in elt.items():
+                    if basis[bidx].degree:
+                        for w, blk in X.ract_elt(bidx).items():
+                            m, r0, c0 = mats[w].a, tgt.offs[(r, w)], src.offs[(s, w)]
+                            for i, brow in enumerate(blk.a):
+                                mrow = m[r0 + i]
+                                for j, x in enumerate(brow):
+                                    if x:
+                                        mrow[c0 + j] += c * x
+                    else:
+                        for w, n in X.column_support.get(basis[bidx].src, ()):
+                            m, r0, c0 = mats[w].a, tgt.offs[(r, w)], src.offs[(s, w)]
+                            for i in range(n):
+                                m[r0 + i][c0 + i] += c
     return Morphism(src, tgt, mats)
 
 
-def tensor_complex(X: Bimodule, P: PerfComplex, degrees=None):
+def tensor_complex(X: Bimodule, P, degrees=None):
     """X tensored with a complex of projectives P over X.right_alg, as a
     ModComplex over X.left_alg: term i is the column sum of X at the
     vertices of P^i, and the differential multiplies by the entries of P's
-    element matrices on the right.  degrees, when given, limits the terms
-    built, and the differentials to those between built terms."""
-    degs = P.terms if degrees is None else [i for i in degrees if i in P.terms]
-    sums = {i: column_sum(X, P.terms[i]) for i in degs}
-    diffs = {i: _col_sum_diff(X, em, sums[i], sums[i + 1])
-             for i, em in P.diffs.items() if i in sums and i + 1 in sums}
+    element matrices on the right.  P may also be a list of complexes, the
+    owners, laid out owner by owner: term i is the column sum at the
+    vertices of each owner's P^i in turn, so that at every vertex the
+    coordinates of each owner follow those of the owners before it, and
+    each differential is block-diagonal, one block per owner.  degrees,
+    when given, limits the terms built, and the differentials to those
+    between built terms."""
+    Ps = [P] if isinstance(P, PerfComplex) else P
+    degs = dict.fromkeys(i for Q in Ps for i in Q.terms)
+    if degrees is not None:
+        degs = [i for i in degrees if i in degs]
+    sums, firsts = {}, {}  # firsts[i]: each owner's first summand of term i
+    for i in degs:
+        verts, firsts[i] = [], []
+        for Q in Ps:
+            firsts[i].append(len(verts))
+            verts += Q.terms.get(i, ())
+        sums[i] = column_sum(X, verts)
+    diffs = {}
+    for i in dict.fromkeys(i for Q in Ps for i in Q.diffs):
+        if i in sums and i + 1 in sums:
+            ems = [(Q.diffs[i], firsts[i + 1][u], firsts[i][u])
+                   for u, Q in enumerate(Ps) if i in Q.diffs]
+            diffs[i] = _col_sum_diff(X, ems, sums[i], sums[i + 1])
     return ModComplex(X.left_alg, sums, diffs)
 
 

@@ -32,6 +32,7 @@ from quivercy.homology import (
     nakayama,
     projective_cover,
     stalk_regular,
+    tensor_complex,
 )
 from quivercy.linalg import Mat, independent_subset, inv, rational, span_basis
 from quivercy.module import (
@@ -378,6 +379,38 @@ def min_proj_resolution_oracle(M, max_len=None, strict=False):
     res = PerfComplex(alg, terms, diffs)
     res.complete, res.length = not K.total_dim, k
     return res
+
+
+def walk_tau_orbit_oracle(alg, i, n, cap):
+    """The tau_n-orbit X_0 = I_i, X_1 = tau_n X_0, ... of the injective at
+    i walked alone, as (stages, v, reason), or None past cap stages: the
+    per-orbit walk that `ar.walk_orbits` replaced by one walk of every
+    orbit in lockstep.  Each stage is resolved on its own
+    (`min_proj_resolution_oracle`), nu X = DA (x)_A P_X is built on that
+    resolution, and both Ext^k(X, A) = D H^{-k}(nu X), k < n, and tau_n X
+    = H^{-n}(nu X) are read off it.  The walk ends with v when the last
+    stage is P_v, and with v None and a reason when a stage has Ext^k != 0
+    for some k < n or tau_n kills it.  Stage 0 is a new column of DA, so
+    nothing kept on the algebra is read."""
+    DA = dual_regular_bimodule(alg)
+    X = column_sum(DA, [i], name=f"I[{i}]")
+    orbit = [X]
+    while True:
+        v = match_projective_oracle(X)
+        if v is not None:
+            return orbit, v, None
+        res = min_proj_resolution_oracle(X, max(n + 1, default_cap(alg)))
+        nu = tensor_complex(DA, res, range(-n - 1, 1))
+        bad = next((k for k in range(n) if nu.cohomology_dim(-k)), None)
+        if bad is not None:
+            return orbit, None, (f"orbit of injective at {i}: stage {len(orbit)-1} has "
+                                 f"Ext^{bad}(X, reg) != 0")
+        X = nu.cohomology(-n)
+        if X.total_dim == 0:
+            return orbit, None, f"orbit of injective at {i} dies before a projective"
+        if len(orbit) >= cap:
+            return None
+        orbit.append(X)
 
 
 def solve_oracle(A, b):

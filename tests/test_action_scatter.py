@@ -111,16 +111,30 @@ def _col_sum_diff_dense(X: Bimodule, em, src, tgt):
     return Morphism(src, tgt, mats)
 
 
+def _block_diagonal(ems, nrows, ncols):
+    # the whole element matrix of the diagonal blocks (element matrix,
+    # first row, first column), which must not overlap
+    m = [[{} for _ in range(ncols)] for _ in range(nrows)]
+    for em, r1, s1 in ems:
+        for r, row in enumerate(em, r1):
+            for s, elt in enumerate(row, s1):
+                assert not m[r][s], "diagonal blocks overlap"
+                m[r][s] = elt
+    return m
+
+
 @pytest.fixture
 def checked(monkeypatch):
-    """Make every column-sum map assert equality with its dense oracle;
-    returns the bimodules of the maps checked."""
+    """Make every column-sum map assert equality with its dense oracle,
+    the map of the whole element matrix of its diagonal blocks; returns
+    the bimodules of the maps checked."""
     seen = []
     real_col = homology._col_sum_diff
 
-    def col_sum_diff(X, em, *sums):
-        out = real_col(X, em, *sums)
-        ref = _col_sum_diff_dense(X, em, *sums)
+    def col_sum_diff(X, ems, src, tgt):
+        out = real_col(X, ems, src, tgt)
+        em = _block_diagonal(ems, len(tgt.verts), len(src.verts))
+        ref = _col_sum_diff_dense(X, em, src, tgt)
         assert (out.src, out.tgt, out.mats) == (ref.src, ref.tgt, ref.mats)
         seen.append(X)
         return out
@@ -224,7 +238,7 @@ def test_element_matrices_with_idempotents_match_the_dense_sums(stem):
     _, _, em = _idempotent_resolution(alg)
     DL = dual_regular_bimodule(alg)
     S = column_sum(DL, alg.vertices)
-    out = homology._col_sum_diff(DL, em, S, S)
+    out = homology._col_sum_diff(DL, [(em, 0, 0)], S, S)
     assert out.mats == _col_sum_diff_dense(DL, em, S, S).mats
 
 

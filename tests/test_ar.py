@@ -88,42 +88,36 @@ def test_kept_orbit_walk_longer_than_the_cap_counts_as_cut():
 
 
 def test_orbit_walk_builds_one_nakayama_complex_per_stage(monkeypatch):
-    # every stage that is not a projective is resolved at most once, and
-    # nu X is built once on that resolution; Ext and tau_n are read off it
+    # the orbits are walked in lockstep: each stage builds one nu X for
+    # every orbit whose stage is not its last, on the resolutions kept on
+    # those stages, laid out orbit by orbit; Ext and tau_n are read off it
     q = TypeAQuiver(2, 5)
     alg = cut_algebra(q, enumerate_cuts(q)[240])  # fresh, so no walk is kept
-    built, resolved = [], []
-    real_tensor, real_resolution = ar.tensor_complex, homology.min_proj_resolution
+    built = []
+    real_tensor = ar.tensor_complex
 
     def tensor_complex(X, P, degrees=None):
-        built.append(X)
+        built.append((X, P))
         return real_tensor(X, P, degrees)
-
-    def min_proj_resolution(M, *args, **kwargs):
-        resolved.append(M)
-        return real_resolution(M, *args, **kwargs)
 
     def forbidden(*args):
         raise AssertionError("the orbit walk reads Ext and tau_n off nu X")
 
     monkeypatch.setattr(ar, "tensor_complex", tensor_complex)
-    monkeypatch.setattr(homology, "min_proj_resolution", min_proj_resolution)
     for mod in (homology, ar):
         monkeypatch.setattr(mod, "ext_dims_upto", forbidden, raising=False)
         monkeypatch.setattr(mod, "tor", forbidden)
     rep = decide_nrf(alg, 2)
     assert rep.is_nrf is True
-    stages = [X for orbit in rep.orbit_table.values() for X in orbit[:-1]]
-    assert stages and len(built) == len(stages)
-    assert all(X is dual_regular_bimodule(alg) for X in built)
-    ids = [id(M) for M in resolved]
-    assert len(ids) == len(set(ids))
+    assert len(built) == max(rep.ell.values()) - 1 > 1
+    for s, (X, P) in enumerate(built):
+        walking = [i for i in alg.vertices if rep.ell[i] >= s + 2]
+        assert X is dual_regular_bimodule(alg) and len(walking) > 1
+        assert [id(res) for res in P] == [id(rep.orbit_table[i][s]._resolution)
+                                          for i in walking]
     # stage 0 is the injective, whose resolution global_dimension kept as
-    # its slice of DA's; every later stage is resolved once
-    starts = {id(injective_module(alg, i)) for i in alg.vertices}
+    # its slice of DA's
     assert all(orbit[0] is injective_module(alg, i) for i, orbit in rep.orbit_table.items())
-    assert any(id(X) not in starts for X in stages)
-    assert all(ids.count(id(X)) == (id(X) not in starts) for X in stages)
 
 
 def test_decide_nrf_a2(a2):

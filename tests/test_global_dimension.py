@@ -11,9 +11,11 @@ test_capped_algebra_is_undecided` checks the 2-cycle's undecided verdict.
 
 The injectives are resolved together, as DA, and the resolution is split
 into each I_v's by `split_resolution`, whose one-owner case is
-`min_proj_resolution`.  Both must equal `conftest.min_proj_resolution_oracle`,
-the step-by-step assembly they replaced, on the corpus, all (2,4) cuts,
-every 24th (2,5) cut and every 80th (3,4) cut.  Two cyclic quivers of
+`min_proj_resolution`; each later stage of the orbit walk is resolved
+the same way, as one sum split by orbit.  Both must equal
+`conftest.min_proj_resolution_oracle`, the step-by-step assembly they
+replaced, on the corpus, all (2,4) cuts, every 24th (2,5) cut and every
+80th (3,4) cut.  Two cyclic quivers of
 finite global dimension take the simple-module route."""
 
 import re
@@ -189,9 +191,10 @@ def test_route_follows_acyclicity(monkeypatch):
 
 
 def test_each_injective_is_resolved_once(monkeypatch):
-    # decide_nrf and find_twisted_cy on a fixed (2,5) cut resolve DA, the
-    # sum of every injective, once, and no injective and no simple module
-    # on its own: each injective's kept resolution is its slice of DA's
+    # decide_nrf on a fixed (2,5) cut resolves DA, the sum of every
+    # injective, once, and then each stage of the orbit walk as one sum,
+    # split by orbit; no module is resolved on its own, no injective and
+    # no simple module at all, and find_twisted_cy resolves nothing more
     resolved, split = [], []
     real, real_split = homology.min_proj_resolution, homology.split_resolution
 
@@ -206,17 +209,25 @@ def test_each_injective_is_resolved_once(monkeypatch):
     monkeypatch.setattr(homology, "min_proj_resolution", counting)
     monkeypatch.setattr(homology, "split_resolution", splitting)
     alg = _cut(2, 5, 60)
-    assert decide_nrf(alg, 2).is_nrf is True
-    assert find_twisted_cy(alg) is not None
-    injectives = {id(injective_module(alg, v)) for v in alg.vertices}
-    assert not [M for M, _ in split if M.name.startswith("S[") or id(M) in injectives]
-    # every resolution but DA's goes through min_proj_resolution, which
-    # splits by one owner
-    (DA, count), = [(M, c) for M, c in split if all(M is not N for N in resolved)]
+    rep = decide_nrf(alg, 2)
+    assert rep.is_nrf is True and resolved == []
+    (DA, count), *stages = split
     assert isinstance(DA, ColumnSum) and DA.bimodule is dual_regular_bimodule(alg)
     assert DA.verts == alg.vertices and count == len(alg.vertices)
-    assert len(split) == len(resolved) + 1
-    assert all(c == 1 for M, c in split if M is not DA)
+    # stage s >= 1 of the walk resolves the sum of the orbits whose stage s
+    # is not their last, a projective, with one owner per orbit
+    longest = max(rep.ell.values())
+    assert len(stages) == longest - 2 > 0
+    for s, (M, count) in enumerate(stages, start=1):
+        walking = [i for i in alg.vertices if rep.ell[i] >= s + 2]
+        assert count == len(walking) > 1
+        assert M.dim_vector() == tuple(map(sum, zip(*(rep.orbit_table[i][s].dim_vector()
+                                                        for i in walking))))
+    injectives = {id(injective_module(alg, v)) for v in alg.vertices}
+    assert not [M for M, _ in split if M.name.startswith("S[") or id(M) in injectives]
+    del split[:]
+    assert find_twisted_cy(alg) is not None
+    assert split == resolved == []
     for v in alg.vertices:
         res = injective_module(alg, v)._resolution
         assert res.complete and res.length == -min(res.terms)

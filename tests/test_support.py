@@ -161,9 +161,11 @@ def test_each_vertex_list_is_summed_once(monkeypatch):
     alg = cut_algebra(q, enumerate_cuts(q)[60])
     assert decide_nrf(alg, 2).is_nrf is True
     assert find_twisted_cy(alg) is not None
-    # 18 projective covers use 16 distinct vertex lists: the injectives
-    # are resolved together, as one sum, and no simple module is resolved
-    assert len(built) == len(set(built)) == 16
+    # 6 projective covers use 6 distinct vertex lists: the three terms of
+    # DA, the injectives resolved together, and the three of the one sum
+    # of the orbits' stage 1 that are not projective; no simple module is
+    # resolved
+    assert len(built) == len(set(built)) == 6
 
 
 @pytest.mark.parametrize("case", [(2, 4, 30), (2, 5, 240)], ids=str)
