@@ -39,14 +39,15 @@ from .module import (
 from .homology import (
     PerfComplex,
     _match_projective,
-    _module_resolution,
     _projective_partner,
-    _sum_resolutions,
     _summands,
     default_cap,
+    env_resolution,
     global_dimension,
+    injective_resolutions,
     is_selfinjective,
     min_proj_resolution,
+    split_resolution,
     tensor_complex,
     tor,
 )
@@ -198,17 +199,18 @@ def _nu_by_owner(DA, ress, n):
 
 def _walk_in_lockstep(alg, n, todo, cap, kept):
     """Walk the tau_n-orbits of the injectives at todo, a list in vertex
-    order, in lockstep into kept.  Stage 0 is `injective_module`, whose
-    resolution global_dimension split off the resolution of DA.  Each
+    order, in lockstep into kept.  Stage 0 is `injective_module`.  Each
     stage matches every live orbit's module against the projectives,
-    resolves the sum of the others once (`_sum_resolutions`), and reads
-    each orbit's Ext condition and next module off one Nakayama complex
-    (`_nu_by_owner`).  An orbit ends with v when its last stage is P_v,
-    and with v None and a reason when a stage has Ext^k(X, reg) != 0 for
-    some k < n or tau_n kills it; each ended orbit is kept.  Orbits that
-    would pass cap stages are cut and not kept, and once an orbit ends
-    without a projective or is cut, the orbits after it in todo stop, as
-    the report names only the first."""
+    resolves the sum of the others once to length at least n + 1
+    (`split_resolution`), and reads each orbit's Ext condition and next
+    module off one Nakayama complex (`_nu_by_owner`); on an acyclic
+    quiver stage 0 reads the resolutions that global_dimension kept
+    instead (`injective_resolutions`).  An orbit ends with v when its
+    last stage is P_v, and with v None and a reason when a stage has
+    Ext^k(X, reg) != 0 for some k < n or tau_n kills it; each ended
+    orbit is kept.  Orbits that would pass cap stages are cut and not
+    kept, and once an orbit ends without a projective or is cut, the
+    orbits after it in todo stop, as the report names only the first."""
     DA = dual_regular_bimodule(alg)
     orbits = {i: [injective_module(alg, i)] for i in todo}
     live, stage = list(todo), 0
@@ -222,7 +224,12 @@ def _walk_in_lockstep(alg, n, todo, cap, kept):
                 kept[i] = orbits[i], v, None
         if not walking:
             return
-        ress = _sum_resolutions([orbits[i][-1] for i in walking], n + 1)
+        injective_ress = injective_resolutions(alg) if stage == 0 else None
+        if injective_ress is not None:
+            ress = [injective_ress[i] for i in walking]
+        else:
+            ress = split_resolution([orbits[i][-1] for i in walking],
+                                    max(n + 1, default_cap(alg)))
         live, first_end = [], len(todo)
         for i, (bad, X) in zip(walking, _nu_by_owner(DA, ress, n)):
             if bad is not None:
@@ -306,8 +313,8 @@ def decide_nrf(alg: Algebra, n: int, cap=None, *, verify_ct=None):
     The hypothesis gl.dim A <= n is checked first.  On an acyclic quiver
     `global_dimension` reads it off the resolutions of the injectives
     (gl.dim A = max_i pd I_i there; its docstring gives the proof), and
-    the walks start from the same injectives, the one `injective_module`
-    keeps per vertex with its slice of the one resolution of DA, so no
+    the walks start from the same injectives with their slices of the one
+    resolution of DA, kept per algebra (`injective_resolutions`), so no
     injective is resolved on its own and no simple module at all; each
     later stage is resolved as part of one sum per stage.
     """
@@ -376,9 +383,8 @@ def ext_bimodule(alg: Algebra, n: int):
     (v, u) of the resolution's term (u, v), and as Hom_E(-, E) turns right
     multiplication by m into left, each differential is transposed with s
     applied to its entries.  For n > pd A the complex is zero in degree n."""
-    M = env_module(alg, regular_bimodule)
-    res = _module_resolution(M, n + 1)
-    E = M.alg
+    E = env_module(alg, regular_bimodule).alg
+    res = env_resolution(alg, regular_bimodule, max(n + 1, default_cap(E)))
     pair_index = E.tensor_info[2]
     swap = {k: pair_index[(j, i)] for (i, j), k in pair_index.items()}
     terms = {-d: [(v, u) for u, v in verts] for d, verts in res.terms.items()}

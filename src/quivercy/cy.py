@@ -56,7 +56,8 @@ from .algebra import per_algebra
 from .ar import NrfReport, walk_orbits
 from .errors import CapExceeded
 from .homology import (
-    _module_resolution,
+    default_cap,
+    env_resolution,
     global_dimension,
     is_shifted_regular,
     nakayama,
@@ -234,9 +235,12 @@ def _nakayama_tower(alg, cap):
 
 def nakayama_power(alg, k, cap=None):
     """nu^k of the regular module.  The powers are kept per algebra and
-    cap; the ones past the highest built are made one at a time by
-    `nakayama` and appended.  When one raises CapExceeded the powers
-    before it stay kept, and the next call raises at the same power."""
+    cap, None read as `default_cap`; the ones past the highest built are
+    made one at a time by `nakayama` and appended.  When one raises
+    CapExceeded the powers before it stay kept, and the next call raises
+    at the same power."""
+    if cap is None:
+        cap = default_cap(alg)
     tower = _nakayama_tower(alg, cap)
     while len(tower) <= k:
         tower.append(nakayama(tower[-1], cap=cap))
@@ -349,8 +353,9 @@ def dual_regular_perf(alg):
 
 def _bimodule_resolution(alg, bimodule):
     """The complete minimal resolution of bimodule(alg) over the
-    enveloping algebra."""
-    res = _module_resolution(env_module(alg, bimodule), 0)
+    enveloping algebra E, the one kept per algebra at default_cap(E)
+    (`env_resolution`)."""
+    res = env_resolution(alg, bimodule, default_cap(env_module(alg, bimodule).alg))
     if not res.complete:
         raise CapExceeded(f"bimodule resolution of {bimodule.__name__}")
     return res

@@ -26,6 +26,7 @@ from .module import (
     direct_sum,
     dual_module,
     dual_regular_bimodule,
+    env_module,
     injective_module,
     kernel,
     quotient,
@@ -308,20 +309,21 @@ def projective_cover(M: Module):
     return P, Morphism(P, M, mats), lifts
 
 
-def split_resolution(M: Module, owner, count, max_len=None):
-    """The minimal projective resolution ... -> P_1 -> P_0 of M, split by
-    owner into `count` complexes with P_k in degree -k: coordinate j of M
-    at v belongs to summand owner[v][j] of M, a summand of P_0 to the
-    owner of its lift, and a summand of P_k, k > 0, to the owner of its
-    image, which lies inside that owner's summands of P_(k-1).  Each
-    complex carries its length and whether it is complete: False when
-    max_len stopped the resolution at a kernel vector whose unit
-    coordinate lies in that owner's summands.
+def split_resolution(mods, max_len=None):
+    """The minimal projective resolution ... -> P_1 -> P_0 of each of mods,
+    modules over one algebra, with P_k in degree -k: one resolution of
+    their direct sum (of M when mods is [M]), split by owner.  The owner
+    of a coordinate of the sum is the module it comes from, of a summand
+    of P_0 the owner of its lift, and of a summand of P_k, k > 0, the
+    owner of its image, which lies inside that owner's summands of
+    P_(k-1).  Each complex carries its length and whether it is complete:
+    False when max_len stopped the resolution at a kernel vector whose
+    unit coordinate lies in that owner's summands.
 
-    Each owner's complex is the resolution of its summand alone exactly:
+    Each owner's complex is the resolution of its module alone exactly:
     the same terms in the same order, the same element matrices, length
     and completeness.  Suppose P_k -> ... -> M is so far the sum of the
-    summands' steps, its maps block-diagonal for the owners, with each
+    modules' steps, its maps block-diagonal for the owners, with each
     owner's coordinates in its own order.  Every matrix reduced in the
     next step is then block-diagonal up to a permutation of rows and
     columns that keeps each owner's order: the radical columns of the
@@ -335,9 +337,11 @@ def split_resolution(M: Module, owner, count, max_len=None):
     by coordinate, so each owner's summands keep its order; the kernel's
     action, a product of blocks and kernel vectors, is again
     block-diagonal."""
-    alg = M.alg
+    M = mods[0] if len(mods) == 1 else direct_sum(mods, name="sum")
+    alg, count = M.alg, len(mods)
     if max_len is None:
         max_len = default_cap(alg)
+    owner = {v: [u for u, N in enumerate(mods) for _ in range(N.dims[v])] for v in M.dims}
     terms, diffs = [{} for _ in range(count)], [{} for _ in range(count)]
     P, cur, lifts = projective_cover(M)
     owners = [owner[v][j] for v, j in zip(P.verts, lifts)]
@@ -389,46 +393,26 @@ def split_resolution(M: Module, owner, count, max_len=None):
 
 def min_proj_resolution(M: Module, max_len=None):
     """The minimal projective resolution ... -> P_1 -> P_0 of M, with its
-    length and whether it is complete: `split_resolution` with one
-    owner."""
-    (res,) = split_resolution(M, dict.fromkeys(M.dims, [0] * M.total_dim), 1, max_len)
+    length and whether it is complete: `split_resolution` of M alone."""
+    (res,) = split_resolution([M], max_len)
     return res
 
 
-def _is_resolved(M, upto):
-    """Whether M keeps a resolution that is complete or reaches upto."""
-    res = M._resolution
-    return res is not None and (res.complete or res.length >= upto)
-
-
-def _module_resolution(M, upto):
-    """The `min_proj_resolution` of M to length at least upto (or
-    complete), kept on M so that it lives exactly as long as M does."""
-    if not _is_resolved(M, upto):
-        M._resolution = min_proj_resolution(M, max_len=max(upto, default_cap(M.alg)))
-    return M._resolution
-
-
-def _sum_resolutions(mods, upto):
-    """The `_module_resolution` of each of mods, modules over one algebra.
-    Those not kept are resolved together: their direct sum once, split by
-    module (`split_resolution`), each slice kept on its module."""
-    need = [M for M in mods if not _is_resolved(M, upto)]
-    if need:
-        S = direct_sum(need, name="sum")
-        owner = {v: [u for u, M in enumerate(need) for _ in range(M.dims[v])] for v in S.dims}
-        slices = split_resolution(S, owner, len(need), max(upto, default_cap(S.alg)))
-        for M, res in zip(need, slices):
-            M._resolution = res
-    return [M._resolution for M in mods]
+@per_algebra
+def env_resolution(alg, bimodule, max_len):
+    """The minimal resolution of bimodule(alg), regular_bimodule or
+    dual_regular_bimodule, over the enveloping algebra E (`env_module`),
+    to max_len.  `ar.ext_bimodule` and `cy.check_untwisted_cy` ask at
+    default_cap(E) or above, so below that cap they share one."""
+    return min_proj_resolution(env_module(alg, bimodule), max_len)
 
 
 def ext_dims_upto(M: Module, N: Module, n):
     """dim Ext^i(M, N) for i = 0..n, sharing one resolution P of M and one
     complex.  Hom_A(P, N) is the k-dual of DN (x)_A P, for DN the dual of
     N as a right module, so Ext^i(M, N) has the dimension of H^{-i} of
-    DN tensored with P."""
-    res = _module_resolution(M, n + 1)
+    DN tensored with P, which needs P only to length n + 1."""
+    res = min_proj_resolution(M, n + 1)
     C = tensor_complex(_dual_right_module(N), res, range(-n - 1, 1))
     return [C.cohomology_dim(-i) for i in range(n + 1)]
 
@@ -506,10 +490,11 @@ def tensor_complex(X: Bimodule, P, degrees=None):
 
 def tor(i, X: Bimodule, M: Module):
     """Tor_i(X, M) as a left module over X.left_alg: cohomology in degree
-    -i of X tensored with the resolution of M, built only around -i."""
+    -i of X tensored with the resolution of M to length i + 1, built only
+    around -i."""
     if i < 0:
         raise ValueError("negative Tor degree")
-    res = _module_resolution(M, i + 1)
+    res = min_proj_resolution(M, i + 1)
     return tensor_complex(X, res, (-i - 1, -i, -i + 1)).cohomology(-i)
 
 
@@ -520,9 +505,9 @@ def global_dimension(alg: Algebra, cap=None):
     smaller cap raises from them just as a fresh call would.
 
     On an acyclic Gabriel quiver it is the largest length of a resolution
-    of an indecomposable injective instead, and the resolution of each is
-    kept on `injective_module`, where the orbit walk of `decide_nrf` reads
-    it (`_injective_resolution_lengths`).  Proof: let d = gl.dim A be
+    of an indecomposable injective instead, read off the resolutions kept
+    per algebra (`injective_resolutions`), which stage 0 of the orbit walk
+    of `decide_nrf` reads too.  Proof: let d = gl.dim A be
     finite.  Some simples S, S' have Ext^d(S, S') != 0.  As Ext^(d+1)
     vanishes, the embedding S -> I(S) makes Ext^d(I(S), S') ->
     Ext^d(S, S') onto, so pd I(S) >= d, and pd I <= d for every module I;
@@ -544,8 +529,9 @@ def global_dimension(alg: Algebra, cap=None):
 def _resolution_lengths(alg, *, cap):
     """("I", the lengths of the injectives' resolutions) on an acyclic
     quiver, else ("S", those of the simples', each at most cap)."""
-    if _quiver_is_acyclic(alg):
-        return "I", _injective_resolution_lengths(alg)
+    ress = injective_resolutions(alg)
+    if ress is not None:
+        return "I", [res.length for res in ress.values()]
     return "S", _simple_resolution_lengths(alg, cap)
 
 
@@ -564,25 +550,26 @@ def _quiver_is_acyclic(alg):
     return True
 
 
-def _injective_resolution_lengths(alg):
-    """The lengths of the minimal resolutions of the injectives, from one
-    resolution of DA, the column sum of the dual regular bimodule at every
-    vertex, split by column (`split_resolution`, whose docstring proves
-    each slice exact) into the resolution of each I_v, which is kept on
-    `injective_module(alg, v)`.  A triangular algebra has finite global
-    dimension (`global_dimension`), so the resolution of DA is complete
-    under the default cap."""
-    DA = column_sum(dual_regular_bimodule(alg), alg.vertices, name="D(reg)")
-    slices = split_resolution(DA, _summands(DA), len(DA.verts))
+@per_algebra
+def injective_resolutions(alg):
+    """{v: the minimal resolution of `injective_module(alg, v)`} on an
+    acyclic quiver, where `global_dimension` reads its lengths, else
+    None.  One resolution of DA, the sum of the injectives, split by
+    injective (`split_resolution`, whose docstring proves each slice
+    exact).  A triangular algebra has finite global dimension
+    (`global_dimension`), so every slice is complete under the default
+    cap."""
+    if not _quiver_is_acyclic(alg):
+        return None
+    slices = split_resolution([injective_module(alg, v) for v in alg.vertices])
     assert all(res.complete for res in slices), "a triangular algebra has finite global dimension"
-    for v, res in zip(DA.verts, slices):
-        injective_module(alg, v)._resolution = res
-    return [res.length for res in slices]
+    return dict(zip(alg.vertices, slices))
 
 
 def _simple_resolution_lengths(alg, cap):
     """The lengths of the simples' resolutions, one simple at a time, up
-    to the first that exceeds cap."""
+    to the first that exceeds cap: a selfinjective algebra's simples all
+    do, and one sum of them would be resolved to the cap in full."""
     lengths = []
     for v in alg.vertices:
         res = min_proj_resolution(simple_module(alg, v), max_len=cap)

@@ -28,7 +28,6 @@ class Module:
         self.dims = dict(dims)
         self._blocks = blocks  # {i: [(row offset, column offset, block)]}
         self.name = name
-        self._resolution = None  # see homology._module_resolution
 
     def blocks(self):
         return self._blocks
@@ -135,7 +134,7 @@ def simple_module(alg, v, name=None):
 @per_algebra
 def injective_module(alg, v):
     """I_v = D(e_v (algebra)), the column of the dual regular bimodule at
-    v, shared by every reader together with the resolution kept on it."""
+    v, shared by every reader."""
     return column_sum(dual_regular_bimodule(alg), [v], name=f"I[{v}]")
 
 

@@ -20,9 +20,9 @@ from quivercy.cy import (
 from quivercy.errors import UNDECIDED, CapExceeded, InvalidSpec, NotNilpotent
 from quivercy.homology import (
     PerfComplex,
-    _module_resolution,
     default_cap,
     eltmat_entries_in_radical,
+    env_resolution,
     ext_dims_upto,
     global_dimension,
     homology_module,
@@ -835,7 +835,7 @@ def ext_bimodule_oracle(alg, n):
     of the dual regular bimodule into the regular bimodule, with its two
     actions and coboundaries written out in coordinates."""
     E = enveloping(alg)
-    res = _module_resolution(env_module(alg, dual_regular_bimodule), n + 1)
+    res = env_resolution(alg, dual_regular_bimodule, max(n + 1, default_cap(E)))
     if n > res.length:
         return Bimodule(alg, alg, {(u, v): 0 for u in alg.vertices for v in alg.vertices},
                         {}, {}, name="T")

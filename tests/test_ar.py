@@ -33,6 +33,7 @@ from quivercy.homology import (
     dominant_dimension,
     ext_dims_upto,
     global_dimension,
+    injective_resolutions,
     is_selfinjective,
 )
 from quivercy.linalg import Mat
@@ -89,35 +90,46 @@ def test_kept_orbit_walk_longer_than_the_cap_counts_as_cut():
 
 def test_orbit_walk_builds_one_nakayama_complex_per_stage(monkeypatch):
     # the orbits are walked in lockstep: each stage builds one nu X for
-    # every orbit whose stage is not its last, on the resolutions kept on
-    # those stages, laid out orbit by orbit; Ext and tau_n are read off it
+    # every orbit whose stage is not its last, on the resolutions of those
+    # stages laid out orbit by orbit; Ext and tau_n are read off it
     q = TypeAQuiver(2, 5)
     alg = cut_algebra(q, enumerate_cuts(q)[240])  # fresh, so no walk is kept
-    built = []
-    real_tensor = ar.tensor_complex
+    built, splits = [], []
+    real_tensor, real_split = ar.tensor_complex, ar.split_resolution
 
     def tensor_complex(X, P, degrees=None):
         built.append((X, P))
         return real_tensor(X, P, degrees)
 
+    def split_resolution(mods, max_len=None):
+        splits.append((mods, real_split(mods, max_len)))
+        return splits[-1][1]
+
     def forbidden(*args):
         raise AssertionError("the orbit walk reads Ext and tau_n off nu X")
 
     monkeypatch.setattr(ar, "tensor_complex", tensor_complex)
+    monkeypatch.setattr(ar, "split_resolution", split_resolution)
     for mod in (homology, ar):
         monkeypatch.setattr(mod, "ext_dims_upto", forbidden, raising=False)
         monkeypatch.setattr(mod, "tor", forbidden)
     rep = decide_nrf(alg, 2)
     assert rep.is_nrf is True
     assert len(built) == max(rep.ell.values()) - 1 > 1
+    # stage 0 is the injective with its slice of DA's resolution, which
+    # global_dimension kept per algebra; each later stage is resolved by
+    # one split of the stages of the orbits still walking
+    assert all(orbit[0] is injective_module(alg, i) for i, orbit in rep.orbit_table.items())
+    assert len(splits) == len(built) - 1
     for s, (X, P) in enumerate(built):
         walking = [i for i in alg.vertices if rep.ell[i] >= s + 2]
         assert X is dual_regular_bimodule(alg) and len(walking) > 1
-        assert [id(res) for res in P] == [id(rep.orbit_table[i][s]._resolution)
-                                          for i in walking]
-    # stage 0 is the injective, whose resolution global_dimension kept as
-    # its slice of DA's
-    assert all(orbit[0] is injective_module(alg, i) for i, orbit in rep.orbit_table.items())
+        if s == 0:
+            assert [id(res) for res in P] == [id(injective_resolutions(alg)[i]) for i in walking]
+        else:
+            mods, ress = splits[s - 1]
+            assert P is ress
+            assert [id(M) for M in mods] == [id(rep.orbit_table[i][s]) for i in walking]
 
 
 def test_decide_nrf_a2(a2):

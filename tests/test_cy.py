@@ -30,6 +30,7 @@ from quivercy.cy import (
 from quivercy.errors import CapExceeded
 from quivercy.homology import (
     ModComplex,
+    default_cap,
     global_dimension,
     is_shifted_regular,
     nakayama,
@@ -446,6 +447,17 @@ def test_a_cap_exceeded_mid_tower_keeps_the_powers_below_it(monkeypatch):
             check_twisted_cy(alg, 3, 2)
     assert calls == [nu2, nu2]
     assert nakayama_power(alg, 2) is nu2
+
+
+def test_cap_none_and_the_default_cap_share_one_tower(monkeypatch):
+    # None is read as default_cap before the tower is keyed, so the second
+    # call builds nothing
+    calls = _counting(monkeypatch, cy, "nakayama")
+    alg = corpus_algebra("a2_tensor_a2")
+    nu3 = nakayama_power(alg, 3)
+    assert len(calls) == 3
+    assert nakayama_power(alg, 3, cap=default_cap(alg)) is nu3
+    assert len(calls) == 3
 
 
 def test_a_capped_check_the_orbits_decide_builds_no_power(monkeypatch):

@@ -12,7 +12,15 @@ import pytest
 from conftest import corpus_algebra, ext_bimodule_oracle
 from quivercy.ar import ext_bimodule, tau_n_minus
 from quivercy.constructions import TypeAQuiver, cut_algebra, enumerate_cuts
-from quivercy.module import bimodule_to_env_module, column_sum, is_isomorphic, regular_module
+from quivercy.cy import check_untwisted_cy
+from quivercy.homology import env_resolution
+from quivercy.module import (
+    bimodule_to_env_module,
+    column_sum,
+    is_isomorphic,
+    regular_bimodule,
+    regular_module,
+)
 
 N1_STEMS = ["a2", "a3_linear", "a3_stable", "a4_linear", "a5_stable", "d4"]
 ORACLE_CASES = ([(stem, 1) for stem in N1_STEMS] + [("a2_tensor_a2", 2)]
@@ -49,3 +57,20 @@ def test_left_module_of_ext_bimodule_is_tau_n_minus_of_reg(case, n):
 
 def test_ext_bimodule_beyond_global_dimension_is_zero(a2):
     assert ext_bimodule(a2, 2).total_dim == 0
+
+
+def test_one_enveloping_resolution_serves_ext_and_the_untwisted_check(monkeypatch):
+    # both resolve the regular bimodule over the enveloping algebra at its
+    # default cap, kept per algebra, so it is built once between them
+    builds = []
+    real = env_resolution.__wrapped__
+
+    def counting(alg, bimodule, max_len):
+        builds.append(bimodule)
+        return real(alg, bimodule, max_len)
+
+    monkeypatch.setattr(env_resolution, "__wrapped__", counting)
+    alg = corpus_algebra("a2")
+    assert check_untwisted_cy(alg, 6, 2)
+    assert ext_bimodule(alg, 1).total_dim
+    assert builds == [regular_bimodule]

@@ -9,37 +9,37 @@ preprojective algebra) must keep the simple rule: there pd I_v = 0 for
 every v while gl.dim is infinite.  `tests/test_cli.py::
 test_capped_algebra_is_undecided` checks the 2-cycle's undecided verdict.
 
-The injectives are resolved together, as DA, and the resolution is split
-into each I_v's by `split_resolution`, whose one-owner case is
-`min_proj_resolution`; each later stage of the orbit walk is resolved
-the same way, as one sum split by orbit.  Both must equal
+The injectives are resolved together, as their sum DA, and the
+resolution is split into each I_v's by `split_resolution`, whose
+one-module case is `min_proj_resolution`; the slices are kept per algebra
+(`injective_resolutions`).  Each later stage of the orbit walk is
+resolved the same way, as one sum split by orbit.  Both must equal
 `conftest.min_proj_resolution_oracle`, the step-by-step assembly they
 replaced, on the corpus, all (2,4) cuts, every 24th (2,5) cut and every
-80th (3,4) cut.  Two cyclic quivers of
-finite global dimension take the simple-module route."""
+80th (3,4) cut.  Two cyclic quivers of finite global dimension take the
+simple-module route, and their orbit walk resolves stage 0 itself."""
 
 import re
 
 import pytest
 
 from conftest import CORPUS, corpus_algebra, min_proj_resolution_oracle
-from quivercy import homology
+from quivercy import ar, homology
 from quivercy.ar import auslander_algebra, decide_nrf, preprojective, presentation_size
 from quivercy.constructions import TypeAQuiver, cut_algebra, enumerate_cuts, gamma_algebra
 from quivercy.cy import find_twisted_cy
 from quivercy.errors import CapExceeded
 from quivercy.homology import (
-    _module_resolution,
+    _match_projective,
     _quiver_is_acyclic,
     _simple_resolution_lengths,
-    _summands,
     default_cap,
     global_dimension,
+    injective_resolutions,
     min_proj_resolution,
     split_resolution,
 )
 from quivercy.module import (
-    ColumnSum,
     column_sum,
     dual_regular_bimodule,
     injective_module,
@@ -99,7 +99,7 @@ def test_injective_rule_matches_simple_oracle(case):
     d = global_dimension(alg)
     assert d == max(_simple_resolution_lengths(alg, default_cap(alg)))
     for v in alg.vertices:
-        assert _module_resolution(injective_module(alg, v), 0).length <= d
+        assert injective_resolutions(alg)[v].length <= d
 
 
 SPLIT_CASES = (STEMS + [(2, 4, i) for i in range(65)] + [(2, 5, i) for i in range(0, 480, 24)]
@@ -114,14 +114,14 @@ def _assert_same_resolution(res, oracle, what):
 
 @pytest.mark.parametrize("case", SPLIT_CASES, ids=str)
 def test_split_resolutions_equal_fresh_ones(case):
-    # the slice of DA's resolution kept on each injective is the oracle's
+    # the slice of DA's resolution kept for each injective is the oracle's
     # resolution of a fresh I_v on a fresh algebra, byte for byte
     alg, fresh = _build(case), _build(case)
     global_dimension(alg)
     DA = dual_regular_bimodule(fresh)
     for v in alg.vertices:
         oracle = min_proj_resolution_oracle(column_sum(DA, [v], name=f"I[{v}]"))
-        _assert_same_resolution(injective_module(alg, v)._resolution, oracle, v)
+        _assert_same_resolution(injective_resolutions(alg)[v], oracle, v)
 
 
 def _parsed(text):
@@ -130,7 +130,7 @@ def _parsed(text):
 
 @pytest.mark.parametrize("case", SPLIT_CASES + ["cycle2", "cycle2_ab", "cycle3"], ids=str)
 def test_builder_equals_the_oracle(case):
-    # the one-owner builder on every simple, every injective, DA and the
+    # the one-module builder on every simple, every injective, DA and the
     # zero module, and every slice of DA's split, equal the step-by-step
     # oracle, in full and at each max_len 0, 1, 2 that stops it early
     texts = {"cycle2": CYCLE2, "cycle2_ab": CYCLE2_AB, "cycle3": CYCLE3}
@@ -149,7 +149,7 @@ def test_builder_equals_the_oracle(case):
                 assert not oracle.complete
                 _assert_same_resolution(min_proj_resolution(M, max_len), oracle, (M.name, max_len))
     for max_len in (cap, 0, 1, 2):
-        slices = split_resolution(DA, _summands(DA), len(DA.verts), max_len)
+        slices = split_resolution(injectives, max_len)
         for I, res in zip(injectives, slices):
             oracle = min_proj_resolution_oracle(I, max_len=max_len)
             _assert_same_resolution(res, oracle, (I.name, max_len))
@@ -172,7 +172,7 @@ def test_route_follows_acyclicity(monkeypatch):
                _build("auslander_a3_stable")]
     cyclic = [gamma_algebra(TypeAQuiver(1, 3)), parse_algebra_file(CYCLE2).build(), pi]
     routes = {}
-    for route in ("_injective_resolution_lengths", "_simple_resolution_lengths"):
+    for route in ("injective_resolutions", "_simple_resolution_lengths"):
         real = getattr(homology, route)
 
         def spy(alg, *args, real=real, route=route):
@@ -186,7 +186,7 @@ def test_route_follows_acyclicity(monkeypatch):
             global_dimension(alg)
         except CapExceeded:
             assert alg in cyclic
-    assert [routes[id(a)] for a in acyclic] == ["_injective_resolution_lengths"] * 4
+    assert [routes[id(a)] for a in acyclic] == ["injective_resolutions"] * 4
     assert [routes[id(a)] for a in cyclic] == ["_simple_resolution_lengths"] * 3
 
 
@@ -202,34 +202,33 @@ def test_each_injective_is_resolved_once(monkeypatch):
         resolved.append(M)
         return real(M, *args, **kwargs)
 
-    def splitting(M, owner, count, *args, **kwargs):
-        split.append((M, count))
-        return real_split(M, owner, count, *args, **kwargs)
+    def splitting(mods, *args, **kwargs):
+        split.append(mods)
+        return real_split(mods, *args, **kwargs)
 
     monkeypatch.setattr(homology, "min_proj_resolution", counting)
-    monkeypatch.setattr(homology, "split_resolution", splitting)
+    for mod in (homology, ar):
+        monkeypatch.setattr(mod, "split_resolution", splitting)
     alg = _cut(2, 5, 60)
     rep = decide_nrf(alg, 2)
     assert rep.is_nrf is True and resolved == []
-    (DA, count), *stages = split
-    assert isinstance(DA, ColumnSum) and DA.bimodule is dual_regular_bimodule(alg)
-    assert DA.verts == alg.vertices and count == len(alg.vertices)
+    injectives, *stages = split
+    assert [id(M) for M in injectives] == [id(injective_module(alg, v)) for v in alg.vertices]
     # stage s >= 1 of the walk resolves the sum of the orbits whose stage s
     # is not their last, a projective, with one owner per orbit
     longest = max(rep.ell.values())
     assert len(stages) == longest - 2 > 0
-    for s, (M, count) in enumerate(stages, start=1):
+    for s, mods in enumerate(stages, start=1):
         walking = [i for i in alg.vertices if rep.ell[i] >= s + 2]
-        assert count == len(walking) > 1
-        assert M.dim_vector() == tuple(map(sum, zip(*(rep.orbit_table[i][s].dim_vector()
-                                                        for i in walking))))
-    injectives = {id(injective_module(alg, v)) for v in alg.vertices}
-    assert not [M for M, _ in split if M.name.startswith("S[") or id(M) in injectives]
+        assert len(mods) == len(walking) > 1
+        assert [id(M) for M in mods] == [id(rep.orbit_table[i][s]) for i in walking]
+    ids = {id(M) for M in injectives}
+    assert not [M for mods in stages for M in mods if M.name.startswith("S[") or id(M) in ids]
     del split[:]
     assert find_twisted_cy(alg) is not None
     assert split == resolved == []
     for v in alg.vertices:
-        res = injective_module(alg, v)._resolution
+        res = injective_resolutions(alg)[v]
         assert res.complete and res.length == -min(res.terms)
 
 
@@ -248,3 +247,28 @@ def test_cyclic_quiver_of_finite_global_dimension(text, dim, gl_dim, size):
             assert rep.reason == f"gl.dim = {gl_dim} > n"
         else:
             assert rep.reason == "orbit of injective at 1: stage 0 has Ext^0(X, reg) != 0"
+
+
+@pytest.mark.parametrize("text,gl_dim", [(CYCLE2_AB, 2), (CYCLE3, 3)])
+def test_cyclic_quiver_walk_resolves_its_injectives(text, gl_dim, monkeypatch):
+    # a cyclic quiver keeps no injective resolution: stage 0 of the walk
+    # resolves its injectives as one sum, each slice complete or reaching
+    # n + 1, and the walk still fails at stage 0
+    real = ar.split_resolution
+    for n in (gl_dim, gl_dim + 1):
+        alg, split = _parsed(text), []
+
+        def splitting(mods, max_len=None):
+            split.append((mods, max_len, real(mods, max_len)))
+            return split[-1][2]
+
+        monkeypatch.setattr(ar, "split_resolution", splitting)
+        rep = decide_nrf(alg, n)
+        assert rep.reason == "orbit of injective at 1: stage 0 has Ext^0(X, reg) != 0"
+        assert injective_resolutions(alg) is None
+        ((mods, max_len, slices),) = split
+        walking = [injective_module(alg, v) for v in alg.vertices
+                   if _match_projective(injective_module(alg, v)) is None]
+        assert walking and [id(M) for M in mods] == [id(I) for I in walking]
+        assert max_len == max(n + 1, default_cap(alg))
+        assert all(res.complete or res.length >= n + 1 for res in slices)

@@ -231,11 +231,29 @@ def test_tau_n_minus_builds_opposite_once(monkeypatch):
     assert calls == [alg]
 
 
+def test_tor_and_ext_resolve_only_the_degrees_they_read(a3_linear, monkeypatch):
+    # Tor_i reads the resolution up to degree -i - 1, and Ext^0..n up to
+    # -n - 1, so neither resolves further
+    lengths = []
+    real = homology.min_proj_resolution
+
+    def spy(M, max_len=None):
+        lengths.append(max_len)
+        return real(M, max_len)
+
+    monkeypatch.setattr(homology, "min_proj_resolution", spy)
+    S = simple_module(a3_linear, 2)
+    for i in (0, 1, 2):
+        tor(i, dual_regular_bimodule(a3_linear), S)
+    ext_dims_upto(S, regular_module(a3_linear), 3)
+    assert lengths == [1, 2, 3, 4]
+
+
 def test_resolution_dies_with_its_module(a3_linear):
-    # the resolution ext_dims_upto computes is kept on X, not on the
-    # algebra; the simple is built afresh, as the memoized injectives live
-    # as long as their algebra.  The resolution does not point back at X,
-    # so X is freed by its reference count, with no collection
+    # ext_dims_upto keeps no resolution, and none that points at X; the
+    # simple is built afresh, as the memoized injectives live as long as
+    # their algebra.  So X is freed by its reference count, with no
+    # collection
     gc.disable()
     try:
         X = simple_module(a3_linear, 2)

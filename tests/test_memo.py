@@ -77,3 +77,5 @@ def test_the_memo_is_the_only_cache():
              for m in re.finditer(r"^\s*def (_?cached_\w*)", text, re.M)]
     assert twins == []
     assert not hasattr(Algebra, "cached")
+    # a resolution is kept per algebra, never on a module
+    assert [name for name, text in sources.items() if re.search(r"\._resolution\b", text)] == []

@@ -14,11 +14,11 @@ import pytest
 
 from conftest import CORPUS, corpus_algebra, dense_action
 import quivercy
-from quivercy import cy, linalg
+from quivercy import ar, cy, linalg
 from quivercy.ar import decide_nrf
 from quivercy.constructions import TypeAQuiver, cut_algebra, enumerate_cuts
 from quivercy.cy import check_twisted_cy, check_untwisted_cy, find_twisted_cy, nakayama_power
-from quivercy.homology import nakayama, stalk_regular
+from quivercy.homology import PerfComplex, nakayama, stalk_regular
 from quivercy.linalg import inv, rational
 
 SCALAR_TYPES = (int, linalg._mpq)
@@ -85,8 +85,6 @@ class _Scalars:
     def module(self, M):
         for m in dense_action(M).values():
             self.mat(m)
-        if M._resolution is not None:
-            self.complex(M._resolution)
 
     def eltmat(self, em):
         for row in em:
@@ -107,6 +105,12 @@ class _Scalars:
         for prod in alg.mult.values():
             for c in prod.values():
                 self.add(c)
+        # the resolutions kept per algebra: the injectives' and the
+        # enveloping algebra's
+        for out in alg._cache.values():
+            for P in out.values() if isinstance(out, dict) else [out]:
+                if isinstance(P, PerfComplex):
+                    self.complex(P)
 
     def report(self, rep):
         for orbit in rep.orbit_table.values():
@@ -116,9 +120,10 @@ class _Scalars:
 
 @pytest.fixture()
 def seen(monkeypatch):
-    """A _Scalars that also sees every Nakayama power the CY checks
-    compute, the E-resolution the untwisted check starts from and the
-    last tensor power it reads, and the modules they compare."""
+    """A _Scalars that also sees every resolution the orbit walk splits,
+    every Nakayama power the CY checks compute, the E-resolution the
+    untwisted check starts from and the last tensor power it reads, and
+    the modules they compare."""
     s = _Scalars()
     s.powers = 0
 
@@ -142,6 +147,8 @@ def seen(monkeypatch):
         s.module(N)
         return real_iso(M, N)
 
+    monkeypatch.setattr(ar, "split_resolution",
+                        watch(ar.split_resolution, lambda out: [s.complex(P) for P in out]))
     monkeypatch.setattr(cy, "nakayama", power)
     monkeypatch.setattr(cy, "dual_regular_perf", watch(cy.dual_regular_perf, s.complex))
     monkeypatch.setattr(cy, "tensor_complex", watch(cy.tensor_complex, s.mod_complex))
