@@ -49,7 +49,6 @@ is computed for an ell that fails this.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count
 from math import lcm
 
 from .algebra import per_algebra
@@ -64,6 +63,7 @@ from .homology import (
     stalk_regular,
     tensor_complex,
 )
+from .linalg import Mat
 from .module import dual_regular_bimodule, env_module, is_isomorphic, regular_bimodule
 
 
@@ -101,48 +101,27 @@ def combine_cy(certs):
 # -- the K_0 gate -------------------------------------------------------
 
 
-@per_algebra
 def k0_nakayama(alg):
     """The matrix N = C⁻¹Cᵀ of the Nakayama functor on K_0 in the basis
     of the classes [P_v], as integer rows.  C[u][w] counts the basis
     elements from w to u, the dimension of P_w at u; the injective
-    I_w = ν P_w has the transposed counts.  Call it once global_dimension
-    has returned: then det C = ±1, so N is integral."""
+    I_w = ν P_w has the transposed counts.  The rref of [C | I | Cᵀ] is
+    [I | C⁻¹ | N] when C is invertible.  Call it once global_dimension
+    has returned: then det C = ±1, so C⁻¹ and N are integral."""
     pos = {v: k for k, v in enumerate(alg.vertices)}
     n = len(pos)
     C = [[0] * n for _ in range(n)]
     for b in alg.basis:
         C[pos[b.tgt]][pos[b.src]] += 1
-    # fraction-free Gauss-Jordan (Bareiss) on [C | Cᵀ]: every division is
-    # exact, and each diagonal entry ends as ±det C
-    a = [C[i] + [C[j][i] for j in range(n)] for i in range(n)]
-    prev = 1
-    for k in range(n):
-        p = next((i for i in range(k, n) if a[i][k]), None)
-        if p is None:
-            raise ValueError("the Cartan matrix is singular")
-        a[k], a[p] = a[p], a[k]
-        piv = a[k]
-        for i in range(n):
-            f = a[i][k]
-            if i != k and (f or piv[k] != prev):
-                a[i] = [(piv[k] * x - f * y) // prev for x, y in zip(a[i], piv)]
-        prev = piv[k]
-    if prev not in (1, -1):
+    rows = [C[i] + [int(i == j) for j in range(n)] + [C[j][i] for j in range(n)]
+            for i in range(n)]
+    R, pivots = Mat.from_rows(rows).rref()
+    if pivots != list(range(n)):
+        raise ValueError("the Cartan matrix is singular")
+    # det C * det C⁻¹ = 1, so C⁻¹ is integral exactly when det C = ±1
+    if any(x.denominator != 1 for row in R.a for x in row[n:2 * n]):
         raise ValueError("the Cartan matrix is not invertible over the integers")
-    return [[x * prev for x in row[n:]] for row in a]
-
-
-def _k0_powers(alg, ell_max=None):
-    """N^1, ..., N^ell_max, one at a time; without end when ell_max is
-    None."""
-    N = k0_nakayama(alg)
-    cols = [[(k, x) for k, x in enumerate(col) if x] for col in zip(*N)]
-    power = N
-    yield power
-    for _ in count(1) if ell_max is None else range(1, ell_max):
-        power = [[sum(row[k] * x for k, x in col) for col in cols] for row in power]
-        yield power
+    return [[int(x) for x in row[2 * n:]] for row in R.a]
 
 
 def _permutation_sign(M):
@@ -161,27 +140,24 @@ def _shift_sign(m):
     return -1 if m % 2 else 1
 
 
-class _K0Scan:
-    """The scan of N^1, N^2, ... for the least signed permutation: how far
-    it has gone, the powers still to come, and (ell0, eps0) once found."""
-
-    def __init__(self, alg):
-        k0_nakayama(alg)  # raises now for a singular Cartan matrix, and keeps no scan
-        self.ell, self.powers, self.found = 0, _k0_powers(alg), None
-
-    def extend(self, ell_max):
-        """Scan on to ell_max, or until (ell0, eps0) is found."""
-        while self.found is None and self.ell < ell_max:
-            self.ell += 1
-            eps0 = _permutation_sign(next(self.powers))
-            if eps0 is not None:
-                self.found, self.powers = (self.ell, eps0), None
-
-
 @per_algebra
-def _k0_scan(alg):
-    """The `_K0Scan` of alg, kept so that no call repeats its powers."""
-    return _K0Scan(alg)
+def _k0_tower(alg):
+    """[(N, eps), (N^2, eps), ...] as far as built: each power of N as a
+    Mat, with its `_permutation_sign`."""
+    N = Mat.from_rows(k0_nakayama(alg))
+    return [(N, _permutation_sign(N.a))]
+
+
+def k0_power(alg, ell):
+    """(N^ell, eps) with N^ell = eps * (permutation matrix), eps None when
+    it is not one.  The powers are kept per algebra; the ones past the
+    highest built are made one at a time and appended, so no power or
+    sign of one algebra is computed twice."""
+    tower = _k0_tower(alg)
+    while len(tower) < ell:
+        power = tower[-1][0] * tower[0][0]
+        tower.append((power, _permutation_sign(power.a)))
+    return tower[ell - 1]
 
 
 def k0_candidates(alg, ell_max):
@@ -193,15 +169,15 @@ def k0_candidates(alg, ell_max):
     eps0 * P: the candidates are exactly the multiples k * ell0, with
     sign eps0^k.  For if N^b is a signed permutation, write b = q * ell0
     + r with 0 <= r < ell0; then N^r = N^b * (eps0 * P)^(-q) is a signed
-    permutation too, so r = 0 by the minimality of ell0.  The scan is
-    kept per algebra (`_k0_scan`): a later call extends it and never
-    repeats it."""
-    scan = _k0_scan(alg)
-    scan.extend(ell_max)
-    if scan.found is not None and scan.found[0] <= ell_max:
-        ell0, eps0 = scan.found
-        for k in range(1, ell_max // ell0 + 1):
-            yield k * ell0, eps0 ** k
+    permutation too, so r = 0 by the minimality of ell0.  The scan reads
+    the powers kept per algebra (`k0_power`), so no power past ell0 is
+    built, and a later call builds only the powers it reaches first."""
+    for ell0 in range(1, ell_max + 1):
+        eps0 = k0_power(alg, ell0)[1]
+        if eps0 is not None:
+            for k in range(1, ell_max // ell0 + 1):
+                yield k * ell0, eps0 ** k
+            return
 
 
 def check_twisted_cy(alg, ell, m, cap=None):
@@ -364,7 +340,10 @@ def _bimodule_resolution(alg, bimodule):
 def check_untwisted_cy(alg, ell, m, cap=None):
     """True when the ell-fold derived tensor power of the dual regular
     bimodule DA is the regular bimodule A shifted by m, with no twist.
-    False without any tensor power unless N^ell = (-1)^m * I on K_0.
+    False without any tensor power unless N^ell = (-1)^m * I on K_0:
+    (ell, (-1)^m) must be one of the `k0_candidates`, and N^ell, read
+    from the powers kept per algebra (`k0_power`), must have a nonzero
+    diagonal.
 
     The tensor power is a power of the derived Nakayama functor nu_E of
     the enveloping algebra E = A (x) A^op, which sends a bimodule X to
@@ -380,10 +359,9 @@ def check_untwisted_cy(alg, ell, m, cap=None):
     if ell < 1:
         raise ValueError("ell must be positive")
     global_dimension(alg, cap)
-    *_, power = _k0_powers(alg, ell)
     # a signed permutation matrix with a nonzero diagonal is ±I
-    if (_permutation_sign(power) != _shift_sign(m)
-            or not all(row[i] for i, row in enumerate(power))):
+    if ((ell, _shift_sign(m)) not in k0_candidates(alg, ell)
+            or not all(row[i] for i, row in enumerate(k0_power(alg, ell)[0].a))):
         return False
     C = dual_regular_perf(alg) if ell % 2 else _bimodule_resolution(alg, regular_bimodule)
     for _ in range(ell // 2 - 1):

@@ -9,12 +9,10 @@ from quivercy.ar import NrfReport, walk_orbits
 from quivercy.cy import (
     TOWER_ROUTE,
     CyCertificate,
-    _k0_powers,
-    _permutation_sign,
-    _shift_sign,
     certificate_from_orbits,
     dual_regular_perf,
     k0_candidates,
+    k0_nakayama,
     nakayama_power,
 )
 from quivercy.errors import UNDECIDED, CapExceeded, InvalidSpec, NotNilpotent
@@ -973,6 +971,23 @@ def tensor_complex_over_base(C: PerfComplex, D: PerfComplex, alg, E):
     return PerfComplex(E, terms, diffs)
 
 
+def k0_powers_oracle(alg, ell_max):
+    """[(N, eps), (N^2, eps), ..., (N^ell_max, eps)] for the matrix N =
+    cy.k0_nakayama(alg), eps the sign s with N^ell = s * (permutation
+    matrix) or None, by one loop of plain integer products that keeps
+    nothing on the algebra."""
+    N = k0_nakayama(alg)
+    out, P = [], N
+    for _ in range(ell_max):
+        signs = {x for row in P for x in row if x}
+        signed = (all(sum(1 for x in row if x) == 1 for row in P)
+                  and all(sum(1 for x in col if x) == 1 for col in zip(*P))
+                  and len(signs) == 1 and signs <= {1, -1})
+        out.append((P, signs.pop() if signed else None))
+        P = [[sum(x * y for x, y in zip(row, col)) for col in zip(*N)] for row in P]
+    return out
+
+
 def check_untwisted_cy_oracle(alg, ell, m, cap=None):
     """cy.check_untwisted_cy as it was before it took Nakayama powers of
     the enveloping algebra: the K_0 gate, then DA^(x ell) as ell - 1
@@ -981,9 +996,8 @@ def check_untwisted_cy_oracle(alg, ell, m, cap=None):
     if ell < 1:
         raise ValueError("ell must be positive")
     global_dimension(alg, cap)
-    *_, power = _k0_powers(alg, ell)
-    if (_permutation_sign(power) != _shift_sign(m)
-            or not all(row[i] for i, row in enumerate(power))):
+    power, eps = k0_powers_oracle(alg, ell)[-1]
+    if eps != (-1) ** m or not all(row[i] for i, row in enumerate(power)):
         return False
     E = enveloping(alg)
     P0 = C = dual_regular_perf(alg)
@@ -1018,8 +1032,7 @@ def check_twisted_cy_oracle(alg, ell, m, cap=None):
     if ell < 1:
         raise ValueError("ell must be positive")
     global_dimension(alg, cap)
-    *_, power = _k0_powers(alg, ell)
-    if _permutation_sign(power) != _shift_sign(m):
+    if k0_powers_oracle(alg, ell)[-1][1] != (-1) ** m:
         return False
     return is_shifted_regular(nakayama_powers_oracle(alg, ell, cap)[-1]) == m
 
@@ -1038,7 +1051,7 @@ def find_twisted_cy_oracle(alg, ell_max=24, m_max=24, cap=None):
     cert = certificate_from_orbits(report) if walk_orbits(report, candidates[-1][0]) else None
     if cert is None or cert.ell > ell_max or cert.m > m_max:
         return _tower_search_oracle(alg, candidates, m_max, cap)
-    assert (cert.ell, _shift_sign(cert.m)) in candidates
+    assert (cert.ell, (-1) ** cert.m) in candidates
     below = [(ell, eps) for ell, eps in candidates if ell < cert.ell]
     return _tower_search_oracle(alg, below, m_max, cap) or cert
 
@@ -1048,7 +1061,7 @@ def _tower_search_oracle(alg, candidates, m_max, cap):
         m = is_shifted_regular(nakayama_power(alg, ell, cap))
         if m is None:
             continue
-        assert _shift_sign(m) == eps
+        assert (-1) ** m == eps
         if 0 <= m <= m_max:
             return CyCertificate(ell, m, twisted=True, evidence={"route": TOWER_ROUTE})
     return None

@@ -7,6 +7,7 @@ from conftest import (
     check_twisted_cy_oracle,
     corpus_algebra,
     find_twisted_cy_oracle,
+    k0_powers_oracle,
     nakayama_powers_oracle,
     projective_module,
 )
@@ -37,6 +38,7 @@ from quivercy.homology import (
     stalk_regular,
 )
 from quivercy.module import injective_module
+from quivercy.parsing import parse_algebra_file
 
 # the minimal twisted certificate (ell, m) of each corpus algebra but Kronecker
 CORPUS_CERTS = {
@@ -185,9 +187,18 @@ def test_gated_check_matches_ungated(stem):
             assert check_twisted_cy(alg, ell, m) == (shifts[ell - 1] == m), (ell, m)
 
 
-def test_k0_matrix_sends_projectives_to_injectives(a2, a3_stable, d4, a2sq, kronecker):
-    # column w of N holds the class of I_w = nu P_w in the basis of the [P_v]
-    for alg in (a2, a3_stable, d4, a2sq, kronecker):
+def _k0_inputs():
+    """The corpus algebras, all 65 (2,4) cuts and every 40th (2,5) cut."""
+    q4, q5 = TypeAQuiver(2, 4), TypeAQuiver(2, 5)
+    algs = [corpus_algebra(stem) for stem in [*CORPUS_CERTS, "kronecker"]]
+    algs += [cut_algebra(q4, c) for c in enumerate_cuts(q4)]
+    return algs + [cut_algebra(q5, c) for c in enumerate_cuts(q5)[::40]]
+
+
+def test_k0_matrix_sends_projectives_to_injectives():
+    # column w of N holds the class of I_w = nu P_w in the basis of the
+    # [P_v]: a check that shares no elimination with k0_nakayama
+    for alg in _k0_inputs():
         N = k0_nakayama(alg)
         vs = alg.vertices
         for w, col in zip(vs, zip(*N)):
@@ -211,34 +222,16 @@ def test_corpus_certificates_satisfy_the_k0_condition():
     assert _matpow(N, 3) == [[int(i == j) for j in range(4)] for i in range(4)]
 
 
-def _k0_candidates_by_full_scan(alg, ell_max):
-    """Every ell <= ell_max at which N^ell is a signed permutation."""
-    return [(ell, eps) for ell, power in enumerate(cy._k0_powers(alg, ell_max), 1)
-            if (eps := cy._permutation_sign(power)) is not None]
-
-
-def test_k0_candidates_match_the_full_power_scan():
-    q4, q5 = TypeAQuiver(2, 4), TypeAQuiver(2, 5)
-    algs = [corpus_algebra(stem) for stem in [*CORPUS_CERTS, "kronecker"]]
-    algs += [cut_algebra(q4, c) for c in enumerate_cuts(q4)]
-    algs += [cut_algebra(q5, c) for c in enumerate_cuts(q5)[::40]]
-    for alg in algs:
-        assert list(k0_candidates(alg, 24)) == _k0_candidates_by_full_scan(alg, 24), alg.name
-
-
 def _k0_candidates_uncached(alg, ell_max):
     """[(ell, eps)] for every ell <= ell_max at which N^ell is a signed
     permutation, by an in-test scan of the powers that keeps nothing."""
-    N = k0_nakayama(alg)
-    out, P = [], N
-    for ell in range(1, ell_max + 1):
-        signs = {x for row in P for x in row if x}
-        if (all(sum(1 for x in row if x) == 1 for row in P)
-                and all(sum(1 for x in col if x) == 1 for col in zip(*P))
-                and len(signs) == 1 and signs <= {1, -1}):
-            out.append((ell, signs.pop()))
-        P = [[sum(x * y for x, y in zip(row, col)) for col in zip(*N)] for row in P]
-    return out
+    return [(ell, eps) for ell, (_, eps) in enumerate(k0_powers_oracle(alg, ell_max), 1)
+            if eps is not None]
+
+
+def test_k0_candidates_match_the_full_power_scan():
+    for alg in _k0_inputs():
+        assert list(k0_candidates(alg, 24)) == _k0_candidates_uncached(alg, 24), alg.name
 
 
 def test_kept_k0_scan_matches_an_uncached_scan(monkeypatch):
@@ -269,6 +262,37 @@ def test_kronecker_k0_scan_runs_once(monkeypatch):
         assert check_twisted_cy(kronecker, ell, 0) is False
     assert find_twisted_cy(kronecker, ell_max=24) is None
     assert len(signs) == 24
+
+
+def test_the_k0_scan_and_the_untwisted_gate_share_one_list(monkeypatch):
+    # ell0 = 3 for the commutative square: after the search, the gate at 3
+    # reads N^3 and its sign from the algebra's list, the gate at 4 builds
+    # no power since 4 is no candidate, and two gates at 6 build N^4..N^6
+    # once between them
+    alg = corpus_algebra("a2_tensor_a2")  # fresh: the fixture may have scanned
+    assert find_twisted_cy(alg, ell_max=24) is not None
+    signs = _counting(monkeypatch, cy, "_permutation_sign")
+    assert check_untwisted_cy(alg, 3, 2) is True
+    assert signs == []
+    for m in range(4):
+        assert check_untwisted_cy(alg, 4, m) is False
+    assert signs == []
+    assert check_untwisted_cy(alg, 6, 4) is True
+    assert check_untwisted_cy(alg, 6, 4) is True
+    assert len(signs) == 3
+
+
+@pytest.mark.parametrize("text,error", [
+    # k[x]/(x^2): C = (2), invertible over Q with det 2
+    ("vertices: 1\narrows:\n  x: 1 -> 1\nzero:\n  x*x\n",
+     "the Cartan matrix is not invertible over the integers"),
+    # the 2-cycle with both paths of length 2 zero: C = [[1, 1], [1, 1]]
+    ("vertices: 1 2\narrows:\n  a: 1 -> 2\n  b: 2 -> 1\nzero:\n  a*b\n  b*a\n",
+     "the Cartan matrix is singular"),
+])
+def test_k0_nakayama_rejects_a_cartan_matrix_without_integral_inverse(text, error):
+    with pytest.raises(ValueError, match=error):
+        k0_nakayama(parse_algebra_file(text).build())
 
 
 def _counting(monkeypatch, mod, name):
