@@ -130,7 +130,8 @@ def _split_module(H: Module, dims):
     for d in dims:
         starts.append(at)
         at = {w: x + d[w] for w, x in at.items()}
-    assert at == H.dims, "the owners' dimensions do not add up to H's"
+    if at != H.dims:
+        raise AssertionError("the owners' dimensions do not add up to H's")
     blocks = [{} for _ in dims]
     for i, [(_, _, m)] in H.blocks().items():
         b = H.alg.basis[i]
@@ -350,7 +351,8 @@ def homogeneity(report: NrfReport):
     all_equal = report.homogeneous
     if report.connected:
         fixed = all(report.ell[i] == report.ell[report.sigma[i]] for i in report.ell)
-        assert fixed == all_equal, "orbit-length permutation cross-check failed"
+        if fixed != all_equal:
+            raise AssertionError("orbit-length permutation cross-check failed")
     return all_equal
 
 
@@ -609,7 +611,8 @@ def tensor_nrf(factors, ell, cap=None):
     rep = decide_nrf(prod, n_total, cap=cap)
     if rep.is_nrf is not True:
         return prod, rep
-    assert homogeneity(rep) and rep.ell_value() == ell, "tensor product lost homogeneity"
+    if not (homogeneity(rep) and rep.ell_value() == ell):
+        raise AssertionError("tensor product lost homogeneity")
     # predicted cluster tilting module: sum over i of the outer tensor of
     # the tau^{-i} translates of the regular modules, assembled along the
     # same association order used to build `prod`

@@ -119,7 +119,8 @@ class TypeAQuiver:
 
         rec([], s - 1)
         self.vertices = verts
-        assert len(verts) == comb(s + n - 1, n)
+        if len(verts) != comb(s + n - 1, n):
+            raise AssertionError(f"{len(verts)} vertices, not C({s + n - 1}, {n})")
         self.arrow_dir = {}
         arrows = []
         vset = set(verts)
@@ -167,7 +168,8 @@ class TypeAQuiver:
                     labs.append(self.arrow_label(cur, i))
                     cur = nxt
                 if ok:
-                    assert cur == x
+                    if cur != x:
+                        raise AssertionError(f"the cycle from {x} ends at {cur}")
                     found.add(frozenset(labs))
         self._cycles = sorted(found, key=sorted)
         return self._cycles

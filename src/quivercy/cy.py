@@ -94,7 +94,8 @@ def combine_cy(certs):
     ell = lcm(*(c.ell for c in certs))
     total = sum(Fraction(c.m, c.ell) for c in certs)
     m = ell * total
-    assert m.denominator == 1
+    if m.denominator != 1:
+        raise AssertionError(f"ell * sum of the fractions is {m}, not an integer")
     return int(m), ell
 
 

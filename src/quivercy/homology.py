@@ -15,7 +15,7 @@ from graphlib import CycleError, TopologicalSorter
 
 from .algebra import Algebra, opposite, per_algebra, semisimple_algebra
 from .errors import CapExceeded
-from .linalg import Mat, inv
+from .linalg import Mat
 from .module import (
     Bimodule,
     ColumnSum,
@@ -260,14 +260,17 @@ def homology_module(at: Module, f_in, f_out, name="H"):
 # -- covers and resolutions -------------------------------------------
 
 
-def projective_cover(M: Module):
+def projective_cover(M: Module, sub=None):
     """Returns (P, epi: Morphism P -> M, lifts), P the sum of projectives
     (a `_sum_info`) at the tops of M.
 
     Summand r sends its generator to the unit vector at coordinate
     lifts[r] of M at its vertex.  The lifts are the coordinates left free
     by the rref of the radical span, so their unit vectors span a
-    complement of rad M.  Only the vertices where M is nonzero are
+    complement of rad M.  sub, when given, holds at each vertex v vectors
+    of M that span a submodule B of M there; they join the radical span,
+    so the lifts span a complement of rad M + B, and P is a projective
+    cover of M / B lifted to M.  Only the vertices where M is nonzero are
     reduced, only the stored actions of M are read and only their
     nonzeros copied, each block's columns are matched to the lifts once,
     and the sum of projectives at a vertex list is built once per
@@ -279,7 +282,8 @@ def projective_cover(M: Module):
     first, at = {}, {}  # the summands at v from index first[v], their lifts in at[v]
     for v in alg.vertices:
         d = M.dims[v]
-        pivset = set(Mat.from_rows(rad[v], ncols=d).rref()[1]) if rad[v] else ()
+        span = rad[v] + sub[v] if sub else rad[v]
+        pivset = set(Mat.from_rows(span, ncols=d).rref()[1]) if span else ()
         free = [j for j in range(d) if j not in pivset]
         if free:
             first[v], at[v] = len(verts), free
@@ -373,10 +377,12 @@ def split_resolution(mods, max_len=None):
             for row in em:
                 row.append({})
             for r, bidx, x in e:
-                assert prev[r] == u, "an image leaves its owner's summands"
+                if prev[r] != u:
+                    raise AssertionError("an image leaves its owner's summands")
                 em[pos[r]][-1][bidx] = x
         for u, em in enumerate(ems):
-            assert eltmat_entries_in_radical(alg, em), "resolution differential not minimal"
+            if not eltmat_entries_in_radical(alg, em):
+                raise AssertionError("resolution differential not minimal")
             diffs[u][-k] = em
         P = Q
     unfinished = set()
@@ -562,7 +568,8 @@ def injective_resolutions(alg):
     if not _quiver_is_acyclic(alg):
         return None
     slices = split_resolution([injective_module(alg, v) for v in alg.vertices])
-    assert all(res.complete for res in slices), "a triangular algebra has finite global dimension"
+    if not all(res.complete for res in slices):
+        raise AssertionError("a triangular algebra has finite global dimension")
     return dict(zip(alg.vertices, slices))
 
 
@@ -637,19 +644,37 @@ def is_selfinjective(alg: Algebra):
     return all(_projective_partner(alg, v) is not None for v in alg.vertices)
 
 
-# -- projective replacement and minimization ---------------------------
+# -- projective replacement --------------------------------------------
 
 
 def to_projective_complex(C: ModComplex, cap=None):
-    """Quasi-isomorphic based complex of projectives, built from the top
-    degree down by projective covers of pullbacks.
+    """The minimal complex of projectives P with a quasi-isomorphism
+    pi: P -> C, built from the top degree down by projective covers of
+    pullbacks.
 
     Step i keeps one map, inc: the inclusion of the pullback X times its
     cover P^i -> X, into C^i (+) P^{i+1}.  Its first C^i rows are pi^i and
     the rest d_P^i.  X is the kernel of the cone map [d_C, -pi; 0, d_P]
     from C^i (+) P^{i+1} to C^{i+1} (+) P^{i+2}, read off the inc of the
     step before; the loop starts from the empty sum P^{hi+1}, so that inc
-    is the empty map."""
+    is the empty map.  B = d_C C^{i-1} (+) 0 is a submodule of X, its
+    coordinates there its entries at the kernel's units, and P^i -> X is
+    a projective cover of X / B lifted to X (`projective_cover` with sub).
+
+    Exact: up to the sign of pi, the cone map from C^{i-1} (+) P^i has
+    image B + im P^i, so the cone of pi is exact at C^i (+) P^{i+1} iff
+    im P^i + B = X.  The cover gives im P^i + B + rad X = X, and im P^i + B
+    is a submodule, so Nakayama's lemma gives it.
+
+    Minimal: let a generator of P^i go to (c, p) in X.  Then d_P p = 0 and
+    pi p = d_C c, so P^{i+1} -> X_{i+1} sends p to (d_C c, 0), which lies
+    in B_{i+1}.  So p lies in the kernel of the cover P^{i+1} -> X_{i+1} /
+    B_{i+1}, which is inside rad P^{i+1}: every entry of d_P^i is radical.
+
+    The loop stops only below the lowest degree lo of C, once P^{i+1} is
+    0: a minimal P can vanish at a degree above a gap of C.  It raises
+    CapExceeded past cap degrees below lo.  The output's d∘d = 0 and its
+    minimality are checked."""
     alg = C.alg
     if cap is None:
         cap = default_cap(alg)
@@ -661,13 +686,11 @@ def to_projective_complex(C: ModComplex, cap=None):
     inc = Morphism(P, S, {v: Mat.zero(0, 0) for v in alg.vertices})
     terms, diffs = {}, {}
     i = hi
-    while True:
-        Ci = C.term(i)
-        if Ci.total_dim == 0 and P.total_dim == 0 and i < hi:
-            break
+    while i >= lo or P.total_dim:
         if i < lo - cap:
             raise CapExceeded("projective replacement exceeded the width cap")
         # X = {(c, p) : d_C c = pi(p), d_P p = 0} inside C^i (+) P^{i+1}
+        Ci = C.term(i)
         S_prev, S = S, direct_sum([Ci, P])
         dC = C.diff(i)
         mats = {}
@@ -678,10 +701,13 @@ def to_projective_complex(C: ModComplex, cap=None):
             cone = [a + [-x for x in b] for a, b in zip(dc, rows)]
             cone += [[0] * n + b for b in rows[len(dc):]]
             mats[v] = Mat(len(cone), S.dims[v], cone)
-        X, cols, _ = kernel(Morphism(S, S_prev, mats), name="pullback")
-        if X.total_dim == 0 and i <= lo:
-            break
-        Pi, cov, lifts = projective_cover(X)
+        X, cols, units = kernel(Morphism(S, S_prev, mats), name="pullback")
+        # B: the columns of d_C^{i-1}, padded by zeros, at X's units
+        dB = C.diff(i - 1)
+        B = None if dB is None else {
+            v: list(zip(*(m.a[u] if u < Ci.dims[v] else [0] * m.cols for u in units[v])))
+            for v, m in dB.mats.items()}
+        Pi, cov, lifts = projective_cover(X, B)
         # the inclusion of X has the kernel columns as its columns; the
         # differential sends generator s to the P^{i+1} block of kernel
         # vector lifts[s], the image of its unit vector
@@ -692,115 +718,24 @@ def to_projective_complex(C: ModComplex, cap=None):
         terms[i], diffs[i] = Pi.verts, images_to_eltmat(Pi.verts, P, images)
         P = Pi
         i -= 1
-    return PerfComplex(alg, terms, diffs)
-
-
-def _elt_inverse(alg, elt):
-    """Inverse of an element e_v * (scalar + radical) * e_v."""
-    c0 = None
-    vidx = None
-    for k, c in elt.items():
-        if alg.basis[k].degree == 0:
-            c0 = c
-            vidx = k
-    if not c0:
-        raise ValueError("element is not invertible")
-    inv_c0 = inv(c0)
-    # rho = elt/c0 - e; inverse = (e - rho + rho^2 - ...) / c0
-    rho = {}
-    for k, c in elt.items():
-        if k != vidx:
-            rho[k] = -(c * inv_c0)
-        else:
-            extra = c * inv_c0 - 1
-            if extra:
-                rho[k] = -extra
-    acc = {vidx: 1}
-    term = {vidx: 1}
-    while True:
-        term = alg.mul_elt(term, rho)
-        if not term:
-            break
-        for k, c in term.items():
-            v = acc.get(k, 0) + c
-            if v:
-                acc[k] = v
-            elif k in acc:
-                del acc[k]
-    return {k: c * inv_c0 for k, c in acc.items()}
+    out = PerfComplex(alg, terms, diffs)
+    out.check()
+    if not out.is_minimal():
+        raise AssertionError("projective replacement not minimal")
+    return out
 
 
 def minimize(P: PerfComplex):
-    """Homotopy-equivalent minimal complex via Gaussian elimination on
-    differential entries with invertible degree-0 part."""
-    alg = P.alg
-    nv = len(alg.vertices)
-    terms = {i: list(t) for i, t in P.terms.items()}
-    diffs = {i: [[dict(e) for e in row] for row in d] for i, d in P.diffs.items()}
-    degs = list(diffs)  # the scan order; eliminations keep every key
-
-    def find_unit(start, r0):
-        """The first entry with a unit part, scanning the differentials in
-        the order of degs from row r0 of degs[start]."""
-        for n in range(start, len(degs)):
-            d = diffs[degs[n]]
-            for r in range(r0 if n == start else 0, len(d)):
-                for s, elt in enumerate(d[r]):
-                    if any(k < nv and c for k, c in elt.items()):
-                        return n, r, s
-        return None
-
-    # An elimination at (i, r, s) drops a row or column of d^(i-1) and
-    # d^(i+1) and subtracts x * d[t][s] from each row t != r of d^i.  No
-    # entry before (i, r, s) in scan order is a unit, so for t < r d[t][s]
-    # is radical, so is x * d[t][s], and no unit appears before row r of
-    # d^i: the scan resumes there and finds the entry a full rescan would.
-    hit = find_unit(0, 0)
-    while hit is not None:
-        n, r, s = hit
-        i = degs[n]
-        d = diffs[i]
-        alpha = d[r][s]
-        ainv = _elt_inverse(alg, alpha)
-        # corrected middle differential without row r / column s;
-        # d[r][s2] * ainv for the nonzero entries of row r; a zero entry
-        # there or in column s leaves d[t][s2] as it is
-        left = {s2: alg.mul_elt(e, ainv) for s2, e in enumerate(d[r]) if s2 != s and e}
-        nd = []
-        for t in range(len(d)):
-            if t == r:
-                continue
-            row = [dict(e) for s2, e in enumerate(d[t]) if s2 != s]
-            if d[t][s]:
-                for s2, x in left.items():
-                    e = row[s2 if s2 < s else s2 - 1]
-                    for k, c in alg.mul_elt(x, d[t][s]).items():
-                        v = e.get(k, 0) - c
-                        if v:
-                            e[k] = v
-                        elif k in e:
-                            del e[k]
-            nd.append(row)
-        # adjacent differentials: drop the eliminated row/column
-        if i - 1 in diffs:
-            diffs[i - 1] = [row for t, row in enumerate(diffs[i - 1]) if t != s]
-        if i + 1 in diffs:
-            diffs[i + 1] = [[e for t, e in enumerate(row) if t != r] for row in diffs[i + 1]]
-        terms[i] = [v for t, v in enumerate(terms[i]) if t != s]
-        terms[i + 1] = [v for t, v in enumerate(terms[i + 1]) if t != r]
-        diffs[i] = nd if nd and nd[0] else eltmat_zero(len(terms[i + 1]), len(terms[i]))
-        hit = find_unit(n, r)
-    out = PerfComplex(alg, terms, diffs)
-    out.check()
-    assert out.is_minimal()
-    return out
+    """The minimal complex homotopy equivalent to P: the projective
+    replacement of P as modules (`to_projective_complex`)."""
+    return to_projective_complex(P.to_mod_complex())
 
 
 def nakayama(P: PerfComplex, cap=None):
     """The derived Nakayama functor: tensor a complex of projectives with
-    the dual regular bimodule, then renormalize to projective terms."""
-    DL = dual_regular_bimodule(P.alg)
-    return minimize(to_projective_complex(tensor_complex(DL, P), cap=cap))
+    the dual regular bimodule, then replace it by its minimal complex of
+    projectives."""
+    return to_projective_complex(tensor_complex(dual_regular_bimodule(P.alg), P), cap)
 
 
 def is_shifted_regular(P: PerfComplex):

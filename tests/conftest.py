@@ -18,15 +18,16 @@ from quivercy.cy import (
 from quivercy.errors import UNDECIDED, CapExceeded, InvalidSpec, NotNilpotent
 from quivercy.homology import (
     PerfComplex,
+    _sum_info,
     default_cap,
     eltmat_entries_in_radical,
+    eltmat_zero,
     env_resolution,
     ext_dims_upto,
     global_dimension,
     homology_module,
     images_to_eltmat,
     is_shifted_regular,
-    minimize,
     nakayama,
     projective_cover,
     stalk_regular,
@@ -44,6 +45,7 @@ from quivercy.module import (
     _weighted_sum,
     bimodule_to_env_module,
     column_sum,
+    direct_sum,
     dual_regular_bimodule,
     env_module,
     env_module_to_bimodule,
@@ -377,6 +379,160 @@ def min_proj_resolution_oracle(M, max_len=None, strict=False):
     res = PerfComplex(alg, terms, diffs)
     res.complete, res.length = not K.total_dim, k
     return res
+
+
+# -- the projective replacement as it was --------------------------------
+
+
+def to_projective_complex_oracle(C, cap=None):
+    """homology.to_projective_complex as it was before it covered each
+    pullback modulo the image of d_C: a projective cover of the whole
+    pullback X at each step, so the complex it builds is quasi-isomorphic
+    to C but in general not minimal (`minimize_oracle` makes it so).  It
+    stops at a degree below C's top where C and P^{i+1} are both zero, or
+    at or below C's lowest degree once X is zero."""
+    alg = C.alg
+    if cap is None:
+        cap = default_cap(alg)
+    degs = C.degrees()
+    if not degs:
+        return PerfComplex(alg, {}, {})
+    hi, lo = max(degs), min(degs)
+    P = S = _sum_info(alg, ())  # P^{i+1}, and C^{i+1} (+) P^{i+2}
+    inc = Morphism(P, S, {v: Mat.zero(0, 0) for v in alg.vertices})
+    terms, diffs = {}, {}
+    i = hi
+    while True:
+        Ci = C.term(i)
+        if Ci.total_dim == 0 and P.total_dim == 0 and i < hi:
+            break
+        if i < lo - cap:
+            raise CapExceeded("projective replacement exceeded the width cap")
+        S_prev, S = S, direct_sum([Ci, P])
+        dC = C.diff(i)
+        mats = {}
+        for v in alg.vertices:
+            n, rows = Ci.dims[v], inc.mats[v].a
+            dc = dC.mats[v].a if dC is not None else [[0] * n] * C.term(i + 1).dims[v]
+            cone = [a + [-x for x in b] for a, b in zip(dc, rows)]
+            cone += [[0] * n + b for b in rows[len(dc):]]
+            mats[v] = Mat(len(cone), S.dims[v], cone)
+        X, cols, _ = kernel(Morphism(S, S_prev, mats), name="pullback")
+        if X.total_dim == 0 and i <= lo:
+            break
+        Pi, cov, lifts = projective_cover(X)
+        inc = Morphism(Pi, S, {
+            v: Mat.from_rows(cols[v], ncols=S.dims[v]).transpose() * cov.mats[v]
+            for v in alg.vertices})
+        images = [cols[v][j][Ci.dims[v]:] for v, j in zip(Pi.verts, lifts)]
+        terms[i], diffs[i] = Pi.verts, images_to_eltmat(Pi.verts, P, images)
+        P = Pi
+        i -= 1
+    return PerfComplex(alg, terms, diffs)
+
+
+def elt_inverse(alg, elt):
+    """Inverse of an element e_v * (scalar + radical) * e_v, by the
+    geometric series in its radical part."""
+    c0 = None
+    vidx = None
+    for k, c in elt.items():
+        if alg.basis[k].degree == 0:
+            c0 = c
+            vidx = k
+    if not c0:
+        raise ValueError("element is not invertible")
+    inv_c0 = inv(c0)
+    # rho = elt/c0 - e; inverse = (e - rho + rho^2 - ...) / c0
+    rho = {}
+    for k, c in elt.items():
+        if k != vidx:
+            rho[k] = -(c * inv_c0)
+        else:
+            extra = c * inv_c0 - 1
+            if extra:
+                rho[k] = -extra
+    acc = {vidx: 1}
+    term = {vidx: 1}
+    while True:
+        term = alg.mul_elt(term, rho)
+        if not term:
+            break
+        for k, c in term.items():
+            v = acc.get(k, 0) + c
+            if v:
+                acc[k] = v
+            elif k in acc:
+                del acc[k]
+    return {k: c * inv_c0 for k, c in acc.items()}
+
+
+def minimize_oracle(P: PerfComplex):
+    """homology.minimize as it was before it became the projective
+    replacement of P: Gaussian elimination of the differential entries
+    with an invertible degree-0 part, each in scan order, the scan
+    resuming at the row of the last elimination."""
+    alg = P.alg
+    nv = len(alg.vertices)
+    terms = {i: list(t) for i, t in P.terms.items()}
+    diffs = {i: [[dict(e) for e in row] for row in d] for i, d in P.diffs.items()}
+    degs = list(diffs)  # the scan order; eliminations keep every key
+
+    def find_unit(start, r0):
+        for n in range(start, len(degs)):
+            d = diffs[degs[n]]
+            for r in range(r0 if n == start else 0, len(d)):
+                for s, elt in enumerate(d[r]):
+                    if any(k < nv and c for k, c in elt.items()):
+                        return n, r, s
+        return None
+
+    # An elimination at (i, r, s) drops a row or column of d^(i-1) and
+    # d^(i+1) and subtracts x * d[t][s] from each row t != r of d^i.  No
+    # entry before (i, r, s) in scan order is a unit, so for t < r d[t][s]
+    # is radical, so is x * d[t][s], and no unit appears before row r of
+    # d^i: the scan resumes there and finds the entry a full rescan would.
+    hit = find_unit(0, 0)
+    while hit is not None:
+        n, r, s = hit
+        i = degs[n]
+        d = diffs[i]
+        ainv = elt_inverse(alg, d[r][s])
+        left = {s2: alg.mul_elt(e, ainv) for s2, e in enumerate(d[r]) if s2 != s and e}
+        nd = []
+        for t in range(len(d)):
+            if t == r:
+                continue
+            row = [dict(e) for s2, e in enumerate(d[t]) if s2 != s]
+            if d[t][s]:
+                for s2, x in left.items():
+                    e = row[s2 if s2 < s else s2 - 1]
+                    for k, c in alg.mul_elt(x, d[t][s]).items():
+                        v = e.get(k, 0) - c
+                        if v:
+                            e[k] = v
+                        elif k in e:
+                            del e[k]
+            nd.append(row)
+        if i - 1 in diffs:
+            diffs[i - 1] = [row for t, row in enumerate(diffs[i - 1]) if t != s]
+        if i + 1 in diffs:
+            diffs[i + 1] = [[e for t, e in enumerate(row) if t != r] for row in diffs[i + 1]]
+        terms[i] = [v for t, v in enumerate(terms[i]) if t != s]
+        terms[i + 1] = [v for t, v in enumerate(terms[i + 1]) if t != r]
+        diffs[i] = nd if nd and nd[0] else eltmat_zero(len(terms[i + 1]), len(terms[i]))
+        hit = find_unit(n, r)
+    out = PerfComplex(alg, terms, diffs)
+    out.check()
+    assert out.is_minimal()
+    return out
+
+
+def nakayama_oracle(P: PerfComplex, cap=None):
+    """homology.nakayama as it was: the old replacement of DA tensored
+    with P, then the elimination."""
+    C = tensor_complex(dual_regular_bimodule(P.alg), P)
+    return minimize_oracle(to_projective_complex_oracle(C, cap))
 
 
 def walk_tau_orbit_oracle(alg, i, n, cap):
@@ -1002,7 +1158,7 @@ def check_untwisted_cy_oracle(alg, ell, m, cap=None):
     E = enveloping(alg)
     P0 = C = dual_regular_perf(alg)
     for _ in range(ell - 1):
-        C = minimize(tensor_complex_over_base(P0, C, alg, E))
+        C = minimize_oracle(tensor_complex_over_base(P0, C, alg, E))
     table = C.cohomology_table()
     if set(table) != {-m}:
         return False

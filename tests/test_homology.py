@@ -11,6 +11,7 @@ from conftest import (
     is_regular_module_oracle,
     is_shifted_regular_oracle,
     match_projective_oracle,
+    minimize_oracle,
     projective_module,
 )
 from quivercy.algebra import opposite
@@ -20,6 +21,7 @@ from quivercy.errors import CapExceeded
 from quivercy import homology
 from quivercy.ar import decide_nrf
 from quivercy.homology import (
+    PerfComplex,
     _match_projective,
     dominant_dimension,
     ext_dims_upto,
@@ -169,11 +171,15 @@ def test_to_projective_complex_quasi_iso(a3_linear):
 
 
 def test_minimize_strips_contractible_summands(a3_linear):
-    S2 = simple_module(a3_linear, 2)
-    res = min_proj_resolution(S2)
-    M = minimize(res)
-    assert M.width() == res.width()
-    assert M.is_minimal()
+    # res (+) (P_1 -> P_1), the identity from degree -1 to 0: minimize, and
+    # the elimination it replaced, strip the identity and keep res
+    res = min_proj_resolution(simple_module(a3_linear, 2))
+    P = PerfComplex(a3_linear, {0: [2, 1], -1: [3, 1]},
+                    {-1: [[res.diffs[-1][0][0], {}], [{}, {a3_linear.idem[1]: 1}]]})
+    P.check()
+    M, ref = minimize(P), minimize_oracle(P)
+    assert (M.terms, M.diffs) == (ref.terms, ref.diffs) == (res.terms, res.diffs)
+    assert M.width() == P.width() - 2
 
 
 def test_hom_in_D_dim(a3_linear):
