@@ -24,11 +24,10 @@ from .module import (
     Bimodule,
     Module,
     Morphism,
+    action_matrix,
     direct_sum,
     dual_module,
     dual_regular_bimodule,
-    env_module,
-    env_module_to_bimodule,
     hom,
     injective_module,
     outer_tensor_module,
@@ -38,14 +37,15 @@ from .module import (
 )
 from .homology import (
     PerfComplex,
+    _col_sum_diff,
     _match_projective,
     _projective_partner,
     _summands,
     default_cap,
-    env_resolution,
     global_dimension,
     injective_resolutions,
     is_selfinjective,
+    lift,
     min_proj_resolution,
     split_resolution,
     tensor_complex,
@@ -362,42 +362,68 @@ def homogeneity(report: NrfReport):
 @per_algebra
 def ext_bimodule(alg: Algebra, n: int):
     """Ext^n(D(reg), reg) with both module structures: the bimodule T
-    generating the higher preprojective algebra.
+    generating the higher preprojective algebra, computed over A.
 
-    T = Ext^n_A(DA, A) as Ext^n_E(A, E) over E = A (x) A^op: the n-th
-    cohomology of the dual of the minimal E-resolution P of A.
+    As a left module DA is the sum of the injectives I_u = DA e_u, so the
+    sum of their minimal resolutions P^u resolves it: on an acyclic quiver
+    the slices kept per algebra (`injective_resolutions`), else one
+    `split_resolution` of the injectives.  T = H^n Hom_A(P, A), with A
+    acting on the right through A and a on the left by (a.t)(xi) =
+    t(xi.a), that is by Ext^n(r_a, A) for r_a: I_x -> I_y, xi -> xi.a,
+    x = tgt a, y = src a.  So e_u T = H^n Hom_A(P^u, A), and a sends e_y T
+    to e_x T.
 
-    Keller ("Deformed Calabi-Yau completions", arXiv 0908.3499, section 4)
-    calls Theta = RHom_E(A, E) the inverse dualizing complex; for A finite-
-    dimensional of finite global dimension, Theta (x)^L_A - is quasi-inverse
-    to the Nakayama functor DA (x)^L_A -, so Theta = RHom_A(DA, A).  In
-    degree n, with both actions: the terms Ae_u (x) e_vA of P are projective
-    as right modules, so the augmented P splits as a complex of right
-    modules and P (x)_A DA resolves DA by the left projectives
-    Ae_u (x) e_v DA.  Hence T = H^n Hom_A(P (x)_A DA, A), with a acting on the
-    left through the right action on DA and on the right through A.  And
-    Hom_A(Ae_u (x) e_v DA, A) = Hom_k(e_v DA, e_uA) = e_uA (x) Ae_v =
-    Hom_E(Ae_u (x) e_vA, E), naturally in P, with a acting on the left on
-    Ae_v and on the right on e_uA on both sides (the inner structure of E).
+    Right action: Hom_A(A e_w, A) = e_w A = A^op e_w by f -> f(e_w), and
+    Hom of right multiplication by m is left multiplication by m in A,
+    which is right multiplication by m in A^op.  So Hom_A(P^u, A) is the
+    complex of projectives over A^op with P^u_k in degree k and each
+    element matrix transposed, and its H^n, a left A^op-module, is e_u T
+    as a right A-module.
 
-    The right E-modules e_x E of Hom_E(P, E) are made left ones by the swap
-    anti-automorphism s(i (x) j) = j (x) i of E: term k has the vertices
-    (v, u) of the resolution's term (u, v), and as Hom_E(-, E) turns right
-    multiplication by m into left, each differential is transposed with s
-    applied to its entries.  For n > pd A the complex is zero in degree n."""
-    E = env_module(alg, regular_bimodule).alg
-    res = env_resolution(alg, regular_bimodule, max(n + 1, default_cap(E)))
-    pair_index = E.tensor_info[2]
-    swap = {k: pair_index[(j, i)] for (i, j), k in pair_index.items()}
-    terms = {-d: [(v, u) for u, v in verts] for d, verts in res.terms.items()}
-    diffs = {-d - 1: [[{swap[e]: c for e, c in row[s].items()} for row in em]
-                      for s in range(len(terms[-d]))]
-             for d, em in res.diffs.items()}
-    P = PerfComplex(E, terms, diffs)
-    H = tensor_complex(regular_bimodule(E), P, (n - 1, n, n + 1)).cohomology(n)
-    out = env_module_to_bimodule(H, alg)
-    out.name = "T"
-    return out
+    Left action: by the comparison theorem r_a lifts to a chain map F:
+    P^x -> P^y (`lift`), unique up to homotopy, and Ext^n(r_a, A) is H^n
+    of Hom_A(F, A), whose term n is F_n transposed, as above.  A class of
+    e_y T goes to the class of the image of the cycle that represents it
+    (`ModComplex.cohomology_maps`).  Every basis element of positive
+    degree gets its blocks; all lifts into one P^y are made at once, and
+    only where e_x T and e_y T are nonzero.  T is zero past every
+    projective dimension."""
+    ress = injective_resolutions(alg) or dict(zip(alg.vertices, split_resolution(
+        [injective_module(alg, v) for v in alg.vertices], n + 1)))
+    op = opposite(alg)
+    R = regular_bimodule(op)
+    hs = {}  # u -> (term n, H^n, into, onto) of Hom_A(P^u, A), where H^n != 0
+    for u, res in ress.items():
+        if res.terms.get(-n):
+            dual = PerfComplex(op, {k: res.terms.get(-k, ()) for k in (n - 1, n, n + 1)},
+                               {k: [list(c) for c in zip(*res.diffs[-k - 1])] for k in (n - 1, n)
+                                if -k - 1 in res.diffs})
+            C = tensor_complex(R, dual, (n - 1, n, n + 1))
+            H, into, onto = C.cohomology_maps(n)
+            if H.total_dim:
+                hs[u] = C.term(n), H, into, onto
+    dims = {(u, v): h[1].dims[v] for u, h in hs.items() for v in alg.vertices}
+    ract = {(u, j): action_matrix(h[1], j) for u, h in hs.items() for j in h[1].blocks()}
+    DA, lact = dual_regular_bimodule(alg), {}
+    for y, (Sy, Hy, into, _) in hs.items():
+        elts = [a for a in range(len(alg.vertices), alg.dim)
+                if alg.basis[a].src == y and alg.basis[a].tgt in hs]
+        if not elts:
+            continue
+        Iy, maps = injective_module(alg, y), []
+        for a in elts:
+            Ix, blocks = injective_module(alg, alg.basis[a].tgt), DA.ract_elt(a)
+            maps.append((Morphism(Ix, Iy, {w: blocks.get(w) or Mat.zero(Iy.dims[w], Ix.dims[w])
+                                          for w in alg.vertices}), ress[alg.basis[a].tgt]))
+        for a, F in zip(elts, lift(ress[y], maps, n)):
+            Sx, Hx, _, onto = hs[alg.basis[a].tgt]
+            phi = _col_sum_diff(R, [([list(c) for c in zip(*F[-n])], 0, 0)], Sy, Sx)
+            for v in alg.vertices:
+                if Hx.dims[v] and Hy.dims[v]:
+                    m = onto[v] * (phi.mats[v] * into[v])
+                    if not m.is_zero():
+                        lact[(a, v)] = m
+    return Bimodule(alg, alg, dims, lact, ract, name="T")
 
 
 # -- tensor algebra of a bimodule --------------------------------------

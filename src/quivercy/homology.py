@@ -65,20 +65,17 @@ def eltmat_is_zero(m):
 
 
 def eltmat_compose(alg, g, f):
-    """Element matrix of g∘f (f applied first)."""
-    nr = len(g)
-    nc = len(f[0]) if f else 0
-    mid = len(f)
-    out = eltmat_zero(nr, nc)
-    for t in range(nr):
-        for s in range(nc):
+    """Element matrix of g∘f (f applied first), from the nonzero rows of
+    each column of f, matched against each row of g."""
+    out = eltmat_zero(len(g), len(f[0]) if f else 0)
+    for s in range(len(out[0]) if out else 0):
+        col = [(r, row[s]) for r, row in enumerate(f) if row[s]]
+        for t, grow in enumerate(g):
             acc = {}
-            for r in range(mid):
-                fe = f[r][s]
-                ge = g[t][r]
-                if fe and ge:
-                    prod = alg.mul_elt(fe, ge)
-                    for k, c in prod.items():
+            for r, fe in col:
+                ge = grow[r]
+                if ge:
+                    for k, c in alg.mul_elt(fe, ge).items():
                         v = acc.get(k, 0) + c
                         if v:
                             acc[k] = v
@@ -154,15 +151,42 @@ class ModComplex:
     def diff(self, i):
         return self.diffs.get(i)
 
-    def check(self):
-        for i, d in self.diffs.items():
-            d.check()
-            nxt = self.diffs.get(i + 1)
-            if nxt is not None and not nxt.compose(d).is_zero():
-                raise ValueError(f"d^2 != 0 at degree {i}")
-
     def cohomology(self, i):
-        return homology_module(self.term(i), self.diff(i - 1), self.diff(i))
+        return self._cohomology(i)[0]
+
+    def _cohomology(self, i):
+        """(H^i, cols, units, proj): the kernel of d^i with its basis and
+        units (`kernel`), None without d^i, and its quotient by the image,
+        whose kernel coordinates are its rows at the units, with the
+        projection, None without d^(i-1)."""
+        at, f_in, f_out = self.term(i), self.diff(i - 1), self.diff(i)
+        K, cols, units = (at, None, None) if f_out is None else kernel(f_out)
+        if f_in is None:
+            return K, cols, units, None
+        img = {v: [[m.a[u][c] for u in (units[v] if units else range(m.rows))]
+                   for c in range(m.cols)] for v, m in f_in.mats.items()}
+        H, proj = quotient(K, img, name="H")
+        return H, cols, units, proj
+
+    def cohomology_maps(self, i):
+        """(H^i, into, onto): at each vertex, into sends H^i to cycles of
+        term i, a section, and onto sends a cycle to its class, read at the
+        units.  into sends e_r to the kernel vector at the first j with p
+        e_j = e_r, p the projection: j = free coordinate r is one."""
+        H, cols, units, proj = self._cohomology(i)
+        into, onto = {}, {}
+        for v, d in self.term(i).dims.items():
+            ks = cols[v] if cols else [[int(j == k) for j in range(d)] for k in range(d)]
+            us = units[v] if units else range(d)
+            p = proj.mats[v] if proj else Mat.identity(len(ks))
+            pcols = p.columns()
+            picks = [ks[pcols.index([int(r == x) for x in range(p.rows)])] for r in range(p.rows)]
+            into[v] = Mat.from_rows(picks, ncols=d).transpose()
+            onto[v] = Mat.zero(p.rows, d)
+            for row, prow in zip(onto[v].a, p.a):
+                for u, x in zip(us, prow):
+                    row[u] = x
+        return H, into, onto
 
     def cohomology_dim(self, i):
         """dim H^i: the dimension of term i less the ranks of the two
@@ -170,18 +194,6 @@ class ModComplex:
         ds = [d for d in (self.diff(i - 1), self.diff(i)) if d is not None]
         return sum(n - sum(d.mats[w].rank() for d in ds)
                    for w, n in self.term(i).dims.items() if n)
-
-    def cohomology_table(self):
-        if not self.terms:
-            return {}
-        lo = min(self.terms)
-        hi = max(self.terms)
-        out = {}
-        for i in range(lo, hi + 1):
-            H = self.cohomology(i)
-            if H.total_dim:
-                out[i] = H
-        return out
 
 
 class PerfComplex:
@@ -192,22 +204,8 @@ class PerfComplex:
         self.terms = {i: list(t) for i, t in terms.items() if t}
         self.diffs = {i: d for i, d in diffs.items() if not eltmat_is_zero(d)}
 
-    def degrees(self):
-        return sorted(self.terms)
-
     def width(self):
         return sum(len(t) for t in self.terms.values())
-
-    def shift(self, k):
-        """[k]: term i of the shift is term i+k of the original; odd shifts
-        flip the sign of the differential."""
-        terms = {i - k: t for i, t in self.terms.items()}
-        diffs = {}
-        for i, d in self.diffs.items():
-            if k % 2:
-                d = [[{b: -c for b, c in e.items()} for e in row] for row in d]
-            diffs[i - k] = d
-        return PerfComplex(self.alg, terms, diffs)
 
     def check(self):
         for i, d in self.diffs.items():
@@ -226,35 +224,10 @@ class PerfComplex:
         """The complex as modules: the regular bimodule tensored with it."""
         return tensor_complex(regular_bimodule(self.alg), self)
 
-    def cohomology(self, i):
-        return self.to_mod_complex().cohomology(i)
-
-    def cohomology_table(self):
-        return self.to_mod_complex().cohomology_table()
-
 
 def stalk_regular(alg):
     """The regular module as a one-term complex of projectives in degree 0."""
     return PerfComplex(alg, {0: list(alg.vertices)}, {})
-
-
-def homology_module(at: Module, f_in, f_out, name="H"):
-    """ker(f_out) / im(f_in) at the module `at`.  The image lies in the
-    kernel, so its coordinates there are its rows at the kernel's unit
-    coordinates."""
-    if f_out is None:
-        K, units = at, None
-    else:
-        K, _, units = kernel(f_out)
-    if f_in is None:
-        return K
-    cols = {}
-    for v, m in f_in.mats.items():
-        if units is not None:
-            m = Mat(len(units[v]), m.cols, [m.a[u] for u in units[v]])
-        cols[v] = m.transpose().a
-    Q, _ = quotient(K, cols, name=name)
-    return Q
 
 
 # -- covers and resolutions -------------------------------------------
@@ -279,19 +252,33 @@ def projective_cover(M: Module, sub=None):
     rad = radical_columns(M)
     verts = []
     lifts = []
-    first, at = {}, {}  # the summands at v from index first[v], their lifts in at[v]
     for v in alg.vertices:
         d = M.dims[v]
         span = rad[v] + sub[v] if sub else rad[v]
         pivset = set(Mat.from_rows(span, ncols=d).rref()[1]) if span else ()
         free = [j for j in range(d) if j not in pivset]
-        if free:
-            first[v], at[v] = len(verts), free
-            verts += [v] * len(free)
-            lifts += free
+        verts += [v] * len(free)
+        lifts += free
+    P, cover = _cover_map(M, verts, lifts)
+    return P, cover, lifts
+
+
+_EMPTY = Mat.zero(0, 0)
+
+
+def _cover_map(M: Module, verts, lifts):
+    """(P, P -> M) for P the sum of projectives at verts, in vertex order,
+    summand r sending its generator to the unit vector at lifts[r], the
+    lifts ascending at each vertex; one empty matrix where both are 0."""
+    alg = M.alg
+    first, at = {}, {}  # the summands at v from index first[v], their lifts in at[v]
+    for r, (v, j) in enumerate(zip(verts, lifts)):
+        first.setdefault(v, r)
+        at.setdefault(v, []).append(j)
     P = _sum_info(alg, tuple(verts))
     pos = regular_bimodule(alg).basis_pos
-    mats = {w: Mat.zero(M.dims[w], P.dims[w]) for w in alg.vertices}
+    mats = {w: Mat.zero(M.dims[w], P.dims[w]) if M.dims[w] or P.dims[w] else _EMPTY
+            for w in alg.vertices}
     # the idempotent of summand r goes to the unit vector at its lift
     for r, (v, j) in enumerate(zip(verts, lifts)):
         mats[v].a[j][P.offs[(r, v)]] = 1
@@ -310,7 +297,7 @@ def projective_cover(M: Module, sub=None):
                 for x, brow in enumerate(blk.a, r0):
                     if brow[y]:
                         rows[x][c] = brow[y]
-    return P, Morphism(P, M, mats), lifts
+    return P, Morphism(P, M, mats)
 
 
 def split_resolution(mods, max_len=None):
@@ -320,9 +307,11 @@ def split_resolution(mods, max_len=None):
     of a coordinate of the sum is the module it comes from, of a summand
     of P_0 the owner of its lift, and of a summand of P_k, k > 0, the
     owner of its image, which lies inside that owner's summands of
-    P_(k-1).  Each complex carries its length and whether it is complete:
-    False when max_len stopped the resolution at a kernel vector whose
-    unit coordinate lies in that owner's summands.
+    P_(k-1).  Each complex carries its length, whether it is complete
+    (False when max_len stopped the resolution at a kernel vector whose
+    unit coordinate lies in that owner's summands), and the lifts of its
+    cover P_0 -> module: summand r of P_0 sends its generator to the unit
+    vector at coordinate lifts[r] of its module (`_cover_map`).
 
     Each owner's complex is the resolution of its module alone exactly:
     the same terms in the same order, the same element matrices, length
@@ -349,6 +338,9 @@ def split_resolution(mods, max_len=None):
     terms, diffs = [{} for _ in range(count)], [{} for _ in range(count)]
     P, cur, lifts = projective_cover(M)
     owners = [owner[v][j] for v, j in zip(P.verts, lifts)]
+    cover_lifts = [[] for _ in range(count)]  # in each owner's own coordinates
+    for v, j, u in zip(P.verts, lifts, owners):
+        cover_lifts[u].append(j - owner[v].index(u))
     k = 0
     while True:
         idx = [[] for _ in range(count)]  # the summands of P of each owner, in order
@@ -393,6 +385,7 @@ def split_resolution(mods, max_len=None):
     for u in range(count):
         res = PerfComplex(alg, terms[u], diffs[u])
         res.complete, res.length = u not in unfinished, -min(res.terms, default=0)
+        res.lifts = cover_lifts[u]
         out.append(res)
     return out
 
@@ -408,9 +401,85 @@ def min_proj_resolution(M: Module, max_len=None):
 def env_resolution(alg, bimodule, max_len):
     """The minimal resolution of bimodule(alg), regular_bimodule or
     dual_regular_bimodule, over the enveloping algebra E (`env_module`),
-    to max_len.  `ar.ext_bimodule` and `cy.check_untwisted_cy` ask at
-    default_cap(E) or above, so below that cap they share one."""
+    to max_len, for `cy.check_untwisted_cy`, which asks at default_cap(E)."""
     return min_proj_resolution(env_module(alg, bimodule), max_len)
+
+
+def _eltmat_vectors(S: ColumnSum, em, verts):
+    """Inverse of `images_to_eltmat`: column s of em, a map from the
+    projectives at verts into the column sum S of the regular bimodule,
+    as a vector of S at verts[s]."""
+    pos, out = S.bimodule.basis_pos, []
+    for s, v in enumerate(verts):
+        vec = [0] * S.dims[v]
+        for r, row in enumerate(em):
+            for b, c in row[s].items():
+                vec[S.offs[(r, v)] + pos[b]] = c
+        out.append(vec)
+    return out
+
+
+def _solve(D: Mat, targets):
+    """For each target z, the y with D y = z zero at the free columns of
+    D's rref, from one rref of [D | targets]; ValueError off the image."""
+    n = D.cols
+    R, pivots = Mat(D.rows, n + len(targets),
+                    [row + [z[i] for z in targets] for i, row in enumerate(D.a)]).rref()
+    if pivots and pivots[-1] >= n:
+        raise ValueError("no lift: a target lies outside the image")
+    ys = [[0] * n for _ in targets]
+    for i, p in enumerate(pivots):
+        for c, y in enumerate(ys):
+            y[p] = R.a[i][n + c]
+    return ys
+
+
+def lift(Q: PerfComplex, maps, top):
+    """Chain maps into Q over module maps: for each (f, P) of maps, f: M ->
+    N = f.tgt and P, Q resolutions of M, N that keep their lifts
+    (`split_resolution`), the element matrices {-k: F_k: P_k -> Q_k} of a
+    chain map over f in degrees 0..top.
+
+    The comparison theorem, degree by degree.  Let d_Q^0 = e_Q and e_P be
+    the covers Q_0 -> N, P_0 -> M (`_cover_map`).  F_k sends generator s of
+    P_k to a preimage under d_Q^k of z = f e_P s for k = 0, of z = F_(k-1)
+    d_P s for k > 0, read as vectors (`eltmat_compose`, `_eltmat_vectors`).
+    One exists: d_Q^(k-1) z = 0 (F_(k-2) d_P d_P s = 0, or e_Q F_0 d_P s =
+    f e_P d_P s = 0), so z is a cycle, and Q is exact.  A generator at v
+    needs a preimage at v: one rref of d_Q^k at v finds those of every
+    map (`_solve`), or raises ValueError, as for an f that is not a module
+    map.  Each preimage and d_Q F_k = F_(k-1) d_P are checked."""
+    alg, R = Q.alg, regular_bimodule(Q.alg)
+    C = tensor_complex(R, Q, range(-top, 1))
+    sums = [C.terms.get(-k) or column_sum(R, ()) for k in range(top + 1)]
+    downs = [_cover_map(maps[0][0].tgt, Q.terms.get(0, ()), Q.lifts)[1]]
+    downs += [C.diff(-k) for k in range(1, top + 1)]
+    out = [{} for _ in maps]
+    for k in range(top + 1):
+        wanted, comps = [], []  # (map, generator, vertex, target); each F_(k-1) d_P
+        for m, (f, P) in enumerate(maps):
+            verts = P.terms.get(-k, ())
+            if k == 0:
+                zs = [f.mats[v].column(j) for v, j in zip(verts, P.lifts)]
+            else:
+                comps.append(eltmat_compose(alg, out[m][1 - k], P.diffs[-k]) if verts else [])
+                zs = _eltmat_vectors(sums[k - 1], comps[m], verts)
+            wanted += [(m, s, v, z) for s, (v, z) in enumerate(zip(verts, zs))]
+        images = [[None] * len(P.terms.get(-k, ())) for _, P in maps]
+        for v in alg.vertices:
+            at = [w for w in wanted if w[2] == v]
+            if at:
+                D = downs[k].mats[v] if downs[k] else Mat.zero(len(at[0][3]), 0)
+                for (m, s, _, z), y in zip(at, _solve(D, [w[3] for w in at])):
+                    if D.apply(y) != z:
+                        raise ValueError("not a chain map: a lift misses its target")
+                    images[m][s] = y
+        for m, (f, P) in enumerate(maps):
+            F = out[m][-k] = images_to_eltmat(P.terms.get(-k, ()), sums[k], images[m])
+            if k and P.terms.get(-k) and Q.diffs.get(-k) and eltmat_compose(
+                    alg, Q.diffs[-k], F) != comps[m]:
+                raise ValueError("not a chain map: d F != F d")
+    return out
 
 
 def ext_dims_upto(M: Module, N: Module, n):

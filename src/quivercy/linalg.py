@@ -131,20 +131,6 @@ class Mat:
             return Mat(self.cols, 0, [[] for _ in range(self.cols)])
         return Mat(self.cols, self.rows, [list(r) for r in zip(*self.a)])
 
-    @staticmethod
-    def block_diag(mats):
-        mats = list(mats)
-        R = sum(m.rows for m in mats)
-        C = sum(m.cols for m in mats)
-        out = Mat.zero(R, C)
-        r0 = c0 = 0
-        for m in mats:
-            for i in range(m.rows):
-                out.a[r0 + i][c0 : c0 + m.cols] = m.a[i][:]
-            r0 += m.rows
-            c0 += m.cols
-        return out
-
     def kron(self, other):
         """Kronecker product: entry (i * other.rows + k, j * other.cols + l)
         is self[i][j] * other[k][l], an int 0 where either factor is 0."""
@@ -241,8 +227,9 @@ def span_basis(vectors):
 def kernel_units(basis):
     """The coordinate at which each vector of a `Mat.kernel_basis` is 1
     and every other vector is 0.  It is the vector's last nonzero entry,
-    since a pivot row of the rref is zero left of its pivot."""
-    return [max(j for j, x in enumerate(v) if x) for v in basis]
+    since a pivot row of the rref is zero left of its pivot; the scan for
+    it starts from the end."""
+    return [next(j for j in range(len(v) - 1, -1, -1) if v[j]) for v in basis]
 
 
 def independent_subset(span, candidates):

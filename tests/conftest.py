@@ -15,8 +15,9 @@ from quivercy.cy import (
     k0_nakayama,
     nakayama_power,
 )
-from quivercy.errors import UNDECIDED, CapExceeded, InvalidSpec, NotNilpotent
+from quivercy.errors import UNDECIDED, CapExceeded, InvalidSpec, NotAHomomorphism, NotNilpotent
 from quivercy.homology import (
+    ModComplex,
     PerfComplex,
     _sum_info,
     default_cap,
@@ -25,7 +26,6 @@ from quivercy.homology import (
     env_resolution,
     ext_dims_upto,
     global_dimension,
-    homology_module,
     images_to_eltmat,
     is_shifted_regular,
     nakayama,
@@ -43,15 +43,16 @@ from quivercy.module import (
     _sub_from_columns,
     _trace_rank,
     _weighted_sum,
+    action_matrix,
     bimodule_to_env_module,
     column_sum,
     direct_sum,
     dual_regular_bimodule,
     env_module,
-    env_module_to_bimodule,
     hom,
     is_isomorphic,
     kernel,
+    quotient,
     radical_columns,
     regular_bimodule,
     regular_module,
@@ -62,6 +63,104 @@ from quivercy.parsing import load_algebra_file
 from quivercy.quiver import Path, Quiver, Relation
 
 CORPUS = pathlib.Path(quivercy.__file__).parent / "corpus"
+
+
+def block_diag(mats):
+    """The block-diagonal matrix with the given blocks."""
+    mats = list(mats)
+    out = Mat.zero(sum(m.rows for m in mats), sum(m.cols for m in mats))
+    r0 = c0 = 0
+    for m in mats:
+        for i in range(m.rows):
+            out.a[r0 + i][c0:c0 + m.cols] = m.a[i][:]
+        r0 += m.rows
+        c0 += m.cols
+    return out
+
+
+def shift(P: PerfComplex, k):
+    """P[k]: term i of the shift is term i+k of P; odd shifts flip the sign
+    of the differential."""
+    terms = {i - k: t for i, t in P.terms.items()}
+    diffs = {}
+    for i, d in P.diffs.items():
+        if k % 2:
+            d = [[{b: -c for b, c in e.items()} for e in row] for row in d]
+        diffs[i - k] = d
+    return PerfComplex(P.alg, terms, diffs)
+
+
+def cohomology_table(C):
+    """{i: H^i} over the nonzero cohomology of C, a ModComplex or, as
+    modules, a PerfComplex."""
+    if isinstance(C, PerfComplex):
+        C = C.to_mod_complex()
+    out = {}
+    for i in range(min(C.terms, default=0), max(C.terms, default=-1) + 1):
+        H = C.cohomology(i)
+        if H.total_dim:
+            out[i] = H
+    return out
+
+
+def eltmat_compose_oracle(alg, g, f):
+    """homology.eltmat_compose as it was before it visited only nonzero
+    entries: every (row, column, middle) index triple."""
+    nr, nc, mid = len(g), len(f[0]) if f else 0, len(f)
+    out = eltmat_zero(nr, nc)
+    for t in range(nr):
+        for s in range(nc):
+            acc = {}
+            for r in range(mid):
+                fe, ge = f[r][s], g[t][r]
+                if fe and ge:
+                    for k, c in alg.mul_elt(fe, ge).items():
+                        v = acc.get(k, 0) + c
+                        if v:
+                            acc[k] = v
+                        elif k in acc:
+                            del acc[k]
+            out[t][s] = acc
+    return out
+
+
+def check_module(M: Module):
+    """Verify the block rule of the module docstring and the module axioms
+    on the multiplication table."""
+    for i, triples in M.blocks().items():
+        b = M.alg.basis[i]
+        for n, spans in ((M.dims[b.tgt], [(r0, m.rows) for r0, _, m in triples]),
+                         (M.dims[b.src], [(c0, m.cols) for _, c0, m in triples])):
+            ends = [0] + [x for o, k in sorted(spans) for x in (o, o + k)] + [n]
+            if not b.degree or ends != sorted(ends) or any(m.is_zero() for *_, m in triples):
+                raise ValueError(f"blocks of {b} are not nonzero and block-diagonal")
+    for (i, j), prod in M.alg.mult.items():
+        bi, bj = M.alg.basis[i], M.alg.basis[j]
+        if bi.src != bj.tgt:
+            continue
+        lhs = action_matrix(M, i) * action_matrix(M, j)
+        rhs = Mat.zero(lhs.rows, lhs.cols)
+        for k, c in prod.items():
+            rhs = rhs + action_matrix(M, k).scale(c)
+        if lhs != rhs:
+            raise ValueError(f"action breaks product {bi} * {bj}")
+
+
+def check_morphism(f: Morphism):
+    """Verify that f commutes with the action of every generator."""
+    for g in f.src.alg.generators():
+        b = f.src.alg.basis[g]
+        if action_matrix(f.tgt, g) * f.mats[b.src] != f.mats[b.tgt] * action_matrix(f.src, g):
+            raise NotAHomomorphism(f"square fails at generator {b}")
+
+
+def check_mod_complex(C: ModComplex):
+    """Verify that every differential is a module map and d∘d = 0."""
+    for i, d in C.diffs.items():
+        check_morphism(d)
+        nxt = C.diffs.get(i + 1)
+        if nxt is not None and not nxt.compose(d).is_zero():
+            raise ValueError(f"d^2 != 0 at degree {i}")
 
 
 def corpus_algebra(stem):
@@ -690,7 +789,7 @@ def is_shifted_regular_oracle(P: PerfComplex):
     """homology.is_shifted_regular as it was before it read the minimal
     complex: m when the cohomology is one regular module in degree -m, for
     any complex of projectives, minimal or not."""
-    table = P.cohomology_table()
+    table = cohomology_table(P)
     if len(table) != 1:
         return None
     (deg, H), = table.items()
@@ -983,6 +1082,26 @@ def _hom_coboundary(alg, E, lay_k: _HomLayout, lay_k1: _HomLayout, em):
     return mats
 
 
+def homology_module(at: Module, f_in, f_out, name="H"):
+    """ker(f_out) / im(f_in) at the module `at`, as ModComplex.cohomology
+    computed it before it read the action through its section: the kernel
+    as a module, then its quotient.  The image lies in the kernel, so its
+    coordinates there are its rows at the kernel's unit coordinates."""
+    if f_out is None:
+        K, units = at, None
+    else:
+        K, _, units = kernel(f_out)
+    if f_in is None:
+        return K
+    cols = {}
+    for v, m in f_in.mats.items():
+        if units is not None:
+            m = Mat(len(units[v]), m.cols, [m.a[u] for u in units[v]])
+        cols[v] = m.transpose().a
+    Q, _ = quotient(K, cols, name=name)
+    return Q
+
+
 def ext_bimodule_oracle(alg, n):
     """ar.ext_bimodule as it was before it dualised the resolution of the
     regular bimodule: Hom over the algebra from the enveloping resolution
@@ -1011,6 +1130,44 @@ def ext_bimodule_oracle(alg, n):
         src_env = bimodule_to_env_module(lays[n - 1].bimodule())
         f_in = Morphism(src_env, Hn_env, mats)
     H = homology_module(Hn_env, f_in, f_out, name="T")
+    out = env_module_to_bimodule(H, alg)
+    out.name = "T"
+    return out
+
+
+def env_module_to_bimodule(M: Module, alg: Algebra):
+    """Inverse of bimodule_to_env_module for modules over A (x) A^op."""
+    a, _, pair_index = M.alg.tensor_info
+    blocks = M.blocks()
+    lact, ract = {}, {}
+    for (i, j), k in pair_index.items():
+        if k in blocks:
+            bi, bj = a.basis[i], a.basis[j]
+            if not bj.degree:
+                lact[(i, bj.src)] = action_matrix(M, k)
+            elif not bi.degree:
+                ract[(bi.src, j)] = action_matrix(M, k)
+    return Bimodule(alg, alg, M.dims, lact, ract, name=M.name)
+
+
+def ext_bimodule_env_oracle(alg, n):
+    """ar.ext_bimodule as it was before it resolved DA over the algebra:
+    Ext^n_E(A, E) over E = A (x) A^op, the n-th cohomology of the dual of
+    the minimal E-resolution P of A (Keller, arXiv 0908.3499, section 4).
+    The right E-modules e_x E of Hom_E(P, E) are made left ones by the
+    swap anti-automorphism of E: term k has the vertices (v, u) of the
+    resolution's term (u, v), and each differential is transposed with
+    the swap applied to its entries."""
+    E = env_module(alg, regular_bimodule).alg
+    res = env_resolution(alg, regular_bimodule, max(n + 1, default_cap(E)))
+    pair_index = E.tensor_info[2]
+    swap = {k: pair_index[(j, i)] for (i, j), k in pair_index.items()}
+    terms = {-d: [(v, u) for u, v in verts] for d, verts in res.terms.items()}
+    diffs = {-d - 1: [[{swap[e]: c for e, c in row[s].items()} for row in em]
+                      for s in range(len(terms[-d]))]
+             for d, em in res.diffs.items()}
+    P = PerfComplex(E, terms, diffs)
+    H = tensor_complex(regular_bimodule(E), P, (n - 1, n, n + 1)).cohomology(n)
     out = env_module_to_bimodule(H, alg)
     out.name = "T"
     return out
@@ -1159,7 +1316,7 @@ def check_untwisted_cy_oracle(alg, ell, m, cap=None):
     P0 = C = dual_regular_perf(alg)
     for _ in range(ell - 1):
         C = minimize_oracle(tensor_complex_over_base(P0, C, alg, E))
-    table = C.cohomology_table()
+    table = cohomology_table(C)
     if set(table) != {-m}:
         return False
     H = table[-m]

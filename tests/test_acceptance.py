@@ -43,6 +43,7 @@ from conftest import (
     hom_in_D_dim,
     is_omega_stable_orientation,
     projective_module,
+    shift,
     socle_permutation_oracle,
 )
 
@@ -208,7 +209,7 @@ def test_11_property_suites(a2, a3_stable):
             for N in mods:
                 PN = perf(N)
                 for i in range(3):
-                    assert ext_dims_upto(M, N, i)[i] == hom_in_D_dim(PN, nuM.shift(-i))
+                    assert ext_dims_upto(M, N, i)[i] == hom_in_D_dim(PN, shift(nuM, -i))
     # translate functors are quasi-inverse on the orbit summands, and
     # non-projective summands admit no map to the algebra
     rep = decide_nrf(a3_stable, 1)

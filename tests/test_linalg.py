@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import solve_oracle
+from conftest import block_diag, solve_oracle
 from quivercy.linalg import Mat, independent_subset, kernel_units, span_basis
 
 
@@ -102,7 +102,7 @@ def test_transpose_and_stacks():
     assert (t.rows, t.cols) == (3, 2)
     one = mat([[7]])
     assert one.transpose() is one  # never changed after build, so shared
-    d = Mat.block_diag([mat([[1]]), mat([[2, 0], [0, 3]])])
+    d = block_diag([mat([[1]]), mat([[2, 0], [0, 3]])])
     assert (d.rows, d.cols) == (3, 3)
     assert d.a[0][1] == 0
 
@@ -195,3 +195,22 @@ def test_kron_matches_the_entrywise_definition(seed):
         assert k.a == _kron_oracle(x, y)
         # a zero factor leaves an int 0, never a Fraction zero
         assert all(type(e) is int for row in k.a for e in row if not e)
+
+
+def test_kernel_units_scan_from_the_end_as_the_forward_scan_finds():
+    # the unit is the last nonzero entry, found from the end; on seeded
+    # kernels, and on vectors that no kernel basis gives (auslander_algebra
+    # passes some), it equals the last one a forward scan finds
+    def forward(basis):
+        return [max(j for j, x in enumerate(v) if x) for v in basis]
+
+    rng = random.Random(17)
+    for _ in range(300):
+        rows, cols = rng.randint(0, 5), rng.randint(1, 9)
+        m = Mat.from_rows([[rng.choice([0, 0, 0, 1, -1, 2, Fraction(1, 2)]) for _ in range(cols)]
+                           for _ in range(rows)], ncols=cols)
+        kb = m.kernel_basis()
+        assert kernel_units(kb) == forward(kb)
+        vecs = [[rng.choice([0, 0, 1, -3]) for _ in range(cols)] for _ in range(4)]
+        vecs = [v for v in vecs if any(v)]
+        assert kernel_units(vecs) == forward(vecs)

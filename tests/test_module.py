@@ -5,6 +5,9 @@ import pytest
 import sympy
 
 from conftest import (
+    block_diag,
+    check_module,
+    check_morphism,
     corpus_algebra,
     decompose_oracle,
     dense_module,
@@ -50,8 +53,8 @@ def test_projective_injective_dims(a3_linear):
 
 def test_module_axioms_checked(a3_linear):
     for v in a3_linear.vertices:
-        projective_module(a3_linear, v).check()
-        injective_module(a3_linear, v).check()
+        check_module(projective_module(a3_linear, v))
+        check_module(injective_module(a3_linear, v))
 
 
 def test_regular_decomposes_into_projectives(a3_linear):
@@ -162,7 +165,7 @@ def test_hom_dims(a3_linear):
     assert hom_dim(P3, P1) == 1
     assert hom_dim(P1, P1) == 1
     for f in hom(P3, P1):
-        f.check()
+        check_morphism(f)
 
 
 def test_top_radical_socle(a3_linear):
@@ -171,7 +174,7 @@ def test_top_radical_socle(a3_linear):
     assert T.dim_vector() == (1, 0, 0)
     R, inc = radical_submodule(P1)
     assert R.dim_vector() == (0, 1, 1)
-    inc.check()
+    check_morphism(inc)
     assert socle_vertices(P1) == {1: 0, 2: 0, 3: 1}
 
 
@@ -184,7 +187,7 @@ def test_dual_module(a3_linear):
     # the dual of an injective is the projective over the opposite algebra
     D = dual_module(injective_module(a3_linear, 3))
     assert D.dim_vector() == (1, 1, 1)
-    D.check()
+    check_module(D)
 
 
 def test_direct_sum(a3_linear):
@@ -192,7 +195,7 @@ def test_direct_sum(a3_linear):
     S2 = simple_module(a3_linear, 2)
     M = direct_sum([P1, S2])
     assert M.dim_vector() == (1, 2, 1)
-    M.check()
+    check_module(M)
     assert is_isomorphic(M, direct_sum([S2, P1]))
 
 
@@ -235,7 +238,7 @@ def _kronecker_module(kronecker, a_rows, b_rows):
     d = len(a_rows)
     act = {2: Mat.from_rows(a_rows), 3: Mat.from_rows(b_rows)}
     M = dense_module(kronecker, {1: d, 2: d}, act)
-    M.check()
+    check_module(M)
     return M
 
 
@@ -247,11 +250,11 @@ def test_check_holds_modules_to_the_block_rule(kronecker):
     # two 1x1 blocks of a on the diagonal pass; a zero block, two blocks
     # sharing a row or a column, and a block past the shape do not
     one = Mat.from_rows([[1]])
-    Module(kronecker, {1: 2, 2: 2}, {2: [(0, 0, one), (1, 1, one)]}).check()
+    check_module(Module(kronecker, {1: 2, 2: 2}, {2: [(0, 0, one), (1, 1, one)]}))
     for blocks in ([(0, 0, Mat.from_rows([[0]]))], [(0, 0, one), (0, 1, one)],
                    [(0, 0, one), (1, 0, one)], [(2, 0, one)]):
         with pytest.raises(ValueError, match="block-diagonal"):
-            Module(kronecker, {1: 2, 2: 2}, {2: blocks}).check()
+            check_module(Module(kronecker, {1: 2, 2: 2}, {2: blocks}))
 
 
 def test_kronecker_with_field_endomorphisms(kronecker):
@@ -340,7 +343,7 @@ def _end_is_local(M, E):
     dimensional, with rad End(M) the kernel of the trace form of left
     multiplication on End(M) (characteristic 0)."""
     n = len(E)
-    big = [Mat.block_diag([e.mats[v] for v in M.alg.vertices if M.dims[v]]) for e in E]
+    big = [block_diag([e.mats[v] for v in M.alg.vertices if M.dims[v]]) for e in E]
     B = Mat.from_rows([[x for row in b.a for x in row] for b in big]).transpose()
     table = {}
     for i in range(n):

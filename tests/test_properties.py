@@ -5,7 +5,7 @@ Calabi-Yau certificates and basic sanity of every produced complex."""
 
 import pytest
 
-from conftest import hom_dim, hom_in_D_dim, projective_module
+from conftest import hom_dim, hom_in_D_dim, projective_module, shift
 from quivercy.ar import _match_projective, decide_nrf, tau_n, tau_n_minus
 from quivercy.cy import check_twisted_cy
 from quivercy.homology import (
@@ -43,7 +43,7 @@ def test_serre_duality(stem, request):
             PN = perf(N)
             for i in range(3):
                 # dim Ext^i(M, N) = dim Hom(N, nu M [-i])
-                assert ext_dims_upto(M, N, i)[i] == hom_in_D_dim(PN, nuM.shift(-i))
+                assert ext_dims_upto(M, N, i)[i] == hom_in_D_dim(PN, shift(nuM, -i))
 
 
 @pytest.mark.parametrize("stem", ["a3_stable", "a5_stable"])

@@ -13,7 +13,12 @@ import sys
 
 import pytest
 
-from conftest import assert_bimodule_store, corpus_algebra, tensor_bimod_bimod_oracle
+from conftest import (
+    assert_bimodule_store,
+    corpus_algebra,
+    env_module_to_bimodule,
+    tensor_bimod_bimod_oracle,
+)
 from quivercy.algebra import opposite
 from quivercy.ar import ext_bimodule
 from quivercy.constructions import TypeAQuiver, cut_algebra, enumerate_cuts
@@ -21,7 +26,6 @@ from quivercy.linalg import Mat
 from quivercy.module import (
     bimodule_to_env_module,
     dual_regular_bimodule,
-    env_module_to_bimodule,
     regular_bimodule,
     tensor_bimod_bimod,
 )

@@ -13,6 +13,7 @@ import sys
 import pytest
 
 from conftest import (
+    check_morphism,
     corpus_algebra,
     dense_act_mat,
     dense_action,
@@ -128,7 +129,7 @@ def test_radical_submodule_is_invariant(a3_linear, d4, kronecker):
         mods = [injective_module(alg, v) for v in alg.vertices]
         for M in mods + [column_sum(dual_regular_bimodule(alg), alg.vertices)]:
             R, inc = radical_submodule(M)
-            inc.check()
+            check_morphism(inc)
             cols = {v: inc.mats[v].columns() for v in alg.vertices}
             units = {v: [next(j for j, x in enumerate(c) if x) for c in cs]
                      for v, cs in cols.items()}
