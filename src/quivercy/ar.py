@@ -412,7 +412,7 @@ def ext_bimodule(alg: Algebra, n: int):
             continue
         Iy, maps = injective_module(alg, y), []
         for a in elts:
-            Ix, blocks = injective_module(alg, alg.basis[a].tgt), DA.ract_elt(a)
+            Ix, blocks = injective_module(alg, alg.basis[a].tgt), DA.ract_by_elt.get(a, {})
             maps.append((Morphism(Ix, Iy, {w: blocks.get(w) or Mat.zero(Iy.dims[w], Ix.dims[w])
                                           for w in alg.vertices}), ress[alg.basis[a].tgt]))
         for a, F in zip(elts, lift(ress[y], maps, n)):

@@ -150,8 +150,16 @@ def cy(file, ell_max, m_max, ell, m, untwisted, dim_ceiling, cap, pretty):
         _emit(doc, pretty, started)
         sys.exit(EXIT_FALSE)
     if untwisted:
-        ok = check_untwisted_cy(alg, cert.ell, cert.m, cap=cap)
-        cert.twisted = not ok
+        # an untwisted certificate is a twisted one, so one of the
+        # multiples (k ell0, k m0) of the least; report the first within
+        # the bounds that passes, else the least, twisted
+        ell0, m0 = cert.ell, cert.m
+        for k in range(1, ell_max // ell0 + 1):
+            if k * m0 > m_max:
+                break
+            if check_untwisted_cy(alg, k * ell0, k * m0, cap=cap):
+                cert.ell, cert.m, cert.twisted = k * ell0, k * m0, False
+                break
     doc.update({"found": True, "dimension": str(cy_dimension(cert))})
     doc.update(cert.to_dict())
     _emit(doc, pretty, started)

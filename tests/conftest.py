@@ -39,7 +39,6 @@ from quivercy.module import (
     Module,
     Morphism,
     _quotient_maps,
-    _regular_from_table,
     _sub_from_columns,
     _trace_rank,
     _weighted_sum,
@@ -264,15 +263,56 @@ def assert_bimodule_store(X):
             check(m, b, (X.dims[(u, b.src)], X.dims[(u, b.tgt)]), (X, u, j))
 
 
-def regular_bimodule_oracle(alg):
-    """regular_bimodule by the loop over alg.mult, as it was built for a
-    tensor product before it was read off the factors."""
-    return _regular_from_table(alg)
+def tensor_regular_oracle(t):
+    """The regular bimodule of a tensor product t = a (x) b, read off the
+    regular bimodules Ra and Rb of its factors, all at once.
+    t e_(x,y) = a e_x (x) b e_y, on which i (x) j acts by (i.) (x) (j.);
+    so the left block of (i, j) on the column (x, y) is the kron of Ra's
+    block of i on the column x and Rb's block of j on the column y, an
+    idempotent giving an identity block, and the right block of (i, j)
+    on the row (u1, u2) is the kron of their right blocks on the rows u1
+    and u2.  The kron order, coordinate (p, q) at p * n + q for n the
+    dimension of Rb's space, is t's basis order in each space."""
+    a, b, pair_index = t.tensor_info
+    Ra, Rb = regular_bimodule(a), regular_bimodule(b)
+
+    def left(alg, R, x):
+        eyes = [(alg.idem[u], Mat.identity(R.dims[(u, x)]))
+                for u in alg.vertices if R.dims[(u, x)]]
+        return eyes + list(R.lact_by_col.get(x, {}).items())
+
+    def right(alg, R, i):
+        bi = alg.basis[i]
+        if bi.degree:
+            return R.ract_by_elt.get(i, {})
+        return {u: Mat.identity(R.dims[(u, bi.src)]) for u in alg.vertices if R.dims[(u, bi.src)]}
+
+    dims, basis_indices, basis_pos = {}, {}, {}
+    for (u1, v1), ia in Ra.basis_indices.items():
+        for (u2, v2), ib in Rb.basis_indices.items():
+            idx = basis_indices[((u1, u2), (v1, v2))] = [pair_index[(i, j)] for i in ia for j in ib]
+            dims[((u1, u2), (v1, v2))] = len(idx)
+            basis_pos.update(zip(idx, range(len(idx))))
+    lact, ract = {}, {}
+    for x in a.vertices:
+        for y in b.vertices:
+            for i, p in left(a, Ra, x):
+                for j, q in left(b, Rb, y):
+                    if a.basis[i].degree or b.basis[j].degree:
+                        lact[(pair_index[(i, j)], (x, y))] = p.kron(q)
+    for (i, j), k in pair_index.items():
+        if t.basis[k].degree:
+            for u1, p in right(a, Ra, i).items():
+                for u2, q in right(b, Rb, j).items():
+                    ract[((u1, u2), k)] = p.kron(q)
+    X = Bimodule(t, t, dims, lact, ract, name="reg")
+    X.basis_indices, X.basis_pos = basis_indices, basis_pos
+    return X
 
 
 def tensor_table_oracle(t):
-    """The product table of a tensor product t, built as tensor_product
-    built it eagerly before the table was deferred to its first read."""
+    """The product table of a tensor product t, one product per pair of
+    products of its factors, written out loop by loop."""
     a, b, pair_index = t.tensor_info
     mult = {}
     for (i1, i2), pa in a.mult.items():

@@ -239,6 +239,18 @@ def test_cy_untwisted_point(runner):
     assert doc["passed"] is True
 
 
+@pytest.mark.parametrize("args, ell, m, twisted", [
+    # the least certificate (2, 1) is twisted; its double is not
+    (["a3_stable"], 4, 2, False),
+    (["d4"], 3, 2, False),
+    (["a3_stable", "--ell-max", "2"], 2, 1, True),
+])
+def test_cy_untwisted_search(runner, args, ell, m, twisted):
+    result, doc = run_json(runner, ["cy", corpus(args[0]), "--untwisted"] + args[1:])
+    assert result.exit_code == 0
+    assert (doc["ell"], doc["m"], doc["twisted"]) == (ell, m, twisted)
+
+
 def test_cy_untwisted_dim_ceiling(runner):
     result = runner.invoke(main, ["cy", corpus("a2"), "--untwisted",
                                   "--dim-ceiling", "2", "--ell", "3", "--m", "1"])
